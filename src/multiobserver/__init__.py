@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .combinatorics import BankIndex, SubsetIndex, bank_index, enumerate_subsets
 from .errors import (
-    AssumptionViolatedError,
     CalibrationError,
     ConfigurationError,
     EstimatorStarvedError,
@@ -52,19 +51,13 @@ from .calibration import (
     estimate_iss_gains,
 )
 from .estimator import (
-    EstimatorFrame,
     EstimatorRun,
-    compute_all_pi,
-    compute_pi,
-    estimator_step,
     run_estimator,
-    select_sigma,
 )
 from .isolation import (
     IsolationReport,
     IsolationWindow,
     ThresholdTable,
-    attack_free_union,
     compute_thresholds,
     windowed_isolation,
 )

@@ -38,14 +38,6 @@ class SubsetIndex:
         """Canonical config/bundle key, e.g. ``"J:1,3,4"``."""
         return f"{self.role}:{','.join(str(i) for i in self.members)}"
 
-    @property
-    def mask(self) -> int:
-        """Bitmask with bit (i - 1) set for each member i."""
-        m = 0
-        for i in self.members:
-            m |= 1 << (i - 1)
-        return m
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -92,10 +84,6 @@ class BankIndex:
     @property
     def all_subsets(self) -> tuple[SubsetIndex, ...]:
         return self.j_subsets + self.s_subsets
-
-    def j_for_attack_free(self, attacked: frozenset[int]) -> list[SubsetIndex]:
-        """J-class subsets disjoint from the attacked set (diagnostic helper)."""
-        return [J for J in self.j_subsets if not attacked & set(J.members)]
 
 
 def bank_index(p: int, q: int) -> BankIndex:

@@ -26,14 +26,6 @@ class ConfigurationError(MultiObserverError):
         super().__init__("; ".join(self.problems))
 
 
-class AssumptionViolatedError(ConfigurationError):
-    """A scenario contradicts the redundancy assumptions it claims.
-
-    Raised e.g. when more than ``q`` sensors are attacked or when
-    ``q >= p/2`` leaves too little redundancy for selection to work.
-    """
-
-
 class SimulationDivergedError(MultiObserverError):
     """The plant state left the finite-magnitude ceiling."""
 

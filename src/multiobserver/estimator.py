@@ -11,101 +11,14 @@ estimate whose error is bounded by attack-free observer errors alone.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .combinatorics import BankIndex, SubsetIndex
 from .errors import EstimatorStarvedError, InternalConsistencyError
 
-__all__ = [
-    "EstimatorFrame",
-    "EstimatorRun",
-    "compute_pi",
-    "compute_all_pi",
-    "select_sigma",
-    "estimator_step",
-    "run_estimator",
-    "frames_to_csv",
-]
-
-
-def _deviation(a: np.ndarray, b: np.ndarray) -> float:
-    # diverged observers produce huge or NaN entries; the overflow of
-    # their norm is expected and collapses to +inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = float(np.linalg.norm(a - b))
-    return d if np.isfinite(d) else float("inf")
-
-
-def compute_pi(
-    J: SubsetIndex,
-    estimates: dict[SubsetIndex, np.ndarray],
-    containment: dict[SubsetIndex, tuple[SubsetIndex, ...]],
-) -> float:
-    """Deviation score of one J-class subset at one step.
-
-    The largest Euclidean distance between J's estimate and the
-    estimates of its contained cross-check subsets.  Nonnegative; any
-    non-finite estimate turns into +inf so a diverged observer loses
-    every argmin without special-casing.
-    """
-    try:
-        x_J = estimates[J]
-        return max(_deviation(x_J, estimates[S]) for S in containment[J])
-    except KeyError as missing:
-        raise InternalConsistencyError(
-            f"bank estimates incomplete while scoring {J.label}: missing {missing.args[0]}"
-        ) from None
-
-
-def compute_all_pi(
-    estimates: dict[SubsetIndex, np.ndarray], bank: BankIndex
-) -> dict[SubsetIndex, float]:
-    """Deviation scores of every J-class subset, in canonical order."""
-    return {J: compute_pi(J, estimates, bank.contained) for J in bank.j_subsets}
-
-
-def select_sigma(pi: dict[SubsetIndex, float], k: int | None = None) -> SubsetIndex:
-    """Argmin of the deviation scores, ties to canonical subset order."""
-    best = None
-    best_val = float("inf")
-    for J in sorted(pi):
-        if pi[J] < best_val:
-            best, best_val = J, pi[J]
-    if best is None:
-        raise EstimatorStarvedError(-1 if k is None else k)
-    return best
-
-
-@dataclass
-class EstimatorFrame:
-    """Everything the selection stage produced at one step."""
-
-    k: int
-    sigma: SubsetIndex
-    x_hat: np.ndarray
-    pi: dict[SubsetIndex, float]
-    estimates: dict[SubsetIndex, np.ndarray] = field(repr=False)
-    e: np.ndarray | None = None
-
-    @property
-    def e_norm(self) -> float | None:
-        return None if self.e is None else float(np.linalg.norm(self.e))
-
-
-def estimator_step(
-    estimates: dict[SubsetIndex, np.ndarray],
-    bank: BankIndex,
-    k: int = 0,
-    truth: np.ndarray | None = None,
-) -> EstimatorFrame:
-    """Score, select, and package one step of bank output."""
-    pi = compute_all_pi(estimates, bank)
-    sigma = select_sigma(pi, k)
-    x_hat = np.asarray(estimates[sigma], dtype=float).copy()
-    e = None if truth is None else x_hat - np.asarray(truth, dtype=float)
-    return EstimatorFrame(k=k, sigma=sigma, x_hat=x_hat, pi=pi, estimates=estimates, e=e)
+__all__ = ["EstimatorRun", "run_estimator", "frames_to_csv"]
 
 
 @dataclass
@@ -139,19 +52,6 @@ class EstimatorRun:
     def sigma(self, k: int) -> SubsetIndex:
         return self.bank.j_subsets[int(self.sigma_idx[k])]
 
-    def frame(self, k: int) -> EstimatorFrame:
-        lookup = {sub: self.est[j, k] for j, sub in enumerate(self.subsets)}
-        pi = {J: float(self.pi[k, j]) for j, J in enumerate(self.bank.j_subsets)}
-        e = None if self.truth is None else self.x_hat[k] - self.truth[k]
-        return EstimatorFrame(
-            k=k, sigma=self.sigma(k), x_hat=self.x_hat[k].copy(), pi=pi,
-            estimates=lookup, e=e,
-        )
-
-    def frames(self):
-        for k in range(self.x_hat.shape[0]):
-            yield self.frame(k)
-
 
 def run_estimator(
     bank: BankIndex,
@@ -161,11 +61,23 @@ def run_estimator(
 ) -> EstimatorRun:
     """Vectorized selection over a full run of bank estimates.
 
-    ``est[j]`` must be the (T+1, n) estimate track of ``subsets[j]``.
-    Equivalent to calling :func:`estimator_step` at every k, including
-    tie-breaking: argmin takes the first (canonical) column.
+    ``est[j]`` must be the (T+1, n) estimate track of ``subsets[j]``,
+    and ``subsets`` must hold every subset of the bank.  Each score is
+    the largest Euclidean distance between J's estimate and those of
+    its contained cross-check subsets; a non-finite score becomes +inf,
+    so a diverged observer loses every argmin.  Ties go to the first
+    (canonical) J.
     """
     pos = {sub: j for j, sub in enumerate(subsets)}
+    missing = [sub.label for sub in bank.all_subsets if sub not in pos]
+    if missing:
+        raise InternalConsistencyError(
+            "bank estimates incomplete: missing " + ", ".join(missing)
+        )
+    if est.shape[0] != len(subsets):
+        raise InternalConsistencyError(
+            f"{est.shape[0]} estimate tracks for {len(subsets)} subsets"
+        )
     T1 = est.shape[1]
     n_j = len(bank.j_subsets)
     pi = np.zeros((T1, n_j))

@@ -11,18 +11,19 @@ complement is the isolated (suspected) sensor set.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+
+import numpy as np
 
 from .combinatorics import BankIndex, SubsetIndex
 from .errors import ConfigurationError
-from .estimator import EstimatorFrame, EstimatorRun
+from .estimator import EstimatorRun
 from .observers import ISSGainModel
 
 __all__ = [
     "ThresholdTable",
     "compute_thresholds",
-    "attack_free_union",
     "windowed_isolation",
     "IsolationWindow",
     "IsolationReport",
@@ -98,17 +99,6 @@ def compute_thresholds(
     return ThresholdTable(pi_bar=pi_bar, eps=eps, k_bar_star=k_bar_star)
 
 
-def attack_free_union(
-    pi: dict[SubsetIndex, float], thresholds: ThresholdTable
-) -> frozenset[int]:
-    """Sensors exonerated at one step: union of all J scoring under threshold."""
-    members: set[int] = set()
-    for J, score in pi.items():
-        if score <= thresholds.pi_bar[J]:
-            members.update(J.members)
-    return frozenset(members)
-
-
 @dataclass(frozen=True)
 class IsolationWindow:
     """Vote tally and verdict for one isolation window."""
@@ -136,63 +126,49 @@ class IsolationReport:
         return [w.isolated for w in self.windows]
 
 
-def _pi_stream(frames, bank: BankIndex):
-    """Yield (k, pi dict) from an EstimatorRun or a frame iterable."""
-    if isinstance(frames, EstimatorRun):
-        for k in range(frames.horizon + 1):
-            yield k, {J: float(frames.pi[k, j]) for j, J in enumerate(bank.j_subsets)}
-    else:
-        for frame in frames:
-            yield frame.k, frame.pi
-
-
 def windowed_isolation(
-    frames: EstimatorRun | Iterable[EstimatorFrame],
-    thresholds: ThresholdTable,
-    window: int,
-    bank: BankIndex | None = None,
+    run: EstimatorRun, thresholds: ThresholdTable, window: int
 ) -> IsolationReport:
     """Vote over consecutive windows of attack-free unions.
 
-    Windows of fixed length start at the table's settling step; a
-    partial window at the end of the run is dropped.  Within a window,
-    each step whose union has at least p - q members casts a vote for
-    that exact member set (the full sensor set included); the most
-    frequent set wins, ties to lexicographic order, and its complement
-    is reported as isolated.  A window with no votes has no quorum and
-    isolates nothing.
+    From the table's settling step on, the union at step k holds the
+    members of every J whose score is at most its threshold.  Windows
+    of fixed length start at the settling step; a partial window at the
+    end of the run is dropped.  Within a window, each step whose union
+    has at least p - q members casts a vote for that exact member set
+    (the full sensor set included); the most frequent set wins, ties to
+    lexicographic order, and its complement is reported as isolated.  A
+    window with no votes has no quorum and isolates nothing.
 
-    An empty frame stream produces an empty report.
+    A run that ends before the settling step produces an empty report.
     """
     if window < 1:
         raise ConfigurationError(f"window length must be >= 1, got {window}")
-    if isinstance(frames, EstimatorRun):
-        bank = frames.bank
-    elif bank is None:
-        raise ConfigurationError("a bank index is required when passing raw frames")
+    bank = run.bank
     for J in bank.j_subsets:
         if J not in thresholds.pi_bar:
             raise ConfigurationError(f"no threshold for subset {J.label}")
     k_bar = thresholds.k_bar_star
+
+    bars = np.array([thresholds.pi_bar[J] for J in bank.j_subsets])
+    # members[j, s - 1] is set for each sensor s of J; every J has p - q
+    # members, so the member tuples stack into one index array
+    cols = np.array([J.members for J in bank.j_subsets]) - 1
+    members = np.zeros((len(cols), bank.p), dtype=bool)
+    members[np.arange(len(cols))[:, None], cols] = True
+    # row t: the sensors exonerated at step k_bar + t
+    unions = ((run.pi[k_bar:] <= bars) @ members).tolist()
+    step_seq = [tuple(i for i, hit in enumerate(row, start=1) if hit) for row in unions]
+    step_unions = dict(enumerate(step_seq, start=k_bar))
     quorum = bank.p - bank.q
 
-    step_unions: dict[int, tuple[int, ...]] = {}
-    for k, pi_k in _pi_stream(frames, bank):
-        if k >= k_bar:
-            step_unions[k] = tuple(sorted(attack_free_union(pi_k, thresholds)))
-
     all_sensors = tuple(range(1, bank.p + 1))
-    last_k = max(step_unions) if step_unions else k_bar - 1
     windows = []
-    i = 1
-    while k_bar + i * window - 1 <= last_k:
+    for i in range(1, len(step_seq) // window + 1):
         k_start = k_bar + (i - 1) * window
         k_end = k_bar + i * window - 1
-        counts: dict[tuple[int, ...], int] = {}
-        for k in range(k_start, k_end + 1):
-            union = step_unions.get(k)
-            if union is not None and len(union) >= quorum:
-                counts[union] = counts.get(union, 0) + 1
+        voters = step_seq[(i - 1) * window : i * window]
+        counts = dict(Counter(u for u in voters if len(u) >= quorum))
         if counts:
             top = max(counts.values())
             winner = min(s for s, c in counts.items() if c == top)
@@ -202,7 +178,6 @@ def windowed_isolation(
             )
         else:
             windows.append(IsolationWindow(i, k_start, k_end, counts, None, (), True))
-        i += 1
     return IsolationReport(
         p=bank.p, window=window, k_bar_star=k_bar,
         step_unions=step_unions, windows=tuple(windows),

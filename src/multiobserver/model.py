@@ -11,7 +11,7 @@ draws of another.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -197,12 +197,6 @@ class PlantModel:
     n_u: int = 0
     n_d: int = 0
     structure: CircleStructure | ReducedStructure | None = None
-
-    def output_matrix(self) -> np.ndarray | None:
-        """C matrix when every output is linear in the state, else None."""
-        if self.structure is not None:
-            return self.structure.C
-        return None
 
 
 def step_plant(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .combinatorics import SubsetIndex
 from .errors import ConfigurationError
-from .model import CircleStructure, PlantModel, ReducedStructure
+from .model import CircleStructure, ReducedStructure
 
 __all__ = [
     "ISSGainModel",
@@ -73,9 +73,6 @@ class ISSGainModel:
     def steady_bound(self, m_bar: float, d_bar: float) -> float:
         """Post-transient error bound gamma1*m_bar + gamma2*d_bar + nu."""
         return self.gamma1 * m_bar + self.gamma2 * d_bar + self.nu
-
-    def transient_bound(self, e0: float, k: int) -> float:
-        return self.c * self.lam**k * e0
 
 
 class Observer(ABC):
@@ -487,13 +484,3 @@ class ObserverBank:
             obs._x_hat = est[j, -1].copy()
             obs.diverged = not np.all(np.isfinite(est[j]))
         return est
-
-
-def subset_output_slice(model: PlantModel, subset: SubsetIndex):
-    """Closure returning the subset's rows of the plant output map."""
-    idx = np.asarray(subset.members, dtype=int) - 1
-
-    def h_J(x, u):
-        return np.asarray(model.h(x, u), dtype=float)[idx]
-
-    return h_J

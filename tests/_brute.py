@@ -1,16 +1,16 @@
 """Independent brute-force reference for selection and isolation.
 
 Everything here re-derives the pipeline from first principles: subsets
-by direct enumeration, worst deviations and argmins by explicit scans,
-unions by set arithmetic, votes by hand-counted dictionaries.  Only the
-Euclidean norm primitive is shared with the package, so agreement can
-be checked bit for bit.
+by direct enumeration, deviations as a left-to-right sum of squares
+under ``math.sqrt`` (which, for the short state vectors used here,
+rounds exactly like numpy's row-wise norm), worst deviations and
+argmins by explicit scans, unions by set arithmetic, votes by
+hand-counted dictionaries.  Nothing is shared with the package, so
+agreement can be checked bit for bit.
 """
 
 import math
 from itertools import combinations
-
-import numpy as np
 
 
 def enumerate_members(p, size):
@@ -18,8 +18,11 @@ def enumerate_members(p, size):
 
 
 def deviation(a, b):
-    d = float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-    return d if math.isfinite(d) else math.inf
+    acc = 0.0
+    for u, v in zip(map(float, a), map(float, b)):
+        d = u - v
+        acc += d * d
+    return math.sqrt(acc) if math.isfinite(acc) else math.inf
 
 
 def pi_table(est_j, est_s, p, q):

@@ -4,6 +4,7 @@ import numpy as np
 
 from multiobserver import (
     AttackScenario,
+    EstimatorRun,
     InitSpec,
     LuenbergerObserver,
     ObserverBank,
@@ -89,4 +90,22 @@ def toy_scenario(
         horizon=horizon,
         seed=seed,
         x0=x0,
+    )
+
+
+def run_from_pi(idx, pi):
+    """An estimator run carrying the given (T+1, n_J) deviation scores.
+
+    Isolation reads only the scores and the bank, so the estimate
+    tracks are zeros and the selection is the plain argmin.
+    """
+    pi = np.asarray(pi, dtype=float)
+    steps = pi.shape[0]
+    return EstimatorRun(
+        bank=idx,
+        subsets=idx.all_subsets,
+        est=np.zeros((len(idx.all_subsets), steps, 1)),
+        pi=pi,
+        sigma_idx=np.argmin(pi, axis=1),
+        x_hat=np.zeros((steps, 1)),
     )

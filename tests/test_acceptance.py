@@ -28,19 +28,15 @@ from dataclasses import replace
 import numpy as np
 
 from _brute import argmin_selection, pi_table, union_of_passing, windowed_votes
-from _toys import toy_bank, toy_plant, toy_scenario
+from _toys import run_from_pi, toy_bank, toy_plant, toy_scenario
 from multiobserver import (
     SimulationDivergedError,
     ThresholdTable,
-    attack_free_union,
     bank_index,
     build_bank,
-    compute_all_pi,
     compute_thresholds,
-    estimator_step,
     load_config,
     run_estimator,
-    select_sigma,
     signal_stream,
     simulate,
     windowed_isolation,
@@ -241,19 +237,14 @@ def test_criterion_7_brute_force_oracle():
     traj = simulate(plant, scen)
     est = bank.run(traj.y, np.zeros((100, plant.n_u)), np.zeros(plant.n))
     pos = {sub: j for j, sub in enumerate(bank.subsets)}
-
-    frames, pi_steps = [], []
-    for k in range(100):
-        full = {sub: est[pos[sub], k] for sub in bank.subsets}
-        pi_steps.append(compute_all_pi(full, idx))
-        frames.append(estimator_step(full, idx, k=k))
+    run = run_estimator(idx, bank.subsets, est)
     # thresholds at the per-subset median keep both outcomes of every
     # comparison populated
-    pi_bar = {
-        J: float(np.median([pi[J] for pi in pi_steps])) for J in idx.j_subsets
-    }
+    pi_bar = {J: float(np.median(run.pi[:, j])) for j, J in enumerate(idx.j_subsets)}
     table = ThresholdTable(pi_bar=pi_bar, eps=0.0, k_bar_star=4)
     brute_bar = {J.members: v for J, v in pi_bar.items()}
+    # settled from k = 0, so that every step's union is reported
+    step_unions = windowed_isolation(run, replace(table, k_bar_star=0), 7).step_unions
 
     mismatches = scores = 0
     unions = {}
@@ -261,16 +252,16 @@ def test_criterion_7_brute_force_oracle():
         est_j = {sub.members: est[pos[sub], k] for sub in idx.j_subsets}
         est_s = {sub.members: est[pos[sub], k] for sub in idx.s_subsets}
         brute = pi_table(est_j, est_s, 3, 1)
-        for J in idx.j_subsets:
+        for j, J in enumerate(idx.j_subsets):
             scores += 1
-            mismatches += pi_steps[k][J] != brute[J.members]
-        mismatches += frames[k].sigma.members != argmin_selection(brute)
+            mismatches += run.pi[k, j] != brute[J.members]
+        mismatches += run.sigma(k).members != argmin_selection(brute)
         u = union_of_passing(brute, brute_bar)
-        mismatches += attack_free_union(pi_steps[k], table) != u
+        mismatches += step_unions[k] != tuple(sorted(u))
         if k >= table.k_bar_star:
             unions[k] = u
     votes = windowed_votes(unions, 3, 1, table.k_bar_star, 7)
-    report = windowed_isolation(frames, table, 7, bank=idx)
+    report = windowed_isolation(run, table, 7)
     mismatches += len(report.windows) != len(votes)
     for w, (k_start, k_end, counts, winner, isolated, no_quorum) in zip(
         report.windows, votes
@@ -306,17 +297,18 @@ def test_criterion_8_invariant_battery(scenario_dir):
         q = int(rng.integers(1, (p - 1) // 2 + 1))
         n = int(rng.integers(1, 4))
         idx = bank_index(p, q)
-        est = {sub: rng.normal(size=n) * 10.0 ** rng.integers(-2, 3) for sub in idx.all_subsets}
+        est = np.array(
+            [[rng.normal(size=n) * 10.0 ** rng.integers(-2, 3)] for _ in idx.all_subsets]
+        )  # (subsets, 1 step, n)
         if rng.random() < 0.1:
-            victim = idx.all_subsets[int(rng.integers(0, len(idx.all_subsets)))]
-            est[victim] = np.full(n, np.nan)
+            est[int(rng.integers(0, len(idx.all_subsets)))] = np.nan
         try:
-            frame = estimator_step(est, idx)
+            run = run_estimator(idx, idx.all_subsets, est)
         except EstimatorStarvedError:
             continue
-        assert all(v >= 0.0 for v in frame.pi.values())
-        assert frame.pi[frame.sigma] == min(frame.pi.values())
-        assert np.array_equal(frame.x_hat, est[frame.sigma])
+        assert (run.pi >= 0.0).all()
+        assert run.pi[0, run.sigma_idx[0]] == run.pi[0].min()
+        assert np.array_equal(run.x_hat[0], est[idx.all_subsets.index(run.sigma(0)), 0])
         done += 1
 
     # attack support: the injected attack never leaves its declared support
@@ -330,8 +322,6 @@ def test_criterion_8_invariant_battery(scenario_dir):
         assert np.all(traj.a[:, off] == 0.0)
 
     # isolation cardinality: never more sensors accused than the budget
-    from multiobserver.estimator import EstimatorFrame
-
     for case in range(cases):
         p = int(rng.integers(3, 6))
         q = int(rng.integers(1, (p - 1) // 2 + 1))
@@ -339,17 +329,8 @@ def test_criterion_8_invariant_battery(scenario_dir):
         table = ThresholdTable(
             pi_bar={J: 1.0 for J in idx.j_subsets}, eps=0.0, k_bar_star=0
         )
-        frames = [
-            EstimatorFrame(
-                k=k,
-                sigma=idx.j_subsets[0],
-                x_hat=np.zeros(1),
-                pi={J: float(rng.choice([0.5, 5.0])) for J in idx.j_subsets},
-                estimates={},
-            )
-            for k in range(3)
-        ]
-        report = windowed_isolation(frames, table, 3, bank=idx)
+        pi = [[float(rng.choice([0.5, 5.0])) for _ in idx.j_subsets] for _ in range(3)]
+        report = windowed_isolation(run_from_pi(idx, pi), table, 3)
         for w in report.windows:
             assert len(w.isolated) <= q
             if w.winner is not None:

@@ -72,7 +72,6 @@ def test_subset_index_enforces_canonical_members():
 def test_membership_mask_and_ordering():
     sub = SubsetIndex("J", (1, 3, 4))
     assert 3 in sub and 2 not in sub
-    assert sub.mask == 0b1101
     assert SubsetIndex("J", (1, 2)) < SubsetIndex("J", (1, 3))
     assert SubsetIndex("J", (1, 2)) < SubsetIndex("S", (1, 2))
 
@@ -86,10 +85,3 @@ def test_redundancy_requirement_enforced():
     assert idx.j_subsets == idx.s_subsets or [J.members for J in idx.j_subsets] == [
         S.members for S in idx.s_subsets
     ]
-
-
-def test_j_for_attack_free_filters_by_intersection():
-    idx = bank_index(5, 2)
-    clean = idx.j_for_attack_free(frozenset({2, 5}))
-    assert [J.members for J in clean] == [(1, 3, 4)]
-    assert idx.j_for_attack_free(frozenset()) == list(idx.j_subsets)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from _brute import argmin_selection, deviation, pi_table
 from _toys import toy_bank, toy_scenario
 
 from multiobserver import (
@@ -11,26 +12,25 @@ from multiobserver import (
     InternalConsistencyError,
     SubsetIndex,
     bank_index,
-    compute_all_pi,
-    compute_pi,
-    estimator_step,
     run_estimator,
-    select_sigma,
     simulate,
 )
 from multiobserver.estimator import frames_to_csv
 
 J12, J13, J23 = SubsetIndex("J", (1, 2)), SubsetIndex("J", (1, 3)), SubsetIndex("J", (2, 3))
 S1, S2, S3 = SubsetIndex("S", (1,)), SubsetIndex("S", (2,)), SubsetIndex("S", (3,))
+IDX = bank_index(3, 1)  # all_subsets: J12, J13, J23, S1, S2, S3
 
 
-def _estimates(vals):
-    return {sub: np.asarray(v, dtype=float) for sub, v in vals.items()}
+def _est(*steps):
+    """(6, len(steps), n) bank estimates; each step maps subset -> vector."""
+    return np.array(
+        [[step[sub] for step in steps] for sub in IDX.all_subsets], dtype=float
+    )
 
 
 def test_pi_is_the_worst_contained_deviation():
-    idx = bank_index(3, 1)
-    est = _estimates(
+    est = _est(
         {
             J12: [0.0, 0.0],
             J13: [1.0, 1.0],
@@ -40,63 +40,61 @@ def test_pi_is_the_worst_contained_deviation():
             S3: [0.0, 0.0],
         }
     )
-    assert compute_pi(J12, est, idx.contained) == 5.0
+    run = run_estimator(IDX, IDX.all_subsets, est)
+    assert run.pi.shape == (1, 3)  # one column per J, in canonical order
+    assert run.pi[0, 0] == 5.0
     # J13 contains S1 and S3: distances sqrt(13) and sqrt(2)
-    assert compute_pi(J13, est, idx.contained) == pytest.approx(math.sqrt(13.0))
-    assert compute_pi(J23, est, idx.contained) == pytest.approx(math.sqrt(2.0))
-    pi = compute_all_pi(est, idx)
-    assert list(pi) == list(idx.j_subsets)
-    assert select_sigma(pi) == J23
+    assert run.pi[0, 1] == pytest.approx(math.sqrt(13.0))
+    assert run.pi[0, 2] == pytest.approx(math.sqrt(2.0))
+    assert run.sigma(0) == J23
 
 
 def test_nonfinite_estimates_score_infinite():
-    idx = bank_index(3, 1)
-    est = _estimates(
-        {
-            J12: [np.nan, 0.0],
-            J13: [0.0, 0.0],
-            J23: [0.0, 0.0],
-            S1: [0.0, 0.0],
-            S2: [0.0, 0.0],
-            S3: [np.inf, 0.0],
-        }
-    )
-    pi = compute_all_pi(est, idx)
-    assert pi[J12] == math.inf  # its own estimate is non-finite
-    assert pi[J13] == math.inf  # contains the diverged S3
-    assert pi[J23] == math.inf
+    zero = {sub: [0.0, 0.0] for sub in IDX.all_subsets}
+    own_nan = {**zero, J12: [np.nan, 0.0]}
+    child_inf = {**zero, S3: [np.inf, 0.0]}
+    run = run_estimator(IDX, IDX.all_subsets, _est(zero, own_nan, child_inf))
+    assert run.pi[1].tolist() == [math.inf, 0.0, 0.0]  # J12's own estimate is non-finite
+    assert run.sigma(1) == J13
+    assert run.pi[2].tolist() == [0.0, math.inf, math.inf]  # both contain the diverged S3
+    assert run.sigma(2) == J12
+    both = {**own_nan, S3: [np.inf, 0.0]}
     with pytest.raises(EstimatorStarvedError) as err:
-        select_sigma(pi, k=17)
+        run_estimator(IDX, IDX.all_subsets, _est(*[zero] * 17, both))
     assert err.value.step == 17
 
 
 def test_selection_breaks_ties_canonically():
-    pi = {J23: 1.0, J13: 1.0, J12: 1.0}
-    assert select_sigma(pi) == J12
-    pi = {J12: 2.0, J13: 1.0, J23: 1.0}
-    assert select_sigma(pi) == J13
+    zero = {sub: [0.0] for sub in IDX.all_subsets}
+    # children all at 0: J12, J13, J23 at 2, 1, 1 score 2, 1, 1
+    spread = {**zero, J12: [2.0], J13: [1.0], J23: [-1.0]}
+    run = run_estimator(IDX, IDX.all_subsets, _est(zero, spread))
+    assert run.pi.tolist() == [[0.0, 0.0, 0.0], [2.0, 1.0, 1.0]]
+    assert run.sigma(0) == J12
+    assert run.sigma(1) == J13
 
 
 def test_missing_estimate_is_an_internal_error():
-    idx = bank_index(3, 1)
-    est = _estimates({sub: [0.0, 0.0] for sub in idx.all_subsets})
-    del est[S2]
-    with pytest.raises(InternalConsistencyError):
-        compute_all_pi(est, idx)
+    est = np.zeros((6, 4, 2))
+    without_s2 = tuple(sub for sub in IDX.all_subsets if sub != S2)
+    with pytest.raises(InternalConsistencyError, match="missing S:2"):
+        run_estimator(IDX, without_s2, est[:5])
+    with pytest.raises(InternalConsistencyError, match="5 estimate tracks for 6 subsets"):
+        run_estimator(IDX, IDX.all_subsets, est[:5])
 
 
-def test_estimator_step_packages_selection():
-    idx = bank_index(3, 1)
-    est = _estimates(
+def test_run_packages_selection():
+    est = _est(
         {J12: [0.0, 0.0], J13: [1.0, 0.0], J23: [4.0, 0.0],
          S1: [1.1, 0.0], S2: [9.0, 9.0], S3: [0.8, 0.0]}
     )
-    frame = estimator_step(est, idx, k=3, truth=np.array([1.0, 1.0]))
-    assert frame.sigma == J13  # its children S1, S3 sit within 0.2 of it
-    assert frame.k == 3
-    assert np.array_equal(frame.x_hat, est[frame.sigma])
-    assert frame.e is not None
-    assert frame.e_norm == pytest.approx(float(np.linalg.norm(frame.x_hat - [1.0, 1.0])))
+    truth = np.array([[1.0, 1.0]])
+    run = run_estimator(IDX, IDX.all_subsets, est, truth=truth)
+    assert run.sigma(0) == J13  # its children S1, S3 sit within 0.2 of it
+    assert run.horizon == 0
+    assert np.array_equal(run.x_hat[0], est[1, 0])
+    assert run.e_norm is not None
+    assert run.e_norm[0] == pytest.approx(float(np.linalg.norm(run.x_hat[0] - truth[0])))
 
 
 def test_properties_hold_on_random_banks():
@@ -106,14 +104,12 @@ def test_properties_hold_on_random_banks():
         q = int(rng.integers(1, (p - 1) // 2 + 1))
         idx = bank_index(p, q)
         n = int(rng.integers(1, 4))
-        est = {sub: rng.normal(size=n) for sub in idx.all_subsets}
-        pi = compute_all_pi(est, idx)
-        assert all(v >= 0.0 for v in pi.values())
-        sigma = select_sigma(pi)
-        assert pi[sigma] == min(pi.values())
-        frame = estimator_step(est, idx)
-        assert frame.sigma == sigma
-        assert np.array_equal(frame.x_hat, est[sigma])
+        est = rng.normal(size=(len(idx.all_subsets), 1, n))
+        run = run_estimator(idx, idx.all_subsets, est)
+        assert (run.pi >= 0.0).all()
+        j = int(run.sigma_idx[0])
+        assert run.pi[0, j] == run.pi[0].min()
+        assert np.array_equal(run.x_hat[0], est[idx.all_subsets.index(run.sigma(0)), 0])
 
 
 def test_run_estimator_matches_stepwise_loop():
@@ -125,16 +121,14 @@ def test_run_estimator_matches_stepwise_loop():
     assert run.pi.shape == (41, 3)
     assert run.x_hat.shape == (41, 2)
     for k in range(41):
-        lookup = {sub: est[j, k] for j, sub in enumerate(idx.all_subsets)}
-        frame = estimator_step(lookup, idx, k=k)
-        assert run.sigma(k) == frame.sigma
-        assert np.array_equal(run.x_hat[k], frame.x_hat)
-        # the vectorized and stepwise norms can differ in the last ulp
-        assert np.allclose(
-            np.array([run.pi[k, j] for j in range(3)]),
-            np.array([frame.pi[J] for J in idx.j_subsets]),
-            rtol=1e-12, atol=0.0,
-        )
+        est_j = {J.members: est[j, k] for j, J in enumerate(idx.all_subsets) if J.role == "J"}
+        est_s = {S.members: est[j, k] for j, S in enumerate(idx.all_subsets) if S.role == "S"}
+        pi = pi_table(est_j, est_s, 3, 1)
+        assert run.pi[k].tolist() == [pi[J.members] for J in idx.j_subsets]
+        sigma = argmin_selection(pi)
+        assert run.sigma(k).members == sigma
+        assert np.array_equal(run.x_hat[k], est_j[sigma])
+        assert run.e_norm[k] == deviation(est_j[sigma], traj.x[k])
 
 
 def test_run_estimator_starves_on_all_nan_step():

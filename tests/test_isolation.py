@@ -3,21 +3,19 @@ import io
 
 import numpy as np
 import pytest
-from _toys import toy_bank, toy_scenario
+from _toys import run_from_pi, toy_bank, toy_scenario
 
 from multiobserver import (
     ConfigurationError,
     ISSGainModel,
     SubsetIndex,
     ThresholdTable,
-    attack_free_union,
     bank_index,
     compute_thresholds,
     run_estimator,
     simulate,
     windowed_isolation,
 )
-from multiobserver.estimator import EstimatorFrame
 from multiobserver.isolation import steps_to_csv, windows_to_csv
 
 J12, J13, J23 = SubsetIndex("J", (1, 2)), SubsetIndex("J", (1, 3)), SubsetIndex("J", (2, 3))
@@ -26,10 +24,6 @@ J12, J13, J23 = SubsetIndex("J", (1, 2)), SubsetIndex("J", (1, 3)), SubsetIndex(
 def _gains(idx, **overrides):
     base = ISSGainModel(c=2.0, lam=0.5, gamma1=0.1, gamma2=0.0, nu=0.0, k_star=3)
     return {sub: overrides.get(sub.label, base) for sub in idx.all_subsets}
-
-
-def _frame(k, pi):
-    return EstimatorFrame(k=k, sigma=J12, x_hat=np.zeros(2), pi=pi, estimates={})
 
 
 def test_threshold_formula_maximizes_over_contained():
@@ -78,53 +72,53 @@ def test_threshold_table_rejects_negative_entries():
         ThresholdTable(pi_bar={J12: 0.1}, eps=0.0, k_bar_star=-1)
 
 
-def test_attack_free_union_is_union_of_passing_subsets():
-    table = ThresholdTable(pi_bar={J12: 1.0, J13: 1.0, J23: 1.0}, eps=0.0, k_bar_star=0)
-    assert attack_free_union({J12: 0.5, J13: 2.0, J23: 3.0}, table) == frozenset({1, 2})
-    assert attack_free_union({J12: 0.5, J13: 0.9, J23: 3.0}, table) == frozenset({1, 2, 3})
-    assert attack_free_union({J12: 2.0, J13: 2.0, J23: 3.0}, table) == frozenset()
-    # the boundary counts as passing
-    assert attack_free_union({J12: 1.0, J13: 2.0, J23: 3.0}, table) == frozenset({1, 2})
-
-
 def _table(k_bar_star=2):
     return ThresholdTable(
         pi_bar={J12: 1.0, J13: 1.0, J23: 1.0}, eps=0.0, k_bar_star=k_bar_star
     )
 
 
-def _frames_from_unions(unions_by_step):
-    """Frames whose passing subsets at step k are those inside unions_by_step[k].
+def test_step_unions_are_unions_of_passing_subsets():
+    idx = bank_index(3, 1)
+    pi = [
+        [0.5, 2.0, 3.0],
+        [0.5, 0.9, 3.0],
+        [2.0, 2.0, 3.0],
+        [1.0, 2.0, 3.0],  # the boundary counts as passing
+        [np.inf, 0.2, np.inf],
+    ]
+    report = windowed_isolation(run_from_pi(idx, pi), _table(k_bar_star=0), window=5)
+    assert report.step_unions == {0: (1, 2), 1: (1, 2, 3), 2: (), 3: (1, 2), 4: (1, 3)}
+
+
+def _run_from_unions(unions_by_step):
+    """A run whose passing subsets at step k are those inside unions_by_step[k].
 
     The realized union is then the union of those subsets — equal to the
     requested tuple whenever it has at least p - q members, and empty
     when the tuple is too small to contain any J.
     """
-    frames = []
-    for k, union in enumerate(unions_by_step):
-        pi = {}
-        for J in (J12, J13, J23):
-            pi[J] = 0.5 if set(J.members) <= set(union) else 5.0
-        frames.append(_frame(k, pi))
-    return frames
+    pi = [
+        [0.5 if set(J.members) <= set(union) else 5.0 for J in (J12, J13, J23)]
+        for union in unions_by_step
+    ]
+    return run_from_pi(bank_index(3, 1), np.reshape(pi, (len(unions_by_step), 3)))
 
 
 def test_windows_tile_after_the_settling_step():
-    idx = bank_index(3, 1)
-    frames = _frames_from_unions([(1, 2, 3)] * 11)  # steps 0..10
-    report = windowed_isolation(frames, _table(k_bar_star=2), window=3, bank=idx)
+    unions = [(1, 2, 3)] * 11  # steps 0..10
+    report = windowed_isolation(_run_from_unions(unions), _table(k_bar_star=2), window=3)
     assert [(w.k_start, w.k_end) for w in report.windows] == [(2, 4), (5, 7), (8, 10)]
     assert sorted(report.step_unions) == list(range(2, 11))  # nothing before k_bar_star
     # one step shorter: the last (partial) window is dropped
-    report = windowed_isolation(frames[:10], _table(k_bar_star=2), window=3, bank=idx)
+    report = windowed_isolation(_run_from_unions(unions[:10]), _table(k_bar_star=2), window=3)
     assert [(w.k_start, w.k_end) for w in report.windows] == [(2, 4), (5, 7)]
 
 
 def test_majority_vote_and_complement():
-    idx = bank_index(3, 1)
     unions = [(1, 2)] * 2 + [(1, 2, 3)] * 1 + [(1, 2)] * 2  # window of 5 from k=0
     report = windowed_isolation(
-        _frames_from_unions(unions), _table(k_bar_star=0), window=5, bank=idx
+        _run_from_unions(unions), _table(k_bar_star=0), window=5
     )
     (w,) = report.windows
     assert w.counts == {(1, 2): 4, (1, 2, 3): 1}
@@ -134,9 +128,8 @@ def test_majority_vote_and_complement():
 
 
 def test_full_union_vote_isolates_nothing():
-    idx = bank_index(3, 1)
     report = windowed_isolation(
-        _frames_from_unions([(1, 2, 3)] * 4), _table(k_bar_star=0), window=4, bank=idx
+        _run_from_unions([(1, 2, 3)] * 4), _table(k_bar_star=0), window=4
     )
     (w,) = report.windows
     assert w.winner == (1, 2, 3)
@@ -145,10 +138,9 @@ def test_full_union_vote_isolates_nothing():
 
 
 def test_vote_ties_break_lexicographically():
-    idx = bank_index(3, 1)
     unions = [(2, 3), (1, 2), (1,)]  # the singleton union is below quorum
     report = windowed_isolation(
-        _frames_from_unions(unions), _table(k_bar_star=0), window=3, bank=idx
+        _run_from_unions(unions), _table(k_bar_star=0), window=3
     )
     (w,) = report.windows
     assert w.counts == {(2, 3): 1, (1, 2): 1}
@@ -157,10 +149,9 @@ def test_vote_ties_break_lexicographically():
 
 
 def test_no_quorum_window():
-    idx = bank_index(3, 1)
     unions = [(1,), (), (3,), (2,)]
     report = windowed_isolation(
-        _frames_from_unions(unions), _table(k_bar_star=0), window=4, bank=idx
+        _run_from_unions(unions), _table(k_bar_star=0), window=4
     )
     (w,) = report.windows
     assert w.no_quorum
@@ -181,11 +172,8 @@ def test_isolated_cardinality_never_exceeds_budget():
             eps=0.0,
             k_bar_star=0,
         )
-        frames = [
-            _frame(k, {J: float(rng.uniform(0.0, 1.2)) for J in idx.j_subsets})
-            for k in range(6)
-        ]
-        report = windowed_isolation(frames, table, window=3, bank=idx)
+        run = run_from_pi(idx, rng.uniform(0.0, 1.2, (6, len(idx.j_subsets))))
+        report = windowed_isolation(run, table, window=3)
         for w in report.windows:
             assert len(w.isolated) <= q
             if w.winner is not None:
@@ -193,7 +181,7 @@ def test_isolated_cardinality_never_exceeds_budget():
                 assert w.counts[w.winner] == max(w.counts.values())
 
 
-def test_estimator_run_and_frame_stream_agree():
+def test_bank_run_isolates_the_attacked_sensor():
     plant, idx, bank = toy_bank()
     traj = simulate(plant, toy_scenario(horizon=25, attacked=(2,), noise_bound=0.01, seed=3))
     est = bank.run(traj.y, traj.u, x0_est=np.zeros(2))
@@ -201,37 +189,35 @@ def test_estimator_run_and_frame_stream_agree():
     table = ThresholdTable(
         pi_bar={J: 0.2 for J in idx.j_subsets}, eps=0.0, k_bar_star=4
     )
-    a = windowed_isolation(run, table, window=7)
-    b = windowed_isolation(list(run.frames()), table, window=7, bank=idx)
-    assert a.step_unions == b.step_unions
-    assert a.windows == b.windows
-    # the attacked sensor is what gets isolated
-    assert all(w.isolated == (2,) for w in a.windows)
+    report = windowed_isolation(run, table, window=7)
+    assert [(w.k_start, w.k_end) for w in report.windows] == [(4, 10), (11, 17), (18, 24)]
+    assert all(w.isolated == (2,) for w in report.windows)
 
 
 def test_windowed_isolation_input_validation():
-    idx = bank_index(3, 1)
+    run = _run_from_unions([(1, 2)] * 6)
     with pytest.raises(ConfigurationError):
-        windowed_isolation([], _table(), window=0, bank=idx)
-    with pytest.raises(ConfigurationError):
-        windowed_isolation([], _table(), window=5)  # frames without a bank
+        windowed_isolation(run, _table(), window=0)
     short = ThresholdTable(pi_bar={J12: 1.0}, eps=0.0, k_bar_star=0)
     with pytest.raises(ConfigurationError):
-        windowed_isolation([], short, window=5, bank=idx)
+        windowed_isolation(run, short, window=5)
 
 
 def test_empty_stream_is_an_empty_report():
-    idx = bank_index(3, 1)
-    report = windowed_isolation([], _table(), window=5, bank=idx)
+    # a run that ends before the settling step leaves nothing to vote on
+    run = _run_from_unions([(1, 2)] * 2)  # steps 0..1
+    report = windowed_isolation(run, _table(k_bar_star=2), window=5)
+    assert report.windows == ()
+    assert report.step_unions == {}
+    report = windowed_isolation(run, _table(k_bar_star=7), window=1)
     assert report.windows == ()
     assert report.step_unions == {}
 
 
 def test_isolation_csv_schemas():
-    idx = bank_index(3, 1)
     unions = [(1, 2)] * 3 + [(1,)] * 3
     report = windowed_isolation(
-        _frames_from_unions(unions), _table(k_bar_star=0), window=3, bank=idx
+        _run_from_unions(unions), _table(k_bar_star=0), window=3
     )
     buf = io.StringIO()
     windows_to_csv(report, buf)

@@ -19,7 +19,6 @@ from multiobserver import (
     observer_step,
     simulate,
 )
-from multiobserver.observers import subset_output_slice
 
 
 def test_luenberger_update_formula():
@@ -63,13 +62,6 @@ def test_observer_step_wrapper():
     same, est = observer_step(obs, np.array([1.0, 1.0]), np.zeros(2), np.zeros(0))
     assert same is obs
     assert est.shape == (2,)
-
-
-def test_subset_output_slice():
-    plant = toy_plant()
-    h_J = subset_output_slice(plant, SubsetIndex("J", (1, 3)))
-    x = np.array([2.0, 5.0])
-    assert np.array_equal(h_J(x, np.zeros(0)), np.array([2.0, 7.0]))
 
 
 # --- reduced-order family ---------------------------------------------------

@@ -1,23 +1,21 @@
 """Bit-for-bit agreement with a brute-force re-derivation.
 
 A noisy attacked run of the toy dead-beat bank is pushed through the
-whole pipeline twice: once with the package and once with the explicit
-enumeration in ``_brute``.  The two sides share only the Euclidean norm
-primitive, so every score, selection, union, and vote must agree
-exactly — no tolerances.
+whole pipeline twice: once with the package (``run_estimator`` and
+``windowed_isolation``) and once with the explicit enumeration in
+``_brute``.  The two sides share no code, so every score, selection,
+union, and vote must agree exactly — no tolerances.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from _brute import argmin_selection, pi_table, union_of_passing, windowed_votes
-from _toys import toy_bank, toy_scenario
+from _toys import run_from_pi, toy_bank, toy_scenario
 from multiobserver import (
     ThresholdTable,
-    attack_free_union,
-    compute_all_pi,
-    estimator_step,
     run_estimator,
-    select_sigma,
     simulate,
     windowed_isolation,
 )
@@ -36,15 +34,9 @@ POS = {sub: j for j, sub in enumerate(BANK.subsets)}
 
 
 def _estimates_at(k):
-    full = {sub: EST[POS[sub], k] for sub in BANK.subsets}
-    est_j = {sub.members: full[sub] for sub in IDX.j_subsets}
-    est_s = {sub.members: full[sub] for sub in IDX.s_subsets}
-    return full, est_j, est_s
-
-
-def _stepwise_pi(k):
-    full, _, _ = _estimates_at(k)
-    return compute_all_pi(full, IDX)
+    est_j = {sub.members: EST[POS[sub], k] for sub in IDX.j_subsets}
+    est_s = {sub.members: EST[POS[sub], k] for sub in IDX.s_subsets}
+    return est_j, est_s
 
 
 def _threshold_table():
@@ -57,7 +49,7 @@ def _threshold_table():
     """
     pi_bar = {}
     for j, J in enumerate(IDX.j_subsets):
-        scores = np.array([_stepwise_pi(k)[J] for k in range(HORIZON + 1)])
+        scores = RUN.pi[:, j]
         pi_bar[J] = float(np.median(scores))
         gap = np.abs(scores - pi_bar[J]).min()
         assert gap > 1e-9
@@ -78,19 +70,15 @@ def test_run_produces_varied_scores():
 
 def test_deviation_scores_match_brute_force():
     for k in range(HORIZON + 1):
-        _, est_j, est_s = _estimates_at(k)
-        brute = pi_table(est_j, est_s, P, Q)
-        pi = _stepwise_pi(k)
-        for J in IDX.j_subsets:
-            assert pi[J] == brute[J.members]
+        brute = pi_table(*_estimates_at(k), P, Q)
+        for j, J in enumerate(IDX.j_subsets):
+            assert RUN.pi[k, j] == brute[J.members]
 
 
 def test_selection_matches_brute_force():
     for k in range(HORIZON + 1):
-        _, est_j, est_s = _estimates_at(k)
+        est_j, est_s = _estimates_at(k)
         brute_sigma = argmin_selection(pi_table(est_j, est_s, P, Q))
-        pi = _stepwise_pi(k)
-        assert select_sigma(pi, k).members == brute_sigma
         assert RUN.sigma(k).members == brute_sigma
         assert np.array_equal(RUN.x_hat[k], est_j[brute_sigma])
 
@@ -98,11 +86,12 @@ def test_selection_matches_brute_force():
 def test_unions_match_brute_force():
     table = _threshold_table()
     brute_bar = {J.members: table.pi_bar[J] for J in IDX.j_subsets}
+    # from k = 0, so that every step's union is compared
+    report = windowed_isolation(RUN, replace(table, k_bar_star=0), WINDOW)
     seen = set()
     for k in range(HORIZON + 1):
-        _, est_j, est_s = _estimates_at(k)
-        brute = union_of_passing(pi_table(est_j, est_s, P, Q), brute_bar)
-        assert attack_free_union(_stepwise_pi(k), table) == brute
+        brute = union_of_passing(pi_table(*_estimates_at(k), P, Q), brute_bar)
+        assert report.step_unions[k] == tuple(sorted(brute))
         seen.add(brute)
     # the pass/fail pattern actually varies and some steps clear the
     # quorum, so the vote comparison below has real work to do
@@ -115,8 +104,7 @@ def test_windowed_votes_match_brute_force():
     brute_bar = {J.members: table.pi_bar[J] for J in IDX.j_subsets}
     unions = {}
     for k in range(K_BAR, HORIZON + 1):
-        _, est_j, est_s = _estimates_at(k)
-        unions[k] = union_of_passing(pi_table(est_j, est_s, P, Q), brute_bar)
+        unions[k] = union_of_passing(pi_table(*_estimates_at(k), P, Q), brute_bar)
     brute = windowed_votes(unions, P, Q, K_BAR, WINDOW)
 
     report = windowed_isolation(RUN, table, WINDOW)
@@ -136,14 +124,14 @@ def test_windowed_votes_match_brute_force():
 
 
 def test_stepwise_and_vectorized_paths_agree_end_to_end():
-    # the same run, rebuilt frame by frame, must carry the identical
+    # the same run, scored one step at a time, must carry the identical
     # verdicts through isolation
     table = _threshold_table()
-    frames = []
-    for k in range(HORIZON + 1):
-        full, _, _ = _estimates_at(k)
-        frames.append(estimator_step(full, IDX, k=k, truth=TRAJ.x[k]))
-    stepwise = windowed_isolation(frames, table, WINDOW, bank=IDX)
+    pi = np.concatenate(
+        [run_estimator(IDX, BANK.subsets, EST[:, k : k + 1]).pi for k in range(HORIZON + 1)]
+    )
+    assert np.array_equal(pi, RUN.pi)
+    stepwise = windowed_isolation(run_from_pi(IDX, pi), table, WINDOW)
     vectorized = windowed_isolation(RUN, table, WINDOW)
     assert stepwise.step_unions == vectorized.step_unions
     assert stepwise.windows == vectorized.windows
