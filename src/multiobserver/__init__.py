@@ -42,7 +42,6 @@ from .observers import (
     build_reduced_observer,
     certify_linear_gain,
     check_slope_condition,
-    observer_step,
 )
 from .calibration import (
     CalibrationSettings,

@@ -30,7 +30,7 @@ import numpy as np
 from .combinatorics import BankIndex, SubsetIndex
 from .errors import CalibrationError, ConfigurationError
 from .estimator import run_estimator
-from .model import InitSpec, PlantModel, signal_stream
+from .model import MAX_HORIZON, InitSpec, PlantModel, signal_stream
 from .observers import ISSGainModel, Observer, ObserverBank
 
 __all__ = [
@@ -68,6 +68,10 @@ class CalibrationSettings:
             problems.append(f"calibration needs at least one trial, got {self.trials}")
         if self.horizon < 8:
             problems.append(f"calibration horizon too short to fit a decay: {self.horizon}")
+        if self.horizon > MAX_HORIZON:
+            problems.append(f"calibration horizon {self.horizon} exceeds {MAX_HORIZON} steps")
+        if self.seed < 0:
+            problems.append(f"calibration seed must be >= 0, got {self.seed}")
         if self.safety < 1.0 or self.c_safety < 1.0:
             problems.append("safety factors must be >= 1")
         if self.init_scale < 0 or self.eps_settle <= 0:

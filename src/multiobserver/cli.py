@@ -64,6 +64,7 @@ def _apply_run_overrides(cfg, args) -> dict:
     if args.horizon is not None:
         cfg.scenario = replace(cfg.scenario, horizon=args.horizon)
         overrides["horizon"] = args.horizon
+    if overrides:
         problems = cfg.scenario.validate(cfg.plant)
         if problems:
             raise ConfigurationError(problems)

@@ -2,16 +2,19 @@
 
 Configs are JSON.  Validation is total: ``load_config`` walks the whole
 document and raises one :class:`ConfigurationError` carrying *every*
-problem found, so a bad config is fixed in one round trip.  Plant
-nonlinearities come from a registry of named closures rather than an
-expression language.
+problem found, so a bad config is fixed in one round trip.  Every JSON
+leaf is read through one of the typed readers of ``_Collector``, so a
+malformed value becomes a listed problem, never a Python exception.
+Plant nonlinearities come from a registry of named closures rather than
+an expression language.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -56,36 +59,36 @@ __all__ = [
 
 # --- nonlinearity registries -------------------------------------------------
 
-def _make_sin(params):
-    return np.sin
-
-
-def _make_tanh(params):
-    return np.tanh
-
-
-def _make_identity(params):
-    return lambda v: v
-
-
-# Channelwise nonlinearities for the circle-criterion family.  Each entry
-# returns a numpy-vectorized callable applied elementwise to H x + K(...).
+# Channelwise nonlinearities for the circle-criterion family: numpy-vectorized
+# callables applied elementwise to H x + K(...).  They take no params.
 CHANNEL_REGISTRY: dict[str, Callable] = {
-    "sin": _make_sin,
-    "tanh": _make_tanh,
-    "identity": _make_identity,
+    "sin": np.sin,
+    "tanh": np.tanh,
+    "identity": lambda v: v,
 }
+
+# A state-nonlinearity builder is called as builder(col, params, n): it reads
+# its ``params`` object through the collector's readers, for state dimension n.
+_PARAMS = "plant.nonlinearity.params"
+
+
+def _channel_params(col, params, n):
+    """The constant term and the 0-based (index, position) of a state channel."""
+    constant = np.zeros(n)
+    if "constant" in params:
+        constant = np.array(col.vector(f"{_PARAMS}.constant", params["constant"], n))
+    index = col.integer(f"{_PARAMS}.index", params.get("index"), 1, n, default=1) - 1
+    position = col.integer(f"{_PARAMS}.position", params.get("position"), 1, n, default=1) - 1
+    return constant, index, position
 
 
 def _make_state_channel(transform):
-    def build(params):
-        constant = np.asarray(params.get("constant", ()), dtype=float)
-        gain = float(params.get("gain", 1.0))
-        index = int(params["index"]) - 1
-        position = int(params["position"]) - 1
+    def build(col, params, n):
+        constant, index, position = _channel_params(col, params, n)
+        gain = col.number(f"{_PARAMS}.gain", params.get("gain", 1.0))
 
         def g(x, u):
-            out = constant.copy() if constant.size else np.zeros(len(x))
+            out = constant.copy()
             out[position] += gain * transform(x[index])
             return out
 
@@ -94,21 +97,19 @@ def _make_state_channel(transform):
     return build
 
 
-def _make_poly_channel(params):
-    coeffs = np.asarray(params["coeffs"], dtype=float)
-    constant = np.asarray(params.get("constant", ()), dtype=float)
-    index = int(params["index"]) - 1
-    position = int(params["position"]) - 1
+def _make_poly_channel(col, params, n):
+    constant, index, position = _channel_params(col, params, n)
+    coeffs = np.array(col.vector(f"{_PARAMS}.coeffs", params.get("coeffs")))
 
     def g(x, u):
-        out = constant.copy() if constant.size else np.zeros(len(x))
+        out = constant.copy()
         out[position] += float(np.polyval(coeffs, x[index]))
         return out
 
     return g
 
 
-def _make_zero_state(params):
+def _make_zero_state(col, params, n):
     def g(x, u):
         return np.zeros(len(x))
 
@@ -207,8 +208,16 @@ class ScenarioConfig:
 
 # --- parsing helpers ---------------------------------------------------------
 
+_FLOAT_MAX = sys.float_info.max
+
+
 class _Collector:
-    """Accumulates problems with dotted field paths."""
+    """Accumulates problems with dotted field paths.
+
+    Its readers are the one place that decides how a JSON value becomes
+    a checked one.  A bad value records a single ``path: message``
+    problem and yields ``default``, so one pass still finds every problem.
+    """
 
     def __init__(self):
         self.problems: list[str] = []
@@ -216,39 +225,77 @@ class _Collector:
     def add(self, path: str, msg: str):
         self.problems.append(f"{path}: {msg}")
 
-    def require(self, obj: dict, path: str, key: str, types, default=None, required=True):
-        if key not in obj:
-            if required:
-                self.add(f"{path}.{key}", "missing")
+    def number(self, path: str, val, lo: float | None = None, default=0.0) -> float:
+        """A finite JSON number (not a bool), at least ``lo`` when given."""
+        # type() excludes bool; the bounds fail for NaN, +-inf and ints beyond float range
+        if type(val) not in (float, int) or not -_FLOAT_MAX <= val <= _FLOAT_MAX:
+            self.add(path, f"expected a finite number, got {val!r:.40}")
             return default
-        val = obj[key]
-        if types is not None and not isinstance(val, types):
-            self.add(f"{path}.{key}", f"expected {types}, got {type(val).__name__}")
+        if lo is not None and val < lo:
+            self.add(path, f"must be >= {lo}, got {val}")
+            return default
+        return float(val)
+
+    def integer(self, path: str, val, lo: int | None = None, hi: int | None = None, default=0):
+        """A JSON integer (not a bool, not a float such as 2.0) in [lo, hi]."""
+        if type(val) is not int:
+            self.add(path, f"expected an integer, got {val!r:.40}")
+            return default
+        if (lo is not None and val < lo) or (hi is not None and val > hi):
+            bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            self.add(path, f"must be {bound}, got {val}")
             return default
         return val
 
+    def section(self, path: str, val, default):
+        """A JSON object; an absent (null) one gives ``default``."""
+        if val is None:
+            return default
+        if not isinstance(val, dict):
+            self.add(path, f"expected an object, got {type(val).__name__}")
+            return default
+        return val
 
-def _matrix(col: _Collector, obj, path: str, shape: tuple[int | None, int | None] | None):
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        col.add(path, "not a numeric matrix")
-        return None
-    if arr.ndim != 2:
-        col.add(path, f"expected a 2-D matrix, got ndim={arr.ndim}")
-        return None
-    if shape is not None:
-        rows, cols = shape
-        if rows is not None and arr.shape[0] != rows:
-            col.add(path, f"expected {rows} rows, got {arr.shape[0]}")
+    def vector(self, path: str, val, n: int | None = None) -> tuple[float, ...]:
+        """A list of finite numbers, of length ``n`` when given."""
+        if not isinstance(val, list):
+            self.add(path, f"expected a list of numbers, got {val!r:.40}")
+        elif n is not None and len(val) != n:
+            self.add(path, f"expected {n} entries, got {len(val)}")
+        else:
+            return tuple([self.number(path, v) for v in val])
+        return (0.0,) * (n or 0)
+
+    def sensors(self, path: str, val, p: int) -> frozenset[int]:
+        """A list of sensor indices: JSON integers in 1..p."""
+        if not isinstance(val, list):
+            self.add(path, f"expected a list of sensor indices, got {val!r:.40}")
+            return frozenset()
+        read = [self.integer(path, v, 1, p, default=None) for v in val]
+        return frozenset(read) - {None}
+
+    def matrix(self, path: str, val, shape: tuple[int | None, int | None] = (None, None)):
+        """A 2-D matrix of finite JSON numbers; ``shape`` may fix rows and columns."""
+        try:
+            arr = np.asarray(val)
+        except ValueError:  # ragged rows
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf":
+            self.add(path, "not a numeric matrix")
             return None
-        if cols is not None and arr.shape[1] != cols:
-            col.add(path, f"expected {cols} columns, got {arr.shape[1]}")
+        if arr.dtype.kind != "f":
+            arr = arr.astype(float)
+        if arr.ndim != 2:
+            self.add(path, f"expected a 2-D matrix, got ndim={arr.ndim}")
             return None
-    if not np.all(np.isfinite(arr)):
-        col.add(path, "contains non-finite entries")
-        return None
-    return arr
+        for want, got, axis in zip(shape, arr.shape, ("rows", "columns")):
+            if want is not None and got != want:
+                self.add(path, f"expected {want} {axis}, got {got}")
+                return None
+        if not np.isfinite(arr).all():
+            self.add(path, "contains non-finite entries")
+            return None
+        return arr
 
 
 _SIGNAL_KEYS = {
@@ -265,8 +312,8 @@ def _signal(col: _Collector, obj, path: str, horizon: int | None) -> SignalSpec:
         col.add(path, f"expected an object, got {type(obj).__name__}")
         return SignalSpec("zero")
     kind = obj.get("kind")
-    if kind not in _SIGNAL_KEYS:
-        col.add(path, f"unknown signal kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SIGNAL_KEYS:
+        col.add(path, f"unknown signal kind {kind!r:.40}")
         return SignalSpec("zero")
     extra = set(obj) - _SIGNAL_KEYS[kind] - {"kind"}
     if extra:
@@ -276,9 +323,9 @@ def _signal(col: _Collector, obj, path: str, horizon: int | None) -> SignalSpec:
         if key not in obj:
             col.add(path, f"{kind} signal missing {key!r}")
         elif key == "values":
-            kwargs[key] = tuple(float(v) for v in obj[key])
+            kwargs[key] = col.vector(f"{path}.values", obj[key])
         else:
-            kwargs[key] = float(obj[key])
+            kwargs[key] = col.number(f"{path}.{key}", obj[key])
     spec = SignalSpec(kind, **kwargs)
     for msg in spec.validate(horizon):
         col.add(path, msg)
@@ -288,42 +335,38 @@ def _signal(col: _Collector, obj, path: str, horizon: int | None) -> SignalSpec:
 def _init_spec(col: _Collector, obj, path: str, n: int) -> InitSpec:
     if not isinstance(obj, dict) or obj.get("kind") not in ("fixed", "normal"):
         col.add(path, "expected {kind: fixed|normal, ...}")
-        return InitSpec("fixed", value=tuple(0.0 for _ in range(n)))
+        return InitSpec("fixed", value=(0.0,) * n)
     if obj["kind"] == "fixed":
-        spec = InitSpec("fixed", value=tuple(float(v) for v in obj.get("value", ())))
+        spec = InitSpec("fixed", value=col.vector(f"{path}.value", obj.get("value"), n))
     else:
         spec = InitSpec(
             "normal",
-            mean=tuple(float(v) for v in obj.get("mean", ())),
-            std=tuple(float(v) for v in obj.get("std", ())),
+            mean=col.vector(f"{path}.mean", obj.get("mean"), n),
+            std=col.vector(f"{path}.std", obj.get("std"), n),
         )
     for msg in spec.validate(n):
         col.add(path, msg)
     return spec
 
 
+_ISS_KEYS = {"c", "lam", "gamma1", "gamma2", "nu", "k_star"}
+
+
 def _iss_model(col: _Collector, obj, path: str) -> ISSGainModel | None:
+    obj = col.section(path, obj, None)
     if obj is None:
         return None
-    if not isinstance(obj, dict):
-        col.add(path, "expected an object")
-        return None
-    known = {"c", "lam", "gamma1", "gamma2", "nu", "k_star"}
-    extra = set(obj) - known
+    extra = set(obj) - _ISS_KEYS
     if extra:
         col.add(path, f"unexpected keys {sorted(extra)}")
-    try:
-        model = ISSGainModel(
-            c=float(obj.get("c", 1.0)),
-            lam=float(obj.get("lam", 0.5)),
-            gamma1=float(obj.get("gamma1", 0.0)),
-            gamma2=float(obj.get("gamma2", 0.0)),
-            nu=float(obj.get("nu", 0.0)),
-            k_star=int(obj.get("k_star", 0)),
-        )
-    except (TypeError, ValueError):
-        col.add(path, "non-numeric convergence model fields")
-        return None
+    model = ISSGainModel(
+        c=col.number(f"{path}.c", obj.get("c", 1.0), default=1.0),
+        lam=col.number(f"{path}.lam", obj.get("lam", 0.5), default=0.5),
+        gamma1=col.number(f"{path}.gamma1", obj.get("gamma1", 0.0)),
+        gamma2=col.number(f"{path}.gamma2", obj.get("gamma2", 0.0)),
+        nu=col.number(f"{path}.nu", obj.get("nu", 0.0)),
+        k_star=col.integer(f"{path}.k_star", obj.get("k_star", 0)),
+    )
     for msg in model.validate():
         col.add(path, msg)
     return model
@@ -334,122 +377,80 @@ def _iss_model(col: _Collector, obj, path: str) -> ISSGainModel | None:
 def _build_plant(col: _Collector, section: dict):
     family = section.get("family")
     if family not in ("luenberger", "reduced", "circle"):
-        col.add("plant.family", f"unknown family {family!r}")
+        col.add("plant.family", f"unknown family {family!r:.40}")
         return None, None, None
-    D = None
-    n_d = 0
-    if "D" in section:
-        D = _matrix(col, section["D"], "plant.D", None)
-        n_d = 0 if D is None else D.shape[1]
-
     if family == "luenberger":
         dyn = section.get("dynamics")
         if dyn == "example1":
-            model, A, C = _example1_plant()
-            if D is not None:
+            if "D" in section:
                 col.add("plant.D", "named plant example1 has no disturbance input")
-            return model, A, C
-        if dyn == "linear":
-            A = _matrix(col, section.get("A"), "plant.A", None)
-            if A is None or A.shape[0] != A.shape[1]:
-                col.add("plant.A", "expected a square matrix")
-                return None, None, None
-            n = A.shape[0]
-            C = _matrix(col, section.get("C"), "plant.C", (None, n))
-            if C is None:
-                return None, None, None
-            if D is not None and D.shape[0] != n:
-                col.add("plant.D", f"expected {n} rows, got {D.shape[0]}")
-                return None, None, None
-            Dm = D
+            return _example1_plant()
+        if dyn != "linear":
+            col.add("plant.dynamics", f"unknown named dynamics {dyn!r:.40}")
+            return None, None, None
 
-            def f(x, u, d, k, A=A, Dm=Dm):
-                x_next = A @ x
-                return x_next if Dm is None else x_next + Dm @ d
-
-            def h(x, u, C=C):
-                return C @ x
-
-            model = PlantModel(name="linear", n=n, p=C.shape[0], f=f, h=h, n_d=n_d)
-            return model, A, C
-        col.add("plant.dynamics", f"unknown named dynamics {dyn!r}")
-        return None, None, None
-
-    A = _matrix(col, section.get("A"), "plant.A", None)
+    A = col.matrix("plant.A", section.get("A"))
     if A is None or A.shape[0] != A.shape[1]:
         col.add("plant.A", "expected a square matrix")
         return None, None, None
     n = A.shape[0]
-    C = _matrix(col, section.get("C"), "plant.C", (None, n))
-    if C is None:
+    C = col.matrix("plant.C", section.get("C"), (None, n))
+    D = col.matrix("plant.D", section["D"], (n, None)) if "D" in section else None
+    if C is None or (D is None and "D" in section):
         return None, None, None
-    if D is not None and D.shape[0] != n:
-        col.add("plant.D", f"expected {n} rows, got {D.shape[0]}")
-        return None, None, None
-    nl = section.get("nonlinearity")
-    if not isinstance(nl, dict) or "name" not in nl:
-        col.add("plant.nonlinearity", "expected {name, params?}")
-        return None, None, None
-    params = nl.get("params", {})
-
-    if family == "reduced":
-        builder = STATE_NONLINEARITY_REGISTRY.get(nl["name"])
-        if builder is None:
-            col.add(
-                "plant.nonlinearity.name",
-                f"unknown state nonlinearity {nl['name']!r}; "
-                f"known: {sorted(STATE_NONLINEARITY_REGISTRY)}",
-            )
-            return None, None, None
-        try:
-            g = builder(params)
-            g(np.zeros(n), np.zeros(0))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            col.add("plant.nonlinearity.params", f"invalid for {nl['name']}: {exc}")
-            return None, None, None
-        structure = ReducedStructure(A=A, C=C, g=g)
-        Dm = D
-
-        def f(x, u, d, k, A=A, g=g, Dm=Dm):
-            x_next = A @ x + g(x, u)
-            return x_next if Dm is None else x_next + Dm @ d
-
-        def h(x, u, C=C):
-            return C @ x
-
-        model = PlantModel(
-            name=f"reduced[{nl['name']}]", n=n, p=C.shape[0], f=f, h=h,
-            n_d=n_d, structure=structure,
-        )
-        return model, A, C
-
-    # circle family
-    G = _matrix(col, section.get("G"), "plant.G", (n, None))
-    if G is None:
-        return None, None, None
-    H = _matrix(col, section.get("H"), "plant.H", (G.shape[1], n))
-    if H is None:
-        return None, None, None
-    builder = CHANNEL_REGISTRY.get(nl["name"])
-    if builder is None:
-        col.add(
-            "plant.nonlinearity.name",
-            f"unknown channel nonlinearity {nl['name']!r}; known: {sorted(CHANNEL_REGISTRY)}",
-        )
-        return None, None, None
-    channels = builder(params)
-    structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels)
-    Dm = D
-
-    def f(x, u, d, k, A=A, G=G, H=H, channels=channels, Dm=Dm):
-        x_next = A @ x + G @ channels(H @ x)
-        return x_next if Dm is None else x_next + Dm @ d
+    n_d = 0 if D is None else D.shape[1]
 
     def h(x, u, C=C):
         return C @ x
 
+    if family == "luenberger":
+
+        def f(x, u, d, k, A=A, Dm=D):
+            x_next = A @ x
+            return x_next if Dm is None else x_next + Dm @ d
+
+        model = PlantModel(name="linear", n=n, p=C.shape[0], f=f, h=h, n_d=n_d)
+        return model, A, C
+
+    nl = section.get("nonlinearity")
+    if not isinstance(nl, dict) or not isinstance(nl.get("name"), str):
+        col.add("plant.nonlinearity", "expected {name, params?}")
+        return None, None, None
+    params = col.section(_PARAMS, nl.get("params"), {})
+    registry = STATE_NONLINEARITY_REGISTRY if family == "reduced" else CHANNEL_REGISTRY
+    nonlinearity = registry.get(nl["name"])
+    if nonlinearity is None:
+        kind = "state" if family == "reduced" else "channel"
+        col.add(
+            "plant.nonlinearity.name",
+            f"unknown {kind} nonlinearity {nl['name']!r}; known: {sorted(registry)}",
+        )
+        return None, None, None
+
+    if family == "reduced":
+        g = nonlinearity(col, params, n)
+        structure = ReducedStructure(A=A, C=C, g=g)
+
+        def f(x, u, d, k, A=A, g=g, Dm=D):
+            x_next = A @ x + g(x, u)
+            return x_next if Dm is None else x_next + Dm @ d
+
+    else:
+        G = col.matrix("plant.G", section.get("G"), (n, None))
+        if G is None:
+            return None, None, None
+        H = col.matrix("plant.H", section.get("H"), (G.shape[1], n))
+        if H is None:
+            return None, None, None
+        channels = nonlinearity
+        structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels)
+
+        def f(x, u, d, k, A=A, G=G, H=H, channels=channels, Dm=D):
+            x_next = A @ x + G @ channels(H @ x)
+            return x_next if Dm is None else x_next + Dm @ d
+
     model = PlantModel(
-        name=f"circle[{nl['name']}]", n=n, p=C.shape[0], f=f, h=h,
+        name=f"{family}[{nl['name']}]", n=n, p=C.shape[0], f=f, h=h,
         n_d=n_d, structure=structure,
     )
     return model, A, C
@@ -468,10 +469,8 @@ def _gain_shapes(family: str, n: int, card: int, r: int | None, nz: int):
 
 def _parse_bundle(col: _Collector, section, family: str, bank: BankIndex, plant: PlantModel):
     specs: dict[SubsetIndex, ObserverSpec] = {}
-    if not isinstance(section, dict) or not isinstance(section.get("bundle"), dict):
-        col.add("observers.bundle", "missing observer bundle")
-        return specs
-    bundle = section["bundle"]
+    observers = col.section("observers", section, {})
+    bundle = col.section("observers.bundle", observers.get("bundle"), {})
     seen = {}
     for label, entry in bundle.items():
         try:
@@ -480,10 +479,7 @@ def _parse_bundle(col: _Collector, section, family: str, bank: BankIndex, plant:
             col.add(f"observers.bundle[{label}]", str(exc))
             continue
         seen[sub] = entry
-    wanted = set(bank.all_subsets)
-    for sub in sorted(wanted - set(seen)):
-        col.add("observers.bundle", f"missing observer for {sub.label}")
-    for sub in sorted(set(seen) - wanted):
+    for sub in sorted(set(seen) - set(bank.all_subsets)):
         col.add(
             f"observers.bundle[{sub.label}]",
             f"subset not in the bank for p={bank.p}, q={bank.q}",
@@ -492,7 +488,10 @@ def _parse_bundle(col: _Collector, section, family: str, bank: BankIndex, plant:
     r = None
     if isinstance(plant.structure, CircleStructure):
         r = plant.structure.H.shape[0]
-    for sub in sorted(wanted & set(seen)):
+    for sub in bank.all_subsets:  # canonical order, so specs come out sorted
+        if sub not in seen:
+            col.add("observers.bundle", f"missing observer for {sub.label}")
+            continue
         entry = seen[sub]
         path = f"observers.bundle[{sub.label}]"
         if not isinstance(entry, dict):
@@ -502,11 +501,13 @@ def _parse_bundle(col: _Collector, section, family: str, bank: BankIndex, plant:
         k_shape, l_shape = _gain_shapes(family, n, card, r, n - card)
         K = L = None
         if family in ("luenberger", "circle") or "K" in entry:
-            K = _matrix(col, entry.get("K"), f"{path}.K", k_shape)
+            K = col.matrix(f"{path}.K", entry.get("K"), k_shape)
         if l_shape is not None:
-            L = _matrix(col, entry.get("L"), f"{path}.L", l_shape)
+            L = col.matrix(f"{path}.L", entry.get("L"), l_shape)
         iss = _iss_model(col, entry.get("iss"), f"{path}.iss")
-        practical = bool(entry.get("practical", False))
+        practical = entry.get("practical", False)
+        if not isinstance(practical, bool):
+            col.add(f"{path}.practical", f"expected true or false, got {practical!r:.40}")
         extra = set(entry) - {"K", "L", "iss", "practical"}
         if extra:
             col.add(path, f"unexpected keys {sorted(extra)}")
@@ -516,35 +517,33 @@ def _parse_bundle(col: _Collector, section, family: str, bank: BankIndex, plant:
 
 # --- top-level parse ---------------------------------------------------------
 
+_SECTIONS = {
+    "name", "plant", "scenario", "estimator", "observers",
+    "isolation", "calibration", "divergence_ceiling", "output",
+}
+_CALIBRATION_KEYS = {f.name for f in fields(CalibrationSettings)}
+
+
 def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> ScenarioConfig:
     """Validate a parsed JSON document; raise with every problem found."""
     col = _Collector()
     if not isinstance(raw, dict):
         raise ConfigurationError(["top level: expected a JSON object"])
     name = raw.get("name") or (path.stem if path else "scenario")
-    known_sections = {
-        "name", "plant", "scenario", "estimator", "observers",
-        "isolation", "calibration", "divergence_ceiling", "output",
-    }
-    for key in set(raw) - known_sections:
+    # the name becomes the artifact subdirectory, so it may not leave the output directory
+    if not isinstance(name, str) or name in (".", "..") or "/" in name or "\\" in name:
+        col.add("name", f"expected a file name without path separators, got {name!r:.40}")
+    for key in set(raw) - _SECTIONS:
         col.add(key, "unknown section")
 
-    plant_section = col.require(raw, "top level", "plant", dict, default={})
-    model, lin_A, lin_C = _build_plant(col, plant_section or {})
+    plant_section = col.section("plant", raw.get("plant"), {})
+    model, lin_A, lin_C = _build_plant(col, plant_section)
+    family = plant_section.get("family")
 
-    scen = col.require(raw, "top level", "scenario", dict, default={}) or {}
-    q = scen.get("q")
-    horizon = scen.get("horizon")
-    if not isinstance(q, int) or isinstance(q, bool):
-        col.add("scenario.q", "expected an integer")
-        q = 0
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
-        col.add("scenario.horizon", "expected an integer")
-        horizon = 1
-    seed = scen.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        col.add("scenario.seed", "expected an integer")
-        seed = 0
+    scen = col.section("scenario", raw.get("scenario"), {})
+    q = col.integer("scenario.q", scen.get("q"))
+    horizon = col.integer("scenario.horizon", scen.get("horizon"), default=1)
+    seed = col.integer("scenario.seed", scen.get("seed", 0))
 
     if model is None:
         raise ConfigurationError(col.problems or ["plant: could not be constructed"])
@@ -556,13 +555,12 @@ def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> Scena
     else:
         col.add("scenario.q", f"assumption violated: need 0 <= q < p/2, got q={q}, p={p}")
 
-    attacked = frozenset(scen.get("attacked", ()))
+    attacked = col.sensors("scenario.attacked", scen.get("attacked", []), p)
     attacks = {}
-    for key, obj in (scen.get("attacks") or {}).items():
-        try:
-            sensor = int(key)
-        except (TypeError, ValueError):
-            col.add(f"scenario.attacks[{key}]", "key must be a sensor index")
+    for key, obj in col.section("scenario.attacks", scen.get("attacks"), {}).items():
+        sensor = int(key) if key.isdecimal() else 0
+        if not 1 <= sensor <= p:
+            col.add(f"scenario.attacks[{key}]", f"key must be a sensor index in 1..{p}")
             continue
         attacks[sensor] = _signal(col, obj, f"scenario.attacks[{key}]", horizon)
 
@@ -581,6 +579,9 @@ def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> Scena
         noise = tuple(one for _ in range(p))
 
     dist_raw = scen.get("disturbance", [])
+    if not isinstance(dist_raw, list):
+        col.add("scenario.disturbance", f"expected a list of signals, got {dist_raw!r:.40}")
+        dist_raw = []
     disturbance = tuple(
         _signal(col, obj, f"scenario.disturbance[{j}]", horizon)
         for j, obj in enumerate(dist_raw, start=1)
@@ -593,110 +594,92 @@ def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> Scena
         attacked=attacked,
         attack_gens=attacks,
         noise_gens=noise,
-        noise_bound=float(scen.get("noise_bound", 0.0)),
+        noise_bound=col.number("scenario.noise_bound", scen.get("noise_bound", 0.0), lo=0.0),
         horizon=horizon,
         seed=seed,
         x0=x0,
         disturbance_gens=disturbance,
-        disturbance_bound=float(scen.get("disturbance_bound", 0.0)),
+        disturbance_bound=col.number(
+            "scenario.disturbance_bound", scen.get("disturbance_bound", 0.0), lo=0.0
+        ),
     )
     for msg in scenario.validate(model):
         col.add("scenario", msg)
 
-    est = raw.get("estimator") or {}
-    init_raw = est.get("init", {"kind": "zero"})
-    init_mode = init_raw.get("kind") if isinstance(init_raw, dict) else None
+    est = col.section("estimator", raw.get("estimator"), {})
+    init_raw = col.section("estimator.init", est.get("init"), {"kind": "zero"})
+    init_mode = init_raw.get("kind")
     init_value = None
     if init_mode not in ("zero", "truth", "fixed"):
-        col.add("estimator.init.kind", f"expected zero|truth|fixed, got {init_mode!r}")
+        col.add("estimator.init.kind", f"expected zero|truth|fixed, got {init_mode!r:.40}")
         init_mode = "zero"
     elif init_mode == "fixed":
-        value = init_raw.get("value", ())
-        if len(value) != n:
-            col.add("estimator.init.value", f"expected {n} entries, got {len(value)}")
-            init_value = np.zeros(n)
-        else:
-            init_value = np.asarray(value, dtype=float)
+        init_value = np.array(col.vector("estimator.init.value", init_raw.get("value"), n))
     estimator_iss = _iss_model(col, est.get("iss"), "estimator.iss")
 
     specs = {}
     if bank is not None:
-        specs = _parse_bundle(col, raw.get("observers"), plant_section.get("family"), bank, model)
+        specs = _parse_bundle(col, raw.get("observers"), family, bank, model)
 
     iso = None
-    iso_raw = raw.get("isolation")
+    iso_raw = col.section("isolation", raw.get("isolation"), None)
     if iso_raw is not None:
-        if not isinstance(iso_raw, dict):
-            col.add("isolation", "expected an object or null")
-        else:
-            window = iso_raw.get("window")
-            if not isinstance(window, int) or isinstance(window, bool) or window < 1:
-                col.add("isolation.window", "expected a positive integer")
-                window = 1
-            eps = float(iso_raw.get("eps", 0.0))
-            if eps < 0:
-                col.add("isolation.eps", "must be nonnegative")
-            k_star = iso_raw.get("k_star")
-            if k_star is not None and (not isinstance(k_star, int) or k_star < 0):
-                col.add("isolation.k_star", "expected null or a nonnegative integer")
-                k_star = None
-            m_bar = iso_raw.get("m_bar")
-            d_bar = iso_raw.get("d_bar")
-            iso = IsolationOptions(
-                window=window, eps=eps, k_star=k_star,
-                m_bar=None if m_bar is None else float(m_bar),
-                d_bar=None if d_bar is None else float(d_bar),
-            )
-            if bank is not None:
-                for sub in sorted(set(specs)):
-                    if specs[sub].iss is None:
-                        col.add(
-                            f"observers.bundle[{sub.label}].iss",
-                            "isolation needs a convergence model for every subset "
-                            "(run calibrate first)",
-                        )
+        k_star, m_bar, d_bar = (iso_raw.get(key) for key in ("k_star", "m_bar", "d_bar"))
+        iso = IsolationOptions(
+            window=col.integer("isolation.window", iso_raw.get("window"), lo=1, default=1),
+            eps=col.number("isolation.eps", iso_raw.get("eps", 0.0), lo=0.0),
+            k_star=None if k_star is None else col.integer("isolation.k_star", k_star, lo=0),
+            m_bar=None if m_bar is None else col.number("isolation.m_bar", m_bar, lo=0.0),
+            d_bar=None if d_bar is None else col.number("isolation.d_bar", d_bar, lo=0.0),
+        )
+        for sub, spec in specs.items():
+            if spec.iss is None:
+                col.add(
+                    f"observers.bundle[{sub.label}].iss",
+                    "isolation needs a convergence model for every subset (run calibrate first)",
+                )
 
-    cal_raw = raw.get("calibration") or {}
-    cal_known = {"trials", "horizon", "seed", "safety", "c_safety", "init_scale",
-                 "eps_settle", "tail_stat"}
-    for key in set(cal_raw) - cal_known:
+    cal_raw = col.section("calibration", raw.get("calibration"), {})
+    for key in set(cal_raw) - _CALIBRATION_KEYS:
         col.add(f"calibration.{key}", "unknown field")
+
+    def cal(read, key, default):
+        return read(f"calibration.{key}", cal_raw.get(key, default), default=default)
+
     calibration = CalibrationSettings(
-        trials=int(cal_raw.get("trials", 30)),
-        horizon=int(cal_raw.get("horizon", 200)),
-        seed=int(cal_raw.get("seed", seed + 1)),
-        safety=float(cal_raw.get("safety", 1.2)),
-        c_safety=float(cal_raw.get("c_safety", 1.3)),
-        init_scale=float(cal_raw.get("init_scale", 1.0)),
-        eps_settle=float(cal_raw.get("eps_settle", 1e-2)),
-        tail_stat=str(cal_raw.get("tail_stat", "max")),
+        trials=cal(col.integer, "trials", 30),
+        horizon=cal(col.integer, "horizon", 200),
+        seed=cal(col.integer, "seed", seed + 1),
+        safety=cal(col.number, "safety", 1.2),
+        c_safety=cal(col.number, "c_safety", 1.3),
+        init_scale=cal(col.number, "init_scale", 1.0),
+        eps_settle=cal(col.number, "eps_settle", 1e-2),
+        tail_stat=cal_raw.get("tail_stat", "max"),
     )
     for msg in calibration.validate():
         col.add("calibration", msg)
 
-    ceiling = float(raw.get("divergence_ceiling", 1e12))
+    ceiling = col.number("divergence_ceiling", raw.get("divergence_ceiling", 1e12), default=1e12)
     if ceiling <= 0:
         col.add("divergence_ceiling", "must be positive")
 
-    out_dir = (raw.get("output") or {}).get("dir")
+    out_dir = col.section("output", raw.get("output"), {}).get("dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        col.add("output.dir", f"expected a string, got {out_dir!r:.40}")
 
     slope_box = None
-    if plant_section.get("family") == "circle":
-        box = plant_section.get("slope_box")
-        if (
-            not isinstance(box, (list, tuple))
-            or len(box) != 2
-            or not float(box[0]) < float(box[1])
-        ):
-            col.add("plant.slope_box", "circle family needs slope_box [lo, hi] with lo < hi")
+    if family == "circle":
+        box = col.vector("plant.slope_box", plant_section.get("slope_box"), 2)
+        if box[0] < box[1]:
+            slope_box = box
         else:
-            slope_box = (float(box[0]), float(box[1]))
+            col.add("plant.slope_box", "circle family needs slope_box [lo, hi] with lo < hi")
 
     if col.problems:
         raise ConfigurationError(col.problems)
     return ScenarioConfig(
-        name=str(name),
-        family=plant_section["family"],
+        name=name,
+        family=family,
         plant=model,
         bank=bank,
         specs=specs,
@@ -730,6 +713,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigurationError(
             [f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from None
+    except (UnicodeDecodeError, RecursionError) as exc:  # bad encoding, nesting too deep
+        raise ConfigurationError([f"{path}: not a readable JSON document: {exc}"]) from None
     return parse_config(raw, path=path, sha256=hashlib.sha256(data).hexdigest())
 
 

@@ -37,6 +37,11 @@ __all__ = [
 # kind, index) triple owns an independent Philox stream.
 _STREAM_KINDS = {"init": 0, "attack": 1, "noise": 2, "disturbance": 3, "calibration": 4}
 
+# Longest run, in steps, that a scenario or a calibration may ask for.
+# ``simulate`` allocates (T+1, n) arrays and the observer bank
+# (n_obs, T+1, n), so an unchecked horizon becomes an unbounded allocation.
+MAX_HORIZON = 10**6
+
 
 def signal_stream(seed: int, kind: str, index: int = 0) -> np.random.Generator:
     """A dedicated counter-based generator for one signal of a scenario."""
@@ -148,6 +153,8 @@ class InitSpec:
         elif self.kind == "normal":
             if len(self.mean) != n or len(self.std) != n:
                 problems.append(f"normal init mean/std must both have length {n}")
+            if any(s < 0 for s in self.std):
+                problems.append(f"normal init needs std >= 0, got {list(self.std)}")
         else:
             problems.append(f"unknown init kind {self.kind!r}")
         return problems
@@ -162,10 +169,10 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class CircleStructure:
-    """Structural data of a plant x+ = A x + G f(H x) + rho(u, y).
+    """Structural data of a plant x+ = A x + G f(H x).
 
     ``channels`` applies the scalar nonlinearity slope-restricted to
-    [0, inf) componentwise; ``rho`` is the known signal-dependent part.
+    [0, inf) componentwise.
     """
 
     A: np.ndarray
@@ -173,7 +180,6 @@ class CircleStructure:
     H: np.ndarray
     C: np.ndarray
     channels: Callable[[np.ndarray], np.ndarray]
-    rho: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -295,8 +301,10 @@ class AttackScenario:
                     f"disturbance {j} can reach {b}, above the declared bound "
                     f"{self.disturbance_bound}"
                 )
-        if self.horizon < 1:
-            problems.append(f"horizon must be >= 1, got {self.horizon}")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            problems.append(f"horizon must lie in 1..{MAX_HORIZON}, got {self.horizon}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if model is not None:
             if model.p != p:
                 problems.append(f"scenario says p={p} but plant has {model.p} outputs")

@@ -30,7 +30,6 @@ __all__ = [
     "ReducedOrderObserver",
     "CircleCriterionObserver",
     "ObserverBank",
-    "observer_step",
     "build_reduced_observer",
     "certify_linear_gain",
     "check_slope_condition",
@@ -106,13 +105,6 @@ class Observer(ABC):
 
     def _nan(self) -> np.ndarray:
         return np.full(self.n, np.nan)
-
-
-def observer_step(
-    obs: Observer, y_J: np.ndarray, y_next_J: np.ndarray, u: np.ndarray
-) -> tuple[Observer, np.ndarray]:
-    """Functional wrapper over :meth:`Observer.step`."""
-    return obs, obs.step(y_J, y_next_J, u)
 
 
 class LuenbergerObserver(Observer):
@@ -286,10 +278,10 @@ def build_reduced_observer(
 
 
 class CircleCriterionObserver(Observer):
-    """Observer for x+ = A x + G f(H x) + rho with slope-restricted f.
+    """Observer for x+ = A x + G f(H x) with slope-restricted f.
 
     x_hat(k+1) = A x_hat + G f(H x_hat + K (C_J x_hat - y_J(k)))
-                 + L (C_J x_hat - y_J(k)) + rho(u, y_J).
+                 + L (C_J x_hat - y_J(k)).
     Feeding the innovation into the nonlinearity (via K) is what lets a
     nondecreasing f help rather than hurt convergence.
     """
@@ -338,8 +330,6 @@ class CircleCriterionObserver(Observer):
             innov = self.C_J @ self._x_hat - y_J
             arg = st.H @ self._x_hat + self.K @ innov
             x_next = st.A @ self._x_hat + st.G @ st.channels(arg) + self.L @ innov
-            if st.rho is not None:
-                x_next = x_next + st.rho(u, y_J)
         self._x_hat = np.asarray(x_next, dtype=float)
         return self._finalize(self._x_hat.copy())
 
@@ -452,7 +442,7 @@ class ObserverBank:
     def _vectorizable(self) -> bool:
         obs = list(self.observers.values())
         return all(isinstance(o, CircleCriterionObserver) for o in obs) and all(
-            o.structure is obs[0].structure and o.structure.rho is None for o in obs
+            o.structure is obs[0].structure for o in obs
         )
 
     def _run_circle_vectorized(self, y, u, x0_est):

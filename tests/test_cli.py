@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multiobserver
 from multiobserver.cli import main
 
 
@@ -29,6 +34,33 @@ def test_validate_rejects_broken_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "unknown family" in err
+
+
+def _cli(*args):
+    """Run the CLI in a fresh interpreter on this package; returns the process."""
+    src = str(Path(multiobserver.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "multiobserver.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_malformed_values_exit_1_without_traceback(scenario_dir, tmp_path):
+    raw = json.loads((scenario_dir / "example3.json").read_text())
+    raw["scenario"]["noise_bound"] = "x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    for args in (
+        ["validate", "--config", str(bad)],
+        ["run", "--config", _path(scenario_dir, "example1"), "--seed", "-1",
+         "--out", str(tmp_path)],
+    ):
+        proc = _cli(*args)
+        assert proc.returncode == 1, proc.stderr
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_validate_missing_file_exits_1(tmp_path, capsys):

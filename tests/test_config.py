@@ -1,8 +1,19 @@
+import copy
 import json
+import operator
+import random
+from dataclasses import replace
+from functools import reduce
 
 import pytest
 
-from multiobserver import ConfigurationError, build_bank, load_config
+from multiobserver import (
+    ConfigurationError,
+    MultiObserverError,
+    build_bank,
+    load_config,
+    run_scenario,
+)
 from multiobserver.config import parse_config
 
 EXPECTED_BANKS = {
@@ -151,6 +162,15 @@ def test_load_config_reports_json_position(tmp_path):
     assert "JSON parse error at line 1" in err.value.problems[0]
 
 
+def test_load_config_rejects_unreadable_json(tmp_path):
+    for text in (b'{"name": "\xff"}', b"[" * 100_000 + b"]" * 100_000):
+        bad = tmp_path / "unreadable.json"
+        bad.write_bytes(text)
+        with pytest.raises(ConfigurationError) as err:
+            load_config(bad)
+        assert "not a readable JSON document" in err.value.problems[0]
+
+
 def test_config_carries_content_hash(scenario_dir):
     cfg = load_config(scenario_dir / "example1.json")
     assert len(cfg.sha256) == 64
@@ -185,3 +205,96 @@ def test_example1_marks_its_marginal_observer_practical(scenario_dir):
     _, report = build_bank(cfg, enforce=True)
     cert = [c for s, c in report.certificates.items() if s.label == "S:1"][0]
     assert not cert.passed  # the practical flag is what admits it
+
+
+# --- malformed values ---------------------------------------------------------
+
+MUTANT_VALUES = ("x", None, float("nan"), -1, 1.5, [], {})
+
+
+def _augmented(scenario_dir, name):
+    """A bundled config plus the optional keys that no bundled config sets."""
+    raw = _raw(scenario_dir, name)
+    n = parse_config(raw).plant.n
+    raw["output"] = {"dir": "runs"}
+    raw["divergence_ceiling"] = 1e12
+    raw["scenario"]["disturbance"] = []
+    raw["scenario"]["disturbance_bound"] = 0.0
+    raw["estimator"]["init"] = {"kind": "fixed", "value": [0.0] * n}
+    return raw
+
+
+def _paths(node, prefix=()):
+    """The key path of every leaf and every non-root container below ``node``."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _mutated(raw, path, value):
+    out = copy.deepcopy(raw)
+    reduce(operator.getitem, path[:-1], out)[path[-1]] = copy.deepcopy(value)
+    return out
+
+
+def _mutants(raw):
+    """Yield (path, value) while ``raw`` holds ``value`` at ``path``; restore it after."""
+    for path in list(_paths(raw)):
+        parent = reduce(operator.getitem, path[:-1], raw)
+        original = parent[path[-1]]
+        for value in MUTANT_VALUES:
+            parent[path[-1]] = copy.deepcopy(value)
+            yield path, value
+        parent[path[-1]] = original
+
+
+def test_every_mutated_value_loads_or_is_listed(scenario_dir, tmp_path):
+    # Stage 1: each mutant either parses or raises ConfigurationError.
+    accepted = []
+    for name in sorted(EXPECTED_BANKS):
+        raw = _augmented(scenario_dir, name)
+        parse_config(raw)  # the augmented base itself loads
+        for path, value in _mutants(raw):
+            try:
+                parse_config(raw)
+            except ConfigurationError:
+                continue
+            except Exception as exc:  # any other exception is the failure under test
+                pytest.fail(f"{name} {path} = {value!r}: {type(exc).__name__}: {exc}")
+            accepted.append((name, path, value))
+    assert len(accepted) >= 100
+
+    # Stage 2: a seeded sample of the accepted mutants runs end to end
+    # (short horizon); only the package's own errors may escape.
+    for name, path, value in random.Random(0).sample(accepted, 100):
+        cfg = parse_config(_mutated(_augmented(scenario_dir, name), path, value))
+        cfg.scenario = replace(cfg.scenario, horizon=min(cfg.scenario.horizon, 20))
+        try:
+            run_scenario(cfg, out=str(tmp_path))
+        except MultiObserverError:
+            pass
+        except Exception as exc:  # any other exception is the failure under test
+            pytest.fail(f"{name} {path} = {value!r}: {type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize(
+    "name, path, value, needle",
+    [
+        ("example3", ("scenario", "noise_bound"), float("nan"), "scenario.noise_bound"),
+        ("example3", ("scenario", "noise_bound"), "0.1", "scenario.noise_bound"),
+        ("example3", ("calibration", "trials"), True, "calibration.trials"),
+        ("example3", ("scenario", "x0", "std", 1), -1.0, "std >= 0"),
+        ("example3", ("estimator", "iss", "k_star"), 1.5, "estimator.iss.k_star"),
+        ("example1", ("scenario", "seed"), -1, "seed must be >= 0"),
+        ("example1", ("scenario", "horizon"), 10**12, "horizon must lie in"),
+        ("example3", ("calibration", "horizon"), 10**12, "calibration horizon"),
+        ("example2", ("plant", "nonlinearity", "params", "gain"), float("nan"), "params.gain"),
+        ("example2", ("plant", "nonlinearity", "params", "index"), 1.5, "params.index"),
+        ("example1", ("name",), "../escaped", "name: expected a file name"),
+    ],
+)
+def test_values_that_break_a_guarantee_are_rejected(scenario_dir, name, path, value, needle):
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(_mutated(_raw(scenario_dir, name), path, value))
+    assert any(needle in p for p in err.value.problems), err.value.problems

@@ -16,7 +16,6 @@ from multiobserver import (
     build_reduced_observer,
     certify_linear_gain,
     check_slope_condition,
-    observer_step,
     simulate,
 )
 
@@ -52,16 +51,6 @@ def test_gain_shape_is_checked():
     plant = toy_plant()
     with pytest.raises(ConfigurationError):
         LuenbergerObserver(SubsetIndex("J", (1, 2)), plant.f, plant.h, np.zeros((2, 1)), n=2)
-
-
-def test_observer_step_wrapper():
-    plant, idx, bank = toy_bank()
-    sub = idx.j_subsets[0]
-    obs = bank.observers[sub]
-    obs.reset(np.zeros(2), np.zeros(2), np.zeros(0))
-    same, est = observer_step(obs, np.array([1.0, 1.0]), np.zeros(2), np.zeros(0))
-    assert same is obs
-    assert est.shape == (2,)
 
 
 # --- reduced-order family ---------------------------------------------------
@@ -223,22 +212,6 @@ def test_circle_vectorized_run_matches_loop():
     # divergence flags agree too
     for (s1, o1), (s2, o2) in zip(bank.observers.items(), bank2.observers.items()):
         assert o1.diverged == o2.diverged
-
-
-def test_rho_disables_vectorization_but_not_equivalence():
-    st = _circle_structure()
-    st_rho = CircleStructure(
-        A=A_C, G=G_C, H=H_C, C=C_C, channels=np.sin, rho=lambda u, y: np.zeros(2)
-    )
-    idx, bank = _circle_bank(st_rho)
-    assert not bank._vectorizable()
-    rng = np.random.default_rng(6)
-    y = rng.normal(scale=0.5, size=(11, 5))
-    u = np.zeros((11, 0))
-    est = bank.run(y, u, x0_est=np.zeros(2))
-    idx2, vect = _circle_bank(st)
-    est2 = vect.run(y, u, x0_est=np.zeros(2))
-    assert np.allclose(est, est2, rtol=1e-9, atol=1e-12)
 
 
 def test_mixed_family_bank_uses_loop_path():
