@@ -87,9 +87,8 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return signal_stream(seed, "calibration", trial)
 
 
-def _simulate_errors(
+def _plant_run(
     plant: PlantModel,
-    stepper,
     x0_spec: InitSpec,
     noise_amp: float,
     dist_amp: float,
@@ -97,11 +96,11 @@ def _simulate_errors(
     rng: np.random.Generator,
     init_scale: float,
     trial: int,
-) -> np.ndarray:
-    """One attack-free trial; returns the |e(k)| series.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One attack-free plant run: the (x, y, u) tracks and the initial estimate.
 
-    ``stepper`` abstracts over a single observer and a full bank: it
-    gets (x0, x0_est, y track, u track) and returns the estimate track.
+    Raises :class:`CalibrationError` when the plant state turns non-finite
+    or leaves the ceiling.
     """
     T = horizon
     u = np.zeros((T + 1, plant.n_u))
@@ -118,6 +117,15 @@ def _simulate_errors(
     y = np.stack([np.asarray(plant.h(x[k], u[k]), dtype=float) for k in range(T + 1)])
     if noise_amp > 0:
         y = y + noise_amp * rng.uniform(-1.0, 1.0, y.shape)
+    return x, y, u, x0_est
+
+
+def _error_track(stepper, x, y, u, x0_est, trial: int) -> np.ndarray:
+    """The |e(k)| series of ``stepper`` on one plant run.
+
+    ``stepper`` abstracts over a single observer and a full bank: it
+    gets (x0_est, y track, u track) and returns the estimate track.
+    """
     est = stepper(x0_est, y, u)
     if not np.all(np.isfinite(est)):
         raise CalibrationError(f"observer diverged in calibration trial {trial}")
@@ -146,32 +154,30 @@ def _fit_model(
     nu_raw = tail_level(noise_free)
     e0_max = max(float(e[0]) for e in noise_free)
 
-    lam_fits = []
+    # each trial's decaying segment: its steps before it first reaches its floor
+    segments = []
     for e, plateau in zip(noise_free, plateaus):
         if e[0] <= 0:
             continue
         floor = max(10.0 * plateau, e[0] * 1e-10, 1e-300)
         below = np.nonzero(e <= floor)[0]
         cut = int(below[0]) if below.size else len(e)
-        if cut < 4:
+        if cut:
+            segments.append(e[:cut])
+
+    lam_fits = []
+    for seg in segments:
+        if len(seg) < 4:
             continue
-        ks = np.arange(cut)
-        slope = np.polyfit(ks, np.log(e[:cut]), 1)[0]
+        slope = np.polyfit(np.arange(len(seg)), np.log(seg), 1)[0]
         lam_fits.append(float(np.clip(np.exp(slope), 1e-6, 0.9999)))
     if lam_fits:
         lam = max(lam_fits)
         c = 1.0
-        for e, plateau in zip(noise_free, plateaus):
-            if e[0] <= 0:
-                continue
-            floor = max(10.0 * plateau, e[0] * 1e-10, 1e-300)
-            below = np.nonzero(e <= floor)[0]
-            cut = int(below[0]) if below.size else len(e)
-            if cut < 1:
-                continue
-            ks = np.arange(cut)
+        for seg in segments:
+            ks = np.arange(len(seg))
             with np.errstate(divide="ignore"):
-                ratios = e[:cut] / (lam**ks * e[0])
+                ratios = seg / (lam**ks * seg[0])
             c = max(c, float(np.max(ratios)))
         c *= settings.c_safety
     else:
@@ -194,29 +200,68 @@ def _fit_model(
     return ISSGainModel(c=c, lam=lam, gamma1=gamma1, gamma2=gamma2, nu=nu, k_star=k_star)
 
 
-def _collect(plant, stepper, x0_spec, m_bar, d_bar, settings, kind_offset=0):
-    noise_free, noisy, disturbed = [], [], []
-    for trial in range(settings.trials):
-        rng = _trial_rng(settings.seed, kind_offset + trial)
-        noise_free.append(
-            _simulate_errors(plant, stepper, x0_spec, 0.0, 0.0,
-                             settings.horizon, rng, settings.init_scale, trial)
-        )
+def _collect(plant, steppers, x0_spec, m_bar, d_bar, settings, kind_offset=0):
+    """Fit one model per stepper, each (kind, trial) plant run simulated once.
+
+    Every stepper that has not failed yet is run on each plant run, so
+    its tracks are the ones it would get alone.  Returns, per stepper,
+    its fitted model or the :class:`CalibrationError` of the first trial
+    in which the plant or that stepper diverged.
+    """
+    problems = settings.validate()
+    if problems:
+        raise ConfigurationError(problems)
+    # (stream block, noise amplitude, disturbance amplitude) per trial kind
+    kinds = [(0, 0.0, 0.0)]
     if m_bar > 0:
-        for trial in range(settings.trials):
-            rng = _trial_rng(settings.seed, kind_offset + settings.trials + trial)
-            noisy.append(
-                _simulate_errors(plant, stepper, x0_spec, m_bar, 0.0,
-                                 settings.horizon, rng, settings.init_scale, trial)
-            )
+        kinds.append((1, m_bar, 0.0))
     if d_bar > 0:
+        kinds.append((2, 0.0, d_bar))
+    tracks = [([], [], []) for _ in steppers]
+    errors: list[CalibrationError | None] = [None] * len(steppers)
+    for block, noise_amp, dist_amp in kinds:
         for trial in range(settings.trials):
-            rng = _trial_rng(settings.seed, kind_offset + 2 * settings.trials + trial)
-            disturbed.append(
-                _simulate_errors(plant, stepper, x0_spec, 0.0, d_bar,
-                                 settings.horizon, rng, settings.init_scale, trial)
-            )
-    return _fit_model(noise_free, noisy, disturbed, m_bar, d_bar, settings)
+            live = [i for i, err in enumerate(errors) if err is None]
+            if not live:
+                break
+            rng = _trial_rng(settings.seed, kind_offset + block * settings.trials + trial)
+            try:
+                run = _plant_run(plant, x0_spec, noise_amp, dist_amp, settings.horizon,
+                                 rng, settings.init_scale, trial)
+            except CalibrationError as exc:
+                for i in live:
+                    errors[i] = exc
+                continue
+            for i in live:
+                try:
+                    tracks[i][block].append(_error_track(steppers[i], *run, trial))
+                except CalibrationError as exc:
+                    errors[i] = exc
+    return [
+        _fit_model(*kind_tracks, m_bar, d_bar, settings) if err is None else err
+        for err, kind_tracks in zip(errors, tracks)
+    ]
+
+
+def _observer_stepper(obs: Observer, n: int):
+    """Steps one observer over a plant run, on its own sensors' outputs."""
+    idx = np.asarray(obs.subset.members, dtype=int) - 1
+
+    def stepper(x0_est, y, u):
+        y_J = y[:, idx]
+        track = np.empty((y.shape[0], n))
+        track[0] = obs.reset(x0_est, y_J[0], u[0])
+        for k in range(y.shape[0] - 1):
+            track[k + 1] = obs.step(y_J[k], y_J[k + 1], u[k])
+        return track
+
+    return stepper
+
+
+def _fitted(result: ISSGainModel | CalibrationError) -> ISSGainModel:
+    if isinstance(result, CalibrationError):
+        raise result
+    return result
 
 
 def estimate_iss_gains(
@@ -234,19 +279,8 @@ def estimate_iss_gains(
     :class:`CalibrationError` when a trial diverges — the observer is
     then not usable on the sampled operating region.
     """
-    problems = settings.validate()
-    if problems:
-        raise ConfigurationError(problems)
-    idx = np.asarray(obs.subset.members, dtype=int) - 1
-
-    def stepper(x0_est, y, u):
-        track = np.empty((y.shape[0], plant.n))
-        track[0] = obs.reset(x0_est, y[0, idx], u[0])
-        for k in range(y.shape[0] - 1):
-            track[k + 1] = obs.step(y[k, idx], y[k + 1, idx], u[k])
-        return track
-
-    return _collect(plant, stepper, x0_spec, m_bar, d_bar, settings)
+    (result,) = _collect(plant, [_observer_stepper(obs, plant.n)], x0_spec, m_bar, d_bar, settings)
+    return _fitted(result)
 
 
 def calibrate_estimator(
@@ -266,9 +300,6 @@ def calibrate_estimator(
     at the true state (then the transient term is degenerate and the
     fit reduces to the steady terms).
     """
-    problems = settings.validate()
-    if problems:
-        raise ConfigurationError(problems)
     subsets = bank_idx.all_subsets
 
     def stepper(x0_est, y, u):
@@ -277,7 +308,8 @@ def calibrate_estimator(
         return run.x_hat
 
     eff = settings if not truth_init else replace(settings, init_scale=0.0)
-    return _collect(plant, stepper, x0_spec, m_bar, d_bar, eff, kind_offset=10_000)
+    (result,) = _collect(plant, [stepper], x0_spec, m_bar, d_bar, eff, kind_offset=10_000)
+    return _fitted(result)
 
 
 def calibrate_bank(
@@ -290,14 +322,18 @@ def calibrate_bank(
 ) -> tuple[dict[SubsetIndex, ISSGainModel], list[str]]:
     """Fit every observer in the bank; collect failures per subset.
 
-    Returns the fitted models plus a list of per-subset failure
-    messages (empty when all succeeded).
+    The observers share each trial's plant run, and each one's fit is
+    the one :func:`estimate_iss_gains` gives it alone.  Returns the
+    fitted models plus a list of per-subset failure messages in bank
+    order (empty when all succeeded).
     """
+    steppers = [_observer_stepper(obs, plant.n) for _, obs in bank.items()]
+    results = _collect(plant, steppers, x0_spec, m_bar, d_bar, settings)
     models: dict[SubsetIndex, ISSGainModel] = {}
     failures: list[str] = []
-    for subset, obs in bank.items():
-        try:
-            models[subset] = estimate_iss_gains(obs, plant, m_bar, d_bar, x0_spec, settings)
-        except CalibrationError as exc:
-            failures.append(f"{subset.label}: {exc}")
+    for (subset, _), result in zip(bank.items(), results):
+        if isinstance(result, CalibrationError):
+            failures.append(f"{subset.label}: {result}")
+        else:
+            models[subset] = result
     return models, failures

@@ -72,8 +72,12 @@ CHANNEL_REGISTRY: dict[str, Callable] = {
 _PARAMS = "plant.nonlinearity.params"
 
 
-def _channel_params(col, params, n):
-    """The constant term and the 0-based (index, position) of a state channel."""
+def _channel_params(col, params, n, own: str):
+    """The constant term and the 0-based (index, position) of a state channel.
+
+    ``own`` is the one further param the channel reads; any other key is listed.
+    """
+    col.known(_PARAMS, params, ("constant", "index", "position", own))
     constant = np.zeros(n)
     if "constant" in params:
         constant = np.array(col.vector(f"{_PARAMS}.constant", params["constant"], n))
@@ -84,7 +88,7 @@ def _channel_params(col, params, n):
 
 def _make_state_channel(transform):
     def build(col, params, n):
-        constant, index, position = _channel_params(col, params, n)
+        constant, index, position = _channel_params(col, params, n, "gain")
         gain = col.number(f"{_PARAMS}.gain", params.get("gain", 1.0))
 
         def g(x, u):
@@ -98,7 +102,7 @@ def _make_state_channel(transform):
 
 
 def _make_poly_channel(col, params, n):
-    constant, index, position = _channel_params(col, params, n)
+    constant, index, position = _channel_params(col, params, n, "coeffs")
     coeffs = np.array(col.vector(f"{_PARAMS}.coeffs", params.get("coeffs")))
 
     def g(x, u):
@@ -110,6 +114,8 @@ def _make_poly_channel(col, params, n):
 
 
 def _make_zero_state(col, params, n):
+    col.known(_PARAMS, params, ())
+
     def g(x, u):
         return np.zeros(len(x))
 
@@ -256,6 +262,11 @@ class _Collector:
             return default
         return val
 
+    def known(self, path: str, obj: dict, keys) -> None:
+        """List every key of the object ``obj`` outside ``keys`` as an unknown field."""
+        for key in sorted(set(obj) - set(keys), key=str):
+            self.add(f"{path}.{key}", "unknown field")
+
     def vector(self, path: str, val, n: int | None = None) -> tuple[float, ...]:
         """A list of finite numbers, of length ``n`` when given."""
         if not isinstance(val, list):
@@ -337,8 +348,10 @@ def _init_spec(col: _Collector, obj, path: str, n: int) -> InitSpec:
         col.add(path, "expected {kind: fixed|normal, ...}")
         return InitSpec("fixed", value=(0.0,) * n)
     if obj["kind"] == "fixed":
+        col.known(path, obj, ("kind", "value"))
         spec = InitSpec("fixed", value=col.vector(f"{path}.value", obj.get("value"), n))
     else:
+        col.known(path, obj, ("kind", "mean", "std"))
         spec = InitSpec(
             "normal",
             mean=col.vector(f"{path}.mean", obj.get("mean"), n),
@@ -374,11 +387,19 @@ def _iss_model(col: _Collector, obj, path: str) -> ISSGainModel | None:
 
 # --- plant construction ------------------------------------------------------
 
+_PLANT_KEYS = {
+    "luenberger": {"family", "dynamics", "A", "C", "D"},
+    "reduced": {"family", "A", "C", "D", "nonlinearity"},
+    "circle": {"family", "A", "C", "D", "nonlinearity", "G", "H", "slope_box"},
+}
+
+
 def _build_plant(col: _Collector, section: dict):
     family = section.get("family")
-    if family not in ("luenberger", "reduced", "circle"):
+    if not isinstance(family, str) or family not in _PLANT_KEYS:
         col.add("plant.family", f"unknown family {family!r:.40}")
         return None, None, None
+    col.known("plant", section, _PLANT_KEYS[family])
     if family == "luenberger":
         dyn = section.get("dynamics")
         if dyn == "example1":
@@ -416,6 +437,7 @@ def _build_plant(col: _Collector, section: dict):
     if not isinstance(nl, dict) or not isinstance(nl.get("name"), str):
         col.add("plant.nonlinearity", "expected {name, params?}")
         return None, None, None
+    col.known("plant.nonlinearity", nl, ("name", "params"))
     params = col.section(_PARAMS, nl.get("params"), {})
     registry = STATE_NONLINEARITY_REGISTRY if family == "reduced" else CHANNEL_REGISTRY
     nonlinearity = registry.get(nl["name"])
@@ -436,6 +458,7 @@ def _build_plant(col: _Collector, section: dict):
             return x_next if Dm is None else x_next + Dm @ d
 
     else:
+        col.known(_PARAMS, params, ())  # circle channels take no params
         G = col.matrix("plant.G", section.get("G"), (n, None))
         if G is None:
             return None, None, None
@@ -521,6 +544,11 @@ _SECTIONS = {
     "name", "plant", "scenario", "estimator", "observers",
     "isolation", "calibration", "divergence_ceiling", "output",
 }
+_SCENARIO_KEYS = {
+    "q", "horizon", "seed", "attacked", "attacks", "noise", "noise_bound",
+    "disturbance", "disturbance_bound", "x0",
+}
+_ISOLATION_KEYS = {f.name for f in fields(IsolationOptions)}
 _CALIBRATION_KEYS = {f.name for f in fields(CalibrationSettings)}
 
 
@@ -541,6 +569,7 @@ def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> Scena
     family = plant_section.get("family")
 
     scen = col.section("scenario", raw.get("scenario"), {})
+    col.known("scenario", scen, _SCENARIO_KEYS)
     q = col.integer("scenario.q", scen.get("q"))
     horizon = col.integer("scenario.horizon", scen.get("horizon"), default=1)
     seed = col.integer("scenario.seed", scen.get("seed", 0))
@@ -607,8 +636,10 @@ def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> Scena
         col.add("scenario", msg)
 
     est = col.section("estimator", raw.get("estimator"), {})
+    col.known("estimator", est, ("init", "iss"))
     init_raw = col.section("estimator.init", est.get("init"), {"kind": "zero"})
     init_mode = init_raw.get("kind")
+    col.known("estimator.init", init_raw, ("kind", "value") if init_mode == "fixed" else ("kind",))
     init_value = None
     if init_mode not in ("zero", "truth", "fixed"):
         col.add("estimator.init.kind", f"expected zero|truth|fixed, got {init_mode!r:.40}")
@@ -624,6 +655,7 @@ def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> Scena
     iso = None
     iso_raw = col.section("isolation", raw.get("isolation"), None)
     if iso_raw is not None:
+        col.known("isolation", iso_raw, _ISOLATION_KEYS)
         k_star, m_bar, d_bar = (iso_raw.get(key) for key in ("k_star", "m_bar", "d_bar"))
         iso = IsolationOptions(
             window=col.integer("isolation.window", iso_raw.get("window"), lo=1, default=1),
@@ -640,8 +672,7 @@ def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> Scena
                 )
 
     cal_raw = col.section("calibration", raw.get("calibration"), {})
-    for key in set(cal_raw) - _CALIBRATION_KEYS:
-        col.add(f"calibration.{key}", "unknown field")
+    col.known("calibration", cal_raw, _CALIBRATION_KEYS)
 
     def cal(read, key, default):
         return read(f"calibration.{key}", cal_raw.get(key, default), default=default)
@@ -663,7 +694,9 @@ def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> Scena
     if ceiling <= 0:
         col.add("divergence_ceiling", "must be positive")
 
-    out_dir = col.section("output", raw.get("output"), {}).get("dir")
+    output = col.section("output", raw.get("output"), {})
+    col.known("output", output, ("dir",))
+    out_dir = output.get("dir")
     if out_dir is not None and not isinstance(out_dir, str):
         col.add("output.dir", f"expected a string, got {out_dir!r:.40}")
 

@@ -261,8 +261,18 @@ def emit_plots(artifacts_dir: str | Path) -> list[Path]:
     meta_path = out_dir / "metadata.json"
     if not meta_path.exists():
         raise PlumbingError(f"no metadata.json under {out_dir}; not a run directory?")
-    meta = json.loads(meta_path.read_text())
-    files = meta.get("files", {})
+    try:
+        meta = json.loads(meta_path.read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise PlumbingError(f"cannot read {meta_path}: {exc}") from None
+    files = meta.get("files") if isinstance(meta, dict) else None
+    if not (
+        isinstance(files, dict)
+        and isinstance(files.get("trajectory"), str)
+        and isinstance(files.get("frames"), str)
+        and isinstance(files.get("isolation_windows"), (str, type(None)))
+    ):
+        raise PlumbingError(f"{meta_path} does not name the run's artifact files")
     produced: list[Path] = []
 
     header, rows = _read_csv_rows(out_dir / files["trajectory"])

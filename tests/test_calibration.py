@@ -1,3 +1,7 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from _toys import toy_bank
@@ -8,13 +12,21 @@ from multiobserver import (
     ConfigurationError,
     InitSpec,
     LuenbergerObserver,
+    ObserverBank,
     PlantModel,
     SubsetIndex,
+    build_bank,
+    calibrate,
     calibrate_bank,
     calibrate_estimator,
     estimate_iss_gains,
+    load_config,
 )
 from multiobserver.calibration import _fit_model
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
+)["calibrate"]
 
 
 def _scalar_plant(a=0.5, bias=0.0):
@@ -188,3 +200,96 @@ def test_calibrate_estimator_with_truth_init():
     fused = calibrate_estimator(bank, idx, plant, 0.1, 0.0, x0, settings, truth_init=True)
     assert fused.k_star == 0  # no transient when starting at the truth
     assert fused.validate() == []
+
+
+def _counting(plant):
+    """``plant`` with call counters on ``f`` and ``h``; the observers keep the bare maps."""
+    calls = {"f": 0, "h": 0}
+
+    def f(x, u, d, k):
+        calls["f"] += 1
+        return plant.f(x, u, d, k)
+
+    def h(x, u):
+        calls["h"] += 1
+        return plant.h(x, u)
+
+    return replace(plant, f=f, h=h), calls
+
+
+def test_calibrate_bank_simulates_each_trial_once():
+    plant, idx, bank = toy_bank()
+    settings = CalibrationSettings(trials=3, horizon=20, seed=0)
+    x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
+    kinds = 3  # noise-free, noisy (m_bar > 0) and disturbed (d_bar > 0) trials
+    first = next(iter(bank.observers))
+    for observers in (bank.observers, {first: bank.observers[first]}):
+        counted, calls = _counting(plant)
+        models, failures = calibrate_bank(ObserverBank(observers), counted, 0.1, 0.1, x0, settings)
+        assert failures == [] and len(models) == len(observers)
+        assert calls == {"f": 3 * kinds * 20, "h": 3 * kinds * 21}
+
+
+def _per_observer(bank, plant, m_bar, d_bar, x0, settings):
+    """``calibrate_bank``'s contract, one observer at a time."""
+    models, failures = {}, []
+    for subset, obs in bank.items():
+        try:
+            models[subset] = estimate_iss_gains(obs, plant, m_bar, d_bar, x0, settings)
+        except CalibrationError as exc:
+            failures.append(f"{subset.label}: {exc}")
+    return models, failures
+
+
+@pytest.mark.parametrize("name", ["example2", "example4"])
+def test_calibrate_bank_equals_the_per_observer_fits(scenario_dir, name):
+    cfg = load_config(scenario_dir / f"{name}.json")
+    settings = replace(cfg.calibration, trials=2)
+    args = (cfg.plant, cfg.scenario.noise_bound, cfg.scenario.disturbance_bound,
+            cfg.scenario.x0, settings)
+    models, failures = calibrate_bank(build_bank(cfg)[0], *args)
+    want_models, want_failures = _per_observer(build_bank(cfg)[0], *args)
+    assert failures == want_failures == []
+    assert list(models.items()) == list(want_models.items())  # bit for bit, in bank order
+
+
+def _fail_from_trial(obs, trial):
+    """Make ``obs`` estimate NaN from its ``trial``-th reset (0-based) on."""
+    resets, reset, step = [], obs.reset, obs.step
+
+    def counted_reset(*args):
+        resets.append(None)
+        return reset(*args)
+
+    obs.reset = counted_reset
+    obs.step = lambda *args: step(*args) * (np.nan if len(resets) > trial else 1.0)
+
+
+def _failing_bank():
+    plant, idx, bank = toy_bank()
+    bank.observers[idx.s_subsets[1]].K = np.array([[1e8], [1e8]])  # diverges in trial 0
+    _fail_from_trial(bank.observers[idx.j_subsets[0]], 2)
+    _fail_from_trial(bank.observers[idx.s_subsets[2]], 1)
+    return plant, idx, bank
+
+
+def test_calibrate_bank_failures_match_the_per_observer_path():
+    settings = CalibrationSettings(trials=4, horizon=40, seed=0)
+    x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
+    plant, idx, bank = _failing_bank()
+    models, failures = calibrate_bank(bank, plant, 0.1, 0.0, x0, settings)
+    want_models, want_failures = _per_observer(_failing_bank()[2], plant, 0.1, 0.0, x0, settings)
+    assert failures == want_failures
+    assert [f.split(": ")[0] for f in failures] == [
+        idx.j_subsets[0].label, idx.s_subsets[1].label, idx.s_subsets[2].label
+    ]  # bank order, not the order in which they failed
+    assert [f.rsplit(" ", 1)[1] for f in failures] == ["2", "0", "1"]
+    assert list(models.items()) == list(want_models.items())
+    assert len(models) == 3
+
+
+def test_example1_calibration_failure_matches_the_pinned_message(scenario_dir, tmp_path):
+    cfg = load_config(scenario_dir / "example1.json")
+    with pytest.raises(CalibrationError) as err:
+        calibrate(cfg, trials=2, out_path=tmp_path / "example1.calibrated.json")
+    assert str(err.value) == GOLDEN["failures"]["example1"]

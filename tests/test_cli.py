@@ -159,3 +159,12 @@ def test_plots_emits_files(scenario_dir, tmp_path, capsys):
 def test_plots_on_non_run_directory_exits_3(tmp_path, capsys):
     assert main(["plots", "--in", str(tmp_path)]) == 3
     assert "I/O error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metadata", ['{"files": ', "{}", '{"files": {"trajectory": 5}}', "[]"])
+def test_plots_on_malformed_metadata_exits_3(tmp_path, metadata):
+    (tmp_path / "metadata.json").write_text(metadata)
+    proc = _cli("plots", "--in", str(tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert "I/O error" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -298,3 +298,27 @@ def test_values_that_break_a_guarantee_are_rejected(scenario_dir, name, path, va
     with pytest.raises(ConfigurationError) as err:
         parse_config(_mutated(_raw(scenario_dir, name), path, value))
     assert any(needle in p for p in err.value.problems), err.value.problems
+
+
+@pytest.mark.parametrize(
+    "name, path, value, problem",
+    [
+        ("example4", ("isolation", "esp"), 0.5, "isolation.esp"),
+        ("example4", ("scenario", "noise_bnd"), 0.5, "scenario.noise_bnd"),
+        ("example4", ("plant", "nonlinearity", "params"), {"gain": 3},
+         "plant.nonlinearity.params.gain"),
+        ("example2", ("plant", "nonlinearity", "params", "coeffs"), [1.0],
+         "plant.nonlinearity.params.coeffs"),
+        ("example3", ("plant", "nonlinearity", "nmae"), "sin", "plant.nonlinearity.nmae"),
+        ("example1", ("plant", "nonlinearity"), {"name": "sin"}, "plant.nonlinearity"),
+        ("example1", ("scenario", "x0", "sd"), [1.0, 1.0], "scenario.x0.sd"),
+        ("example3", ("estimator", "isss"), {}, "estimator.isss"),
+        ("example1", ("estimator", "init", "value"), [0.0, 0.0], "estimator.init.value"),
+        ("example1", ("output",), {"dri": "runs"}, "output.dri"),
+    ],
+)
+def test_unknown_keys_are_listed(scenario_dir, name, path, value, problem):
+    # a misspelt key would otherwise load silently as the default
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(_mutated(_raw(scenario_dir, name), path, value))
+    assert err.value.problems == [f"{problem}: unknown field"]
