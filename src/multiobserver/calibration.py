@@ -40,6 +40,7 @@ __all__ = [
     "calibrate_bank",
 ]
 
+TAIL_STATS = ("max", "rms", "median")
 _TAIL_FRACTION = 0.25
 _CEILING = 1e12
 
@@ -76,9 +77,9 @@ class CalibrationSettings:
             problems.append("safety factors must be >= 1")
         if self.init_scale < 0 or self.eps_settle <= 0:
             problems.append("init_scale must be >= 0 and eps_settle > 0")
-        if self.tail_stat not in ("max", "rms", "median"):
+        if self.tail_stat not in TAIL_STATS:
             problems.append(
-                f"tail_stat must be 'max', 'rms', or 'median', got {self.tail_stat!r}"
+                f"tail_stat must be 'max', 'rms', or 'median', got {self.tail_stat!r:.40}"
             )
         return problems
 

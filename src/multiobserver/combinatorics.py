@@ -36,7 +36,7 @@ class SubsetIndex:
     @property
     def label(self) -> str:
         """Canonical config/bundle key, e.g. ``"J:1,3,4"``."""
-        return f"{self.role}:{','.join(str(i) for i in self.members)}"
+        return f"{self.role}:{','.join(map(str, self.members))}"
 
     def __len__(self) -> int:
         return len(self.members)
@@ -49,7 +49,7 @@ class SubsetIndex:
 
 
 def parse_label(label: str) -> SubsetIndex:
-    """Inverse of :attr:`SubsetIndex.label`."""
+    """Inverse of :attr:`SubsetIndex.label`: only the canonical spelling is accepted."""
     try:
         role, body = label.split(":", 1)
         members = tuple(int(tok) for tok in body.split(",")) if body else ()
@@ -59,7 +59,12 @@ def parse_label(label: str) -> SubsetIndex:
         raise ConfigurationError(f"subset label {label!r} has non-positive sensor index")
     if tuple(sorted(set(members))) != members:
         raise ConfigurationError(f"subset label {label!r} is not in canonical order")
-    return SubsetIndex(role, members)
+    if role not in ("J", "S"):
+        raise ConfigurationError(f"subset label {label!r} has unknown role {role!r}")
+    sub = SubsetIndex(role, members)
+    if sub.label != label:
+        raise ConfigurationError(f"subset label {label!r} must be written {sub.label!r}")
+    return sub
 
 
 def enumerate_subsets(p: int, size: int) -> list[tuple[int, ...]]:

@@ -2,11 +2,14 @@
 
 Configs are JSON.  Validation is total: ``load_config`` walks the whole
 document and raises one :class:`ConfigurationError` carrying *every*
-problem found, so a bad config is fixed in one round trip.  Every JSON
-leaf is read through one of the typed readers of ``_Collector``, so a
-malformed value becomes a listed problem, never a Python exception.
-Plant nonlinearities come from a registry of named closures rather than
-an expression language.
+problem found, so a bad config is fixed in one round trip.  Each section
+of the document is declared once, as a table that maps each of its keys
+to a typed reader of ``_Collector`` (or the reader of a nested section),
+the value an absent key stands for, and the reader's bounds.  The same
+table reads the section and lists every key it does not name, so a
+malformed value or a misspelt key becomes a listed problem, never a
+Python exception or a silent default.  Plant nonlinearities come from a
+registry of named closures rather than an expression language.
 """
 
 from __future__ import annotations
@@ -14,14 +17,15 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .combinatorics import BankIndex, SubsetIndex, bank_index, parse_label
-from .calibration import CalibrationSettings
+from .calibration import TAIL_STATS, CalibrationSettings
 from .errors import ConfigurationError
 from .model import (
     AttackScenario,
@@ -57,6 +61,234 @@ __all__ = [
 ]
 
 
+# --- the schema machinery ----------------------------------------------------
+
+_FLOAT_MAX = sys.float_info.max
+_UNSET = object()  # as a default: an absent key is not read and gives None
+
+
+class _Done(Exception):
+    """Ends the read of a section early; the read returns the exception's argument."""
+
+
+class _Key:
+    """One key of a section table: its reader, its default and its bounds.
+
+    The reader is called as ``read(col, path, value, **bounds)``.  An absent
+    key reads as ``default``, so a key without one is required and its reader
+    reports the null; a nonzero numeric default is also what a bad value
+    reads as.  A callable default or bound is called with the read's context:
+    the values its caller passed and the keys read before.  A value failing
+    ``check`` (a predicate and its message) is listed and reads as None, and
+    a ``needed`` key that reads as None ends the read of its section.
+    """
+
+    __slots__ = ("read", "default", "needed", "check", "bounds", "context", "plain")
+
+    def __init__(self, read: Callable, default=None, /, needed=False, check=None, **bounds):
+        if type(default) in (int, float) and default:  # the readers' own fallback is zero
+            bounds.setdefault("default", default)
+        self.read, self.default, self.needed, self.check = read, default, needed, check
+        self.bounds = {k: b for k, b in bounds.items() if not callable(b)}
+        self.context = tuple((k, b) for k, b in bounds.items() if callable(b))
+        dynamic = self.context or callable(default) or default is _UNSET
+        self.plain = not (needed or check or dynamic)
+
+
+def _nullable(read: Callable) -> Callable:
+    """``read``, with null (and so an absent key) read as None."""
+    return lambda col, path, val, **bounds: None if val is None else read(col, path, val, **bounds)
+
+
+def _section(table: dict, build: Callable = dict, optional=False, together=None) -> Callable:
+    """The reader of a nested section: its keys, read through ``table`` after
+    its unknown keys are listed (all in one ``together`` problem when given),
+    make ``build``, whose own ``validate`` problems are listed too.  An
+    optional section that is absent or null reads as None."""
+
+    validate = hasattr(build, "validate")
+
+    def read(col, path, val, **ctx):
+        obj = col.section(path, val, None if optional else {})
+        if obj is None:
+            return None
+        col.known(path, obj, table, together)
+        out = build(**col.read(path, obj, table, **ctx))
+        for msg in out.validate() if validate else ():
+            col.add(path, msg)
+        return out
+
+    return read
+
+
+class _Collector:
+    """Accumulates problems with dotted field paths.
+
+    Its readers are the one place that decides how a JSON value becomes
+    a checked one.  A bad value records a single ``path: message``
+    problem and yields ``default``, so one pass still finds every problem.
+    """
+
+    def __init__(self):
+        self.problems: list[str] = []
+
+    def add(self, path: str, msg: str):
+        self.problems.append(f"{path}: {msg}")
+
+    def read(self, path: str, obj: dict, table: dict, **ctx) -> dict:
+        """The keys of ``table`` read from the object ``obj``, in table order.
+
+        ``ctx``, with the keys read so far, is the context of the read.  A
+        reader that raises ``_Done`` ends the read, which then returns the
+        exception's argument.
+        """
+        prefix = f"{path}." if path else ""
+        out = {}
+        for key, spec in table.items():
+            if spec.plain:  # the fast path: no context, and most keys have no bounds
+                val = obj.get(key, spec.default)
+                if spec.bounds:
+                    out[key] = ctx[key] = spec.read(self, prefix + key, val, **spec.bounds)
+                else:
+                    out[key] = ctx[key] = spec.read(self, prefix + key, val)
+                continue
+            val = obj[key] if key in obj else spec.default
+            val = val(ctx) if callable(val) else val
+            if val is _UNSET:
+                out[key] = ctx[key] = None
+                continue
+            bounds = spec.bounds.copy()
+            for k, b in spec.context:
+                bounds[k] = b(ctx)
+            try:
+                got = spec.read(self, prefix + key, val, **bounds)
+            except _Done as done:
+                return done.args[0]
+            if spec.check and not spec.check[0](got):
+                self.add(prefix + key, spec.check[1])
+                got = None
+            if spec.needed and got is None:
+                return None
+            out[key] = ctx[key] = got
+        return out
+
+    def known(self, path: str, obj: dict, table: dict, together: str | None = None, also=()):
+        """List every key of the object ``obj`` that neither ``table`` nor ``also`` names:
+        each as an unknown field (an unknown section at the top level), or all as one
+        ``together`` problem."""
+        if obj.keys() <= table.keys():
+            return
+        extra = (obj.keys() - table.keys()).difference(also)
+        if not extra:
+            return
+        if together:
+            self.add(path, f"{together} {sorted(extra)}")
+        else:
+            for key in sorted(extra):
+                if path:
+                    self.add(f"{path}.{key}", "unknown field")
+                else:
+                    self.add(key, "unknown section")
+
+    def number(self, path: str, val, lo: float | None = None, default=0.0) -> float:
+        """A finite JSON number (not a bool), at least ``lo`` when given."""
+        # type() excludes bool; the bounds fail for NaN, +-inf and ints beyond float range
+        if type(val) not in (float, int) or not -_FLOAT_MAX <= val <= _FLOAT_MAX:
+            self.add(path, f"expected a finite number, got {val!r:.40}")
+            return default
+        if lo is not None and val < lo:
+            self.add(path, f"must be >= {lo}, got {val}")
+            return default
+        return float(val)
+
+    def integer(self, path: str, val, lo: int | None = None, hi: int | None = None, default=0):
+        """A JSON integer (not a bool, not a float such as 2.0) in [lo, hi]."""
+        if type(val) is not int:
+            self.add(path, f"expected an integer, got {val!r:.40}")
+            return default
+        if (lo is not None and val < lo) or (hi is not None and val > hi):
+            bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            self.add(path, f"must be {bound}, got {val}")
+            return default
+        return val
+
+    def flag(self, path: str, val) -> bool | None:
+        """A JSON true or false."""
+        if type(val) is not bool:
+            self.add(path, f"expected true or false, got {val!r:.40}")
+            return None
+        return val
+
+    def text(self, path: str, val) -> str | None:
+        """A JSON string."""
+        if type(val) is not str:
+            self.add(path, f"expected a string, got {val!r:.40}")
+            return None
+        return val
+
+    def choice(self, path: str, val, options: tuple[str, ...], default: str) -> str:
+        """One of the strings ``options``; a bad value is reported on the enclosing section."""
+        if isinstance(val, str) and val in options:
+            return val
+        section, _, key = path.rpartition(".")
+        *head, last = map(repr, options)
+        self.add(section, f"{key} must be {', '.join(head)}, or {last}, got {val!r:.40}")
+        return default
+
+    def section(self, path: str, val, default):
+        """A JSON object; an absent (null) one gives ``default``."""
+        if val is None:
+            return default
+        if not isinstance(val, dict):
+            self.add(path, f"expected an object, got {type(val).__name__}")
+            return default
+        return val
+
+    def vector(self, path: str, val, n: int | None = None) -> tuple[float, ...]:
+        """A list of finite numbers, of length ``n`` when given."""
+        if not isinstance(val, list):
+            self.add(path, f"expected a list of numbers, got {val!r:.40}")
+        elif n is not None and len(val) != n:
+            self.add(path, f"expected {n} entries, got {len(val)}")
+        else:
+            return tuple([self.number(path, v) for v in val])
+        return (0.0,) * (n or 0)
+
+    def sensors(self, path: str, val, p: int) -> frozenset[int]:
+        """A list of sensor indices: JSON integers in 1..p."""
+        if not isinstance(val, list):
+            self.add(path, f"expected a list of sensor indices, got {val!r:.40}")
+            return frozenset()
+        read = [self.integer(path, v, 1, p, default=None) for v in val]
+        return frozenset(read) - {None}
+
+    def matrix(self, path: str, val, shape: tuple[int | None, int | None] = (None, None)):
+        """A 2-D matrix of finite JSON numbers; ``shape`` may fix rows and columns."""
+        try:
+            arr = np.asarray(val)
+        except ValueError:  # ragged rows
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf":
+            self.add(path, "not a numeric matrix")
+            return None
+        if arr.dtype.kind != "f":
+            arr = arr.astype(float)
+        if arr.ndim != 2:
+            self.add(path, f"expected a 2-D matrix, got ndim={arr.ndim}")
+            return None
+        for want, got, axis in zip(shape, arr.shape, ("rows", "columns")):
+            if want is not None and got != want:
+                self.add(path, f"expected {want} {axis}, got {got}")
+                return None
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
+            self.add(path, "contains non-finite entries")
+            return None
+        return arr
+
+
+_N, _P = itemgetter("n"), itemgetter("p")
+
+
 # --- nonlinearity registries -------------------------------------------------
 
 # Channelwise nonlinearities for the circle-criterion family: numpy-vectorized
@@ -67,67 +299,51 @@ CHANNEL_REGISTRY: dict[str, Callable] = {
     "identity": lambda v: v,
 }
 
-# A state-nonlinearity builder is called as builder(col, params, n): it reads
-# its ``params`` object through the collector's readers, for state dimension n.
-_PARAMS = "plant.nonlinearity.params"
+# The params of every state channel: its constant term, and the state the
+# channel reads and the state it adds to, as indices from 1.
+_CHANNEL = {
+    "constant": _Key(_Collector.vector, lambda c: [0.0] * c["n"], n=_N),
+    "index": _Key(_Collector.integer, lo=1, hi=_N, default=1),
+    "position": _Key(_Collector.integer, lo=1, hi=_N, default=1),
+}
+_GAIN_CHANNEL = {**_CHANNEL, "gain": _Key(_Collector.number, 1.0)}
 
 
-def _channel_params(col, params, n, own: str):
-    """The constant term and the 0-based (index, position) of a state channel.
-
-    ``own`` is the one further param the channel reads; any other key is listed.
-    """
-    col.known(_PARAMS, params, ("constant", "index", "position", own))
-    constant = np.zeros(n)
-    if "constant" in params:
-        constant = np.array(col.vector(f"{_PARAMS}.constant", params["constant"], n))
-    index = col.integer(f"{_PARAMS}.index", params.get("index"), 1, n, default=1) - 1
-    position = col.integer(f"{_PARAMS}.position", params.get("position"), 1, n, default=1) - 1
-    return constant, index, position
-
-
-def _make_state_channel(transform):
-    def build(col, params, n):
-        constant, index, position = _channel_params(col, params, n, "gain")
-        gain = col.number(f"{_PARAMS}.gain", params.get("gain", 1.0))
-
-        def g(x, u):
-            out = constant.copy()
-            out[position] += gain * transform(x[index])
-            return out
-
-        return g
-
-    return build
-
-
-def _make_poly_channel(col, params, n):
-    constant, index, position = _channel_params(col, params, n, "coeffs")
-    coeffs = np.array(col.vector(f"{_PARAMS}.coeffs", params.get("coeffs")))
+def _channel(constant, index, position, term):
+    """g(x, u): the constant term plus ``term`` of state ``index`` at state ``position``."""
+    constant, index, position = np.array(constant), index - 1, position - 1
 
     def g(x, u):
         out = constant.copy()
-        out[position] += float(np.polyval(coeffs, x[index]))
+        out[position] += term(x[index])
         return out
 
     return g
 
 
-def _make_zero_state(col, params, n):
-    col.known(_PARAMS, params, ())
+def _make_state_channel(transform):
+    def build(gain, **channel):
+        return _channel(**channel, term=lambda v: gain * transform(v))
 
-    def g(x, u):
-        return np.zeros(len(x))
-
-    return g
+    return build
 
 
-# Additive state nonlinearities g(x, u) for the reduced-order family.
-STATE_NONLINEARITY_REGISTRY: dict[str, Callable] = {
-    "tanh_channel": _make_state_channel(np.tanh),
-    "sin_channel": _make_state_channel(np.sin),
-    "poly_channel": _make_poly_channel,
-    "zero": _make_zero_state,
+def _make_poly_channel(coeffs, **channel):
+    coeffs = np.array(coeffs)
+    return _channel(**channel, term=lambda v: float(np.polyval(coeffs, v)))
+
+
+def _zero_state(x, u):
+    return np.zeros(len(x))
+
+
+# Additive state nonlinearities g(x, u) for the reduced-order family: each
+# entry is its params table and the builder called with the read params.
+STATE_NONLINEARITY_REGISTRY: dict[str, tuple[dict, Callable]] = {
+    "tanh_channel": (_GAIN_CHANNEL, _make_state_channel(np.tanh)),
+    "sin_channel": (_GAIN_CHANNEL, _make_state_channel(np.sin)),
+    "poly_channel": ({**_CHANNEL, "coeffs": _Key(_Collector.vector)}, _make_poly_channel),
+    "zero": ({}, lambda: _zero_state),
 }
 
 
@@ -212,524 +428,418 @@ class ScenarioConfig:
         return {sub: spec.iss for sub, spec in self.specs.items() if spec.iss is not None}
 
 
-# --- parsing helpers ---------------------------------------------------------
+# --- signals, initial states and convergence models --------------------------
 
-_FLOAT_MAX = sys.float_info.max
-
-
-class _Collector:
-    """Accumulates problems with dotted field paths.
-
-    Its readers are the one place that decides how a JSON value becomes
-    a checked one.  A bad value records a single ``path: message``
-    problem and yields ``default``, so one pass still finds every problem.
-    """
-
-    def __init__(self):
-        self.problems: list[str] = []
-
-    def add(self, path: str, msg: str):
-        self.problems.append(f"{path}: {msg}")
-
-    def number(self, path: str, val, lo: float | None = None, default=0.0) -> float:
-        """A finite JSON number (not a bool), at least ``lo`` when given."""
-        # type() excludes bool; the bounds fail for NaN, +-inf and ints beyond float range
-        if type(val) not in (float, int) or not -_FLOAT_MAX <= val <= _FLOAT_MAX:
-            self.add(path, f"expected a finite number, got {val!r:.40}")
-            return default
-        if lo is not None and val < lo:
-            self.add(path, f"must be >= {lo}, got {val}")
-            return default
-        return float(val)
-
-    def integer(self, path: str, val, lo: int | None = None, hi: int | None = None, default=0):
-        """A JSON integer (not a bool, not a float such as 2.0) in [lo, hi]."""
-        if type(val) is not int:
-            self.add(path, f"expected an integer, got {val!r:.40}")
-            return default
-        if (lo is not None and val < lo) or (hi is not None and val > hi):
-            bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-            self.add(path, f"must be {bound}, got {val}")
-            return default
-        return val
-
-    def section(self, path: str, val, default):
-        """A JSON object; an absent (null) one gives ``default``."""
-        if val is None:
-            return default
-        if not isinstance(val, dict):
-            self.add(path, f"expected an object, got {type(val).__name__}")
-            return default
-        return val
-
-    def known(self, path: str, obj: dict, keys) -> None:
-        """List every key of the object ``obj`` outside ``keys`` as an unknown field."""
-        for key in sorted(set(obj) - set(keys), key=str):
-            self.add(f"{path}.{key}", "unknown field")
-
-    def vector(self, path: str, val, n: int | None = None) -> tuple[float, ...]:
-        """A list of finite numbers, of length ``n`` when given."""
-        if not isinstance(val, list):
-            self.add(path, f"expected a list of numbers, got {val!r:.40}")
-        elif n is not None and len(val) != n:
-            self.add(path, f"expected {n} entries, got {len(val)}")
-        else:
-            return tuple([self.number(path, v) for v in val])
-        return (0.0,) * (n or 0)
-
-    def sensors(self, path: str, val, p: int) -> frozenset[int]:
-        """A list of sensor indices: JSON integers in 1..p."""
-        if not isinstance(val, list):
-            self.add(path, f"expected a list of sensor indices, got {val!r:.40}")
-            return frozenset()
-        read = [self.integer(path, v, 1, p, default=None) for v in val]
-        return frozenset(read) - {None}
-
-    def matrix(self, path: str, val, shape: tuple[int | None, int | None] = (None, None)):
-        """A 2-D matrix of finite JSON numbers; ``shape`` may fix rows and columns."""
-        try:
-            arr = np.asarray(val)
-        except ValueError:  # ragged rows
-            arr = None
-        if arr is None or arr.dtype.kind not in "iuf":
-            self.add(path, "not a numeric matrix")
-            return None
-        if arr.dtype.kind != "f":
-            arr = arr.astype(float)
-        if arr.ndim != 2:
-            self.add(path, f"expected a 2-D matrix, got ndim={arr.ndim}")
-            return None
-        for want, got, axis in zip(shape, arr.shape, ("rows", "columns")):
-            if want is not None and got != want:
-                self.add(path, f"expected {want} {axis}, got {got}")
-                return None
-        if not np.isfinite(arr).all():
-            self.add(path, "contains non-finite entries")
-            return None
-        return arr
-
-
-_SIGNAL_KEYS = {
-    "zero": set(),
-    "constant": {"value"},
-    "uniform": {"low", "high"},
-    "normal": {"mean", "std"},
-    "table": {"values"},
+_SIGNALS = {
+    "zero": {},
+    "constant": {"value": _Key(_Collector.number)},
+    "uniform": {"low": _Key(_Collector.number), "high": _Key(_Collector.number)},
+    "normal": {"mean": _Key(_Collector.number), "std": _Key(_Collector.number)},
+    "table": {"values": _Key(_Collector.vector)},
 }
 
 
-def _signal(col: _Collector, obj, path: str, horizon: int | None) -> SignalSpec:
+def _signal(col: _Collector, path: str, obj, horizon: int | None) -> SignalSpec:
     if not isinstance(obj, dict):
         col.add(path, f"expected an object, got {type(obj).__name__}")
         return SignalSpec("zero")
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _SIGNAL_KEYS:
+    if not isinstance(kind, str) or kind not in _SIGNALS:
         col.add(path, f"unknown signal kind {kind!r:.40}")
         return SignalSpec("zero")
-    extra = set(obj) - _SIGNAL_KEYS[kind] - {"kind"}
-    if extra:
-        col.add(path, f"unexpected keys for {kind} signal: {sorted(extra)}")
+    table = _SIGNALS[kind]
+    col.known(path, obj, table, f"unexpected keys for {kind} signal:", also=("kind",))
     kwargs = {}
-    for key in _SIGNAL_KEYS[kind]:
+    for key, spec in table.items():  # a missing parameter is named, not read as null
         if key not in obj:
             col.add(path, f"{kind} signal missing {key!r}")
-        elif key == "values":
-            kwargs[key] = col.vector(f"{path}.values", obj[key])
         else:
-            kwargs[key] = col.number(f"{path}.{key}", obj[key])
+            kwargs[key] = spec.read(col, f"{path}.{key}", obj[key], **spec.bounds)
     spec = SignalSpec(kind, **kwargs)
     for msg in spec.validate(horizon):
         col.add(path, msg)
     return spec
 
 
-def _init_spec(col: _Collector, obj, path: str, n: int) -> InitSpec:
-    if not isinstance(obj, dict) or obj.get("kind") not in ("fixed", "normal"):
+_INITS = {
+    "fixed": {"value": _Key(_Collector.vector, n=_N)},
+    "normal": {"mean": _Key(_Collector.vector, n=_N), "std": _Key(_Collector.vector, n=_N)},
+}
+
+
+def _init_spec(col: _Collector, path: str, obj, n: int) -> InitSpec:
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _INITS:
         col.add(path, "expected {kind: fixed|normal, ...}")
         return InitSpec("fixed", value=(0.0,) * n)
-    if obj["kind"] == "fixed":
-        col.known(path, obj, ("kind", "value"))
-        spec = InitSpec("fixed", value=col.vector(f"{path}.value", obj.get("value"), n))
-    else:
-        col.known(path, obj, ("kind", "mean", "std"))
-        spec = InitSpec(
-            "normal",
-            mean=col.vector(f"{path}.mean", obj.get("mean"), n),
-            std=col.vector(f"{path}.std", obj.get("std"), n),
-        )
+    col.known(path, obj, _INITS[kind], also=("kind",))
+    spec = InitSpec(kind, **col.read(path, obj, _INITS[kind], n=n))
     for msg in spec.validate(n):
         col.add(path, msg)
     return spec
 
 
-_ISS_KEYS = {"c", "lam", "gamma1", "gamma2", "nu", "k_star"}
+_ISS = {
+    "c": _Key(_Collector.number, 1.0),
+    "lam": _Key(_Collector.number, 0.5),
+    "gamma1": _Key(_Collector.number, 0.0),
+    "gamma2": _Key(_Collector.number, 0.0),
+    "nu": _Key(_Collector.number, 0.0),
+    "k_star": _Key(_Collector.integer, 0),
+}
+_iss_model = _section(_ISS, ISSGainModel, optional=True, together="unexpected keys")
 
 
-def _iss_model(col: _Collector, obj, path: str) -> ISSGainModel | None:
-    obj = col.section(path, obj, None)
-    if obj is None:
+# --- plant -------------------------------------------------------------------
+
+def _dynamics(col: _Collector, path: str, val, section: dict):
+    """``linear`` goes on to read the matrices; ``example1`` is the named plant."""
+    if val == "example1":
+        if "D" in section:
+            col.add("plant.D", "named plant example1 has no disturbance input")
+        raise _Done(_example1_plant())
+    if val != "linear":
+        col.add(path, f"unknown named dynamics {val!r:.40}")
+        raise _Done(None)
+    return val
+
+
+_NONLINEARITY = {"params": _Key(_Collector.section, {}, default={})}
+
+
+def _nonlinearity(col: _Collector, path: str, val, family: str, n: int):
+    """The registered nonlinearity's name and callable, built from its params."""
+    name = val.get("name") if isinstance(val, dict) else None
+    if not isinstance(name, str):
+        col.add(path, "expected {name, params?}")
         return None
-    extra = set(obj) - _ISS_KEYS
-    if extra:
-        col.add(path, f"unexpected keys {sorted(extra)}")
-    model = ISSGainModel(
-        c=col.number(f"{path}.c", obj.get("c", 1.0), default=1.0),
-        lam=col.number(f"{path}.lam", obj.get("lam", 0.5), default=0.5),
-        gamma1=col.number(f"{path}.gamma1", obj.get("gamma1", 0.0)),
-        gamma2=col.number(f"{path}.gamma2", obj.get("gamma2", 0.0)),
-        nu=col.number(f"{path}.nu", obj.get("nu", 0.0)),
-        k_star=col.integer(f"{path}.k_star", obj.get("k_star", 0)),
-    )
-    for msg in model.validate():
-        col.add(path, msg)
-    return model
+    col.known(path, val, _NONLINEARITY, also=("name",))
+    (params,) = col.read(path, val, _NONLINEARITY).values()
+    registry = STATE_NONLINEARITY_REGISTRY if family == "reduced" else CHANNEL_REGISTRY
+    if name not in registry:
+        kind = "state" if family == "reduced" else "channel"
+        col.add(f"{path}.name", f"unknown {kind} nonlinearity {name!r}; known: {sorted(registry)}")
+        return None
+    # circle channels take no params
+    table, build = registry[name] if family == "reduced" else ({}, lambda: registry[name])
+    col.known(f"{path}.params", params, table)
+    return name, build(**col.read(f"{path}.params", params, table, n=n))
 
 
-# --- plant construction ------------------------------------------------------
-
-_PLANT_KEYS = {
-    "luenberger": {"family", "dynamics", "A", "C", "D"},
-    "reduced": {"family", "A", "C", "D", "nonlinearity"},
-    "circle": {"family", "A", "C", "D", "nonlinearity", "G", "H", "slope_box"},
+# A comes first: the others are shaped by its n rows.
+_LINEAR = {
+    "A": _Key(_Collector.matrix, needed=True, check=(
+        lambda A: A is not None and A.shape[0] == A.shape[1], "expected a square matrix")),
+    "C": _Key(_Collector.matrix, needed=True, shape=lambda c: (None, len(c["A"]))),
+    "D": _Key(_Collector.matrix, _UNSET, needed=True, shape=lambda c: (len(c["A"]), None)),
+}
+_NONLINEAR = {
+    **_LINEAR,
+    "nonlinearity": _Key(_nonlinearity, needed=True, family=itemgetter("family"),
+                         n=lambda c: len(c["A"])),
+}
+_PLANTS = {
+    "luenberger": {"dynamics": _Key(_dynamics, section=itemgetter("section")), **_LINEAR},
+    "reduced": _NONLINEAR,
+    "circle": {
+        **_NONLINEAR,
+        "G": _Key(_Collector.matrix, needed=True, shape=lambda c: (len(c["A"]), None)),
+        "H": _Key(_Collector.matrix, needed=True, shape=lambda c: (c["G"].shape[1], len(c["A"]))),
+        "slope_box": _Key(_Collector.vector, n=2, check=(
+            lambda box: box[0] < box[1], "circle family needs slope_box [lo, hi] with lo < hi")),
+    },
 }
 
 
-def _build_plant(col: _Collector, section: dict):
+def _plant(col: _Collector, path: str, val) -> dict | None:
+    """The plant model, the (A, C) its gains are certified with, and the slope box."""
+    section = col.section(path, val, {})
     family = section.get("family")
-    if not isinstance(family, str) or family not in _PLANT_KEYS:
-        col.add("plant.family", f"unknown family {family!r:.40}")
-        return None, None, None
-    col.known("plant", section, _PLANT_KEYS[family])
-    if family == "luenberger":
-        dyn = section.get("dynamics")
-        if dyn == "example1":
-            if "D" in section:
-                col.add("plant.D", "named plant example1 has no disturbance input")
-            return _example1_plant()
-        if dyn != "linear":
-            col.add("plant.dynamics", f"unknown named dynamics {dyn!r:.40}")
-            return None, None, None
-
-    A = col.matrix("plant.A", section.get("A"))
-    if A is None or A.shape[0] != A.shape[1]:
-        col.add("plant.A", "expected a square matrix")
-        return None, None, None
-    n = A.shape[0]
-    C = col.matrix("plant.C", section.get("C"), (None, n))
-    D = col.matrix("plant.D", section["D"], (n, None)) if "D" in section else None
-    if C is None or (D is None and "D" in section):
-        return None, None, None
-    n_d = 0 if D is None else D.shape[1]
-
-    def h(x, u, C=C):
-        return C @ x
-
-    if family == "luenberger":
-
-        def f(x, u, d, k, A=A, Dm=D):
-            x_next = A @ x
-            return x_next if Dm is None else x_next + Dm @ d
-
-        model = PlantModel(name="linear", n=n, p=C.shape[0], f=f, h=h, n_d=n_d)
-        return model, A, C
-
-    nl = section.get("nonlinearity")
-    if not isinstance(nl, dict) or not isinstance(nl.get("name"), str):
-        col.add("plant.nonlinearity", "expected {name, params?}")
-        return None, None, None
-    col.known("plant.nonlinearity", nl, ("name", "params"))
-    params = col.section(_PARAMS, nl.get("params"), {})
-    registry = STATE_NONLINEARITY_REGISTRY if family == "reduced" else CHANNEL_REGISTRY
-    nonlinearity = registry.get(nl["name"])
-    if nonlinearity is None:
-        kind = "state" if family == "reduced" else "channel"
-        col.add(
-            "plant.nonlinearity.name",
-            f"unknown {kind} nonlinearity {nl['name']!r}; known: {sorted(registry)}",
-        )
-        return None, None, None
-
+    if not isinstance(family, str) or family not in _PLANTS:
+        col.add(f"{path}.family", f"unknown family {family!r:.40}")
+        return None
+    col.known(path, section, _PLANTS[family], also=("family",))
+    got = col.read(path, section, _PLANTS[family], family=family, section=section)
+    if not isinstance(got, dict):  # the named plant, or None
+        return got and dict(zip(("plant", "lin_A", "lin_C"), got), family=family)
+    A, C, D = got["A"], got["C"], got["D"]
+    name, term, structure = "linear", None, None
     if family == "reduced":
-        g = nonlinearity(col, params, n)
-        structure = ReducedStructure(A=A, C=C, g=g)
-
-        def f(x, u, d, k, A=A, g=g, Dm=D):
-            x_next = A @ x + g(x, u)
-            return x_next if Dm is None else x_next + Dm @ d
-
-    else:
-        col.known(_PARAMS, params, ())  # circle channels take no params
-        G = col.matrix("plant.G", section.get("G"), (n, None))
-        if G is None:
-            return None, None, None
-        H = col.matrix("plant.H", section.get("H"), (G.shape[1], n))
-        if H is None:
-            return None, None, None
-        channels = nonlinearity
+        name, term = got["nonlinearity"]
+        structure = ReducedStructure(A=A, C=C, g=term)
+    elif family == "circle":
+        (name, channels), G, H = got["nonlinearity"], got["G"], got["H"]
         structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels)
 
-        def f(x, u, d, k, A=A, G=G, H=H, channels=channels, Dm=D):
-            x_next = A @ x + G @ channels(H @ x)
-            return x_next if Dm is None else x_next + Dm @ d
+        def term(x, u):
+            return G @ channels(H @ x)
+
+    def f(x, u, d, k):
+        x_next = A @ x if term is None else A @ x + term(x, u)
+        return x_next if D is None else x_next + D @ d
+
+    def h(x, u):
+        return C @ x
 
     model = PlantModel(
-        name=f"{family}[{nl['name']}]", n=n, p=C.shape[0], f=f, h=h,
-        n_d=n_d, structure=structure,
+        name=name if term is None else f"{family}[{name}]", n=len(A), p=len(C), f=f, h=h,
+        n_d=0 if D is None else D.shape[1], structure=structure,
     )
-    return model, A, C
+    return dict(family=family, plant=model, lin_A=A, lin_C=C, slope_box=got.get("slope_box"))
 
 
-# --- bundle parsing ----------------------------------------------------------
+# --- scenario and estimator --------------------------------------------------
 
-def _gain_shapes(family: str, n: int, card: int, r: int | None, nz: int):
+def _attacks(col: _Collector, path: str, val, p: int, horizon: int) -> dict[int, SignalSpec]:
+    attacks = {}
+    for key, obj in col.section(path, val, {}).items():
+        sensor = int(key) if key.isdecimal() else 0
+        if not 1 <= sensor <= p:
+            col.add(f"{path}[{key}]", f"key must be a sensor index in 1..{p}")
+            continue
+        attacks[sensor] = _signal(col, f"{path}[{key}]", obj, horizon)
+    return attacks
+
+
+def _noise(col: _Collector, path: str, val, p: int, horizon: int) -> tuple[SignalSpec, ...]:
+    """One generator for every sensor, or a list of one per sensor."""
+    if not isinstance(val, list):
+        one = _signal(col, path, val, horizon)
+        return tuple(one for _ in range(p))
+    if len(val) != p:
+        col.add(path, f"expected {p} per-sensor entries, got {len(val)}")
+    noise = tuple(_signal(col, f"{path}[{i}]", obj, horizon) for i, obj in enumerate(val, start=1))
+    return noise if len(noise) == p else tuple(SignalSpec("zero") for _ in range(p))
+
+
+def _disturbances(col: _Collector, path: str, val, horizon: int) -> tuple[SignalSpec, ...]:
+    if not isinstance(val, list):
+        col.add(path, f"expected a list of signals, got {val!r:.40}")
+        val = []
+    return tuple(_signal(col, f"{path}[{j}]", obj, horizon) for j, obj in enumerate(val, start=1))
+
+
+# Read whether or not the plant could be built ...
+_SCENARIO = {
+    "q": _Key(_Collector.integer),
+    "horizon": _Key(_Collector.integer, default=1),
+    "seed": _Key(_Collector.integer, 0),
+}
+# ... and against the plant's p outputs and n states.
+_SCENARIO_SIGNALS = {
+    "attacked": _Key(_Collector.sensors, [], p=_P),
+    "attacks": _Key(_attacks, {}, p=_P, horizon=itemgetter("horizon")),
+    "noise": _Key(_noise, {"kind": "zero"}, p=_P, horizon=itemgetter("horizon")),
+    "disturbance": _Key(_disturbances, [], horizon=itemgetter("horizon")),
+    "x0": _Key(_init_spec, n=_N),
+    "noise_bound": _Key(_Collector.number, 0.0, lo=0.0),
+    "disturbance_bound": _Key(_Collector.number, 0.0, lo=0.0),
+}
+
+
+def _scenario(col: _Collector, path: str, val, plant: dict | None) -> dict:
+    """The attack scenario, and the bank geometry its q asks for."""
+    scen = col.section(path, val, {})
+    col.known(path, scen, _SCENARIO, also=_SCENARIO_SIGNALS)
+    head = col.read(path, scen, _SCENARIO)
+    if plant is None:
+        raise ConfigurationError(col.problems or ["plant: could not be constructed"])
+    model, q = plant["plant"], head["q"]
+    bank = bank_index(model.p, q) if 0 <= 2 * q < model.p else None
+    if bank is None:
+        col.add(f"{path}.q", f"assumption violated: need 0 <= q < p/2, got q={q}, p={model.p}")
+    run = col.read(path, scen, _SCENARIO_SIGNALS, p=model.p, n=model.n, **head)
+    scenario = AttackScenario(
+        p=model.p,
+        **head,
+        attack_gens=run.pop("attacks"),
+        noise_gens=run.pop("noise"),
+        disturbance_gens=run.pop("disturbance"),
+        **run,
+    )
+    for msg in scenario.validate(model):
+        col.add(path, msg)
+    return dict(scenario=scenario, bank=bank)
+
+
+_ESTIMATOR_INITS = {"zero": {}, "truth": {}, "fixed": {"value": _Key(_Collector.vector, n=_N)}}
+
+
+def _estimator_init(col: _Collector, path: str, val, n: int):
+    """The initial-estimate mode, and its vector for ``fixed``."""
+    obj = col.section(path, val, {"kind": "zero"})
+    kind = obj.get("kind")
+    table = _ESTIMATOR_INITS.get(kind) if isinstance(kind, str) else None
+    col.known(path, obj, table or {}, also=("kind",))
+    got = col.read(path, obj, table or {}, n=n)
+    if table is None:
+        col.add(f"{path}.kind", f"expected zero|truth|fixed, got {kind!r:.40}")
+        return "zero", None
+    return kind, np.array(got["value"]) if got else None
+
+
+_ESTIMATOR = {"init": _Key(_estimator_init, n=_N), "iss": _Key(_iss_model)}
+
+
+# --- observer bundle ---------------------------------------------------------
+
+def _gain_shapes(family: str, n: int, card: int, r: int | None):
     """Expected (K shape, L shape) per family; None marks an absent gain."""
     if family == "luenberger":
         return (n, card), None
     if family == "reduced":
-        return (nz, card), (nz, n)
+        return (n - card, card), (n - card, n)
     return (r, card), (n, card)
 
 
-def _parse_bundle(col: _Collector, section, family: str, bank: BankIndex, plant: PlantModel):
-    specs: dict[SubsetIndex, ObserverSpec] = {}
-    observers = col.section("observers", section, {})
-    bundle = col.section("observers.bundle", observers.get("bundle"), {})
-    seen = {}
-    for label, entry in bundle.items():
-        try:
-            sub = parse_label(label)
-        except ConfigurationError as exc:
-            col.add(f"observers.bundle[{label}]", str(exc))
-            continue
-        seen[sub] = entry
-    for sub in sorted(set(seen) - set(bank.all_subsets)):
-        col.add(
-            f"observers.bundle[{sub.label}]",
-            f"subset not in the bank for p={bank.p}, q={bank.q}",
-        )
-    n = plant.n
-    r = None
-    if isinstance(plant.structure, CircleStructure):
-        r = plant.structure.H.shape[0]
-    for sub in bank.all_subsets:  # canonical order, so specs come out sorted
-        if sub not in seen:
-            col.add("observers.bundle", f"missing observer for {sub.label}")
-            continue
-        entry = seen[sub]
-        path = f"observers.bundle[{sub.label}]"
-        if not isinstance(entry, dict):
-            col.add(path, "expected an object")
-            continue
-        card = len(sub)
-        k_shape, l_shape = _gain_shapes(family, n, card, r, n - card)
-        K = L = None
-        if family in ("luenberger", "circle") or "K" in entry:
-            K = col.matrix(f"{path}.K", entry.get("K"), k_shape)
-        if l_shape is not None:
-            L = col.matrix(f"{path}.L", entry.get("L"), l_shape)
-        iss = _iss_model(col, entry.get("iss"), f"{path}.iss")
-        practical = entry.get("practical", False)
-        if not isinstance(practical, bool):
-            col.add(f"{path}.practical", f"expected true or false, got {practical!r:.40}")
-        extra = set(entry) - {"K", "L", "iss", "practical"}
-        if extra:
-            col.add(path, f"unexpected keys {sorted(extra)}")
-        specs[sub] = ObserverSpec(subset=sub, K=K, L=L, iss=iss, practical=practical)
+def _gain(col: _Collector, path: str, val, shape):
+    """A gain matrix of ``shape``; None, unread, where the entry has no such gain."""
+    return None if shape is None else col.matrix(path, val, shape)
+
+
+_BUNDLE_ENTRY = {
+    "K": _Key(_gain, shape=itemgetter("k_shape")),
+    "L": _Key(_gain, shape=itemgetter("l_shape")),
+    "iss": _Key(_iss_model),
+    "practical": _Key(_Collector.flag, False),
+}
+
+
+def _bundle(col: _Collector, path: str, val, plant: dict, bank: BankIndex) -> dict:
+    """One observer spec per subset of the bank, in the bank's order."""
+    family, model = plant["family"], plant["plant"]
+    r = model.structure.H.shape[0] if family == "circle" else None
+    bundle = col.section(path, val, {})
+    canonical = {sub.label: sub for sub in bank.all_subsets}
+    outside = set()
+    for label in bundle:
+        if label not in canonical:
+            try:
+                outside.add(parse_label(label))
+            except ConfigurationError as exc:
+                col.add(f"{path}[{label}]", str(exc))
+    for sub in sorted(outside):
+        col.add(f"{path}[{sub.label}]", f"subset not in the bank for p={bank.p}, q={bank.q}")
+    specs = {}
+    for label, sub in canonical.items():  # the bank's order, so specs come out sorted
+        entry, at = bundle.get(label), f"{path}[{label}]"
+        if label not in bundle:
+            col.add(path, f"missing observer for {label}")
+        elif not isinstance(entry, dict):
+            col.add(at, "expected an object")
+        else:
+            k_shape, l_shape = _gain_shapes(family, model.n, len(sub), r)
+            if family == "reduced" and "K" not in entry:  # the reduced family's K is optional
+                k_shape = None
+            got = col.read(at, entry, _BUNDLE_ENTRY, k_shape=k_shape, l_shape=l_shape)
+            specs[sub] = ObserverSpec(sub, **got)
+            col.known(at, entry, _BUNDLE_ENTRY, "unexpected keys")  # listed after the values
     return specs
 
 
-# --- top-level parse ---------------------------------------------------------
+_OBSERVERS = {"bundle": _Key(_bundle, plant=itemgetter("plant"), bank=itemgetter("bank"))}
+_observers_section = _section(_OBSERVERS)
 
-_SECTIONS = {
-    "name", "plant", "scenario", "estimator", "observers",
-    "isolation", "calibration", "divergence_ceiling", "output",
+
+def _observers(col: _Collector, path: str, val, plant: dict, bank: BankIndex | None) -> dict:
+    """The bundle's specs; without a bank (a bad ``q``) the section is not read."""
+    if bank is None:
+        return {}
+    return _observers_section(col, path, val, plant=plant, bank=bank)["bundle"]
+
+
+# --- isolation, calibration, output and the document -------------------------
+
+_ISOLATION = {
+    "window": _Key(_Collector.integer, lo=1, default=1),
+    "eps": _Key(_Collector.number, 0.0, lo=0.0),
+    "k_star": _Key(_nullable(_Collector.integer), lo=0),
+    "m_bar": _Key(_nullable(_Collector.number), lo=0.0),
+    "d_bar": _Key(_nullable(_Collector.number), lo=0.0),
 }
-_SCENARIO_KEYS = {
-    "q", "horizon", "seed", "attacked", "attacks", "noise", "noise_bound",
-    "disturbance", "disturbance_bound", "x0",
+
+
+_isolation_section = _section(_ISOLATION, IsolationOptions, optional=True)
+
+
+def _isolation(col: _Collector, path: str, val, specs: dict) -> IsolationOptions | None:
+    options = _isolation_section(col, path, val)
+    for sub, spec in specs.items() if options is not None else ():
+        if spec.iss is None:
+            col.add(
+                f"observers.bundle[{sub.label}].iss",
+                "isolation needs a convergence model for every subset (run calibrate first)",
+            )
+    return options
+
+
+_CALIBRATION = {
+    "trials": _Key(_Collector.integer, 30),
+    "horizon": _Key(_Collector.integer, 200),
+    # by default the scenario seed + 1, which the document passes as ``seed``
+    "seed": _Key(_Collector.integer, itemgetter("seed"), default=itemgetter("seed")),
+    "safety": _Key(_Collector.number, 1.2),
+    "c_safety": _Key(_Collector.number, 1.3),
+    "init_scale": _Key(_Collector.number, 1.0),
+    "eps_settle": _Key(_Collector.number, 1e-2),
+    "tail_stat": _Key(_Collector.choice, "max", options=TAIL_STATS, default="max"),
 }
-_ISOLATION_KEYS = {f.name for f in fields(IsolationOptions)}
-_CALIBRATION_KEYS = {f.name for f in fields(CalibrationSettings)}
+_OUTPUT = {"dir": _Key(_nullable(_Collector.text))}
+
+
+def _name(col: _Collector, path: str, val, stem: str) -> str:
+    name = val or stem
+    # the name becomes the artifact subdirectory, so it may not leave the output directory
+    if not isinstance(name, str) or name in (".", "..") or "/" in name or "\\" in name:
+        col.add(path, f"expected a file name without path separators, got {name!r:.40}")
+    return name
+
+
+# The document: its sections in the order they are read, each reader taking
+# what it needs from the sections read before it.
+_TOP = {
+    "name": _Key(_name, stem=itemgetter("stem")),
+    "plant": _Key(_plant),
+    "scenario": _Key(_scenario, plant=itemgetter("plant")),
+    "estimator": _Key(_section(_ESTIMATOR), n=lambda c: c["plant"]["plant"].n),
+    "observers": _Key(_observers, plant=itemgetter("plant"), bank=lambda c: c["scenario"]["bank"]),
+    "isolation": _Key(_isolation, specs=itemgetter("observers")),
+    "calibration": _Key(
+        _section(_CALIBRATION, CalibrationSettings),
+        seed=lambda c: c["scenario"]["scenario"].seed + 1,
+    ),
+    "divergence_ceiling": _Key(
+        _Collector.number, 1e12, check=(lambda v: v > 0, "must be positive")
+    ),
+    "output": _Key(_section(_OUTPUT)),
+}
 
 
 def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> ScenarioConfig:
     """Validate a parsed JSON document; raise with every problem found."""
-    col = _Collector()
     if not isinstance(raw, dict):
         raise ConfigurationError(["top level: expected a JSON object"])
-    name = raw.get("name") or (path.stem if path else "scenario")
-    # the name becomes the artifact subdirectory, so it may not leave the output directory
-    if not isinstance(name, str) or name in (".", "..") or "/" in name or "\\" in name:
-        col.add("name", f"expected a file name without path separators, got {name!r:.40}")
-    for key in set(raw) - _SECTIONS:
-        col.add(key, "unknown section")
-
-    plant_section = col.section("plant", raw.get("plant"), {})
-    model, lin_A, lin_C = _build_plant(col, plant_section)
-    family = plant_section.get("family")
-
-    scen = col.section("scenario", raw.get("scenario"), {})
-    col.known("scenario", scen, _SCENARIO_KEYS)
-    q = col.integer("scenario.q", scen.get("q"))
-    horizon = col.integer("scenario.horizon", scen.get("horizon"), default=1)
-    seed = col.integer("scenario.seed", scen.get("seed", 0))
-
-    if model is None:
-        raise ConfigurationError(col.problems or ["plant: could not be constructed"])
-    p, n = model.p, model.n
-
-    bank = None
-    if 0 <= 2 * q < p:
-        bank = bank_index(p, q)
-    else:
-        col.add("scenario.q", f"assumption violated: need 0 <= q < p/2, got q={q}, p={p}")
-
-    attacked = col.sensors("scenario.attacked", scen.get("attacked", []), p)
-    attacks = {}
-    for key, obj in col.section("scenario.attacks", scen.get("attacks"), {}).items():
-        sensor = int(key) if key.isdecimal() else 0
-        if not 1 <= sensor <= p:
-            col.add(f"scenario.attacks[{key}]", f"key must be a sensor index in 1..{p}")
-            continue
-        attacks[sensor] = _signal(col, obj, f"scenario.attacks[{key}]", horizon)
-
-    noise_raw = scen.get("noise", {"kind": "zero"})
-    if isinstance(noise_raw, list):
-        if len(noise_raw) != p:
-            col.add("scenario.noise", f"expected {p} per-sensor entries, got {len(noise_raw)}")
-        noise = tuple(
-            _signal(col, obj, f"scenario.noise[{i}]", horizon)
-            for i, obj in enumerate(noise_raw, start=1)
-        )
-        if len(noise) != p:
-            noise = tuple(SignalSpec("zero") for _ in range(p))
-    else:
-        one = _signal(col, noise_raw, "scenario.noise", horizon)
-        noise = tuple(one for _ in range(p))
-
-    dist_raw = scen.get("disturbance", [])
-    if not isinstance(dist_raw, list):
-        col.add("scenario.disturbance", f"expected a list of signals, got {dist_raw!r:.40}")
-        dist_raw = []
-    disturbance = tuple(
-        _signal(col, obj, f"scenario.disturbance[{j}]", horizon)
-        for j, obj in enumerate(dist_raw, start=1)
-    )
-
-    x0 = _init_spec(col, scen.get("x0"), "scenario.x0", n)
-    scenario = AttackScenario(
-        p=p,
-        q=q,
-        attacked=attacked,
-        attack_gens=attacks,
-        noise_gens=noise,
-        noise_bound=col.number("scenario.noise_bound", scen.get("noise_bound", 0.0), lo=0.0),
-        horizon=horizon,
-        seed=seed,
-        x0=x0,
-        disturbance_gens=disturbance,
-        disturbance_bound=col.number(
-            "scenario.disturbance_bound", scen.get("disturbance_bound", 0.0), lo=0.0
-        ),
-    )
-    for msg in scenario.validate(model):
-        col.add("scenario", msg)
-
-    est = col.section("estimator", raw.get("estimator"), {})
-    col.known("estimator", est, ("init", "iss"))
-    init_raw = col.section("estimator.init", est.get("init"), {"kind": "zero"})
-    init_mode = init_raw.get("kind")
-    col.known("estimator.init", init_raw, ("kind", "value") if init_mode == "fixed" else ("kind",))
-    init_value = None
-    if init_mode not in ("zero", "truth", "fixed"):
-        col.add("estimator.init.kind", f"expected zero|truth|fixed, got {init_mode!r:.40}")
-        init_mode = "zero"
-    elif init_mode == "fixed":
-        init_value = np.array(col.vector("estimator.init.value", init_raw.get("value"), n))
-    estimator_iss = _iss_model(col, est.get("iss"), "estimator.iss")
-
-    specs = {}
-    if bank is not None:
-        specs = _parse_bundle(col, raw.get("observers"), family, bank, model)
-
-    iso = None
-    iso_raw = col.section("isolation", raw.get("isolation"), None)
-    if iso_raw is not None:
-        col.known("isolation", iso_raw, _ISOLATION_KEYS)
-        k_star, m_bar, d_bar = (iso_raw.get(key) for key in ("k_star", "m_bar", "d_bar"))
-        iso = IsolationOptions(
-            window=col.integer("isolation.window", iso_raw.get("window"), lo=1, default=1),
-            eps=col.number("isolation.eps", iso_raw.get("eps", 0.0), lo=0.0),
-            k_star=None if k_star is None else col.integer("isolation.k_star", k_star, lo=0),
-            m_bar=None if m_bar is None else col.number("isolation.m_bar", m_bar, lo=0.0),
-            d_bar=None if d_bar is None else col.number("isolation.d_bar", d_bar, lo=0.0),
-        )
-        for sub, spec in specs.items():
-            if spec.iss is None:
-                col.add(
-                    f"observers.bundle[{sub.label}].iss",
-                    "isolation needs a convergence model for every subset (run calibrate first)",
-                )
-
-    cal_raw = col.section("calibration", raw.get("calibration"), {})
-    col.known("calibration", cal_raw, _CALIBRATION_KEYS)
-
-    def cal(read, key, default):
-        return read(f"calibration.{key}", cal_raw.get(key, default), default=default)
-
-    calibration = CalibrationSettings(
-        trials=cal(col.integer, "trials", 30),
-        horizon=cal(col.integer, "horizon", 200),
-        seed=cal(col.integer, "seed", seed + 1),
-        safety=cal(col.number, "safety", 1.2),
-        c_safety=cal(col.number, "c_safety", 1.3),
-        init_scale=cal(col.number, "init_scale", 1.0),
-        eps_settle=cal(col.number, "eps_settle", 1e-2),
-        tail_stat=cal_raw.get("tail_stat", "max"),
-    )
-    for msg in calibration.validate():
-        col.add("calibration", msg)
-
-    ceiling = col.number("divergence_ceiling", raw.get("divergence_ceiling", 1e12), default=1e12)
-    if ceiling <= 0:
-        col.add("divergence_ceiling", "must be positive")
-
-    output = col.section("output", raw.get("output"), {})
-    col.known("output", output, ("dir",))
-    out_dir = output.get("dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        col.add("output.dir", f"expected a string, got {out_dir!r:.40}")
-
-    slope_box = None
-    if family == "circle":
-        box = col.vector("plant.slope_box", plant_section.get("slope_box"), 2)
-        if box[0] < box[1]:
-            slope_box = box
-        else:
-            col.add("plant.slope_box", "circle family needs slope_box [lo, hi] with lo < hi")
-
+    col = _Collector()
+    col.known("", raw, _TOP)
+    doc = col.read("", raw, _TOP, stem=path.stem if path else "scenario")
     if col.problems:
         raise ConfigurationError(col.problems)
+    (init, init_value), estimator_iss = doc["estimator"].values()
     return ScenarioConfig(
-        name=name,
-        family=family,
-        plant=model,
-        bank=bank,
-        specs=specs,
-        scenario=scenario,
-        estimator_init=init_mode,
+        name=doc["name"],
+        **doc["plant"],
+        **doc["scenario"],
+        specs=doc["observers"],
+        estimator_init=init,
         estimator_init_value=init_value,
         estimator_iss=estimator_iss,
-        isolation=iso,
-        calibration=calibration,
-        ceiling=ceiling,
-        out_dir=out_dir,
+        isolation=doc["isolation"],
+        calibration=doc["calibration"],
+        ceiling=doc["divergence_ceiling"],
+        out_dir=doc["output"]["dir"],
         path=path,
         sha256=sha256,
         raw=raw,
-        lin_A=lin_A,
-        lin_C=lin_C,
-        slope_box=slope_box,
     )
 
 
@@ -784,10 +894,7 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
                 )
                 cert = certify_linear_gain(cfg.lin_A, cfg.lin_C[idx], spec.K, "luenberger")
             elif cfg.family == "reduced":
-                obs = build_reduced_observer(
-                    plant.structure, sub, spec.L,
-                    spec.K if spec.K is not None else None, iss=spec.iss,
-                )
+                obs = build_reduced_observer(plant.structure, sub, spec.L, spec.K, iss=spec.iss)
                 c_eq = obs.C_J @ plant.structure.A @ obs.N
                 cert = certify_linear_gain(obs.A_L, c_eq, obs.K, "reduced")
             else:

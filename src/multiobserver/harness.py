@@ -14,7 +14,7 @@ import logging
 import os
 import platform
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -215,16 +215,10 @@ def calibrate(
         truth_init=cfg.estimator_init == "truth",
     )
 
-    def model_dict(m):
-        return {
-            "c": m.c, "lam": m.lam, "gamma1": m.gamma1,
-            "gamma2": m.gamma2, "nu": m.nu, "k_star": m.k_star,
-        }
-
     raw = json.loads(json.dumps(cfg.raw))  # deep copy
     for sub, model in models.items():
-        raw["observers"]["bundle"][sub.label]["iss"] = model_dict(model)
-    raw.setdefault("estimator", {})["iss"] = model_dict(est_model)
+        raw["observers"]["bundle"][sub.label]["iss"] = asdict(model)
+    raw.setdefault("estimator", {})["iss"] = asdict(est_model)
 
     if out_path is None:
         if cfg.path is None:
@@ -246,7 +240,18 @@ def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
         raise PlumbingError(f"cannot read {path}: {exc}") from None
     if not rows:
         return [], []
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(rows[0]):
+            raise PlumbingError(f"{path}: row {i} has {len(row)} fields, header {len(rows[0])}")
     return rows[0], rows[1:]
+
+
+def _columns(path: Path, header: list[str], name: str, prefix: bool = False) -> list[int]:
+    """Indices of the header's ``name`` column (every column starting with it, for a prefix)."""
+    cols = [i for i, col in enumerate(header) if (col.startswith(name) if prefix else col == name)]
+    if not cols:
+        raise PlumbingError(f"{path}: no {name}{'*' if prefix else ''} column")
+    return cols
 
 
 def emit_plots(artifacts_dir: str | Path) -> list[Path]:
@@ -275,8 +280,9 @@ def emit_plots(artifacts_dir: str | Path) -> list[Path]:
         raise PlumbingError(f"{meta_path} does not name the run's artifact files")
     produced: list[Path] = []
 
-    header, rows = _read_csv_rows(out_dir / files["trajectory"])
-    f_header, f_rows = _read_csv_rows(out_dir / files["frames"])
+    trajectory, frames = out_dir / files["trajectory"], out_dir / files["frames"]
+    header, rows = _read_csv_rows(trajectory)
+    f_header, f_rows = _read_csv_rows(frames)
     states_path = out_dir / "states_fig.csv"
     error_path = out_dir / "error_fig.csv"
     if not rows or not f_rows:
@@ -285,9 +291,9 @@ def emit_plots(artifacts_dir: str | Path) -> list[Path]:
         _atomic_write_text(error_path, "")
         produced += [states_path, error_path]
     else:
-        x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-        xh_cols = [i for i, name in enumerate(f_header) if name.startswith("xhat")]
-        e_col = f_header.index("e_norm")
+        x_cols = _columns(trajectory, header, "x", prefix=True)
+        xh_cols = _columns(frames, f_header, "xhat", prefix=True)
+        e_col = _columns(frames, f_header, "e_norm")[0]
         lines = ["k," + ",".join(
             f"x{i + 1},xhat{i + 1}" for i in range(len(x_cols))
         )]
@@ -302,10 +308,12 @@ def emit_plots(artifacts_dir: str | Path) -> list[Path]:
         produced += [states_path, error_path]
 
     if files.get("isolation_windows"):
-        _, w_rows = _read_csv_rows(out_dir / files["isolation_windows"])
+        windows = out_dir / files["isolation_windows"]
+        w_header, w_rows = _read_csv_rows(windows)
+        iso_col = _columns(windows, w_header, "isolated_set")[0] if w_rows else None
         lines = ["window_i,isolated_sensor"]
         for row in w_rows:
-            window_i, isolated = row[0], row[4]
+            window_i, isolated = row[0], row[iso_col]
             if isolated:
                 for sensor in isolated.split(","):
                     lines.append(f"{window_i},{sensor}")

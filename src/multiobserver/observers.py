@@ -425,8 +425,10 @@ class ObserverBank:
     def run(self, y: np.ndarray, u: np.ndarray, x0_est: np.ndarray) -> np.ndarray:
         """Estimates for the whole run: array of shape (len(bank), T+1, n).
 
-        Homogeneous circle-criterion banks take a vectorized path; the
-        result is identical to stepping each observer individually.
+        Homogeneous circle-criterion banks take a vectorized path that folds
+        each observer's gains into one update.  It agrees with stepping each
+        observer individually up to rounding, not bit for bit: the two
+        differ by up to 1.3e-14 on the bundled example3 and example4 runs.
         """
         if self._vectorizable():
             return self._run_circle_vectorized(y, u, x0_est)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -52,8 +53,13 @@ def test_malformed_values_exit_1_without_traceback(scenario_dir, tmp_path):
     raw["scenario"]["noise_bound"] = "x"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
+    raw = json.loads((scenario_dir / "example1.json").read_text())
+    raw["observers"]["bundle"]["X:1,2"] = raw["observers"]["bundle"]["J:1,2"]
+    bad_label = tmp_path / "bad_label.json"
+    bad_label.write_text(json.dumps(raw))
     for args in (
         ["validate", "--config", str(bad)],
+        ["validate", "--config", str(bad_label)],
         ["run", "--config", _path(scenario_dir, "example1"), "--seed", "-1",
          "--out", str(tmp_path)],
     ):
@@ -161,10 +167,40 @@ def test_plots_on_non_run_directory_exits_3(tmp_path, capsys):
     assert "I/O error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("metadata", ['{"files": ', "{}", '{"files": {"trajectory": 5}}', "[]"])
-def test_plots_on_malformed_metadata_exits_3(tmp_path, metadata):
-    (tmp_path / "metadata.json").write_text(metadata)
-    proc = _cli("plots", "--in", str(tmp_path))
+@pytest.fixture(scope="module")
+def example4_run(scenario_dir, tmp_path_factory):
+    """A short example4 run with isolation windows, to copy and break."""
+    out = tmp_path_factory.mktemp("runs")
+    args = ["--horizon", "30", "--window", "10", "--out", str(out)]
+    assert main(["run", "--config", _path(scenario_dir, "example4"), *args]) == 0
+    return out / "example4"
+
+
+def _short_last_row(text):
+    return text.rstrip("\n").rsplit(",", 1)[0] + "\n"
+
+
+# run artifacts broken in a way `plots` must report, by case: the file and the edit
+_BROKEN_ARTIFACTS = {
+    "frames.csv without e_norm": ("frames.csv", lambda text: text.replace("e_norm", "e", 1)),
+    "frames.csv without xhat": ("frames.csv", lambda text: text.replace("xhat", "estimate")),
+    "frames.csv with a short row": ("frames.csv", _short_last_row),
+    "trajectory.csv without x": ("trajectory.csv", lambda text: text.replace(",x", ",state")),
+    "isolation_windows.csv without isolated_set": (
+        "isolation_windows.csv", lambda text: text.replace("isolated_set", "isolated", 1)
+    ),
+    "isolation_windows.csv with a short row": ("isolation_windows.csv", _short_last_row),
+}
+
+
+@pytest.mark.parametrize(
+    "case", ['{"files": ', "{}", '{"files": {"trajectory": 5}}', "[]", *_BROKEN_ARTIFACTS]
+)
+def test_plots_on_malformed_metadata_exits_3(example4_run, tmp_path, case):
+    run = shutil.copytree(example4_run, tmp_path / "run")
+    name, edit = _BROKEN_ARTIFACTS.get(case, ("metadata.json", lambda text: case))
+    (run / name).write_text(edit((run / name).read_text()))
+    proc = _cli("plots", "--in", str(run))
     assert proc.returncode == 3, proc.stderr
     assert "I/O error" in proc.stderr
     assert "Traceback" not in proc.stderr

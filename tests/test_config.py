@@ -2,18 +2,22 @@ import copy
 import json
 import operator
 import random
+import re
 from dataclasses import replace
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
 from multiobserver import (
+    CalibrationSettings,
     ConfigurationError,
     MultiObserverError,
     build_bank,
     load_config,
     run_scenario,
 )
+from multiobserver import config
 from multiobserver.config import parse_config
 
 EXPECTED_BANKS = {
@@ -95,6 +99,29 @@ def test_unexpected_bundle_keys_are_reported(scenario_dir):
     assert any("unexpected keys" in p and "'Q'" in p for p in err.value.problems)
 
 
+@pytest.mark.parametrize(
+    "alias, problem",
+    [
+        ("X:1,2", "has unknown role 'X'"),
+        ("J:01,02", "must be written 'J:1,2'"),
+        ("J: 1,2", "must be written 'J:1,2'"),
+        ("J:1,+2", "must be written 'J:1,2'"),
+    ],
+)
+def test_bundle_labels_must_be_canonical(scenario_dir, alias, problem):
+    raw = _raw(scenario_dir, "example1")
+    bundle = raw["observers"]["bundle"]
+    listed = f"observers.bundle[{alias}]: subset label {alias!r} {problem}"
+    bundle[alias] = copy.deepcopy(bundle["J:1,2"])  # beside the canonical entry
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
+    assert err.value.problems == [listed]
+    del bundle["J:1,2"]  # in place of it
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
+    assert err.value.problems == [listed, "observers.bundle: missing observer for J:1,2"]
+
+
 def test_isolation_requires_convergence_models(scenario_dir):
     raw = _raw(scenario_dir, "example1")  # bundle without iss entries
     raw["isolation"] = {"window": 10}
@@ -146,6 +173,16 @@ def test_bad_tail_stat_rejected(scenario_dir):
     with pytest.raises(ConfigurationError) as err:
         parse_config(raw)
     assert any("tail_stat" in p for p in err.value.problems)
+
+
+def test_long_tail_stat_is_cut_like_every_echoed_value(scenario_dir):
+    raw = _raw(scenario_dir, "example4")
+    raw["calibration"]["tail_stat"] = "m" * 100
+    message = f"tail_stat must be 'max', 'rms', or 'median', got {'m' * 100!r:.40}"
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
+    assert err.value.problems == [f"calibration: {message}"]
+    assert CalibrationSettings(tail_stat="m" * 100).validate() == [message]
 
 
 def test_load_config_missing_file(tmp_path):
@@ -315,6 +352,7 @@ def test_values_that_break_a_guarantee_are_rejected(scenario_dir, name, path, va
         ("example3", ("estimator", "isss"), {}, "estimator.isss"),
         ("example1", ("estimator", "init", "value"), [0.0, 0.0], "estimator.init.value"),
         ("example1", ("output",), {"dri": "runs"}, "output.dri"),
+        ("example1", ("observers", "bundel"), {}, "observers.bundel"),
     ],
 )
 def test_unknown_keys_are_listed(scenario_dir, name, path, value, problem):
@@ -322,3 +360,26 @@ def test_unknown_keys_are_listed(scenario_dir, name, path, value, problem):
     with pytest.raises(ConfigurationError) as err:
         parse_config(_mutated(_raw(scenario_dir, name), path, value))
     assert err.value.problems == [f"{problem}: unknown field"]
+
+
+def _table_keys(node):
+    """Every key of every section table inside ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if isinstance(value, config._Key):
+                yield key
+            else:
+                yield from _table_keys(value)
+    elif isinstance(node, (tuple, list)):
+        for item in node:
+            yield from _table_keys(item)
+
+
+def test_readme_names_every_key_the_schema_accepts():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", section))))
+    tables = [value for name, value in vars(config).items() if not name.startswith("__")]
+    keys = set(_table_keys(tables))
+    assert {"divergence_ceiling", "slope_box", "tail_stat", "k_star", "dir"} <= keys
+    assert sorted(keys - named) == []
