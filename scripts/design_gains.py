@@ -426,7 +426,10 @@ C_EX2 = np.array([
 
 
 def ex2_g(x, u):
-    return np.array([1.0, 0.0, 0.0, -1.25 * np.tanh(x[3]) - 0.6])
+    out = np.empty(np.shape(x))
+    out[...] = (1.0, 0.0, 0.0, 0.0)
+    out[..., 3] = -1.25 * np.tanh(x[..., 3]) - 0.6
+    return out
 
 
 def ex2_plant() -> PlantModel:

@@ -27,6 +27,7 @@ from .model import (
     SignalSpec,
     Trajectory,
     measure,
+    sample_block,
     sample_signal,
     signal_stream,
     simulate,

@@ -310,12 +310,16 @@ _GAIN_CHANNEL = {**_CHANNEL, "gain": _Key(_Collector.number, 1.0)}
 
 
 def _channel(constant, index, position, term):
-    """g(x, u): the constant term plus ``term`` of state ``index`` at state ``position``."""
+    """g(x, u): the constant term plus ``term`` of state ``index`` at state ``position``.
+
+    ``x`` may carry leading batch axes; g then returns one row per state.
+    """
     constant, index, position = np.array(constant), index - 1, position - 1
 
     def g(x, u):
-        out = constant.copy()
-        out[position] += term(x[index])
+        out = np.empty(np.shape(x))
+        out[...] = constant
+        out[..., position] += term(x[..., index])
         return out
 
     return g
@@ -330,15 +334,16 @@ def _make_state_channel(transform):
 
 def _make_poly_channel(coeffs, **channel):
     coeffs = np.array(coeffs)
-    return _channel(**channel, term=lambda v: float(np.polyval(coeffs, v)))
+    return _channel(**channel, term=lambda v: np.polyval(coeffs, v))
 
 
 def _zero_state(x, u):
-    return np.zeros(len(x))
+    return np.zeros(np.shape(x))
 
 
 # Additive state nonlinearities g(x, u) for the reduced-order family: each
 # entry is its params table and the builder called with the read params.
+# Every g accepts estimates with leading batch axes, as ``run_group`` passes.
 STATE_NONLINEARITY_REGISTRY: dict[str, tuple[dict, Callable]] = {
     "tanh_channel": (_GAIN_CHANNEL, _make_state_channel(np.tanh)),
     "sin_channel": (_GAIN_CHANNEL, _make_state_channel(np.sin)),
@@ -495,8 +500,11 @@ _iss_model = _section(_ISS, ISSGainModel, optional=True, together="unexpected ke
 def _dynamics(col: _Collector, path: str, val, section: dict):
     """``linear`` goes on to read the matrices; ``example1`` is the named plant."""
     if val == "example1":
-        if "D" in section:
-            col.add("plant.D", "named plant example1 has no disturbance input")
+        for key, msg in (("A", "has a fixed linearization A"),
+                         ("C", "has a fixed linearization C"),
+                         ("D", "has no disturbance input")):
+            if key in section:
+                col.add(f"plant.{key}", f"named plant example1 {msg}")
         raise _Done(_example1_plant())
     if val != "linear":
         col.add(path, f"unknown named dynamics {val!r:.40}")
@@ -621,7 +629,7 @@ def _disturbances(col: _Collector, path: str, val, horizon: int) -> tuple[Signal
 
 # Read whether or not the plant could be built ...
 _SCENARIO = {
-    "q": _Key(_Collector.integer),
+    "q": _Key(_Collector.integer, default=None),
     "horizon": _Key(_Collector.integer, default=1),
     "seed": _Key(_Collector.integer, 0),
 }
@@ -645,8 +653,9 @@ def _scenario(col: _Collector, path: str, val, plant: dict | None) -> dict:
     if plant is None:
         raise ConfigurationError(col.problems or ["plant: could not be constructed"])
     model, q = plant["plant"], head["q"]
-    bank = bank_index(model.p, q) if 0 <= 2 * q < model.p else None
-    if bank is None:
+    # an unreadable q is listed once: no bank is built and nothing is checked against it
+    bank = bank_index(model.p, q) if q is not None and 0 <= 2 * q < model.p else None
+    if bank is None and q is not None:
         col.add(f"{path}.q", f"assumption violated: need 0 <= q < p/2, got q={q}, p={model.p}")
     run = col.read(path, scen, _SCENARIO_SIGNALS, p=model.p, n=model.n, **head)
     scenario = AttackScenario(
@@ -693,8 +702,13 @@ def _gain_shapes(family: str, n: int, card: int, r: int | None):
 
 
 def _gain(col: _Collector, path: str, val, shape):
-    """A gain matrix of ``shape``; None, unread, where the entry has no such gain."""
-    return None if shape is None else col.matrix(path, val, shape)
+    """A gain matrix of ``shape``; None where the entry has no such gain, which
+    an entry may then not give."""
+    if shape is None:
+        if val is not None:
+            col.add(path, "luenberger observers have no gain L")
+        return None
+    return col.matrix(path, val, shape)
 
 
 _BUNDLE_ENTRY = {

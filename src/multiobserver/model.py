@@ -27,6 +27,7 @@ __all__ = [
     "AttackScenario",
     "Trajectory",
     "sample_signal",
+    "sample_block",
     "signal_stream",
     "step_plant",
     "measure",
@@ -134,6 +135,31 @@ def sample_signal(gen: SignalSpec, k: int, rng: np.random.Generator) -> float:
             )
         return float(gen.values[k])
     raise ConfigurationError(f"unknown signal kind {gen.kind!r}")
+
+
+def sample_block(gen: SignalSpec, steps: int, rng: np.random.Generator) -> np.ndarray:
+    """The values of ``gen`` at steps 0 .. steps-1, as ``sample_signal`` draws them.
+
+    Stochastic kinds draw the whole block at once, which consumes the
+    stream exactly as ``steps`` single draws do.  A uniform block that
+    touches an endpoint is discarded: the stream is rewound and drawn
+    step by step, so the endpoint redraws happen where they would.
+    """
+    if gen.kind == "zero":
+        return np.zeros(steps)
+    if gen.kind == "constant":
+        return np.full(steps, gen.value)
+    if gen.kind == "normal":
+        return gen.mean + gen.std * rng.standard_normal(steps)
+    if gen.kind == "uniform":
+        state = rng.bit_generator.state
+        block = rng.uniform(gen.low, gen.high, steps)
+        if np.all((gen.low < block) & (block < gen.high)):
+            return block
+        rng.bit_generator.state = state
+    elif gen.kind == "table" and len(gen.values) >= steps:
+        return np.array(gen.values[:steps], dtype=float)
+    return np.array([sample_signal(gen, k, rng) for k in range(steps)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -246,7 +272,8 @@ class AttackScenario:
 
     ``attacked`` is the fixed support W of the attack; only its members
     may carry a non-zero generator.  ``q`` is the redundancy budget the
-    bank is sized for, so card(W) <= q < p/2 must hold.
+    bank is sized for, so card(W) <= q < p/2 must hold; a None budget
+    (one that could not be read) is not checked.
     """
 
     p: int
@@ -265,9 +292,9 @@ class AttackScenario:
         """Return every violated invariant (empty list means valid)."""
         problems = []
         p = self.p
-        if not 2 * self.q < p:
+        if self.q is not None and not 2 * self.q < p:
             problems.append(f"assumption violated: need q < p/2, got q={self.q}, p={p}")
-        if len(self.attacked) > self.q:
+        if self.q is not None and len(self.attacked) > self.q:
             problems.append(
                 f"assumption violated: {len(self.attacked)} attacked sensors "
                 f"exceed the budget q={self.q}"
@@ -395,15 +422,16 @@ def simulate(
     a = np.zeros((T + 1, model.p))
 
     x[0] = scenario.x0.sample(streams["init"])
+    # Every signal owns its stream, so drawing past a divergence changes nothing.
+    for i in range(model.p):
+        m[:, i] = sample_block(scenario.noise_gens[i], T + 1, streams["noise"][i])
+        a[:, i] = sample_block(scenario.attack_gen(i + 1), T + 1, streams["attack"][i])
+    for j in range(model.n_d):
+        d[:, j] = sample_block(scenario.disturbance_gens[j], T + 1, streams["disturbance"][j])
     for k in range(T + 1):
         norm = float(np.linalg.norm(x[k]))
         if not np.isfinite(norm) or norm > ceiling:
             raise SimulationDivergedError(k, norm)
-        for i in range(model.p):
-            m[k, i] = sample_signal(scenario.noise_gens[i], k, streams["noise"][i])
-            a[k, i] = sample_signal(scenario.attack_gen(i + 1), k, streams["attack"][i])
-        for j in range(model.n_d):
-            d[k, j] = sample_signal(scenario.disturbance_gens[j], k, streams["disturbance"][j])
         y[k] = measure(model, x[k], u[k], m[k], a[k])
         if k < T:
             x[k + 1] = step_plant(model, x[k], u[k], d[k], k)

@@ -1,4 +1,4 @@
-"""Independent brute-force reference for selection and isolation.
+"""Independent brute-force reference for observers, selection and isolation.
 
 Everything here re-derives the pipeline from first principles: subsets
 by direct enumeration, deviations as a left-to-right sum of squares
@@ -11,6 +11,8 @@ agreement can be checked bit for bit.
 
 import math
 from itertools import combinations
+
+import numpy as np
 
 
 def enumerate_members(p, size):
@@ -86,3 +88,34 @@ def windowed_votes(unions_by_step, p, q, k_bar_star, window):
             out.append((k_start, k_end, {}, None, (), True))
         i += 1
     return out
+
+
+def reduced_observer_track(A, C, g, L, K, members, y, x0):
+    """One reduced-order observer stepped alone over the outputs ``y``.
+
+    Rebuilds the partial coordinates from [L; C_J] and applies the update
+    one step at a time on 1-D vectors; once an estimate turns non-finite,
+    every later estimate is NaN.
+    """
+    idx = [s - 1 for s in members]
+    C_J = C[idx]
+    nz = L.shape[0]
+    T_inv = np.linalg.inv(np.vstack([L, C_J]))
+    N, M = T_inv[:, :nz], T_inv[:, nz:]
+    A_L, B_L = L @ A @ N, L @ A @ M
+    y_J = y[:, idx]
+    track = np.full((y.shape[0], A.shape[0]), np.nan)
+    z = L @ x0
+    x = N @ z + M @ y_J[0]
+    track[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(y.shape[0] - 1):
+            if not all(math.isfinite(v) for v in track[k]):
+                break
+            gx = g(x, None)
+            z_pred = A_L @ z + B_L @ y_J[k] + L @ gx
+            x_pred = A @ x + gx
+            z = z_pred + K @ (y_J[k + 1] - C_J @ x_pred)
+            x = N @ z + M @ y_J[k + 1]
+            track[k + 1] = x
+    return track

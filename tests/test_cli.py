@@ -57,9 +57,14 @@ def test_malformed_values_exit_1_without_traceback(scenario_dir, tmp_path):
     raw["observers"]["bundle"]["X:1,2"] = raw["observers"]["bundle"]["J:1,2"]
     bad_label = tmp_path / "bad_label.json"
     bad_label.write_text(json.dumps(raw))
+    raw = json.loads((scenario_dir / "example1.json").read_text())
+    raw["plant"]["A"] = [[1, 0], [0, 1]]
+    unread = tmp_path / "unread.json"
+    unread.write_text(json.dumps(raw))
     for args in (
         ["validate", "--config", str(bad)],
         ["validate", "--config", str(bad_label)],
+        ["validate", "--config", str(unread)],
         ["run", "--config", _path(scenario_dir, "example1"), "--seed", "-1",
          "--out", str(tmp_path)],
     ):

@@ -362,6 +362,31 @@ def test_unknown_keys_are_listed(scenario_dir, name, path, value, problem):
     assert err.value.problems == [f"{problem}: unknown field"]
 
 
+def test_unreadable_q_is_one_problem(scenario_dir):
+    # no bank is built for a q that could not be read, so nothing cascades from it
+    raw = _raw(scenario_dir, "example3")
+    del raw["scenario"]["q"]
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
+    assert err.value.problems == ["scenario.q: expected an integer, got None"]
+
+
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("plant", "A"), [[1, 0], [0, 1]], "plant.A: named plant example1 has a fixed linearization A"),
+        (("plant", "C"), [[1, 0]], "plant.C: named plant example1 has a fixed linearization C"),
+        (("observers", "bundle", "J:1,2", "L"), [[1.0, 0.0], [0.0, 1.0]],
+         "observers.bundle[J:1,2].L: luenberger observers have no gain L"),
+    ],
+)
+def test_keys_the_family_never_reads_are_listed(scenario_dir, path, value, problem):
+    # a matrix that would have no effect is a problem, like plant.D on example1
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(_mutated(_raw(scenario_dir, "example1"), path, value))
+    assert err.value.problems == [problem]
+
+
 def _table_keys(node):
     """Every key of every section table inside ``node``."""
     if isinstance(node, dict):

@@ -6,11 +6,15 @@ import pytest
 from _toys import toy_plant, toy_scenario
 
 from multiobserver import (
+    AttackScenario,
     ConfigurationError,
     InitSpec,
+    PlantModel,
     SignalSpec,
     SimulationDivergedError,
+    load_config,
     measure,
+    sample_block,
     sample_signal,
     signal_stream,
     simulate,
@@ -172,3 +176,75 @@ def test_init_spec_sampling():
     assert np.array_equal(normal.sample(rng), [0.0, 0.0])
     assert InitSpec(kind="spiral").validate(2)
     assert InitSpec(kind="fixed", value=(1.0,)).validate(2)
+
+
+# --- whole-run signal blocks ---------------------------------------------------
+
+class _EndpointBlock:
+    """A stream whose block draws put the low endpoint at position 3."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.blocks = rng, rng.bit_generator, 0
+
+    def uniform(self, low, high, size=None):
+        v = self.rng.uniform(low, high, size)
+        if size is not None:
+            self.blocks += 1
+            v[3] = low
+        return v
+
+
+def test_uniform_block_on_an_endpoint_falls_back_to_per_step_draws():
+    spec = SignalSpec(kind="uniform", low=-1.0, high=1.0)
+    fake = _EndpointBlock(signal_stream(9, "attack", 1))
+    block = sample_block(spec, 30, fake)
+    assert fake.blocks == 1  # the block was drawn once, then discarded
+    want = _path(spec, seed=9, kind="attack", index=1, steps=30)
+    assert np.array_equal(block, want)  # the stream was rewound before the per-step draws
+    assert np.all((block > -1.0) & (block < 1.0))
+
+
+def test_simulate_draws_every_signal_kind_as_per_step_sampling():
+    A = np.array([[0.5, 0.1], [0.0, 0.6]])
+    C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]])
+    D = np.array([[1.0, 0.0], [0.5, 1.0]])
+    plant = PlantModel(
+        name="disturbed", n=2, p=5, n_d=2,
+        f=lambda x, u, d, k: A @ x + D @ d, h=lambda x, u: C @ x,
+    )
+    table = SignalSpec(kind="table", values=tuple(0.01 * k for k in range(31)))
+    noise = (
+        SignalSpec(kind="zero"),
+        SignalSpec(kind="constant", value=0.1),
+        SignalSpec(kind="uniform", low=-0.2, high=0.2),
+        SignalSpec(kind="uniform", low=-0.1, high=0.3),
+        table,
+    )
+    scen = AttackScenario(
+        p=5, q=2, attacked=frozenset({1, 4}),
+        attack_gens={1: SignalSpec(kind="normal", mean=1.0, std=2.0), 4: table},
+        noise_gens=noise, noise_bound=0.3, horizon=30, seed=11,
+        x0=InitSpec(kind="normal", mean=(0.0, 0.0), std=(1.0, 1.0)),
+        disturbance_gens=(SignalSpec(kind="uniform", low=-0.05, high=0.05),
+                          SignalSpec(kind="constant", value=0.02)),
+        disturbance_bound=0.05,
+    )
+    traj = simulate(plant, scen)
+    for i in range(5):
+        assert np.array_equal(traj.m[:, i], _path(noise[i], 11, "noise", i + 1, 31))
+        assert np.array_equal(traj.a[:, i], _path(scen.attack_gen(i + 1), 11, "attack", i + 1, 31))
+    for j in range(2):
+        want = _path(scen.disturbance_gens[j], 11, "disturbance", j + 1, 31)
+        assert np.array_equal(traj.d[:, j], want)
+    x = traj.x[0]
+    for k in range(30):
+        x = A @ x + D @ traj.d[k]
+        assert np.array_equal(traj.x[k + 1], x)
+    assert np.array_equal(traj.y, [C @ x + m + a for x, m, a in zip(traj.x, traj.m, traj.a)])
+
+
+def test_example1_divergence_step_and_norm_are_pinned(scenario_dir):
+    cfg = load_config(scenario_dir / "example1.json")
+    with pytest.raises(SimulationDivergedError) as err:
+        simulate(cfg.plant, replace(cfg.scenario, seed=2), ceiling=cfg.ceiling)
+    assert (err.value.step, err.value.value) == (4, 1.1683492195202695e19)

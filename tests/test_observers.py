@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _brute import reduced_observer_track
 from _toys import A2, C3, toy_bank, toy_plant, toy_scenario
 
 from multiobserver import (
@@ -10,6 +11,7 @@ from multiobserver import (
     LuenbergerObserver,
     ObserverBank,
     PlantModel,
+    ReducedOrderObserver,
     ReducedStructure,
     SubsetIndex,
     bank_index,
@@ -189,10 +191,24 @@ def test_circle_update_formula():
     assert np.allclose(got, want)
 
 
+def _per_observer(observers, y, u, x0):
+    """Every observer stepped alone through its own ``reset`` and ``step``."""
+    out = np.empty((len(observers), y.shape[0], len(x0)))
+    for j, (sub, obs) in enumerate(observers.items()):
+        cols = np.asarray(sub.members, dtype=int) - 1
+        out[j, 0] = obs.reset(x0, y[0, cols], u[0])
+        for k in range(y.shape[0] - 1):
+            out[j, k + 1] = obs.step(y[k, cols], y[k + 1, cols], u[k])
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def test_circle_vectorized_run_matches_loop():
     st = _circle_structure()
     idx, bank = _circle_bank(st)
-    assert bank._vectorizable()
     rng = np.random.default_rng(5)
     T = 40
     y = rng.normal(scale=0.5, size=(T + 1, 5))
@@ -202,21 +218,90 @@ def test_circle_vectorized_run_matches_loop():
 
     # reference: step every observer by hand on a fresh identical bank
     idx2, bank2 = _circle_bank(st)
-    slow = np.empty_like(fast)
-    for j, (sub, obs) in enumerate(bank2.observers.items()):
-        cols = np.asarray(sub.members, dtype=int) - 1
-        slow[j, 0] = obs.reset(x0, y[0, cols], u[0])
-        for k in range(T):
-            slow[j, k + 1] = obs.step(y[k, cols], y[k + 1, cols], u[k])
+    slow = _per_observer(bank2.observers, y, u, x0)
     assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12)
     # divergence flags agree too
     for (s1, o1), (s2, o2) in zip(bank.observers.items(), bank2.observers.items()):
         assert o1.diverged == o2.diverged
 
 
-def test_mixed_family_bank_uses_loop_path():
-    plant, idx, bank = toy_bank()
-    assert not bank._vectorizable()
+def test_mixed_family_bank_matches_per_observer_stepping():
+    # Luenberger and reduced-order observers interleaved in one bank; the
+    # reduced ones form an |J| = 2 group (no partial state) and an |J| = 1 group
+    def g(x, u):
+        out = np.zeros(np.shape(x))
+        out[..., 1] = 0.2 * np.tanh(x[..., 0])
+        return out
+
+    def mixed():
+        _, _, luen = toy_bank()
+        st = ReducedStructure(A=A2, C=C3, g=g)
+        observers = {}
+        for sub, obs in luen.items():
+            if sub.label in ("J:1,3", "S:2"):
+                observers[sub] = obs
+            else:
+                nz = 2 - len(sub)
+                observers[sub] = build_reduced_observer(
+                    st, sub, np.eye(2)[[1]][:nz], K=np.full((nz, len(sub)), 0.3)
+                )
+        return ObserverBank(observers)
+
+    rng = np.random.default_rng(2)
+    T = 40
+    y = rng.normal(size=(T + 1, 3))
+    y[25, 2] = np.inf  # diverges the observers reading sensor 3
+    u = np.zeros((T + 1, 0))
+    x0 = np.array([0.3, -0.6])
+    bank = mixed()
+    est = bank.run(y, u, x0)
+    want = _per_observer(mixed().observers, y, u, x0)
+    assert np.array_equal(_bits(est), _bits(want))
+    hit = [3 in sub for sub in bank.subsets]
+    assert np.isnan(est[:, -1]).any(axis=1).tolist() == hit
+    assert [obs.diverged for obs in bank.observers.values()] == hit
+
+
+def test_reduced_group_kernel_matches_brute_force():
+    # random reduced-order banks with mixed |J| and inf hits in the outputs
+    # against a reference stepper that shares no code with the kernel
+    from multiobserver.config import STATE_NONLINEARITY_REGISTRY
+
+    rng = np.random.default_rng(7)
+    diverged = 0
+    for trial in range(40):
+        n = int(rng.integers(2, 6))
+        p = n + int(rng.integers(0, 3))
+        A = rng.normal(size=(n, n))
+        A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+        C = rng.normal(size=(p, n))
+        kind = ("tanh_channel", "sin_channel", "poly_channel", "zero")[trial % 4]
+        table, build = STATE_NONLINEARITY_REGISTRY[kind]
+        params = {"constant": list(rng.normal(size=n)), "index": int(rng.integers(1, n + 1)),
+                  "position": int(rng.integers(1, n + 1)), "gain": 0.5,
+                  "coeffs": [0.1, -0.2, 0.3]}
+        g = build(**{key: params[key] for key in table})
+        st = ReducedStructure(A=A, C=C, g=g)
+        observers, gains = {}, {}
+        for j in range(int(rng.integers(2, 9))):
+            card = int(rng.integers(1, min(n, p) + 1))
+            members = tuple(sorted(rng.choice(np.arange(1, p + 1), size=card, replace=False)))
+            sub = SubsetIndex("J" if j % 2 else "S", members)
+            L = rng.normal(size=(n - card, n))
+            K = 0.3 * rng.normal(size=(n - card, card))
+            observers[sub] = ReducedOrderObserver(sub, st, L, K)
+            gains[sub] = (L, K)
+        T = int(rng.integers(5, 30))
+        y = rng.normal(size=(T + 1, p))
+        for _ in range(int(rng.integers(0, 3))):
+            y[rng.integers(0, T + 1), rng.integers(0, p)] = rng.choice([np.inf, -np.inf])
+        x0 = rng.normal(size=n)
+        est = ObserverBank(observers).run(y, np.zeros((T + 1, 0)), x0)
+        for j, sub in enumerate(observers):
+            want = reduced_observer_track(A, C, g, *gains[sub], sub.members, y, x0)
+            assert np.array_equal(_bits(est[j]), _bits(want)), (trial, sub)
+            diverged += bool(np.isnan(want[-1]).any())
+    assert diverged >= 10  # the inf hits reach the sticky-NaN rule
 
 
 # --- certificates -----------------------------------------------------------
