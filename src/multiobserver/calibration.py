@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .combinatorics import BankIndex, SubsetIndex
-from .errors import CalibrationError, ConfigurationError
+from .errors import CalibrationError, ConfigurationError, EstimatorStarvedError
 from .estimator import run_estimator
 from .model import MAX_HORIZON, InitSpec, PlantModel, signal_stream
 from .observers import ISSGainModel, Observer, ObserverBank
@@ -125,9 +125,14 @@ def _error_track(stepper, x, y, u, x0_est, trial: int) -> np.ndarray:
     """The |e(k)| series of ``stepper`` on one plant run.
 
     ``stepper`` abstracts over a single observer and a full bank: it
-    gets (x0_est, y track, u track) and returns the estimate track.
+    gets (y track, u track, x0_est) and returns the estimate track.
     """
-    est = stepper(x0_est, y, u)
+    try:
+        est = stepper(y, u, x0_est)
+    except EstimatorStarvedError as exc:
+        raise CalibrationError(
+            f"all deviation scores are infinite at step {exc.step} of calibration trial {trial}"
+        ) from None
     if not np.all(np.isfinite(est)):
         raise CalibrationError(f"observer diverged in calibration trial {trial}")
     return np.linalg.norm(est - x, axis=1)
@@ -207,7 +212,7 @@ def _collect(plant, steppers, x0_spec, m_bar, d_bar, settings, kind_offset=0):
     Every stepper that has not failed yet is run on each plant run, so
     its tracks are the ones it would get alone.  Returns, per stepper,
     its fitted model or the :class:`CalibrationError` of the first trial
-    in which the plant or that stepper diverged.
+    in which the plant diverged or that stepper diverged or starved.
     """
     problems = settings.validate()
     if problems:
@@ -244,21 +249,6 @@ def _collect(plant, steppers, x0_spec, m_bar, d_bar, settings, kind_offset=0):
     ]
 
 
-def _observer_stepper(obs: Observer, n: int):
-    """Steps one observer over a plant run, on its own sensors' outputs."""
-    idx = np.asarray(obs.subset.members, dtype=int) - 1
-
-    def stepper(x0_est, y, u):
-        y_J = y[:, idx]
-        track = np.empty((y.shape[0], n))
-        track[0] = obs.reset(x0_est, y_J[0], u[0])
-        for k in range(y.shape[0] - 1):
-            track[k + 1] = obs.step(y_J[k], y_J[k + 1], u[k])
-        return track
-
-    return stepper
-
-
 def _fitted(result: ISSGainModel | CalibrationError) -> ISSGainModel:
     if isinstance(result, CalibrationError):
         raise result
@@ -275,12 +265,12 @@ def estimate_iss_gains(
 ) -> ISSGainModel:
     """Fit the convergence model of a single observer by simulation.
 
-    All trials are attack-free with zero input; the observer is reset
-    at a perturbed copy of the true initial state each trial.  Raises
+    All trials are attack-free with zero input; each trial's track
+    starts at a perturbed copy of the true initial state.  Raises
     :class:`CalibrationError` when a trial diverges — the observer is
     then not usable on the sampled operating region.
     """
-    (result,) = _collect(plant, [_observer_stepper(obs, plant.n)], x0_spec, m_bar, d_bar, settings)
+    (result,) = _collect(plant, [obs.track], x0_spec, m_bar, d_bar, settings)
     return _fitted(result)
 
 
@@ -303,10 +293,8 @@ def calibrate_estimator(
     """
     subsets = bank_idx.all_subsets
 
-    def stepper(x0_est, y, u):
-        est = bank.run(y, u, x0_est)
-        run = run_estimator(bank_idx, subsets, est)
-        return run.x_hat
+    def stepper(y, u, x0_est):
+        return run_estimator(bank_idx, subsets, bank.run(y, u, x0_est)).x_hat
 
     eff = settings if not truth_init else replace(settings, init_scale=0.0)
     (result,) = _collect(plant, [stepper], x0_spec, m_bar, d_bar, eff, kind_offset=10_000)
@@ -328,7 +316,7 @@ def calibrate_bank(
     fitted models plus a list of per-subset failure messages in bank
     order (empty when all succeeded).
     """
-    steppers = [_observer_stepper(obs, plant.n) for _, obs in bank.items()]
+    steppers = [obs.track for _, obs in bank.items()]
     results = _collect(plant, steppers, x0_spec, m_bar, d_bar, settings)
     models: dict[SubsetIndex, ISSGainModel] = {}
     failures: list[str] = []

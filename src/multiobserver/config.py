@@ -903,18 +903,14 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
         idx = np.asarray(sub.members, dtype=int) - 1
         try:
             if cfg.family == "luenberger":
-                obs = LuenbergerObserver(
-                    sub, plant.f, plant.h, spec.K, plant.n, plant.n_d, iss=spec.iss
-                )
+                obs = LuenbergerObserver(sub, plant.f, plant.h, spec.K, plant.n, plant.n_d)
                 cert = certify_linear_gain(cfg.lin_A, cfg.lin_C[idx], spec.K, "luenberger")
             elif cfg.family == "reduced":
-                obs = build_reduced_observer(plant.structure, sub, spec.L, spec.K, iss=spec.iss)
+                obs = build_reduced_observer(plant.structure, sub, spec.L, spec.K)
                 c_eq = obs.C_J @ plant.structure.A @ obs.N
                 cert = certify_linear_gain(obs.A_L, c_eq, obs.K, "reduced")
             else:
-                obs = CircleCriterionObserver(
-                    sub, plant.structure, spec.K, spec.L, iss=spec.iss
-                )
+                obs = CircleCriterionObserver(sub, plant.structure, spec.K, spec.L)
                 cert = certify_linear_gain(
                     plant.structure.A, plant.structure.C[idx], spec.L, "circle"
                 )

@@ -1,14 +1,16 @@
 """Observer families, their certificates, and the bank container.
 
 Every observer estimates the full plant state from one sensor subset.
-All families share a one-step schedule: after y(k+1) is measured, the
-bank produces x_hat(k+1) for every subset.  ``step`` therefore receives
-both y_J(k) and y_J(k+1); families that only need one of them ignore
-the other, which keeps estimates from different families aligned on
-the same time index.
+An observer holds only its parameters: its family's ``run_group`` maps
+the outputs y(0..T), the inputs u and the shared initial guess to the
+estimate tracks x_hat(0..T) of a group of observers, and ``track`` is
+one observer's track.  All families share a one-step schedule: x_hat(k+1)
+may use both y_J(k) and y_J(k+1), which keeps estimates from different
+families aligned on the same time index.
 
-A diverged observer (non-finite internal state) is never fatal: it
-keeps returning a NaN estimate and the selection stage discounts it.
+Divergence is never fatal: the selection stage discounts a track with
+non-finite estimates.  Luenberger and reduced-order tracks, and circle
+``track``, keep their first non-finite estimate and are NaN after it.
 """
 
 from __future__ import annotations
@@ -77,60 +79,40 @@ class ISSGainModel:
 class Observer(ABC):
     """Interface every observer family implements.
 
-    ``reset`` installs the initial estimate (given a prior guess of
-    x(0) plus the first measurement) and returns x_hat(0); ``step``
-    advances one step and returns x_hat(k+1).
+    ``run_group`` is the only stepping path: it maps the outputs y
+    (T+1, p), the inputs u (T+1, n_u) and the shared initial guess
+    x0_est to the estimates of ``members``, shape (len(members), T+1, n).
     """
 
     subset: SubsetIndex
     n: int
-    iss: ISSGainModel | None
 
-    def __init__(self, subset: SubsetIndex, n: int, iss: ISSGainModel | None = None):
+    def __init__(self, subset: SubsetIndex, n: int):
         self.subset = subset
         self.n = n
-        self.iss = iss
-        self.diverged = False
-
-    @abstractmethod
-    def reset(self, x0_est: np.ndarray, y0_J: np.ndarray, u0: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def step(self, y_J: np.ndarray, y_next_J: np.ndarray, u: np.ndarray) -> np.ndarray: ...
-
-    def _finalize(self, estimate: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(estimate)):
-            self.diverged = True
-        return estimate
-
-    def _nan(self) -> np.ndarray:
-        return np.full(self.n, np.nan)
+        self._idx = np.asarray(subset.members, dtype=int) - 1
 
     def group_key(self) -> tuple:
         """Observers with equal keys are stepped together by one ``run_group``."""
         return (type(self),)
 
     @classmethod
-    def run_group(cls, members: list[Observer], y, u, x0_est) -> np.ndarray:
-        """Estimates of ``members`` over a run: array of shape (len(members), T+1, n).
+    @abstractmethod
+    def run_group(cls, members: list[Observer], y, u, x0_est) -> np.ndarray: ...
 
-        The default steps each observer alone on its own sensors' outputs.
-        """
-        T = y.shape[0] - 1
-        est = np.empty((len(members), T + 1, members[0].n))
-        for j, obs in enumerate(members):
-            idx = np.asarray(obs.subset.members, dtype=int) - 1
-            est[j, 0] = obs.reset(x0_est, y[0, idx], u[0])
-            for k in range(T):
-                est[j, k + 1] = obs.step(y[k, idx], y[k + 1, idx], u[k])
-        return est
+    def track(self, y: np.ndarray, u: np.ndarray, x0_est: np.ndarray) -> np.ndarray:
+        """This observer's estimates over a run: array of shape (T+1, n)."""
+        return type(self).run_group([self], y, u, x0_est)[0]
 
 
-def _leave_states(members: list[Observer], est: np.ndarray) -> None:
-    """Leave each observer's last estimate and divergence flag after a group run."""
-    for j, obs in enumerate(members):
-        obs._x_hat = est[j, -1].copy()
-        obs.diverged = not np.all(np.isfinite(est[j]))
+def _sticky_nan(est: np.ndarray) -> np.ndarray:
+    """Set every estimate after a track's first non-finite one to NaN, in place.
+
+    ``est`` holds tracks along its last two axes, (..., T+1, n).
+    """
+    bad = np.logical_or.accumulate(~np.isfinite(est).all(axis=-1), axis=-1)
+    est[..., 1:, :][bad[..., :-1]] = np.nan
+    return est
 
 
 class LuenbergerObserver(Observer):
@@ -149,9 +131,8 @@ class LuenbergerObserver(Observer):
         K: np.ndarray,
         n: int,
         n_d: int = 0,
-        iss: ISSGainModel | None = None,
     ):
-        super().__init__(subset, n, iss)
+        super().__init__(subset, n)
         self.f = f
         self.h = h
         self.K = np.asarray(K, dtype=float)
@@ -159,30 +140,32 @@ class LuenbergerObserver(Observer):
             raise ConfigurationError(
                 f"gain for {subset} has shape {self.K.shape}, expected ({n}, {len(subset)})"
             )
-        self._idx = np.asarray(subset.members, dtype=int) - 1
         self._d0 = np.zeros(n_d)
-        self._x_hat = np.zeros(n)
-        self._k = 0
 
-    @property
-    def estimate(self) -> np.ndarray:
-        return self._x_hat.copy()
+    @classmethod
+    def run_group(cls, members, y, u, x0_est):
+        """Step each observer alone on 1-D states.
 
-    def reset(self, x0_est, y0_J, u0):
-        self._x_hat = np.asarray(x0_est, dtype=float).copy()
-        self._k = 0
-        self.diverged = False
-        return self._finalize(self._x_hat.copy())
-
-    def step(self, y_J, y_next_J, u):
-        if self.diverged:
-            return self._nan()
+        Stacking them would change the bits: numpy's array ``x**3`` can
+        take a SIMD ``pow`` that rounds differently from the scalar one.
+        ``f`` and ``h`` are never called on a non-finite estimate; the
+        rest of that track is NaN.
+        """
+        T = y.shape[0] - 1
+        est = np.full((len(members), T + 1, members[0].n), np.nan)
+        x0 = np.asarray(x0_est, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            h_hat = np.asarray(self.h(self._x_hat, u), dtype=float)[self._idx]
-            x_next = self.f(self._x_hat, u, self._d0, self._k) + self.K @ (y_J - h_hat)
-        self._k += 1
-        self._x_hat = np.asarray(x_next, dtype=float)
-        return self._finalize(self._x_hat.copy())
+            for j, obs in enumerate(members):
+                y_J = y[:, obs._idx]
+                x = est[j, 0] = x0.copy()
+                for k in range(T):
+                    if not np.isfinite(x).all():
+                        break
+                    h_hat = np.asarray(obs.h(x, u[k]), dtype=float)[obs._idx]
+                    x = np.asarray(obs.f(x, u[k], obs._d0, k) + obs.K @ (y_J[k] - h_hat),
+                                   dtype=float)
+                    est[j, k + 1] = x
+        return est
 
 
 class ReducedOrderObserver(Observer):
@@ -208,10 +191,9 @@ class ReducedOrderObserver(Observer):
         structure: ReducedStructure,
         L: np.ndarray,
         K: np.ndarray | None = None,
-        iss: ISSGainModel | None = None,
     ):
         n = structure.A.shape[0]
-        super().__init__(subset, n, iss)
+        super().__init__(subset, n)
         self.structure = structure
         self.L = np.asarray(L, dtype=float)
         card = len(subset)
@@ -221,7 +203,6 @@ class ReducedOrderObserver(Observer):
                 f"coordinate map for {subset} has shape {self.L.shape}, "
                 f"expected ({self.nz}, {n})"
             )
-        self._idx = np.asarray(subset.members, dtype=int) - 1
         self.C_J = structure.C[self._idx]
         T = np.vstack([self.L, self.C_J])
         try:
@@ -242,35 +223,6 @@ class ReducedOrderObserver(Observer):
                 f"innovation gain for {subset} has shape {self.K.shape}, "
                 f"expected ({self.nz}, {card})"
             )
-        self._z = np.zeros(self.nz)
-        self._x_hat = np.zeros(n)
-
-    @property
-    def z(self) -> np.ndarray:
-        return self._z.copy()
-
-    @property
-    def estimate(self) -> np.ndarray:
-        return self._x_hat.copy()
-
-    def reset(self, x0_est, y0_J, u0):
-        self._z = self.L @ np.asarray(x0_est, dtype=float)
-        self._x_hat = self.N @ self._z + self.M @ y0_J
-        self.diverged = False
-        return self._finalize(self._x_hat.copy())
-
-    def step(self, y_J, y_next_J, u):
-        if self.diverged:
-            return self._nan()
-        st = self.structure
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_hat = self._x_hat
-            g_val = st.g(x_hat, u)
-            z_pred = self.A_L @ self._z + self.B_L @ y_J + self.L @ g_val
-            x_pred = st.A @ x_hat + g_val
-            self._z = z_pred + self.K @ (y_next_J - self.C_J @ x_pred)
-            self._x_hat = self.N @ self._z + self.M @ y_next_J
-        return self._finalize(self._x_hat.copy())
 
     def group_key(self) -> tuple:
         return (type(self), id(self.structure), self.nz)
@@ -282,8 +234,7 @@ class ReducedOrderObserver(Observer):
         States are kept as (G, ·, 1) columns, so every product is a stacked
         ``np.matmul``, which rounds like each observer's own ``2-D @ 1-D``
         product (``einsum`` does not).  Rows never interact, so each one
-        reproduces ``step`` bit for bit; a row is NaN after its first
-        non-finite estimate, as a diverged observer's ``step`` returns.
+        reproduces the observer stepped alone bit for bit.
         The terms that depend only on the measurements, B_L y_J(k) and
         M y_J(k+1), are computed for the whole run up front.
         ``structure.g`` receives the (G, n) estimates.
@@ -308,10 +259,10 @@ class ReducedOrderObserver(Observer):
                 z = z_pred + K @ (y_J[k + 1] - C_J @ x_pred)
                 x = N @ z + My[k + 1]
                 est[:, k + 1] = x[..., 0]
-        bad = np.logical_or.accumulate(~np.isfinite(est).all(axis=2), axis=1)
-        est[:, 1:][bad[:, :-1]] = np.nan
-        _leave_states(members, est)
-        return est
+        return _sticky_nan(est)
+
+
+_RECONSTRUCTION_TOL = 1e-8
 
 
 def build_reduced_observer(
@@ -319,27 +270,24 @@ def build_reduced_observer(
     subset: SubsetIndex,
     L: np.ndarray,
     K: np.ndarray | None = None,
-    iss: ISSGainModel | None = None,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-8,
 ) -> ReducedOrderObserver:
     """Construct a reduced-order observer and check its coordinate change.
 
     After inverting [L; C_J] the reconstruction N (L v) + M (C_J v) = v
-    is verified on n random vectors to ``tol``; failure means the
+    is verified on n seeded random vectors to 1e-8; failure means the
     inverse is too ill-conditioned to trust.
     """
-    obs = ReducedOrderObserver(subset, structure, L, K, iss)
-    rng = rng or np.random.default_rng(0)
+    obs = ReducedOrderObserver(subset, structure, L, K)
+    rng = np.random.default_rng(0)
     n = structure.A.shape[0]
     for _ in range(n):
         v = rng.standard_normal(n)
         rebuilt = obs.N @ (obs.L @ v) + obs.M @ (obs.C_J @ v)
         err = float(np.max(np.abs(rebuilt - v)))
-        if err > tol:
+        if err > _RECONSTRUCTION_TOL:
             raise ConfigurationError(
-                f"coordinate reconstruction for {subset} off by {err:.2e} (tol {tol:.0e}); "
-                f"[L; C_J] is numerically singular"
+                f"coordinate reconstruction for {subset} off by {err:.2e} "
+                f"(tol {_RECONSTRUCTION_TOL:.0e}); [L; C_J] is numerically singular"
             )
     return obs
 
@@ -359,10 +307,9 @@ class CircleCriterionObserver(Observer):
         structure: CircleStructure,
         K: np.ndarray,
         L: np.ndarray,
-        iss: ISSGainModel | None = None,
     ):
         n = structure.A.shape[0]
-        super().__init__(subset, n, iss)
+        super().__init__(subset, n)
         self.structure = structure
         card = len(subset)
         r = structure.H.shape[0]
@@ -376,29 +323,29 @@ class CircleCriterionObserver(Observer):
             raise ConfigurationError(
                 f"output gain for {subset} has shape {self.L.shape}, expected ({n}, {card})"
             )
-        self._idx = np.asarray(subset.members, dtype=int) - 1
         self.C_J = structure.C[self._idx]
-        self._x_hat = np.zeros(n)
 
-    @property
-    def estimate(self) -> np.ndarray:
-        return self._x_hat.copy()
+    def track(self, y, u, x0_est):
+        """This observer's estimates, stepped alone in the unfolded form above.
 
-    def reset(self, x0_est, y0_J, u0):
-        self._x_hat = np.asarray(x0_est, dtype=float).copy()
-        self.diverged = False
-        return self._finalize(self._x_hat.copy())
-
-    def step(self, y_J, y_next_J, u):
-        if self.diverged:
-            return self._nan()
+        ``run_group``'s folded form agrees with it only up to rounding, and
+        the calibrated fits (through ``freeze``, the bundled configs'
+        ``iss``) are pinned to this form.  ROADMAP item 1 step 1, a
+        benchmark change, moves calibration to the folded form and
+        deletes this override.
+        """
         st = self.structure
+        T = y.shape[0] - 1
+        est = np.empty((T + 1, self.n))
+        x = est[0] = np.asarray(x0_est, dtype=float)
+        y_J = y[:, self._idx]
         with np.errstate(over="ignore", invalid="ignore"):
-            innov = self.C_J @ self._x_hat - y_J
-            arg = st.H @ self._x_hat + self.K @ innov
-            x_next = st.A @ self._x_hat + st.G @ st.channels(arg) + self.L @ innov
-        self._x_hat = np.asarray(x_next, dtype=float)
-        return self._finalize(self._x_hat.copy())
+            for k in range(T):
+                innov = self.C_J @ x - y_J[k]
+                arg = st.H @ x + self.K @ innov
+                x = st.A @ x + st.G @ st.channels(arg) + self.L @ innov
+                est[k + 1] = x
+        return _sticky_nan(est)
 
     def group_key(self) -> tuple:
         return (type(self), id(self.structure))
@@ -407,7 +354,7 @@ class CircleCriterionObserver(Observer):
     def run_group(cls, members, y, u, x0_est):
         """Step observers sharing a structure together, each gain pair folded into one update.
 
-        This agrees with ``step`` up to rounding, not bit for bit: the two
+        This agrees with ``track`` up to rounding, not bit for bit: the two
         differ by up to 1.3e-14 on the bundled example3 and example4 runs.
         """
         st = members[0].structure
@@ -431,7 +378,6 @@ class CircleCriterionObserver(Observer):
                 arg = np.einsum("jrn,jn->jr", HP, X) - Kt @ y[k]
                 X = np.einsum("jmn,jn->jm", AQ, X) + st.channels(arg) @ st.G.T - Lt @ y[k]
                 est[:, k + 1] = X
-        _leave_states(members, est)
         return est
 
 

@@ -119,3 +119,46 @@ def reduced_observer_track(A, C, g, L, K, members, y, x0):
             x = N @ z + M @ y_J[k + 1]
             track[k + 1] = x
     return track
+
+
+def luenberger_observer_track(f, h, K, members, y, u, x0, n_d=0):
+    """One Luenberger observer stepped alone over the outputs ``y``.
+
+    x(k+1) = f(x(k), u(k)) + K (y_J(k) - h_J(x(k), u(k))) on 1-D vectors;
+    once an estimate turns non-finite, f and h are not called again and
+    every later estimate is NaN.
+    """
+    idx = [s - 1 for s in members]
+    d0 = np.zeros(n_d)
+    track = np.full((y.shape[0], len(x0)), np.nan)
+    x = np.array(x0, dtype=float)
+    track[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(y.shape[0] - 1):
+            if not all(math.isfinite(v) for v in x):
+                break
+            innov = y[k, idx] - np.asarray(h(x, u[k]), dtype=float)[idx]
+            x = np.asarray(f(x, u[k], d0, k) + K @ innov, dtype=float)
+            track[k + 1] = x
+    return track
+
+
+def circle_observer_track(A, G, H, C, channels, K, L, members, y, x0):
+    """One circle-criterion observer stepped alone, in the unfolded form.
+
+    x(k+1) = A x + G f(H x + K e) + L e with e = C_J x - y_J(k); once an
+    estimate turns non-finite, every later estimate is NaN.
+    """
+    idx = [s - 1 for s in members]
+    C_J = C[idx]
+    track = np.full((y.shape[0], len(x0)), np.nan)
+    x = np.array(x0, dtype=float)
+    track[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(y.shape[0] - 1):
+            if not all(math.isfinite(v) for v in x):
+                break
+            e = C_J @ x - y[k, idx]
+            x = A @ x + G @ channels(H @ x + K @ e) + L @ e
+            track[k + 1] = x
+    return track

@@ -254,15 +254,14 @@ def test_calibrate_bank_equals_the_per_observer_fits(scenario_dir, name):
 
 
 def _fail_from_trial(obs, trial):
-    """Make ``obs`` estimate NaN from its ``trial``-th reset (0-based) on."""
-    resets, reset, step = [], obs.reset, obs.step
+    """Make ``obs`` estimate NaN from its ``trial``-th track (0-based) on."""
+    calls, track = [], obs.track
 
-    def counted_reset(*args):
-        resets.append(None)
-        return reset(*args)
+    def counted_track(*args):
+        calls.append(None)
+        return track(*args) * (np.nan if len(calls) > trial else 1.0)
 
-    obs.reset = counted_reset
-    obs.step = lambda *args: step(*args) * (np.nan if len(resets) > trial else 1.0)
+    obs.track = counted_track
 
 
 def _failing_bank():
@@ -293,3 +292,18 @@ def test_example1_calibration_failure_matches_the_pinned_message(scenario_dir, t
     with pytest.raises(CalibrationError) as err:
         calibrate(cfg, trials=2, out_path=tmp_path / "example1.calibrated.json")
     assert str(err.value) == GOLDEN["failures"]["example1"]
+
+
+def test_starved_estimator_calibration_names_the_trial(scenario_dir):
+    # example1's selection starves in the first trial (every deviation score
+    # is infinite); the error must be a CalibrationError naming step and trial
+    cfg = load_config(scenario_dir / "example1.json")
+    settings = replace(cfg.calibration, trials=2)
+    with pytest.raises(CalibrationError) as err:
+        calibrate_estimator(
+            build_bank(cfg)[0], cfg.bank, cfg.plant, cfg.scenario.noise_bound,
+            cfg.scenario.disturbance_bound, cfg.scenario.x0, settings,
+        )
+    assert str(err.value) == (
+        "all deviation scores are infinite at step 5 of calibration trial 0"
+    )

@@ -158,6 +158,18 @@ def test_calibrate_writes_bundle(scenario_dir, tmp_path, capsys):
     assert all("iss" in entry for entry in bundle["observers"]["bundle"].values())
 
 
+def test_calibrate_with_a_starved_estimator_exits_2(scenario_dir, tmp_path, capsys, monkeypatch):
+    # skip the per-observer fits so example1's estimator fit starves
+    monkeypatch.setattr(multiobserver.harness, "calibrate_bank", lambda *args: ({}, []))
+    code = main([
+        "calibrate", "--config", _path(scenario_dir, "example1"),
+        "--trials", "2", "--out", str(tmp_path / "cal.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "at step 5 of calibration trial 0" in err
+
+
 def test_plots_emits_files(scenario_dir, tmp_path, capsys):
     main(["run", "--config", _path(scenario_dir, "example1"), "--out", str(tmp_path)])
     capsys.readouterr()

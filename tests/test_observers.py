@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _brute import reduced_observer_track
+from _brute import circle_observer_track, luenberger_observer_track, reduced_observer_track
 from _toys import A2, C3, toy_bank, toy_plant, toy_scenario
 
 from multiobserver import (
@@ -29,24 +29,32 @@ def test_luenberger_update_formula():
     K = np.array([[0.5, 0.0], [0.0, 0.25]])
     obs = LuenbergerObserver(sub, plant.f, plant.h, K, n=2)
     x0 = np.array([1.0, 2.0])
-    assert np.array_equal(obs.reset(x0, np.zeros(2), np.zeros(0)), x0)
+    y = np.array([[2.0, 9.0, 4.0], [0.0, 0.0, 0.0]])  # sensor 2 is not read
+    track = obs.track(y, np.zeros((2, 0)), x0)
+    assert track.shape == (2, 2)
+    assert np.array_equal(track[0], x0)
     y_J = np.array([2.0, 4.0])  # sensors 1 and 3
-    got = obs.step(y_J, np.zeros(2), np.zeros(0))
     h_hat = np.array([1.0, 3.0])  # rows 1 and 3 of C3 @ x0
     want = A2 @ x0 + K @ (y_J - h_hat)
-    assert np.allclose(got, want)
-    assert np.array_equal(obs.estimate, got)
+    assert np.allclose(track[1], want)
 
 
 def test_luenberger_divergence_is_sticky():
     sub = SubsetIndex("S", (1,))
     plant = toy_plant()
-    obs = LuenbergerObserver(sub, plant.f, plant.h, np.ones((2, 1)), n=2)
-    obs.reset(np.zeros(2), np.zeros(1), np.zeros(0))
-    obs.step(np.array([np.inf]), np.zeros(1), np.zeros(0))
-    assert obs.diverged
-    after = obs.step(np.array([0.0]), np.zeros(1), np.zeros(0))
-    assert np.all(np.isnan(after))  # once diverged, always NaN
+    calls = []
+
+    def f(x, u, d, k):
+        calls.append(k)
+        return plant.f(x, u, d, k)
+
+    obs = LuenbergerObserver(sub, f, plant.h, np.ones((2, 1)), n=2)
+    y = np.zeros((4, 3))
+    y[0, 0] = np.inf
+    track = obs.track(y, np.zeros((4, 0)), np.zeros(2))
+    assert np.isinf(track[1]).all()
+    assert np.all(np.isnan(track[2:]))  # once diverged, always NaN
+    assert calls == [0]  # the plant map never sees a non-finite estimate
 
 
 def test_gain_shape_is_checked():
@@ -113,11 +121,10 @@ def test_reduced_reconstruction_matches_measurements():
     L = np.eye(4)[[0, 2]]
     obs = build_reduced_observer(st, sub, L, K=np.full((2, 2), 0.1))
     rng = np.random.default_rng(0)
-    obs.reset(rng.normal(size=4), rng.normal(size=2), np.zeros(0))
-    for _ in range(5):
-        y_J, y_next = rng.normal(size=2), rng.normal(size=2)
-        x_hat = obs.step(y_J, y_next, np.zeros(0))
-        assert np.allclose(obs.C_J @ x_hat, y_next, atol=1e-10)
+    y = rng.normal(size=(6, 3))
+    track = obs.track(y, np.zeros((6, 0)), rng.normal(size=4))
+    for k in range(1, 6):
+        assert np.allclose(obs.C_J @ track[k], y[k, [0, 2]], atol=1e-10)
 
 
 def test_reduced_observer_converges_on_linear_plant():
@@ -137,11 +144,8 @@ def test_reduced_observer_converges_on_linear_plant():
         x0=InitSpec(kind="fixed", value=(1.0, -1.0, 2.0, 0.5)),
     )
     traj = simulate(plant, scen)
-    idx = np.asarray(sub.members, dtype=int) - 1
-    obs.reset(np.zeros(4), traj.y[0, idx], np.zeros(0))
-    for k in range(60):
-        est = obs.step(traj.y[k, idx], traj.y[k + 1, idx], np.zeros(0))
-    assert np.linalg.norm(est - traj.x[60]) < 1e-6
+    est = obs.track(traj.y, traj.u, np.zeros(4))
+    assert np.linalg.norm(est[60] - traj.x[60]) < 1e-6
 
 
 def test_reduced_rejects_singular_completion():
@@ -183,23 +187,18 @@ def test_circle_update_formula():
     L = np.array([[0.0], [-0.5]])
     obs = CircleCriterionObserver(sub, st, K, L)
     x0 = np.array([0.5, -0.2])
-    obs.reset(x0, np.zeros(1), np.zeros(0))
+    y = np.array([[9.0, 0.3, 9.0, 9.0, 9.0], np.zeros(5)])  # only sensor 2 is read
+    track = obs.track(y, np.zeros((2, 0)), x0)
+    assert np.array_equal(track[0], x0)
     y_J = np.array([0.3])
-    got = obs.step(y_J, np.zeros(1), np.zeros(0))
     innov = C_C[[1]] @ x0 - y_J
     want = A_C @ x0 + G_C @ np.sin(H_C @ x0 + K @ innov) + L @ innov
-    assert np.allclose(got, want)
+    assert np.allclose(track[1], want)
 
 
-def _per_observer(observers, y, u, x0):
-    """Every observer stepped alone through its own ``reset`` and ``step``."""
-    out = np.empty((len(observers), y.shape[0], len(x0)))
-    for j, (sub, obs) in enumerate(observers.items()):
-        cols = np.asarray(sub.members, dtype=int) - 1
-        out[j, 0] = obs.reset(x0, y[0, cols], u[0])
-        for k in range(y.shape[0] - 1):
-            out[j, k + 1] = obs.step(y[k, cols], y[k + 1, cols], u[k])
-    return out
+def _nan_rows(est):
+    """Which tracks of a (G, T+1, n) estimate hold a non-finite entry."""
+    return (~np.isfinite(est).all(axis=(1, 2))).tolist()
 
 
 def _bits(a):
@@ -216,13 +215,11 @@ def test_circle_vectorized_run_matches_loop():
     x0 = np.array([0.4, -0.3])
     fast = bank.run(y, u, x0_est=x0)
 
-    # reference: step every observer by hand on a fresh identical bank
-    idx2, bank2 = _circle_bank(st)
-    slow = _per_observer(bank2.observers, y, u, x0)
+    # reference: every observer stepped alone, in the unfolded form
+    slow = np.stack([obs.track(y, u, x0) for obs in bank.observers.values()])
     assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12)
-    # divergence flags agree too
-    for (s1, o1), (s2, o2) in zip(bank.observers.items(), bank2.observers.items()):
-        assert o1.diverged == o2.diverged
+    # NaN rows agree too
+    assert _nan_rows(fast) == _nan_rows(slow)
 
 
 def test_mixed_family_bank_matches_per_observer_stepping():
@@ -233,19 +230,18 @@ def test_mixed_family_bank_matches_per_observer_stepping():
         out[..., 1] = 0.2 * np.tanh(x[..., 0])
         return out
 
-    def mixed():
-        _, _, luen = toy_bank()
-        st = ReducedStructure(A=A2, C=C3, g=g)
-        observers = {}
-        for sub, obs in luen.items():
-            if sub.label in ("J:1,3", "S:2"):
-                observers[sub] = obs
-            else:
-                nz = 2 - len(sub)
-                observers[sub] = build_reduced_observer(
-                    st, sub, np.eye(2)[[1]][:nz], K=np.full((nz, len(sub)), 0.3)
-                )
-        return ObserverBank(observers)
+    plant, _, luen = toy_bank()
+    st = ReducedStructure(A=A2, C=C3, g=g)
+    observers = {}
+    for sub, obs in luen.items():
+        if sub.label in ("J:1,3", "S:2"):
+            observers[sub] = obs
+        else:
+            nz = 2 - len(sub)
+            observers[sub] = build_reduced_observer(
+                st, sub, np.eye(2)[[1]][:nz], K=np.full((nz, len(sub)), 0.3)
+            )
+    bank = ObserverBank(observers)
 
     rng = np.random.default_rng(2)
     T = 40
@@ -253,13 +249,18 @@ def test_mixed_family_bank_matches_per_observer_stepping():
     y[25, 2] = np.inf  # diverges the observers reading sensor 3
     u = np.zeros((T + 1, 0))
     x0 = np.array([0.3, -0.6])
-    bank = mixed()
     est = bank.run(y, u, x0)
-    want = _per_observer(mixed().observers, y, u, x0)
+    # reference: each observer stepped alone by the brute-force steppers
+    want = np.stack([
+        luenberger_observer_track(plant.f, plant.h, obs.K, sub.members, y, u, x0)
+        if isinstance(obs, LuenbergerObserver)
+        else reduced_observer_track(A2, C3, g, obs.L, obs.K, sub.members, y, x0)
+        for sub, obs in bank.items()
+    ])
     assert np.array_equal(_bits(est), _bits(want))
     hit = [3 in sub for sub in bank.subsets]
     assert np.isnan(est[:, -1]).any(axis=1).tolist() == hit
-    assert [obs.diverged for obs in bank.observers.values()] == hit
+    assert _nan_rows(est) == _nan_rows(want) == hit
 
 
 def test_reduced_group_kernel_matches_brute_force():
@@ -302,6 +303,61 @@ def test_reduced_group_kernel_matches_brute_force():
             assert np.array_equal(_bits(est[j]), _bits(want)), (trial, sub)
             diverged += bool(np.isnan(want[-1]).any())
     assert diverged >= 10  # the inf hits reach the sticky-NaN rule
+
+
+def test_luenberger_group_and_circle_track_match_brute_force():
+    # random Luenberger banks (through run_group) and circle observers (through
+    # track), with inf hits in the outputs, against reference steppers that
+    # share no code with the package
+    from multiobserver.config import CHANNEL_REGISTRY
+
+    rng = np.random.default_rng(13)
+    diverged = {"luenberger": 0, "circle": 0}
+    for trial in range(40):
+        n = int(rng.integers(2, 6))
+        p = n + int(rng.integers(0, 3))
+        A = rng.normal(size=(n, n))
+        A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+        C = rng.normal(size=(p, n))
+        b = 0.01 * rng.normal(size=n)
+        T = int(rng.integers(5, 30))
+        y = rng.normal(size=(T + 1, p))
+        for _ in range(int(rng.integers(0, 3))):
+            y[rng.integers(0, T + 1), rng.integers(0, p)] = rng.choice([np.inf, -np.inf])
+        u = rng.normal(size=(T + 1, 1))
+        x0 = rng.normal(size=n)
+
+        def f(x, u, d, k, A=A, b=b):
+            return A @ x + b * x**3 + 0.1 * u[0] + 0.01 * k
+
+        def h(x, u, C=C):
+            return C @ x + 0.05 * np.sin(x[0])
+
+        r = int(rng.integers(1, 4))
+        G, H = rng.normal(size=(n, r)), rng.normal(size=(r, n))
+        channels = list(CHANNEL_REGISTRY.values())[trial % len(CHANNEL_REGISTRY)]
+        st = CircleStructure(A=A, G=0.3 * G, H=H, C=C, channels=channels)
+
+        observers = {}
+        for j in range(int(rng.integers(2, 7))):
+            card = int(rng.integers(1, p + 1))
+            members = tuple(sorted(rng.choice(np.arange(1, p + 1), size=card, replace=False)))
+            sub = SubsetIndex("J" if j % 2 else "S", members)
+            observers[sub] = LuenbergerObserver(sub, f, h, 0.3 * rng.normal(size=(n, card)), n)
+            circle = CircleCriterionObserver(
+                sub, st, 0.3 * rng.normal(size=(r, card)), 0.3 * rng.normal(size=(n, card)))
+            got = circle.track(y, u, x0)
+            want = circle_observer_track(A, st.G, H, C, channels, circle.K, circle.L,
+                                         members, y, x0)
+            assert np.array_equal(_bits(got), _bits(want)), (trial, sub)
+            diverged["circle"] += bool(np.isnan(want[-1]).any())
+        est = ObserverBank(observers).run(y, u, x0)
+        for j, (sub, obs) in enumerate(observers.items()):
+            want = luenberger_observer_track(f, h, obs.K, sub.members, y, u, x0)
+            assert np.array_equal(_bits(est[j]), _bits(want)), (trial, sub)
+            diverged["luenberger"] += bool(np.isnan(want[-1]).any())
+    # the inf hits reach the sticky-NaN rule in both families
+    assert min(diverged.values()) >= 10, diverged
 
 
 # --- certificates -----------------------------------------------------------
