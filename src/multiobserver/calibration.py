@@ -31,7 +31,7 @@ from .combinatorics import BankIndex, SubsetIndex
 from .errors import CalibrationError, ConfigurationError, EstimatorStarvedError
 from .estimator import run_estimator
 from .model import MAX_HORIZON, InitSpec, PlantModel, signal_stream
-from .observers import ISSGainModel, Observer, ObserverBank
+from .observers import ISSGainModel, Observer, ObserverBank, run_trials
 
 __all__ = [
     "CalibrationSettings",
@@ -100,42 +100,57 @@ def _plant_run(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One attack-free plant run: the (x, y, u) tracks and the initial estimate.
 
-    Raises :class:`CalibrationError` when the plant state turns non-finite
-    or leaves the ceiling.
+    Raises :class:`CalibrationError` naming the first step at which the
+    plant state is non-finite or leaves the ceiling.
     """
     T = horizon
     u = np.zeros((T + 1, plant.n_u))
     x = np.zeros((T + 1, plant.n))
     x[0] = x0_spec.sample(rng)
     x0_est = x[0] + init_scale * rng.standard_normal(plant.n)
-    for k in range(T):
-        d = dist_amp * rng.uniform(-1.0, 1.0, plant.n_d) if dist_amp > 0 else np.zeros(plant.n_d)
-        x[k + 1] = plant.f(x[k], u[k], d, k)
-        if not np.all(np.isfinite(x[k + 1])) or np.linalg.norm(x[k + 1]) > _CEILING:
-            raise CalibrationError(
-                f"plant diverged at step {k + 1} of calibration trial {trial}"
-            )
+    d = np.zeros(plant.n_d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(T):
+            if dist_amp > 0:
+                d = dist_amp * rng.uniform(-1.0, 1.0, plant.n_d)
+            x[k + 1] = plant.f(x[k], u[k], d, k)
+        # a state past the ceiling has an entry past ceiling / sqrt(n); the
+        # halved bound leaves room for rounding, and each suspect is checked exactly
+        suspect = ~np.isfinite(x[1:]).all(axis=1) | (
+            np.abs(x[1:]).max(axis=1) > 0.5 * _CEILING / np.sqrt(plant.n))
+        for k in np.flatnonzero(suspect):
+            if not np.all(np.isfinite(x[k + 1])) or np.linalg.norm(x[k + 1]) > _CEILING:
+                raise CalibrationError(
+                    f"plant diverged at step {k + 1} of calibration trial {trial}"
+                )
     y = np.stack([np.asarray(plant.h(x[k], u[k]), dtype=float) for k in range(T + 1)])
     if noise_amp > 0:
         y = y + noise_amp * rng.uniform(-1.0, 1.0, y.shape)
     return x, y, u, x0_est
 
 
-def _error_track(stepper, x, y, u, x0_est, trial: int) -> np.ndarray:
-    """The |e(k)| series of ``stepper`` on one plant run.
+def _error_tracks(est: np.ndarray, x: np.ndarray) -> np.ndarray | CalibrationError:
+    """The |e(k)| series (B, T+1) of one fit's estimates (B, T+1, n) on B plant runs.
 
-    ``stepper`` abstracts over a single observer and a full bank: it
-    gets (y track, u track, x0_est) and returns the estimate track.
+    Returns the :class:`CalibrationError` of the first run whose
+    estimates are not all finite instead.
     """
-    try:
-        est = stepper(y, u, x0_est)
-    except EstimatorStarvedError as exc:
-        raise CalibrationError(
-            f"all deviation scores are infinite at step {exc.step} of calibration trial {trial}"
-        ) from None
-    if not np.all(np.isfinite(est)):
-        raise CalibrationError(f"observer diverged in calibration trial {trial}")
-    return np.linalg.norm(est - x, axis=1)
+    diverged = ~np.isfinite(est).all(axis=(1, 2))
+    if diverged.any():
+        return CalibrationError(
+            f"observer diverged in calibration trial {int(np.argmax(diverged))}"
+        )
+    return np.linalg.norm(est - x, axis=-1)
+
+
+def _observer_tracks(observers: list[Observer]):
+    """``_collect``'s stepping for observers: every live one on all runs of a kind at once."""
+
+    def track_kind(live, x, y, u, x0_est):
+        est = run_trials([observers[i] for i in live], y, u, x0_est)
+        return [_error_tracks(e, x) for e in est]
+
+    return track_kind
 
 
 def _fit_model(
@@ -206,13 +221,16 @@ def _fit_model(
     return ISSGainModel(c=c, lam=lam, gamma1=gamma1, gamma2=gamma2, nu=nu, k_star=k_star)
 
 
-def _collect(plant, steppers, x0_spec, m_bar, d_bar, settings, kind_offset=0):
-    """Fit one model per stepper, each (kind, trial) plant run simulated once.
+def _collect(plant, fits, track_kind, x0_spec, m_bar, d_bar, settings, kind_offset=0):
+    """Fit ``fits`` models, each (kind, trial) plant run simulated once.
 
-    Every stepper that has not failed yet is run on each plant run, so
-    its tracks are the ones it would get alone.  Returns, per stepper,
-    its fitted model or the :class:`CalibrationError` of the first trial
-    in which the plant diverged or that stepper diverged or starved.
+    The plant runs of a kind are simulated in trial order up to the first
+    that diverges.  ``track_kind(live, x, y, u, x0_est)`` then gets the
+    indices of the fits that have not failed yet and those runs, stacked
+    with the trial as the leading axis, and returns for each live fit its
+    |e(k)| tracks (B, T+1) or the :class:`CalibrationError` of its first
+    failing trial.  Returns, per fit, its model or the error of the first
+    trial in which the plant diverged or that fit diverged or starved.
     """
     problems = settings.validate()
     if problems:
@@ -223,26 +241,31 @@ def _collect(plant, steppers, x0_spec, m_bar, d_bar, settings, kind_offset=0):
         kinds.append((1, m_bar, 0.0))
     if d_bar > 0:
         kinds.append((2, 0.0, d_bar))
-    tracks = [([], [], []) for _ in steppers]
-    errors: list[CalibrationError | None] = [None] * len(steppers)
+    tracks = [([], [], []) for _ in range(fits)]
+    errors: list[CalibrationError | None] = [None] * fits
     for block, noise_amp, dist_amp in kinds:
+        live = [i for i, err in enumerate(errors) if err is None]
+        if not live:
+            break
+        runs, plant_error = [], None
         for trial in range(settings.trials):
-            live = [i for i, err in enumerate(errors) if err is None]
-            if not live:
-                break
             rng = _trial_rng(settings.seed, kind_offset + block * settings.trials + trial)
             try:
-                run = _plant_run(plant, x0_spec, noise_amp, dist_amp, settings.horizon,
-                                 rng, settings.init_scale, trial)
+                runs.append(_plant_run(plant, x0_spec, noise_amp, dist_amp, settings.horizon,
+                                       rng, settings.init_scale, trial))
             except CalibrationError as exc:
-                for i in live:
-                    errors[i] = exc
-                continue
+                plant_error = exc
+                break
+        if runs:
+            for i, result in zip(live, track_kind(live, *map(np.stack, zip(*runs)))):
+                if isinstance(result, CalibrationError):
+                    errors[i] = result
+                else:
+                    tracks[i][block].extend(result)
+        if plant_error is not None:
             for i in live:
-                try:
-                    tracks[i][block].append(_error_track(steppers[i], *run, trial))
-                except CalibrationError as exc:
-                    errors[i] = exc
+                if errors[i] is None:
+                    errors[i] = plant_error
     return [
         _fit_model(*kind_tracks, m_bar, d_bar, settings) if err is None else err
         for err, kind_tracks in zip(errors, tracks)
@@ -270,7 +293,7 @@ def estimate_iss_gains(
     :class:`CalibrationError` when a trial diverges — the observer is
     then not usable on the sampled operating region.
     """
-    (result,) = _collect(plant, [obs.track], x0_spec, m_bar, d_bar, settings)
+    (result,) = _collect(plant, 1, _observer_tracks([obs]), x0_spec, m_bar, d_bar, settings)
     return _fitted(result)
 
 
@@ -293,11 +316,21 @@ def calibrate_estimator(
     """
     subsets = bank_idx.all_subsets
 
-    def stepper(y, u, x0_est):
-        return run_estimator(bank_idx, subsets, bank.run(y, u, x0_est)).x_hat
+    def track_kind(live, x, y, u, x0_est):
+        tracks = []
+        for trial in range(len(x)):
+            try:
+                est = run_estimator(bank_idx, subsets, bank.run(y[trial], u[trial], x0_est[trial]))
+            except EstimatorStarvedError as exc:
+                return [CalibrationError(f"all deviation scores are infinite at step {exc.step} "
+                                         f"of calibration trial {trial}")]
+            if not np.all(np.isfinite(est.x_hat)):
+                return [CalibrationError(f"observer diverged in calibration trial {trial}")]
+            tracks.append(np.linalg.norm(est.x_hat - x[trial], axis=-1))
+        return [tracks]
 
     eff = settings if not truth_init else replace(settings, init_scale=0.0)
-    (result,) = _collect(plant, [stepper], x0_spec, m_bar, d_bar, eff, kind_offset=10_000)
+    (result,) = _collect(plant, 1, track_kind, x0_spec, m_bar, d_bar, eff, kind_offset=10_000)
     return _fitted(result)
 
 
@@ -316,8 +349,9 @@ def calibrate_bank(
     fitted models plus a list of per-subset failure messages in bank
     order (empty when all succeeded).
     """
-    steppers = [obs.track for _, obs in bank.items()]
-    results = _collect(plant, steppers, x0_spec, m_bar, d_bar, settings)
+    observers = list(bank.observers.values())
+    results = _collect(plant, len(observers), _observer_tracks(observers), x0_spec,
+                       m_bar, d_bar, settings)
     models: dict[SubsetIndex, ISSGainModel] = {}
     failures: list[str] = []
     for (subset, _), result in zip(bank.items(), results):

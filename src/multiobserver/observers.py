@@ -1,16 +1,26 @@
 """Observer families, their certificates, and the bank container.
 
 Every observer estimates the full plant state from one sensor subset.
-An observer holds only its parameters: its family's ``run_group`` maps
-the outputs y(0..T), the inputs u and the shared initial guess to the
-estimate tracks x_hat(0..T) of a group of observers, and ``track`` is
-one observer's track.  All families share a one-step schedule: x_hat(k+1)
-may use both y_J(k) and y_J(k+1), which keeps estimates from different
-families aligned on the same time index.
+An observer holds only its parameters.  Each family has two group
+kernels, both classmethods over a list of its observers:
+
+* ``run_group`` maps the outputs y(0..T), the inputs u and the shared
+  initial guess of one run to the estimate tracks x_hat(0..T) of the
+  group; :meth:`ObserverBank.run` steps a bank through it;
+* ``run_trials`` does the same for a batch of runs, each with its own
+  initial guess; calibration steps its Monte-Carlo trials through it
+  (:func:`run_trials`), and ``track`` is one observer's run through it.
+
+The two agree bit for bit except in the circle family, whose
+``run_group`` folds each gain pair into one update while ``run_trials``
+keeps the unfolded arithmetic the calibrated fits are pinned to.  All
+families share a one-step schedule: x_hat(k+1) may use both y_J(k) and
+y_J(k+1), which keeps estimates from different families aligned on the
+same time index.
 
 Divergence is never fatal: the selection stage discounts a track with
-non-finite estimates.  Luenberger and reduced-order tracks, and circle
-``track``, keep their first non-finite estimate and are NaN after it.
+non-finite estimates.  Tracks keep their first non-finite estimate and
+are NaN after it, except the circle family's folded ``run_group``.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ __all__ = [
     "ReducedOrderObserver",
     "CircleCriterionObserver",
     "ObserverBank",
+    "run_trials",
     "build_reduced_observer",
     "certify_linear_gain",
     "check_slope_condition",
@@ -79,9 +90,11 @@ class ISSGainModel:
 class Observer(ABC):
     """Interface every observer family implements.
 
-    ``run_group`` is the only stepping path: it maps the outputs y
-    (T+1, p), the inputs u (T+1, n_u) and the shared initial guess
-    x0_est to the estimates of ``members``, shape (len(members), T+1, n).
+    ``run_group`` maps the outputs y (T+1, p), the inputs u (T+1, n_u)
+    and the shared initial guess x0_est to the estimates of ``members``,
+    shape (len(members), T+1, n).  ``run_trials`` maps a batch of B runs,
+    y (B, T+1, p), u (B, T+1, n_u) and x0_est (B, n), to estimates of
+    shape (len(members), B, T+1, n).
     """
 
     subset: SubsetIndex
@@ -100,9 +113,15 @@ class Observer(ABC):
     @abstractmethod
     def run_group(cls, members: list[Observer], y, u, x0_est) -> np.ndarray: ...
 
+    @classmethod
+    def run_trials(cls, members: list[Observer], y, u, x0_est) -> np.ndarray:
+        """Estimates of ``members`` on each run of a batch, one run at a time."""
+        return np.stack([cls.run_group(members, *run) for run in zip(y, u, x0_est)], axis=1)
+
     def track(self, y: np.ndarray, u: np.ndarray, x0_est: np.ndarray) -> np.ndarray:
-        """This observer's estimates over a run: array of shape (T+1, n)."""
-        return type(self).run_group([self], y, u, x0_est)[0]
+        """This observer's estimates over one run, as ``run_trials`` steps it: (T+1, n)."""
+        x0 = np.asarray(x0_est, dtype=float)
+        return type(self).run_trials([self], y[None], u[None], x0[None])[0, 0]
 
 
 def _sticky_nan(est: np.ndarray) -> np.ndarray:
@@ -229,37 +248,47 @@ class ReducedOrderObserver(Observer):
 
     @classmethod
     def run_group(cls, members, y, u, x0_est):
-        """Step observers sharing a structure and |J| as one (G, nz) partial state.
+        """Step observers sharing a structure and |J| as one stacked partial state.
 
-        States are kept as (G, ·, 1) columns, so every product is a stacked
-        ``np.matmul``, which rounds like each observer's own ``2-D @ 1-D``
-        product (``einsum`` does not).  Rows never interact, so each one
-        reproduces the observer stepped alone bit for bit.
-        The terms that depend only on the measurements, B_L y_J(k) and
-        M y_J(k+1), are computed for the whole run up front.
-        ``structure.g`` receives the (G, n) estimates.
+        This is also the family's ``run_trials``: ``y``, ``u`` and ``x0_est``
+        may carry a leading axis of B runs, and the state then has shape
+        (B, G, nz), else (G, nz).  States are kept as (..., ·, 1) columns,
+        so every product is a stacked ``np.matmul``, which rounds like each
+        observer's own ``2-D @ 1-D`` product (``einsum`` does not).  Rows
+        never interact, so each one reproduces the observer stepped alone on
+        its run bit for bit.  The terms that depend only on the
+        measurements, B_L y_J(k) and M y_J(k+1), are computed for the whole
+        run up front.  ``structure.g`` receives the ([B,] G, n) estimates and
+        the ([B,] 1, n_u) inputs.
         """
         st = members[0].structure
         A_L, B_L, L, K, C_J, N, M = (
             np.stack([getattr(obs, name) for obs in members])
             for name in ("A_L", "B_L", "L", "K", "C_J", "N", "M")
         )
-        y_J = y[:, np.stack([obs._idx for obs in members]), None]  # (T+1, G, |J|, 1)
-        T = y.shape[0] - 1
-        est = np.empty((len(members), T + 1, members[0].n))
+        # (T+1, [B,] G, |J|, 1); indexing lays it out as (G, |J|, [B,] T+1),
+        # as each observer's own y[:, idx], and BLAS picks its dot kernel by
+        # the stride of the sensor axis, so a copy to unit stride changes bits
+        y_J = y[..., np.stack([obs._idx for obs in members])].swapaxes(0, -3)[..., None]
+        u_k = u.swapaxes(0, -2)[..., None, :]  # (T+1, [B,] 1, n_u)
+        T = y.shape[-2] - 1
+        est = np.empty((len(members),) + y.shape[:-1] + (members[0].n,))
+        out = est.swapaxes(0, -3)  # ([B,] G, T+1, n) view
         with np.errstate(over="ignore", invalid="ignore"):
             By, My = B_L @ y_J, M @ y_J
-            z = L @ np.asarray(x0_est, dtype=float)[:, None]
+            z = L @ np.asarray(x0_est, dtype=float)[..., None, :, None]
             x = N @ z + My[0]
-            est[:, 0] = x[..., 0]
+            out[..., 0, :] = x[..., 0]
             for k in range(T):
-                g_val = st.g(x[..., 0], u[k])[..., None]
+                g_val = st.g(x[..., 0], u_k[k])[..., None]
                 z_pred = A_L @ z + By[k] + L @ g_val
                 x_pred = st.A @ x + g_val
                 z = z_pred + K @ (y_J[k + 1] - C_J @ x_pred)
                 x = N @ z + My[k + 1]
-                est[:, k + 1] = x[..., 0]
+                out[..., k + 1, :] = x[..., 0]
         return _sticky_nan(est)
+
+    run_trials = run_group
 
 
 _RECONSTRUCTION_TOL = 1e-8
@@ -325,37 +354,50 @@ class CircleCriterionObserver(Observer):
             )
         self.C_J = structure.C[self._idx]
 
-    def track(self, y, u, x0_est):
-        """This observer's estimates, stepped alone in the unfolded form above.
-
-        ``run_group``'s folded form agrees with it only up to rounding, and
-        the calibrated fits (through ``freeze``, the bundled configs'
-        ``iss``) are pinned to this form.  ROADMAP item 1 step 1, a
-        benchmark change, moves calibration to the folded form and
-        deletes this override.
-        """
-        st = self.structure
-        T = y.shape[0] - 1
-        est = np.empty((T + 1, self.n))
-        x = est[0] = np.asarray(x0_est, dtype=float)
-        y_J = y[:, self._idx]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(T):
-                innov = self.C_J @ x - y_J[k]
-                arg = st.H @ x + self.K @ innov
-                x = st.A @ x + st.G @ st.channels(arg) + self.L @ innov
-                est[k + 1] = x
-        return _sticky_nan(est)
-
     def group_key(self) -> tuple:
         return (type(self), id(self.structure))
+
+    @classmethod
+    def run_trials(cls, members, y, u, x0_est):
+        """Step observers sharing a structure on a batch of runs, in the unfolded form above.
+
+        Observers of one |J| advance as one (G_J, B, n) state kept as
+        (·, ·, n, 1) columns, so every product is a stacked ``np.matmul``
+        that rounds like each observer's own ``2-D @ 1-D`` product: each row
+        reproduces the observer stepped alone on its run bit for bit.  The
+        calibrated fits (through ``freeze``, the bundled configs' ``iss``) are
+        pinned to this form; ROADMAP item 1 step 1, a benchmark change,
+        moves calibration to the folded ``run_group``.
+        """
+        st = members[0].structure
+        est = np.empty((len(members), y.shape[0], y.shape[1], members[0].n))
+        by_card: dict[int, list[int]] = {}
+        for j, obs in enumerate(members):
+            by_card.setdefault(len(obs.subset), []).append(j)
+        x0 = np.asarray(x0_est, dtype=float)[..., None]  # (B, n, 1)
+        for rows in by_card.values():
+            group = [members[j] for j in rows]
+            C_J, K, L = (np.stack([getattr(obs, name) for obs in group])[:, None]
+                         for name in ("C_J", "K", "L"))
+            y_J = y[..., np.stack([obs._idx for obs in group])].transpose(1, 2, 0, 3)[..., None]
+            part = np.empty((len(group),) + est.shape[1:])
+            part[:, :, 0] = x0[..., 0]
+            x = x0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(y.shape[1] - 1):
+                    innov = C_J @ x - y_J[k]
+                    arg = st.H @ x + K @ innov
+                    x = st.A @ x + st.G @ st.channels(arg) + L @ innov
+                    part[:, :, k + 1] = x[..., 0]
+            est[rows] = part
+        return _sticky_nan(est)
 
     @classmethod
     def run_group(cls, members, y, u, x0_est):
         """Step observers sharing a structure together, each gain pair folded into one update.
 
-        This agrees with ``track`` up to rounding, not bit for bit: the two
-        differ by up to 1.3e-14 on the bundled example3 and example4 runs.
+        This agrees with ``run_trials`` up to rounding, not bit for bit: the
+        two differ by up to 1.3e-14 on the bundled example3 and example4 runs.
         """
         st = members[0].structure
         n, r, p = members[0].n, st.H.shape[0], st.C.shape[0]
@@ -477,12 +519,26 @@ class ObserverBank:
         state per |J|, the circle family folded, and the Luenberger family
         one observer at a time.
         """
-        members = list(self.observers.values())
-        groups: dict[tuple, list[int]] = {}
-        for j, obs in enumerate(members):
-            groups.setdefault(obs.group_key(), []).append(j)
-        est = np.empty((len(members), y.shape[0], self.n))
-        for rows in groups.values():
-            group = [members[j] for j in rows]
-            est[rows] = type(group[0]).run_group(group, y, u, x0_est)
-        return est
+        return _by_group(list(self.observers.values()), "run_group", y, u, x0_est)
+
+
+def run_trials(observers: list[Observer], y, u, x0_est) -> np.ndarray:
+    """Estimates of ``observers`` on a batch of B runs, each as ``track`` gives it.
+
+    y (B, T+1, p), u (B, T+1, n_u) and x0_est (B, n) map to estimates of
+    shape (len(observers), B, T+1, n).  Observers with equal ``group_key``
+    are stepped together by their family's ``run_trials``.
+    """
+    return _by_group(observers, "run_trials", y, u, x0_est)
+
+
+def _by_group(observers: list[Observer], kernel: str, y, u, x0_est) -> np.ndarray:
+    """Step each group of observers with equal ``group_key`` through its family's ``kernel``."""
+    groups: dict[tuple, list[int]] = {}
+    for j, obs in enumerate(observers):
+        groups.setdefault(obs.group_key(), []).append(j)
+    est = np.empty((len(observers),) + y.shape[:-1] + (observers[0].n,))
+    for rows in groups.values():
+        group = [observers[j] for j in rows]
+        est[rows] = getattr(type(group[0]), kernel)(group, y, u, x0_est)
+    return est

@@ -1,14 +1,17 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from _brute import circle_observer_track, reduced_observer_track
 from _toys import toy_bank
 
 from multiobserver import (
     CalibrationError,
     CalibrationSettings,
+    CircleCriterionObserver,
     ConfigurationError,
     InitSpec,
     LuenbergerObserver,
@@ -22,6 +25,7 @@ from multiobserver import (
     estimate_iss_gains,
     load_config,
 )
+from multiobserver import calibration
 from multiobserver.calibration import _fit_model
 
 GOLDEN = json.loads(
@@ -147,6 +151,18 @@ def test_diverging_plant_raises_calibration_error():
     assert "plant diverged" in str(err.value)
 
 
+@pytest.mark.parametrize("a, step", [(10.0, 13), (1e10, 2)])
+def test_plant_divergence_names_the_first_step_past_the_ceiling(a, step):
+    # |x(k)| = a**k first exceeds the 1e12 ceiling at ``step`` (10**12 itself
+    # does not); with a = 1e10 the run goes on to overflow, without a warning
+    plant = _scalar_plant(a=a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CalibrationError) as err:
+            estimate_iss_gains(_scalar_observer(plant, a=a), plant, 0.0, 0.0, X0, FAST)
+    assert str(err.value) == f"plant diverged at step {step} of calibration trial 0"
+
+
 def test_zero_initial_error_degenerates_gracefully():
     plant = _scalar_plant()
     obs = _scalar_observer(plant)
@@ -241,34 +257,57 @@ def _per_observer(bank, plant, m_bar, d_bar, x0, settings):
     return models, failures
 
 
-@pytest.mark.parametrize("name", ["example2", "example4"])
-def test_calibrate_bank_equals_the_per_observer_fits(scenario_dir, name):
+def _brute_trials(observers, y, u, x0_est):
+    """``run_trials`` by the reference steppers: each observer alone on each run."""
+    def track(obs, y, x0):
+        st, members = obs.structure, obs.subset.members
+        if isinstance(obs, CircleCriterionObserver):
+            return circle_observer_track(st.A, st.G, st.H, st.C, st.channels, obs.K, obs.L,
+                                         members, y, x0)
+        return reduced_observer_track(st.A, st.C, st.g, obs.L, obs.K, members, y, x0)
+
+    return np.array([[track(obs, *run) for run in zip(y, x0_est)] for obs in observers])
+
+
+@pytest.mark.parametrize("name", ["example2", "example3", "example4"])
+def test_calibrate_bank_equals_the_per_observer_fits(scenario_dir, name, monkeypatch):
     cfg = load_config(scenario_dir / f"{name}.json")
     settings = replace(cfg.calibration, trials=2)
     args = (cfg.plant, cfg.scenario.noise_bound, cfg.scenario.disturbance_bound,
             cfg.scenario.x0, settings)
     models, failures = calibrate_bank(build_bank(cfg)[0], *args)
+    # the reference steps each observer alone, trial by trial, by tests/_brute.py
+    monkeypatch.setattr(calibration, "run_trials", _brute_trials)
     want_models, want_failures = _per_observer(build_bank(cfg)[0], *args)
     assert failures == want_failures == []
     assert list(models.items()) == list(want_models.items())  # bit for bit, in bank order
 
 
-def _fail_from_trial(obs, trial):
-    """Make ``obs`` estimate NaN from its ``trial``-th track (0-based) on."""
-    calls, track = [], obs.track
+class _NaNFromTrial(LuenbergerObserver):
+    """A Luenberger observer whose tracks are NaN from its ``fail_from``-th run of a batch on."""
 
-    def counted_track(*args):
-        calls.append(None)
-        return track(*args) * (np.nan if len(calls) > trial else 1.0)
+    fail_from = 0
 
-    obs.track = counted_track
+    @classmethod
+    def run_trials(cls, members, y, u, x0_est):
+        est = super().run_trials(members, y, u, x0_est)
+        for j, obs in enumerate(members):
+            est[j, obs.fail_from:] = np.nan
+        return est
+
+
+def _fail_from_trial(bank, subset, trial):
+    """Make ``bank``'s observer of ``subset`` estimate NaN from its ``trial``-th run (0-based) on."""
+    obs = bank.observers[subset]
+    bank.observers[subset] = failing = _NaNFromTrial(subset, obs.f, obs.h, obs.K, obs.n)
+    failing.fail_from = trial
 
 
 def _failing_bank():
     plant, idx, bank = toy_bank()
     bank.observers[idx.s_subsets[1]].K = np.array([[1e8], [1e8]])  # diverges in trial 0
-    _fail_from_trial(bank.observers[idx.j_subsets[0]], 2)
-    _fail_from_trial(bank.observers[idx.s_subsets[2]], 1)
+    _fail_from_trial(bank, idx.j_subsets[0], 2)
+    _fail_from_trial(bank, idx.s_subsets[2], 1)
     return plant, idx, bank
 
 
@@ -285,6 +324,30 @@ def test_calibrate_bank_failures_match_the_per_observer_path():
     assert [f.rsplit(" ", 1)[1] for f in failures] == ["2", "0", "1"]
     assert list(models.items()) == list(want_models.items())
     assert len(models) == 3
+
+
+def test_observer_failing_before_the_plant_keeps_its_own_trial():
+    # x+ = x**2 diverges in the first trial that draws |x(0)| > 1 (trial 2 at
+    # seed 1); an observer already failed in trial 0 keeps that message, and
+    # the exact copy of the plant (no initial error) gets the plant's
+    def f(x, u, d, k):
+        return x * x
+
+    def h(x, u):
+        return x.copy()
+
+    plant = PlantModel(name="square", n=1, p=1, f=f, h=h)
+    x0 = InitSpec(kind="normal", mean=(0.0,), std=(1.0,))
+    settings = CalibrationSettings(trials=4, horizon=60, seed=1, init_scale=0.0)
+    exact = LuenbergerObserver(SubsetIndex("S", (1,)), f, h, np.array([[0.0]]), n=1)
+    failing = _NaNFromTrial(SubsetIndex("J", (1,)), f, h, np.array([[0.0]]), n=1)
+    bank = ObserverBank({exact.subset: exact, failing.subset: failing})
+    models, failures = calibrate_bank(bank, plant, 0.0, 0.0, x0, settings)
+    assert models == {}
+    assert failures == [
+        "S:1: plant diverged at step 9 of calibration trial 2",
+        "J:1: observer diverged in calibration trial 0",
+    ]
 
 
 def test_example1_calibration_failure_matches_the_pinned_message(scenario_dir, tmp_path):

@@ -20,6 +20,7 @@ from multiobserver import (
     check_slope_condition,
     simulate,
 )
+from multiobserver.observers import run_trials
 
 
 def test_luenberger_update_formula():
@@ -356,6 +357,68 @@ def test_luenberger_group_and_circle_track_match_brute_force():
             want = luenberger_observer_track(f, h, obs.K, sub.members, y, u, x0)
             assert np.array_equal(_bits(est[j]), _bits(want)), (trial, sub)
             diverged["luenberger"] += bool(np.isnan(want[-1]).any())
+    # the inf hits reach the sticky-NaN rule in both families
+    assert min(diverged.values()) >= 10, diverged
+
+
+def test_trial_batched_kernels_match_brute_force():
+    # random circle and reduced-order observers of several |J|, mixed in one
+    # call, stepped on a batch of runs with their own outputs, initial guesses
+    # and inf hits, against reference steppers run on each trial alone
+    from multiobserver.config import CHANNEL_REGISTRY, STATE_NONLINEARITY_REGISTRY
+
+    rng = np.random.default_rng(17)
+    diverged = {"circle": 0, "reduced": 0}
+    for case in range(30):
+        n = int(rng.integers(2, 6))
+        p = n + int(rng.integers(0, 3))
+        A = rng.normal(size=(n, n))
+        A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+        C = rng.normal(size=(p, n))
+        B, T = int(rng.integers(1, 5)), int(rng.integers(5, 30))
+        y = rng.normal(size=(B, T + 1, p))
+        for _ in range(int(rng.integers(0, 4))):
+            y[rng.integers(0, B), rng.integers(0, T + 1), rng.integers(0, p)] = (
+                rng.choice([np.inf, -np.inf]))
+        u = np.zeros((B, T + 1, 0))
+        x0 = rng.normal(size=(B, n))
+
+        r = case % 3 + 1
+        channels = list(CHANNEL_REGISTRY.values())[case // 3 % len(CHANNEL_REGISTRY)]
+        circle_st = CircleStructure(A=A, G=0.3 * rng.normal(size=(n, r)),
+                                    H=rng.normal(size=(r, n)), C=C, channels=channels)
+        kind = ("tanh_channel", "sin_channel", "poly_channel", "zero")[case % 4]
+        table, build = STATE_NONLINEARITY_REGISTRY[kind]
+        params = {"constant": list(rng.normal(size=n)), "index": int(rng.integers(1, n + 1)),
+                  "position": int(rng.integers(1, n + 1)), "gain": 0.5,
+                  "coeffs": [0.1, -0.2, 0.3]}
+        reduced_st = ReducedStructure(A=A, C=C, g=build(**{key: params[key] for key in table}))
+
+        observers = []
+        for j in range(int(rng.integers(2, 8))):
+            card = int(rng.integers(1, n + 1))
+            members = tuple(sorted(rng.choice(np.arange(1, p + 1), size=card, replace=False)))
+            sub = SubsetIndex("J" if j % 2 else "S", members)
+            observers.append(CircleCriterionObserver(
+                sub, circle_st, 0.3 * rng.normal(size=(r, card)), 0.3 * rng.normal(size=(n, card))))
+            observers.append(ReducedOrderObserver(
+                sub, reduced_st, rng.normal(size=(n - card, n)),
+                0.3 * rng.normal(size=(n - card, card))))
+        est = run_trials(observers, y, u, x0)
+        assert est.shape == (len(observers), B, T + 1, n)
+        for j, obs in enumerate(observers):
+            members = obs.subset.members
+            for b in range(B):
+                if isinstance(obs, CircleCriterionObserver):
+                    family = "circle"
+                    want = circle_observer_track(A, circle_st.G, circle_st.H, C, channels,
+                                                 obs.K, obs.L, members, y[b], x0[b])
+                else:
+                    family = "reduced"
+                    want = reduced_observer_track(A, C, reduced_st.g, obs.L, obs.K, members,
+                                                  y[b], x0[b])
+                assert np.array_equal(_bits(est[j, b]), _bits(want)), (case, j, b)
+                diverged[family] += bool(np.isnan(want[-1]).any())
     # the inf hits reach the sticky-NaN rule in both families
     assert min(diverged.values()) >= 10, diverged
 
