@@ -26,12 +26,10 @@ from .model import (
     ReducedStructure,
     SignalSpec,
     Trajectory,
-    measure,
     sample_block,
     sample_signal,
     signal_stream,
     simulate,
-    step_plant,
 )
 from .observers import (
     CircleCriterionObserver,

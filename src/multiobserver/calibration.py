@@ -30,7 +30,15 @@ import numpy as np
 from .combinatorics import BankIndex, SubsetIndex
 from .errors import CalibrationError, ConfigurationError, EstimatorStarvedError
 from .estimator import run_estimator
-from .model import MAX_HORIZON, InitSpec, PlantModel, signal_stream
+from .model import (
+    MAX_HORIZON,
+    InitSpec,
+    PlantModel,
+    first_divergence,
+    output_track,
+    plant_track,
+    signal_stream,
+)
 from .observers import ISSGainModel, Observer, ObserverBank, run_trials
 
 __all__ = [
@@ -42,7 +50,6 @@ __all__ = [
 
 TAIL_STATS = ("max", "rms", "median")
 _TAIL_FRACTION = 0.25
-_CEILING = 1e12
 
 
 @dataclass(frozen=True)
@@ -100,30 +107,24 @@ def _plant_run(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One attack-free plant run: the (x, y, u) tracks and the initial estimate.
 
-    Raises :class:`CalibrationError` naming the first step at which the
-    plant state is non-finite or leaves the ceiling.
+    Draws x(0), the initial estimate, the disturbances and the output
+    noise, in that order.  Raises :class:`CalibrationError` naming the
+    first step after 0 at which the plant state is non-finite or leaves
+    the ceiling.
     """
-    T = horizon
-    u = np.zeros((T + 1, plant.n_u))
-    x = np.zeros((T + 1, plant.n))
-    x[0] = x0_spec.sample(rng)
-    x0_est = x[0] + init_scale * rng.standard_normal(plant.n)
-    d = np.zeros(plant.n_d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(T):
-            if dist_amp > 0:
-                d = dist_amp * rng.uniform(-1.0, 1.0, plant.n_d)
-            x[k + 1] = plant.f(x[k], u[k], d, k)
-        # a state past the ceiling has an entry past ceiling / sqrt(n); the
-        # halved bound leaves room for rounding, and each suspect is checked exactly
-        suspect = ~np.isfinite(x[1:]).all(axis=1) | (
-            np.abs(x[1:]).max(axis=1) > 0.5 * _CEILING / np.sqrt(plant.n))
-        for k in np.flatnonzero(suspect):
-            if not np.all(np.isfinite(x[k + 1])) or np.linalg.norm(x[k + 1]) > _CEILING:
-                raise CalibrationError(
-                    f"plant diverged at step {k + 1} of calibration trial {trial}"
-                )
-    y = np.stack([np.asarray(plant.h(x[k], u[k]), dtype=float) for k in range(T + 1)])
+    u = np.zeros((horizon + 1, plant.n_u))
+    x0 = x0_spec.sample(rng)
+    x0_est = x0 + init_scale * rng.standard_normal(plant.n)
+    d = np.zeros((horizon, plant.n_d))
+    if dist_amp > 0:
+        d = dist_amp * rng.uniform(-1.0, 1.0, d.shape)
+    x = plant_track(plant, x0, u, d)
+    diverged = first_divergence(x[1:])
+    if diverged is not None:
+        raise CalibrationError(
+            f"plant diverged at step {diverged[0] + 1} of calibration trial {trial}"
+        )
+    y = output_track(plant, x, u)
     if noise_amp > 0:
         y = y + noise_amp * rng.uniform(-1.0, 1.0, y.shape)
     return x, y, u, x0_est

@@ -28,6 +28,7 @@ from .combinatorics import BankIndex, SubsetIndex, bank_index, parse_label
 from .calibration import TAIL_STATS, CalibrationSettings
 from .errors import ConfigurationError
 from .model import (
+    DIVERGENCE_CEILING,
     AttackScenario,
     CircleStructure,
     InitSpec,
@@ -83,7 +84,7 @@ class _Key:
     a ``needed`` key that reads as None ends the read of its section.
     """
 
-    __slots__ = ("read", "default", "needed", "check", "bounds", "context", "plain")
+    __slots__ = ("read", "default", "needed", "check", "bounds", "context")
 
     def __init__(self, read: Callable, default=None, /, needed=False, check=None, **bounds):
         if type(default) in (int, float) and default:  # the readers' own fallback is zero
@@ -91,8 +92,6 @@ class _Key:
         self.read, self.default, self.needed, self.check = read, default, needed, check
         self.bounds = {k: b for k, b in bounds.items() if not callable(b)}
         self.context = tuple((k, b) for k, b in bounds.items() if callable(b))
-        dynamic = self.context or callable(default) or default is _UNSET
-        self.plain = not (needed or check or dynamic)
 
 
 def _nullable(read: Callable) -> Callable:
@@ -145,13 +144,6 @@ class _Collector:
         prefix = f"{path}." if path else ""
         out = {}
         for key, spec in table.items():
-            if spec.plain:  # the fast path: no context, and most keys have no bounds
-                val = obj.get(key, spec.default)
-                if spec.bounds:
-                    out[key] = ctx[key] = spec.read(self, prefix + key, val, **spec.bounds)
-                else:
-                    out[key] = ctx[key] = spec.read(self, prefix + key, val)
-                continue
             val = obj[key] if key in obj else spec.default
             val = val(ctx) if callable(val) else val
             if val is _UNSET:
@@ -823,7 +815,7 @@ _TOP = {
         seed=lambda c: c["scenario"]["scenario"].seed + 1,
     ),
     "divergence_ceiling": _Key(
-        _Collector.number, 1e12, check=(lambda v: v > 0, "must be positive")
+        _Collector.number, DIVERGENCE_CEILING, check=(lambda v: v > 0, "must be positive")
     ),
     "output": _Key(_section(_OUTPUT)),
 }

@@ -8,6 +8,7 @@ with fitted convergence models, leaving the original file untouched.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import logging
@@ -30,6 +31,7 @@ from .isolation import (
     compute_thresholds,
     steps_to_csv,
     windowed_isolation,
+    windows_to_csv,
 )
 from .model import Trajectory, simulate
 
@@ -107,28 +109,22 @@ def run_scenario(
         exc.config_sha256 = cfg.sha256
         raise
 
-    buf = io.StringIO()
-    trajectory.write_csv(buf)
-    trajectory_csv = out_dir / "trajectory.csv"
-    _atomic_write_text(trajectory_csv, buf.getvalue())
-
-    buf = io.StringIO()
-    frames_to_csv(run, buf)
-    frames_csv = out_dir / "frames.csv"
-    _atomic_write_text(frames_csv, buf.getvalue())
-
-    windows_csv = steps_csv = None
+    # (file, writer, what it writes), in the order the files are written
+    artifacts = [
+        ("trajectory.csv", Trajectory.write_csv, trajectory),
+        ("frames.csv", frames_to_csv, run),
+    ]
     if isolation is not None:
-        from .isolation import windows_to_csv
-
+        artifacts += [
+            ("isolation_windows.csv", windows_to_csv, isolation),
+            ("isolation_steps.csv", steps_to_csv, isolation),
+        ]
+    paths = {}
+    for name, write, result in artifacts:
         buf = io.StringIO()
-        windows_to_csv(isolation, buf)
-        windows_csv = out_dir / "isolation_windows.csv"
-        _atomic_write_text(windows_csv, buf.getvalue())
-        buf = io.StringIO()
-        steps_to_csv(isolation, buf)
-        steps_csv = out_dir / "isolation_steps.csv"
-        _atomic_write_text(steps_csv, buf.getvalue())
+        write(result, buf)
+        paths[name] = out_dir / name
+        _atomic_write_text(paths[name], buf.getvalue())
 
     wall = time.perf_counter() - started
     metadata = {
@@ -145,10 +141,10 @@ def run_scenario(
         },
         "wall_time_s": wall,
         "files": {
-            "trajectory": trajectory_csv.name,
-            "frames": frames_csv.name,
-            "isolation_windows": None if windows_csv is None else windows_csv.name,
-            "isolation_steps": None if steps_csv is None else steps_csv.name,
+            "trajectory": "trajectory.csv",
+            "frames": "frames.csv",
+            "isolation_windows": None if isolation is None else "isolation_windows.csv",
+            "isolation_steps": None if isolation is None else "isolation_steps.csv",
         },
     }
     if thresholds is not None:
@@ -164,11 +160,11 @@ def run_scenario(
 
     return RunArtifacts(
         out_dir=out_dir,
-        trajectory_csv=trajectory_csv,
-        frames_csv=frames_csv,
+        trajectory_csv=paths["trajectory.csv"],
+        frames_csv=paths["frames.csv"],
         metadata_json=metadata_json,
-        isolation_windows_csv=windows_csv,
-        isolation_steps_csv=steps_csv,
+        isolation_windows_csv=paths.get("isolation_windows.csv"),
+        isolation_steps_csv=paths.get("isolation_steps.csv"),
         trajectory=trajectory,
         run=run,
         thresholds=thresholds,
@@ -231,11 +227,9 @@ def calibrate(
 
 
 def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    import csv as _csv
-
     try:
         with path.open(newline="") as fh:
-            rows = list(_csv.reader(fh))
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise PlumbingError(f"cannot read {path}: {exc}") from None
     if not rows:

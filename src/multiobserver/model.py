@@ -11,8 +11,10 @@ draws of another.
 from __future__ import annotations
 
 import csv
+import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +31,9 @@ __all__ = [
     "sample_signal",
     "sample_block",
     "signal_stream",
-    "step_plant",
-    "measure",
+    "plant_track",
+    "output_track",
+    "first_divergence",
     "simulate",
 ]
 
@@ -42,6 +45,11 @@ _STREAM_KINDS = {"init": 0, "attack": 1, "noise": 2, "disturbance": 3, "calibrat
 # ``simulate`` allocates (T+1, n) arrays and the observer bank
 # (n_obs, T+1, n), so an unchecked horizon becomes an unbounded allocation.
 MAX_HORIZON = 10**6
+
+# Plant-state norm past which a run counts as diverged, unless a config sets
+# its own ``divergence_ceiling`` (calibration always uses this one).
+DIVERGENCE_CEILING = 1e12
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)  # a larger entry overflows the norm
 
 
 def signal_stream(seed: int, kind: str, index: int = 0) -> np.random.Generator:
@@ -231,39 +239,54 @@ class PlantModel:
     structure: CircleStructure | ReducedStructure | None = None
 
 
-def step_plant(
-    model: PlantModel, x: np.ndarray, u: np.ndarray, d: np.ndarray, k: int
-) -> np.ndarray:
-    """One step of the state recursion.  Pure: no stored state anywhere."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
-        raise ConfigurationError(f"state has shape {x.shape}, expected ({model.n},)")
-    x_next = np.asarray(model.f(x, u, d, k), dtype=float)
-    if x_next.shape != (model.n,):
-        raise ConfigurationError(
-            f"dynamics returned shape {x_next.shape}, expected ({model.n},)"
-        )
-    return x_next
+def plant_track(model: PlantModel, x0: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The plant run x(0) .. x(T) of x(k+1) = f(x(k), u(k), d(k), k), as (T+1, n).
+
+    ``u`` holds the T+1 inputs and ``d`` at least T disturbances.  ``f``
+    is never called on a non-finite state, nor on one whose entries sum
+    past the float range (its norm overflows, which
+    :func:`first_divergence` always reports); the rest of that run is NaN.
+    """
+    n = model.n
+    x = np.full((len(u), n), np.nan)
+    x[0] = x_k = np.asarray(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(u) - 1):
+            if not math.isfinite(sum(x_k.tolist())):  # the cheapest finite check per step
+                break
+            x_k = np.asarray(model.f(x_k, u[k], d[k], k), dtype=float)
+            if x_k.shape != (n,):
+                raise ConfigurationError(f"dynamics returned shape {x_k.shape}, expected ({n},)")
+            x[k + 1] = x_k
+    return x
 
 
-def measure(
-    model: PlantModel,
-    x: np.ndarray,
-    u: np.ndarray,
-    m: np.ndarray,
-    a: np.ndarray,
-) -> np.ndarray:
-    """Sensor reading y = h(x, u) + m + a."""
-    m = np.asarray(m, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if m.shape != (model.p,) or a.shape != (model.p,):
-        raise ConfigurationError(
-            f"noise/attack have shapes {m.shape}/{a.shape}, expected ({model.p},)"
-        )
-    y = np.asarray(model.h(x, u), dtype=float)
-    if y.shape != (model.p,):
-        raise ConfigurationError(f"output map returned shape {y.shape}, expected ({model.p},)")
-    return y + m + a
+def output_track(model: PlantModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The noise-free outputs h(x(k), u(k)) of a plant run ``x``, as (T+1, p)."""
+    y = [np.asarray(model.h(x_k, u_k), dtype=float) for x_k, u_k in zip(x, u)]
+    for y_k in y:
+        if y_k.shape != (model.p,):
+            raise ConfigurationError(
+                f"output map returned shape {y_k.shape}, expected ({model.p},)"
+            )
+    return np.array(y)
+
+
+def first_divergence(
+    x: np.ndarray, ceiling: float = DIVERGENCE_CEILING
+) -> tuple[int, float] | None:
+    """The first step k of the run ``x`` whose norm |x(k)| is not finite or
+    passes ``ceiling``, with that norm; None when there is none."""
+    # such a norm needs an entry past min(ceiling, sqrt(max float)) / sqrt(n);
+    # the halved bound leaves room for rounding, and each suspect is checked exactly
+    bound = 0.5 * min(ceiling, _SQRT_FLOAT_MAX) / math.sqrt(x.shape[1])
+    suspect = ~(np.abs(x).max(axis=1) <= bound)  # a NaN entry makes its step suspect
+    with np.errstate(over="ignore"):  # an overflowing norm reads as inf
+        for k in np.flatnonzero(suspect):
+            norm = float(np.linalg.norm(x[k]))
+            if not math.isfinite(norm) or norm > ceiling:
+                return int(k), norm
+    return None
 
 
 @dataclass(frozen=True)
@@ -396,8 +419,7 @@ def _scenario_streams(scenario: AttackScenario, n_d: int):
 def simulate(
     model: PlantModel,
     scenario: AttackScenario,
-    u_seq: np.ndarray | Sequence | None = None,
-    ceiling: float = 1e12,
+    ceiling: float = DIVERGENCE_CEILING,
 ) -> Trajectory:
     """Run the plant over the scenario horizon and record everything.
 
@@ -409,30 +431,20 @@ def simulate(
     if problems:
         raise ConfigurationError(problems)
     T = scenario.horizon
-    if u_seq is None:
-        u = np.zeros((T + 1, model.n_u))
-    else:
-        u = np.asarray(u_seq, dtype=float).reshape(T + 1, model.n_u)
     streams = _scenario_streams(scenario, model.n_d)
-
-    x = np.zeros((T + 1, model.n))
-    y = np.zeros((T + 1, model.p))
+    u = np.zeros((T + 1, model.n_u))
     d = np.zeros((T + 1, model.n_d))
     m = np.zeros((T + 1, model.p))
     a = np.zeros((T + 1, model.p))
-
-    x[0] = scenario.x0.sample(streams["init"])
     # Every signal owns its stream, so drawing past a divergence changes nothing.
     for i in range(model.p):
         m[:, i] = sample_block(scenario.noise_gens[i], T + 1, streams["noise"][i])
         a[:, i] = sample_block(scenario.attack_gen(i + 1), T + 1, streams["attack"][i])
     for j in range(model.n_d):
         d[:, j] = sample_block(scenario.disturbance_gens[j], T + 1, streams["disturbance"][j])
-    for k in range(T + 1):
-        norm = float(np.linalg.norm(x[k]))
-        if not np.isfinite(norm) or norm > ceiling:
-            raise SimulationDivergedError(k, norm)
-        y[k] = measure(model, x[k], u[k], m[k], a[k])
-        if k < T:
-            x[k + 1] = step_plant(model, x[k], u[k], d[k], k)
+    x = plant_track(model, scenario.x0.sample(streams["init"]), u, d)
+    diverged = first_divergence(x, ceiling)
+    if diverged is not None:
+        raise SimulationDivergedError(*diverged)
+    y = output_track(model, x, u) + m + a
     return Trajectory(x=x, y=y, u=u, d=d, m=m, a=a)

@@ -162,3 +162,29 @@ def circle_observer_track(A, G, H, C, channels, K, L, members, y, x0):
             x = A @ x + G @ channels(H @ x + K @ e) + L @ e
             track[k + 1] = x
     return track
+
+
+def calibration_plant_run(f, h, mean, std, noise_amp, dist_amp, horizon, rng, init_scale,
+                          n_d, p):
+    """One calibration plant run, every signal drawn step by step.
+
+    The draws come in this order: x(0) from the normal init (mean, std),
+    the initial estimate x(0) + init_scale N(0, I), one disturbance of
+    ``n_d`` uniform draws per step, then ``p`` uniform output-noise draws
+    per step.  Returns (x, y, u, x0_est), as ``calibration._plant_run`` does.
+    """
+    n = len(mean)
+    u = np.zeros((horizon + 1, 0))
+    x0 = np.array(mean, dtype=float) + np.array(std, dtype=float) * rng.standard_normal(n)
+    x0_est = x0 + init_scale * rng.standard_normal(n)
+    x = [x0]
+    for k in range(horizon):
+        d = dist_amp * rng.uniform(-1.0, 1.0, n_d) if dist_amp > 0 else np.zeros(n_d)
+        x.append(np.asarray(f(x[k], u[k], d, k), dtype=float))
+    y = []
+    for k in range(horizon + 1):
+        y_k = np.asarray(h(x[k], u[k]), dtype=float)
+        if noise_amp > 0:
+            y_k = y_k + noise_amp * rng.uniform(-1.0, 1.0, p)
+        y.append(y_k)
+    return np.array(x), np.array(y), u, x0_est

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _brute import circle_observer_track, reduced_observer_track
+from _brute import calibration_plant_run, circle_observer_track, reduced_observer_track
 from _toys import toy_bank
 
 from multiobserver import (
@@ -24,6 +24,7 @@ from multiobserver import (
     calibrate_estimator,
     estimate_iss_gains,
     load_config,
+    signal_stream,
 )
 from multiobserver import calibration
 from multiobserver.calibration import _fit_model
@@ -244,6 +245,46 @@ def test_calibrate_bank_simulates_each_trial_once():
         models, failures = calibrate_bank(ObserverBank(observers), counted, 0.1, 0.1, x0, settings)
         assert failures == [] and len(models) == len(observers)
         assert calls == {"f": 3 * kinds * 20, "h": 3 * kinds * 21}
+
+
+def test_calibration_draws_match_the_per_step_reference(monkeypatch):
+    # a disturbed plant: x(0), the initial estimate, one disturbance per step,
+    # then the output noise, each trial kind from its own stream
+    A = np.array([[0.5, 0.1], [0.0, 0.6]])
+    C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    D = np.array([[1.0], [0.5]])
+    plant = PlantModel(name="disturbed", n=2, p=3, n_d=1,
+                       f=lambda x, u, d, k: A @ x + D @ d, h=lambda x, u: C @ x)
+    mean, std = (0.5, -0.5), (1.0, 2.0)
+    x0 = InitSpec(kind="normal", mean=mean, std=std)
+    settings = CalibrationSettings(trials=2, horizon=30, seed=5, init_scale=0.8)
+
+    def reference(noise_amp, dist_amp, stream):
+        return calibration_plant_run(plant.f, plant.h, mean, std, noise_amp, dist_amp, 30,
+                                     signal_stream(5, "calibration", stream), 0.8, n_d=1, p=3)
+
+    # both signals in one run, so the order of their draws shows
+    got = calibration._plant_run(plant, x0, 0.2, 0.3, 30, calibration._trial_rng(5, 7), 0.8, 7)
+    for g, w in zip(got, reference(0.2, 0.3, 7)):
+        assert np.array_equal(g, w)
+
+    seen, run_trials = [], calibration.run_trials
+
+    def recording(observers, y, u, x0_est):
+        seen.append((y, x0_est))
+        return run_trials(observers, y, u, x0_est)
+
+    monkeypatch.setattr(calibration, "run_trials", recording)
+    obs = LuenbergerObserver(SubsetIndex("S", (1, 2, 3)), plant.f, plant.h,
+                             0.1 * C.T, n=2, n_d=1)
+    estimate_iss_gains(obs, plant, 0.2, 0.3, x0, settings)
+    kinds = [(0.0, 0.0), (0.2, 0.0), (0.0, 0.3)]  # noise-free, noisy, disturbed
+    assert len(seen) == len(kinds)
+    for block, ((y, x0_est), (noise_amp, dist_amp)) in enumerate(zip(seen, kinds)):
+        for trial in range(2):
+            _, want_y, _, want_x0_est = reference(noise_amp, dist_amp, 2 * block + trial)
+            assert np.array_equal(y[trial], want_y)
+            assert np.array_equal(x0_est[trial], want_x0_est)
 
 
 def _per_observer(bank, plant, m_bar, d_bar, x0, settings):

@@ -13,12 +13,10 @@ from multiobserver import (
     SignalSpec,
     SimulationDivergedError,
     load_config,
-    measure,
     sample_block,
     sample_signal,
     signal_stream,
     simulate,
-    step_plant,
 )
 
 
@@ -124,19 +122,20 @@ def test_simulation_is_deterministic_in_the_seed():
     assert not np.array_equal(t1.x, t3.x)
 
 
-def test_measurement_composition():
+def test_simulate_checks_map_shapes_at_every_step():
     plant = toy_plant()
-    x = np.array([1.0, 2.0])
-    m = np.array([0.1, 0.0, -0.1])
-    a = np.array([0.0, 5.0, 0.0])
-    y = measure(plant, x, np.zeros(0), m, a)
-    assert np.allclose(y, np.array([1.1, 7.0, 2.9]))
 
+    def f(x, u, d, k):
+        return plant.f(x, u, d, k) if k < 3 else np.zeros(3)
 
-def test_step_plant_checks_shapes():
-    plant = toy_plant()
-    with pytest.raises(ConfigurationError):
-        step_plant(plant, np.zeros(3), np.zeros(0), np.zeros(0), 0)
+    def h(x, u):  # right at x(0) only
+        return plant.h(x, u) if list(x) == [1.0, 0.0] else np.zeros(2)
+
+    scen = toy_scenario(horizon=10, x0=InitSpec(kind="fixed", value=(1.0, 0.0)))
+    with pytest.raises(ConfigurationError, match=r"dynamics returned shape \(3,\), expected \(2,\)"):
+        simulate(replace(plant, f=f), scen)
+    with pytest.raises(ConfigurationError, match=r"output map returned shape \(2,\), expected \(3,\)"):
+        simulate(replace(plant, h=h), scen)
 
 
 def test_divergence_raises_with_step():
@@ -148,6 +147,28 @@ def test_divergence_raises_with_step():
     with pytest.raises(SimulationDivergedError) as err:
         simulate(hot, toy_scenario(horizon=100), ceiling=1e6)
     assert 0 < err.value.step <= 100
+
+
+@pytest.mark.parametrize(
+    "bad_at, ceiling, step, norm", [(2, 1e12, 3, np.nan), (0, 1e12, 1, np.inf), (0, 1e300, 1, np.inf)]
+)
+def test_dynamics_never_see_a_non_finite_state(bad_at, ceiling, step, norm):
+    # at step ``bad_at`` f returns NaN (then x(3) is NaN) or 1e200 x (then
+    # |x(1)| overflows, past any ceiling); a map that rejects non-finite
+    # input is never given one
+    plant = toy_plant()
+
+    def f(x, u, d, k):
+        if not np.isfinite(x).all():
+            raise AssertionError(f"f called on {x} at step {k}")
+        if k == bad_at:
+            return np.full(2, np.nan) if np.isnan(norm) else 1e200 * x
+        return plant.f(x, u, d, k)
+
+    with pytest.raises(SimulationDivergedError) as err:
+        simulate(replace(plant, f=f), toy_scenario(horizon=10), ceiling=ceiling)
+    assert err.value.step == step
+    assert np.array_equal(err.value.value, norm, equal_nan=True)
 
 
 def test_trajectory_shapes_and_csv():
