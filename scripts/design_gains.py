@@ -1,7 +1,11 @@
 """Design, tune, and freeze the observer gains of the bundled scenarios.
 
 This is a development tool, not part of the installed package.  It
-derives every gain matrix in ``src/multiobserver/scenarios/*.json``:
+derives every gain matrix in ``src/multiobserver/scenarios/*.json``.
+Each example is defined once, as a config document (``exampleN_doc``)
+plus a gain designer that returns the document's ``observers.bundle``
+entries; every command below parses the two with the package's own
+``parse_config`` and builds the bank with ``build_bank``:
 
 * ``probe-ex1`` .. ``probe-ex4``: sweep candidate pole placements and
   report how the acceptance-style metrics respond, so the shipped
@@ -21,24 +25,15 @@ import argparse
 import itertools
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from multiobserver import (
-    AttackScenario,
-    CalibrationSettings,
-    CircleCriterionObserver,
-    CircleStructure,
-    InitSpec,
-    LuenbergerObserver,
-    ObserverBank,
-    PlantModel,
-    ReducedOrderObserver,
-    ReducedStructure,
-    SignalSpec,
     SubsetIndex,
     bank_index,
+    build_bank,
     calibrate_bank,
     calibrate_estimator,
     compute_thresholds,
@@ -46,7 +41,7 @@ from multiobserver import (
     simulate,
     windowed_isolation,
 )
-from multiobserver.config import _example1_plant
+from multiobserver.config import _example1_plant, parse_config
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "multiobserver" / "scenarios"
 
@@ -72,6 +67,17 @@ def place_exact(A: np.ndarray, C_sub: np.ndarray, target: np.ndarray) -> np.ndar
     return (target - A) @ np.linalg.pinv(C_sub)
 
 
+def _mat(M) -> list[list[float]]:
+    return [[float(v) for v in row] for row in np.asarray(M, dtype=float)]
+
+
+def _example(doc: dict):
+    """The parsed config of ``doc`` and its bank, built without enforcing the certificates."""
+    cfg = parse_config(doc)
+    bank, _ = build_bank(cfg, enforce=False)
+    return cfg, bank
+
+
 # ---------------------------------------------------------------- example 4
 
 A_CIRCLE = np.array([[1.0, 0.1], [0.0, 1.0]])
@@ -81,27 +87,56 @@ C_EX3 = np.array([[3.0, 0.3], [3.0, 0.6], [6.0, 0.9], [1.2, 12.0], [1.5, 15.0]])
 C_EX4 = C_EX3[:4]
 
 
-def circle_plant(C: np.ndarray, name: str) -> PlantModel:
-    struct = CircleStructure(A=A_CIRCLE, G=G_CIRCLE, H=H_CIRCLE, C=C,
-                             channels=np.sin)
+def circle_doc(name: str, C: np.ndarray, scenario: dict, init: str, bundle: dict,
+               calibration: dict) -> dict:
+    """A document for the sin-channel circle plant read through the sensor rows ``C``."""
+    return {
+        "name": name,
+        "plant": {
+            "family": "circle",
+            "A": _mat(A_CIRCLE),
+            "G": _mat(G_CIRCLE),
+            "H": _mat(H_CIRCLE),
+            "C": _mat(C),
+            "nonlinearity": {"name": "sin"},
+            "slope_box": [-1.5, 1.5],
+        },
+        "scenario": scenario,
+        "estimator": {"init": {"kind": init}},
+        "observers": {"bundle": bundle},
+        "calibration": calibration,
+    }
 
-    def f(x, u, d, k):
-        return A_CIRCLE @ x + G_CIRCLE @ np.sin(H_CIRCLE @ x)
 
-    def h(x, u):
-        return C @ x
+def example4_doc(bundle: dict) -> dict:
+    return circle_doc(
+        "example4",
+        C_EX4,
+        {
+            "q": 1,
+            "horizon": 999,
+            "seed": 0,
+            "attacked": [3],
+            "attacks": {"3": {"kind": "uniform", "low": -2.0, "high": 2.0}},
+            "noise": {"kind": "uniform", "low": -0.5, "high": 0.5},
+            "noise_bound": 0.5,
+            "x0": {"kind": "normal", "mean": [0.0, 0.0], "std": [1.0, 1.0]},
+        },
+        "truth",
+        bundle,
+        {"trials": 30, "horizon": 250, "seed": 1, "safety": 1.0, "tail_stat": "median"},
+    )
 
-    return PlantModel(name=name, n=2, p=C.shape[0], f=f, h=h, structure=struct)
+
+def _circle_entry(L: np.ndarray) -> dict:
+    """A circle bundle entry: output gain L, no innovation into the nonlinearity."""
+    return {"K": _mat(np.zeros((1, L.shape[1]))), "L": _mat(L)}
 
 
-def circle_bank(C: np.ndarray, p: int, q: int, targets: dict[str, np.ndarray]):
-    """Bank of circle-criterion observers; targets keyed by class role."""
-    idx = bank_index(p, q)
-    struct = CircleStructure(A=A_CIRCLE, G=G_CIRCLE, H=H_CIRCLE, C=C,
-                             channels=np.sin)
-    gains = {}
-    observers = {}
-    for subset in idx.all_subsets:
+def circle_bundle(C: np.ndarray, p: int, q: int, targets: dict[str, np.ndarray]) -> dict:
+    """Bundle of circle-criterion observers; targets keyed by class role."""
+    bundle = {}
+    for subset in bank_index(p, q).all_subsets:
         members = np.asarray(subset.members, dtype=int) - 1
         C_sub = C[members]
         target = targets[subset.role]
@@ -110,10 +145,8 @@ def circle_bank(C: np.ndarray, p: int, q: int, targets: dict[str, np.ndarray]):
         else:
             poles = np.linalg.eigvals(target)
             L = -acker_observer_gain(A_CIRCLE, C_sub[0], poles.real)
-        K = np.zeros((1, len(subset)))
-        observers[subset] = CircleCriterionObserver(subset, struct, K, L)
-        gains[subset] = (K, L)
-    return idx, ObserverBank(observers), gains
+        bundle[subset.label] = _circle_entry(L)
+    return bundle
 
 
 def anchored_gain(C: np.ndarray, subset: SubsetIndex, design) -> np.ndarray:
@@ -140,18 +173,11 @@ def anchored_gain(C: np.ndarray, subset: SubsetIndex, design) -> np.ndarray:
     return L
 
 
-def ex4_anchored_bank(designs: dict[tuple[int, ...], tuple]):
-    idx = bank_index(4, 1)
-    struct = CircleStructure(A=A_CIRCLE, G=G_CIRCLE, H=H_CIRCLE, C=C_EX4,
-                             channels=np.sin)
-    observers = {}
-    gains = {}
-    for subset in idx.all_subsets:
-        L = anchored_gain(C_EX4, subset, designs[subset.members])
-        K = np.zeros((1, len(subset)))
-        observers[subset] = CircleCriterionObserver(subset, struct, K, L)
-        gains[subset] = (K, L)
-    return idx, ObserverBank(observers), gains
+def ex4_anchored_bundle(designs: dict[tuple[int, ...], tuple]) -> dict:
+    return {
+        subset.label: _circle_entry(anchored_gain(C_EX4, subset, designs[subset.members]))
+        for subset in bank_index(4, 1).all_subsets
+    }
 
 
 # Attacked-sensor-3 voting needs every J containing 3 to see several
@@ -172,49 +198,38 @@ EX4_DESIGNS = {
 }
 
 
-def ex4_scenario(seed: int, attacked: bool) -> AttackScenario:
-    gen = {3: SignalSpec("uniform", low=-2.0, high=2.0)} if attacked else {}
-    return AttackScenario(
-        p=4, q=1,
-        attacked=frozenset({3}) if attacked else frozenset(),
-        attack_gens=gen,
-        noise_gens=tuple(SignalSpec("uniform", low=-0.5, high=0.5) for _ in range(4)),
-        noise_bound=0.5,
-        horizon=999,
-        seed=seed,
-        x0=InitSpec("normal", mean=(0.0, 0.0), std=(1.0, 1.0)),
-    )
-
-
 def probe_ex4(args):
-    plant = circle_plant(C_EX4, "ex4")
-    x0_spec = InitSpec("normal", mean=(0.0, 0.0), std=(1.0, 1.0))
     deltas_j = [float(v) for v in args.deltas_j.split(",")]
     deltas_s = [float(v) for v in args.deltas_s.split(",")]
     for style, dj, ds in itertools.product(args.styles.split(","), deltas_j, deltas_s):
         if style == "anchored":
-            idx, bank, _ = ex4_anchored_bank(EX4_DESIGNS)
+            bundle = ex4_anchored_bundle(EX4_DESIGNS)
         else:
             if style == "shift":
                 tj, ts = A_CIRCLE - dj * np.eye(2), A_CIRCLE - ds * np.eye(2)
             else:
                 tj, ts = np.diag([1 - dj, 1 - dj - 0.05]), np.diag([1 - ds, 1 - ds - 0.05])
-            idx, bank, _ = circle_bank(C_EX4, 4, 1, {"J": tj, "S": ts})
-        settings = CalibrationSettings(trials=args.trials, horizon=args.cal_horizon,
-                                       seed=1, tail_stat=args.stat, safety=args.safety)
+            bundle = circle_bundle(C_EX4, 4, 1, {"J": tj, "S": ts})
+        cfg, bank = _example(example4_doc(bundle))
+        idx, scen = cfg.bank, cfg.scenario
+        settings = replace(cfg.calibration, trials=args.trials, horizon=args.cal_horizon,
+                           tail_stat=args.stat, safety=args.safety)
         t0 = time.perf_counter()
-        models, failures = calibrate_bank(bank, plant, 0.5, 0.0, x0_spec, settings)
+        models, failures = calibrate_bank(bank, cfg.plant, scen.noise_bound,
+                                          scen.disturbance_bound, scen.x0, settings)
         if failures:
             print(f"style={style} dj={dj} ds={ds}: calibration failed: {failures[:2]}")
             continue
-        thresholds = compute_thresholds(models, idx, 0.5, 0.0, eps=0.0, k_star_override=0)
+        thresholds = compute_thresholds(models, idx, scen.noise_bound, scen.disturbance_bound,
+                                        eps=0.0, k_star_override=0)
+        unattacked = replace(scen, attacked=frozenset(), attack_gens={})
         stats = {100: [], 200: []}
         control_full_steps = []
         control_empty = []
         exceed = np.zeros(len(idx.j_subsets))
         for seed in range(args.seeds):
-            traj = simulate(plant, ex4_scenario(seed, attacked=True))
-            est = bank.run(traj.y, traj.u, traj.x[0])
+            traj = simulate(cfg.plant, replace(scen, seed=seed))
+            est = bank.run(traj.y, traj.u, cfg.initial_estimate(traj.x[0]))
             run = run_estimator(idx, idx.all_subsets, est, truth=traj.x)
             exceed += np.mean(
                 run.pi[:, : len(idx.j_subsets)]
@@ -225,8 +240,8 @@ def probe_ex4(args):
                 rep = windowed_isolation(run, thresholds, N)
                 isolated = [w.isolated for w in rep.windows]
                 stats[N].append(np.mean([s == (3,) for s in isolated]))
-            ctraj = simulate(plant, ex4_scenario(seed, attacked=False))
-            cest = bank.run(ctraj.y, ctraj.u, ctraj.x[0])
+            ctraj = simulate(cfg.plant, replace(unattacked, seed=seed))
+            cest = bank.run(ctraj.y, ctraj.u, cfg.initial_estimate(ctraj.x[0]))
             crun = run_estimator(idx, idx.all_subsets, cest, truth=ctraj.x)
             full = frozenset(range(1, 5))
             rep = windowed_isolation(crun, thresholds, 100)
@@ -249,19 +264,26 @@ def probe_ex4(args):
 
 # ---------------------------------------------------------------- example 3
 
-def ex3_scenario(seed: int, amp: float) -> AttackScenario:
-    return AttackScenario(
-        p=5, q=2,
-        attacked=frozenset({2, 5}),
-        attack_gens={
-            2: SignalSpec("uniform", low=-amp, high=amp),
-            5: SignalSpec("uniform", low=-amp, high=amp),
+def example3_doc(bundle: dict) -> dict:
+    return circle_doc(
+        "example3",
+        C_EX3,
+        {
+            "q": 2,
+            "horizon": 199,
+            "seed": 0,
+            "attacked": [2, 5],
+            "attacks": {
+                "2": {"kind": "uniform", "low": -10.0, "high": 10.0},
+                "5": {"kind": "uniform", "low": -10.0, "high": 10.0},
+            },
+            "noise": {"kind": "uniform", "low": -0.1, "high": 0.1},
+            "noise_bound": 0.1,
+            "x0": {"kind": "normal", "mean": [0.0, 0.0], "std": [1.0, 1.0]},
         },
-        noise_gens=tuple(SignalSpec("uniform", low=-0.1, high=0.1) for _ in range(5)),
-        noise_bound=0.1,
-        horizon=199,
-        seed=seed,
-        x0=InitSpec("normal", mean=(0.0, 0.0), std=(1.0, 1.0)),
+        "zero",
+        bundle,
+        {"trials": 24, "horizon": 400, "seed": 1, "safety": 1.2, "tail_stat": "max"},
     )
 
 
@@ -276,12 +298,9 @@ EX3_SINGLE_POLES = {1: (0.95, 0.90), 2: (0.95, 0.90), 3: (0.95, 0.90)}
 EX3_WEAK_GAINS = {4: (0.0167, 0.0542), 5: (0.01336, 0.04336)}
 
 
-def ex3_designed_bank(target_j: np.ndarray):
-    idx = bank_index(5, 2)
-    struct = CircleStructure(A=A_CIRCLE, G=G_CIRCLE, H=H_CIRCLE, C=C_EX3,
-                             channels=np.sin)
-    observers, gains = {}, {}
-    for subset in idx.all_subsets:
+def ex3_bundle(target_j: np.ndarray) -> dict:
+    bundle = {}
+    for subset in bank_index(5, 2).all_subsets:
         members = np.asarray(subset.members, dtype=int) - 1
         if len(subset) >= 2:
             L = place_exact(A_CIRCLE, C_EX3[members], target_j)
@@ -291,45 +310,47 @@ def ex3_designed_bank(target_j: np.ndarray):
         else:
             k1, k2 = EX3_WEAK_GAINS[subset.members[0]]
             L = np.array([[-k1], [-k2]])
-        K = np.zeros((1, len(subset)))
-        observers[subset] = CircleCriterionObserver(subset, struct, K, L)
-        gains[subset] = (K, L)
-    return idx, ObserverBank(observers), gains
+        bundle[subset.label] = _circle_entry(L)
+    return bundle
 
 
 def probe_ex3(args):
-    plant = circle_plant(C_EX3, "ex3")
-    x0_spec = InitSpec("normal", mean=(0.0, 0.0), std=(1.0, 1.0))
     for dj, ds in itertools.product(
         [float(v) for v in args.deltas_j.split(",")],
         [float(v) for v in args.deltas_s.split(",")],
     ):
         tj = np.diag([1 - dj, 1 - dj - 0.05])
-        idx, bank, _ = ex3_designed_bank(tj)
-        settings = CalibrationSettings(trials=args.trials, horizon=args.cal_horizon,
-                                       seed=1, tail_stat="max")
-        models, failures = calibrate_bank(bank, plant, 0.1, 0.0, x0_spec, settings)
+        cfg, bank = _example(example3_doc(ex3_bundle(tj)))
+        idx, scen = cfg.bank, cfg.scenario
+        settings = replace(cfg.calibration, trials=args.trials, horizon=args.cal_horizon)
+        models, failures = calibrate_bank(bank, cfg.plant, scen.noise_bound,
+                                          scen.disturbance_bound, scen.x0, settings)
         if failures:
             print(f"dj={dj} ds={ds}: calibration failed: {failures[:2]}")
             continue
-        est_model = calibrate_estimator(bank, idx, plant, 0.1, 0.0, x0_spec, settings)
-        bound = est_model.gamma1 * 0.1
+        est_model = calibrate_estimator(bank, idx, cfg.plant, scen.noise_bound,
+                                        scen.disturbance_bound, scen.x0, settings)
+        bound = est_model.gamma1 * scen.noise_bound
+        # the same runs with the attacks ten times larger
+        loud = replace(scen, attack_gens={
+            i: replace(gen, low=-100.0, high=100.0) for i, gen in scen.attack_gens.items()
+        })
         t0 = time.perf_counter()
         tails, passes = [], 0
         pair_diffs = []
         clean_j = next(i for i, J in enumerate(idx.j_subsets) if J.members == (1, 3, 4))
         clean_frac = []
         for seed in range(args.seeds):
-            traj = simulate(plant, ex3_scenario(seed, 10.0))
-            est = bank.run(traj.y, traj.u, np.zeros(2))
+            traj = simulate(cfg.plant, replace(scen, seed=seed))
+            est = bank.run(traj.y, traj.u, cfg.initial_estimate(traj.x[0]))
             run = run_estimator(idx, idx.all_subsets, est, truth=traj.x)
             tail = float(np.max(run.e_norm[150:]))
             tails.append(tail)
             passes += tail <= bound
             clean_frac.append(float(np.mean(run.sigma_idx[150:] == clean_j)))
             if seed < 20:
-                traj2 = simulate(plant, ex3_scenario(seed, 100.0))
-                est2 = bank.run(traj2.y, traj2.u, np.zeros(2))
+                traj2 = simulate(cfg.plant, replace(loud, seed=seed))
+                est2 = bank.run(traj2.y, traj2.u, cfg.initial_estimate(traj2.x[0]))
                 run2 = run_estimator(idx, idx.all_subsets, est2, truth=traj2.x)
                 tail2 = float(np.max(run2.e_norm[150:]))
                 pair_diffs.append(abs(tail2 - tail) / max(tail, 1e-30))
@@ -345,35 +366,43 @@ def probe_ex3(args):
 
 # ---------------------------------------------------------------- example 1
 
-def ex1_bank(lam_j: float, lam_s: float):
-    plant, A, C = _example1_plant()
-    idx = bank_index(3, 1)
-    observers = {}
-    for subset in idx.all_subsets:
+def example1_doc(bundle: dict) -> dict:
+    return {
+        "name": "example1",
+        "plant": {"family": "luenberger", "dynamics": "example1"},
+        "scenario": {
+            "q": 1,
+            "horizon": 49,
+            "seed": 0,
+            "attacked": [2],
+            "attacks": {"2": {"kind": "uniform", "low": -10.0, "high": 10.0}},
+            "noise": {"kind": "zero"},
+            "noise_bound": 0.0,
+            "x0": {"kind": "normal", "mean": [0.0, 0.0], "std": [1.0, 1.0]},
+        },
+        "estimator": {"init": {"kind": "zero"}},
+        "observers": {"bundle": bundle},
+    }
+
+
+def ex1_bundle(lam_j: float, lam_s: float) -> dict:
+    _, A, C = _example1_plant()
+    bundle = {}
+    for subset in bank_index(3, 1).all_subsets:
         members = np.asarray(subset.members, dtype=int) - 1
         C_sub = C[members]
+        practical = {}
         if len(subset) == 2:
             target = np.diag([lam_j, -lam_j])
             K = (A - target) @ np.linalg.inv(C_sub)
         elif subset.members == (1,):
             K = np.array([[(1.0 - lam_s) / 2.0], [0.0]])
+            # sensor 1 reads x1 alone: x2 keeps its open-loop pole -1
+            practical = {"practical": True}
         else:
             K = acker_observer_gain(A, C_sub[0], [lam_s, -lam_s])
-        observers[subset] = LuenbergerObserver(subset, plant.f, plant.h, K, n=2)
-    return plant, idx, ObserverBank(observers)
-
-
-def ex1_scenario(seed: int) -> AttackScenario:
-    return AttackScenario(
-        p=3, q=1,
-        attacked=frozenset({2}),
-        attack_gens={2: SignalSpec("uniform", low=-10.0, high=10.0)},
-        noise_gens=tuple(SignalSpec("zero") for _ in range(3)),
-        noise_bound=0.0,
-        horizon=49,
-        seed=seed,
-        x0=InitSpec("normal", mean=(0.0, 0.0), std=(1.0, 1.0)),
-    )
+        bundle[subset.label] = {"K": _mat(K), **practical}
+    return bundle
 
 
 def probe_ex1(args):
@@ -383,17 +412,18 @@ def probe_ex1(args):
         [float(v) for v in args.lams_j.split(",")],
         [float(v) for v in args.lams_s.split(",")],
     ):
-        plant, idx, bank = ex1_bank(lam_j, lam_s)
+        cfg, bank = _example(example1_doc(ex1_bundle(lam_j, lam_s)))
+        idx = cfg.bank
         ok = diverged = starved = 0
         worst = 0.0
         t0 = time.perf_counter()
         for seed in range(args.seeds):
             try:
-                traj = simulate(plant, ex1_scenario(seed))
+                traj = simulate(cfg.plant, replace(cfg.scenario, seed=seed))
             except SimulationDivergedError:
                 diverged += 1
                 continue
-            est = bank.run(traj.y, traj.u, np.zeros(2))
+            est = bank.run(traj.y, traj.u, cfg.initial_estimate(traj.x[0]))
             try:
                 run = run_estimator(idx, idx.all_subsets, est, truth=traj.x)
             except EstimatorStarvedError:
@@ -425,122 +455,8 @@ C_EX2 = np.array([
 ])
 
 
-def ex2_g(x, u):
-    out = np.empty(np.shape(x))
-    out[...] = (1.0, 0.0, 0.0, 0.0)
-    out[..., 3] = -1.25 * np.tanh(x[..., 3]) - 0.6
-    return out
-
-
-def ex2_plant() -> PlantModel:
-    struct = ReducedStructure(A=A_EX2, C=C_EX2, g=ex2_g)
-
-    def f(x, u, d, k):
-        return A_EX2 @ x + ex2_g(x, u)
-
-    def h(x, u):
-        return C_EX2 @ x
-
-    return PlantModel(name="ex2", n=4, p=3, f=f, h=h, structure=struct)
-
-
-def ex2_bank():
-    plant = ex2_plant()
-    idx = bank_index(3, 1)
-    observers = {}
-    for subset in idx.all_subsets:
-        measured_states = {m + 1 for m in subset.members}   # sensor j reads x_{j+1}
-        unmeasured = [i for i in range(4) if i + 1 not in measured_states]
-        L = np.eye(4)[unmeasured]
-        observers[subset] = ReducedOrderObserver(subset, plant.structure, L)
-    return plant, idx, ObserverBank(observers)
-
-
-def ex2_scenario(seed: int) -> AttackScenario:
-    return AttackScenario(
-        p=3, q=1,
-        attacked=frozenset({2}),
-        attack_gens={2: SignalSpec("uniform", low=-10.0, high=10.0)},
-        noise_gens=tuple(SignalSpec("zero") for _ in range(3)),
-        noise_bound=0.0,
-        horizon=199,
-        seed=seed,
-        x0=InitSpec("normal", mean=(0.0,) * 4, std=(1.0,) * 4),
-    )
-
-
-def probe_ex2(args):
-    plant, idx, bank = ex2_bank()
-    ok = 0
-    worst = 0.0
-    t0 = time.perf_counter()
-    for seed in range(args.seeds):
-        traj = simulate(plant, ex2_scenario(seed))
-        est = bank.run(traj.y, traj.u, np.zeros(4))
-        run = run_estimator(idx, idx.all_subsets, est, truth=traj.x)
-        tail = float(np.max(run.e_norm[160:]))
-        worst = max(worst, tail)
-        ok += tail < 1e-2
-    dt = time.perf_counter() - t0
-    print(f"pass={ok}/{args.seeds}, worst tail={worst:.2e} ({dt:.1f}s)")
-
-
-# ---------------------------------------------------------------- freeze
-
-def _mat(M) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(M, dtype=float)]
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def freeze(args):
-    """Write the frozen designs into the four bundled scenario configs.
-
-    Examples 3 and 4 ship convergence models fitted by the package's own
-    calibration (example 4 additionally an isolation section); examples
-    1 and 2 ship gains only — example 1's open plant escapes to infinity
-    from a sizable share of random inits, which aborts Monte-Carlo
-    fitting by design, and example 2 needs no thresholds.
-    """
-    from multiobserver import load_config
-    from multiobserver.harness import calibrate
-
-    SCENARIO_DIR.mkdir(parents=True, exist_ok=True)
-
-    # ---- example 1: full-order bank on the polynomial plant
-    _, idx1, bank1 = ex1_bank(0.6, 0.75)
-    bundle1 = {}
-    for sub in idx1.all_subsets:
-        entry = {"K": _mat(bank1.observers[sub].K)}
-        if sub.members == (1,):
-            entry["practical"] = True
-        bundle1[sub.label] = entry
-    doc1 = {
-        "name": "example1",
-        "plant": {"family": "luenberger", "dynamics": "example1"},
-        "scenario": {
-            "q": 1,
-            "horizon": 49,
-            "seed": 0,
-            "attacked": [2],
-            "attacks": {"2": {"kind": "uniform", "low": -10.0, "high": 10.0}},
-            "noise": {"kind": "zero"},
-            "noise_bound": 0.0,
-            "x0": {"kind": "normal", "mean": [0.0, 0.0], "std": [1.0, 1.0]},
-        },
-        "estimator": {"init": {"kind": "zero"}},
-        "observers": {"bundle": bundle1},
-    }
-    _write_json(SCENARIO_DIR / "example1.json", doc1)
-
-    # ---- example 2: reduced-order bank, prediction via the plant map
-    plant2, idx2, bank2 = ex2_bank()
-    bundle2 = {
-        sub.label: {"L": _mat(bank2.observers[sub].L)} for sub in idx2.all_subsets
-    }
-    doc2 = {
+def example2_doc(bundle: dict) -> dict:
+    return {
         "name": "example2",
         "plant": {
             "family": "reduced",
@@ -567,97 +483,69 @@ def freeze(args):
             "x0": {"kind": "normal", "mean": [0.0] * 4, "std": [1.0] * 4},
         },
         "estimator": {"init": {"kind": "zero"}},
-        "observers": {"bundle": bundle2},
+        "observers": {"bundle": bundle},
     }
-    _write_json(SCENARIO_DIR / "example2.json", doc2)
+
+
+def ex2_bundle() -> dict:
+    bundle = {}
+    for subset in bank_index(3, 1).all_subsets:
+        measured_states = {m + 1 for m in subset.members}   # sensor j reads x_{j+1}
+        unmeasured = [i for i in range(4) if i + 1 not in measured_states]
+        bundle[subset.label] = {"L": _mat(np.eye(4)[unmeasured])}
+    return bundle
+
+
+def probe_ex2(args):
+    cfg, bank = _example(example2_doc(ex2_bundle()))
+    idx = cfg.bank
+    ok = 0
+    worst = 0.0
+    t0 = time.perf_counter()
+    for seed in range(args.seeds):
+        traj = simulate(cfg.plant, replace(cfg.scenario, seed=seed))
+        est = bank.run(traj.y, traj.u, cfg.initial_estimate(traj.x[0]))
+        run = run_estimator(idx, idx.all_subsets, est, truth=traj.x)
+        tail = float(np.max(run.e_norm[160:]))
+        worst = max(worst, tail)
+        ok += tail < 1e-2
+    dt = time.perf_counter() - t0
+    print(f"pass={ok}/{args.seeds}, worst tail={worst:.2e} ({dt:.1f}s)")
+
+
+# ---------------------------------------------------------------- freeze
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def freeze(args):
+    """Write the frozen designs into the four bundled scenario configs.
+
+    Examples 3 and 4 ship convergence models fitted by the package's own
+    calibration (example 4 additionally an isolation section); examples
+    1 and 2 ship gains only — example 1's open plant escapes to infinity
+    from a sizable share of random inits, which aborts Monte-Carlo
+    fitting by design, and example 2 needs no thresholds.
+    """
+    from multiobserver import load_config
+    from multiobserver.harness import calibrate
+
+    SCENARIO_DIR.mkdir(parents=True, exist_ok=True)
+
+    # ---- example 1: full-order bank on the polynomial plant
+    _write_json(SCENARIO_DIR / "example1.json", example1_doc(ex1_bundle(0.6, 0.75)))
+
+    # ---- example 2: reduced-order bank, prediction via the plant map
+    _write_json(SCENARIO_DIR / "example2.json", example2_doc(ex2_bundle()))
 
     # ---- example 3: circle-criterion bank, calibrated for the error bound
-    idx3, _, gains3 = ex3_designed_bank(np.diag([0.7, 0.65]))
-    bundle3 = {
-        sub.label: {"K": _mat(gains3[sub][0]), "L": _mat(gains3[sub][1])}
-        for sub in idx3.all_subsets
-    }
-    doc3 = {
-        "name": "example3",
-        "plant": {
-            "family": "circle",
-            "A": _mat(A_CIRCLE),
-            "G": _mat(G_CIRCLE),
-            "H": _mat(H_CIRCLE),
-            "C": _mat(C_EX3),
-            "nonlinearity": {"name": "sin"},
-            "slope_box": [-1.5, 1.5],
-        },
-        "scenario": {
-            "q": 2,
-            "horizon": 199,
-            "seed": 0,
-            "attacked": [2, 5],
-            "attacks": {
-                "2": {"kind": "uniform", "low": -10.0, "high": 10.0},
-                "5": {"kind": "uniform", "low": -10.0, "high": 10.0},
-            },
-            "noise": {"kind": "uniform", "low": -0.1, "high": 0.1},
-            "noise_bound": 0.1,
-            "x0": {"kind": "normal", "mean": [0.0, 0.0], "std": [1.0, 1.0]},
-        },
-        "estimator": {"init": {"kind": "zero"}},
-        "observers": {"bundle": bundle3},
-        "calibration": {
-            "trials": 24,
-            "horizon": 400,
-            "seed": 1,
-            "safety": 1.2,
-            "tail_stat": "max",
-        },
-    }
-    tmp3 = SCENARIO_DIR / "example3.uncalibrated.json"
-    _write_json(tmp3, doc3)
-    calibrate(load_config(tmp3), out_path=SCENARIO_DIR / "example3.json")
-    tmp3.unlink()
+    doc3 = example3_doc(ex3_bundle(np.diag([0.7, 0.65])))
+    calibrate(parse_config(doc3), out_path=SCENARIO_DIR / "example3.json")
 
     # ---- example 4: anchored circle bank, calibrated, with isolation
-    idx4, _, gains4 = ex4_anchored_bank(EX4_DESIGNS)
-    bundle4 = {
-        sub.label: {"K": _mat(gains4[sub][0]), "L": _mat(gains4[sub][1])}
-        for sub in idx4.all_subsets
-    }
-    doc4 = {
-        "name": "example4",
-        "plant": {
-            "family": "circle",
-            "A": _mat(A_CIRCLE),
-            "G": _mat(G_CIRCLE),
-            "H": _mat(H_CIRCLE),
-            "C": _mat(C_EX4),
-            "nonlinearity": {"name": "sin"},
-            "slope_box": [-1.5, 1.5],
-        },
-        "scenario": {
-            "q": 1,
-            "horizon": 999,
-            "seed": 0,
-            "attacked": [3],
-            "attacks": {"3": {"kind": "uniform", "low": -2.0, "high": 2.0}},
-            "noise": {"kind": "uniform", "low": -0.5, "high": 0.5},
-            "noise_bound": 0.5,
-            "x0": {"kind": "normal", "mean": [0.0, 0.0], "std": [1.0, 1.0]},
-        },
-        "estimator": {"init": {"kind": "truth"}},
-        "observers": {"bundle": bundle4},
-        "calibration": {
-            "trials": 30,
-            "horizon": 250,
-            "seed": 1,
-            "safety": 1.0,
-            "tail_stat": "median",
-        },
-    }
-    tmp4 = SCENARIO_DIR / "example4.uncalibrated.json"
-    _write_json(tmp4, doc4)
     out4 = SCENARIO_DIR / "example4.json"
-    calibrate(load_config(tmp4), out_path=out4)
-    tmp4.unlink()
+    calibrate(parse_config(example4_doc(ex4_anchored_bundle(EX4_DESIGNS))), out_path=out4)
     # the isolation section goes in after calibration: validation demands
     # a convergence model on every subset the moment the section exists
     calibrated = json.loads(out4.read_text())
@@ -665,8 +553,6 @@ def freeze(args):
     _write_json(out4, calibrated)
 
     # ---- verification pass over the shipped files
-    from multiobserver import build_bank
-
     for name in ("example1", "example2", "example3", "example4"):
         cfg = load_config(SCENARIO_DIR / f"{name}.json")
         _, report = build_bank(cfg, enforce=True)

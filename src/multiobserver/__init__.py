@@ -38,7 +38,6 @@ from .observers import (
     Observer,
     ObserverBank,
     ReducedOrderObserver,
-    build_reduced_observer,
     certify_linear_gain,
     check_slope_condition,
 )

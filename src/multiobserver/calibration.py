@@ -31,6 +31,7 @@ from .combinatorics import BankIndex, SubsetIndex
 from .errors import CalibrationError, ConfigurationError, EstimatorStarvedError
 from .estimator import run_estimator
 from .model import (
+    DIVERGENCE_CEILING,
     MAX_HORIZON,
     InitSpec,
     PlantModel,
@@ -118,7 +119,7 @@ def _plant_run(
     d = np.zeros((horizon, plant.n_d))
     if dist_amp > 0:
         d = dist_amp * rng.uniform(-1.0, 1.0, d.shape)
-    x = plant_track(plant, x0, u, d)
+    x = plant_track(plant, x0, u, d, DIVERGENCE_CEILING)
     diverged = first_divergence(x[1:])
     if diverged is not None:
         raise CalibrationError(

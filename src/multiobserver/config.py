@@ -43,8 +43,8 @@ from .observers import (
     LuenbergerObserver,
     Observer,
     ObserverBank,
+    ReducedOrderObserver,
     SlopeCheckResult,
-    build_reduced_observer,
     certify_linear_gain,
     check_slope_condition,
 )
@@ -898,7 +898,7 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
                 obs = LuenbergerObserver(sub, plant.f, plant.h, spec.K, plant.n, plant.n_d)
                 cert = certify_linear_gain(cfg.lin_A, cfg.lin_C[idx], spec.K, "luenberger")
             elif cfg.family == "reduced":
-                obs = build_reduced_observer(plant.structure, sub, spec.L, spec.K)
+                obs = ReducedOrderObserver(sub, plant.structure, spec.L, spec.K)
                 c_eq = obs.C_J @ plant.structure.A @ obs.N
                 cert = certify_linear_gain(obs.A_L, c_eq, obs.K, "reduced")
             else:

@@ -122,9 +122,6 @@ class IsolationReport:
     step_unions: dict[int, tuple[int, ...]]
     windows: tuple[IsolationWindow, ...]
 
-    def isolated_sets(self) -> list[tuple[int, ...]]:
-        return [w.isolated for w in self.windows]
-
 
 def windowed_isolation(
     run: EstimatorRun, thresholds: ThresholdTable, window: int

@@ -239,20 +239,25 @@ class PlantModel:
     structure: CircleStructure | ReducedStructure | None = None
 
 
-def plant_track(model: PlantModel, x0: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+def plant_track(
+    model: PlantModel, x0: np.ndarray, u: np.ndarray, d: np.ndarray, ceiling: float
+) -> np.ndarray:
     """The plant run x(0) .. x(T) of x(k+1) = f(x(k), u(k), d(k), k), as (T+1, n).
 
     ``u`` holds the T+1 inputs and ``d`` at least T disturbances.  ``f``
-    is never called on a non-finite state, nor on one whose entries sum
-    past the float range (its norm overflows, which
-    :func:`first_divergence` always reports); the rest of that run is NaN.
+    is never called on a non-finite state, nor on one whose norm surely
+    passes ``ceiling``; the rest of that run is NaN.  The run stops only
+    after the step :func:`first_divergence` names with ``ceiling``.
     """
     n = model.n
+    # |x|_1 <= sqrt(n) |x|_2, so a state whose 1-norm passes the limit is past
+    # the ceiling; capped at the largest float, the limit also stops on inf and NaN
+    limit = min(2.0 * ceiling * math.sqrt(n), sys.float_info.max)
     x = np.full((len(u), n), np.nan)
     x[0] = x_k = np.asarray(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(u) - 1):
-            if not math.isfinite(sum(x_k.tolist())):  # the cheapest finite check per step
+            if not sum(map(abs, x_k.tolist())) <= limit:  # the cheapest check per step
                 break
             x_k = np.asarray(model.f(x_k, u[k], d[k], k), dtype=float)
             if x_k.shape != (n,):
@@ -442,7 +447,7 @@ def simulate(
         a[:, i] = sample_block(scenario.attack_gen(i + 1), T + 1, streams["attack"][i])
     for j in range(model.n_d):
         d[:, j] = sample_block(scenario.disturbance_gens[j], T + 1, streams["disturbance"][j])
-    x = plant_track(model, scenario.x0.sample(streams["init"]), u, d)
+    x = plant_track(model, scenario.x0.sample(streams["init"]), u, d, ceiling)
     diverged = first_divergence(x, ceiling)
     if diverged is not None:
         raise SimulationDivergedError(*diverged)

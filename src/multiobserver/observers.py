@@ -43,7 +43,6 @@ __all__ = [
     "CircleCriterionObserver",
     "ObserverBank",
     "run_trials",
-    "build_reduced_observer",
     "certify_linear_gain",
     "check_slope_condition",
     "CertificateResult",
@@ -81,10 +80,6 @@ class ISSGainModel:
         if self.k_star < 0:
             problems.append(f"k_star must be nonnegative, got {self.k_star}")
         return problems
-
-    def steady_bound(self, m_bar: float, d_bar: float) -> float:
-        """Post-transient error bound gamma1*m_bar + gamma2*d_bar + nu."""
-        return self.gamma1 * m_bar + self.gamma2 * d_bar + self.nu
 
 
 class Observer(ABC):
@@ -187,6 +182,9 @@ class LuenbergerObserver(Observer):
         return est
 
 
+_RECONSTRUCTION_TOL = 1e-8
+
+
 class ReducedOrderObserver(Observer):
     """Observer in partial coordinates z = L x for plants x+ = A x + g(x, u).
 
@@ -202,6 +200,11 @@ class ReducedOrderObserver(Observer):
     prediction through the plant map and A_L = L A N, B_L = L A M.
     Correcting z against the predicted output keeps K meaningful: the
     reconstruction itself already matches y_J(k+1) exactly.
+
+    Construction raises :class:`ConfigurationError` when [L; C_J] is
+    singular, or when the reconstruction N (L v) + M (C_J v) = v misses
+    by more than 1e-8 on n seeded random vectors: the inverse is then too
+    ill-conditioned to trust.
     """
 
     def __init__(
@@ -232,6 +235,15 @@ class ReducedOrderObserver(Observer):
             ) from None
         self.N = T_inv[:, : self.nz]
         self.M = T_inv[:, self.nz :]
+        rng = np.random.default_rng(0)
+        for _ in range(n):
+            v = rng.standard_normal(n)
+            err = float(np.max(np.abs(self.N @ (self.L @ v) + self.M @ (self.C_J @ v) - v)))
+            if err > _RECONSTRUCTION_TOL:
+                raise ConfigurationError(
+                    f"coordinate reconstruction for {subset} off by {err:.2e} "
+                    f"(tol {_RECONSTRUCTION_TOL:.0e}); [L; C_J] is numerically singular"
+                )
         self.A_L = self.L @ structure.A @ self.N
         self.B_L = self.L @ structure.A @ self.M
         self.K = (
@@ -291,36 +303,6 @@ class ReducedOrderObserver(Observer):
     run_trials = run_group
 
 
-_RECONSTRUCTION_TOL = 1e-8
-
-
-def build_reduced_observer(
-    structure: ReducedStructure,
-    subset: SubsetIndex,
-    L: np.ndarray,
-    K: np.ndarray | None = None,
-) -> ReducedOrderObserver:
-    """Construct a reduced-order observer and check its coordinate change.
-
-    After inverting [L; C_J] the reconstruction N (L v) + M (C_J v) = v
-    is verified on n seeded random vectors to 1e-8; failure means the
-    inverse is too ill-conditioned to trust.
-    """
-    obs = ReducedOrderObserver(subset, structure, L, K)
-    rng = np.random.default_rng(0)
-    n = structure.A.shape[0]
-    for _ in range(n):
-        v = rng.standard_normal(n)
-        rebuilt = obs.N @ (obs.L @ v) + obs.M @ (obs.C_J @ v)
-        err = float(np.max(np.abs(rebuilt - v)))
-        if err > _RECONSTRUCTION_TOL:
-            raise ConfigurationError(
-                f"coordinate reconstruction for {subset} off by {err:.2e} "
-                f"(tol {_RECONSTRUCTION_TOL:.0e}); [L; C_J] is numerically singular"
-            )
-    return obs
-
-
 class CircleCriterionObserver(Observer):
     """Observer for x+ = A x + G f(H x) with slope-restricted f.
 
@@ -366,7 +348,7 @@ class CircleCriterionObserver(Observer):
         that rounds like each observer's own ``2-D @ 1-D`` product: each row
         reproduces the observer stepped alone on its run bit for bit.  The
         calibrated fits (through ``freeze``, the bundled configs' ``iss``) are
-        pinned to this form; ROADMAP item 1 step 1, a benchmark change,
+        pinned to this form; ROADMAP item 2 step b, a benchmark change,
         moves calibration to the folded ``run_group``.
         """
         st = members[0].structure

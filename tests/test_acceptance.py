@@ -339,7 +339,7 @@ def test_criterion_8_invariant_battery(scenario_dir):
     # reduced-order coordinate identity within 1e-8
     from multiobserver import SubsetIndex
     from multiobserver.errors import ConfigurationError
-    from multiobserver.observers import ReducedStructure, build_reduced_observer
+    from multiobserver.observers import ReducedOrderObserver, ReducedStructure
 
     done = 0
     while done < cases:
@@ -354,7 +354,7 @@ def test_criterion_8_invariant_battery(scenario_dir):
         L = rng.normal(size=(n - card, n))
         st = ReducedStructure(A=A, C=C, g=lambda x, u: np.zeros(n))
         try:
-            obs = build_reduced_observer(st, SubsetIndex("J", members), L)
+            obs = ReducedOrderObserver(SubsetIndex("J", members), st, L)
         except ConfigurationError:
             continue  # randomly singular completion, rejected by contract
         assert np.max(np.abs(obs.N @ obs.L + obs.M @ obs.C_J - np.eye(n))) < 1e-8

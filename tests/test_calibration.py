@@ -79,7 +79,7 @@ def test_fit_noise_gain_matches_filter_dc_gain():
     assert 0.05 < model.gamma1 < 0.5
     assert model.gamma2 == 0.0
     # declared steady bound covers the true worst case loosely from below
-    assert model.steady_bound(0.5, 0.0) < 0.2 / 0.7 * 0.5 * 1.5
+    assert model.gamma1 * 0.5 + model.gamma2 * 0.0 + model.nu < 0.2 / 0.7 * 0.5 * 1.5
 
 
 def test_calibration_is_deterministic():

@@ -158,7 +158,7 @@ def test_no_quorum_window():
     assert w.winner is None
     assert w.isolated == ()
     assert w.counts == {}
-    assert report.isolated_sets() == [()]
+    assert [w.isolated for w in report.windows] == [()]
 
 
 def test_isolated_cardinality_never_exceeds_budget():

@@ -171,6 +171,23 @@ def test_dynamics_never_see_a_non_finite_state(bad_at, ceiling, step, norm):
     assert np.array_equal(err.value.value, norm, equal_nan=True)
 
 
+def test_a_finite_state_past_the_ceiling_ends_the_plant_loop():
+    # x(1) is finite but past the ceiling: f is not stepped to the horizon,
+    # and the error still names step 1 with its norm
+    plant = toy_plant()
+    calls = []
+
+    def f(x, u, d, k):
+        calls.append(k)
+        return x + 1e13
+
+    with pytest.raises(SimulationDivergedError) as err:
+        simulate(replace(plant, f=f), toy_scenario(horizon=100_000))
+    assert len(calls) <= 2
+    assert err.value.step == 1
+    assert err.value.value == float(np.linalg.norm(np.array([1.0, -2.0]) + 1e13))
+
+
 def test_trajectory_shapes_and_csv():
     plant = toy_plant()
     traj = simulate(plant, toy_scenario(horizon=10))

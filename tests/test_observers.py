@@ -15,7 +15,6 @@ from multiobserver import (
     ReducedStructure,
     SubsetIndex,
     bank_index,
-    build_reduced_observer,
     certify_linear_gain,
     check_slope_condition,
     simulate,
@@ -86,7 +85,7 @@ def test_reduced_coordinate_identity():
     st = _reduced_structure()
     sub = SubsetIndex("J", (1, 2))  # sensors reading x2 and x3
     L = np.eye(4)[[0, 3]]  # complete with the unmeasured coordinates
-    obs = build_reduced_observer(st, sub, L)
+    obs = ReducedOrderObserver(sub, st, L)
     ident = obs.N @ obs.L + obs.M @ obs.C_J
     assert np.allclose(ident, np.eye(4), atol=1e-8)
     assert obs.nz == 2
@@ -107,9 +106,9 @@ def test_reduced_coordinate_identity_randomized():
         L = rng.normal(size=(n - card, n))
         st = ReducedStructure(A=A, C=C, g=lambda x, u: np.zeros(n))
         try:
-            obs = build_reduced_observer(st, sub, L)
+            obs = ReducedOrderObserver(sub, st, L)
         except ConfigurationError:
-            continue  # randomly singular [L; C_J]; the builder must catch it
+            continue  # randomly singular [L; C_J]; the constructor must catch it
         ident = obs.N @ obs.L + obs.M @ obs.C_J
         assert np.max(np.abs(ident - np.eye(n))) < 1e-6
         done += 1
@@ -120,7 +119,7 @@ def test_reduced_reconstruction_matches_measurements():
     st = _reduced_structure()
     sub = SubsetIndex("J", (1, 3))
     L = np.eye(4)[[0, 2]]
-    obs = build_reduced_observer(st, sub, L, K=np.full((2, 2), 0.1))
+    obs = ReducedOrderObserver(sub, st, L, K=np.full((2, 2), 0.1))
     rng = np.random.default_rng(0)
     y = rng.normal(size=(6, 3))
     track = obs.track(y, np.zeros((6, 0)), rng.normal(size=4))
@@ -139,7 +138,7 @@ def test_reduced_observer_converges_on_linear_plant():
 
     plant = PlantModel(name="r", n=4, p=3, f=f, h=h)
     sub = SubsetIndex("J", (1, 2))
-    obs = build_reduced_observer(st, sub, np.eye(4)[[0, 3]])
+    obs = ReducedOrderObserver(sub, st, np.eye(4)[[0, 3]])
     scen = toy_scenario(
         p=3, horizon=60, attacked=(),
         x0=InitSpec(kind="fixed", value=(1.0, -1.0, 2.0, 0.5)),
@@ -154,7 +153,7 @@ def test_reduced_rejects_singular_completion():
     sub = SubsetIndex("J", (1, 2))
     bad = C4[[0, 1]]  # the same rows as C_J itself
     with pytest.raises(ConfigurationError):
-        build_reduced_observer(st, sub, bad)
+        ReducedOrderObserver(sub, st, bad)
 
 
 # --- circle-criterion family ------------------------------------------------
@@ -239,8 +238,8 @@ def test_mixed_family_bank_matches_per_observer_stepping():
             observers[sub] = obs
         else:
             nz = 2 - len(sub)
-            observers[sub] = build_reduced_observer(
-                st, sub, np.eye(2)[[1]][:nz], K=np.full((nz, len(sub)), 0.3)
+            observers[sub] = ReducedOrderObserver(
+                sub, st, np.eye(2)[[1]][:nz], K=np.full((nz, len(sub)), 0.3)
             )
     bank = ObserverBank(observers)
 
