@@ -198,18 +198,27 @@ EX4_DESIGNS = {
 }
 
 
-def probe_ex4(args):
-    deltas_j = [float(v) for v in args.deltas_j.split(",")]
-    deltas_s = [float(v) for v in args.deltas_s.split(",")]
-    for style, dj, ds in itertools.product(args.styles.split(","), deltas_j, deltas_s):
+def ex4_designs(styles: str, deltas_j: str, deltas_s: str):
+    """(style, dj, ds, bundle) of each design to probe, in style order.
+
+    The anchored design takes no deltas, so it comes once, with dj and ds None.
+    """
+    for style in styles.split(","):
         if style == "anchored":
-            bundle = ex4_anchored_bundle(EX4_DESIGNS)
-        else:
+            yield style, None, None, ex4_anchored_bundle(EX4_DESIGNS)
+            continue
+        for dj, ds in itertools.product([float(v) for v in deltas_j.split(",")],
+                                        [float(v) for v in deltas_s.split(",")]):
             if style == "shift":
                 tj, ts = A_CIRCLE - dj * np.eye(2), A_CIRCLE - ds * np.eye(2)
             else:
                 tj, ts = np.diag([1 - dj, 1 - dj - 0.05]), np.diag([1 - ds, 1 - ds - 0.05])
-            bundle = circle_bundle(C_EX4, 4, 1, {"J": tj, "S": ts})
+            yield style, dj, ds, circle_bundle(C_EX4, 4, 1, {"J": tj, "S": ts})
+
+
+def probe_ex4(args):
+    for style, dj, ds, bundle in ex4_designs(args.styles, args.deltas_j, args.deltas_s):
+        fixed = dj is None
         cfg, bank = _example(example4_doc(bundle))
         idx, scen = cfg.bank, cfg.scenario
         settings = replace(cfg.calibration, trials=args.trials, horizon=args.cal_horizon,
@@ -218,7 +227,8 @@ def probe_ex4(args):
         models, failures = calibrate_bank(bank, cfg.plant, scen.noise_bound,
                                           scen.disturbance_bound, scen.x0, settings)
         if failures:
-            print(f"style={style} dj={dj} ds={ds}: calibration failed: {failures[:2]}")
+            design = f"style={style}" if fixed else f"style={style} dj={dj} ds={ds}"
+            print(f"{design}: calibration failed: {failures[:2]}")
             continue
         thresholds = compute_thresholds(models, idx, scen.noise_bound, scen.disturbance_bound,
                                         eps=0.0, k_star_override=0)
@@ -252,8 +262,9 @@ def probe_ex4(args):
         dt = time.perf_counter() - t0
         exceed /= args.seeds
         labels = [J.label for J in idx.j_subsets]
+        design = f"style={style}" if fixed else f"style={style} dj={dj:4} ds={ds:4}"
         print(
-            f"style={style} dj={dj:4} ds={ds:4} stat={args.stat}: "
+            f"{design} stat={args.stat}: "
             f"isolate3 N100={np.mean(stats[100]):.2f} N200={np.mean(stats[200]):.2f} "
             f"ctrl-empty={np.mean(control_empty):.2f} "
             f"ctrl-full-steps={np.mean(control_full_steps):.3f} ({dt:.1f}s)"
@@ -315,10 +326,7 @@ def ex3_bundle(target_j: np.ndarray) -> dict:
 
 
 def probe_ex3(args):
-    for dj, ds in itertools.product(
-        [float(v) for v in args.deltas_j.split(",")],
-        [float(v) for v in args.deltas_s.split(",")],
-    ):
+    for dj in [float(v) for v in args.deltas_j.split(",")]:
         tj = np.diag([1 - dj, 1 - dj - 0.05])
         cfg, bank = _example(example3_doc(ex3_bundle(tj)))
         idx, scen = cfg.bank, cfg.scenario
@@ -326,7 +334,7 @@ def probe_ex3(args):
         models, failures = calibrate_bank(bank, cfg.plant, scen.noise_bound,
                                           scen.disturbance_bound, scen.x0, settings)
         if failures:
-            print(f"dj={dj} ds={ds}: calibration failed: {failures[:2]}")
+            print(f"dj={dj}: calibration failed: {failures[:2]}")
             continue
         est_model = calibrate_estimator(bank, idx, cfg.plant, scen.noise_bound,
                                         scen.disturbance_bound, scen.x0, settings)
@@ -356,7 +364,7 @@ def probe_ex3(args):
                 pair_diffs.append(abs(tail2 - tail) / max(tail, 1e-30))
         dt = time.perf_counter() - t0
         print(
-            f"dj={dj:4} ds={ds:4}: bound={bound:.4f} "
+            f"dj={dj:4}: bound={bound:.4f} "
             f"tail med={np.median(tails):.4f} max={np.max(tails):.4f} "
             f"pass={passes}/{args.seeds} "
             f"pairdiff max={np.max(pair_diffs):.3%} "
@@ -582,7 +590,6 @@ def main():
 
     p3 = sub.add_parser("probe-ex3")
     p3.add_argument("--deltas-j", default="0.25,0.3")
-    p3.add_argument("--deltas-s", default="0.4,0.5")
     p3.add_argument("--trials", type=int, default=15)
     p3.add_argument("--cal-horizon", type=int, default=200)
     p3.add_argument("--seeds", type=int, default=100)

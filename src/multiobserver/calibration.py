@@ -23,6 +23,7 @@ a fixed seed: each trial draws from its own counter-based stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,63 +97,67 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return signal_stream(seed, "calibration", trial)
 
 
-def _plant_run(
-    plant: PlantModel,
-    x0_spec: InitSpec,
-    noise_amp: float,
-    dist_amp: float,
-    horizon: int,
-    rng: np.random.Generator,
-    init_scale: float,
-    trial: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One attack-free plant run: the (x, y, u) tracks and the initial estimate.
+def _plant_runs(plant, x0_spec, kinds, settings, kind_offset=0):
+    """Every attack-free trial of ``kinds``, simulated as one batch.
 
-    Draws x(0), the initial estimate, the disturbances and the output
-    noise, in that order.  Raises :class:`CalibrationError` naming the
-    first step after 0 at which the plant state is non-finite or leaves
-    the ceiling.
+    Each (kind, trial) draws from its own stream, in this order: x(0),
+    the initial estimate, the disturbances and the output noise.  The
+    kinds are then walked in order: a kind's runs are kept up to its
+    first trial whose plant state is non-finite or leaves the ceiling at
+    a step after 0, and that trial's :class:`CalibrationError`, naming
+    the step, ends the walk.  Returns the kept runs (x, y, u, x0_est),
+    stacked along a leading run axis in walk order, and per walked kind
+    its (stream block, kept trials, plant error or None).
     """
-    u = np.zeros((horizon + 1, plant.n_u))
-    x0 = x0_spec.sample(rng)
-    x0_est = x0 + init_scale * rng.standard_normal(plant.n)
-    d = np.zeros((horizon, plant.n_d))
-    if dist_amp > 0:
-        d = dist_amp * rng.uniform(-1.0, 1.0, d.shape)
-    x = plant_track(plant, x0, u, d, DIVERGENCE_CEILING)
-    diverged = first_divergence(x[1:])
-    if diverged is not None:
-        raise CalibrationError(
-            f"plant diverged at step {diverged[0] + 1} of calibration trial {trial}"
-        )
-    y = output_track(plant, x, u)
-    if noise_amp > 0:
-        y = y + noise_amp * rng.uniform(-1.0, 1.0, y.shape)
-    return x, y, u, x0_est
-
-
-def _error_tracks(est: np.ndarray, x: np.ndarray) -> np.ndarray | CalibrationError:
-    """The |e(k)| series (B, T+1) of one fit's estimates (B, T+1, n) on B plant runs.
-
-    Returns the :class:`CalibrationError` of the first run whose
-    estimates are not all finite instead.
-    """
-    diverged = ~np.isfinite(est).all(axis=(1, 2))
-    if diverged.any():
-        return CalibrationError(
-            f"observer diverged in calibration trial {int(np.argmax(diverged))}"
-        )
-    return np.linalg.norm(est - x, axis=-1)
+    T, trials = settings.horizon, settings.trials
+    x0, x0_est, d, noise = [], [], [], []
+    for block, noise_amp, dist_amp in kinds:
+        for trial in range(trials):
+            rng = _trial_rng(settings.seed, kind_offset + block * trials + trial)
+            x0.append(x0_spec.sample(rng))
+            x0_est.append(x0[-1] + settings.init_scale * rng.standard_normal(plant.n))
+            d.append(dist_amp * rng.uniform(-1.0, 1.0, (T, plant.n_d)) if dist_amp > 0
+                     else np.zeros((T, plant.n_d)))
+            noise.append(noise_amp * rng.uniform(-1.0, 1.0, (T + 1, plant.p)) if noise_amp > 0
+                         else None)
+    u = np.zeros((len(x0), T + 1, plant.n_u))
+    x = plant_track(plant, np.array(x0), u, np.array(d), DIVERGENCE_CEILING)
+    keep, spans = [], []
+    for i, (block, _, _) in enumerate(kinds):
+        plant_error, first = None, len(keep)
+        for trial in range(trials):
+            diverged = first_divergence(x[i * trials + trial, 1:])
+            if diverged is not None:
+                plant_error = CalibrationError(
+                    f"plant diverged at step {diverged[0] + 1} of calibration trial {trial}"
+                )
+                break
+            keep.append(i * trials + trial)
+        spans.append((block, len(keep) - first, plant_error))
+        if plant_error is not None:
+            break
+    y = output_track(plant, x[keep], u[keep])
+    for row, run in enumerate(keep):
+        if noise[run] is not None:
+            y[row] += noise[run]
+    return (x[keep], y, u[keep], np.array(x0_est)[keep]), spans
 
 
 def _observer_tracks(observers: list[Observer]):
-    """``_collect``'s stepping for observers: every live one on all runs of a kind at once."""
+    """``_collect``'s stepping for observers: each one on every run at once."""
 
-    def track_kind(live, x, y, u, x0_est):
-        est = run_trials([observers[i] for i in live], y, u, x0_est)
-        return [_error_tracks(e, x) for e in est]
+    def track_runs(x, y, u, x0_est, trials):
+        est = run_trials(observers, y, u, x0_est)
+        diverged = ~np.isfinite(est).all(axis=(2, 3))
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's norm is not read
+            norms = np.linalg.norm(est - x, axis=-1)
+        return [
+            [CalibrationError(f"observer diverged in calibration trial {trial}") if bad else e
+             for e, bad, trial in zip(fit_norms, fit_diverged, trials)]
+            for fit_norms, fit_diverged in zip(norms, diverged)
+        ]
 
-    return track_kind
+    return track_runs
 
 
 def _fit_model(
@@ -188,19 +193,22 @@ def _fit_model(
         if cut:
             segments.append(e[:cut])
 
+    # logs, exps and powers go through math and Python floats: numpy's SIMD
+    # kernels for them round differently on different hosts
     lam_fits = []
     for seg in segments:
         if len(seg) < 4:
             continue
-        slope = np.polyfit(np.arange(len(seg)), np.log(seg), 1)[0]
-        lam_fits.append(float(np.clip(np.exp(slope), 1e-6, 0.9999)))
+        slope = float(np.polyfit(np.arange(len(seg)), [math.log(v) for v in seg], 1)[0])
+        # a rising segment clips to 0.9999 either way; capped, exp cannot overflow
+        lam_fits.append(min(max(math.exp(min(slope, 0.0)), 1e-6), 0.9999))
     if lam_fits:
         lam = max(lam_fits)
         c = 1.0
         for seg in segments:
-            ks = np.arange(len(seg))
+            powers = np.array([lam**k for k in range(len(seg))])
             with np.errstate(divide="ignore"):
-                ratios = seg / (lam**ks * seg[0])
+                ratios = seg / (powers * seg[0])
             c = max(c, float(np.max(ratios)))
         c *= settings.c_safety
     else:
@@ -218,21 +226,21 @@ def _fit_model(
     if e0_max <= 0 or c * e0_max <= settings.eps_settle:
         k_star = 0
     else:
-        k_star = int(np.ceil(np.log(settings.eps_settle / (c * e0_max)) / np.log(lam)))
+        k_star = math.ceil(math.log(settings.eps_settle / (c * e0_max)) / math.log(lam))
         k_star = max(0, min(k_star, 100 * settings.horizon))
     return ISSGainModel(c=c, lam=lam, gamma1=gamma1, gamma2=gamma2, nu=nu, k_star=k_star)
 
 
-def _collect(plant, fits, track_kind, x0_spec, m_bar, d_bar, settings, kind_offset=0):
-    """Fit ``fits`` models, each (kind, trial) plant run simulated once.
+def _collect(plant, fits, track_runs, x0_spec, m_bar, d_bar, settings, kind_offset=0):
+    """Fit ``fits`` models from one batch of plant runs and one stepping pass.
 
-    The plant runs of a kind are simulated in trial order up to the first
-    that diverges.  ``track_kind(live, x, y, u, x0_est)`` then gets the
-    indices of the fits that have not failed yet and those runs, stacked
-    with the trial as the leading axis, and returns for each live fit its
-    |e(k)| tracks (B, T+1) or the :class:`CalibrationError` of its first
-    failing trial.  Returns, per fit, its model or the error of the first
-    trial in which the plant diverged or that fit diverged or starved.
+    The trial kinds' runs are simulated together by :func:`_plant_runs`.
+    ``track_runs(x, y, u, x0_est, trials)`` then gets every kept run,
+    stacked with the run as the leading axis, and each run's trial within
+    its kind, and returns per fit and run its |e(k)| track (T+1,) or the
+    :class:`CalibrationError` of that trial.  Walking the kinds in order,
+    a fit takes the error of its first failing trial, or else the plant
+    error that ends the kind.  Returns, per fit, its model or that error.
     """
     problems = settings.validate()
     if problems:
@@ -243,31 +251,21 @@ def _collect(plant, fits, track_kind, x0_spec, m_bar, d_bar, settings, kind_offs
         kinds.append((1, m_bar, 0.0))
     if d_bar > 0:
         kinds.append((2, 0.0, d_bar))
+    runs, spans = _plant_runs(plant, x0_spec, kinds, settings, kind_offset)
+    trials = [trial for _, kept, _ in spans for trial in range(kept)]
+    results = track_runs(*runs, trials) if trials else [[]] * fits
     tracks = [([], [], []) for _ in range(fits)]
     errors: list[CalibrationError | None] = [None] * fits
-    for block, noise_amp, dist_amp in kinds:
-        live = [i for i, err in enumerate(errors) if err is None]
-        if not live:
-            break
-        runs, plant_error = [], None
-        for trial in range(settings.trials):
-            rng = _trial_rng(settings.seed, kind_offset + block * settings.trials + trial)
-            try:
-                runs.append(_plant_run(plant, x0_spec, noise_amp, dist_amp, settings.horizon,
-                                       rng, settings.init_scale, trial))
-            except CalibrationError as exc:
-                plant_error = exc
-                break
-        if runs:
-            for i, result in zip(live, track_kind(live, *map(np.stack, zip(*runs)))):
-                if isinstance(result, CalibrationError):
-                    errors[i] = result
-                else:
-                    tracks[i][block].extend(result)
-        if plant_error is not None:
-            for i in live:
+    start = 0
+    for block, kept, plant_error in spans:
+        for i, fit_runs in enumerate(results):
+            if errors[i] is None:
+                kind_runs = fit_runs[start:start + kept]
+                errors[i] = next((r for r in kind_runs if isinstance(r, CalibrationError)),
+                                 plant_error)
                 if errors[i] is None:
-                    errors[i] = plant_error
+                    tracks[i][block].extend(kind_runs)
+        start += kept
     return [
         _fit_model(*kind_tracks, m_bar, d_bar, settings) if err is None else err
         for err, kind_tracks in zip(errors, tracks)
@@ -318,21 +316,24 @@ def calibrate_estimator(
     """
     subsets = bank_idx.all_subsets
 
-    def track_kind(live, x, y, u, x0_est):
+    def track_runs(x, y, u, x0_est, trials):
+        est = bank.run(y, u, x0_est)
         tracks = []
-        for trial in range(len(x)):
+        for run, trial in enumerate(trials):
             try:
-                est = run_estimator(bank_idx, subsets, bank.run(y[trial], u[trial], x0_est[trial]))
+                x_hat = run_estimator(bank_idx, subsets, est[:, run]).x_hat
             except EstimatorStarvedError as exc:
-                return [CalibrationError(f"all deviation scores are infinite at step {exc.step} "
-                                         f"of calibration trial {trial}")]
-            if not np.all(np.isfinite(est.x_hat)):
-                return [CalibrationError(f"observer diverged in calibration trial {trial}")]
-            tracks.append(np.linalg.norm(est.x_hat - x[trial], axis=-1))
+                tracks.append(CalibrationError(f"all deviation scores are infinite at step "
+                                               f"{exc.step} of calibration trial {trial}"))
+                continue
+            if not np.all(np.isfinite(x_hat)):
+                tracks.append(CalibrationError(f"observer diverged in calibration trial {trial}"))
+                continue
+            tracks.append(np.linalg.norm(x_hat - x[run], axis=-1))
         return [tracks]
 
     eff = settings if not truth_init else replace(settings, init_scale=0.0)
-    (result,) = _collect(plant, 1, track_kind, x0_spec, m_bar, d_bar, eff, kind_offset=10_000)
+    (result,) = _collect(plant, 1, track_runs, x0_spec, m_bar, d_bar, eff, kind_offset=10_000)
     return _fitted(result)
 
 

@@ -566,10 +566,10 @@ def _plant(col: _Collector, path: str, val) -> dict | None:
     name, term, structure = "linear", None, None
     if family == "reduced":
         name, term = got["nonlinearity"]
-        structure = ReducedStructure(A=A, C=C, g=term)
+        structure = ReducedStructure(A=A, C=C, g=term, D=D)
     elif family == "circle":
         (name, channels), G, H = got["nonlinearity"], got["G"], got["H"]
-        structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels)
+        structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels, D=D)
 
         def term(x, u):
             return G @ channels(H @ x)

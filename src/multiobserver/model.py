@@ -50,6 +50,9 @@ MAX_HORIZON = 10**6
 # its own ``divergence_ceiling`` (calibration always uses this one).
 DIVERGENCE_CEILING = 1e12
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)  # a larger entry overflows the norm
+# Steps between the batched plant loop's checks of its stop rule: at one run,
+# checking the (B, n) state on every step costs more than the step itself.
+_STOP_STRIDE = 64
 
 
 def signal_stream(seed: int, kind: str, index: int = 0) -> np.random.Generator:
@@ -203,10 +206,11 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class CircleStructure:
-    """Structural data of a plant x+ = A x + G f(H x).
+    """Structural data of a plant x+ = A x + G f(H x) + D d with outputs C x.
 
     ``channels`` applies the scalar nonlinearity slope-restricted to
-    [0, inf) componentwise.
+    [0, inf) componentwise.  ``D`` is None when the plant has no
+    disturbance input.
     """
 
     A: np.ndarray
@@ -214,20 +218,26 @@ class CircleStructure:
     H: np.ndarray
     C: np.ndarray
     channels: Callable[[np.ndarray], np.ndarray]
+    D: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class ReducedStructure:
-    """Structural data of a plant x+ = A x + g(x, u) with linear outputs C x."""
+    """Structural data of a plant x+ = A x + g(x, u) + D d with outputs C x."""
 
     A: np.ndarray
     C: np.ndarray
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    D: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class PlantModel:
-    """A simulatable plant with optional structural payload for observers."""
+    """A simulatable plant with optional structural payload for observers.
+
+    A plant with a ``structure`` is stepped and measured through it, so
+    ``f`` and ``h`` must be its maps.
+    """
 
     name: str
     n: int
@@ -242,39 +252,71 @@ class PlantModel:
 def plant_track(
     model: PlantModel, x0: np.ndarray, u: np.ndarray, d: np.ndarray, ceiling: float
 ) -> np.ndarray:
-    """The plant run x(0) .. x(T) of x(k+1) = f(x(k), u(k), d(k), k), as (T+1, n).
+    """B plant runs x(0) .. x(T) of x(k+1) = f(x(k), u(k), d(k), k), as (B, T+1, n).
 
-    ``u`` holds the T+1 inputs and ``d`` at least T disturbances.  ``f``
-    is never called on a non-finite state, nor on one whose norm surely
-    passes ``ceiling``; the rest of that run is NaN.  The run stops only
-    after the step :func:`first_divergence` names with ``ceiling``.
+    ``x0`` holds the initial states (B, n), ``u`` the T+1 inputs of each
+    run (B, T+1, n_u) and ``d`` at least T disturbances of each (B, ·, n_d).
+    A plant with a ``structure`` steps all runs as one (B, n, 1) column
+    state, so every product is a stacked ``np.matmul`` that rounds like
+    ``f``'s own 2-D @ 1-D product: each row equals its run stepped alone,
+    bit for bit.  It checks the runs every ``_STOP_STRIDE`` steps and stops
+    once all of them are surely past ``ceiling``.  Otherwise ``f`` steps each
+    run alone and is never called on a non-finite state, nor on one whose
+    norm surely passes ``ceiling``.
+
+    A run stops only after the step :func:`first_divergence` names with
+    ``ceiling``.  Its values after that step are not defined.
     """
-    n = model.n
+    n, steps = model.n, u.shape[1] - 1
     # |x|_1 <= sqrt(n) |x|_2, so a state whose 1-norm passes the limit is past
     # the ceiling; capped at the largest float, the limit also stops on inf and NaN
     limit = min(2.0 * ceiling * math.sqrt(n), sys.float_info.max)
-    x = np.full((len(u), n), np.nan)
-    x[0] = x_k = np.asarray(x0, dtype=float)
+    x = np.full((len(x0), steps + 1, n), np.nan)
+    x[:, 0] = x0
+    st = model.structure
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(u) - 1):
-            if not sum(map(abs, x_k.tolist())) <= limit:  # the cheapest check per step
+        if st is None:
+            for x_b, u_b, d_b in zip(x, u, d):
+                x_k = x_b[0]
+                for k in range(steps):
+                    if not sum(map(abs, x_k.tolist())) <= limit:  # the cheapest check per step
+                        break
+                    x_k = np.asarray(model.f(x_k, u_b[k], d_b[k], k), dtype=float)
+                    if x_k.shape != (n,):
+                        raise ConfigurationError(
+                            f"dynamics returned shape {x_k.shape}, expected ({n},)"
+                        )
+                    x_b[k + 1] = x_k
+            return x
+        X = x[:, 0, :, None].copy()
+        for k in range(steps):
+            if k % _STOP_STRIDE == 0 and not (np.abs(X).sum(axis=(1, 2)) <= limit).any():
                 break
-            x_k = np.asarray(model.f(x_k, u[k], d[k], k), dtype=float)
-            if x_k.shape != (n,):
-                raise ConfigurationError(f"dynamics returned shape {x_k.shape}, expected ({n},)")
-            x[k + 1] = x_k
+            if isinstance(st, CircleStructure):
+                X = st.A @ X + st.G @ st.channels(st.H @ X)
+            else:
+                X = st.A @ X + st.g(X[..., 0], u[:, k])[..., None]
+            if st.D is not None:
+                X = X + st.D @ d[:, k, :, None]
+            x[:, k + 1] = X[..., 0]
     return x
 
 
 def output_track(model: PlantModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The noise-free outputs h(x(k), u(k)) of a plant run ``x``, as (T+1, p)."""
-    y = [np.asarray(model.h(x_k, u_k), dtype=float) for x_k, u_k in zip(x, u)]
+    """The noise-free outputs h(x(k), u(k)) of B plant runs ``x``, as (B, T+1, p).
+
+    A plant with a ``structure`` computes them as C x on columns.
+    """
+    if model.structure is not None:
+        return (model.structure.C @ x[..., None])[..., 0]
+    y = [np.asarray(model.h(x_k, u_k), dtype=float)
+         for x_b, u_b in zip(x, u) for x_k, u_k in zip(x_b, u_b)]
     for y_k in y:
         if y_k.shape != (model.p,):
             raise ConfigurationError(
                 f"output map returned shape {y_k.shape}, expected ({model.p},)"
             )
-    return np.array(y)
+    return np.array(y).reshape(x.shape[:-1] + (model.p,))
 
 
 def first_divergence(
@@ -447,9 +489,10 @@ def simulate(
         a[:, i] = sample_block(scenario.attack_gen(i + 1), T + 1, streams["attack"][i])
     for j in range(model.n_d):
         d[:, j] = sample_block(scenario.disturbance_gens[j], T + 1, streams["disturbance"][j])
-    x = plant_track(model, scenario.x0.sample(streams["init"]), u, d, ceiling)
+    x0 = scenario.x0.sample(streams["init"])
+    x = plant_track(model, x0[None], u[None], d[None], ceiling)[0]
     diverged = first_divergence(x, ceiling)
     if diverged is not None:
         raise SimulationDivergedError(*diverged)
-    y = output_track(model, x, u) + m + a
+    y = output_track(model, x[None], u[None])[0] + m + a
     return Trajectory(x=x, y=y, u=u, d=d, m=m, a=a)

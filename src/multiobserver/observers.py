@@ -2,25 +2,25 @@
 
 Every observer estimates the full plant state from one sensor subset.
 An observer holds only its parameters.  Each family has two group
-kernels, both classmethods over a list of its observers:
+kernels, both classmethods over a list of its observers that map the
+outputs y(0..T), the inputs u and the initial guess of each of a batch
+of runs to the estimate tracks x_hat(0..T) of the group on each run:
 
-* ``run_group`` maps the outputs y(0..T), the inputs u and the shared
-  initial guess of one run to the estimate tracks x_hat(0..T) of the
-  group; :meth:`ObserverBank.run` steps a bank through it;
-* ``run_trials`` does the same for a batch of runs, each with its own
-  initial guess; calibration steps its Monte-Carlo trials through it
+* ``run_group``: :meth:`ObserverBank.run` steps a bank through it;
+* ``run_trials``: calibration steps its Monte-Carlo trials through it
   (:func:`run_trials`), and ``track`` is one observer's run through it.
 
-The two agree bit for bit except in the circle family, whose
-``run_group`` folds each gain pair into one update while ``run_trials``
-keeps the unfolded arithmetic the calibrated fits are pinned to.  All
-families share a one-step schedule: x_hat(k+1) may use both y_J(k) and
-y_J(k+1), which keeps estimates from different families aligned on the
-same time index.
+Each row of a batch equals its run stepped alone, bit for bit.  The two
+kernels are one except in the circle family, whose ``run_group`` folds
+each gain pair into one update while ``run_trials`` keeps the unfolded
+arithmetic the calibrated fits are pinned to.  All families share a
+one-step schedule: x_hat(k+1) may use both y_J(k) and y_J(k+1), which
+keeps estimates from different families aligned on the same time index.
 
 Divergence is never fatal: the selection stage discounts a track with
 non-finite estimates.  Tracks keep their first non-finite estimate and
-are NaN after it, except the circle family's folded ``run_group``.
+are NaN after it, except the circle family's folded ``run_group``, whose
+values after a track's first non-finite estimate are not defined.
 """
 
 from __future__ import annotations
@@ -85,11 +85,10 @@ class ISSGainModel:
 class Observer(ABC):
     """Interface every observer family implements.
 
-    ``run_group`` maps the outputs y (T+1, p), the inputs u (T+1, n_u)
-    and the shared initial guess x0_est to the estimates of ``members``,
-    shape (len(members), T+1, n).  ``run_trials`` maps a batch of B runs,
-    y (B, T+1, p), u (B, T+1, n_u) and x0_est (B, n), to estimates of
-    shape (len(members), B, T+1, n).
+    ``run_group`` and ``run_trials`` map a batch of B runs, the outputs
+    y (B, T+1, p), the inputs u (B, T+1, n_u) and the initial guesses
+    x0_est (B, n), to the estimates of ``members``, shape
+    (len(members), B, T+1, n).
     """
 
     subset: SubsetIndex
@@ -110,8 +109,8 @@ class Observer(ABC):
 
     @classmethod
     def run_trials(cls, members: list[Observer], y, u, x0_est) -> np.ndarray:
-        """Estimates of ``members`` on each run of a batch, one run at a time."""
-        return np.stack([cls.run_group(members, *run) for run in zip(y, u, x0_est)], axis=1)
+        """Estimates of ``members`` on a batch of runs, as calibration steps them."""
+        return cls.run_group(members, y, u, x0_est)
 
     def track(self, y: np.ndarray, u: np.ndarray, x0_est: np.ndarray) -> np.ndarray:
         """This observer's estimates over one run, as ``run_trials`` steps it: (T+1, n)."""
@@ -158,27 +157,28 @@ class LuenbergerObserver(Observer):
 
     @classmethod
     def run_group(cls, members, y, u, x0_est):
-        """Step each observer alone on 1-D states.
+        """Step each observer alone on each run, on 1-D states.
 
         Stacking them would change the bits: numpy's array ``x**3`` can
         take a SIMD ``pow`` that rounds differently from the scalar one.
         ``f`` and ``h`` are never called on a non-finite estimate; the
         rest of that track is NaN.
         """
-        T = y.shape[0] - 1
-        est = np.full((len(members), T + 1, members[0].n), np.nan)
+        T = y.shape[1] - 1
+        est = np.full((len(members), len(y), T + 1, members[0].n), np.nan)
         x0 = np.asarray(x0_est, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             for j, obs in enumerate(members):
-                y_J = y[:, obs._idx]
-                x = est[j, 0] = x0.copy()
-                for k in range(T):
-                    if not np.isfinite(x).all():
-                        break
-                    h_hat = np.asarray(obs.h(x, u[k]), dtype=float)[obs._idx]
-                    x = np.asarray(obs.f(x, u[k], obs._d0, k) + obs.K @ (y_J[k] - h_hat),
-                                   dtype=float)
-                    est[j, k + 1] = x
+                for b, (y_b, u_b) in enumerate(zip(y, u)):
+                    y_J = y_b[:, obs._idx]
+                    x = est[j, b, 0] = x0[b].copy()
+                    for k in range(T):
+                        if not np.isfinite(x).all():
+                            break
+                        h_hat = np.asarray(obs.h(x, u_b[k]), dtype=float)[obs._idx]
+                        x = np.asarray(obs.f(x, u_b[k], obs._d0, k) + obs.K @ (y_J[k] - h_hat),
+                                       dtype=float)
+                        est[j, b, k + 1] = x
         return est
 
 
@@ -262,30 +262,29 @@ class ReducedOrderObserver(Observer):
     def run_group(cls, members, y, u, x0_est):
         """Step observers sharing a structure and |J| as one stacked partial state.
 
-        This is also the family's ``run_trials``: ``y``, ``u`` and ``x0_est``
-        may carry a leading axis of B runs, and the state then has shape
-        (B, G, nz), else (G, nz).  States are kept as (..., ·, 1) columns,
-        so every product is a stacked ``np.matmul``, which rounds like each
-        observer's own ``2-D @ 1-D`` product (``einsum`` does not).  Rows
-        never interact, so each one reproduces the observer stepped alone on
-        its run bit for bit.  The terms that depend only on the
-        measurements, B_L y_J(k) and M y_J(k+1), are computed for the whole
-        run up front.  ``structure.g`` receives the ([B,] G, n) estimates and
-        the ([B,] 1, n_u) inputs.
+        This is also the family's ``run_trials``.  The state has shape
+        (B, G, nz), kept as (B, G, nz, 1) columns, so every product is a
+        stacked ``np.matmul``, which rounds like each observer's own
+        ``2-D @ 1-D`` product (``einsum`` does not).  Rows never interact, so
+        each one reproduces the observer stepped alone on its run bit for
+        bit.  The terms that depend only on the measurements, B_L y_J(k) and
+        M y_J(k+1), are computed for the whole run up front.  ``structure.g``
+        receives the (B, G, n) estimates and the (B, 1, n_u) inputs.
         """
         st = members[0].structure
         A_L, B_L, L, K, C_J, N, M = (
             np.stack([getattr(obs, name) for obs in members])
             for name in ("A_L", "B_L", "L", "K", "C_J", "N", "M")
         )
-        # (T+1, [B,] G, |J|, 1); indexing lays it out as (G, |J|, [B,] T+1),
-        # as each observer's own y[:, idx], and BLAS picks its dot kernel by
-        # the stride of the sensor axis, so a copy to unit stride changes bits
+        # (T+1, B, G, |J|, 1); from a C-ordered y, indexing lays it out as
+        # (G, |J|, B, T+1), as each observer's own y[:, idx], and BLAS picks its
+        # dot kernel by the stride of the sensor axis, so a copy to unit stride
+        # changes bits
         y_J = y[..., np.stack([obs._idx for obs in members])].swapaxes(0, -3)[..., None]
-        u_k = u.swapaxes(0, -2)[..., None, :]  # (T+1, [B,] 1, n_u)
+        u_k = u.swapaxes(0, -2)[..., None, :]  # (T+1, B, 1, n_u)
         T = y.shape[-2] - 1
         est = np.empty((len(members),) + y.shape[:-1] + (members[0].n,))
-        out = est.swapaxes(0, -3)  # ([B,] G, T+1, n) view
+        out = est.swapaxes(0, -3)  # (B, G, T+1, n) view
         with np.errstate(over="ignore", invalid="ignore"):
             By, My = B_L @ y_J, M @ y_J
             z = L @ np.asarray(x0_est, dtype=float)[..., None, :, None]
@@ -299,8 +298,6 @@ class ReducedOrderObserver(Observer):
                 x = N @ z + My[k + 1]
                 out[..., k + 1, :] = x[..., 0]
         return _sticky_nan(est)
-
-    run_trials = run_group
 
 
 class CircleCriterionObserver(Observer):
@@ -378,8 +375,14 @@ class CircleCriterionObserver(Observer):
     def run_group(cls, members, y, u, x0_est):
         """Step observers sharing a structure together, each gain pair folded into one update.
 
-        This agrees with ``run_trials`` up to rounding, not bit for bit: the
-        two differ by up to 1.3e-14 on the bundled example3 and example4 runs.
+        The state of all runs is one (B, G, n) array, advanced by
+        ``einsum`` through each observer's A + L C_J and H + K C_J.  The
+        measurement terms K y_J(k) and L y_J(k) are computed for the whole
+        batch up front, each a stacked ``np.matmul`` of the observer's gain
+        on one step's outputs.  Rows never interact, so each one equals its
+        run stepped alone, bit for bit.  This agrees with ``run_trials`` up
+        to rounding, not bit for bit: the two differ by up to 1.3e-14 on the
+        bundled example3 and example4 runs.
         """
         st = members[0].structure
         n, r, p = members[0].n, st.H.shape[0], st.C.shape[0]
@@ -393,15 +396,18 @@ class CircleCriterionObserver(Observer):
             HP[j] = st.H + obs.K @ obs.C_J
             Lt[j][:, obs._idx] = obs.L
             Kt[j][:, obs._idx] = obs.K
-        T = y.shape[0] - 1
-        est = np.empty((nobs, T + 1, n))
-        X = np.broadcast_to(np.asarray(x0_est, dtype=float), (nobs, n)).copy()
-        est[:, 0] = X
+        B, T = y.shape[0], y.shape[1] - 1
+        est = np.empty((nobs, B, T + 1, n))
+        out = est.swapaxes(0, 1)  # (B, G, T+1, n) view
+        X = np.repeat(np.asarray(x0_est, dtype=float)[:, None], nobs, axis=1)  # (B, G, n)
+        out[:, :, 0] = X
         with np.errstate(over="ignore", invalid="ignore"):
+            y_k = y[:, :, None, :, None]  # (B, T+1, 1, p, 1)
+            Ky, Ly = (Kt @ y_k)[..., 0], (Lt @ y_k)[..., 0]  # (B, T+1, G, r) and (.., n)
             for k in range(T):
-                arg = np.einsum("jrn,jn->jr", HP, X) - Kt @ y[k]
-                X = np.einsum("jmn,jn->jm", AQ, X) + st.channels(arg) @ st.G.T - Lt @ y[k]
-                est[:, k + 1] = X
+                arg = np.einsum("jrn,bjn->bjr", HP, X) - Ky[:, k]
+                X = np.einsum("jmn,bjn->bjm", AQ, X) + st.channels(arg) @ st.G.T - Ly[:, k]
+                out[:, :, k + 1] = X
         return est
 
 
@@ -496,11 +502,16 @@ class ObserverBank:
     def run(self, y: np.ndarray, u: np.ndarray, x0_est: np.ndarray) -> np.ndarray:
         """Estimates for the whole run: array of shape (len(bank), T+1, n).
 
-        Observers with equal ``group_key`` are stepped together by their
-        family's ``run_group``: the reduced-order family as one stacked
-        state per |J|, the circle family folded, and the Luenberger family
-        one observer at a time.
+        With a leading run axis, y (B, T+1, p), u (B, T+1, n_u) and
+        x0_est (B, n) map to (len(bank), B, T+1, n), each row as that run
+        alone gives it.  Observers with equal ``group_key`` are stepped
+        together by their family's ``run_group``: the reduced-order family
+        as one stacked state per |J|, the circle family folded, and the
+        Luenberger family one observer and one run at a time.
         """
+        if y.ndim == 2:
+            x0 = np.asarray(x0_est, dtype=float)
+            return self.run(y[None], u[None], x0[None])[:, 0]
         return _by_group(list(self.observers.values()), "run_group", y, u, x0_est)
 
 

@@ -264,9 +264,11 @@ def test_calibration_draws_match_the_per_step_reference(monkeypatch):
                                      signal_stream(5, "calibration", stream), 0.8, n_d=1, p=3)
 
     # both signals in one run, so the order of their draws shows
-    got = calibration._plant_run(plant, x0, 0.2, 0.3, 30, calibration._trial_rng(5, 7), 0.8, 7)
+    got, spans = calibration._plant_runs(plant, x0, [(0, 0.2, 0.3)], replace(settings, trials=1),
+                                         kind_offset=7)
+    assert spans == [(0, 1, None)]
     for g, w in zip(got, reference(0.2, 0.3, 7)):
-        assert np.array_equal(g, w)
+        assert np.array_equal(g[0], w)
 
     seen, run_trials = [], calibration.run_trials
 
@@ -279,12 +281,15 @@ def test_calibration_draws_match_the_per_step_reference(monkeypatch):
                              0.1 * C.T, n=2, n_d=1)
     estimate_iss_gains(obs, plant, 0.2, 0.3, x0, settings)
     kinds = [(0.0, 0.0), (0.2, 0.0), (0.0, 0.3)]  # noise-free, noisy, disturbed
-    assert len(seen) == len(kinds)
-    for block, ((y, x0_est), (noise_amp, dist_amp)) in enumerate(zip(seen, kinds)):
+    assert len(seen) == 1  # one call steps every kind's trials
+    y, x0_est = seen[0]
+    assert len(y) == len(x0_est) == 2 * len(kinds)
+    for block, (noise_amp, dist_amp) in enumerate(kinds):
         for trial in range(2):
-            _, want_y, _, want_x0_est = reference(noise_amp, dist_amp, 2 * block + trial)
-            assert np.array_equal(y[trial], want_y)
-            assert np.array_equal(x0_est[trial], want_x0_est)
+            run = 2 * block + trial  # the runs come kind by kind, in trial order
+            _, want_y, _, want_x0_est = reference(noise_amp, dist_amp, run)
+            assert np.array_equal(y[run], want_y)
+            assert np.array_equal(x0_est[run], want_x0_est)
 
 
 def _per_observer(bank, plant, m_bar, d_bar, x0, settings):

@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _toys import toy_plant, toy_scenario
+from _toys import C3, toy_plant, toy_scenario
 
 from multiobserver import (
     AttackScenario,
+    CircleStructure,
     ConfigurationError,
     InitSpec,
     PlantModel,
+    ReducedStructure,
     SignalSpec,
     SimulationDivergedError,
     load_config,
@@ -17,6 +19,14 @@ from multiobserver import (
     sample_signal,
     signal_stream,
     simulate,
+)
+from multiobserver.config import CHANNEL_REGISTRY, STATE_NONLINEARITY_REGISTRY
+from multiobserver.model import (
+    _STOP_STRIDE,
+    DIVERGENCE_CEILING,
+    first_divergence,
+    output_track,
+    plant_track,
 )
 
 
@@ -186,6 +196,115 @@ def test_a_finite_state_past_the_ceiling_ends_the_plant_loop():
     assert len(calls) <= 2
     assert err.value.step == 1
     assert err.value.value == float(np.linalg.norm(np.array([1.0, -2.0]) + 1e13))
+
+
+def _structured(st: CircleStructure | ReducedStructure) -> PlantModel:
+    """A plant stepped through ``st``, with the matching 1-D maps as its ``f`` and ``h``."""
+
+    def f(x, u, d, k):
+        if isinstance(st, CircleStructure):
+            x_next = st.A @ x + st.G @ st.channels(st.H @ x)
+        else:
+            x_next = st.A @ x + st.g(x, u)
+        return x_next if st.D is None else x_next + st.D @ d
+
+    def h(x, u):
+        return st.C @ x
+
+    n_d = 0 if st.D is None else st.D.shape[1]
+    return PlantModel(name="structured", n=len(st.A), p=len(st.C), f=f, h=h, n_d=n_d,
+                      structure=st)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_batched_plant_rows_equal_the_per_row_loop(scenario_dir):
+    # the bundled structured plants, then random plants of every circle channel
+    # and every reduced nonlinearity with a disturbance input (n_d = 1, which no
+    # bundled plant has): each row of a batch equals its run stepped alone by f
+    rng = np.random.default_rng(23)
+    plants = [load_config(scenario_dir / f"{name}.json").plant
+              for name in ("example2", "example3", "example4")]
+    for case in range(14):
+        n = int(rng.integers(2, 5))
+        A = rng.normal(size=(n, n))
+        A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+        C, D = rng.normal(size=(n + 1, n)), rng.normal(size=(n, 1))
+        if case % 2:
+            r = int(rng.integers(1, 3))
+            channels = list(CHANNEL_REGISTRY.values())[case // 2 % len(CHANNEL_REGISTRY)]
+            st = CircleStructure(A=A, G=0.3 * rng.normal(size=(n, r)), H=rng.normal(size=(r, n)),
+                                 C=C, channels=channels, D=D)
+        else:
+            kind = list(STATE_NONLINEARITY_REGISTRY)[case // 2 % len(STATE_NONLINEARITY_REGISTRY)]
+            table, build = STATE_NONLINEARITY_REGISTRY[kind]
+            params = {"constant": list(rng.normal(size=n)), "index": int(rng.integers(1, n + 1)),
+                      "position": int(rng.integers(1, n + 1)), "gain": 0.5,
+                      "coeffs": [0.05, -0.2, 0.3]}
+            st = ReducedStructure(A=A, C=C, g=build(**{key: params[key] for key in table}), D=D)
+        plants.append(_structured(st))
+    for plant in plants:
+        alone = replace(plant, structure=None)  # the per-row loop over f
+        for B in (1, 2, 7):
+            T = 40
+            x0 = rng.normal(size=(B, plant.n))
+            u = np.zeros((B, T + 1, plant.n_u))
+            d = rng.uniform(-1.0, 1.0, size=(B, T, plant.n_d))
+            x = plant_track(plant, x0, u, d, DIVERGENCE_CEILING)
+            want = plant_track(alone, x0, u, d, DIVERGENCE_CEILING)
+            assert [first_divergence(row) for row in want] == [None] * B, plant.name
+            assert np.array_equal(_bits(x), _bits(want)), (plant.name, B)
+            assert np.array_equal(_bits(output_track(plant, x, u)),
+                                  _bits(output_track(alone, x, u))), (plant.name, B)
+
+
+def test_a_diverging_row_leaves_the_others_and_names_its_own_step():
+    # x1+ = x1**2 diverges from |x1(0)| > 1 and decays from |x1(0)| < 1; the
+    # rows are the initial states simulate draws for seeds 0..6, over a
+    # horizon that passes several checks of the stop rule
+    g = STATE_NONLINEARITY_REGISTRY["poly_channel"][1](
+        constant=[0.0, 0.0], index=1, position=1, coeffs=[1.0, 0.0, 0.0])
+    plant = _structured(ReducedStructure(A=np.diag([0.0, 0.5]), C=C3, g=g))
+    T = 3 * _STOP_STRIDE
+    scen = toy_scenario(horizon=T, x0=InitSpec(kind="normal", mean=(0.0, 0.0), std=(1.0, 1.0)))
+    x0 = np.array([scen.x0.sample(signal_stream(seed, "init")) for seed in range(7)])
+    x = plant_track(plant, x0, np.zeros((7, T + 1, 0)), np.zeros((7, T, 0)), DIVERGENCE_CEILING)
+    diverged = 0
+    for seed, row in enumerate(x):
+        try:
+            traj = simulate(plant, replace(scen, seed=seed))
+        except SimulationDivergedError as exc:
+            assert first_divergence(row) == (exc.step, exc.value)
+            diverged += 1
+        else:
+            assert first_divergence(row) is None
+            assert np.array_equal(_bits(row), _bits(traj.x))
+    assert 0 < diverged < 7
+
+
+def test_a_structured_plant_past_the_ceiling_stops_within_a_stride():
+    # x(1) is finite but past the ceiling: the batched loop checks every
+    # stride steps, so the nonlinearity runs at most a stride more; the error
+    # still names step 1 with the norm the per-row loop gives
+    calls = []
+
+    def channels(v):
+        calls.append(v)
+        return np.sin(v)
+
+    plant = _structured(CircleStructure(A=1e13 * np.eye(2), G=np.array([[0.05], [0.1]]),
+                                        H=np.array([[1.0, 1.0]]), C=C3, channels=channels))
+    errors = []
+    for model in (plant, replace(plant, structure=None)):
+        calls.clear()
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate(model, toy_scenario(horizon=100_000))
+        assert len(calls) <= _STOP_STRIDE + 1
+        errors.append((err.value.step, err.value.value))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 1
 
 
 def test_trajectory_shapes_and_csv():

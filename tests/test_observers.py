@@ -205,6 +205,12 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def _bits_but_nan(a):
+    """``_bits`` with every NaN as one pattern: the folded circle kernel leaves
+    the sign and payload of a NaN after a track's divergence undefined."""
+    return _bits(np.where(np.isnan(a), np.nan, a))
+
+
 def test_circle_vectorized_run_matches_loop():
     st = _circle_structure()
     idx, bank = _circle_bank(st)
@@ -420,6 +426,88 @@ def test_trial_batched_kernels_match_brute_force():
                 diverged[family] += bool(np.isnan(want[-1]).any())
     # the inf hits reach the sticky-NaN rule in both families
     assert min(diverged.values()) >= 10, diverged
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_batched_bank_run_rows_equal_each_run_alone(layout):
+    # banks mixing all three families, with inf hits in the outputs, stepped on
+    # batches of B runs: each row equals that run stepped alone, bit for bit,
+    # and the Luenberger and reduced rows equal the reference steppers too.
+    # Strided outputs come from fancy indexing, which lays the sensor axis out
+    # with a long stride; BLAS picks its dot kernel by that stride, so each run
+    # alone is given in the layout it has in the batch.
+    from multiobserver.config import CHANNEL_REGISTRY, STATE_NONLINEARITY_REGISTRY
+
+    rng = np.random.default_rng(31)
+    diverged = 0
+    for case in range(12):
+        n = int(rng.integers(2, 5))
+        p = n + int(rng.integers(1, 3))
+        A = rng.normal(size=(n, n))
+        A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+        C = rng.normal(size=(p, n))
+
+        def f(x, u, d, k, A=A):
+            return A @ x + 0.01 * x**3
+
+        def h(x, u, C=C):
+            return C @ x
+
+        r = case % 2 + 1
+        channels = list(CHANNEL_REGISTRY.values())[case % len(CHANNEL_REGISTRY)]
+        circle_st = CircleStructure(A=A, G=0.3 * rng.normal(size=(n, r)),
+                                    H=rng.normal(size=(r, n)), C=C, channels=channels)
+        kind = list(STATE_NONLINEARITY_REGISTRY)[case % len(STATE_NONLINEARITY_REGISTRY)]
+        table, build = STATE_NONLINEARITY_REGISTRY[kind]
+        params = {"constant": list(rng.normal(size=n)), "index": int(rng.integers(1, n + 1)),
+                  "position": int(rng.integers(1, n + 1)), "gain": 0.5,
+                  "coeffs": [0.1, -0.2, 0.3]}
+        reduced_st = ReducedStructure(A=A, C=C, g=build(**{key: params[key] for key in table}))
+        observers = {}
+        for j in range(6):
+            card = int(rng.integers(1, n + 1))
+            members = tuple(sorted(rng.choice(np.arange(1, p + 1), size=card, replace=False)))
+            family, sub = j % 3, SubsetIndex(("J", "S")[j % 2], members)
+            if sub in observers:
+                continue
+            if family == 0:
+                observers[sub] = LuenbergerObserver(sub, f, h, 0.3 * rng.normal(size=(n, card)), n)
+            elif family == 1:
+                observers[sub] = ReducedOrderObserver(
+                    sub, reduced_st, rng.normal(size=(n - card, n)),
+                    0.3 * rng.normal(size=(n - card, card)))
+            else:
+                observers[sub] = CircleCriterionObserver(
+                    sub, circle_st, 0.3 * rng.normal(size=(r, card)),
+                    0.3 * rng.normal(size=(n, card)))
+        bank = ObserverBank(observers)
+        for B in (1, 2, 7):
+            T = int(rng.integers(5, 30))
+            y = rng.normal(size=(B, T + 1, p))
+            for _ in range(int(rng.integers(0, 3))):
+                y[rng.integers(0, B), rng.integers(0, T + 1), rng.integers(0, p)] = np.inf
+            if layout == "strided":
+                y = y[..., np.arange(p)]
+                assert not y.flags.c_contiguous
+            u = np.zeros((B, T + 1, 0))
+            x0 = rng.normal(size=(B, n))
+            est = bank.run(y, u, x0)
+            assert est.shape == (len(bank), B, T + 1, n)
+            diverged += int(np.isnan(est[:, :, -1]).any(axis=-1).sum())
+            for b in range(B):
+                alone = bank.run(y[b], u[b], x0[b])
+                assert np.array_equal(_bits_but_nan(est[:, b]), _bits_but_nan(alone)), (case, B, b)
+                for j, (sub, obs) in enumerate(bank.items()):
+                    if isinstance(obs, LuenbergerObserver):
+                        want = luenberger_observer_track(f, h, obs.K, sub.members, y[b], u[b],
+                                                         x0[b])
+                    elif isinstance(obs, ReducedOrderObserver):
+                        want = reduced_observer_track(A, C, reduced_st.g, obs.L, obs.K,
+                                                      sub.members, y[b], x0[b])
+                    else:
+                        continue
+                    assert np.array_equal(_bits(est[j, b]), _bits(want)), (case, B, b, j)
+    assert diverged >= 10, diverged  # the inf hits reach the divergence rules
 
 
 # --- certificates -----------------------------------------------------------
