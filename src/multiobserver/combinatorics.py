@@ -9,7 +9,10 @@ order, which is what makes runs bit-for-bit reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -89,6 +92,20 @@ class BankIndex:
     @property
     def all_subsets(self) -> tuple[SubsetIndex, ...]:
         return self.j_subsets + self.s_subsets
+
+    @cached_property
+    def cross_check_pos(self) -> np.ndarray:
+        """(n_J, c) positions in ``all_subsets`` of each J's cross-checks.
+
+        Row j lists ``contained[j_subsets[j]]`` in order; every J has the
+        same count c = C(p - q, p - 2q).  Built on first use, so that
+        :func:`bank_index` stays cheap for callers that never select.
+        """
+        offset = len(self.j_subsets)
+        s_pos = {S: offset + i for i, S in enumerate(self.s_subsets)}
+        return np.array(
+            [[s_pos[S] for S in self.contained[J]] for J in self.j_subsets], dtype=np.intp
+        )
 
 
 def bank_index(p: int, q: int) -> BankIndex:

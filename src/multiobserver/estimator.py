@@ -20,6 +20,10 @@ from .errors import EstimatorStarvedError, InternalConsistencyError
 
 __all__ = ["EstimatorRun", "run_estimator", "frames_to_csv"]
 
+# Elements of est gathered per candidate block: a (block, T+1, n) slab of
+# 256 KiB stays in cache while each cross-check slot is subtracted from it.
+_BLOCK_ELEMS = 2**15
+
 
 @dataclass
 class EstimatorRun:
@@ -64,9 +68,10 @@ def run_estimator(
     ``est[j]`` must be the (T+1, n) estimate track of ``subsets[j]``,
     and ``subsets`` must hold every subset of the bank.  Each score is
     the largest Euclidean distance between J's estimate and those of
-    its contained cross-check subsets; a non-finite score becomes +inf,
-    so a diverged observer loses every argmin.  Ties go to the first
-    (canonical) J.
+    its contained cross-check subsets, each distance the square root of
+    a left-to-right sum of squares over the state components, for every
+    n; a non-finite score becomes +inf, so a diverged observer loses
+    every argmin.  Ties go to the first (canonical) J.
     """
     pos = {sub: j for j, sub in enumerate(subsets)}
     missing = [sub.label for sub in bank.all_subsets if sub not in pos]
@@ -74,28 +79,44 @@ def run_estimator(
         raise InternalConsistencyError(
             "bank estimates incomplete: missing " + ", ".join(missing)
         )
+    est = np.asarray(est, dtype=float)
+    if est.ndim != 3 or 0 in est.shape[1:]:
+        raise InternalConsistencyError(
+            f"estimates must be (n_subsets, T+1, n) with T+1 >= 1 and n >= 1, "
+            f"got shape {est.shape}"
+        )
     if est.shape[0] != len(subsets):
         raise InternalConsistencyError(
             f"{est.shape[0]} estimate tracks for {len(subsets)} subsets"
         )
-    T1 = est.shape[1]
+    _, T1, n = est.shape
+    rows = np.array([pos[sub] for sub in bank.all_subsets], dtype=np.intp)
     n_j = len(bank.j_subsets)
-    pi = np.zeros((T1, n_j))
-    # norms of diverged tracks overflow by design and collapse to +inf
+    j_rows = rows[:n_j]
+    s_rows = rows[bank.cross_check_pos]
+    block = max(1, _BLOCK_ELEMS // (T1 * n))
+    pi = np.empty((T1, n_j))
+    # squares of diverged tracks overflow by design and collapse to +inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, J in enumerate(bank.j_subsets):
-            x_J = est[pos[J]]
-            devs = np.stack(
-                [np.linalg.norm(x_J - est[pos[S]], axis=1) for S in bank.contained[J]]
-            )
-            col = np.max(devs, axis=0)
-            pi[:, j] = np.where(np.isfinite(col), col, np.inf)
+        for lo in range(0, n_j, block):
+            x_J = est[j_rows[lo : lo + block]]
+            worst = None
+            for slot in s_rows[lo : lo + block].T:
+                d = x_J - est[slot]
+                d *= d
+                # left to right: np.sum would pair up the terms once n >= 8
+                acc = d[..., 0].copy()
+                for i in range(1, n):
+                    acc += d[..., i]
+                dev = np.sqrt(acc, out=acc)
+                worst = dev if worst is None else np.maximum(worst, dev, out=worst)
+            worst[~np.isfinite(worst)] = np.inf
+            pi[:, lo : lo + block] = worst.T
     starved = ~np.isfinite(pi).any(axis=1)
     if starved.any():
         raise EstimatorStarvedError(int(np.argmax(starved)))
     sigma_idx = np.argmin(pi, axis=1)
-    j_pos = np.array([pos[J] for J in bank.j_subsets], dtype=int)
-    x_hat = est[j_pos[sigma_idx], np.arange(T1)]
+    x_hat = est[j_rows[sigma_idx], np.arange(T1)]
     return EstimatorRun(
         bank=bank, subsets=tuple(subsets), est=est, pi=pi,
         sigma_idx=sigma_idx, x_hat=x_hat, truth=truth,

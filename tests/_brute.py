@@ -2,11 +2,11 @@
 
 Everything here re-derives the pipeline from first principles: subsets
 by direct enumeration, deviations as a left-to-right sum of squares
-under ``math.sqrt`` (which, for the short state vectors used here,
-rounds exactly like numpy's row-wise norm), worst deviations and
-argmins by explicit scans, unions by set arithmetic, votes by
-hand-counted dictionaries.  Nothing is shared with the package, so
-agreement can be checked bit for bit.
+under ``math.sqrt`` (the package sums the squares in the same order
+for every state dimension n, so the scores agree bit for bit), worst
+deviations and argmins by explicit scans, unions by set arithmetic,
+votes by hand-counted dictionaries.  Nothing is shared with the
+package, so agreement can be checked bit for bit.
 """
 
 import math

@@ -15,7 +15,7 @@ from multiobserver import (
     run_estimator,
     simulate,
 )
-from multiobserver.estimator import frames_to_csv
+from multiobserver.estimator import _BLOCK_ELEMS, frames_to_csv
 
 J12, J13, J23 = SubsetIndex("J", (1, 2)), SubsetIndex("J", (1, 3)), SubsetIndex("J", (2, 3))
 S1, S2, S3 = SubsetIndex("S", (1,)), SubsetIndex("S", (2,)), SubsetIndex("S", (3,))
@@ -74,6 +74,12 @@ def test_selection_breaks_ties_canonically():
     assert run.sigma(1) == J13
 
 
+def test_integer_estimates_score_like_floats():
+    est = np.arange(6 * 3 * 2).reshape(6, 3, 2) ** 3
+    run = run_estimator(IDX, IDX.all_subsets, est)
+    assert np.array_equal(run.pi, run_estimator(IDX, IDX.all_subsets, est.astype(float)).pi)
+
+
 def test_missing_estimate_is_an_internal_error():
     est = np.zeros((6, 4, 2))
     without_s2 = tuple(sub for sub in IDX.all_subsets if sub != S2)
@@ -81,6 +87,9 @@ def test_missing_estimate_is_an_internal_error():
         run_estimator(IDX, without_s2, est[:5])
     with pytest.raises(InternalConsistencyError, match="5 estimate tracks for 6 subsets"):
         run_estimator(IDX, IDX.all_subsets, est[:5])
+    for bad in (est[:, 0], est[:, :0], est[..., :0], est[..., None]):
+        with pytest.raises(InternalConsistencyError, match="estimates must be"):
+            run_estimator(IDX, IDX.all_subsets, bad)
 
 
 def test_run_packages_selection():
@@ -129,6 +138,43 @@ def test_run_estimator_matches_stepwise_loop():
         assert run.sigma(k).members == sigma
         assert np.array_equal(run.x_hat[k], est_j[sigma])
         assert run.e_norm[k] == deviation(est_j[sigma], traj.x[k])
+
+
+@pytest.mark.parametrize(
+    "p, q, n, steps",
+    [
+        (3, 1, 1, 9),
+        (5, 2, 2, 9),
+        (7, 3, 3, 9),
+        (5, 2, 8, 9),
+        (7, 3, 9, 9),
+        (11, 5, 12, 12),  # 462 candidates at 144 elements each: three blocks
+        (3, 1, 3, _BLOCK_ELEMS // 3 + 1),  # one candidate per block
+    ],
+)
+def test_pi_matches_brute_force_bit_for_bit(p, q, n, steps):
+    rng = np.random.default_rng(1000 * p + n)
+    idx = bank_index(p, q)
+    est = rng.normal(size=(len(idx.all_subsets), steps, n))
+    # NaN, +-inf and square-overflowing entries everywhere except one
+    # candidate per step and its cross-checks, so no step starves
+    bad = rng.random(est.shape) < 0.05
+    for k in range(steps):
+        J = idx.j_subsets[k % len(idx.j_subsets)]
+        for sub in (J, *idx.contained[J]):
+            bad[idx.all_subsets.index(sub), k] = False
+    est[bad] = rng.choice([np.nan, np.inf, -np.inf, 1e200], size=int(bad.sum()))
+    perm = rng.permutation(len(idx.all_subsets))
+    run = run_estimator(idx, tuple(idx.all_subsets[i] for i in perm), est[perm])
+    n_j = len(idx.j_subsets)
+    for k in range(steps):
+        est_j = {J.members: est[j, k] for j, J in enumerate(idx.j_subsets)}
+        est_s = {S.members: est[n_j + i, k] for i, S in enumerate(idx.s_subsets)}
+        pi = pi_table(est_j, est_s, p, q)
+        assert run.pi[k].tolist() == [pi[J.members] for J in idx.j_subsets]
+        sigma = argmin_selection(pi)
+        assert run.sigma(k).members == sigma
+        assert np.array_equal(run.x_hat[k], est_j[sigma])
 
 
 def test_run_estimator_starves_on_all_nan_step():
