@@ -80,6 +80,10 @@ class CalibrationSettings:
             problems.append(f"calibration horizon too short to fit a decay: {self.horizon}")
         if self.horizon > MAX_HORIZON:
             problems.append(f"calibration horizon {self.horizon} exceeds {MAX_HORIZON} steps")
+        elif self.trials * self.horizon > MAX_HORIZON:
+            # every trial of a kind is stepped in one batch
+            problems.append(f"calibration trials x horizon ({self.trials} x {self.horizon}) "
+                            f"exceeds {MAX_HORIZON} steps")
         if self.seed < 0:
             problems.append(f"calibration seed must be >= 0, got {self.seed}")
         if self.safety < 1.0 or self.c_safety < 1.0:
@@ -141,23 +145,6 @@ def _plant_runs(plant, x0_spec, kinds, settings, kind_offset=0):
         if noise[run] is not None:
             y[row] += noise[run]
     return (x[keep], y, u[keep], np.array(x0_est)[keep]), spans
-
-
-def _observer_tracks(observers: list[Observer]):
-    """``_collect``'s stepping for observers: each one on every run at once."""
-
-    def track_runs(x, y, u, x0_est, trials):
-        est = run_trials(observers, y, u, x0_est)
-        diverged = ~np.isfinite(est).all(axis=(2, 3))
-        with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's norm is not read
-            norms = np.linalg.norm(est - x, axis=-1)
-        return [
-            [CalibrationError(f"observer diverged in calibration trial {trial}") if bad else e
-             for e, bad, trial in zip(fit_norms, fit_diverged, trials)]
-            for fit_norms, fit_diverged in zip(norms, diverged)
-        ]
-
-    return track_runs
 
 
 def _fit_model(
@@ -231,45 +218,55 @@ def _fit_model(
     return ISSGainModel(c=c, lam=lam, gamma1=gamma1, gamma2=gamma2, nu=nu, k_star=k_star)
 
 
-def _collect(plant, fits, track_runs, x0_spec, m_bar, d_bar, settings, kind_offset=0):
-    """Fit ``fits`` models from one batch of plant runs and one stepping pass.
-
-    The trial kinds' runs are simulated together by :func:`_plant_runs`.
-    ``track_runs(x, y, u, x0_est, trials)`` then gets every kept run,
-    stacked with the run as the leading axis, and each run's trial within
-    its kind, and returns per fit and run its |e(k)| track (T+1,) or the
-    :class:`CalibrationError` of that trial.  Walking the kinds in order,
-    a fit takes the error of its first failing trial, or else the plant
-    error that ends the kind.  Returns, per fit, its model or that error.
-    """
+def _trial_runs(plant, x0_spec, m_bar, d_bar, settings, kind_offset=0):
+    """:func:`_plant_runs` over every trial kind the bounds call for."""
     problems = settings.validate()
     if problems:
         raise ConfigurationError(problems)
-    # (stream block, noise amplitude, disturbance amplitude) per trial kind
-    kinds = [(0, 0.0, 0.0)]
+    kinds = [(0, 0.0, 0.0)]  # (stream block, noise amplitude, disturbance amplitude)
     if m_bar > 0:
         kinds.append((1, m_bar, 0.0))
     if d_bar > 0:
         kinds.append((2, 0.0, d_bar))
-    runs, spans = _plant_runs(plant, x0_spec, kinds, settings, kind_offset)
-    trials = [trial for _, kept, _ in spans for trial in range(kept)]
-    results = track_runs(*runs, trials) if trials else [[]] * fits
-    tracks = [([], [], []) for _ in range(fits)]
-    errors: list[CalibrationError | None] = [None] * fits
-    start = 0
-    for block, kept, plant_error in spans:
-        for i, fit_runs in enumerate(results):
-            if errors[i] is None:
-                kind_runs = fit_runs[start:start + kept]
-                errors[i] = next((r for r in kind_runs if isinstance(r, CalibrationError)),
-                                 plant_error)
-                if errors[i] is None:
-                    tracks[i][block].extend(kind_runs)
-        start += kept
-    return [
-        _fit_model(*kind_tracks, m_bar, d_bar, settings) if err is None else err
-        for err, kind_tracks in zip(errors, tracks)
-    ]
+    return _plant_runs(plant, x0_spec, kinds, settings, kind_offset)
+
+
+def _result(tracks, failure, spans, m_bar, d_bar, settings):
+    """One fit's model from its |e(k)| tracks, one per kept run, or its error.
+
+    The kinds are walked in order: ``failure``, the error of the fit's
+    first failing run, comes first, then the plant error that ended the
+    walk.  A walk without either kept every trial of every kind.
+    """
+    failure = failure or spans[-1][2]
+    if failure is not None:
+        return failure
+    n = settings.trials
+    by_block = {block: list(tracks[i * n:(i + 1) * n]) for i, (block, _, _) in enumerate(spans)}
+    return _fit_model(by_block[0], by_block.get(1, []), by_block.get(2, []), m_bar, d_bar,
+                      settings)
+
+
+def _observer_fits(observers, plant, m_bar, d_bar, x0_spec, settings):
+    """Per observer, its fitted model or the :class:`CalibrationError` of its fit.
+
+    Every observer is stepped once on all kept runs by ``run_trials``;
+    a run is a trial of its kind, ``run % settings.trials``, because
+    only the last walked kind can stop short.
+    """
+    (x, y, u, x0_est), spans = _trial_runs(plant, x0_spec, m_bar, d_bar, settings)
+    est = run_trials(observers, y, u, x0_est)
+    diverged = ~np.isfinite(est).all(axis=(2, 3))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's norm is not read
+        norms = np.linalg.norm(est - x, axis=-1)
+    results = []
+    for tracks, bad in zip(norms, diverged):
+        failure = None
+        if bad.any():
+            failure = CalibrationError(
+                f"observer diverged in calibration trial {np.argmax(bad) % settings.trials}")
+        results.append(_result(tracks, failure, spans, m_bar, d_bar, settings))
+    return results
 
 
 def _fitted(result: ISSGainModel | CalibrationError) -> ISSGainModel:
@@ -293,7 +290,7 @@ def estimate_iss_gains(
     :class:`CalibrationError` when a trial diverges — the observer is
     then not usable on the sampled operating region.
     """
-    (result,) = _collect(plant, 1, _observer_tracks([obs]), x0_spec, m_bar, d_bar, settings)
+    (result,) = _observer_fits([obs], plant, m_bar, d_bar, x0_spec, settings)
     return _fitted(result)
 
 
@@ -314,27 +311,23 @@ def calibrate_estimator(
     at the true state (then the transient term is degenerate and the
     fit reduces to the steady terms).
     """
-    subsets = bank_idx.all_subsets
-
-    def track_runs(x, y, u, x0_est, trials):
-        est = bank.run(y, u, x0_est)
-        tracks = []
-        for run, trial in enumerate(trials):
-            try:
-                x_hat = run_estimator(bank_idx, subsets, est[:, run]).x_hat
-            except EstimatorStarvedError as exc:
-                tracks.append(CalibrationError(f"all deviation scores are infinite at step "
-                                               f"{exc.step} of calibration trial {trial}"))
-                continue
-            if not np.all(np.isfinite(x_hat)):
-                tracks.append(CalibrationError(f"observer diverged in calibration trial {trial}"))
-                continue
-            tracks.append(np.linalg.norm(x_hat - x[run], axis=-1))
-        return [tracks]
-
     eff = settings if not truth_init else replace(settings, init_scale=0.0)
-    (result,) = _collect(plant, 1, track_runs, x0_spec, m_bar, d_bar, eff, kind_offset=10_000)
-    return _fitted(result)
+    (x, y, u, x0_est), spans = _trial_runs(plant, x0_spec, m_bar, d_bar, eff, kind_offset=10_000)
+    tracks = failure = None
+    if len(x):
+        # pi(k) and sigma(k) read step k alone, so one selection over the
+        # runs laid end to end scores each run as it alone would be scored
+        B, T1, n = x.shape
+        est = bank.run(y, u, x0_est).reshape(len(bank), B * T1, n)
+        try:
+            x_hat = run_estimator(bank_idx, bank_idx.all_subsets, est).x_hat
+        except EstimatorStarvedError as exc:
+            run, step = divmod(exc.step, T1)
+            failure = CalibrationError(f"all deviation scores are infinite at step {step} "
+                                       f"of calibration trial {run % eff.trials}")
+        else:
+            tracks = np.linalg.norm(x_hat.reshape(x.shape) - x, axis=-1)
+    return _fitted(_result(tracks, failure, spans, m_bar, d_bar, eff))
 
 
 def calibrate_bank(
@@ -352,9 +345,8 @@ def calibrate_bank(
     fitted models plus a list of per-subset failure messages in bank
     order (empty when all succeeded).
     """
-    observers = list(bank.observers.values())
-    results = _collect(plant, len(observers), _observer_tracks(observers), x0_spec,
-                       m_bar, d_bar, settings)
+    results = _observer_fits(list(bank.observers.values()), plant, m_bar, d_bar, x0_spec,
+                             settings)
     models: dict[SubsetIndex, ISSGainModel] = {}
     failures: list[str] = []
     for (subset, _), result in zip(bank.items(), results):

@@ -28,6 +28,7 @@ from multiobserver import (
 )
 from multiobserver import calibration
 from multiobserver.calibration import _fit_model
+from multiobserver.cli import main as cli_main
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
@@ -330,23 +331,25 @@ def test_calibrate_bank_equals_the_per_observer_fits(scenario_dir, name, monkeyp
 
 
 class _NaNFromTrial(LuenbergerObserver):
-    """A Luenberger observer whose tracks are NaN from its ``fail_from``-th run of a batch on."""
+    """A Luenberger observer whose tracks are NaN from step ``fail_step`` of its
+    ``fail_from``-th run of a batch on, in every run after that one."""
 
-    fail_from = 0
+    fail_from = fail_step = 0
 
     @classmethod
-    def run_trials(cls, members, y, u, x0_est):
-        est = super().run_trials(members, y, u, x0_est)
+    def run_group(cls, members, y, u, x0_est):
+        est = super().run_group(members, y, u, x0_est)
         for j, obs in enumerate(members):
-            est[j, obs.fail_from:] = np.nan
+            est[j, obs.fail_from:, obs.fail_step:] = np.nan
         return est
 
 
-def _fail_from_trial(bank, subset, trial):
-    """Make ``bank``'s observer of ``subset`` estimate NaN from its ``trial``-th run (0-based) on."""
+def _fail_from_trial(bank, subset, trial, step=0):
+    """Make ``bank``'s observer of ``subset`` estimate NaN from step ``step`` of its
+    ``trial``-th run (0-based) on."""
     obs = bank.observers[subset]
     bank.observers[subset] = failing = _NaNFromTrial(subset, obs.f, obs.h, obs.K, obs.n)
-    failing.fail_from = trial
+    failing.fail_from, failing.fail_step = trial, step
 
 
 def _failing_bank():
@@ -416,3 +419,59 @@ def test_starved_estimator_calibration_names_the_trial(scenario_dir):
     assert str(err.value) == (
         "all deviation scores are infinite at step 5 of calibration trial 0"
     )
+
+
+@pytest.mark.parametrize("run, step", [(9, 7), (6, 40)])
+def test_starvation_in_a_later_kind_names_its_trial_and_step(run, step):
+    # 4 trials per kind, 41 steps per run: run 9 is trial 1 of the disturbed
+    # kind and run 6 trial 2 of the noisy one; every observer of the bank
+    # turns NaN there, so selection first starves at that trial and step
+    plant, idx, bank = toy_bank()
+    for subset in idx.all_subsets:
+        _fail_from_trial(bank, subset, run, step)
+    settings = CalibrationSettings(trials=4, horizon=40, seed=0)
+    x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
+    with pytest.raises(CalibrationError) as err:
+        calibrate_estimator(bank, idx, plant, 0.1, 0.1, x0, settings)
+    assert str(err.value) == (
+        f"all deviation scores are infinite at step {step} of calibration trial {run % 4}"
+    )
+
+
+def test_estimator_fit_selects_every_trial_in_one_call(monkeypatch):
+    plant, idx, bank = toy_bank()
+    calls, run_estimator = [], calibration.run_estimator
+
+    def counting(bank_idx, subsets, est, truth=None):
+        calls.append(est.shape)
+        return run_estimator(bank_idx, subsets, est, truth)
+
+    monkeypatch.setattr(calibration, "run_estimator", counting)
+    settings = CalibrationSettings(trials=3, horizon=20, seed=0)
+    x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
+    calibrate_estimator(bank, idx, plant, 0.1, 0.1, x0, settings)
+    # three kinds of three trials, laid end to end
+    assert calls == [(len(bank), 3 * 3 * 21, plant.n)]
+
+
+@pytest.mark.parametrize("flag, value", [("--horizon", "1000000"), ("--trials", "5001")])
+def test_calibrate_past_the_batch_cap_exits_1(scenario_dir, tmp_path, capsys, monkeypatch,
+                                               flag, value):
+    assert CalibrationSettings(trials=5000, horizon=200).validate() == []
+    assert CalibrationSettings(trials=5001, horizon=200).validate() == [
+        "calibration trials x horizon (5001 x 200) exceeds 1000000 steps"
+    ]
+    # example3 calibrates 24 trials at horizon 200; either override takes a
+    # batch past 10**6 steps, and no trial may be drawn before it is listed
+    def no_draws(*args):
+        pytest.fail("trials drawn past the cap")
+
+    monkeypatch.setattr(calibration, "_plant_runs", no_draws)
+    out = tmp_path / "cal.json"
+    code = cli_main(["calibrate", "--config", str(scenario_dir / "example3.json"),
+                     flag, value, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error (1 problem(s))" in err
+    assert "calibration trials x horizon" in err
+    assert not out.exists()
