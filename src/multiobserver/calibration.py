@@ -52,6 +52,8 @@ __all__ = [
 
 TAIL_STATS = ("max", "rms", "median")
 _TAIL_FRACTION = 0.25
+# float64 entries in one fit's (observers, runs, T+1, n) estimates: 128 MiB
+_MAX_BATCH = 2**24
 
 
 @dataclass(frozen=True)
@@ -218,16 +220,28 @@ def _fit_model(
     return ISSGainModel(c=c, lam=lam, gamma1=gamma1, gamma2=gamma2, nu=nu, k_star=k_star)
 
 
-def _trial_runs(plant, x0_spec, m_bar, d_bar, settings, kind_offset=0):
-    """:func:`_plant_runs` over every trial kind the bounds call for."""
+def _trial_runs(plant, x0_spec, m_bar, d_bar, settings, observers, kind_offset=0):
+    """:func:`_plant_runs` over every trial kind the bounds call for.
+
+    ``observers`` are then stepped on all the runs at once, so the fit is
+    refused before anything is drawn when that batch of estimates would
+    pass ``_MAX_BATCH`` entries.
+    """
     problems = settings.validate()
-    if problems:
-        raise ConfigurationError(problems)
     kinds = [(0, 0.0, 0.0)]  # (stream block, noise amplitude, disturbance amplitude)
     if m_bar > 0:
         kinds.append((1, m_bar, 0.0))
     if d_bar > 0:
         kinds.append((2, 0.0, d_bar))
+    entries = observers * len(kinds) * settings.trials * (settings.horizon + 1) * plant.n
+    if not problems and entries > _MAX_BATCH:
+        problems.append(
+            f"calibration batch of {observers} observers x {len(kinds)} trial kinds x "
+            f"{settings.trials} trials x {settings.horizon + 1} steps x {plant.n} states "
+            f"exceeds {_MAX_BATCH} estimates"
+        )
+    if problems:
+        raise ConfigurationError(problems)
     return _plant_runs(plant, x0_spec, kinds, settings, kind_offset)
 
 
@@ -254,7 +268,8 @@ def _observer_fits(observers, plant, m_bar, d_bar, x0_spec, settings):
     a run is a trial of its kind, ``run % settings.trials``, because
     only the last walked kind can stop short.
     """
-    (x, y, u, x0_est), spans = _trial_runs(plant, x0_spec, m_bar, d_bar, settings)
+    (x, y, u, x0_est), spans = _trial_runs(plant, x0_spec, m_bar, d_bar, settings,
+                                           len(observers))
     est = run_trials(observers, y, u, x0_est)
     diverged = ~np.isfinite(est).all(axis=(2, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's norm is not read
@@ -312,7 +327,8 @@ def calibrate_estimator(
     fit reduces to the steady terms).
     """
     eff = settings if not truth_init else replace(settings, init_scale=0.0)
-    (x, y, u, x0_est), spans = _trial_runs(plant, x0_spec, m_bar, d_bar, eff, kind_offset=10_000)
+    (x, y, u, x0_est), spans = _trial_runs(plant, x0_spec, m_bar, d_bar, eff, len(bank),
+                                           kind_offset=10_000)
     tracks = failure = None
     if len(x):
         # pi(k) and sigma(k) read step k alone, so one selection over the

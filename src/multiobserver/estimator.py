@@ -10,11 +10,11 @@ estimate whose error is bounded by attack-free observer errors alone.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvtext import ROW_BLOCK, float_rows, quote
 from .combinatorics import BankIndex, SubsetIndex
 from .errors import EstimatorStarvedError, InternalConsistencyError
 
@@ -126,18 +126,19 @@ def run_estimator(
 def frames_to_csv(run: EstimatorRun, fh) -> None:
     """One row per step: selection, fused estimate, error, all pi scores."""
     n = run.x_hat.shape[1]
+    labels = [quote(J.label) for J in run.bank.j_subsets]
     header = (
         ["k", "sigma"]
         + [f"xhat{i}" for i in range(1, n + 1)]
         + ["e_norm"]
-        + [f"pi_{J.label}" for J in run.bank.j_subsets]
+        + [quote(f"pi_{J.label}") for J in run.bank.j_subsets]
     )
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
+    fh.write(",".join(header) + "\n")
     e_norm = run.e_norm
-    for k in range(run.x_hat.shape[0]):
-        row = [k, run.sigma(k).label]
-        row.extend(repr(float(v)) for v in run.x_hat[k])
-        row.append("" if e_norm is None else repr(float(e_norm[k])))
-        row.extend(repr(float(v)) for v in run.pi[k])
-        writer.writerow(row)
+    for lo in range(0, run.x_hat.shape[0], ROW_BLOCK):
+        hi = lo + ROW_BLOCK
+        x_hat = float_rows(run.x_hat[lo:hi])
+        e = [""] * len(x_hat) if e_norm is None else float_rows(e_norm[lo:hi, None])
+        rows = zip(range(lo, hi), run.sigma_idx[lo:hi].tolist(), x_hat, e,
+                   float_rows(run.pi[lo:hi]))
+        fh.write("".join(f"{k},{labels[s]},{x},{en},{pi}\n" for k, s, x, en, pi in rows))

@@ -8,6 +8,7 @@ with fitted convergence models, leaving the original file untouched.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -66,6 +67,8 @@ def _atomic_write_text(path: Path, text: str) -> None:
         tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise PlumbingError(f"cannot write {path}: {exc}") from None
 
 

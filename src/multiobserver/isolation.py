@@ -10,12 +10,12 @@ complement is the isolated (suspected) sensor set.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvtext import quote
 from .combinatorics import BankIndex, SubsetIndex
 from .errors import ConfigurationError
 from .estimator import EstimatorRun
@@ -181,23 +181,24 @@ def windowed_isolation(
     )
 
 
-def _member_str(members) -> str:
-    return ",".join(str(i) for i in members)
+def _member_fields(sets) -> dict[tuple[int, ...], str]:
+    """Each distinct member set once, as its CSV field."""
+    return {m: quote(",".join(map(str, m))) for m in set(sets)}
 
 
 def windows_to_csv(report: IsolationReport, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["window_i", "k_start", "k_end", "winner_J", "isolated_set", "no_quorum"])
-    for w in report.windows:
-        writer.writerow([
-            w.index, w.k_start, w.k_end,
-            "" if w.winner is None else _member_str(w.winner),
-            _member_str(w.isolated), int(w.no_quorum),
-        ])
+    # a window without quorum has no winner: its field is empty
+    field = _member_fields(m for w in report.windows for m in (w.winner or (), w.isolated))
+    fh.write("window_i,k_start,k_end,winner_J,isolated_set,no_quorum\n")
+    fh.write("".join(
+        f"{w.index},{w.k_start},{w.k_end},{field[w.winner or ()]},{field[w.isolated]},"
+        f"{int(w.no_quorum)}\n"
+        for w in report.windows
+    ))
 
 
 def steps_to_csv(report: IsolationReport, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["k", "Wbar"])
-    for k in sorted(report.step_unions):
-        writer.writerow([k, _member_str(report.step_unions[k])])
+    unions = report.step_unions
+    field = _member_fields(unions.values())
+    fh.write("k,Wbar\n")
+    fh.write("".join(f"{k},{field[unions[k]]}\n" for k in sorted(unions)))

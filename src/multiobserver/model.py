@@ -10,7 +10,6 @@ draws of another.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._csvtext import ROW_BLOCK, float_rows
 from .errors import ConfigurationError, SimulationDivergedError
 
 __all__ = [
@@ -433,7 +433,10 @@ class Trajectory:
         return self.x.shape[0] - 1
 
     def write_csv(self, fh) -> None:
-        """Stream the run as one row per step with flat named columns."""
+        """Stream the run as one row per step with flat named columns.
+
+        Every float is written as its shortest round-trip ``repr``.
+        """
         n, p = self.x.shape[1], self.y.shape[1]
         n_d = self.d.shape[1]
         header = (
@@ -444,13 +447,12 @@ class Trajectory:
             + [f"m{i}" for i in range(1, p + 1)]
             + [f"d{i}" for i in range(1, n_d + 1)]
         )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for k in range(self.x.shape[0]):
-            row = [k]
-            for block in (self.x[k], self.y[k], self.a[k], self.m[k], self.d[k]):
-                row.extend(repr(float(v)) for v in block)
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        tracks = (self.x, self.y, self.a, self.m, self.d)
+        for lo in range(0, self.x.shape[0], ROW_BLOCK):
+            block = np.concatenate([t[lo:lo + ROW_BLOCK] for t in tracks], axis=1)
+            fh.write("".join(f"{k},{row}\n"
+                             for k, row in enumerate(float_rows(block), start=lo)))
 
 
 def _scenario_streams(scenario: AttackScenario, n_d: int):

@@ -5,10 +5,13 @@ by direct enumeration, deviations as a left-to-right sum of squares
 under ``math.sqrt`` (the package sums the squares in the same order
 for every state dimension n, so the scores agree bit for bit), worst
 deviations and argmins by explicit scans, unions by set arithmetic,
-votes by hand-counted dictionaries.  Nothing is shared with the
+votes by hand-counted dictionaries, artifact text by ``csv.writer``
+with one ``repr(float(v))`` per field.  Nothing is shared with the
 package, so agreement can be checked bit for bit.
 """
 
+import csv
+import io
 import math
 from itertools import combinations
 
@@ -188,3 +191,54 @@ def calibration_plant_run(f, h, mean, std, noise_amp, dist_amp, horizon, rng, in
             y_k = y_k + noise_amp * rng.uniform(-1.0, 1.0, p)
         y.append(y_k)
     return np.array(x), np.array(y), u, x0_est
+
+
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _floats(values):
+    return [repr(float(v)) for v in values]
+
+
+def trajectory_csv(traj):
+    """The text of ``Trajectory.write_csv``: one row per step."""
+    x, y, a, m, d = traj.x, traj.y, traj.a, traj.m, traj.d
+    header = (["k"] + [f"x{i}" for i in range(1, x.shape[1] + 1)]
+              + [f"{c}{i}" for c in "yam" for i in range(1, y.shape[1] + 1)]
+              + [f"d{i}" for i in range(1, d.shape[1] + 1)])
+    rows = [[k] + _floats(x[k]) + _floats(y[k]) + _floats(a[k]) + _floats(m[k]) + _floats(d[k])
+            for k in range(x.shape[0])]
+    return _csv_text(header, rows)
+
+
+def frames_csv(run):
+    """The text of ``frames_to_csv``: selection, x-hat, error and scores per step."""
+    labels = [J.label for J in run.bank.j_subsets]
+    header = (["k", "sigma"] + [f"xhat{i}" for i in range(1, run.x_hat.shape[1] + 1)]
+              + ["e_norm"] + [f"pi_{label}" for label in labels])
+    e_norm = run.e_norm
+    rows = [[k, labels[int(run.sigma_idx[k])]] + _floats(run.x_hat[k])
+            + ["" if e_norm is None else repr(float(e_norm[k]))] + _floats(run.pi[k])
+            for k in range(run.x_hat.shape[0])]
+    return _csv_text(header, rows)
+
+
+def windows_csv(report):
+    """The text of ``windows_to_csv``: one row per isolation window."""
+    rows = [[w.index, w.k_start, w.k_end,
+             "" if w.winner is None else ",".join(map(str, w.winner)),
+             ",".join(map(str, w.isolated)), int(w.no_quorum)]
+            for w in report.windows]
+    return _csv_text(["window_i", "k_start", "k_end", "winner_J", "isolated_set", "no_quorum"],
+                     rows)
+
+
+def steps_csv(report):
+    """The text of ``steps_to_csv``: the union of passing subsets per step."""
+    rows = [[k, ",".join(map(str, report.step_unions[k]))] for k in sorted(report.step_unions)]
+    return _csv_text(["k", "Wbar"], rows)

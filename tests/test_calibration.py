@@ -461,7 +461,7 @@ def test_calibrate_past_the_batch_cap_exits_1(scenario_dir, tmp_path, capsys, mo
     assert CalibrationSettings(trials=5001, horizon=200).validate() == [
         "calibration trials x horizon (5001 x 200) exceeds 1000000 steps"
     ]
-    # example3 calibrates 24 trials at horizon 200; either override takes a
+    # example3 calibrates 24 trials at horizon 400; either override takes a
     # batch past 10**6 steps, and no trial may be drawn before it is listed
     def no_draws(*args):
         pytest.fail("trials drawn past the cap")
@@ -475,3 +475,48 @@ def test_calibrate_past_the_batch_cap_exits_1(scenario_dir, tmp_path, capsys, mo
     assert "configuration error (1 problem(s))" in err
     assert "calibration trials x horizon" in err
     assert not out.exists()
+
+
+def test_calibrate_past_the_estimate_cap_exits_1(scenario_dir, tmp_path, capsys, monkeypatch):
+    # 2500 x 400 steps pass validate(), but the observer fits would step
+    # 15 observers x 2 kinds x 2500 trials x 401 steps x 2 states at once
+    assert CalibrationSettings(trials=2500, horizon=400).validate() == []
+
+    def no_draws(*args):
+        pytest.fail("trials drawn past the cap")
+
+    monkeypatch.setattr(calibration, "_plant_runs", no_draws)
+    out = tmp_path / "cal.json"
+    code = cli_main(["calibrate", "--config", str(scenario_dir / "example3.json"),
+                     "--trials", "2500", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error (1 problem(s))" in err
+    assert ("calibration batch of 15 observers x 2 trial kinds x 2500 trials x 401 steps "
+            "x 2 states exceeds 16777216 estimates") in err
+    assert not out.exists()
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("trials, refused", [(4614, False), (4615, True)])
+def test_estimator_fit_checks_its_batch_before_drawing(monkeypatch, trials, refused):
+    plant, idx, bank = toy_bank()
+
+    def drawn(*args):
+        raise _Drawn
+
+    monkeypatch.setattr(calibration, "_plant_runs", drawn)
+    # 6 observers x 3 kinds x 101 steps x 2 states = 3636 estimates per trial;
+    # 2**24 of them hold 4614 trials
+    settings = CalibrationSettings(trials=trials, horizon=100, seed=0)
+    x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
+    with pytest.raises(ConfigurationError if refused else _Drawn) as err:
+        calibrate_estimator(bank, idx, plant, 0.1, 0.1, x0, settings)
+    if refused:
+        assert err.value.problems == [
+            f"calibration batch of 6 observers x 3 trial kinds x {trials} trials x 101 steps "
+            "x 2 states exceeds 16777216 estimates"
+        ]

@@ -68,6 +68,18 @@ def test_run_with_isolation_artifacts(scenario_dir, tmp_path):
     assert all(w.isolated == (3,) for w in art.isolation.windows)
 
 
+def test_failed_write_leaves_no_tmp_file(scenario_dir, tmp_path):
+    cfg = _cfg(scenario_dir, "example1")
+    # a directory where frames.csv belongs: the rename onto it fails
+    (tmp_path / "example1" / "frames.csv").mkdir(parents=True)
+    with pytest.raises(PlumbingError, match="frames.csv"):
+        run_scenario(cfg, out=str(tmp_path))
+    assert sorted(p.name for p in (tmp_path / "example1").iterdir()) == [
+        "frames.csv", "trajectory.csv",
+    ]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_divergence_carries_the_config_hash(scenario_dir, tmp_path):
     cfg = _cfg(scenario_dir, "example1")
     diverged = None
