@@ -31,14 +31,16 @@ from pathlib import Path
 import numpy as np
 
 from multiobserver import (
+    EstimatorRun,
+    EstimatorStarvedError,
+    SimulationDivergedError,
     SubsetIndex,
     bank_index,
     build_bank,
     calibrate_bank,
     calibrate_estimator,
     compute_thresholds,
-    run_estimator,
-    simulate,
+    run_seeds,
     windowed_isolation,
 )
 from multiobserver.config import _example1_plant, parse_config
@@ -76,6 +78,14 @@ def _example(doc: dict):
     cfg = parse_config(doc)
     bank, _ = build_bank(cfg, enforce=False)
     return cfg, bank
+
+
+def _finished(outcomes: list) -> list[EstimatorRun]:
+    """The outcomes of :func:`run_seeds`, raising the first seed's error if one failed."""
+    for out in outcomes:
+        if not isinstance(out, EstimatorRun):
+            raise out
+    return outcomes
 
 
 # ---------------------------------------------------------------- example 4
@@ -233,28 +243,18 @@ def probe_ex4(args):
         thresholds = compute_thresholds(models, idx, scen.noise_bound, scen.disturbance_bound,
                                         eps=0.0, k_star_override=0)
         unattacked = replace(scen, attacked=frozenset(), attack_gens={})
-        stats = {100: [], 200: []}
-        control_full_steps = []
-        control_empty = []
+        runs = _finished(run_seeds(cfg, bank, range(args.seeds)))
+        pi_bar = np.array([thresholds.pi_bar[J] for J in idx.j_subsets])
         exceed = np.zeros(len(idx.j_subsets))
-        for seed in range(args.seeds):
-            traj = simulate(cfg.plant, replace(scen, seed=seed))
-            est = bank.run(traj.y, traj.u, cfg.initial_estimate(traj.x[0]))
-            run = run_estimator(idx, idx.all_subsets, est, truth=traj.x)
-            exceed += np.mean(
-                run.pi[:, : len(idx.j_subsets)]
-                > np.array([thresholds.pi_bar[J] for J in idx.j_subsets]),
-                axis=0,
-            )
-            for N in (100, 200):
-                rep = windowed_isolation(run, thresholds, N)
-                isolated = [w.isolated for w in rep.windows]
-                stats[N].append(np.mean([s == (3,) for s in isolated]))
-            ctraj = simulate(cfg.plant, replace(unattacked, seed=seed))
-            cest = bank.run(ctraj.y, ctraj.u, cfg.initial_estimate(ctraj.x[0]))
-            crun = run_estimator(idx, idx.all_subsets, cest, truth=ctraj.x)
-            full = frozenset(range(1, 5))
-            rep = windowed_isolation(crun, thresholds, 100)
+        for run in runs:
+            exceed += np.mean(run.pi[:, : len(idx.j_subsets)] > pi_bar, axis=0)
+        stats = {N: [np.mean([w.isolated == (3,) for w in rep.windows])
+                     for rep in (windowed_isolation(run, thresholds, N) for run in runs)]
+                 for N in (100, 200)}
+        full = frozenset(range(1, 5))
+        control_empty, control_full_steps = [], []
+        for run in _finished(run_seeds(cfg, bank, range(args.seeds), unattacked)):
+            rep = windowed_isolation(run, thresholds, 100)
             control_empty.append(np.mean([w.isolated == () for w in rep.windows]))
             control_full_steps.append(
                 np.mean([frozenset(u) == full for u in rep.step_unions.values()])
@@ -343,25 +343,15 @@ def probe_ex3(args):
         loud = replace(scen, attack_gens={
             i: replace(gen, low=-100.0, high=100.0) for i, gen in scen.attack_gens.items()
         })
-        t0 = time.perf_counter()
-        tails, passes = [], 0
-        pair_diffs = []
         clean_j = next(i for i, J in enumerate(idx.j_subsets) if J.members == (1, 3, 4))
-        clean_frac = []
-        for seed in range(args.seeds):
-            traj = simulate(cfg.plant, replace(scen, seed=seed))
-            est = bank.run(traj.y, traj.u, cfg.initial_estimate(traj.x[0]))
-            run = run_estimator(idx, idx.all_subsets, est, truth=traj.x)
-            tail = float(np.max(run.e_norm[150:]))
-            tails.append(tail)
-            passes += tail <= bound
-            clean_frac.append(float(np.mean(run.sigma_idx[150:] == clean_j)))
-            if seed < 20:
-                traj2 = simulate(cfg.plant, replace(loud, seed=seed))
-                est2 = bank.run(traj2.y, traj2.u, cfg.initial_estimate(traj2.x[0]))
-                run2 = run_estimator(idx, idx.all_subsets, est2, truth=traj2.x)
-                tail2 = float(np.max(run2.e_norm[150:]))
-                pair_diffs.append(abs(tail2 - tail) / max(tail, 1e-30))
+        t0 = time.perf_counter()
+        runs = _finished(run_seeds(cfg, bank, range(args.seeds)))
+        tails = [float(np.max(run.e_norm[150:])) for run in runs]
+        passes = sum(tail <= bound for tail in tails)
+        clean_frac = [float(np.mean(run.sigma_idx[150:] == clean_j)) for run in runs]
+        loud_runs = _finished(run_seeds(cfg, bank, range(min(args.seeds, 20)), loud))
+        pair_diffs = [abs(float(np.max(run.e_norm[150:])) - tail) / max(tail, 1e-30)
+                      for run, tail in zip(loud_runs, tails)]
         dt = time.perf_counter() - t0
         print(
             f"dj={dj:4}: bound={bound:.4f} "
@@ -414,33 +404,19 @@ def ex1_bundle(lam_j: float, lam_s: float) -> dict:
 
 
 def probe_ex1(args):
-    from multiobserver.errors import EstimatorStarvedError, SimulationDivergedError
-
     for lam_j, lam_s in itertools.product(
         [float(v) for v in args.lams_j.split(",")],
         [float(v) for v in args.lams_s.split(",")],
     ):
         cfg, bank = _example(example1_doc(ex1_bundle(lam_j, lam_s)))
-        idx = cfg.bank
-        ok = diverged = starved = 0
-        worst = 0.0
         t0 = time.perf_counter()
-        for seed in range(args.seeds):
-            try:
-                traj = simulate(cfg.plant, replace(cfg.scenario, seed=seed))
-            except SimulationDivergedError:
-                diverged += 1
-                continue
-            est = bank.run(traj.y, traj.u, cfg.initial_estimate(traj.x[0]))
-            try:
-                run = run_estimator(idx, idx.all_subsets, est, truth=traj.x)
-            except EstimatorStarvedError:
-                starved += 1
-                continue
-            tail = float(np.max(run.e_norm[40:]))
-            worst = max(worst, tail) if np.isfinite(tail) else worst
-            ok += tail < 1e-2
+        outcomes = run_seeds(cfg, bank, range(args.seeds))
         dt = time.perf_counter() - t0
+        diverged = sum(isinstance(out, SimulationDivergedError) for out in outcomes)
+        starved = sum(isinstance(out, EstimatorStarvedError) for out in outcomes)
+        tails = [float(np.max(out.e_norm[40:])) for out in outcomes if isinstance(out, EstimatorRun)]
+        ok = sum(tail < 1e-2 for tail in tails)
+        worst = max([0.0, *filter(np.isfinite, tails)])
         print(
             f"lam_j={lam_j:4} lam_s={lam_s:4}: pass={ok}/{args.seeds} "
             f"(plant diverged {diverged}, bank starved {starved}), "
@@ -506,18 +482,12 @@ def ex2_bundle() -> dict:
 
 def probe_ex2(args):
     cfg, bank = _example(example2_doc(ex2_bundle()))
-    idx = cfg.bank
-    ok = 0
-    worst = 0.0
     t0 = time.perf_counter()
-    for seed in range(args.seeds):
-        traj = simulate(cfg.plant, replace(cfg.scenario, seed=seed))
-        est = bank.run(traj.y, traj.u, cfg.initial_estimate(traj.x[0]))
-        run = run_estimator(idx, idx.all_subsets, est, truth=traj.x)
-        tail = float(np.max(run.e_norm[160:]))
-        worst = max(worst, tail)
-        ok += tail < 1e-2
+    tails = [float(np.max(run.e_norm[160:]))
+             for run in _finished(run_seeds(cfg, bank, range(args.seeds)))]
     dt = time.perf_counter() - t0
+    ok = sum(tail < 1e-2 for tail in tails)
+    worst = max([0.0, *tails])
     print(f"pass={ok}/{args.seeds}, worst tail={worst:.2e} ({dt:.1f}s)")
 
 

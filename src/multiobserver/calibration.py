@@ -33,6 +33,7 @@ from .errors import CalibrationError, ConfigurationError, EstimatorStarvedError
 from .estimator import run_estimator
 from .model import (
     DIVERGENCE_CEILING,
+    MAX_BATCH,
     MAX_HORIZON,
     InitSpec,
     PlantModel,
@@ -52,8 +53,6 @@ __all__ = [
 
 TAIL_STATS = ("max", "rms", "median")
 _TAIL_FRACTION = 0.25
-# float64 entries in one fit's (observers, runs, T+1, n) estimates: 128 MiB
-_MAX_BATCH = 2**24
 
 
 @dataclass(frozen=True)
@@ -225,7 +224,7 @@ def _trial_runs(plant, x0_spec, m_bar, d_bar, settings, observers, kind_offset=0
 
     ``observers`` are then stepped on all the runs at once, so the fit is
     refused before anything is drawn when that batch of estimates would
-    pass ``_MAX_BATCH`` entries.
+    pass ``MAX_BATCH`` entries.
     """
     problems = settings.validate()
     kinds = [(0, 0.0, 0.0)]  # (stream block, noise amplitude, disturbance amplitude)
@@ -234,11 +233,11 @@ def _trial_runs(plant, x0_spec, m_bar, d_bar, settings, observers, kind_offset=0
     if d_bar > 0:
         kinds.append((2, 0.0, d_bar))
     entries = observers * len(kinds) * settings.trials * (settings.horizon + 1) * plant.n
-    if not problems and entries > _MAX_BATCH:
+    if not problems and entries > MAX_BATCH:
         problems.append(
             f"calibration batch of {observers} observers x {len(kinds)} trial kinds x "
             f"{settings.trials} trials x {settings.horizon + 1} steps x {plant.n} states "
-            f"exceeds {_MAX_BATCH} estimates"
+            f"exceeds {MAX_BATCH} estimates"
         )
     if problems:
         raise ConfigurationError(problems)

@@ -2,8 +2,10 @@
 
 ``run_scenario`` wires plant → bank → selection → isolation and writes
 every artifact atomically (temp file + rename) so a crashed run never
-leaves a half-written CSV behind.  ``calibrate`` produces a new config
-with fitted convergence models, leaving the original file untouched.
+leaves a half-written CSV behind.  ``run_seeds`` runs plant → bank →
+selection on many seeds of a scenario as one batch.  ``calibrate``
+produces a new config with fitted convergence models, leaving the
+original file untouched.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ import numpy as np
 from . import __version__
 from .calibration import calibrate_bank, calibrate_estimator
 from .config import BankBuildReport, ScenarioConfig, build_bank
-from .errors import CalibrationError, ConfigurationError, PlumbingError
+from .errors import (
+    CalibrationError,
+    ConfigurationError,
+    EstimatorStarvedError,
+    PlumbingError,
+    SimulationDivergedError,
+)
 from .estimator import EstimatorRun, frames_to_csv, run_estimator
 from .isolation import (
     IsolationReport,
@@ -34,13 +42,23 @@ from .isolation import (
     windowed_isolation,
     windows_to_csv,
 )
-from .model import Trajectory, simulate
+from .model import (
+    MAX_BATCH,
+    AttackScenario,
+    Trajectory,
+    draw_run,
+    first_divergence,
+    output_track,
+    plant_track,
+    simulate,
+)
+from .observers import ObserverBank
 
 log = logging.getLogger(__name__)
 
 OUT_DIR_ENV = "MULTIOBSERVER_OUT"
 
-__all__ = ["RunArtifacts", "run_scenario", "calibrate", "emit_plots", "OUT_DIR_ENV"]
+__all__ = ["RunArtifacts", "run_scenario", "run_seeds", "calibrate", "emit_plots", "OUT_DIR_ENV"]
 
 
 @dataclass
@@ -177,6 +195,52 @@ def run_scenario(
     )
 
 
+def run_seeds(
+    cfg: ScenarioConfig,
+    bank: ObserverBank,
+    seeds,
+    scenario: AttackScenario | None = None,
+) -> list[EstimatorRun | SimulationDivergedError | EstimatorStarvedError]:
+    """Each seed's run of ``scenario`` (the config's by default), stepped as one batch.
+
+    The outcome of a seed is what ``simulate``, ``bank.run`` and
+    ``run_estimator`` give on that seed alone, bit for bit: its
+    :class:`EstimatorRun`, or the :class:`SimulationDivergedError` or
+    :class:`EstimatorStarvedError` that path raises, returned rather than
+    raised.  Every seed's scenario is validated as ``simulate`` validates
+    it, and a batch whose bank estimates would pass ``MAX_BATCH`` entries
+    is refused, before anything is drawn.
+    """
+    plant = cfg.plant
+    base = cfg.scenario if scenario is None else scenario
+    scenarios = [replace(base, seed=seed) for seed in seeds]
+    problems = list(dict.fromkeys(msg for scen in scenarios for msg in scen.validate(plant)))
+    entries = len(bank) * len(scenarios) * (base.horizon + 1) * plant.n
+    if not problems and entries > MAX_BATCH:
+        problems.append(
+            f"batch of {len(bank)} observers x {len(scenarios)} seeds x "
+            f"{base.horizon + 1} steps x {plant.n} states exceeds {MAX_BATCH} estimates"
+        )
+    if problems:
+        raise ConfigurationError(problems)
+    if not scenarios:
+        return []
+    x0, u, d, m, a = (np.array(signal) for signal in zip(*(draw_run(plant, s) for s in scenarios)))
+    x = plant_track(plant, x0, u, d, cfg.ceiling)
+    outcomes = [first_divergence(row, cfg.ceiling) for row in x]
+    finite = [i for i, diverged in enumerate(outcomes) if diverged is None]
+    if finite:
+        y = output_track(plant, x[finite], u[finite]) + m[finite] + a[finite]
+        x0_est = np.array([cfg.initial_estimate(x[i, 0]) for i in finite])
+        est = bank.run(y, u[finite], x0_est)
+    for row, i in enumerate(finite):
+        try:
+            outcomes[i] = run_estimator(cfg.bank, cfg.bank.all_subsets, est[:, row], truth=x[i])
+        except EstimatorStarvedError as exc:
+            outcomes[i] = exc
+    return [SimulationDivergedError(*out) if isinstance(out, tuple) else out for out in outcomes]
+
+
 def calibrate(
     cfg: ScenarioConfig,
     trials: int | None = None,
@@ -282,7 +346,9 @@ def emit_plots(artifacts_dir: str | Path) -> list[Path]:
     f_header, f_rows = _read_csv_rows(frames)
     states_path = out_dir / "states_fig.csv"
     error_path = out_dir / "error_fig.csv"
-    if not rows or not f_rows:
+    if len(rows) != len(f_rows):
+        raise PlumbingError(f"{trajectory} has {len(rows)} rows but {frames} has {len(f_rows)}")
+    if not rows:
         log.warning("empty run artifacts in %s; emitting empty plot files", out_dir)
         _atomic_write_text(states_path, "")
         _atomic_write_text(error_path, "")
@@ -291,6 +357,10 @@ def emit_plots(artifacts_dir: str | Path) -> list[Path]:
         x_cols = _columns(trajectory, header, "x", prefix=True)
         xh_cols = _columns(frames, f_header, "xhat", prefix=True)
         e_col = _columns(frames, f_header, "e_norm")[0]
+        if len(x_cols) != len(xh_cols):
+            raise PlumbingError(
+                f"{trajectory} has {len(x_cols)} state columns but {frames} has {len(xh_cols)}"
+            )
         lines = ["k," + ",".join(
             f"x{i + 1},xhat{i + 1}" for i in range(len(x_cols))
         )]

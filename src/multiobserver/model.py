@@ -34,6 +34,7 @@ __all__ = [
     "plant_track",
     "output_track",
     "first_divergence",
+    "draw_run",
     "simulate",
 ]
 
@@ -45,6 +46,8 @@ _STREAM_KINDS = {"init": 0, "attack": 1, "noise": 2, "disturbance": 3, "calibrat
 # ``simulate`` allocates (T+1, n) arrays and the observer bank
 # (n_obs, T+1, n), so an unchecked horizon becomes an unbounded allocation.
 MAX_HORIZON = 10**6
+# float64 entries in one batch of bank estimates (observers, runs, T+1, n): 128 MiB
+MAX_BATCH = 2**24
 
 # Plant-state norm past which a run counts as diverged, unless a config sets
 # its own ``divergence_ceiling`` (calibration always uses this one).
@@ -455,14 +458,25 @@ class Trajectory:
                              for k, row in enumerate(float_rows(block), start=lo)))
 
 
-def _scenario_streams(scenario: AttackScenario, n_d: int):
-    seed = scenario.seed
-    return {
-        "init": signal_stream(seed, "init"),
-        "attack": [signal_stream(seed, "attack", i) for i in range(1, scenario.p + 1)],
-        "noise": [signal_stream(seed, "noise", i) for i in range(1, scenario.p + 1)],
-        "disturbance": [signal_stream(seed, "disturbance", j) for j in range(1, n_d + 1)],
-    }
+def draw_run(model: PlantModel, scenario: AttackScenario):
+    """The signals of one run of ``scenario``: x(0), u, d, m and a.
+
+    Each signal draws from its own stream, so drawing past a divergence
+    changes nothing.  ``simulate`` and ``harness.run_seeds`` both draw
+    through this, so a seed gives the same run on either path.
+    """
+    T, seed = scenario.horizon, scenario.seed
+    u = np.zeros((T + 1, model.n_u))
+    d = np.zeros((T + 1, model.n_d))
+    m = np.zeros((T + 1, model.p))
+    a = np.zeros((T + 1, model.p))
+    signals = [(m, "noise", scenario.noise_gens), (d, "disturbance", scenario.disturbance_gens),
+               (a, "attack", [scenario.attack_gen(i) for i in range(1, model.p + 1)])]
+    for track, kind, gens in signals:
+        for i, gen in enumerate(gens):
+            if gen.kind != "zero":  # a zero signal leaves its stream unused
+                track[:, i] = sample_block(gen, T + 1, signal_stream(seed, kind, i + 1))
+    return scenario.x0.sample(signal_stream(seed, "init")), u, d, m, a
 
 
 def simulate(
@@ -479,19 +493,7 @@ def simulate(
     problems = scenario.validate(model)
     if problems:
         raise ConfigurationError(problems)
-    T = scenario.horizon
-    streams = _scenario_streams(scenario, model.n_d)
-    u = np.zeros((T + 1, model.n_u))
-    d = np.zeros((T + 1, model.n_d))
-    m = np.zeros((T + 1, model.p))
-    a = np.zeros((T + 1, model.p))
-    # Every signal owns its stream, so drawing past a divergence changes nothing.
-    for i in range(model.p):
-        m[:, i] = sample_block(scenario.noise_gens[i], T + 1, streams["noise"][i])
-        a[:, i] = sample_block(scenario.attack_gen(i + 1), T + 1, streams["attack"][i])
-    for j in range(model.n_d):
-        d[:, j] = sample_block(scenario.disturbance_gens[j], T + 1, streams["disturbance"][j])
-    x0 = scenario.x0.sample(streams["init"])
+    x0, u, d, m, a = draw_run(model, scenario)
     x = plant_track(model, x0[None], u[None], d[None], ceiling)[0]
     diverged = first_divergence(x, ceiling)
     if diverged is not None:

@@ -242,3 +242,21 @@ def steps_csv(report):
     """The text of ``steps_to_csv``: the union of passing subsets per step."""
     rows = [[k, ",".join(map(str, report.step_unions[k]))] for k in sorted(report.step_unions)]
     return _csv_text(["k", "Wbar"], rows)
+
+
+def pair_slope_minimum(channel, points, block=256):
+    """The least quotient (f(v) - f(w)) / (v - w) over every pair of distinct ``points``.
+
+    The all-pairs reference for the slope check: each pair's quotient is
+    taken straight from its two channel values, ``block`` rows of the
+    pair table at a time.
+    """
+    v = np.asarray(points, dtype=float)
+    f = np.asarray(channel(v), dtype=float)
+    worst = math.inf
+    for lo in range(0, len(v), block):
+        dv = v[lo:lo + block, None] - v
+        df = f[lo:lo + block, None] - f
+        keep = dv != 0.0
+        worst = min(worst, float(np.min(df[keep] / dv[keep])))
+    return worst

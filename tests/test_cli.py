@@ -202,6 +202,10 @@ _BROKEN_ARTIFACTS = {
     "frames.csv without e_norm": ("frames.csv", lambda text: text.replace("e_norm", "e", 1)),
     "frames.csv without xhat": ("frames.csv", lambda text: text.replace("xhat", "estimate")),
     "frames.csv with a short row": ("frames.csv", _short_last_row),
+    "frames.csv without its last row": (
+        "frames.csv", lambda text: text[:text.rstrip("\n").rindex("\n") + 1]
+    ),
+    "frames.csv with one xhat column": ("frames.csv", lambda text: text.replace("xhat2", "e2", 1)),
     "trajectory.csv without x": ("trajectory.csv", lambda text: text.replace(",x", ",state")),
     "isolation_windows.csv without isolated_set": (
         "isolation_windows.csv", lambda text: text.replace("isolated_set", "isolated", 1)

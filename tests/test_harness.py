@@ -1,16 +1,28 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multiobserver import (
+    ConfigurationError,
+    EstimatorRun,
+    EstimatorStarvedError,
     SimulationDivergedError,
+    build_bank,
     load_config,
+    run_estimator,
     run_scenario,
+    run_seeds,
+    simulate,
 )
+from multiobserver import harness
+from multiobserver.config import parse_config
 from multiobserver.harness import calibrate, emit_plots, resolve_out_dir
 from multiobserver.errors import PlumbingError
+from multiobserver.model import MAX_BATCH
 
 
 def _cfg(scenario_dir, name):
@@ -145,3 +157,89 @@ def test_out_dir_resolution_precedence(scenario_dir, monkeypatch, tmp_path):
     assert resolve_out_dir(cfg, None) == tmp_path / "example1"
     monkeypatch.delenv("MULTIOBSERVER_OUT")
     assert str(resolve_out_dir(cfg, None)) == "runs/example1"
+
+def _seed_alone(cfg, bank, scenario):
+    """One seed's outcome from ``simulate``, ``bank.run`` and ``run_estimator``."""
+    try:
+        traj = simulate(cfg.plant, scenario, ceiling=cfg.ceiling)
+        est = bank.run(traj.y, traj.u, cfg.initial_estimate(traj.x[0]))
+        return run_estimator(cfg.bank, cfg.bank.all_subsets, est, truth=traj.x)
+    except (SimulationDivergedError, EstimatorStarvedError) as exc:
+        return exc
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_seed_runs_equal_each_seed_alone(cfg, seeds):
+    """Check ``run_seeds`` against each seed alone, bit for bit; count outcomes by type."""
+    bank, _ = build_bank(cfg)
+    got = run_seeds(cfg, bank, seeds)
+    assert len(got) == len(seeds)
+    for seed, out in zip(seeds, got):
+        want = _seed_alone(cfg, bank, replace(cfg.scenario, seed=seed))
+        assert type(out) is type(want), seed
+        if isinstance(want, EstimatorRun):
+            for name in ("est", "pi", "sigma_idx", "x_hat", "truth", "e_norm"):
+                assert np.array_equal(_bits(getattr(out, name)), _bits(getattr(want, name))), \
+                    (seed, name)
+        else:
+            assert (out.args, vars(out)) == (want.args, vars(want)), seed
+    return Counter(type(out).__name__ for out in got)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
+def test_run_seeds_equals_each_seed_alone(scenario_dir, name):
+    # example1's plant escapes on 36 of seeds 0-99, and its bank on seed 5070
+    kinds = _assert_seed_runs_equal_each_seed_alone(_cfg(scenario_dir, name), [*range(100), 5070])
+    if name == "example1":
+        assert kinds == {"EstimatorRun": 64, "SimulationDivergedError": 36,
+                         "EstimatorStarvedError": 1}
+    else:
+        assert kinds == {"EstimatorRun": 101}
+
+
+def test_run_seeds_with_a_disturbance_input_and_a_low_ceiling(scenario_dir):
+    # example3's circle plant with D and n_d = 1, which no bundled plant has, and
+    # a divergence ceiling that the structured plant passes on seeds 13 and 14
+    raw = json.loads((scenario_dir / "example3.json").read_text())
+    raw["plant"]["D"] = [[0.05], [0.1]]
+    raw["scenario"]["disturbance"] = [{"kind": "uniform", "low": -0.5, "high": 0.5}]
+    raw["scenario"]["disturbance_bound"] = 0.5
+    raw["divergence_ceiling"] = 3.5
+    cfg = parse_config(raw)
+    assert cfg.plant.n_d == 1
+    kinds = _assert_seed_runs_equal_each_seed_alone(cfg, range(20))
+    assert kinds == {"EstimatorRun": 18, "SimulationDivergedError": 2}
+
+
+def test_run_seeds_validates_every_seed_as_simulate_does(scenario_dir):
+    cfg = _cfg(scenario_dir, "example2")
+    bank, _ = build_bank(cfg)
+    with pytest.raises(ConfigurationError) as alone:
+        simulate(cfg.plant, replace(cfg.scenario, seed=-1))
+    with pytest.raises(ConfigurationError) as batch:
+        run_seeds(cfg, bank, [0, -1, -1])
+    assert batch.value.problems == alone.value.problems
+    assert run_seeds(cfg, bank, []) == []
+
+
+def test_run_seeds_refuses_a_batch_past_the_cap_before_drawing(scenario_dir, monkeypatch):
+    # example4: 10 observers x 1000 steps x 2 states per seed, so the cap
+    # admits 838 seeds and refuses 839
+    cfg = _cfg(scenario_dir, "example4")
+    bank, _ = build_bank(cfg)
+    per_seed = len(bank) * (cfg.scenario.horizon + 1) * cfg.plant.n
+    admitted = MAX_BATCH // per_seed
+    assert admitted == 838
+
+    def drawn(*args):
+        raise RuntimeError("drawn")
+
+    monkeypatch.setattr(harness, "draw_run", drawn)
+    with pytest.raises(RuntimeError, match="drawn"):
+        run_seeds(cfg, bank, range(admitted))
+    with pytest.raises(ConfigurationError) as err:
+        run_seeds(cfg, bank, range(admitted + 1))
+    assert f"exceeds {MAX_BATCH} estimates" in str(err.value)

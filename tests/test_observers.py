@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from _brute import circle_observer_track, luenberger_observer_track, reduced_observer_track
+from _brute import (
+    circle_observer_track,
+    luenberger_observer_track,
+    pair_slope_minimum,
+    reduced_observer_track,
+)
 from _toys import A2, C3, toy_bank, toy_plant, toy_scenario
 
 from multiobserver import (
@@ -19,7 +24,8 @@ from multiobserver import (
     check_slope_condition,
     simulate,
 )
-from multiobserver.observers import run_trials
+from multiobserver.config import CHANNEL_REGISTRY
+from multiobserver.observers import _SLOPE_GRID, _SLOPE_TOL, run_trials
 
 
 def test_luenberger_update_formula():
@@ -558,7 +564,30 @@ def test_slope_condition_catches_decreasing_channel():
     assert (np.sin(v) - np.sin(w)) * (v - w) < 0
 
 
+def test_slope_condition_rejects_a_channel_that_returns_nan():
+    res = check_slope_condition(lambda v: np.where(v > 0.5, np.nan, v), (0.0, 1.0))
+    assert not res.passed
+    assert res.witness is not None
+
+
 def test_slope_condition_is_deterministic():
-    a = check_slope_condition(np.tanh, (-2.0, 2.0), samples=5000, seed=3)
-    b = check_slope_condition(np.tanh, (-2.0, 2.0), samples=5000, seed=3)
+    # the grid check draws nothing, so repeated calls agree
+    a = check_slope_condition(np.tanh, (-2.0, 2.0))
+    b = check_slope_condition(np.tanh, (-2.0, 2.0))
     assert a == b
+
+
+@pytest.mark.parametrize("name, box", [
+    ("sin", (-1.5, 1.5)),
+    ("tanh", (-2.0, 2.0)),
+    ("identity", (-3.7, 11.3)),
+    ("sin", (-np.pi, np.pi)),  # fails
+    ("sin", (1.0, 1.0000000000000004)),  # a box narrower than the grid repeats points
+])
+def test_slope_grid_rejects_whatever_the_pair_check_rejects(name, box):
+    channel = CHANNEL_REGISTRY[name]
+    pair_min = pair_slope_minimum(channel, np.linspace(*box, _SLOPE_GRID))
+    res = check_slope_condition(channel, box)
+    assert res.worst_quotient <= pair_min
+    # the grid rejects whatever the pair check rejects, and nothing else
+    assert res.passed == (pair_min >= _SLOPE_TOL)
