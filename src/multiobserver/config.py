@@ -5,11 +5,12 @@ document and raises one :class:`ConfigurationError` carrying *every*
 problem found, so a bad config is fixed in one round trip.  Each section
 of the document is declared once, as a table that maps each of its keys
 to a typed reader of ``_Collector`` (or the reader of a nested section),
-the value an absent key stands for, and the reader's bounds.  The same
-table reads the section and lists every key it does not name, so a
-malformed value or a misspelt key becomes a listed problem, never a
-Python exception or a silent default.  Plant nonlinearities come from a
-registry of named closures rather than an expression language.
+the value an absent or null key stands for, and the reader's bounds; a
+section with a tag key (``family``, ``name`` or ``kind``) has one table per
+tag value.  The same table reads the section and lists every key it does
+not name, so a malformed value or a misspelt key becomes a listed problem,
+never a Python exception or a silent default.  Plant nonlinearities come
+from a registry of named closures rather than an expression language.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ __all__ = [
 # --- the schema machinery ----------------------------------------------------
 
 _FLOAT_MAX = sys.float_info.max
-_UNSET = object()  # as a default: an absent key is not read and gives None
+_UNSET = object()  # as a default: an absent or null key is not read and gives None
 
 
 class _Done(Exception):
@@ -76,8 +77,8 @@ class _Key:
     """One key of a section table: its reader, its default and its bounds.
 
     The reader is called as ``read(col, path, value, **bounds)``.  An absent
-    key reads as ``default``, so a key without one is required and its reader
-    reports the null; a nonzero numeric default is also what a bad value
+    or null key reads as ``default``, so a key without one is required and its
+    reader reports the null; a nonzero numeric default is also what a bad value
     reads as.  A callable default or bound is called with the read's context:
     the values its caller passed and the keys read before.  A value failing
     ``check`` (a predicate and its message) is listed and reads as None, and
@@ -94,24 +95,16 @@ class _Key:
         self.context = tuple((k, b) for k, b in bounds.items() if callable(b))
 
 
-def _nullable(read: Callable) -> Callable:
-    """``read``, with null (and so an absent key) read as None."""
-    return lambda col, path, val, **bounds: None if val is None else read(col, path, val, **bounds)
-
-
-def _section(table: dict, build: Callable = dict, optional=False, together=None) -> Callable:
+def _section(table: dict, build: Callable = dict) -> Callable:
     """The reader of a nested section: its keys, read through ``table`` after
-    its unknown keys are listed (all in one ``together`` problem when given),
-    make ``build``, whose own ``validate`` problems are listed too.  An
-    optional section that is absent or null reads as None."""
+    its unknown keys are listed, make ``build``, whose own ``validate``
+    problems are listed too."""
 
     validate = hasattr(build, "validate")
 
     def read(col, path, val, **ctx):
-        obj = col.section(path, val, None if optional else {})
-        if obj is None:
-            return None
-        col.known(path, obj, table, together)
+        obj = col.section(path, val) or {}
+        col.known(path, obj, table)
         out = build(**col.read(path, obj, table, **ctx))
         for msg in out.validate() if validate else ():
             col.add(path, msg)
@@ -137,15 +130,16 @@ class _Collector:
     def read(self, path: str, obj: dict, table: dict, **ctx) -> dict:
         """The keys of ``table`` read from the object ``obj``, in table order.
 
-        ``ctx``, with the keys read so far, is the context of the read.  A
-        reader that raises ``_Done`` ends the read, which then returns the
-        exception's argument.
+        A null value reads as an absent key.  ``ctx``, with the keys read so
+        far, is the context of the read.  A reader that raises ``_Done`` ends
+        the read, which then returns the exception's argument.
         """
         prefix = f"{path}." if path else ""
         out = {}
         for key, spec in table.items():
-            val = obj[key] if key in obj else spec.default
-            val = val(ctx) if callable(val) else val
+            val = obj.get(key)
+            if val is None:
+                val = spec.default(ctx) if callable(spec.default) else spec.default
             if val is _UNSET:
                 out[key] = ctx[key] = None
                 continue
@@ -164,23 +158,28 @@ class _Collector:
             out[key] = ctx[key] = got
         return out
 
-    def known(self, path: str, obj: dict, table: dict, together: str | None = None, also=()):
-        """List every key of the object ``obj`` that neither ``table`` nor ``also`` names:
-        each as an unknown field (an unknown section at the top level), or all as one
-        ``together`` problem."""
+    def known(self, path: str, obj: dict, table: dict, also=()):
+        """List every key of the object ``obj`` that neither ``table`` nor ``also`` names,
+        as an unknown field (an unknown section at the top level)."""
         if obj.keys() <= table.keys():
             return
-        extra = (obj.keys() - table.keys()).difference(also)
-        if not extra:
-            return
-        if together:
-            self.add(path, f"{together} {sorted(extra)}")
-        else:
-            for key in sorted(extra):
-                if path:
-                    self.add(f"{path}.{key}", "unknown field")
-                else:
-                    self.add(key, "unknown section")
+        for key in sorted((obj.keys() - table.keys()).difference(also)):
+            self.add(f"{path}.{key}" if path else key, "unknown field" if path else "unknown section")
+
+    def tagged(self, path: str, val, tag: str, tables: dict, **ctx) -> dict | None:
+        """An object whose ``tag`` key names the table that reads it, read like a
+        section: the tag and the table's keys.  An object without a known tag
+        is listed and reads as None, for which the caller has a fallback."""
+        obj = self.section(path, val)
+        if obj is None:
+            return None
+        name = obj.get(tag)
+        if not isinstance(name, str) or name not in tables:
+            self.add(f"{path}.{tag}", f"unknown {tag} {name!r:.40}; known: {sorted(tables)}")
+            return None
+        self.known(path, obj, tables[name], also=(tag,))
+        got = self.read(path, obj, tables[name], **ctx)
+        return None if got is None else {tag: name, **got}
 
     def number(self, path: str, val, lo: float | None = None, default=0.0) -> float:
         """A finite JSON number (not a bool), at least ``lo`` when given."""
@@ -227,13 +226,14 @@ class _Collector:
         self.add(section, f"{key} must be {', '.join(head)}, or {last}, got {val!r:.40}")
         return default
 
-    def section(self, path: str, val, default):
-        """A JSON object; an absent (null) one gives ``default``."""
+    def section(self, path: str, val) -> dict | None:
+        """A JSON object, null reading as an empty one; anything else is listed
+        and reads as None."""
         if val is None:
-            return default
+            return {}
         if not isinstance(val, dict):
             self.add(path, f"expected an object, got {type(val).__name__}")
-            return default
+            return None
         return val
 
     def vector(self, path: str, val, n: int | None = None) -> tuple[float, ...]:
@@ -382,11 +382,13 @@ class ObserverSpec:
 
 @dataclass(frozen=True)
 class IsolationOptions:
+    """The ``isolation`` section; ``m_bar``/``d_bar`` default to the scenario's bounds."""
+
     window: int
-    eps: float = 0.0
-    k_star: int | None = None
-    m_bar: float | None = None
-    d_bar: float | None = None
+    eps: float
+    k_star: int | None
+    m_bar: float
+    d_bar: float
 
 
 @dataclass
@@ -437,22 +439,8 @@ _SIGNALS = {
 
 
 def _signal(col: _Collector, path: str, obj, horizon: int | None) -> SignalSpec:
-    if not isinstance(obj, dict):
-        col.add(path, f"expected an object, got {type(obj).__name__}")
-        return SignalSpec("zero")
-    kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _SIGNALS:
-        col.add(path, f"unknown signal kind {kind!r:.40}")
-        return SignalSpec("zero")
-    table = _SIGNALS[kind]
-    col.known(path, obj, table, f"unexpected keys for {kind} signal:", also=("kind",))
-    kwargs = {}
-    for key, spec in table.items():  # a missing parameter is named, not read as null
-        if key not in obj:
-            col.add(path, f"{kind} signal missing {key!r}")
-        else:
-            kwargs[key] = spec.read(col, f"{path}.{key}", obj[key], **spec.bounds)
-    spec = SignalSpec(kind, **kwargs)
+    got = col.tagged(path, obj, "kind", _SIGNALS)
+    spec = SignalSpec("zero") if got is None else SignalSpec(**got)
     for msg in spec.validate(horizon):
         col.add(path, msg)
     return spec
@@ -465,12 +453,8 @@ _INITS = {
 
 
 def _init_spec(col: _Collector, path: str, obj, n: int) -> InitSpec:
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if not isinstance(kind, str) or kind not in _INITS:
-        col.add(path, "expected {kind: fixed|normal, ...}")
-        return InitSpec("fixed", value=(0.0,) * n)
-    col.known(path, obj, _INITS[kind], also=("kind",))
-    spec = InitSpec(kind, **col.read(path, obj, _INITS[kind], n=n))
+    got = col.tagged(path, obj, "kind", _INITS, n=n)
+    spec = InitSpec("fixed", value=(0.0,) * n) if got is None else InitSpec(**got)
     for msg in spec.validate(n):
         col.add(path, msg)
     return spec
@@ -484,7 +468,7 @@ _ISS = {
     "nu": _Key(_Collector.number, 0.0),
     "k_star": _Key(_Collector.integer, 0),
 }
-_iss_model = _section(_ISS, ISSGainModel, optional=True, together="unexpected keys")
+_iss_model = _section(_ISS, ISSGainModel)
 
 
 # --- plant -------------------------------------------------------------------
@@ -495,35 +479,21 @@ def _dynamics(col: _Collector, path: str, val, section: dict):
         for key, msg in (("A", "has a fixed linearization A"),
                          ("C", "has a fixed linearization C"),
                          ("D", "has no disturbance input")):
-            if key in section:
+            if section.get(key) is not None:
                 col.add(f"plant.{key}", f"named plant example1 {msg}")
-        raise _Done(_example1_plant())
+        raise _Done(dict(zip(("plant", "lin_A", "lin_C"), _example1_plant())))
     if val != "linear":
         col.add(path, f"unknown named dynamics {val!r:.40}")
         raise _Done(None)
     return val
 
 
-_NONLINEARITY = {"params": _Key(_Collector.section, {}, default={})}
-
-
-def _nonlinearity(col: _Collector, path: str, val, family: str, n: int):
-    """The registered nonlinearity's name and callable, built from its params."""
-    name = val.get("name") if isinstance(val, dict) else None
-    if not isinstance(name, str):
-        col.add(path, "expected {name, params?}")
-        return None
-    col.known(path, val, _NONLINEARITY, also=("name",))
-    (params,) = col.read(path, val, _NONLINEARITY).values()
-    registry = STATE_NONLINEARITY_REGISTRY if family == "reduced" else CHANNEL_REGISTRY
-    if name not in registry:
-        kind = "state" if family == "reduced" else "channel"
-        col.add(f"{path}.name", f"unknown {kind} nonlinearity {name!r}; known: {sorted(registry)}")
-        return None
-    # circle channels take no params
-    table, build = registry[name] if family == "reduced" else ({}, lambda: registry[name])
-    col.known(f"{path}.params", params, table)
-    return name, build(**col.read(f"{path}.params", params, table, n=n))
+def _nonlinearity(registry: dict) -> _Key:
+    """The ``nonlinearity`` key: an object tagged by a registered ``name``,
+    whose ``params`` (read through the entry's table) build the callable."""
+    tables = {name: {"params": _Key(_section(table, build), n=_N)}
+              for name, (table, build) in registry.items()}
+    return _Key(_Collector.tagged, needed=True, tag="name", tables=tables, n=lambda c: len(c["A"]))
 
 
 # A comes first: the others are shaped by its n rows.
@@ -533,16 +503,14 @@ _LINEAR = {
     "C": _Key(_Collector.matrix, needed=True, shape=lambda c: (None, len(c["A"]))),
     "D": _Key(_Collector.matrix, _UNSET, needed=True, shape=lambda c: (len(c["A"]), None)),
 }
-_NONLINEAR = {
-    **_LINEAR,
-    "nonlinearity": _Key(_nonlinearity, needed=True, family=itemgetter("family"),
-                         n=lambda c: len(c["A"])),
-}
 _PLANTS = {
     "luenberger": {"dynamics": _Key(_dynamics, section=itemgetter("section")), **_LINEAR},
-    "reduced": _NONLINEAR,
+    "reduced": {**_LINEAR, "nonlinearity": _nonlinearity(STATE_NONLINEARITY_REGISTRY)},
     "circle": {
-        **_NONLINEAR,
+        **_LINEAR,
+        # circle channels take no params
+        "nonlinearity": _nonlinearity(
+            {name: ({}, lambda fn=fn: fn) for name, fn in CHANNEL_REGISTRY.items()}),
         "G": _Key(_Collector.matrix, needed=True, shape=lambda c: (len(c["A"]), None)),
         "H": _Key(_Collector.matrix, needed=True, shape=lambda c: (c["G"].shape[1], len(c["A"]))),
         "slope_box": _Key(_Collector.vector, n=2, check=(
@@ -553,22 +521,16 @@ _PLANTS = {
 
 def _plant(col: _Collector, path: str, val) -> dict | None:
     """The plant model, the (A, C) its gains are certified with, and the slope box."""
-    section = col.section(path, val, {})
-    family = section.get("family")
-    if not isinstance(family, str) or family not in _PLANTS:
-        col.add(f"{path}.family", f"unknown family {family!r:.40}")
-        return None
-    col.known(path, section, _PLANTS[family], also=("family",))
-    got = col.read(path, section, _PLANTS[family], family=family, section=section)
-    if not isinstance(got, dict):  # the named plant, or None
-        return got and dict(zip(("plant", "lin_A", "lin_C"), got), family=family)
-    A, C, D = got["A"], got["C"], got["D"]
+    got = col.tagged(path, val, "family", _PLANTS, section=val)
+    if got is None or "plant" in got:  # no plant, or the named one
+        return got
+    family, A, C, D = got["family"], got["A"], got["C"], got["D"]
     name, term, structure = "linear", None, None
     if family == "reduced":
-        name, term = got["nonlinearity"]
+        name, term = got["nonlinearity"].values()
         structure = ReducedStructure(A=A, C=C, g=term, D=D)
     elif family == "circle":
-        (name, channels), G, H = got["nonlinearity"], got["G"], got["H"]
+        (name, channels), G, H = got["nonlinearity"].values(), got["G"], got["H"]
         structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels, D=D)
 
         def term(x, u):
@@ -592,7 +554,7 @@ def _plant(col: _Collector, path: str, val) -> dict | None:
 
 def _attacks(col: _Collector, path: str, val, p: int, horizon: int) -> dict[int, SignalSpec]:
     attacks = {}
-    for key, obj in col.section(path, val, {}).items():
+    for key, obj in (col.section(path, val) or {}).items():
         sensor = int(key) if key.isdecimal() else 0
         if not 1 <= sensor <= p:
             col.add(f"{path}[{key}]", f"key must be a sensor index in 1..{p}")
@@ -639,7 +601,7 @@ _SCENARIO_SIGNALS = {
 
 def _scenario(col: _Collector, path: str, val, plant: dict | None) -> dict:
     """The attack scenario, and the bank geometry its q asks for."""
-    scen = col.section(path, val, {})
+    scen = col.section(path, val) or {}
     col.known(path, scen, _SCENARIO, also=_SCENARIO_SIGNALS)
     head = col.read(path, scen, _SCENARIO)
     if plant is None:
@@ -649,6 +611,7 @@ def _scenario(col: _Collector, path: str, val, plant: dict | None) -> dict:
     bank = bank_index(model.p, q) if q is not None and 0 <= 2 * q < model.p else None
     if bank is None and q is not None:
         col.add(f"{path}.q", f"assumption violated: need 0 <= q < p/2, got q={q}, p={model.p}")
+        head["q"] = None  # so the scenario does not check a budget against it again
     run = col.read(path, scen, _SCENARIO_SIGNALS, p=model.p, n=model.n, **head)
     scenario = AttackScenario(
         p=model.p,
@@ -668,18 +631,11 @@ _ESTIMATOR_INITS = {"zero": {}, "truth": {}, "fixed": {"value": _Key(_Collector.
 
 def _estimator_init(col: _Collector, path: str, val, n: int):
     """The initial-estimate mode, and its vector for ``fixed``."""
-    obj = col.section(path, val, {"kind": "zero"})
-    kind = obj.get("kind")
-    table = _ESTIMATOR_INITS.get(kind) if isinstance(kind, str) else None
-    col.known(path, obj, table or {}, also=("kind",))
-    got = col.read(path, obj, table or {}, n=n)
-    if table is None:
-        col.add(f"{path}.kind", f"expected zero|truth|fixed, got {kind!r:.40}")
-        return "zero", None
-    return kind, np.array(got["value"]) if got else None
+    got = col.tagged(path, val, "kind", _ESTIMATOR_INITS, n=n) or {"kind": "zero"}
+    return got["kind"], np.array(got["value"]) if "value" in got else None
 
 
-_ESTIMATOR = {"init": _Key(_estimator_init, n=_N), "iss": _Key(_iss_model)}
+_ESTIMATOR = {"init": _Key(_estimator_init, {"kind": "zero"}, n=_N), "iss": _Key(_iss_model, _UNSET)}
 
 
 # --- observer bundle ---------------------------------------------------------
@@ -706,7 +662,7 @@ def _gain(col: _Collector, path: str, val, shape):
 _BUNDLE_ENTRY = {
     "K": _Key(_gain, shape=itemgetter("k_shape")),
     "L": _Key(_gain, shape=itemgetter("l_shape")),
-    "iss": _Key(_iss_model),
+    "iss": _Key(_iss_model, _UNSET),
     "practical": _Key(_Collector.flag, False),
 }
 
@@ -715,7 +671,7 @@ def _bundle(col: _Collector, path: str, val, plant: dict, bank: BankIndex) -> di
     """One observer spec per subset of the bank, in the bank's order."""
     family, model = plant["family"], plant["plant"]
     r = model.structure.H.shape[0] if family == "circle" else None
-    bundle = col.section(path, val, {})
+    bundle = col.section(path, val) or {}
     canonical = {sub.label: sub for sub in bank.all_subsets}
     outside = set()
     for label in bundle:
@@ -729,17 +685,17 @@ def _bundle(col: _Collector, path: str, val, plant: dict, bank: BankIndex) -> di
     specs = {}
     for label, sub in canonical.items():  # the bank's order, so specs come out sorted
         entry, at = bundle.get(label), f"{path}[{label}]"
-        if label not in bundle:
+        if entry is None:
             col.add(path, f"missing observer for {label}")
         elif not isinstance(entry, dict):
             col.add(at, "expected an object")
         else:
             k_shape, l_shape = _gain_shapes(family, model.n, len(sub), r)
-            if family == "reduced" and "K" not in entry:  # the reduced family's K is optional
+            if family == "reduced" and entry.get("K") is None:  # the reduced family's K is optional
                 k_shape = None
+            col.known(at, entry, _BUNDLE_ENTRY)
             got = col.read(at, entry, _BUNDLE_ENTRY, k_shape=k_shape, l_shape=l_shape)
             specs[sub] = ObserverSpec(sub, **got)
-            col.known(at, entry, _BUNDLE_ENTRY, "unexpected keys")  # listed after the values
     return specs
 
 
@@ -759,18 +715,17 @@ def _observers(col: _Collector, path: str, val, plant: dict, bank: BankIndex | N
 _ISOLATION = {
     "window": _Key(_Collector.integer, lo=1, default=1),
     "eps": _Key(_Collector.number, 0.0, lo=0.0),
-    "k_star": _Key(_nullable(_Collector.integer), lo=0),
-    "m_bar": _Key(_nullable(_Collector.number), lo=0.0),
-    "d_bar": _Key(_nullable(_Collector.number), lo=0.0),
+    "k_star": _Key(_Collector.integer, _UNSET, lo=0),
+    # the scenario's bounds, which the document passes
+    "m_bar": _Key(_Collector.number, itemgetter("noise_bound"), lo=0.0),
+    "d_bar": _Key(_Collector.number, itemgetter("disturbance_bound"), lo=0.0),
 }
+_isolation_section = _section(_ISOLATION, IsolationOptions)
 
 
-_isolation_section = _section(_ISOLATION, IsolationOptions, optional=True)
-
-
-def _isolation(col: _Collector, path: str, val, specs: dict) -> IsolationOptions | None:
-    options = _isolation_section(col, path, val)
-    for sub, spec in specs.items() if options is not None else ():
+def _isolation(col: _Collector, path: str, val, specs: dict, **bounds) -> IsolationOptions:
+    options = _isolation_section(col, path, val, **bounds)
+    for sub, spec in specs.items():
         if spec.iss is None:
             col.add(
                 f"observers.bundle[{sub.label}].iss",
@@ -790,7 +745,7 @@ _CALIBRATION = {
     "eps_settle": _Key(_Collector.number, 1e-2),
     "tail_stat": _Key(_Collector.choice, "max", options=TAIL_STATS, default="max"),
 }
-_OUTPUT = {"dir": _Key(_nullable(_Collector.text))}
+_OUTPUT = {"dir": _Key(_Collector.text, _UNSET)}
 
 
 def _name(col: _Collector, path: str, val, stem: str) -> str:
@@ -809,7 +764,11 @@ _TOP = {
     "scenario": _Key(_scenario, plant=itemgetter("plant")),
     "estimator": _Key(_section(_ESTIMATOR), n=lambda c: c["plant"]["plant"].n),
     "observers": _Key(_observers, plant=itemgetter("plant"), bank=lambda c: c["scenario"]["bank"]),
-    "isolation": _Key(_isolation, specs=itemgetter("observers")),
+    "isolation": _Key(
+        _isolation, _UNSET, specs=itemgetter("observers"),
+        noise_bound=lambda c: c["scenario"]["scenario"].noise_bound,
+        disturbance_bound=lambda c: c["scenario"]["scenario"].disturbance_bound,
+    ),
     "calibration": _Key(
         _section(_CALIBRATION, CalibrationSettings),
         seed=lambda c: c["scenario"]["scenario"].seed + 1,

@@ -119,10 +119,8 @@ def run_scenario(
         isolation = None
         if cfg.isolation is not None:
             iso = cfg.isolation
-            m_bar = cfg.scenario.noise_bound if iso.m_bar is None else iso.m_bar
-            d_bar = cfg.scenario.disturbance_bound if iso.d_bar is None else iso.d_bar
             thresholds = compute_thresholds(
-                cfg.iss_models(), cfg.bank, m_bar, d_bar, iso.eps,
+                cfg.iss_models(), cfg.bank, iso.m_bar, iso.d_bar, iso.eps,
                 k_star_override=iso.k_star,
             )
             isolation = windowed_isolation(run, thresholds, iso.window)

@@ -71,31 +71,25 @@ def compute_thresholds(
     is the max declared k_star over the whole bank, unless overridden
     (e.g. to 0 when observers start at the true state).
     """
-    missing = []
-    problems = []
-    for sub in bank.all_subsets:
-        model = gains.get(sub)
-        if model is None:
-            missing.append(sub.label)
-        else:
-            problems += [f"{sub.label}: {msg}" for msg in model.validate()]
+    models = [gains.get(sub) for sub in bank.all_subsets]
+    missing = [sub.label for sub, model in zip(bank.all_subsets, models) if model is None]
+    problems = [f"{sub.label}: {msg}" for sub, model in zip(bank.all_subsets, models)
+                if model is not None for msg in model.validate()]
     if missing:
         problems.append("missing convergence models for " + ", ".join(missing))
     if eps < 0:
         problems.append(f"transient allowance must be nonnegative, got eps={eps}")
     if problems:
         raise ConfigurationError(problems)
-    pi_bar = {}
-    for J in bank.j_subsets:
-        family = (J,) + bank.contained[J]
-        g1 = max(gains[t].gamma1 for t in family)
-        g2 = max(gains[t].gamma2 for t in family)
-        nu = max(gains[t].nu for t in family)
-        pi_bar[J] = 2.0 * (eps + g1 * m_bar + g2 * d_bar + nu)
+    # each J's worst gain over itself and its cross-checks (positions in all_subsets)
+    n_j, pos = len(bank.j_subsets), bank.cross_check_pos
+    g1, g2, nu = (np.maximum(g[:n_j], g[pos].max(axis=1))
+                  for g in np.array([(m.gamma1, m.gamma2, m.nu) for m in models]).T)
+    pi_bar = dict(zip(bank.j_subsets, (2.0 * (eps + g1 * m_bar + g2 * d_bar + nu)).tolist()))
     if k_star_override is not None:
         k_bar_star = int(k_star_override)
     else:
-        k_bar_star = max(gains[sub].k_star for sub in bank.all_subsets)
+        k_bar_star = max(m.k_star for m in models)
     return ThresholdTable(pi_bar=pi_bar, eps=eps, k_bar_star=k_bar_star)
 
 

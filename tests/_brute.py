@@ -60,6 +60,21 @@ def union_of_passing(pi_by_members, thresholds_by_members):
     return frozenset(out)
 
 
+def thresholds(gains, p, q, m_bar, d_bar, eps):
+    """Threshold 2 (eps + g1 m_bar + g2 d_bar + nu) of every (p-q)-subset, each
+    gain the worst over the subset and every (p-2q)-subset inside it, by a
+    per-subset scan.  ``gains`` maps (role, members) to (gamma1, gamma2, nu);
+    returns dict members -> float."""
+    table = {}
+    for jm in enumerate_members(p, p - q):
+        family = [gains["J", jm]] + [gains["S", sm] for sm in combinations(jm, p - 2 * q)]
+        g1 = max(g[0] for g in family)
+        g2 = max(g[1] for g in family)
+        nu = max(g[2] for g in family)
+        table[jm] = 2.0 * (eps + g1 * m_bar + g2 * d_bar + nu)
+    return table
+
+
 def windowed_votes(unions_by_step, p, q, k_bar_star, window):
     """Replicate the vote: list of dicts per window plus verdicts.
 

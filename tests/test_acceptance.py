@@ -172,10 +172,8 @@ def test_criterion_5_windowed_isolation(scenario_dir):
     bank, _ = build_bank(cfg)
     iso = cfg.isolation
     started = time.perf_counter()
-    m_bar = cfg.scenario.noise_bound if iso.m_bar is None else iso.m_bar
-    d_bar = cfg.scenario.disturbance_bound if iso.d_bar is None else iso.d_bar
     thresholds = compute_thresholds(
-        cfg.iss_models(), cfg.bank, m_bar, d_bar, iso.eps, k_star_override=iso.k_star
+        cfg.iss_models(), cfg.bank, iso.m_bar, iso.d_bar, iso.eps, k_star_override=iso.k_star
     )
     (run,) = run_seeds(cfg, bank, [cfg.scenario.seed])
     rep100 = windowed_isolation(run, thresholds, 100)
@@ -375,10 +373,8 @@ def test_criterion_9_isolation_over_a_seed_block(scenario_dir):
     bank, _ = build_bank(cfg)
     iso = cfg.isolation
     started = time.perf_counter()
-    m_bar = cfg.scenario.noise_bound if iso.m_bar is None else iso.m_bar
-    d_bar = cfg.scenario.disturbance_bound if iso.d_bar is None else iso.d_bar
     thresholds = compute_thresholds(
-        cfg.iss_models(), cfg.bank, m_bar, d_bar, iso.eps, k_star_override=iso.k_star
+        cfg.iss_models(), cfg.bank, iso.m_bar, iso.d_bar, iso.eps, k_star_override=iso.k_star
     )
     clean_scen = replace(cfg.scenario, attacked=frozenset(), attack_gens={})
     runs = run_seeds(cfg, bank, range(100))

@@ -90,15 +90,6 @@ def test_bad_gain_shape_is_reported(scenario_dir):
     assert any(key in p and "K" in p for p in err.value.problems)
 
 
-def test_unexpected_bundle_keys_are_reported(scenario_dir):
-    raw = _raw(scenario_dir, "example1")
-    key = sorted(raw["observers"]["bundle"])[0]
-    raw["observers"]["bundle"][key]["Q"] = [[1.0]]
-    with pytest.raises(ConfigurationError) as err:
-        parse_config(raw)
-    assert any("unexpected keys" in p and "'Q'" in p for p in err.value.problems)
-
-
 @pytest.mark.parametrize(
     "alias, problem",
     [
@@ -353,6 +344,9 @@ def test_values_that_break_a_guarantee_are_rejected(scenario_dir, name, path, va
         ("example1", ("estimator", "init", "value"), [0.0, 0.0], "estimator.init.value"),
         ("example1", ("output",), {"dri": "runs"}, "output.dri"),
         ("example1", ("observers", "bundel"), {}, "observers.bundel"),
+        ("example3", ("estimator", "iss", "lamda"), 0.5, "estimator.iss.lamda"),
+        ("example1", ("observers", "bundle", "J:1,2", "Q"), [[1.0]], "observers.bundle[J:1,2].Q"),
+        ("example3", ("scenario", "noise", "lo"), -0.1, "scenario.noise.lo"),
     ],
 )
 def test_unknown_keys_are_listed(scenario_dir, name, path, value, problem):
@@ -362,13 +356,76 @@ def test_unknown_keys_are_listed(scenario_dir, name, path, value, problem):
     assert err.value.problems == [f"{problem}: unknown field"]
 
 
-def test_unreadable_q_is_one_problem(scenario_dir):
+@pytest.mark.parametrize(
+    "name, q, problem",
+    [
+        ("example3", None, "expected an integer, got None"),
+        ("example2", 2, "assumption violated: need 0 <= q < p/2, got q=2, p=3"),
+        ("example2", 5, "assumption violated: need 0 <= q < p/2, got q=5, p=3"),
+        ("example2", -1, "assumption violated: need 0 <= q < p/2, got q=-1, p=3"),
+    ],
+)
+def test_unreadable_q_is_one_problem(scenario_dir, name, q, problem):
     # no bank is built for a q that could not be read, so nothing cascades from it
-    raw = _raw(scenario_dir, "example3")
+    raw = _raw(scenario_dir, name)
     del raw["scenario"]["q"]
+    if q is not None:
+        raw["scenario"]["q"] = q
     with pytest.raises(ConfigurationError) as err:
         parse_config(raw)
-    assert err.value.problems == ["scenario.q: expected an integer, got None"]
+    assert err.value.problems == [f"scenario.q: {problem}"]
+
+
+@pytest.mark.parametrize(
+    "name, path, value, problem",
+    [
+        ("example1", ("plant", "family"), "kalman",
+         "plant.family: unknown family 'kalman'; known: ['circle', 'luenberger', 'reduced']"),
+        ("example2", ("plant", "nonlinearity", "name"), "cos_channel",
+         "plant.nonlinearity.name: unknown name 'cos_channel'; "
+         "known: ['poly_channel', 'sin_channel', 'tanh_channel', 'zero']"),
+        ("example3", ("scenario", "noise", "kind"), "gauss",
+         "scenario.noise.kind: unknown kind 'gauss'; "
+         "known: ['constant', 'normal', 'table', 'uniform', 'zero']"),
+        ("example1", ("scenario", "x0", "kind"), "uniform",
+         "scenario.x0.kind: unknown kind 'uniform'; known: ['fixed', 'normal']"),
+        ("example1", ("estimator", "init", "kind"), "random",
+         "estimator.init.kind: unknown kind 'random'; known: ['fixed', 'truth', 'zero']"),
+    ],
+)
+def test_an_unknown_tag_is_one_problem(scenario_dir, name, path, value, problem):
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(_mutated(_raw(scenario_dir, name), path, value))
+    assert err.value.problems == [problem]
+
+
+def _fields(cfg):
+    """Every parsed field of ``cfg`` in a form that ``==`` compares."""
+    specs = {sub.label: (None if spec.K is None else spec.K.tolist(),
+                         None if spec.L is None else spec.L.tolist(), spec.iss, spec.practical)
+             for sub, spec in cfg.specs.items()}
+    plant = (cfg.plant.name, cfg.plant.n, cfg.plant.p, cfg.plant.n_d)
+    init = None if cfg.estimator_init_value is None else cfg.estimator_init_value.tolist()
+    return (cfg.name, cfg.family, plant, cfg.bank, specs, cfg.scenario, cfg.estimator_init, init,
+            cfg.estimator_iss, cfg.isolation, cfg.calibration, cfg.ceiling, cfg.out_dir,
+            cfg.slope_box)
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("example2", ("plant", "D")),
+        ("example2", ("observers", "bundle", "J:1,2", "K")),
+        ("example1", ("scenario", "seed")),
+        ("example3", ("calibration", "trials")),
+        ("example3", ("scenario", "noise")),
+    ],
+)
+def test_null_reads_as_the_absent_key(scenario_dir, name, path):
+    absent = _raw(scenario_dir, name)
+    reduce(operator.getitem, path[:-1], absent).pop(path[-1], None)
+    null = _mutated(absent, path, None)
+    assert _fields(parse_config(null)) == _fields(parse_config(absent))
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+from _brute import thresholds
 from _toys import run_from_pi, toy_bank, toy_scenario
 
 from multiobserver import (
@@ -43,6 +44,19 @@ def test_threshold_formula_maximizes_over_contained():
     assert table.pi_bar[J23] == pytest.approx(2 * (0.03 + 0.1 * 0.5 + 1.0 * 0.25 + 0.05))
     assert table.k_bar_star == 9  # worst declared settling step in the bank
     assert table.eps == 0.03
+
+
+@pytest.mark.parametrize("p, q", [(3, 1), (5, 2), (7, 3)])
+def test_thresholds_equal_a_per_subset_scan(p, q):
+    idx = bank_index(p, q)
+    rows = np.random.default_rng(p).random((len(idx.all_subsets), 3)).tolist()
+    gains = {sub: ISSGainModel(c=1.0, lam=0.5, gamma1=g1, gamma2=g2, nu=nu, k_star=0)
+             for sub, (g1, g2, nu) in zip(idx.all_subsets, rows)}
+    table = compute_thresholds(gains, idx, m_bar=0.3, d_bar=0.7, eps=0.05)
+    want = thresholds({(sub.role, sub.members): row for sub, row in zip(idx.all_subsets, rows)},
+                      p, q, 0.3, 0.7, 0.05)
+    assert list(table.pi_bar) == list(idx.j_subsets)
+    assert {J.members: v for J, v in table.pi_bar.items()} == want
 
 
 def test_threshold_settling_override():
