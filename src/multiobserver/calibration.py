@@ -102,52 +102,6 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return signal_stream(seed, "calibration", trial)
 
 
-def _plant_runs(plant, x0_spec, kinds, settings, kind_offset=0):
-    """Every attack-free trial of ``kinds``, simulated as one batch.
-
-    Each (kind, trial) draws from its own stream, in this order: x(0),
-    the initial estimate, the disturbances and the output noise.  The
-    kinds are then walked in order: a kind's runs are kept up to its
-    first trial whose plant state is non-finite or leaves the ceiling at
-    a step after 0, and that trial's :class:`CalibrationError`, naming
-    the step, ends the walk.  Returns the kept runs (x, y, u, x0_est),
-    stacked along a leading run axis in walk order, and per walked kind
-    its (stream block, kept trials, plant error or None).
-    """
-    T, trials = settings.horizon, settings.trials
-    x0, x0_est, d, noise = [], [], [], []
-    for block, noise_amp, dist_amp in kinds:
-        for trial in range(trials):
-            rng = _trial_rng(settings.seed, kind_offset + block * trials + trial)
-            x0.append(x0_spec.sample(rng))
-            x0_est.append(x0[-1] + settings.init_scale * rng.standard_normal(plant.n))
-            d.append(dist_amp * rng.uniform(-1.0, 1.0, (T, plant.n_d)) if dist_amp > 0
-                     else np.zeros((T, plant.n_d)))
-            noise.append(noise_amp * rng.uniform(-1.0, 1.0, (T + 1, plant.p)) if noise_amp > 0
-                         else None)
-    u = np.zeros((len(x0), T + 1, plant.n_u))
-    x = plant_track(plant, np.array(x0), u, np.array(d), DIVERGENCE_CEILING)
-    keep, spans = [], []
-    for i, (block, _, _) in enumerate(kinds):
-        plant_error, first = None, len(keep)
-        for trial in range(trials):
-            diverged = first_divergence(x[i * trials + trial, 1:])
-            if diverged is not None:
-                plant_error = CalibrationError(
-                    f"plant diverged at step {diverged[0] + 1} of calibration trial {trial}"
-                )
-                break
-            keep.append(i * trials + trial)
-        spans.append((block, len(keep) - first, plant_error))
-        if plant_error is not None:
-            break
-    y = output_track(plant, x[keep], u[keep])
-    for row, run in enumerate(keep):
-        if noise[run] is not None:
-            y[row] += noise[run]
-    return (x[keep], y, u[keep], np.array(x0_est)[keep]), spans
-
-
 def _fit_model(
     noise_free: list[np.ndarray],
     noisy: list[np.ndarray],
@@ -220,11 +174,15 @@ def _fit_model(
 
 
 def _trial_runs(plant, x0_spec, m_bar, d_bar, settings, observers, kind_offset=0):
-    """:func:`_plant_runs` over every trial kind the bounds call for.
+    """The attack-free runs of one fit, simulated as one batch, and its plant error.
 
-    ``observers`` are then stepped on all the runs at once, so the fit is
-    refused before anything is drawn when that batch of estimates would
-    pass ``MAX_BATCH`` entries.
+    The fit is refused before anything is drawn when stepping ``observers``
+    on every run at once would pass ``MAX_BATCH`` estimates.  The runs come
+    kind by kind, each in trial order; each draws from its own stream, in
+    this order: x(0), the initial estimate, the disturbances and the output
+    noise.  The runs before the first whose plant state is non-finite or
+    leaves the ceiling at a step after 0 are kept, as (x, y, u, x0_est) along
+    a leading run axis; that run's :class:`CalibrationError` names its step.
     """
     problems = settings.validate()
     kinds = [(0, 0.0, 0.0)]  # (stream block, noise amplitude, disturbance amplitude)
@@ -241,23 +199,46 @@ def _trial_runs(plant, x0_spec, m_bar, d_bar, settings, observers, kind_offset=0
         )
     if problems:
         raise ConfigurationError(problems)
-    return _plant_runs(plant, x0_spec, kinds, settings, kind_offset)
+    T, trials = settings.horizon, settings.trials
+    x0, x0_est, d, noise = [], [], [], []
+    for block, noise_amp, dist_amp in kinds:
+        for trial in range(trials):
+            rng = _trial_rng(settings.seed, kind_offset + block * trials + trial)
+            x0.append(x0_spec.sample(rng))
+            x0_est.append(x0[-1] + settings.init_scale * rng.standard_normal(plant.n))
+            d.append(dist_amp * rng.uniform(-1.0, 1.0, (T, plant.n_d)) if dist_amp > 0
+                     else np.zeros((T, plant.n_d)))
+            noise.append(noise_amp * rng.uniform(-1.0, 1.0, (T + 1, plant.p)) if noise_amp > 0
+                         else None)
+    u = np.zeros((len(x0), T + 1, plant.n_u))
+    x = plant_track(plant, np.array(x0), u, np.array(d), DIVERGENCE_CEILING)
+    diverged = ((run, hit) for run, row in enumerate(x)
+                if (hit := first_divergence(row[1:])) is not None)
+    first, hit = next(diverged, (len(x), None))
+    plant_error = None if hit is None else CalibrationError(
+        f"plant diverged at step {hit[0] + 1} of calibration trial {first % trials}")
+    y = output_track(plant, x[:first], u[:first])
+    for y_run, noise_run in zip(y, noise):
+        if noise_run is not None:
+            y_run += noise_run
+    return (x[:first], y, u[:first], np.array(x0_est)[:first]), plant_error
 
 
-def _result(tracks, failure, spans, m_bar, d_bar, settings):
+def _result(tracks, failure, plant_error, m_bar, d_bar, settings):
     """One fit's model from its |e(k)| tracks, one per kept run, or its error.
 
-    The kinds are walked in order: ``failure``, the error of the fit's
-    first failing run, comes first, then the plant error that ended the
-    walk.  A walk without either kept every trial of every kind.
+    ``failure``, the error of the fit's first failing run, comes first,
+    then ``plant_error``.  Without either every trial of every kind was
+    kept: ``tracks`` holds the noise-free trials, then the noisy ones if
+    ``m_bar > 0``, then the disturbed ones if ``d_bar > 0``.
     """
-    failure = failure or spans[-1][2]
+    failure = failure or plant_error
     if failure is not None:
         return failure
     n = settings.trials
-    by_block = {block: list(tracks[i * n:(i + 1) * n]) for i, (block, _, _) in enumerate(spans)}
-    return _fit_model(by_block[0], by_block.get(1, []), by_block.get(2, []), m_bar, d_bar,
-                      settings)
+    noisy = list(tracks[n:2 * n]) if m_bar > 0 else []
+    disturbed = list(tracks[-n:]) if d_bar > 0 else []
+    return _fit_model(list(tracks[:n]), noisy, disturbed, m_bar, d_bar, settings)
 
 
 def _observer_fits(observers, plant, m_bar, d_bar, x0_spec, settings):
@@ -265,10 +246,10 @@ def _observer_fits(observers, plant, m_bar, d_bar, x0_spec, settings):
 
     Every observer is stepped once on all kept runs by ``run_trials``;
     a run is a trial of its kind, ``run % settings.trials``, because
-    only the last walked kind can stop short.
+    the kinds come one after another, each in trial order.
     """
-    (x, y, u, x0_est), spans = _trial_runs(plant, x0_spec, m_bar, d_bar, settings,
-                                           len(observers))
+    (x, y, u, x0_est), plant_error = _trial_runs(plant, x0_spec, m_bar, d_bar, settings,
+                                                 len(observers))
     est = run_trials(observers, y, u, x0_est)
     diverged = ~np.isfinite(est).all(axis=(2, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's norm is not read
@@ -279,7 +260,7 @@ def _observer_fits(observers, plant, m_bar, d_bar, x0_spec, settings):
         if bad.any():
             failure = CalibrationError(
                 f"observer diverged in calibration trial {np.argmax(bad) % settings.trials}")
-        results.append(_result(tracks, failure, spans, m_bar, d_bar, settings))
+        results.append(_result(tracks, failure, plant_error, m_bar, d_bar, settings))
     return results
 
 
@@ -326,8 +307,8 @@ def calibrate_estimator(
     fit reduces to the steady terms).
     """
     eff = settings if not truth_init else replace(settings, init_scale=0.0)
-    (x, y, u, x0_est), spans = _trial_runs(plant, x0_spec, m_bar, d_bar, eff, len(bank),
-                                           kind_offset=10_000)
+    (x, y, u, x0_est), plant_error = _trial_runs(plant, x0_spec, m_bar, d_bar, eff, len(bank),
+                                                 kind_offset=10_000)
     tracks = failure = None
     if len(x):
         # pi(k) and sigma(k) read step k alone, so one selection over the
@@ -342,7 +323,7 @@ def calibrate_estimator(
                                        f"of calibration trial {run % eff.trials}")
         else:
             tracks = np.linalg.norm(x_hat.reshape(x.shape) - x, axis=-1)
-    return _fitted(_result(tracks, failure, spans, m_bar, d_bar, eff))
+    return _fitted(_result(tracks, failure, plant_error, m_bar, d_bar, eff))
 
 
 def calibrate_bank(

@@ -440,10 +440,12 @@ _SIGNALS = {
 
 def _signal(col: _Collector, path: str, obj, horizon: int | None) -> SignalSpec:
     got = col.tagged(path, obj, "kind", _SIGNALS)
-    spec = SignalSpec("zero") if got is None else SignalSpec(**got)
-    for msg in spec.validate(horizon):
+    zero = SignalSpec("zero")
+    spec = zero if got is None else SignalSpec(**got)
+    problems = spec.validate(horizon)
+    for msg in problems:
         col.add(path, msg)
-    return spec
+    return zero if problems else spec  # listed here, so the scenario's checks see the fallback
 
 
 _INITS = {
@@ -454,10 +456,12 @@ _INITS = {
 
 def _init_spec(col: _Collector, path: str, obj, n: int) -> InitSpec:
     got = col.tagged(path, obj, "kind", _INITS, n=n)
-    spec = InitSpec("fixed", value=(0.0,) * n) if got is None else InitSpec(**got)
-    for msg in spec.validate(n):
+    zero = InitSpec("fixed", value=(0.0,) * n)
+    spec = zero if got is None else InitSpec(**got)
+    problems = spec.validate(n)
+    for msg in problems:
         col.add(path, msg)
-    return spec
+    return zero if problems else spec
 
 
 _ISS = {

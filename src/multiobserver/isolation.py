@@ -46,7 +46,8 @@ class ThresholdTable:
     k_bar_star: int
 
     def __post_init__(self):
-        problems = [f"negative threshold for {J.label}" for J, v in self.pi_bar.items() if v < 0]
+        problems = [f"threshold for {J.label} must be >= 0, got {v}"
+                    for J, v in self.pi_bar.items() if not v >= 0]  # NaN included
         if self.k_bar_star < 0:
             problems.append(f"settling step must be >= 0, got {self.k_bar_star}")
         if problems:
@@ -77,7 +78,7 @@ def compute_thresholds(
                 if model is not None for msg in model.validate()]
     if missing:
         problems.append("missing convergence models for " + ", ".join(missing))
-    if eps < 0:
+    if not eps >= 0:
         problems.append(f"transient allowance must be nonnegative, got eps={eps}")
     if problems:
         raise ConfigurationError(problems)
@@ -147,9 +148,12 @@ def windowed_isolation(
     cols = np.array([J.members for J in bank.j_subsets]) - 1
     members = np.zeros((len(cols), bank.p), dtype=bool)
     members[np.arange(len(cols))[:, None], cols] = True
-    # row t: the sensors exonerated at step k_bar + t
-    unions = ((run.pi[k_bar:] <= bars) @ members).tolist()
-    step_seq = [tuple(i for i, hit in enumerate(row, start=1) if hit) for row in unions]
+    # the p bytes of row t flag the sensors exonerated at step k_bar + t; each
+    # distinct row becomes its member tuple once
+    flags = ((run.pi[k_bar:] <= bars) @ members).tobytes()
+    unions = [flags[i:i + bank.p] for i in range(0, len(flags), bank.p)]
+    member_sets = {u: tuple(s for s, hit in enumerate(u, start=1) if hit) for u in set(unions)}
+    step_seq = [member_sets[u] for u in unions]
     step_unions = dict(enumerate(step_seq, start=k_bar))
     quorum = bank.p - bank.q
 

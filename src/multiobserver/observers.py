@@ -75,7 +75,7 @@ class ISSGainModel:
         if not 0.0 < self.lam < 1.0:
             problems.append(f"decay rate must lie in (0, 1), got lam={self.lam}")
         for name in ("gamma1", "gamma2", "nu"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN included
                 problems.append(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.k_star < 0:
             problems.append(f"k_star must be nonnegative, got {self.k_star}")

@@ -189,7 +189,7 @@ def calibration_plant_run(f, h, mean, std, noise_amp, dist_amp, horizon, rng, in
     The draws come in this order: x(0) from the normal init (mean, std),
     the initial estimate x(0) + init_scale N(0, I), one disturbance of
     ``n_d`` uniform draws per step, then ``p`` uniform output-noise draws
-    per step.  Returns (x, y, u, x0_est), as one run of ``calibration._plant_runs``.
+    per step.  Returns (x, y, u, x0_est), as one run of ``calibration._trial_runs``.
     """
     n = len(mean)
     u = np.zeros((horizon + 1, 0))

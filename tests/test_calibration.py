@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from _brute import calibration_plant_run, circle_observer_track, reduced_observer_track
-from _toys import toy_bank
+from _toys import A2, toy_bank
 
 from multiobserver import (
     CalibrationError,
@@ -249,8 +249,8 @@ def test_calibrate_bank_simulates_each_trial_once():
 
 
 def test_calibration_draws_match_the_per_step_reference(monkeypatch):
-    # a disturbed plant: x(0), the initial estimate, one disturbance per step,
-    # then the output noise, each trial kind from its own stream
+    # a disturbed plant: x(0), the initial estimate, then one disturbance per
+    # step or the output noise, each trial of each kind from its own stream
     A = np.array([[0.5, 0.1], [0.0, 0.6]])
     C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     D = np.array([[1.0], [0.5]])
@@ -264,12 +264,14 @@ def test_calibration_draws_match_the_per_step_reference(monkeypatch):
         return calibration_plant_run(plant.f, plant.h, mean, std, noise_amp, dist_amp, 30,
                                      signal_stream(5, "calibration", stream), 0.8, n_d=1, p=3)
 
-    # both signals in one run, so the order of their draws shows
-    got, spans = calibration._plant_runs(plant, x0, [(0, 0.2, 0.3)], replace(settings, trials=1),
-                                         kind_offset=7)
-    assert spans == [(0, 1, None)]
-    for g, w in zip(got, reference(0.2, 0.3, 7)):
-        assert np.array_equal(g[0], w)
+    kinds = [(0.0, 0.0), (0.2, 0.0), (0.0, 0.3)]  # noise-free, noisy, disturbed
+    got, plant_error = calibration._trial_runs(plant, x0, 0.2, 0.3, settings, 1, kind_offset=7)
+    assert plant_error is None
+    for block, (noise_amp, dist_amp) in enumerate(kinds):
+        for trial in range(2):
+            run = 2 * block + trial  # the runs come kind by kind, in trial order
+            for g, w in zip(got, reference(noise_amp, dist_amp, 7 + run)):
+                assert np.array_equal(g[run], w)
 
     seen, run_trials = [], calibration.run_trials
 
@@ -281,7 +283,6 @@ def test_calibration_draws_match_the_per_step_reference(monkeypatch):
     obs = LuenbergerObserver(SubsetIndex("S", (1, 2, 3)), plant.f, plant.h,
                              0.1 * C.T, n=2, n_d=1)
     estimate_iss_gains(obs, plant, 0.2, 0.3, x0, settings)
-    kinds = [(0.0, 0.0), (0.2, 0.0), (0.0, 0.3)]  # noise-free, noisy, disturbed
     assert len(seen) == 1  # one call steps every kind's trials
     y, x0_est = seen[0]
     assert len(y) == len(x0_est) == 2 * len(kinds)
@@ -399,6 +400,39 @@ def test_observer_failing_before_the_plant_keeps_its_own_trial():
     ]
 
 
+def test_plant_diverging_first_in_a_later_kind_names_its_trial_and_step():
+    # the toy plant with a strong disturbance input: only the disturbed kind
+    # (the third, after noise-free and noisy) can pass the ceiling, first in
+    # its trial 2 at seed 1 for the bank's streams and for the estimator's
+    plant, idx, bank = toy_bank()
+    D = np.array([[4e11], [0.0]])
+    plant = replace(plant, n_d=1, f=lambda x, u, d, k: A2 @ x + D @ d)
+    mean, std = (1.0, -2.0), (0.5, 0.5)
+    x0 = InitSpec(kind="normal", mean=mean, std=std)
+    settings = CalibrationSettings(trials=4, horizon=40, seed=1)
+
+    def first_plant_failure(kind_offset):
+        # the reference's runs of the disturbed kind, each stepped alone
+        for trial in range(4):
+            stream = signal_stream(1, "calibration", kind_offset + 2 * 4 + trial)
+            x = calibration_plant_run(plant.f, plant.h, mean, std, 0.0, 1.0, 40, stream, 1.0,
+                                      n_d=1, p=3)[0]
+            past = np.flatnonzero(np.linalg.norm(x[1:], axis=1) > 1e12)
+            if past.size:
+                return f"plant diverged at step {past[0] + 1} of calibration trial {trial}"
+
+    want = first_plant_failure(0)
+    assert want == "plant diverged at step 34 of calibration trial 2"
+    models, failures = calibrate_bank(bank, plant, 0.1, 1.0, x0, settings)
+    assert models == {}
+    assert failures == [f"{subset.label}: {want}" for subset in bank.observers]
+    want = first_plant_failure(10_000)
+    assert want == "plant diverged at step 11 of calibration trial 2"
+    with pytest.raises(CalibrationError) as err:
+        calibrate_estimator(bank, idx, plant, 0.1, 1.0, x0, settings)
+    assert str(err.value) == want
+
+
 def test_example1_calibration_failure_matches_the_pinned_message(scenario_dir, tmp_path):
     cfg = load_config(scenario_dir / "example1.json")
     with pytest.raises(CalibrationError) as err:
@@ -466,7 +500,7 @@ def test_calibrate_past_the_batch_cap_exits_1(scenario_dir, tmp_path, capsys, mo
     def no_draws(*args):
         pytest.fail("trials drawn past the cap")
 
-    monkeypatch.setattr(calibration, "_plant_runs", no_draws)
+    monkeypatch.setattr(calibration, "_trial_rng", no_draws)
     out = tmp_path / "cal.json"
     code = cli_main(["calibrate", "--config", str(scenario_dir / "example3.json"),
                      flag, value, "--out", str(out)])
@@ -485,7 +519,7 @@ def test_calibrate_past_the_estimate_cap_exits_1(scenario_dir, tmp_path, capsys,
     def no_draws(*args):
         pytest.fail("trials drawn past the cap")
 
-    monkeypatch.setattr(calibration, "_plant_runs", no_draws)
+    monkeypatch.setattr(calibration, "_trial_rng", no_draws)
     out = tmp_path / "cal.json"
     code = cli_main(["calibrate", "--config", str(scenario_dir / "example3.json"),
                      "--trials", "2500", "--out", str(out)])
@@ -508,7 +542,7 @@ def test_estimator_fit_checks_its_batch_before_drawing(monkeypatch, trials, refu
     def drawn(*args):
         raise _Drawn
 
-    monkeypatch.setattr(calibration, "_plant_runs", drawn)
+    monkeypatch.setattr(calibration, "_trial_rng", drawn)
     # 6 observers x 3 kinds x 101 steps x 2 states = 3636 estimates per trial;
     # 2**24 of them hold 4614 trials
     settings = CalibrationSettings(trials=trials, horizon=100, seed=0)

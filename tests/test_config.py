@@ -399,6 +399,25 @@ def test_an_unknown_tag_is_one_problem(scenario_dir, name, path, value, problem)
     assert err.value.problems == [problem]
 
 
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("scenario", "noise"), {"kind": "uniform", "low": 1.0, "high": 0.0},
+         "scenario.noise: uniform signal needs low < high, got (1.0, 0.0)"),
+        (("scenario", "attacks", "2"), {"kind": "table", "values": [1.0]},
+         "scenario.attacks[2]: table signal has 1 values but horizon 199 needs 200"),
+        (("scenario", "x0", "std", 1), -1.0,
+         "scenario.x0: normal init needs std >= 0, got [1.0, -1.0, 1.0, 1.0]"),
+    ],
+)
+def test_a_bad_generator_or_x0_is_one_problem(scenario_dir, path, value, problem):
+    # the spec reads as its fallback once listed, so the scenario's own checks
+    # (per-sensor generators, the declared noise bound) do not list it again
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(_mutated(_raw(scenario_dir, "example2"), path, value))
+    assert err.value.problems == [problem]
+
+
 def _fields(cfg):
     """Every parsed field of ``cfg`` in a form that ``==`` compares."""
     specs = {sub.label: (None if spec.K is None else spec.K.tolist(),

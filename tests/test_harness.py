@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _brute import luenberger_observer_track
+from _toys import A2, C3, toy_bank
 
 from multiobserver import (
     ConfigurationError,
@@ -243,3 +245,41 @@ def test_run_seeds_refuses_a_batch_past_the_cap_before_drawing(scenario_dir, mon
     with pytest.raises(ConfigurationError) as err:
         run_seeds(cfg, bank, range(admitted + 1))
     assert f"exceeds {MAX_BATCH} estimates" in str(err.value)
+
+
+@pytest.mark.parametrize("with_d", [False, True])
+def test_the_linear_luenberger_plant_runs_like_the_reference(scenario_dir, tmp_path, with_d):
+    # the luenberger family's `linear` dynamics: x+ = A x (+ D d), y = C x, with
+    # the toy bank's dead-beat gains; every track is checked against each
+    # observer stepped alone on the run's outputs by tests/_brute.py
+    _, idx, toy = toy_bank()
+    A, C, D = A2, C3, np.array([[1.0], [0.5]])
+    raw = json.loads((scenario_dir / "example1.json").read_text())
+    raw["plant"] = {"family": "luenberger", "dynamics": "linear", "A": A.tolist(),
+                    "C": C.tolist()}
+    raw["observers"]["bundle"] = {sub.label: {"K": obs.K.tolist()} for sub, obs in toy.items()}
+    if with_d:
+        raw["plant"]["D"] = D.tolist()
+        raw["scenario"]["disturbance"] = [{"kind": "uniform", "low": -0.5, "high": 0.5}]
+        raw["scenario"]["disturbance_bound"] = 0.5
+
+    def f(x, u, d, k):
+        return A @ x + D @ d if with_d else A @ x
+
+    def h(x, u):
+        return C @ x
+
+    cfg = parse_config(raw)
+    assert (cfg.plant.name, cfg.plant.n_d) == ("linear", int(with_d))
+    art = run_scenario(cfg, out=str(tmp_path))
+    traj, run = art.trajectory, art.run
+    assert np.any(traj.d != 0) == with_d
+    for k in range(cfg.scenario.horizon):
+        assert np.array_equal(traj.x[k + 1], f(traj.x[k], traj.u[k], traj.d[k], k))
+    assert np.array_equal(traj.y, np.array([h(x, None) for x in traj.x]) + traj.m + traj.a)
+    assert run.subsets == idx.all_subsets
+    for sub, est in zip(run.subsets, run.est):
+        K = np.array(raw["observers"]["bundle"][sub.label]["K"])
+        want = luenberger_observer_track(f, h, K, sub.members, traj.y, traj.u, np.zeros(2),
+                                         n_d=int(with_d))
+        assert np.array_equal(est.view(np.uint64), want.view(np.uint64)), sub.label

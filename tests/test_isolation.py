@@ -86,6 +86,20 @@ def test_threshold_table_rejects_negative_entries():
         ThresholdTable(pi_bar={J12: 0.1}, eps=0.0, k_bar_star=-1)
 
 
+@pytest.mark.parametrize("name", ["gamma1", "gamma2", "nu"])
+def test_a_nan_gain_is_rejected_before_it_reaches_a_threshold(name):
+    # every comparison with NaN is false, so a NaN gain must fail the >= 0 check
+    model = ISSGainModel(c=1.0, lam=0.5, **{name: float("nan")})
+    assert model.validate() == [f"{name} must be nonnegative, got nan"]
+    idx = bank_index(3, 1)
+    with pytest.raises(ConfigurationError) as err:
+        compute_thresholds(_gains(idx, **{"J:1,2": model}), idx, 0.1, 0.1, 0.0)
+    assert err.value.problems == [f"J:1,2: {name} must be nonnegative, got nan"]
+    with pytest.raises(ConfigurationError) as err:
+        ThresholdTable(pi_bar={J12: 0.1, J13: float("nan")}, eps=0.0, k_bar_star=0)
+    assert err.value.problems == ["threshold for J:1,3 must be >= 0, got nan"]
+
+
 def _table(k_bar_star=2):
     return ThresholdTable(
         pi_bar={J12: 1.0, J13: 1.0, J23: 1.0}, eps=0.0, k_bar_star=k_bar_star
