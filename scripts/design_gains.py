@@ -244,7 +244,7 @@ def probe_ex4(args):
                                         eps=0.0, k_star_override=0)
         unattacked = replace(scen, attacked=frozenset(), attack_gens={})
         runs = _finished(run_seeds(cfg, bank, range(args.seeds)))
-        pi_bar = np.array([thresholds.pi_bar[J] for J in idx.j_subsets])
+        pi_bar = np.array(list(thresholds.pi_bar.values()))
         exceed = np.zeros(len(idx.j_subsets))
         for run in runs:
             exceed += np.mean(run.pi[:, : len(idx.j_subsets)] > pi_bar, axis=0)

@@ -27,7 +27,6 @@ from .model import (
     SignalSpec,
     Trajectory,
     sample_block,
-    sample_signal,
     signal_stream,
     simulate,
 )

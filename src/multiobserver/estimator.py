@@ -29,9 +29,9 @@ _BLOCK_ELEMS = 2**15
 class EstimatorRun:
     """Whole-run estimator output in dense array form.
 
-    ``est`` is (n_subsets, T+1, n) ordered like ``subsets`` (J class
-    first, then S class, each canonical); ``pi`` is (T+1, n_J) in the
-    J order; ``sigma_idx[k]`` indexes into the J class.
+    ``est`` is (n_subsets, T+1, n) in ``subsets`` = ``bank.all_subsets``
+    order (J class first, then S class, each canonical); ``pi`` is
+    (T+1, n_J) in the J order; ``sigma_idx[k]`` indexes into the J class.
     """
 
     bank: BankIndex
@@ -65,43 +65,37 @@ def run_estimator(
 ) -> EstimatorRun:
     """Vectorized selection over a full run of bank estimates.
 
-    ``est[j]`` must be the (T+1, n) estimate track of ``subsets[j]``,
-    and ``subsets`` must hold every subset of the bank.  Each score is
-    the largest Euclidean distance between J's estimate and those of
-    its contained cross-check subsets, each distance the square root of
-    a left-to-right sum of squares over the state components, for every
-    n; a non-finite score becomes +inf, so a diverged observer loses
-    every argmin.  Ties go to the first (canonical) J.
+    ``subsets`` must be ``bank.all_subsets`` and ``est[j]`` the (T+1, n)
+    estimate track of ``subsets[j]``.  Each score is the largest
+    Euclidean distance between J's estimate and those of its contained
+    cross-check subsets, each distance the square root of a left-to-right
+    sum of squares over the state components, for every n; a non-finite
+    score becomes +inf, so a diverged observer loses every argmin.  Ties
+    go to the first (canonical) J.
     """
-    pos = {sub: j for j, sub in enumerate(subsets)}
-    missing = [sub.label for sub in bank.all_subsets if sub not in pos]
-    if missing:
-        raise InternalConsistencyError(
-            "bank estimates incomplete: missing " + ", ".join(missing)
-        )
+    order = bank.all_subsets
+    if tuple(subsets) != order:
+        raise InternalConsistencyError("bank estimates must be in bank.all_subsets order")
     est = np.asarray(est, dtype=float)
     if est.ndim != 3 or 0 in est.shape[1:]:
         raise InternalConsistencyError(
             f"estimates must be (n_subsets, T+1, n) with T+1 >= 1 and n >= 1, "
             f"got shape {est.shape}"
         )
-    if est.shape[0] != len(subsets):
+    if est.shape[0] != len(order):
         raise InternalConsistencyError(
-            f"{est.shape[0]} estimate tracks for {len(subsets)} subsets"
+            f"{est.shape[0]} estimate tracks for {len(order)} subsets"
         )
     _, T1, n = est.shape
-    rows = np.array([pos[sub] for sub in bank.all_subsets], dtype=np.intp)
     n_j = len(bank.j_subsets)
-    j_rows = rows[:n_j]
-    s_rows = rows[bank.cross_check_pos]
     block = max(1, _BLOCK_ELEMS // (T1 * n))
     pi = np.empty((T1, n_j))
     # squares of diverged tracks overflow by design and collapse to +inf
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_j, block):
-            x_J = est[j_rows[lo : lo + block]]
+            x_J = est[lo : min(lo + block, n_j)]
             worst = None
-            for slot in s_rows[lo : lo + block].T:
+            for slot in bank.cross_check_pos[lo : lo + block].T:
                 d = x_J - est[slot]
                 d *= d
                 # left to right: np.sum would pair up the terms once n >= 8
@@ -116,9 +110,9 @@ def run_estimator(
     if starved.any():
         raise EstimatorStarvedError(int(np.argmax(starved)))
     sigma_idx = np.argmin(pi, axis=1)
-    x_hat = est[j_rows[sigma_idx], np.arange(T1)]
+    x_hat = est[sigma_idx, np.arange(T1)]
     return EstimatorRun(
-        bank=bank, subsets=tuple(subsets), est=est, pi=pi,
+        bank=bank, subsets=order, est=est, pi=pi,
         sigma_idx=sigma_idx, x_hat=x_hat, truth=truth,
     )
 

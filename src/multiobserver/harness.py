@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import calibrate_bank, calibrate_estimator
-from .config import BankBuildReport, ScenarioConfig, build_bank
+from .config import BankBuildReport, ScenarioConfig, _file_name, build_bank
 from .errors import (
     CalibrationError,
     ConfigurationError,
@@ -332,11 +332,11 @@ def emit_plots(artifacts_dir: str | Path) -> list[Path]:
     files = meta.get("files") if isinstance(meta, dict) else None
     if not (
         isinstance(files, dict)
-        and isinstance(files.get("trajectory"), str)
-        and isinstance(files.get("frames"), str)
-        and isinstance(files.get("isolation_windows"), (str, type(None)))
+        and _file_name(files.get("trajectory"))
+        and _file_name(files.get("frames"))
+        and (files.get("isolation_windows") is None or _file_name(files["isolation_windows"]))
     ):
-        raise PlumbingError(f"{meta_path} does not name the run's artifact files")
+        raise PlumbingError(f"{meta_path} does not name the run's artifact files by file name")
     produced: list[Path] = []
 
     trajectory, frames = out_dir / files["trajectory"], out_dir / files["frames"]

@@ -36,9 +36,11 @@ __all__ = [
 class ThresholdTable:
     """Per-J deviation thresholds plus the shared transient horizon.
 
-    ``k_bar_star`` is the step from which every observer's transient
-    term has settled (the max of the declared settling steps); scores
-    before it are not meaningful for isolation.
+    ``pi_bar`` is keyed by every J in ``bank.j_subsets`` order, as
+    :func:`compute_thresholds` builds it.  ``k_bar_star`` is the step
+    from which every observer's transient term has settled (the max of
+    the declared settling steps); scores before it are not meaningful
+    for isolation.
     """
 
     pi_bar: dict[SubsetIndex, float]
@@ -137,12 +139,11 @@ def windowed_isolation(
     if window < 1:
         raise ConfigurationError(f"window length must be >= 1, got {window}")
     bank = run.bank
-    for J in bank.j_subsets:
-        if J not in thresholds.pi_bar:
-            raise ConfigurationError(f"no threshold for subset {J.label}")
+    if tuple(thresholds.pi_bar) != bank.j_subsets:
+        raise ConfigurationError("thresholds must hold every J subset, in bank.j_subsets order")
     k_bar = thresholds.k_bar_star
 
-    bars = np.array([thresholds.pi_bar[J] for J in bank.j_subsets])
+    bars = np.array(list(thresholds.pi_bar.values()))
     # members[j, s - 1] is set for each sensor s of J; every J has p - q
     # members, so the member tuples stack into one index array
     cols = np.array([J.members for J in bank.j_subsets]) - 1

@@ -28,7 +28,6 @@ __all__ = [
     "PlantModel",
     "AttackScenario",
     "Trajectory",
-    "sample_signal",
     "sample_block",
     "signal_stream",
     "plant_track",
@@ -123,41 +122,13 @@ class SignalSpec:
 ZERO_SIGNAL = SignalSpec("zero")
 
 
-def sample_signal(gen: SignalSpec, k: int, rng: np.random.Generator) -> float:
-    """Draw the value of ``gen`` at step ``k`` from its stream.
-
-    Stochastic kinds consume exactly one draw per call regardless of k,
-    so sampling k = 0, 1, 2, ... in order reproduces the signal path.
-    The uniform kind redraws on (measure-zero) endpoint hits so the
-    sample always lies in the open interval.
-    """
-    if gen.kind == "zero":
-        return 0.0
-    if gen.kind == "constant":
-        return gen.value
-    if gen.kind == "uniform":
-        v = rng.uniform(gen.low, gen.high)
-        while not gen.low < v < gen.high:
-            v = rng.uniform(gen.low, gen.high)
-        return float(v)
-    if gen.kind == "normal":
-        return float(gen.mean + gen.std * rng.standard_normal())
-    if gen.kind == "table":
-        if k >= len(gen.values):
-            raise ConfigurationError(
-                f"table signal exhausted: step {k} >= {len(gen.values)} values"
-            )
-        return float(gen.values[k])
-    raise ConfigurationError(f"unknown signal kind {gen.kind!r}")
-
-
 def sample_block(gen: SignalSpec, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """The values of ``gen`` at steps 0 .. steps-1, as ``sample_signal`` draws them.
+    """The values of ``gen`` at steps 0 .. steps-1, drawn from its stream.
 
-    Stochastic kinds draw the whole block at once, which consumes the
-    stream exactly as ``steps`` single draws do.  A uniform block that
-    touches an endpoint is discarded: the stream is rewound and drawn
-    step by step, so the endpoint redraws happen where they would.
+    Stochastic kinds take one draw per step, all in one block.  A uniform
+    draw on an endpoint (measure zero) is dropped and the block topped up
+    from the same stream, so the values stay in the open interval (low,
+    high) and each step takes the stream's next inside draw.
     """
     if gen.kind == "zero":
         return np.zeros(steps)
@@ -166,14 +137,18 @@ def sample_block(gen: SignalSpec, steps: int, rng: np.random.Generator) -> np.nd
     if gen.kind == "normal":
         return gen.mean + gen.std * rng.standard_normal(steps)
     if gen.kind == "uniform":
-        state = rng.bit_generator.state
         block = rng.uniform(gen.low, gen.high, steps)
-        if np.all((gen.low < block) & (block < gen.high)):
-            return block
-        rng.bit_generator.state = state
-    elif gen.kind == "table" and len(gen.values) >= steps:
+        while not np.all(inside := (gen.low < block) & (block < gen.high)):
+            kept = block[inside]
+            block = np.concatenate((kept, rng.uniform(gen.low, gen.high, steps - kept.size)))
+        return block
+    if gen.kind == "table":
+        if len(gen.values) < steps:
+            raise ConfigurationError(
+                f"table signal exhausted: step {len(gen.values)} >= {len(gen.values)} values"
+            )
         return np.array(gen.values[:steps], dtype=float)
-    return np.array([sample_signal(gen, k, rng) for k in range(steps)], dtype=float)
+    raise ConfigurationError(f"unknown signal kind {gen.kind!r}")
 
 
 @dataclass(frozen=True)

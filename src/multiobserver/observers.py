@@ -495,9 +495,6 @@ class ObserverBank:
     def __len__(self) -> int:
         return len(self.observers)
 
-    def __getitem__(self, subset: SubsetIndex) -> Observer:
-        return self.observers[subset]
-
     def items(self) -> Iterator[tuple[SubsetIndex, Observer]]:
         return iter(self.observers.items())
 

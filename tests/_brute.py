@@ -208,6 +208,28 @@ def calibration_plant_run(f, h, mean, std, noise_amp, dist_amp, horizon, rng, in
     return np.array(x), np.array(y), u, x0_est
 
 
+def sample_signal(gen, k, rng):
+    """The value of signal ``gen`` at step ``k``, one stream draw per stochastic step.
+
+    Sampling k = 0, 1, 2, ... in order gives the signal's path; a uniform
+    draw on an endpoint is redrawn, so every value is inside (low, high).
+    """
+    if gen.kind == "zero":
+        return 0.0
+    if gen.kind == "constant":
+        return gen.value
+    if gen.kind == "uniform":
+        v = rng.uniform(gen.low, gen.high)
+        while not gen.low < v < gen.high:
+            v = rng.uniform(gen.low, gen.high)
+        return float(v)
+    if gen.kind == "normal":
+        return float(gen.mean + gen.std * rng.standard_normal())
+    if gen.kind == "table":
+        return float(gen.values[k])
+    raise ValueError(f"unknown signal kind {gen.kind!r}")
+
+
 def _csv_text(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -197,8 +197,24 @@ def _short_last_row(text):
     return text.rstrip("\n").rsplit(",", 1)[0] + "\n"
 
 
-# run artifacts broken in a way `plots` must report, by case: the file and the edit
+def _naming(key, name):
+    """The metadata.json edit that names ``name`` as the run's ``key`` file."""
+    def edit(text):
+        meta = json.loads(text)
+        meta["files"][key] = name
+        return json.dumps(meta)
+    return "metadata.json", edit
+
+
+# run artifacts broken in a way `plots` must report, by case: the file and the edit;
+# {run} in an edited file stands for the run directory
 _BROKEN_ARTIFACTS = {
+    # each names one of the run's own files, or a directory, by a path
+    "trajectory by absolute path": _naming("trajectory", "{run}/trajectory.csv"),
+    "frames through ..": _naming("frames", "../run/frames.csv"),
+    "frames by backslash": _naming("frames", "..\\run\\frames.csv"),
+    "isolation_windows as ..": _naming("isolation_windows", ".."),
+    "trajectory as .": _naming("trajectory", "."),
     "frames.csv without e_norm": ("frames.csv", lambda text: text.replace("e_norm", "e", 1)),
     "frames.csv without xhat": ("frames.csv", lambda text: text.replace("xhat", "estimate")),
     "frames.csv with a short row": ("frames.csv", _short_last_row),
@@ -220,7 +236,7 @@ _BROKEN_ARTIFACTS = {
 def test_plots_on_malformed_metadata_exits_3(example4_run, tmp_path, case):
     run = shutil.copytree(example4_run, tmp_path / "run")
     name, edit = _BROKEN_ARTIFACTS.get(case, ("metadata.json", lambda text: case))
-    (run / name).write_text(edit((run / name).read_text()))
+    (run / name).write_text(edit((run / name).read_text()).replace("{run}", run.as_posix()))
     proc = _cli("plots", "--in", str(run))
     assert proc.returncode == 3, proc.stderr
     assert "I/O error" in proc.stderr

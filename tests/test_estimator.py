@@ -83,7 +83,7 @@ def test_integer_estimates_score_like_floats():
 def test_missing_estimate_is_an_internal_error():
     est = np.zeros((6, 4, 2))
     without_s2 = tuple(sub for sub in IDX.all_subsets if sub != S2)
-    with pytest.raises(InternalConsistencyError, match="missing S:2"):
+    with pytest.raises(InternalConsistencyError, match="bank.all_subsets order"):
         run_estimator(IDX, without_s2, est[:5])
     with pytest.raises(InternalConsistencyError, match="5 estimate tracks for 6 subsets"):
         run_estimator(IDX, IDX.all_subsets, est[:5])
@@ -165,7 +165,9 @@ def test_pi_matches_brute_force_bit_for_bit(p, q, n, steps):
             bad[idx.all_subsets.index(sub), k] = False
     est[bad] = rng.choice([np.nan, np.inf, -np.inf, 1e200], size=int(bad.sum()))
     perm = rng.permutation(len(idx.all_subsets))
-    run = run_estimator(idx, tuple(idx.all_subsets[i] for i in perm), est[perm])
+    with pytest.raises(InternalConsistencyError, match="bank.all_subsets order"):
+        run_estimator(idx, tuple(idx.all_subsets[i] for i in perm), est[perm])
+    run = run_estimator(idx, idx.all_subsets, est)
     n_j = len(idx.j_subsets)
     for k in range(steps):
         est_j = {J.members: est[j, k] for j, J in enumerate(idx.j_subsets)}

@@ -229,6 +229,9 @@ def test_windowed_isolation_input_validation():
     short = ThresholdTable(pi_bar={J12: 1.0}, eps=0.0, k_bar_star=0)
     with pytest.raises(ConfigurationError):
         windowed_isolation(run, short, window=5)
+    reversed_order = ThresholdTable(pi_bar={J23: 1.0, J13: 1.0, J12: 1.0}, eps=0.0, k_bar_star=0)
+    with pytest.raises(ConfigurationError, match="bank.j_subsets order"):
+        windowed_isolation(run, reversed_order, window=5)
 
 
 def test_empty_stream_is_an_empty_report():

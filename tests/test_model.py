@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from _brute import sample_signal
 from _toys import C3, toy_plant, toy_scenario
 
 from multiobserver import (
@@ -16,7 +17,6 @@ from multiobserver import (
     SimulationDivergedError,
     load_config,
     sample_block,
-    sample_signal,
     signal_stream,
     simulate,
 )
@@ -54,6 +54,7 @@ def test_uniform_samples_stay_in_open_interval():
     spec = SignalSpec(kind="uniform", low=-2.0, high=3.0)
     draws = _path(spec, seed=0, steps=5000)
     assert np.all(draws > -2.0) and np.all(draws < 3.0)
+    assert np.array_equal(sample_block(spec, 5000, signal_stream(0, "attack")), draws)
     assert spec.bound() == 3.0
 
 
@@ -65,6 +66,11 @@ def test_signal_kinds_evaluate():
     assert [sample_signal(table, k, rng) for k in range(3)] == [1.0, -1.0, 0.5]
     draws = [sample_signal(SignalSpec(kind="normal", mean=5.0, std=0.0), k, rng) for k in range(4)]
     assert draws == [5.0] * 4
+    assert sample_block(SignalSpec(kind="zero"), 3, rng).tolist() == [0.0] * 3
+    assert sample_block(SignalSpec(kind="constant", value=2.5), 2, rng).tolist() == [2.5] * 2
+    assert sample_block(table, 3, rng).tolist() == [1.0, -1.0, 0.5]
+    with pytest.raises(ConfigurationError, match="unknown signal kind 'ramp'"):
+        sample_block(SignalSpec(kind="ramp"), 3, rng)
 
 
 def test_signal_validation_reports_each_problem():
@@ -337,28 +343,44 @@ def test_init_spec_sampling():
 
 # --- whole-run signal blocks ---------------------------------------------------
 
-class _EndpointBlock:
-    """A stream whose block draws put the low endpoint at position 3."""
+class _EndpointStream:
+    """A stream whose draws at the given positions land on an endpoint.
 
-    def __init__(self, rng):
-        self.rng, self.bit_generator, self.blocks = rng, rng.bit_generator, 0
+    Positions count every uniform draw, in a block or alone, so a block
+    sampler and a per-step one meet the same endpoints at the same draws.
+    """
+
+    def __init__(self, rng, endpoints):
+        self.rng, self.endpoints, self.draws = rng, endpoints, 0
 
     def uniform(self, low, high, size=None):
-        v = self.rng.uniform(low, high, size)
-        if size is not None:
-            self.blocks += 1
-            v[3] = low
-        return v
+        v = np.atleast_1d(self.rng.uniform(low, high, size))
+        for i in range(v.size):
+            side = self.endpoints.get(self.draws + i)
+            if side is not None:
+                v[i] = low if side == "low" else high
+        self.draws += v.size
+        return v if size is not None else v[0]
 
 
-def test_uniform_block_on_an_endpoint_falls_back_to_per_step_draws():
+def test_uniform_block_drops_endpoint_draws_as_per_step_draws_do():
     spec = SignalSpec(kind="uniform", low=-1.0, high=1.0)
-    fake = _EndpointBlock(signal_stream(9, "attack", 1))
-    block = sample_block(spec, 30, fake)
-    assert fake.blocks == 1  # the block was drawn once, then discarded
-    want = _path(spec, seed=9, kind="attack", index=1, steps=30)
-    assert np.array_equal(block, want)  # the stream was rewound before the per-step draws
-    assert np.all((block > -1.0) & (block < 1.0))
+    # the 4th draw alone, then also the last block draw and the first top-up draw
+    for endpoints in ({3: "low"}, {3: "low", 29: "high", 30: "low"}):
+        fake = _EndpointStream(signal_stream(9, "attack", 1), endpoints)
+        block = sample_block(spec, 30, fake)
+        ref = _EndpointStream(signal_stream(9, "attack", 1), endpoints)
+        want = np.array([sample_signal(spec, k, ref) for k in range(30)])
+        assert np.array_equal(block, want)
+        assert np.all((block > -1.0) & (block < 1.0))
+        # each endpoint cost one extra draw, and both streams stand at the same next draw
+        assert fake.draws == ref.draws == 30 + len(endpoints)
+        assert fake.uniform(-1.0, 1.0) == ref.uniform(-1.0, 1.0)
+
+
+def test_short_table_block_names_the_exhausted_step():
+    with pytest.raises(ConfigurationError, match=r"table signal exhausted: step 3 >= 3 values"):
+        sample_block(SignalSpec(kind="table", values=(1.0, 2.0, 3.0)), 5, signal_stream(0, "noise"))
 
 
 def test_simulate_draws_every_signal_kind_as_per_step_sampling():
