@@ -316,7 +316,7 @@ def calibrate_estimator(
         B, T1, n = x.shape
         est = bank.run(y, u, x0_est).reshape(len(bank), B * T1, n)
         try:
-            x_hat = run_estimator(bank_idx, bank_idx.all_subsets, est).x_hat
+            x_hat = run_estimator(bank_idx, bank.subsets, est).x_hat
         except EstimatorStarvedError as exc:
             run, step = divmod(exc.step, T1)
             failure = CalibrationError(f"all deviation scores are infinite at step {step} "

@@ -57,6 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_run_overrides(cfg, args) -> dict:
+    """Apply the run's overrides to ``cfg``; ``simulate`` and
+    ``windowed_isolation`` check the values before anything is written."""
     overrides = {}
     if args.seed is not None:
         cfg.scenario = replace(cfg.scenario, seed=args.seed)
@@ -64,24 +66,17 @@ def _apply_run_overrides(cfg, args) -> dict:
     if args.horizon is not None:
         cfg.scenario = replace(cfg.scenario, horizon=args.horizon)
         overrides["horizon"] = args.horizon
-    if overrides:
-        problems = cfg.scenario.validate(cfg.plant)
-        if problems:
-            raise ConfigurationError(problems)
     if args.window is not None:
         if cfg.isolation is None:
             raise ConfigurationError(
                 ["--window given but the config has no isolation section"]
             )
-        if args.window < 1:
-            raise ConfigurationError([f"--window must be >= 1, got {args.window}"])
         cfg.isolation = replace(cfg.isolation, window=args.window)
         overrides["window"] = args.window
     return overrides
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_run(cfg, args) -> int:
     overrides = _apply_run_overrides(cfg, args)
     artifacts = run_scenario(cfg, out=args.out, overrides=overrides)
     print(f"run complete: {cfg.name}, {cfg.scenario.horizon + 1} steps")
@@ -96,15 +91,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_calibrate(cfg, args) -> int:
     out_path = calibrate(cfg, trials=args.trials, horizon=args.horizon, out_path=args.out)
     print(f"calibrated bundle written: {out_path}")
     return 0
 
 
-def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_validate(cfg, args) -> int:
     _, report = build_bank(cfg, enforce=True)
     worst = max(c.spectral_radius for c in report.certificates.values())
     print(
@@ -116,7 +109,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_plots(args) -> int:
+def _cmd_plots(_, args) -> int:
     produced = emit_plots(args.in_dir)
     for path in produced:
         print(f"wrote {path}")
@@ -136,17 +129,19 @@ def main(argv: list[str] | None = None) -> int:
         "validate": _cmd_validate,
         "plots": _cmd_plots,
     }
+    cfg = None
     try:
-        return handlers[args.command](args)
+        if args.command != "plots":
+            cfg = load_config(args.config)
+        return handlers[args.command](cfg, args)
     except ConfigurationError as exc:
         print(f"configuration error ({len(exc.problems)} problem(s)):", file=sys.stderr)
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 1
     except (SimulationDivergedError, EstimatorStarvedError, CalibrationError) as exc:
-        sha = getattr(exc, "config_sha256", None)
-        context = f" [config sha256 {sha[:12]}]" if sha else ""
-        print(f"runtime failure: {exc}{context}", file=sys.stderr)
+        # only the config commands raise these, each after its config loaded
+        print(f"runtime failure: {exc} [config sha256 {cfg.sha256[:12]}]", file=sys.stderr)
         return 2
     except (PlumbingError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -80,9 +80,10 @@ class _Key:
     or null key reads as ``default``, so a key without one is required and its
     reader reports the null; a nonzero numeric default is also what a bad value
     reads as.  A callable default or bound is called with the read's context:
-    the values its caller passed and the keys read before.  A value failing
-    ``check`` (a predicate and its message) is listed and reads as None, and
-    a ``needed`` key that reads as None ends the read of its section.
+    the values its caller passed and the keys read before.  A value that its
+    reader did not list but that fails ``check`` (a predicate and its message)
+    is listed and reads as None, and a ``needed`` key that reads as None ends
+    the read of its section.
     """
 
     __slots__ = ("read", "default", "needed", "check", "bounds", "context")
@@ -146,11 +147,13 @@ class _Collector:
             bounds = spec.bounds.copy()
             for k, b in spec.context:
                 bounds[k] = b(ctx)
+            listed = len(self.problems)
             try:
                 got = spec.read(self, prefix + key, val, **bounds)
             except _Done as done:
                 return done.args[0]
-            if spec.check and not spec.check[0](got):
+            # a value the reader listed is not checked again
+            if spec.check and len(self.problems) == listed and not spec.check[0](got):
                 self.add(prefix + key, spec.check[1])
                 got = None
             if spec.needed and got is None:
@@ -503,7 +506,7 @@ def _nonlinearity(registry: dict) -> _Key:
 # A comes first: the others are shaped by its n rows.
 _LINEAR = {
     "A": _Key(_Collector.matrix, needed=True, check=(
-        lambda A: A is not None and A.shape[0] == A.shape[1], "expected a square matrix")),
+        lambda A: A.shape[0] == A.shape[1], "expected a square matrix")),
     "C": _Key(_Collector.matrix, needed=True, shape=lambda c: (None, len(c["A"]))),
     "D": _Key(_Collector.matrix, _UNSET, needed=True, shape=lambda c: (len(c["A"]), None)),
 }

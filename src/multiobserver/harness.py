@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import calibrate_bank, calibrate_estimator
-from .config import BankBuildReport, ScenarioConfig, _file_name, build_bank
+from .config import ScenarioConfig, _file_name, build_bank
 from .errors import (
     CalibrationError,
     ConfigurationError,
@@ -36,7 +36,6 @@ from .errors import (
 from .estimator import EstimatorRun, frames_to_csv, run_estimator
 from .isolation import (
     IsolationReport,
-    ThresholdTable,
     compute_thresholds,
     steps_to_csv,
     windowed_isolation,
@@ -63,20 +62,17 @@ __all__ = ["RunArtifacts", "run_scenario", "run_seeds", "calibrate", "emit_plots
 
 @dataclass
 class RunArtifacts:
-    """Paths plus in-memory results of one scenario run."""
+    """Where one scenario run wrote its artifacts, plus its in-memory results.
+
+    ``files`` maps each key of the metadata's ``files``, and ``metadata``,
+    to the path written (None for an artifact the run has not).
+    """
 
     out_dir: Path
-    trajectory_csv: Path
-    frames_csv: Path
-    metadata_json: Path
-    isolation_windows_csv: Path | None
-    isolation_steps_csv: Path | None
+    files: dict[str, Path | None]
     trajectory: Trajectory
     run: EstimatorRun
-    thresholds: ThresholdTable | None
     isolation: IsolationReport | None
-    bank_report: BankBuildReport
-    wall_time_s: float
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -100,52 +96,45 @@ def run_scenario(
     out: str | None = None,
     overrides: dict | None = None,
 ) -> RunArtifacts:
-    """Simulate, estimate, isolate, and persist one scenario."""
+    """Simulate, estimate, isolate, and persist one scenario.
+
+    The run directory is made once selection and isolation have
+    succeeded, so a failed run leaves none behind.
+    """
     started = time.perf_counter()
+    trajectory = simulate(cfg.plant, cfg.scenario, ceiling=cfg.ceiling)
+    bank, _ = build_bank(cfg)
+    est = bank.run(trajectory.y, trajectory.u, cfg.initial_estimate(trajectory.x[0]))
+    run = run_estimator(cfg.bank, bank.subsets, est, truth=trajectory.x)
+    thresholds = isolation = None
+    if cfg.isolation is not None:
+        iso = cfg.isolation
+        thresholds = compute_thresholds(
+            cfg.iss_models(), cfg.bank, iso.m_bar, iso.d_bar, iso.eps,
+            k_star_override=iso.k_star,
+        )
+        isolation = windowed_isolation(run, thresholds, iso.window)
+
+    # metadata "files" key -> (file, writer, what it writes), in the order the
+    # files are written; a file with nothing to write is not written and is null
+    table = {
+        "trajectory": ("trajectory.csv", Trajectory.write_csv, trajectory),
+        "frames": ("frames.csv", frames_to_csv, run),
+        "isolation_windows": ("isolation_windows.csv", windows_to_csv, isolation),
+        "isolation_steps": ("isolation_steps.csv", steps_to_csv, isolation),
+    }
+    files = {key: None if result is None else name for key, (name, _, result) in table.items()}
     out_dir = resolve_out_dir(cfg, out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise PlumbingError(f"cannot create {out_dir}: {exc}") from None
+    for name, write, result in table.values():
+        if result is not None:
+            buf = io.StringIO()
+            write(result, buf)
+            _atomic_write_text(out_dir / name, buf.getvalue())
 
-    try:
-        trajectory = simulate(cfg.plant, cfg.scenario, ceiling=cfg.ceiling)
-        bank, bank_report = build_bank(cfg)
-        x0_est = cfg.initial_estimate(trajectory.x[0])
-        est = bank.run(trajectory.y, trajectory.u, x0_est)
-        run = run_estimator(cfg.bank, cfg.bank.all_subsets, est, truth=trajectory.x)
-
-        thresholds = None
-        isolation = None
-        if cfg.isolation is not None:
-            iso = cfg.isolation
-            thresholds = compute_thresholds(
-                cfg.iss_models(), cfg.bank, iso.m_bar, iso.d_bar, iso.eps,
-                k_star_override=iso.k_star,
-            )
-            isolation = windowed_isolation(run, thresholds, iso.window)
-    except Exception as exc:
-        exc.config_sha256 = cfg.sha256
-        raise
-
-    # (file, writer, what it writes), in the order the files are written
-    artifacts = [
-        ("trajectory.csv", Trajectory.write_csv, trajectory),
-        ("frames.csv", frames_to_csv, run),
-    ]
-    if isolation is not None:
-        artifacts += [
-            ("isolation_windows.csv", windows_to_csv, isolation),
-            ("isolation_steps.csv", steps_to_csv, isolation),
-        ]
-    paths = {}
-    for name, write, result in artifacts:
-        buf = io.StringIO()
-        write(result, buf)
-        paths[name] = out_dir / name
-        _atomic_write_text(paths[name], buf.getvalue())
-
-    wall = time.perf_counter() - started
     metadata = {
         "name": cfg.name,
         "config_path": None if cfg.path is None else str(cfg.path),
@@ -158,13 +147,8 @@ def run_scenario(
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "wall_time_s": wall,
-        "files": {
-            "trajectory": "trajectory.csv",
-            "frames": "frames.csv",
-            "isolation_windows": None if isolation is None else "isolation_windows.csv",
-            "isolation_steps": None if isolation is None else "isolation_steps.csv",
-        },
+        "wall_time_s": time.perf_counter() - started,
+        "files": files,
     }
     if thresholds is not None:
         metadata["isolation"] = {
@@ -173,24 +157,11 @@ def run_scenario(
             "eps": thresholds.eps,
             "thresholds": {J.label: v for J, v in thresholds.pi_bar.items()},
         }
-    metadata_json = out_dir / "metadata.json"
-    _atomic_write_text(metadata_json, json.dumps(metadata, indent=2) + "\n")
+    _atomic_write_text(out_dir / "metadata.json", json.dumps(metadata, indent=2) + "\n")
     log.info("run %s: %d steps, artifacts in %s", cfg.name, cfg.scenario.horizon, out_dir)
-
-    return RunArtifacts(
-        out_dir=out_dir,
-        trajectory_csv=paths["trajectory.csv"],
-        frames_csv=paths["frames.csv"],
-        metadata_json=metadata_json,
-        isolation_windows_csv=paths.get("isolation_windows.csv"),
-        isolation_steps_csv=paths.get("isolation_steps.csv"),
-        trajectory=trajectory,
-        run=run,
-        thresholds=thresholds,
-        isolation=isolation,
-        bank_report=bank_report,
-        wall_time_s=wall,
-    )
+    paths = {key: None if name is None else out_dir / name
+             for key, name in {**files, "metadata": "metadata.json"}.items()}
+    return RunArtifacts(out_dir, paths, trajectory, run, isolation)
 
 
 def run_seeds(
@@ -205,9 +176,10 @@ def run_seeds(
     ``run_estimator`` give on that seed alone, bit for bit: its
     :class:`EstimatorRun`, or the :class:`SimulationDivergedError` or
     :class:`EstimatorStarvedError` that path raises, returned rather than
-    raised.  Every seed's scenario is validated as ``simulate`` validates
-    it, and a batch whose bank estimates would pass ``MAX_BATCH`` entries
-    is refused, before anything is drawn.
+    raised; a run's ``est`` is its own array, not a view of the batch.
+    Every seed's scenario is validated as ``simulate`` validates it, and a
+    batch whose bank estimates would pass ``MAX_BATCH`` entries is
+    refused, before anything is drawn.
     """
     plant = cfg.plant
     base = cfg.scenario if scenario is None else scenario
@@ -233,7 +205,7 @@ def run_seeds(
         est = bank.run(y, u[finite], x0_est)
     for row, i in enumerate(finite):
         try:
-            outcomes[i] = run_estimator(cfg.bank, cfg.bank.all_subsets, est[:, row], truth=x[i])
+            outcomes[i] = run_estimator(cfg.bank, bank.subsets, est[:, row].copy(), truth=x[i])
         except EstimatorStarvedError as exc:
             outcomes[i] = exc
     return [SimulationDivergedError(*out) if isinstance(out, tuple) else out for out in outcomes]

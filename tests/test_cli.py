@@ -116,6 +116,20 @@ def test_run_window_override_needs_isolation_section(scenario_dir, tmp_path, cap
     assert "no isolation section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, problem",
+    [("--window", "window length must be >= 1, got 0"),
+     ("--horizon", "horizon must lie in 1..1000000, got 0")],
+)
+def test_a_bad_run_override_exits_1_and_writes_nothing(scenario_dir, tmp_path, capsys,
+                                                       flag, problem):
+    code = main(["run", "--config", _path(scenario_dir, "example4"), flag, "0",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 1
+    assert capsys.readouterr().err == f"configuration error (1 problem(s)):\n  - {problem}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_window_override_changes_window_count(scenario_dir, tmp_path, capsys):
     code = main([
         "run", "--config", _path(scenario_dir, "example4"),
@@ -156,6 +170,32 @@ def test_calibrate_writes_bundle(scenario_dir, tmp_path, capsys):
     assert out_file.exists()
     bundle = json.loads(out_file.read_text())
     assert all("iss" in entry for entry in bundle["observers"]["bundle"].values())
+
+
+def test_calibrate_without_out_writes_beside_the_config(scenario_dir, tmp_path, capsys):
+    config = tmp_path / "example4.json"
+    shutil.copyfile(scenario_dir / "example4.json", config)
+    before = config.read_bytes()
+    code = main(["calibrate", "--config", str(config), "--trials", "2", "--horizon", "30"])
+    assert code == 0
+    written = tmp_path / "example4.calibrated.json"
+    assert f"calibrated bundle written: {written}" in capsys.readouterr().out
+    assert config.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "example4.calibrated.json", "example4.json",
+    ]
+
+
+def test_validate_lists_a_failed_slope_condition(scenario_dir, tmp_path, capsys):
+    # sin's slope turns negative past pi/2, inside a box of [-2, 2]
+    raw = json.loads((scenario_dir / "example3.json").read_text())
+    raw["plant"]["slope_box"] = [-2, 2]
+    config = tmp_path / "wide_box.json"
+    config.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error (1 problem(s))" in err
+    assert "  - slope condition failed on box (-2.0, 2.0)" in err
 
 
 def test_calibrate_with_a_starved_estimator_exits_2(scenario_dir, tmp_path, capsys, monkeypatch):

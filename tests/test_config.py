@@ -320,6 +320,10 @@ def test_every_mutated_value_loads_or_is_listed(scenario_dir, tmp_path):
         ("example2", ("plant", "nonlinearity", "params", "gain"), float("nan"), "params.gain"),
         ("example2", ("plant", "nonlinearity", "params", "index"), 1.5, "params.index"),
         ("example1", ("name",), "../escaped", "name: expected a file name"),
+        ("example3", ("scenario", "attacks", "9"), {"kind": "zero"},
+         "scenario.attacks[9]: key must be a sensor index in 1..5"),
+        ("example3", ("observers", "bundle", "J:1,2"), {"L": [[0.0], [0.0]]},
+         "observers.bundle[J:1,2]: subset not in the bank for p=5, q=2"),
     ],
 )
 def test_values_that_break_a_guarantee_are_rejected(scenario_dir, name, path, value, needle):
@@ -415,6 +419,29 @@ def test_a_bad_generator_or_x0_is_one_problem(scenario_dir, path, value, problem
     # (per-sensor generators, the declared noise bound) do not list it again
     with pytest.raises(ConfigurationError) as err:
         parse_config(_mutated(_raw(scenario_dir, "example2"), path, value))
+    assert err.value.problems == [problem]
+
+
+_ABSENT = object()
+
+
+@pytest.mark.parametrize(
+    "name, path, value, problem",
+    [
+        ("example2", ("plant", "A"), "x", "plant.A: not a numeric matrix"),
+        ("example2", ("plant", "A"), _ABSENT, "plant.A: not a numeric matrix"),
+        ("example3", ("plant", "slope_box"), "x",
+         "plant.slope_box: expected a list of numbers, got 'x'"),
+    ],
+)
+def test_a_value_its_reader_lists_is_not_checked_again(scenario_dir, name, path, value, problem):
+    raw = _raw(scenario_dir, name)
+    if value is _ABSENT:
+        del reduce(operator.getitem, path[:-1], raw)[path[-1]]
+    else:
+        raw = _mutated(raw, path, value)
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
     assert err.value.problems == [problem]
 
 

@@ -12,8 +12,10 @@ from multiobserver import (
     ConfigurationError,
     EstimatorRun,
     EstimatorStarvedError,
+    ObserverBank,
     SimulationDivergedError,
     build_bank,
+    calibrate_estimator,
     load_config,
     run_estimator,
     run_scenario,
@@ -22,8 +24,9 @@ from multiobserver import (
 )
 from multiobserver import harness
 from multiobserver.config import parse_config
+from multiobserver.cli import main as cli_main
 from multiobserver.harness import calibrate, emit_plots, resolve_out_dir
-from multiobserver.errors import PlumbingError
+from multiobserver.errors import InternalConsistencyError, PlumbingError
 from multiobserver.model import MAX_BATCH
 
 
@@ -35,26 +38,28 @@ def test_run_scenario_writes_all_artifacts(scenario_dir, tmp_path):
     cfg = _cfg(scenario_dir, "example1")
     art = run_scenario(cfg, out=str(tmp_path))
     assert art.out_dir == tmp_path / "example1"
-    assert art.trajectory_csv.exists()
-    assert art.frames_csv.exists()
-    assert art.metadata_json.exists()
-    assert art.isolation_windows_csv is None  # example1 has no isolation section
-    assert art.isolation is None
-    meta = json.loads(art.metadata_json.read_text())
+    assert sorted(p.name for p in art.out_dir.iterdir()) == [
+        "frames.csv", "metadata.json", "trajectory.csv",
+    ]
+    assert art.isolation is None  # example1 has no isolation section
+    meta = json.loads(art.files["metadata"].read_text())
     assert meta["name"] == "example1"
     assert meta["config_sha256"] == cfg.sha256
-    assert meta["files"]["isolation_windows"] is None
+    assert meta["files"] == {"trajectory": "trajectory.csv", "frames": "frames.csv",
+                             "isolation_windows": None, "isolation_steps": None}
+    assert art.files == {key: None if name is None else art.out_dir / name
+                         for key, name in {**meta["files"], "metadata": "metadata.json"}.items()}
     assert meta["seed"] == cfg.scenario.seed
     # horizon+2 lines: header plus T+1 steps
-    assert len(art.trajectory_csv.read_text().strip().splitlines()) == cfg.scenario.horizon + 2
+    assert len(art.files["trajectory"].read_text().strip().splitlines()) == cfg.scenario.horizon + 2
 
 
 def test_repeated_runs_are_byte_identical(scenario_dir, tmp_path):
     cfg = _cfg(scenario_dir, "example1")
     a = run_scenario(cfg, out=str(tmp_path / "a"))
     b = run_scenario(cfg, out=str(tmp_path / "b"))
-    assert a.trajectory_csv.read_bytes() == b.trajectory_csv.read_bytes()
-    assert a.frames_csv.read_bytes() == b.frames_csv.read_bytes()
+    for key in ("trajectory", "frames"):
+        assert a.files[key].read_bytes() == b.files[key].read_bytes()
 
 
 def test_seed_override_changes_the_run(scenario_dir, tmp_path):
@@ -63,8 +68,8 @@ def test_seed_override_changes_the_run(scenario_dir, tmp_path):
     cfg2 = _cfg(scenario_dir, "example1")
     cfg2.scenario = replace(cfg2.scenario, seed=1)
     other = run_scenario(cfg2, out=str(tmp_path / "b"), overrides={"seed": 1})
-    assert base.trajectory_csv.read_bytes() != other.trajectory_csv.read_bytes()
-    meta = json.loads(other.metadata_json.read_text())
+    assert base.files["trajectory"].read_bytes() != other.files["trajectory"].read_bytes()
+    meta = json.loads(other.files["metadata"].read_text())
     assert meta["overrides"] == {"seed": 1}
 
 
@@ -72,9 +77,10 @@ def test_run_with_isolation_artifacts(scenario_dir, tmp_path):
     cfg = _cfg(scenario_dir, "example4")
     art = run_scenario(cfg, out=str(tmp_path))
     assert art.isolation is not None
-    assert art.isolation_windows_csv.exists()
-    assert art.isolation_steps_csv.exists()
-    meta = json.loads(art.metadata_json.read_text())
+    assert art.files["isolation_windows"].exists()
+    assert art.files["isolation_steps"].exists()
+    meta = json.loads(art.files["metadata"].read_text())
+    assert list(meta["files"]) == ["trajectory", "frames", "isolation_windows", "isolation_steps"]
     assert meta["isolation"]["window"] == 100
     assert len(meta["isolation"]["thresholds"]) == 4  # one per J-class subset
     # the attacked sensor is found in every full window of this run
@@ -94,19 +100,23 @@ def test_failed_write_leaves_no_tmp_file(scenario_dir, tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_divergence_carries_the_config_hash(scenario_dir, tmp_path):
+def test_divergence_carries_the_config_hash(scenario_dir, tmp_path, capsys):
+    # example1's plant diverges on seed 2, and its 2-trial calibration fails:
+    # each exit-2 message ends with the config's hash, and the run leaves no
+    # directory behind
     cfg = _cfg(scenario_dir, "example1")
-    diverged = None
-    for seed in range(40):
-        cfg.scenario = replace(cfg.scenario, seed=seed)
-        try:
-            run_scenario(cfg, out=str(tmp_path))
-        except SimulationDivergedError as exc:
-            diverged = exc
-            break
-    assert diverged is not None, "expected some seed to diverge on this plant"
-    assert diverged.config_sha256 == cfg.sha256
-    assert diverged.step > 0
+    cfg.scenario = replace(cfg.scenario, seed=2)
+    with pytest.raises(SimulationDivergedError) as err:
+        run_scenario(cfg, out=str(tmp_path))
+    assert err.value.step > 0
+    tag = f" [config sha256 {cfg.sha256[:12]}]\n"
+    config = str(scenario_dir / "example1.json")
+    for args in (["run", "--seed", "2", "--out", str(tmp_path)],
+                 ["calibrate", "--trials", "2", "--out", str(tmp_path / "cal.json")]):
+        assert cli_main([args[0], "--config", config, *args[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and err.endswith(tag), err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_calibrate_writes_a_new_bundle(scenario_dir, tmp_path):
@@ -137,6 +147,17 @@ def test_emit_plots_from_run_artifacts(scenario_dir, tmp_path):
     iso = (art.out_dir / "isolation_fig.csv").read_text().strip().splitlines()
     assert iso[0] == "window_i,isolated_sensor"
     assert all(line.endswith(",3") for line in iso[1:])
+
+
+def test_emit_plots_on_an_attack_free_run(scenario_dir, tmp_path):
+    # no sensor is attacked, so every window isolates the empty set, written as 0
+    raw = json.loads((scenario_dir / "example4.json").read_text())
+    raw["scenario"].update(attacked=[], attacks={})
+    art = run_scenario(parse_config(raw), out=str(tmp_path))
+    assert [w.isolated for w in art.isolation.windows] == [()] * 10
+    emit_plots(art.out_dir)
+    iso = (art.out_dir / "isolation_fig.csv").read_text().splitlines()
+    assert iso == ["window_i,isolated_sensor"] + [f"{i},0" for i in range(1, 11)]
 
 
 def test_emit_plots_without_isolation(scenario_dir, tmp_path):
@@ -183,6 +204,7 @@ def _assert_seed_runs_equal_each_seed_alone(cfg, seeds):
         want = _seed_alone(cfg, bank, replace(cfg.scenario, seed=seed))
         assert type(out) is type(want), seed
         if isinstance(want, EstimatorRun):
+            assert out.est.base is None, seed  # its own array, not a view of the batch
             for name in ("est", "pi", "sigma_idx", "x_hat", "truth", "e_norm"):
                 assert np.array_equal(_bits(getattr(out, name)), _bits(getattr(want, name))), \
                     (seed, name)
@@ -214,6 +236,20 @@ def test_run_seeds_with_a_disturbance_input_and_a_low_ceiling(scenario_dir):
     assert cfg.plant.n_d == 1
     kinds = _assert_seed_runs_equal_each_seed_alone(cfg, range(20))
     assert kinds == {"EstimatorRun": 18, "SimulationDivergedError": 2}
+
+
+def test_a_bank_out_of_index_order_is_refused(scenario_dir):
+    # selection reads the bank's own subset order, so a bank whose observers
+    # run in another order than the index is refused rather than misread
+    cfg = _cfg(scenario_dir, "example4")
+    bank, _ = build_bank(cfg)
+    reversed_bank = ObserverBank(dict(reversed(list(bank.items()))))
+    with pytest.raises(InternalConsistencyError, match="all_subsets order"):
+        run_seeds(cfg, reversed_bank, [0])
+    settings = replace(cfg.calibration, trials=2, horizon=30)
+    with pytest.raises(InternalConsistencyError, match="all_subsets order"):
+        calibrate_estimator(reversed_bank, cfg.bank, cfg.plant, cfg.scenario.noise_bound,
+                            cfg.scenario.disturbance_bound, cfg.scenario.x0, settings)
 
 
 def test_run_seeds_validates_every_seed_as_simulate_does(scenario_dir):
