@@ -58,4 +58,4 @@ from .isolation import (
     windowed_isolation,
 )
 from .config import ScenarioConfig, build_bank, load_config
-from .harness import RunArtifacts, calibrate, emit_plots, run_scenario, run_seeds
+from .harness import RunArtifacts, calibrate, run_scenario, run_seeds

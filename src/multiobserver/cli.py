@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``run`` (simulate + estimate + isolate), ``calibrate``
-(fit convergence models into a new bundle), ``validate`` (load and
-certify a config), ``plots`` (plot-ready CSVs from run artifacts).
+(fit convergence models into a new bundle), and ``validate`` (load and
+certify a config).
 Exit codes: 0 success, 1 validation problem, 2 runtime failure
 (divergence, starvation, calibration), 3 I/O problem.
 """
@@ -22,7 +22,7 @@ from .errors import (
     PlumbingError,
     SimulationDivergedError,
 )
-from .harness import OUT_DIR_ENV, calibrate, emit_plots, run_scenario
+from .harness import OUT_DIR_ENV, calibrate, run_scenario
 
 log = logging.getLogger("multiobserver")
 
@@ -50,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="load, dimension-check, and certify a config")
     val.add_argument("--config", required=True)
-
-    plots = sub.add_parser("plots", help="emit plot-ready CSVs from run artifacts")
-    plots.add_argument("--in", dest="in_dir", required=True, help="run artifact directory")
     return parser
 
 
@@ -109,13 +106,6 @@ def _cmd_validate(cfg, args) -> int:
     return 0
 
 
-def _cmd_plots(_, args) -> int:
-    produced = emit_plots(args.in_dir)
-    for path in produced:
-        print(f"wrote {path}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
@@ -127,12 +117,9 @@ def main(argv: list[str] | None = None) -> int:
         "run": _cmd_run,
         "calibrate": _cmd_calibrate,
         "validate": _cmd_validate,
-        "plots": _cmd_plots,
     }
-    cfg = None
     try:
-        if args.command != "plots":
-            cfg = load_config(args.config)
+        cfg = load_config(args.config)
         return handlers[args.command](cfg, args)
     except ConfigurationError as exc:
         print(f"configuration error ({len(exc.problems)} problem(s)):", file=sys.stderr)
@@ -140,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {problem}", file=sys.stderr)
         return 1
     except (SimulationDivergedError, EstimatorStarvedError, CalibrationError) as exc:
-        # only the config commands raise these, each after its config loaded
+        # raised only after the config loaded
         print(f"runtime failure: {exc} [config sha256 {cfg.sha256[:12]}]", file=sys.stderr)
         return 2
     except (PlumbingError, OSError) as exc:

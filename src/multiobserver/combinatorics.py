@@ -44,9 +44,6 @@ class SubsetIndex:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, sensor: int) -> bool:
-        return sensor in self.members
-
     def __str__(self) -> str:
         return self.label
 

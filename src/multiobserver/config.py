@@ -755,15 +755,11 @@ _CALIBRATION = {
 _OUTPUT = {"dir": _Key(_Collector.text, _UNSET)}
 
 
-def _file_name(name) -> bool:
-    """A name that stays inside its directory: no path separator, not ``.`` or ``..``."""
-    return isinstance(name, str) and name not in (".", "..") and not ("/" in name or "\\" in name)
-
-
 def _name(col: _Collector, path: str, val, stem: str) -> str:
     name = val or stem
-    # the name becomes the artifact subdirectory, so it may not leave the output directory
-    if not _file_name(name):
+    # the name becomes the artifact subdirectory, so it may not leave the output directory:
+    # no path separator, not ``.`` or ``..``
+    if not isinstance(name, str) or name in (".", "..") or "/" in name or "\\" in name:
         col.add(path, f"expected a file name without path separators, got {name!r:.40}")
     return name
 

@@ -53,9 +53,6 @@ class EstimatorRun:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.linalg.norm(self.x_hat - self.truth, axis=1)
 
-    def sigma(self, k: int) -> SubsetIndex:
-        return self.bank.j_subsets[int(self.sigma_idx[k])]
-
 
 def run_estimator(
     bank: BankIndex,

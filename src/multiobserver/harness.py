@@ -11,7 +11,6 @@ original file untouched.
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import json
 import logging
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import calibrate_bank, calibrate_estimator
-from .config import ScenarioConfig, _file_name, build_bank
+from .config import ScenarioConfig, build_bank
 from .errors import (
     CalibrationError,
     ConfigurationError,
@@ -57,7 +56,7 @@ log = logging.getLogger(__name__)
 
 OUT_DIR_ENV = "MULTIOBSERVER_OUT"
 
-__all__ = ["RunArtifacts", "run_scenario", "run_seeds", "calibrate", "emit_plots", "OUT_DIR_ENV"]
+__all__ = ["RunArtifacts", "run_scenario", "run_seeds", "calibrate", "OUT_DIR_ENV"]
 
 
 @dataclass
@@ -229,7 +228,13 @@ def calibrate(
         settings = replace(settings, trials=trials)
     if horizon is not None:
         settings = replace(settings, horizon=horizon)
+    if out_path is None and cfg.path is not None:
+        out_path = cfg.path.with_name(cfg.path.stem + ".calibrated.json")
     problems = settings.validate()
+    if out_path is None:
+        problems.append("no output path for the calibrated bundle")
+    elif cfg.path is not None and Path(out_path).resolve() == cfg.path.resolve():
+        problems.append(f"output path {out_path} is the config itself, which is never modified")
     if problems:
         raise ConfigurationError(problems)
 
@@ -253,112 +258,7 @@ def calibrate(
         raw["observers"]["bundle"][sub.label]["iss"] = asdict(model)
     raw.setdefault("estimator", {})["iss"] = asdict(est_model)
 
-    if out_path is None:
-        if cfg.path is None:
-            raise ConfigurationError(["no output path for the calibrated bundle"])
-        out_path = cfg.path.with_name(cfg.path.stem + ".calibrated.json")
     out_path = Path(out_path)
     _atomic_write_text(out_path, json.dumps(raw, indent=2) + "\n")
     log.info("calibrated %d observers -> %s", len(models), out_path)
     return out_path
-
-
-def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    try:
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise PlumbingError(f"cannot read {path}: {exc}") from None
-    if not rows:
-        return [], []
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != len(rows[0]):
-            raise PlumbingError(f"{path}: row {i} has {len(row)} fields, header {len(rows[0])}")
-    return rows[0], rows[1:]
-
-
-def _columns(path: Path, header: list[str], name: str, prefix: bool = False) -> list[int]:
-    """Indices of the header's ``name`` column (every column starting with it, for a prefix)."""
-    cols = [i for i, col in enumerate(header) if (col.startswith(name) if prefix else col == name)]
-    if not cols:
-        raise PlumbingError(f"{path}: no {name}{'*' if prefix else ''} column")
-    return cols
-
-
-def emit_plots(artifacts_dir: str | Path) -> list[Path]:
-    """Produce plot-ready columnar files from a run's artifacts.
-
-    ``states_fig.csv`` interleaves true and estimated states per step;
-    ``error_fig.csv`` is the error-norm track; ``isolation_fig.csv``
-    has one row per window and isolated sensor, with 0 standing for
-    the empty set so the verdict track plots as a scatter.
-    """
-    out_dir = Path(artifacts_dir)
-    meta_path = out_dir / "metadata.json"
-    if not meta_path.exists():
-        raise PlumbingError(f"no metadata.json under {out_dir}; not a run directory?")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-        raise PlumbingError(f"cannot read {meta_path}: {exc}") from None
-    files = meta.get("files") if isinstance(meta, dict) else None
-    if not (
-        isinstance(files, dict)
-        and _file_name(files.get("trajectory"))
-        and _file_name(files.get("frames"))
-        and (files.get("isolation_windows") is None or _file_name(files["isolation_windows"]))
-    ):
-        raise PlumbingError(f"{meta_path} does not name the run's artifact files by file name")
-    produced: list[Path] = []
-
-    trajectory, frames = out_dir / files["trajectory"], out_dir / files["frames"]
-    header, rows = _read_csv_rows(trajectory)
-    f_header, f_rows = _read_csv_rows(frames)
-    states_path = out_dir / "states_fig.csv"
-    error_path = out_dir / "error_fig.csv"
-    if len(rows) != len(f_rows):
-        raise PlumbingError(f"{trajectory} has {len(rows)} rows but {frames} has {len(f_rows)}")
-    if not rows:
-        log.warning("empty run artifacts in %s; emitting empty plot files", out_dir)
-        _atomic_write_text(states_path, "")
-        _atomic_write_text(error_path, "")
-        produced += [states_path, error_path]
-    else:
-        x_cols = _columns(trajectory, header, "x", prefix=True)
-        xh_cols = _columns(frames, f_header, "xhat", prefix=True)
-        e_col = _columns(frames, f_header, "e_norm")[0]
-        if len(x_cols) != len(xh_cols):
-            raise PlumbingError(
-                f"{trajectory} has {len(x_cols)} state columns but {frames} has {len(xh_cols)}"
-            )
-        lines = ["k," + ",".join(
-            f"x{i + 1},xhat{i + 1}" for i in range(len(x_cols))
-        )]
-        for row, f_row in zip(rows, f_rows):
-            pairs = []
-            for xc, xhc in zip(x_cols, xh_cols):
-                pairs += [row[xc], f_row[xhc]]
-            lines.append(row[0] + "," + ",".join(pairs))
-        _atomic_write_text(states_path, "\n".join(lines) + "\n")
-        e_lines = ["k,e_norm"] + [f"{r[0]},{r[e_col]}" for r in f_rows]
-        _atomic_write_text(error_path, "\n".join(e_lines) + "\n")
-        produced += [states_path, error_path]
-
-    if files.get("isolation_windows"):
-        windows = out_dir / files["isolation_windows"]
-        w_header, w_rows = _read_csv_rows(windows)
-        iso_col = _columns(windows, w_header, "isolated_set")[0] if w_rows else None
-        lines = ["window_i,isolated_sensor"]
-        for row in w_rows:
-            window_i, isolated = row[0], row[iso_col]
-            if isolated:
-                for sensor in isolated.split(","):
-                    lines.append(f"{window_i},{sensor}")
-            else:
-                lines.append(f"{window_i},0")
-        iso_path = out_dir / "isolation_fig.csv"
-        _atomic_write_text(iso_path, "\n".join(lines) + "\n")
-        produced.append(iso_path)
-    for path in produced:
-        log.info("wrote %s", path)
-    return produced

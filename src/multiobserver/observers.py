@@ -8,7 +8,7 @@ of runs to the estimate tracks x_hat(0..T) of the group on each run:
 
 * ``run_group``: :meth:`ObserverBank.run` steps a bank through it;
 * ``run_trials``: calibration steps its Monte-Carlo trials through it
-  (:func:`run_trials`), and ``track`` is one observer's run through it.
+  (:func:`run_trials`).
 
 Each row of a batch equals its run stepped alone, bit for bit.  The two
 kernels are one except in the circle family, whose ``run_group`` folds
@@ -111,11 +111,6 @@ class Observer(ABC):
     def run_trials(cls, members: list[Observer], y, u, x0_est) -> np.ndarray:
         """Estimates of ``members`` on a batch of runs, as calibration steps them."""
         return cls.run_group(members, y, u, x0_est)
-
-    def track(self, y: np.ndarray, u: np.ndarray, x0_est: np.ndarray) -> np.ndarray:
-        """This observer's estimates over one run, as ``run_trials`` steps it: (T+1, n)."""
-        x0 = np.asarray(x0_est, dtype=float)
-        return type(self).run_trials([self], y[None], u[None], x0[None])[0, 0]
 
 
 def _sticky_nan(est: np.ndarray) -> np.ndarray:
@@ -345,7 +340,7 @@ class CircleCriterionObserver(Observer):
         that rounds like each observer's own ``2-D @ 1-D`` product: each row
         reproduces the observer stepped alone on its run bit for bit.  The
         calibrated fits (through ``freeze``, the bundled configs' ``iss``) are
-        pinned to this form; ROADMAP item 2 step b, a benchmark change,
+        pinned to this form; ROADMAP item 4 step b, a benchmark change,
         moves calibration to the folded ``run_group``.
         """
         st = members[0].structure
@@ -515,11 +510,12 @@ class ObserverBank:
 
 
 def run_trials(observers: list[Observer], y, u, x0_est) -> np.ndarray:
-    """Estimates of ``observers`` on a batch of B runs, each as ``track`` gives it.
+    """Estimates of ``observers`` on a batch of B runs.
 
-    y (B, T+1, p), u (B, T+1, n_u) and x0_est (B, n) map to estimates of
-    shape (len(observers), B, T+1, n).  Observers with equal ``group_key``
-    are stepped together by their family's ``run_trials``.
+    Each row is its observer stepped alone on that run.  y (B, T+1, p),
+    u (B, T+1, n_u) and x0_est (B, n) map to estimates of shape
+    (len(observers), B, T+1, n).  Observers with equal ``group_key`` are
+    stepped together by their family's ``run_trials``.
     """
     return _by_group(observers, "run_trials", y, u, x0_est)
 

@@ -237,7 +237,7 @@ def test_criterion_7_brute_force_oracle():
         for j, J in enumerate(idx.j_subsets):
             scores += 1
             mismatches += run.pi[k, j] != brute[J.members]
-        mismatches += run.sigma(k).members != argmin_selection(brute)
+        mismatches += run.bank.j_subsets[run.sigma_idx[k]].members != argmin_selection(brute)
         u = union_of_passing(brute, brute_bar)
         mismatches += step_unions[k] != tuple(sorted(u))
         if k >= table.k_bar_star:
@@ -290,7 +290,8 @@ def test_criterion_8_invariant_battery(scenario_dir):
             continue
         assert (run.pi >= 0.0).all()
         assert run.pi[0, run.sigma_idx[0]] == run.pi[0].min()
-        assert np.array_equal(run.x_hat[0], est[idx.all_subsets.index(run.sigma(0)), 0])
+        chosen = idx.j_subsets[run.sigma_idx[0]]
+        assert np.array_equal(run.x_hat[0], est[idx.all_subsets.index(chosen), 0])
         done += 1
 
     # attack support: the injected attack never leaves its declared support

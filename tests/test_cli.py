@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -210,74 +212,34 @@ def test_calibrate_with_a_starved_estimator_exits_2(scenario_dir, tmp_path, caps
     assert "runtime failure" in err and "at step 5 of calibration trial 0" in err
 
 
-def test_plots_emits_files(scenario_dir, tmp_path, capsys):
-    main(["run", "--config", _path(scenario_dir, "example1"), "--out", str(tmp_path)])
-    capsys.readouterr()
-    code = main(["plots", "--in", str(tmp_path / "example1")])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "states_fig.csv" in out and "error_fig.csv" in out
+def test_calibrate_refuses_to_overwrite_its_config(scenario_dir, tmp_path, capsys):
+    config = tmp_path / "example4.json"
+    shutil.copyfile(scenario_dir / "example4.json", config)
+    (tmp_path / "sub").mkdir()
+    before = config.read_bytes()
+    for out in (config, tmp_path / "sub" / ".." / "example4.json"):
+        code = main(["calibrate", "--config", str(config), "--trials", "2", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"output path {out} is the config itself" in err
+        assert config.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["example4.json", "sub"]
 
 
-def test_plots_on_non_run_directory_exits_3(tmp_path, capsys):
-    assert main(["plots", "--in", str(tmp_path)]) == 3
-    assert "I/O error" in capsys.readouterr().err
+def _stem(column):
+    """A column without its trailing index: ``x1`` -> ``x``, ``pi_J:1,2,3`` -> ``pi_``."""
+    return re.sub(r"(J:)?[\d,]+$", "", column)
 
 
-@pytest.fixture(scope="module")
-def example4_run(scenario_dir, tmp_path_factory):
-    """A short example4 run with isolation windows, to copy and break."""
-    out = tmp_path_factory.mktemp("runs")
-    args = ["--horizon", "30", "--window", "10", "--out", str(out)]
+def test_readme_names_every_artifact_column(scenario_dir, tmp_path):
+    args = ["--horizon", "30", "--window", "10", "--out", str(tmp_path)]
     assert main(["run", "--config", _path(scenario_dir, "example4"), *args]) == 0
-    return out / "example4"
-
-
-def _short_last_row(text):
-    return text.rstrip("\n").rsplit(",", 1)[0] + "\n"
-
-
-def _naming(key, name):
-    """The metadata.json edit that names ``name`` as the run's ``key`` file."""
-    def edit(text):
-        meta = json.loads(text)
-        meta["files"][key] = name
-        return json.dumps(meta)
-    return "metadata.json", edit
-
-
-# run artifacts broken in a way `plots` must report, by case: the file and the edit;
-# {run} in an edited file stands for the run directory
-_BROKEN_ARTIFACTS = {
-    # each names one of the run's own files, or a directory, by a path
-    "trajectory by absolute path": _naming("trajectory", "{run}/trajectory.csv"),
-    "frames through ..": _naming("frames", "../run/frames.csv"),
-    "frames by backslash": _naming("frames", "..\\run\\frames.csv"),
-    "isolation_windows as ..": _naming("isolation_windows", ".."),
-    "trajectory as .": _naming("trajectory", "."),
-    "frames.csv without e_norm": ("frames.csv", lambda text: text.replace("e_norm", "e", 1)),
-    "frames.csv without xhat": ("frames.csv", lambda text: text.replace("xhat", "estimate")),
-    "frames.csv with a short row": ("frames.csv", _short_last_row),
-    "frames.csv without its last row": (
-        "frames.csv", lambda text: text[:text.rstrip("\n").rindex("\n") + 1]
-    ),
-    "frames.csv with one xhat column": ("frames.csv", lambda text: text.replace("xhat2", "e2", 1)),
-    "trajectory.csv without x": ("trajectory.csv", lambda text: text.replace(",x", ",state")),
-    "isolation_windows.csv without isolated_set": (
-        "isolation_windows.csv", lambda text: text.replace("isolated_set", "isolated", 1)
-    ),
-    "isolation_windows.csv with a short row": ("isolation_windows.csv", _short_last_row),
-}
-
-
-@pytest.mark.parametrize(
-    "case", ['{"files": ', "{}", '{"files": {"trajectory": 5}}', "[]", *_BROKEN_ARTIFACTS]
-)
-def test_plots_on_malformed_metadata_exits_3(example4_run, tmp_path, case):
-    run = shutil.copytree(example4_run, tmp_path / "run")
-    name, edit = _BROKEN_ARTIFACTS.get(case, ("metadata.json", lambda text: case))
-    (run / name).write_text(edit((run / name).read_text()).replace("{run}", run.as_posix()))
-    proc = _cli("plots", "--in", str(run))
-    assert proc.returncode == 3, proc.stderr
-    assert "I/O error" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Run artifacts\n", 1)[1].split("\n## ", 1)[0]
+    named = {_stem(span) for span in re.findall(r"`([^`]+)`", section)}
+    columns = set()
+    for name in ("trajectory", "frames", "isolation_windows", "isolation_steps"):
+        with (tmp_path / "example4" / f"{name}.csv").open(newline="") as fh:
+            columns |= {_stem(col) for col in next(csv.reader(fh))}
+    assert {"x", "xhat", "pi_", "isolated_set", "Wbar"} <= columns
+    assert sorted(columns - named) == []

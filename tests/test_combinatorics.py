@@ -71,7 +71,7 @@ def test_subset_index_enforces_canonical_members():
 
 def test_membership_mask_and_ordering():
     sub = SubsetIndex("J", (1, 3, 4))
-    assert 3 in sub and 2 not in sub
+    assert 3 in sub.members and 2 not in sub.members
     assert SubsetIndex("J", (1, 2)) < SubsetIndex("J", (1, 3))
     assert SubsetIndex("J", (1, 2)) < SubsetIndex("S", (1, 2))
 

@@ -46,7 +46,7 @@ def test_pi_is_the_worst_contained_deviation():
     # J13 contains S1 and S3: distances sqrt(13) and sqrt(2)
     assert run.pi[0, 1] == pytest.approx(math.sqrt(13.0))
     assert run.pi[0, 2] == pytest.approx(math.sqrt(2.0))
-    assert run.sigma(0) == J23
+    assert run.bank.j_subsets[run.sigma_idx[0]] == J23
 
 
 def test_nonfinite_estimates_score_infinite():
@@ -55,9 +55,9 @@ def test_nonfinite_estimates_score_infinite():
     child_inf = {**zero, S3: [np.inf, 0.0]}
     run = run_estimator(IDX, IDX.all_subsets, _est(zero, own_nan, child_inf))
     assert run.pi[1].tolist() == [math.inf, 0.0, 0.0]  # J12's own estimate is non-finite
-    assert run.sigma(1) == J13
+    assert run.bank.j_subsets[run.sigma_idx[1]] == J13
     assert run.pi[2].tolist() == [0.0, math.inf, math.inf]  # both contain the diverged S3
-    assert run.sigma(2) == J12
+    assert run.bank.j_subsets[run.sigma_idx[2]] == J12
     both = {**own_nan, S3: [np.inf, 0.0]}
     with pytest.raises(EstimatorStarvedError) as err:
         run_estimator(IDX, IDX.all_subsets, _est(*[zero] * 17, both))
@@ -70,8 +70,8 @@ def test_selection_breaks_ties_canonically():
     spread = {**zero, J12: [2.0], J13: [1.0], J23: [-1.0]}
     run = run_estimator(IDX, IDX.all_subsets, _est(zero, spread))
     assert run.pi.tolist() == [[0.0, 0.0, 0.0], [2.0, 1.0, 1.0]]
-    assert run.sigma(0) == J12
-    assert run.sigma(1) == J13
+    assert run.bank.j_subsets[run.sigma_idx[0]] == J12
+    assert run.bank.j_subsets[run.sigma_idx[1]] == J13
 
 
 def test_integer_estimates_score_like_floats():
@@ -99,7 +99,7 @@ def test_run_packages_selection():
     )
     truth = np.array([[1.0, 1.0]])
     run = run_estimator(IDX, IDX.all_subsets, est, truth=truth)
-    assert run.sigma(0) == J13  # its children S1, S3 sit within 0.2 of it
+    assert run.bank.j_subsets[run.sigma_idx[0]] == J13  # its children S1, S3 sit within 0.2 of it
     assert run.horizon == 0
     assert np.array_equal(run.x_hat[0], est[1, 0])
     assert run.e_norm is not None
@@ -118,7 +118,7 @@ def test_properties_hold_on_random_banks():
         assert (run.pi >= 0.0).all()
         j = int(run.sigma_idx[0])
         assert run.pi[0, j] == run.pi[0].min()
-        assert np.array_equal(run.x_hat[0], est[idx.all_subsets.index(run.sigma(0)), 0])
+        assert np.array_equal(run.x_hat[0], est[idx.all_subsets.index(idx.j_subsets[j]), 0])
 
 
 def test_run_estimator_matches_stepwise_loop():
@@ -135,7 +135,7 @@ def test_run_estimator_matches_stepwise_loop():
         pi = pi_table(est_j, est_s, 3, 1)
         assert run.pi[k].tolist() == [pi[J.members] for J in idx.j_subsets]
         sigma = argmin_selection(pi)
-        assert run.sigma(k).members == sigma
+        assert run.bank.j_subsets[run.sigma_idx[k]].members == sigma
         assert np.array_equal(run.x_hat[k], est_j[sigma])
         assert run.e_norm[k] == deviation(est_j[sigma], traj.x[k])
 
@@ -175,7 +175,7 @@ def test_pi_matches_brute_force_bit_for_bit(p, q, n, steps):
         pi = pi_table(est_j, est_s, p, q)
         assert run.pi[k].tolist() == [pi[J.members] for J in idx.j_subsets]
         sigma = argmin_selection(pi)
-        assert run.sigma(k).members == sigma
+        assert run.bank.j_subsets[run.sigma_idx[k]].members == sigma
         assert np.array_equal(run.x_hat[k], est_j[sigma])
 
 
@@ -198,7 +198,7 @@ def test_selected_estimate_tracks_the_plant():
     run = run_estimator(idx, idx.all_subsets, est, truth=traj.x)
     assert run.e_norm is not None
     for k in range(3, 31):
-        assert run.sigma(k) == J12
+        assert run.bank.j_subsets[run.sigma_idx[k]] == J12
         assert run.pi[k, 0] < 1e-12  # children agree up to roundoff
         assert run.e_norm[k] == 0.0  # the pair observer is exact
 

@@ -25,7 +25,7 @@ from multiobserver import (
 from multiobserver import harness
 from multiobserver.config import parse_config
 from multiobserver.cli import main as cli_main
-from multiobserver.harness import calibrate, emit_plots, resolve_out_dir
+from multiobserver.harness import calibrate, resolve_out_dir
 from multiobserver.errors import InternalConsistencyError, PlumbingError
 from multiobserver.model import MAX_BATCH
 
@@ -133,43 +133,16 @@ def test_calibrate_writes_a_new_bundle(scenario_dir, tmp_path):
     assert raw["estimator"]["iss"]["k_star"] == 0  # truth-initialized estimator
 
 
-def test_emit_plots_from_run_artifacts(scenario_dir, tmp_path):
-    cfg = _cfg(scenario_dir, "example4")
-    art = run_scenario(cfg, out=str(tmp_path))
-    produced = emit_plots(art.out_dir)
-    names = {p.name for p in produced}
-    assert names == {"states_fig.csv", "error_fig.csv", "isolation_fig.csv"}
-    states = (art.out_dir / "states_fig.csv").read_text().strip().splitlines()
-    assert states[0] == "k,x1,xhat1,x2,xhat2"
-    assert len(states) == cfg.scenario.horizon + 2
-    error = (art.out_dir / "error_fig.csv").read_text().strip().splitlines()
-    assert error[0] == "k,e_norm"
-    iso = (art.out_dir / "isolation_fig.csv").read_text().strip().splitlines()
-    assert iso[0] == "window_i,isolated_sensor"
-    assert all(line.endswith(",3") for line in iso[1:])
-
-
-def test_emit_plots_on_an_attack_free_run(scenario_dir, tmp_path):
-    # no sensor is attacked, so every window isolates the empty set, written as 0
-    raw = json.loads((scenario_dir / "example4.json").read_text())
-    raw["scenario"].update(attacked=[], attacks={})
-    art = run_scenario(parse_config(raw), out=str(tmp_path))
-    assert [w.isolated for w in art.isolation.windows] == [()] * 10
-    emit_plots(art.out_dir)
-    iso = (art.out_dir / "isolation_fig.csv").read_text().splitlines()
-    assert iso == ["window_i,isolated_sensor"] + [f"{i},0" for i in range(1, 11)]
-
-
-def test_emit_plots_without_isolation(scenario_dir, tmp_path):
-    cfg = _cfg(scenario_dir, "example1")
-    art = run_scenario(cfg, out=str(tmp_path))
-    produced = emit_plots(art.out_dir)
-    assert {p.name for p in produced} == {"states_fig.csv", "error_fig.csv"}
-
-
-def test_emit_plots_rejects_non_run_directory(tmp_path):
-    with pytest.raises(PlumbingError):
-        emit_plots(tmp_path)
+def test_calibrate_lists_its_output_problems_before_fitting(scenario_dir, monkeypatch):
+    # a config parsed from a dict has no path to write beside
+    cfg = parse_config(json.loads((scenario_dir / "example4.json").read_text()))
+    monkeypatch.setattr(harness, "calibrate_bank", None)  # fitting would fail loudly
+    with pytest.raises(ConfigurationError) as err:
+        calibrate(cfg, trials=0)
+    assert err.value.problems == [
+        "calibration needs at least one trial, got 0",
+        "no output path for the calibrated bundle",
+    ]
 
 
 def test_out_dir_resolution_precedence(scenario_dir, monkeypatch, tmp_path):

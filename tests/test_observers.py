@@ -36,7 +36,7 @@ def test_luenberger_update_formula():
     obs = LuenbergerObserver(sub, plant.f, plant.h, K, n=2)
     x0 = np.array([1.0, 2.0])
     y = np.array([[2.0, 9.0, 4.0], [0.0, 0.0, 0.0]])  # sensor 2 is not read
-    track = obs.track(y, np.zeros((2, 0)), x0)
+    track = run_trials([obs], y[None], np.zeros((1, 2, 0)), x0[None])[0, 0]
     assert track.shape == (2, 2)
     assert np.array_equal(track[0], x0)
     y_J = np.array([2.0, 4.0])  # sensors 1 and 3
@@ -57,7 +57,7 @@ def test_luenberger_divergence_is_sticky():
     obs = LuenbergerObserver(sub, f, plant.h, np.ones((2, 1)), n=2)
     y = np.zeros((4, 3))
     y[0, 0] = np.inf
-    track = obs.track(y, np.zeros((4, 0)), np.zeros(2))
+    track = run_trials([obs], y[None], np.zeros((1, 4, 0)), np.zeros((1, 2)))[0, 0]
     assert np.isinf(track[1]).all()
     assert np.all(np.isnan(track[2:]))  # once diverged, always NaN
     assert calls == [0]  # the plant map never sees a non-finite estimate
@@ -128,7 +128,7 @@ def test_reduced_reconstruction_matches_measurements():
     obs = ReducedOrderObserver(sub, st, L, K=np.full((2, 2), 0.1))
     rng = np.random.default_rng(0)
     y = rng.normal(size=(6, 3))
-    track = obs.track(y, np.zeros((6, 0)), rng.normal(size=4))
+    track = run_trials([obs], y[None], np.zeros((1, 6, 0)), rng.normal(size=4)[None])[0, 0]
     for k in range(1, 6):
         assert np.allclose(obs.C_J @ track[k], y[k, [0, 2]], atol=1e-10)
 
@@ -150,7 +150,7 @@ def test_reduced_observer_converges_on_linear_plant():
         x0=InitSpec(kind="fixed", value=(1.0, -1.0, 2.0, 0.5)),
     )
     traj = simulate(plant, scen)
-    est = obs.track(traj.y, traj.u, np.zeros(4))
+    est = run_trials([obs], traj.y[None], traj.u[None], np.zeros((1, 4)))[0, 0]
     assert np.linalg.norm(est[60] - traj.x[60]) < 1e-6
 
 
@@ -194,7 +194,7 @@ def test_circle_update_formula():
     obs = CircleCriterionObserver(sub, st, K, L)
     x0 = np.array([0.5, -0.2])
     y = np.array([[9.0, 0.3, 9.0, 9.0, 9.0], np.zeros(5)])  # only sensor 2 is read
-    track = obs.track(y, np.zeros((2, 0)), x0)
+    track = run_trials([obs], y[None], np.zeros((1, 2, 0)), x0[None])[0, 0]
     assert np.array_equal(track[0], x0)
     y_J = np.array([0.3])
     innov = C_C[[1]] @ x0 - y_J
@@ -228,7 +228,8 @@ def test_circle_vectorized_run_matches_loop():
     fast = bank.run(y, u, x0_est=x0)
 
     # reference: every observer stepped alone, in the unfolded form
-    slow = np.stack([obs.track(y, u, x0) for obs in bank.observers.values()])
+    slow = np.stack([run_trials([obs], y[None], u[None], x0[None])[0, 0]
+                     for obs in bank.observers.values()])
     assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12)
     # NaN rows agree too
     assert _nan_rows(fast) == _nan_rows(slow)
@@ -270,7 +271,7 @@ def test_mixed_family_bank_matches_per_observer_stepping():
         for sub, obs in bank.items()
     ])
     assert np.array_equal(_bits(est), _bits(want))
-    hit = [3 in sub for sub in bank.subsets]
+    hit = [3 in sub.members for sub in bank.subsets]
     assert np.isnan(est[:, -1]).any(axis=1).tolist() == hit
     assert _nan_rows(est) == _nan_rows(want) == hit
 
@@ -358,7 +359,7 @@ def test_luenberger_group_and_circle_track_match_brute_force():
             observers[sub] = LuenbergerObserver(sub, f, h, 0.3 * rng.normal(size=(n, card)), n)
             circle = CircleCriterionObserver(
                 sub, st, 0.3 * rng.normal(size=(r, card)), 0.3 * rng.normal(size=(n, card)))
-            got = circle.track(y, u, x0)
+            got = run_trials([circle], y[None], u[None], x0[None])[0, 0]
             want = circle_observer_track(A, st.G, H, C, channels, circle.K, circle.L,
                                          members, y, x0)
             assert np.array_equal(_bits(got), _bits(want)), (trial, sub)

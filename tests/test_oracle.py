@@ -79,7 +79,7 @@ def test_selection_matches_brute_force():
     for k in range(HORIZON + 1):
         est_j, est_s = _estimates_at(k)
         brute_sigma = argmin_selection(pi_table(est_j, est_s, P, Q))
-        assert RUN.sigma(k).members == brute_sigma
+        assert RUN.bank.j_subsets[RUN.sigma_idx[k]].members == brute_sigma
         assert np.array_equal(RUN.x_hat[k], est_j[brute_sigma])
 
 
