@@ -104,6 +104,20 @@ class BankIndex:
             [[s_pos[S] for S in self.contained[J]] for J in self.j_subsets], dtype=np.intp
         )
 
+    @cached_property
+    def member_bits(self) -> np.ndarray:
+        """(p, ceil(n_J / 8)) uint8: row s - 1 has the bit of each J holding sensor s.
+
+        The bits run over ``j_subsets`` in order, packed by ``np.packbits``
+        (most significant bit first, zero padding).  Built on first use,
+        like :attr:`cross_check_pos`.
+        """
+        # every J has p - q members, so the member tuples stack into one index array
+        cols = np.array([J.members for J in self.j_subsets]) - 1
+        members = np.zeros((self.p, len(cols)), dtype=bool)
+        members[cols, np.arange(len(cols))[:, None]] = True
+        return np.packbits(members, axis=1)
+
 
 def bank_index(p: int, q: int) -> BankIndex:
     """Build the subset geometry for a bank protecting against q attacks.

@@ -66,9 +66,12 @@ def run_estimator(
     estimate track of ``subsets[j]``.  Each score is the largest
     Euclidean distance between J's estimate and those of its contained
     cross-check subsets, each distance the square root of a left-to-right
-    sum of squares over the state components, for every n; a non-finite
-    score becomes +inf, so a diverged observer loses every argmin.  Ties
-    go to the first (canonical) J.
+    sum of squares over the state components, for every n.  The root is
+    taken once per score, of the largest sum over the cross-checks: sqrt
+    is monotone and correctly rounded, so this equals the largest of the
+    per-cross-check roots bit for bit.  A non-finite score becomes +inf,
+    so a diverged observer loses every argmin.  Ties go to the first
+    (canonical) J.
     """
     order = bank.all_subsets
     if tuple(subsets) != order:
@@ -96,11 +99,12 @@ def run_estimator(
                 d = x_J - est[slot]
                 d *= d
                 # left to right: np.sum would pair up the terms once n >= 8
-                acc = d[..., 0].copy()
-                for i in range(1, n):
+                acc = d[..., 0] + d[..., 1] if n > 1 else d[..., 0].copy()
+                for i in range(2, n):
                     acc += d[..., i]
-                dev = np.sqrt(acc, out=acc)
-                worst = dev if worst is None else np.maximum(worst, dev, out=worst)
+                worst = acc if worst is None else np.maximum(worst, acc, out=worst)
+            # one root per score, after the max; a NaN survives np.maximum
+            worst = np.sqrt(worst, out=worst)
             worst[~np.isfinite(worst)] = np.inf
             pi[:, lo : lo + block] = worst.T
     starved = ~np.isfinite(pi).any(axis=1)

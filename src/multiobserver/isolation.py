@@ -144,14 +144,13 @@ def windowed_isolation(
     k_bar = thresholds.k_bar_star
 
     bars = np.array(list(thresholds.pi_bar.values()))
-    # members[j, s - 1] is set for each sensor s of J; every J has p - q
-    # members, so the member tuples stack into one index array
-    cols = np.array([J.members for J in bank.j_subsets]) - 1
-    members = np.zeros((len(cols), bank.p), dtype=bool)
-    members[np.arange(len(cols))[:, None], cols] = True
-    # the p bytes of row t flag the sensors exonerated at step k_bar + t; each
-    # distinct row becomes its member tuple once
-    flags = ((run.pi[k_bar:] <= bars) @ members).tobytes()
+    # the p bytes of row t flag the sensors exonerated at step k_bar + t: the
+    # pass mask is packed to bits over the candidates, and sensor s is flagged
+    # when those bits share one with its member bits; each distinct row
+    # becomes its member tuple once
+    passed = np.packbits(run.pi[k_bar:] <= bars, axis=1)
+    flags = np.stack([(passed & bits).any(axis=1) for bits in bank.member_bits],
+                     axis=1).tobytes()
     unions = [flags[i:i + bank.p] for i in range(0, len(flags), bank.p)]
     member_sets = {u: tuple(s for s, hit in enumerate(u, start=1) if hit) for u in set(unions)}
     step_seq = [member_sets[u] for u in unions]

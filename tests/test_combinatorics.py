@@ -1,6 +1,7 @@
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 
+import numpy as np
 import pytest
 
 from multiobserver import ConfigurationError, SubsetIndex, bank_index, enumerate_subsets
@@ -45,6 +46,19 @@ def test_containment_lists_every_subset_of_j():
         for S in idx.contained[J]:
             counts[S] += 1
     assert set(counts.values()) == {comb(4, 2)}
+
+
+@pytest.mark.parametrize("p, q", [(5, 2), (13, 6)])
+def test_member_bits_pack_each_sensors_candidates(p, q):
+    idx = bank_index(p, q)
+    n_j = len(idx.j_subsets)
+    bits = idx.member_bits
+    assert bits.dtype == np.uint8 and bits.shape == (p, ceil(n_j / 8))
+    unpacked = np.unpackbits(bits, axis=1)
+    assert not unpacked[:, n_j:].any()  # the padding bits are clear
+    want = [[s in J.members for J in idx.j_subsets] for s in range(1, p + 1)]
+    assert unpacked[:, :n_j].astype(bool).tolist() == want
+    assert idx.member_bits is bits  # built once per bank
 
 
 def test_label_round_trip():

@@ -150,6 +150,7 @@ def test_run_estimator_matches_stepwise_loop():
         (7, 3, 9, 9),
         (11, 5, 12, 12),  # 462 candidates at 144 elements each: three blocks
         (3, 1, 3, _BLOCK_ELEMS // 3 + 1),  # one candidate per block
+        (13, 6, 2, 20),  # 1716 candidates at 40 elements each: blocks of 819
     ],
 )
 def test_pi_matches_brute_force_bit_for_bit(p, q, n, steps):

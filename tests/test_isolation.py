@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from _brute import thresholds
+from _brute import thresholds, union_of_passing, windowed_votes
 from _toys import run_from_pi, toy_bank, toy_scenario
 
 from multiobserver import (
@@ -117,6 +117,48 @@ def test_step_unions_are_unions_of_passing_subsets():
     ]
     report = windowed_isolation(run_from_pi(idx, pi), _table(k_bar_star=0), window=5)
     assert report.step_unions == {0: (1, 2), 1: (1, 2, 3), 2: (), 3: (1, 2), 4: (1, 3)}
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (9, 4)])  # 35 and 126 candidates: 5 and 16 bytes
+def test_packed_unions_match_brute_force_across_bytes(p, q):
+    idx = bank_index(p, q)
+    n_j = len(idx.j_subsets)
+    rng = np.random.default_rng(p)
+    bars = rng.uniform(0.5, 1.5, n_j)
+    table = ThresholdTable(pi_bar=dict(zip(idx.j_subsets, bars.tolist())), eps=0.0, k_bar_star=1)
+
+    def only(j, score=0.0, rest=None):
+        row = 2.0 * bars if rest is None else np.full(n_j, rest)
+        row[j] = score
+        return row
+
+    mixed = rng.uniform(0.0, 1.6, (8, n_j))
+    mixed[rng.random(mixed.shape) < 0.2] = np.nan
+    mixed[rng.random(mixed.shape) < 0.2] = np.inf
+    pi = np.array([
+        0.5 * bars,  # before the settling step: never voted on
+        0.5 * bars,  # every J passes
+        2.0 * bars,  # no J passes
+        *(only(j) for j in (0, 7, 8, n_j - 1)),  # one J passes, each side of a byte edge
+        only(8, score=bars[8]),  # a score equal to its bar passes
+        bars,
+        only(0, rest=np.nan),  # NaN and +inf fail
+        only(n_j - 1, rest=np.inf),
+        *mixed,
+    ])
+    report = windowed_isolation(run_from_pi(idx, pi), table, window=4)
+    by_members = {J.members: float(v) for J, v in zip(idx.j_subsets, bars)}
+    want = {k: union_of_passing({J.members: float(v) for J, v in zip(idx.j_subsets, row)},
+                                by_members)
+            for k, row in enumerate(pi) if k >= 1}
+    assert report.step_unions == {k: tuple(sorted(u)) for k, u in want.items()}
+    assert report.step_unions[2] == ()
+    assert report.step_unions[9] == idx.j_subsets[0].members
+    assert report.step_unions[10] == idx.j_subsets[n_j - 1].members
+    votes = windowed_votes(want, p, q, 1, 4)
+    assert len(votes) == 4
+    assert [(w.k_start, w.k_end, w.counts, w.winner, w.isolated, w.no_quorum)
+            for w in report.windows] == votes
 
 
 def _run_from_unions(unions_by_step):
