@@ -38,6 +38,7 @@ from .model import (
     SignalSpec,
 )
 from .observers import (
+    CERTIFICATE_MARGIN,
     CertificateResult,
     CircleCriterionObserver,
     ISSGainModel,
@@ -647,37 +648,27 @@ _ESTIMATOR = {"init": _Key(_estimator_init, {"kind": "zero"}, n=_N), "iss": _Key
 
 # --- observer bundle ---------------------------------------------------------
 
-def _gain_shapes(family: str, n: int, card: int, r: int | None):
-    """Expected (K shape, L shape) per family; None marks an absent gain."""
-    if family == "luenberger":
-        return (n, card), None
-    if family == "reduced":
-        return (n - card, card), (n - card, n)
-    return (r, card), (n, card)
-
-
-def _gain(col: _Collector, path: str, val, shape):
-    """A gain matrix of ``shape``; None where the entry has no such gain, which
-    an entry may then not give."""
-    if shape is None:
-        if val is not None:
-            col.add(path, "luenberger observers have no gain L")
-        return None
-    return col.matrix(path, val, shape)
-
-
-_BUNDLE_ENTRY = {
-    "K": _Key(_gain, shape=itemgetter("k_shape")),
-    "L": _Key(_gain, shape=itemgetter("l_shape")),
-    "iss": _Key(_iss_model, _UNSET),
-    "practical": _Key(_Collector.flag, False),
+# Each family's gains, shaped by the plant's n states, the entry's |J|
+# sensors and the circle plant's r channels; the reduced family's K is optional.
+_GAINS = {
+    "luenberger": {"K": _Key(_Collector.matrix, shape=lambda c: (c["n"], c["card"]))},
+    "reduced": {
+        "K": _Key(_Collector.matrix, _UNSET, shape=lambda c: (c["n"] - c["card"], c["card"])),
+        "L": _Key(_Collector.matrix, shape=lambda c: (c["n"] - c["card"], c["n"])),
+    },
+    "circle": {
+        "K": _Key(_Collector.matrix, shape=lambda c: (c["r"], c["card"])),
+        "L": _Key(_Collector.matrix, shape=lambda c: (c["n"], c["card"])),
+    },
 }
+_ENTRY = {"iss": _Key(_iss_model, _UNSET), "practical": _Key(_Collector.flag, False)}
 
 
 def _bundle(col: _Collector, path: str, val, plant: dict, bank: BankIndex) -> dict:
     """One observer spec per subset of the bank, in the bank's order."""
     family, model = plant["family"], plant["plant"]
     r = model.structure.H.shape[0] if family == "circle" else None
+    table = {**_GAINS[family], **_ENTRY}
     bundle = col.section(path, val) or {}
     canonical = {sub.label: sub for sub in bank.all_subsets}
     outside = set()
@@ -697,11 +688,8 @@ def _bundle(col: _Collector, path: str, val, plant: dict, bank: BankIndex) -> di
         elif not isinstance(entry, dict):
             col.add(at, "expected an object")
         else:
-            k_shape, l_shape = _gain_shapes(family, model.n, len(sub), r)
-            if family == "reduced" and entry.get("K") is None:  # the reduced family's K is optional
-                k_shape = None
-            col.known(at, entry, _BUNDLE_ENTRY)
-            got = col.read(at, entry, _BUNDLE_ENTRY, k_shape=k_shape, l_shape=l_shape)
+            col.known(at, entry, table)
+            got = col.read(at, entry, table, n=model.n, card=len(sub), r=r)
             specs[sub] = ObserverSpec(sub, **got)
     return specs
 
@@ -856,23 +844,21 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
     observers: dict[SubsetIndex, Observer] = {}
     certificates: dict[SubsetIndex, CertificateResult] = {}
     problems: list[str] = []
-    plant = cfg.plant
+    plant, st = cfg.plant, cfg.plant.structure
     for sub in cfg.bank.all_subsets:
         spec = cfg.specs[sub]
-        idx = np.asarray(sub.members, dtype=int) - 1
         try:
-            if cfg.family == "luenberger":
-                obs = LuenbergerObserver(sub, plant.f, plant.h, spec.K, plant.n, plant.n_d)
-                cert = certify_linear_gain(cfg.lin_A, cfg.lin_C[idx], spec.K, "luenberger")
-            elif cfg.family == "reduced":
-                obs = ReducedOrderObserver(sub, plant.structure, spec.L, spec.K)
-                c_eq = obs.C_J @ plant.structure.A @ obs.N
-                cert = certify_linear_gain(obs.A_L, c_eq, obs.K, "reduced")
-            else:
-                obs = CircleCriterionObserver(sub, plant.structure, spec.K, spec.L)
-                cert = certify_linear_gain(
-                    plant.structure.A, plant.structure.C[idx], spec.L, "circle"
-                )
+            # each family certifies the error loop it steps; an overflow fails the certificate
+            with np.errstate(over="ignore", invalid="ignore"):
+                if cfg.family == "luenberger":
+                    obs = LuenbergerObserver(sub, plant.f, plant.h, spec.K, plant.n, plant.n_d)
+                    cert = certify_linear_gain(cfg.lin_A - obs.K @ cfg.lin_C[obs._idx])
+                elif cfg.family == "reduced":
+                    obs = ReducedOrderObserver(sub, st, spec.L, spec.K)
+                    cert = certify_linear_gain(obs.A_L - obs.K @ (obs.C_J @ st.A @ obs.N))
+                else:
+                    obs = CircleCriterionObserver(sub, st, spec.K, spec.L)
+                    cert = certify_linear_gain(st.A + obs.L @ obs.C_J)
         except ConfigurationError as exc:
             problems += [f"{sub.label}: {msg}" for msg in exc.problems]
             continue
@@ -881,12 +867,12 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
         if not cert.passed and not spec.practical:
             problems.append(
                 f"{sub.label}: linear certificate failed "
-                f"(spectral radius {cert.spectral_radius:.6f} >= {1 - cert.margin}); "
+                f"(spectral radius {cert.spectral_radius:.6f} >= {1 - CERTIFICATE_MARGIN}); "
                 f"mark the entry practical or redesign the gain"
             )
     slope = None
     if cfg.family == "circle" and cfg.slope_box is not None:
-        slope = check_slope_condition(plant.structure.channels, cfg.slope_box)
+        slope = check_slope_condition(st.channels, cfg.slope_box)
         if not slope.passed:
             problems.append(
                 f"slope condition failed on box {cfg.slope_box}: quotient "

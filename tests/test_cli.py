@@ -40,12 +40,13 @@ def test_validate_rejects_broken_config(tmp_path, capsys):
 
 
 def _cli(*args):
-    """Run the CLI in a fresh interpreter on this package; returns the process."""
+    """Run the CLI in a fresh interpreter on this package, every warning an error;
+    returns the process."""
     src = str(Path(multiobserver.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-m", "multiobserver.cli", *args],
+        [sys.executable, "-W", "error", "-m", "multiobserver.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -74,6 +75,32 @@ def test_malformed_values_exit_1_without_traceback(scenario_dir, tmp_path):
         assert proc.returncode == 1, proc.stderr
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, label, key, gain, problem",
+    [
+        ("example1", "J:1,2", "K", [[1e308, 1e308], [1e308, 1e308]], "spectral radius inf"),
+        ("example2", "J:1,2", "L", [[1e-310, 0, 0, 0], [0, 0, 0, 1]],
+         "coordinate reconstruction for J:1,2 off by nan"),
+        ("example3", "S:1", "L", [[1e308], [1e308]], "spectral radius inf"),
+        ("example4", "J:1,2,3", "L", [[1e308, 0, 0], [0, 0, 0]], "spectral radius inf"),
+    ],
+    ids=["example1", "example2", "example3", "example4"],
+)
+def test_an_overflowing_gain_is_a_listed_problem(scenario_dir, tmp_path, name, label, key,
+                                                 gain, problem):
+    # a finite gain whose error loop or coordinate inverse overflows fails its
+    # subset's check instead of reaching the eigenvalue solver
+    raw = json.loads((scenario_dir / f"{name}.json").read_text())
+    raw["observers"]["bundle"][label][key] = gain
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    proc = _cli("validate", "--config", str(bad))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "1 problem(s)" in proc.stderr and f"  - {label}: " in proc.stderr
+    assert problem in proc.stderr
 
 
 def test_validate_missing_file_exits_1(tmp_path, capsys):
@@ -243,3 +270,19 @@ def test_readme_names_every_artifact_column(scenario_dir, tmp_path):
             columns |= {_stem(col) for col in next(csv.reader(fh))}
     assert {"x", "xhat", "pi_", "isolated_set", "Wbar"} <= columns
     assert sorted(columns - named) == []
+
+
+def test_readme_library_use_block_runs():
+    # the documented library calls, run as README shows them: from the
+    # repository root, every warning an error
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("seeds finished")

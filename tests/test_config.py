@@ -480,7 +480,7 @@ def test_null_reads_as_the_absent_key(scenario_dir, name, path):
         (("plant", "A"), [[1, 0], [0, 1]], "plant.A: named plant example1 has a fixed linearization A"),
         (("plant", "C"), [[1, 0]], "plant.C: named plant example1 has a fixed linearization C"),
         (("observers", "bundle", "J:1,2", "L"), [[1.0, 0.0], [0.0, 1.0]],
-         "observers.bundle[J:1,2].L: luenberger observers have no gain L"),
+         "observers.bundle[J:1,2].L: unknown field"),
     ],
 )
 def test_keys_the_family_never_reads_are_listed(scenario_dir, path, value, problem):

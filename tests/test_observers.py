@@ -20,12 +20,14 @@ from multiobserver import (
     ReducedStructure,
     SubsetIndex,
     bank_index,
+    build_bank,
     certify_linear_gain,
     check_slope_condition,
+    load_config,
     simulate,
 )
 from multiobserver.config import CHANNEL_REGISTRY
-from multiobserver.observers import _SLOPE_GRID, _SLOPE_TOL, run_trials
+from multiobserver.observers import CERTIFICATE_MARGIN, _SLOPE_GRID, _SLOPE_TOL, run_trials
 
 
 def test_luenberger_update_formula():
@@ -523,31 +525,50 @@ def test_certificates_pass_and_fail():
     # stable loop: dead-beat pair from the toy bank
     C_J = C3[[0, 1]]
     K = A2 @ np.linalg.pinv(C_J)
-    cert = certify_linear_gain(A2, C_J, K, "luenberger")
+    cert = certify_linear_gain(A2 - K @ C_J)
     assert cert.passed and cert.spectral_radius < 1e-12
 
-    # zero gain leaves the marginally stable A_C: radius 1 fails
-    cert = certify_linear_gain(A_C, C_C[[0]], np.zeros((2, 1)), "circle")
+    # a zero gain leaves the marginally stable A_C: radius 1 fails
+    cert = certify_linear_gain(A_C)
     assert not cert.passed
     assert cert.spectral_radius == pytest.approx(1.0)
 
-    # margin is respected: a radius just under 1 fails a wide margin
-    shrink = np.array([[0.999]])
-    cert = certify_linear_gain(shrink, np.zeros((1, 1)), np.zeros((1, 1)), "luenberger", margin=0.01)
-    assert not cert.passed
-    cert = certify_linear_gain(shrink, np.zeros((1, 1)), np.zeros((1, 1)), "luenberger", margin=1e-4)
-    assert cert.passed
+    # the margin: one radius on each side of 1 - CERTIFICATE_MARGIN
+    edge = 1.0 - CERTIFICATE_MARGIN
+    assert certify_linear_gain(np.array([[edge - 1e-6]])).passed
+    assert not certify_linear_gain(np.array([[edge + 1e-6]])).passed
 
-    with pytest.raises(ConfigurationError):
-        certify_linear_gain(A2, C3[[0]], np.zeros((2, 1)), "kalman")
+    # a loop with a non-finite entry has radius inf and fails
+    for bad in (np.inf, np.nan):
+        cert = certify_linear_gain(np.array([[0.5, bad], [0.0, 0.5]]))
+        assert cert.spectral_radius == np.inf and not cert.passed
 
 
-def test_circle_certificate_uses_plus_sign():
-    A = np.array([[0.5]])
-    C_J = np.array([[1.0]])
-    L = np.array([[0.4]])
-    assert certify_linear_gain(A, C_J, L, "circle").spectral_radius == pytest.approx(0.9)
-    assert certify_linear_gain(A, C_J, L, "luenberger").spectral_radius == pytest.approx(0.1)
+def _family_loop(cfg, spec, idx):
+    """The closed error loop of one bundle entry, from the config's own matrices."""
+    if cfg.family == "luenberger":
+        return cfg.lin_A - spec.K @ cfg.lin_C[idx]
+    st = cfg.plant.structure
+    if cfg.family == "circle":
+        return st.A + spec.L @ st.C[idx]
+    T_inv = np.linalg.inv(np.vstack([spec.L, st.C[idx]]))
+    N = T_inv[:, : len(spec.L)]
+    K = np.zeros((len(spec.L), len(idx))) if spec.K is None else spec.K
+    return spec.L @ st.A @ N - K @ st.C[idx] @ st.A @ N
+
+
+def test_circle_certificate_uses_plus_sign(scenario_dir):
+    # every family's certificate is the radius of the loop it steps: A - K C_J,
+    # A_L - K C_J A N in partial coordinates, and A + L C_J with the circle
+    # family's plus sign
+    for name in ("example1", "example2", "example3", "example4"):
+        cfg = load_config(scenario_dir / f"{name}.json")
+        _, report = build_bank(cfg)
+        for sub, cert in report.certificates.items():
+            loop = _family_loop(cfg, cfg.specs[sub], np.asarray(sub.members) - 1)
+            rho = np.max(np.abs(np.linalg.eigvals(loop)))
+            assert cert.spectral_radius == pytest.approx(rho, rel=1e-9, abs=1e-12), (name, sub)
+            assert cert.passed == (rho < 1.0 - CERTIFICATE_MARGIN), (name, sub)
 
 
 def test_slope_condition_monotone_channel():
