@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -25,6 +26,8 @@ class SubsetIndex:
 
     ``role`` is ``"J"`` for the selection-candidate class (cardinality
     p - q) and ``"S"`` for the cross-check class (cardinality p - 2q).
+    Equality and order are by (role, members); the hash is stored when
+    the subset is built.
     """
 
     role: str
@@ -35,6 +38,26 @@ class SubsetIndex:
             raise ValueError(f"unknown subset role {self.role!r}")
         if tuple(sorted(set(self.members))) != self.members:
             raise ValueError(f"members must be strictly increasing, got {self.members}")
+        # the members alone hash the same in every process (str hashes are
+        # salted); a J and an S share members only when q = 0
+        object.__setattr__(self, "_hash", hash(self.members))
+
+    @classmethod
+    def _canonical(cls, role: str, member_tuples) -> tuple[SubsetIndex, ...]:
+        """Subsets whose role and members the caller has already checked."""
+        new, put, out = object.__new__, object.__setattr__, []
+        for members in member_tuples:
+            # attributes set one by one keep the compact instance layout that
+            # __init__ gives; writing to __dict__ makes each subset half again as large
+            sub = new(cls)
+            put(sub, "role", role)
+            put(sub, "members", members)
+            put(sub, "_hash", hash(members))
+            out.append(sub)
+        return tuple(out)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def label(self) -> str:
@@ -84,7 +107,8 @@ class BankIndex:
     q: int
     j_subsets: tuple[SubsetIndex, ...]
     s_subsets: tuple[SubsetIndex, ...]
-    contained: dict[SubsetIndex, tuple[SubsetIndex, ...]] = field(repr=False)
+    # (n_J, p - q): row j is j_subsets[j].members
+    _j_members: np.ndarray = field(repr=False, compare=False)
 
     @property
     def all_subsets(self) -> tuple[SubsetIndex, ...]:
@@ -95,14 +119,32 @@ class BankIndex:
         """(n_J, c) positions in ``all_subsets`` of each J's cross-checks.
 
         Row j lists ``contained[j_subsets[j]]`` in order; every J has the
-        same count c = C(p - q, p - 2q).  Built on first use, so that
-        :func:`bank_index` stays cheap for callers that never select.
+        same count c = C(p - q, p - 2q).  Each position is n_J plus the
+        lexicographic rank of a (p - 2q)-subset of J among ``s_subsets``.
+        Built on first use, like :attr:`contained` and :attr:`member_bits`,
+        so that :func:`bank_index` stays cheap for callers that never select.
         """
-        offset = len(self.j_subsets)
-        s_pos = {S: offset + i for i, S in enumerate(self.s_subsets)}
-        return np.array(
-            [[s_pos[S] for S in self.contained[J]] for J in self.j_subsets], dtype=np.intp
-        )
+        p, k = self.p, self.p - 2 * self.q
+        # the (n_J, c, k) members of each J's k-subsets, in lexicographic
+        # order; the rank of b_0 < ... < b_{k-1} among the k-subsets of {1..p}
+        # is C(p, k) - 1 - sum_i C(p - b_i, k - i) (combinatorial number system).
+        # b_i > i, so entry (n, i) of the table is read only for n < p - i,
+        # where it is at most C(p, k); the rest are 0 to keep the table int64
+        inner = self._j_members[:, list(combinations(range(p - self.q), k))]
+        binom = np.array([[comb(n, k - i) if n < p - i else 0 for i in range(k)]
+                          for n in range(p)])
+        n_all = len(self.j_subsets) + len(self.s_subsets)
+        return n_all - 1 - binom[p - inner, np.arange(k)].sum(axis=2)
+
+    @cached_property
+    def contained(self) -> dict[SubsetIndex, tuple[SubsetIndex, ...]]:
+        """Each J's cross-checks: the S subsets inside it, in ``s_subsets`` order."""
+        subsets = np.empty(len(self.j_subsets) + len(self.s_subsets), dtype=object)
+        subsets[:] = self.all_subsets
+        pos = self.cross_check_pos
+        # one flat list, cut into rows of c by zipping c references to one iterator
+        flat = iter(subsets[pos].ravel().tolist())
+        return dict(zip(self.j_subsets, zip(*[flat] * pos.shape[1])))
 
     @cached_property
     def member_bits(self) -> np.ndarray:
@@ -112,8 +154,7 @@ class BankIndex:
         (most significant bit first, zero padding).  Built on first use,
         like :attr:`cross_check_pos`.
         """
-        # every J has p - q members, so the member tuples stack into one index array
-        cols = np.array([J.members for J in self.j_subsets]) - 1
+        cols = self._j_members - 1
         members = np.zeros((self.p, len(cols)), dtype=bool)
         members[cols, np.arange(len(cols))[:, None]] = True
         return np.packbits(members, axis=1)
@@ -131,12 +172,11 @@ def bank_index(p: int, q: int) -> BankIndex:
         raise ConfigurationError(
             f"need q < p/2 for majority-style redundancy, got p={p}, q={q}"
         )
-    j_size, s_size = p - q, p - 2 * q
-    j_subsets = tuple(SubsetIndex("J", m) for m in enumerate_subsets(p, j_size))
-    s_subsets = tuple(SubsetIndex("S", m) for m in enumerate_subsets(p, s_size))
-    by_members = {S.members: S for S in s_subsets}
-    contained = {
-        J: tuple(by_members[m] for m in combinations(J.members, s_size))
-        for J in j_subsets
-    }
-    return BankIndex(p, q, j_subsets, s_subsets, contained)
+    j_tuples = enumerate_subsets(p, p - q)
+    j_members = np.array(j_tuples, dtype=np.min_scalar_type(p))  # members are 1..p
+    # members are checked once per bank here, not once per subset: the S
+    # class is the same enumeration at another size
+    if not (j_members[:, 1:] > j_members[:, :-1]).all():
+        raise ValueError("subset members must be strictly increasing")
+    return BankIndex(p, q, SubsetIndex._canonical("J", j_tuples),
+                     SubsetIndex._canonical("S", enumerate_subsets(p, p - 2 * q)), j_members)

@@ -867,7 +867,7 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
         if not cert.passed and not spec.practical:
             problems.append(
                 f"{sub.label}: linear certificate failed "
-                f"(spectral radius {cert.spectral_radius:.6f} >= {1 - CERTIFICATE_MARGIN}); "
+                f"(spectral radius {cert.spectral_radius:.6g} >= {1 - CERTIFICATE_MARGIN}); "
                 f"mark the entry practical or redesign the gain"
             )
     slope = None

@@ -56,6 +56,10 @@ class ThresholdTable:
             raise ConfigurationError(problems)
 
 
+# what compute_thresholds reads in place of a missing model, which is listed once
+_VALID = (1.0, 0.5, 0.0, 0.0, 0.0, 0)
+
+
 def compute_thresholds(
     gains: dict[SubsetIndex, ISSGainModel],
     bank: BankIndex,
@@ -74,10 +78,20 @@ def compute_thresholds(
     is the max declared k_star over the whole bank, unless overridden
     (e.g. to 0 when observers start at the true state).
     """
-    models = [gains.get(sub) for sub in bank.all_subsets]
-    missing = [sub.label for sub, model in zip(bank.all_subsets, models) if model is None]
-    problems = [f"{sub.label}: {msg}" for sub, model in zip(bank.all_subsets, models)
-                if model is not None for msg in model.validate()]
+    subsets = bank.all_subsets
+    models = [gains.get(sub) for sub in subsets]
+    # one column per field, one entry per subset, a missing model read as a
+    # valid one; each column keeps its values exactly (an int beyond int64
+    # makes it an object column rather than a rounded float one)
+    c, lam, g1, g2, nu, k_star = map(np.array, zip(*[
+        _VALID if m is None else (m.c, m.lam, m.gamma1, m.gamma2, m.nu, m.k_star)
+        for m in models]))
+    # the rows ISSGainModel.validate faults (NaN fails every >=), whose
+    # messages it alone spells
+    bad = ~((c >= 1) & (lam > 0) & (lam < 1) & (g1 >= 0) & (g2 >= 0) & (nu >= 0)) | (k_star < 0)
+    problems = [f"{subsets[i].label}: {msg}"
+                for i in np.flatnonzero(bad).tolist() for msg in models[i].validate()]
+    missing = [sub.label for sub, model in zip(subsets, models) if model is None]
     if missing:
         problems.append("missing convergence models for " + ", ".join(missing))
     if not eps >= 0:
@@ -86,13 +100,12 @@ def compute_thresholds(
         raise ConfigurationError(problems)
     # each J's worst gain over itself and its cross-checks (positions in all_subsets)
     n_j, pos = len(bank.j_subsets), bank.cross_check_pos
-    g1, g2, nu = (np.maximum(g[:n_j], g[pos].max(axis=1))
-                  for g in np.array([(m.gamma1, m.gamma2, m.nu) for m in models]).T)
+    g1, g2, nu = (np.maximum(g[:n_j], g[pos].max(axis=1)) for g in (g1, g2, nu))
     pi_bar = dict(zip(bank.j_subsets, (2.0 * (eps + g1 * m_bar + g2 * d_bar + nu)).tolist()))
     if k_star_override is not None:
         k_bar_star = int(k_star_override)
     else:
-        k_bar_star = max(m.k_star for m in models)
+        k_bar_star = int(k_star.max())
     return ThresholdTable(pi_bar=pi_bar, eps=eps, k_bar_star=k_bar_star)
 
 

@@ -286,7 +286,8 @@ def output_track(model: PlantModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     A plant with a ``structure`` computes them as C x on columns.
     """
     if model.structure is not None:
-        return (model.structure.C @ x[..., None])[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverged run overflows
+            return (model.structure.C @ x[..., None])[..., 0]
     y = [np.asarray(model.h(x_k, u_k), dtype=float)
          for x_b, u_b in zip(x, u) for x_k, u_k in zip(x_b, u_b)]
     for y_k in y:

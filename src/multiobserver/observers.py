@@ -384,17 +384,17 @@ class CircleCriterionObserver(Observer):
         HP = np.empty((nobs, r, n))
         Lt = np.zeros((nobs, n, p))
         Kt = np.zeros((nobs, r, p))
-        for j, obs in enumerate(members):
-            AQ[j] = st.A + obs.L @ obs.C_J
-            HP[j] = st.H + obs.K @ obs.C_J
-            Lt[j][:, obs._idx] = obs.L
-            Kt[j][:, obs._idx] = obs.K
         B, T = y.shape[0], y.shape[1] - 1
         est = np.empty((nobs, B, T + 1, n))
         out = est.swapaxes(0, 1)  # (B, G, T+1, n) view
         X = np.repeat(np.asarray(x0_est, dtype=float)[:, None], nobs, axis=1)  # (B, G, n)
         out[:, :, 0] = X
         with np.errstate(over="ignore", invalid="ignore"):
+            for j, obs in enumerate(members):
+                AQ[j] = st.A + obs.L @ obs.C_J
+                HP[j] = st.H + obs.K @ obs.C_J
+                Lt[j][:, obs._idx] = obs.L
+                Kt[j][:, obs._idx] = obs.K
             y_k = y[:, :, None, :, None]  # (B, T+1, 1, p, 1)
             Ky, Ly = (Kt @ y_k)[..., 0], (Lt @ y_k)[..., 0]  # (B, T+1, G, r) and (.., n)
             for k in range(T):

@@ -22,6 +22,19 @@ def enumerate_members(p, size):
     return list(combinations(range(1, p + 1), size))
 
 
+def bank_geometry(p, q):
+    """The J members, the S members, and each J's cross-checks as the
+    positions in ``all_subsets`` (J first, then S) of every S whose members
+    all lie in J, by a scan of the whole S class."""
+    j_class, s_class = enumerate_members(p, p - q), enumerate_members(p, p - 2 * q)
+    s_sets = [frozenset(sm) for sm in s_class]
+    inside = []
+    for jm in j_class:
+        js = frozenset(jm)
+        inside.append([len(j_class) + i for i, ss in enumerate(s_sets) if ss <= js])
+    return j_class, s_class, inside
+
+
 def deviation(a, b):
     acc = 0.0
     for u, v in zip(map(float, a), map(float, b)):

@@ -103,6 +103,35 @@ def test_an_overflowing_gain_is_a_listed_problem(scenario_dir, tmp_path, name, l
     assert problem in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "name, path, value, code",
+    [
+        # a nonlinearity gain, which the certificate does not read, overflows
+        # the folded update: that observer's track diverges and the run completes
+        ("example3", ("observers", "bundle", "S:1", "K"), [[1e308]], 0),
+        # an output row that overflows C x: the certificates fail and are listed
+        ("example4", ("plant", "C", 0, 0), 1e308, 1),
+    ],
+    ids=["example3", "example4"],
+)
+def test_an_overflowing_run_raises_no_warning(scenario_dir, tmp_path, name, path, value, code):
+    raw = json.loads((scenario_dir / f"{name}.json").read_text())
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    proc = _cli("run", "--config", str(bad), "--out", str(tmp_path))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / name / "metadata.json").exists() == (code == 0)
+    if code:
+        # a huge radius is printed in six significant digits
+        assert ("  - J:1,2,4: linear certificate failed (spectral radius 1.17845e+307 >= 0.999)"
+                in proc.stderr), proc.stderr
+
+
 def test_validate_missing_file_exits_1(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -3,6 +3,7 @@ from math import ceil, comb
 
 import numpy as np
 import pytest
+from _brute import bank_geometry
 
 from multiobserver import ConfigurationError, SubsetIndex, bank_index, enumerate_subsets
 from multiobserver.combinatorics import parse_label
@@ -99,3 +100,32 @@ def test_redundancy_requirement_enforced():
     assert idx.j_subsets == idx.s_subsets or [J.members for J in idx.j_subsets] == [
         S.members for S in idx.s_subsets
     ]
+
+
+# (70, 1): binomials C(n, r) past int64 lie in the rank table's unread corner
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 14) for q in range((p + 1) // 2)]
+                         + [(70, 1)])
+def test_geometry_equals_direct_enumeration(p, q):
+    j_class, s_class, inside = bank_geometry(p, q)
+    idx = bank_index(p, q)
+    assert [(J.role, J.members) for J in idx.j_subsets] == [("J", m) for m in j_class]
+    assert [(S.role, S.members) for S in idx.s_subsets] == [("S", m) for m in s_class]
+    assert list(idx.contained) == list(idx.j_subsets)
+    subsets = idx.all_subsets
+    assert [idx.contained[J] for J in idx.j_subsets] == [
+        tuple(subsets[i] for i in row) for row in inside]
+    pos = idx.cross_check_pos
+    assert pos.dtype.kind == "i" and pos.tolist() == inside
+    want = [[s in jm for jm in j_class] for s in range(1, p + 1)]
+    assert np.unpackbits(idx.member_bits, axis=1, count=len(j_class)).astype(bool).tolist() == want
+
+
+def test_subsets_from_separate_banks_are_interchangeable():
+    first, second = bank_index(7, 3), bank_index(7, 3)
+    for a, b in zip(first.all_subsets, second.all_subsets):
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert SubsetIndex(a.role, a.members) == a
+        assert hash(SubsetIndex(a.role, a.members)) == hash(a)
+    keyed = {sub: i for i, sub in enumerate(first.all_subsets)}
+    assert [keyed[sub] for sub in second.all_subsets] == list(range(len(keyed)))
+    assert second.contained == first.contained

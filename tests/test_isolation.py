@@ -79,6 +79,36 @@ def test_threshold_validation_collects_problems():
     assert "J:1,2" in text  # the invalid model is named
 
 
+def test_threshold_problems_are_listed_in_bank_order():
+    idx = bank_index(5, 2)
+    gains = _gains(idx, **{
+        "S:4": ISSGainModel(c=2.0, lam=0.5, k_star=-1),
+        "J:2,3,4": ISSGainModel(c=2.0, lam=1.0),
+        "J:1,2,5": ISSGainModel(c=0.5, lam=0.5),
+        "J:1,2,3": ISSGainModel(c=2.0, lam=0.5, gamma1=float("nan")),
+    })
+    del gains[SubsetIndex("J", (1, 3, 4))]
+    with pytest.raises(ConfigurationError) as err:
+        compute_thresholds(gains, idx, 0.1, 0.0, 0.0)
+    assert err.value.problems == [
+        "J:1,2,3: gamma1 must be nonnegative, got nan",
+        "J:1,2,5: overshoot constant must be >= 1, got c=0.5",
+        "J:2,3,4: decay rate must lie in (0, 1), got lam=1.0",
+        "S:4: k_star must be nonnegative, got -1",
+        "missing convergence models for J:1,3,4",
+    ]
+
+
+@pytest.mark.parametrize("k_star", [2**53 + 1, 10**400])
+def test_the_settling_step_is_the_exact_declared_integer(k_star):
+    idx = bank_index(3, 1)
+    table = compute_thresholds(_gains(idx, **{"S:2": ISSGainModel(c=2.0, lam=0.5, gamma1=0.1,
+                                                                  k_star=k_star)}),
+                               idx, 0.1, 0.0, 0.0)
+    assert type(table.k_bar_star) is int and table.k_bar_star == k_star
+    assert table.pi_bar == compute_thresholds(_gains(idx), idx, 0.1, 0.0, 0.0).pi_bar
+
+
 def test_threshold_table_rejects_negative_entries():
     with pytest.raises(ConfigurationError):
         ThresholdTable(pi_bar={J12: -0.1}, eps=0.0, k_bar_star=0)
