@@ -76,7 +76,8 @@ def _apply_run_overrides(cfg, args) -> dict:
 def _cmd_run(cfg, args) -> int:
     overrides = _apply_run_overrides(cfg, args)
     artifacts = run_scenario(cfg, out=args.out, overrides=overrides)
-    print(f"run complete: {cfg.name}, {cfg.scenario.horizon + 1} steps")
+    T = cfg.scenario.horizon
+    print(f"run complete: {cfg.name}, {T} steps, {T + 1} samples")
     print(f"artifacts: {artifacts.out_dir}")
     if artifacts.isolation is not None:
         verdicts = [

@@ -313,7 +313,7 @@ def _channel(constant, index, position, term):
     constant, index, position = np.array(constant), index - 1, position - 1
 
     def g(x, u):
-        out = np.empty(np.shape(x))
+        out = np.empty(x.shape)  # float64 whatever the dtype of x
         out[...] = constant
         out[..., position] += term(x[..., index])
         return out
@@ -323,7 +323,12 @@ def _channel(constant, index, position, term):
 
 def _make_state_channel(transform):
     def build(gain, **channel):
-        return _channel(**channel, term=lambda v: gain * transform(v))
+        def term(v):
+            t = transform(v)
+            t *= gain  # on the 0-d scalar of a 1-D x this rebinds t
+            return t
+
+        return _channel(**channel, term=term)
 
     return build
 
@@ -842,29 +847,38 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
     configured box.
     """
     observers: dict[SubsetIndex, Observer] = {}
-    certificates: dict[SubsetIndex, CertificateResult] = {}
-    problems: list[str] = []
+    loops: dict[tuple, dict[SubsetIndex, np.ndarray]] = {}  # by shape: one stack each
+    faults: dict[SubsetIndex, list[str]] = {}
     plant, st = cfg.plant, cfg.plant.structure
-    for sub in cfg.bank.all_subsets:
-        spec = cfg.specs[sub]
-        try:
-            # each family certifies the error loop it steps; an overflow fails the certificate
-            with np.errstate(over="ignore", invalid="ignore"):
+    # each family certifies the error loop it steps; an overflow fails the certificate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sub in cfg.bank.all_subsets:
+            spec = cfg.specs[sub]
+            try:
                 if cfg.family == "luenberger":
                     obs = LuenbergerObserver(sub, plant.f, plant.h, spec.K, plant.n, plant.n_d)
-                    cert = certify_linear_gain(cfg.lin_A - obs.K @ cfg.lin_C[obs._idx])
+                    loop = cfg.lin_A - obs.K @ cfg.lin_C[obs._idx]
                 elif cfg.family == "reduced":
                     obs = ReducedOrderObserver(sub, st, spec.L, spec.K)
-                    cert = certify_linear_gain(obs.A_L - obs.K @ (obs.C_J @ st.A @ obs.N))
+                    loop = obs.A_L - obs.K @ (obs.C_J @ st.A @ obs.N)
                 else:
                     obs = CircleCriterionObserver(sub, st, spec.K, spec.L)
-                    cert = certify_linear_gain(st.A + obs.L @ obs.C_J)
-        except ConfigurationError as exc:
-            problems += [f"{sub.label}: {msg}" for msg in exc.problems]
-            continue
-        observers[sub] = obs
-        certificates[sub] = cert
-        if not cert.passed and not spec.practical:
+                    loop = st.A + obs.L @ obs.C_J
+            except ConfigurationError as exc:
+                faults[sub] = exc.problems
+                continue
+            observers[sub] = obs
+            loops.setdefault(loop.shape, {})[sub] = loop
+        certified = {}
+        for group in loops.values():
+            certified.update(zip(group, certify_linear_gain(np.stack(list(group.values())))))
+    certificates = {sub: certified[sub] for sub in observers}
+    problems: list[str] = []
+    for sub in cfg.bank.all_subsets:  # each subset's faults, then its certificate's
+        cert = certificates.get(sub)
+        if cert is None:
+            problems += [f"{sub.label}: {msg}" for msg in faults[sub]]
+        elif not cert.passed and not cfg.specs[sub].practical:
             problems.append(
                 f"{sub.label}: linear certificate failed "
                 f"(spectral radius {cert.spectral_radius:.6g} >= {1 - CERTIFICATE_MARGIN}); "

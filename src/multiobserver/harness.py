@@ -157,7 +157,8 @@ def run_scenario(
             "thresholds": {J.label: v for J, v in thresholds.pi_bar.items()},
         }
     _atomic_write_text(out_dir / "metadata.json", json.dumps(metadata, indent=2) + "\n")
-    log.info("run %s: %d steps, artifacts in %s", cfg.name, cfg.scenario.horizon, out_dir)
+    T = cfg.scenario.horizon
+    log.info("run %s: %d steps, %d samples, artifacts in %s", cfg.name, T, T + 1, out_dir)
     paths = {key: None if name is None else out_dir / name
              for key, name in {**files, "metadata": "metadata.json"}.items()}
     return RunArtifacts(out_dir, paths, trajectory, run, isolation)

@@ -267,15 +267,16 @@ def plant_track(
                     x_b[k + 1] = x_k
             return x
         X = x[:, 0, :, None].copy()
+        circle, A, D = isinstance(st, CircleStructure), st.A, st.D
         for k in range(steps):
             if k % _STOP_STRIDE == 0 and not (np.abs(X).sum(axis=(1, 2)) <= limit).any():
                 break
-            if isinstance(st, CircleStructure):
-                X = st.A @ X + st.G @ st.channels(st.H @ X)
+            if circle:
+                X = A @ X + st.G @ st.channels(st.H @ X)
             else:
-                X = st.A @ X + st.g(X[..., 0], u[:, k])[..., None]
-            if st.D is not None:
-                X = X + st.D @ d[:, k, :, None]
+                X = A @ X + st.g(X[..., 0], u[:, k])[..., None]
+            if D is not None:
+                X = X + D @ d[:, k, :, None]
             x[:, k + 1] = X[..., 0]
     return x
 

@@ -10,12 +10,16 @@ of runs to the estimate tracks x_hat(0..T) of the group on each run:
 * ``run_trials``: calibration steps its Monte-Carlo trials through it
   (:func:`run_trials`).
 
-Each row of a batch equals its run stepped alone, bit for bit.  The two
-kernels are one except in the circle family, whose ``run_group`` folds
-each gain pair into one update while ``run_trials`` keeps the unfolded
-arithmetic the calibrated fits are pinned to.  All families share a
-one-step schedule: x_hat(k+1) may use both y_J(k) and y_J(k+1), which
-keeps estimates from different families aligned on the same time index.
+A group is every observer with one ``group_key``: in the reduced-order
+and circle families, every observer of one plant structure, so a
+reduced-order bank makes one call of the plant map per step for all its
+|J| classes.  Each row of a batch equals its run stepped alone, bit for
+bit.  The two kernels are one except in the circle family, whose
+``run_group`` folds each gain pair into one update while ``run_trials``
+keeps the unfolded arithmetic the calibrated fits are pinned to.  All
+families share a one-step schedule: x_hat(k+1) may use both y_J(k) and
+y_J(k+1), which keeps estimates from different families aligned on the
+same time index.
 
 Divergence is never fatal: the selection stage discounts a track with
 non-finite estimates.  Tracks keep their first non-finite estimate and
@@ -25,6 +29,7 @@ values after a track's first non-finite estimate are not defined.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -168,7 +173,7 @@ class LuenbergerObserver(Observer):
                     y_J = y_b[:, obs._idx]
                     x = est[j, b, 0] = x0[b].copy()
                     for k in range(T):
-                        if not np.isfinite(x).all():
+                        if not all(map(math.isfinite, x.tolist())):
                             break
                         h_hat = np.asarray(obs.h(x, u_b[k]), dtype=float)[obs._idx]
                         x = np.asarray(obs.f(x, u_b[k], obs._d0, k) + obs.K @ (y_J[k] - h_hat),
@@ -249,48 +254,97 @@ class ReducedOrderObserver(Observer):
             )
 
     def group_key(self) -> tuple:
-        return (type(self), id(self.structure), self.nz)
+        return (type(self), id(self.structure))
 
     @classmethod
     def run_group(cls, members, y, u, x0_est):
-        """Step observers sharing a structure and |J| as one stacked partial state.
+        """Step every observer of one structure in one time loop.
 
-        This is also the family's ``run_trials``.  The state has shape
-        (B, G, nz), kept as (B, G, nz, 1) columns, so every product is a
-        stacked ``np.matmul``, which rounds like each observer's own
-        ``2-D @ 1-D`` product (``einsum`` does not).  Rows never interact, so
-        each one reproduces the observer stepped alone on its run bit for
-        bit.  The terms that depend only on the measurements, B_L y_J(k) and
-        M y_J(k+1), are computed for the whole run up front.  ``structure.g``
-        receives the (B, G, n) estimates and the (B, 1, n_u) inputs.
+        This is also the family's ``run_trials``.  Each step makes one call
+        of ``structure.g`` on the (B, G, n) estimates of all G observers and
+        the (B, 1, n_u) inputs, and one prediction A x_hat + g for all of
+        them.  Every state is kept observer-major as (G, B, ., 1) columns, so
+        each |J| class is one contiguous block: every product is one stacked
+        ``np.matmul`` per class, which rounds like each observer's own
+        ``2-D @ 1-D`` product (``einsum`` does not), and every sum is one
+        elementwise step over all classes.  Rows never interact, so each one
+        reproduces the observer stepped alone on its run bit for bit.  The
+        terms that depend only on the measurements, B_L y_J(k) and
+        M y_J(k+1), are computed for the whole run up front.
         """
-        st = members[0].structure
-        A_L, B_L, L, K, C_J, N, M = (
-            np.stack([getattr(obs, name) for obs in members])
-            for name in ("A_L", "B_L", "L", "K", "C_J", "N", "M")
-        )
-        # (T+1, B, G, |J|, 1); from a C-ordered y, indexing lays it out as
-        # (G, |J|, B, T+1), as each observer's own y[:, idx], and BLAS picks its
-        # dot kernel by the stride of the sensor axis, so a copy to unit stride
-        # changes bits
-        y_J = y[..., np.stack([obs._idx for obs in members])].swapaxes(0, -3)[..., None]
-        u_k = u.swapaxes(0, -2)[..., None, :]  # (T+1, B, 1, n_u)
-        T = y.shape[-2] - 1
-        est = np.empty((len(members),) + y.shape[:-1] + (members[0].n,))
-        out = est.swapaxes(0, -3)  # (B, G, T+1, n) view
+        A, g = members[0].structure.A, members[0].structure.g
+        by_nz: dict[int, list[int]] = {}
+        for j, obs in enumerate(members):
+            by_nz.setdefault(obs.nz, []).append(j)
+        order = [j for rows in by_nz.values() for j in rows]  # each class contiguous
+        classes = [[members[j] for j in rows] for rows in by_nz.values()]
+        G, B, T, n = len(members), y.shape[0], y.shape[-2] - 1, members[0].n
+        # per class, the partial states (G_J, B, nz, 1) and the innovations
+        # y_J - C_J x_pred (G_J, B, |J|, 1), each one block of a flat buffer
+        shape_z = [(len(c), B, c[0].nz, 1) for c in classes]
+        shape_y = [(len(c), B, len(c[0].subset), 1) for c in classes]
+        (Z, z), (Z_pred, z_pred), (dZ, dz) = (_blocks(shape_z) for _ in range(3))
+        (innov, innov_J), (By, By_J) = _blocks(shape_y), _blocks(shape_z, T + 1)
+        Y_next, y_next = _blocks(shape_y, T)
+        X, X_pred, g_X, NZ = (np.empty((G, B, n, 1)) for _ in range(4))
+        My = np.empty((T + 1, G, B, n, 1))
+        ends = np.cumsum([len(c) for c in classes]).tolist()
+        cols = [slice(end - len(c), end) for c, end in zip(classes, ends)]  # of X, per class
+        x0 = np.asarray(x0_est, dtype=float)[..., None]  # (B, n, 1)
+        u_k = list(u.swapaxes(0, 1)[..., None, :])  # T+1 views (B, 1, n_u)
+        # each step's products, (operator, operand, out), in three phases
+        predict, correct, rebuild = [], [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            By, My = B_L @ y_J, M @ y_J
-            z = L @ np.asarray(x0_est, dtype=float)[..., None, :, None]
-            x = N @ z + My[0]
-            out[..., 0, :] = x[..., 0]
+            for c, group in enumerate(classes):
+                A_L, B_L, L, K, C_J, N, M = (
+                    np.stack([getattr(obs, name) for obs in group])[:, None]
+                    for name in ("A_L", "B_L", "L", "K", "C_J", "N", "M")
+                )
+                # (T+1, G_J, B, |J|, 1); from a C-ordered y, indexing lays it out
+                # as (G_J, |J|, B, T+1), as each observer's own y[:, idx], and BLAS
+                # picks its dot kernel by the stride of the sensor axis, so a copy
+                # to unit stride changes bits
+                y_J = y[..., np.stack([obs._idx for obs in group])].transpose(1, 2, 0, 3)[..., None]
+                np.matmul(B_L, y_J, out=By_J[c])
+                np.matmul(M, y_J, out=My[:, cols[c]])
+                y_next[c][...] = y_J[1:]  # a copy: it is only subtracted from
+                np.matmul(L, x0, out=z[c])
+                np.matmul(N, z[c], out=NZ[cols[c]])
+                predict += [(A_L, z[c], z_pred[c]), (L, g_X[cols[c]], dz[c]),
+                            (C_J, X_pred[cols[c]], innov_J[c])]
+                correct.append((K, innov_J[c], dz[c]))
+                rebuild.append((N, z[c], NZ[cols[c]]))
+            np.add(NZ, My[0], out=X)
+            x_hat, g_x_hat = X[..., 0].swapaxes(0, 1), g_X[..., 0].swapaxes(0, 1)  # (B, G, n)
+            est = np.empty((G, B, T + 1, n))
+            est[:, :, 0] = X[..., 0]
             for k in range(T):
-                g_val = st.g(x[..., 0], u_k[k])[..., None]
-                z_pred = A_L @ z + By[k] + L @ g_val
-                x_pred = st.A @ x + g_val
-                z = z_pred + K @ (y_J[k + 1] - C_J @ x_pred)
-                x = N @ z + My[k + 1]
-                out[..., k + 1, :] = x[..., 0]
+                g_x_hat[...] = g(x_hat, u_k[k])
+                np.add(A @ X, g_X, out=X_pred)
+                for a, b, out in predict:
+                    np.matmul(a, b, out=out)
+                Z_pred += By[k]
+                Z_pred += dZ  # z_pred = A_L z + B_L y_J(k) + L g
+                np.subtract(Y_next[k], innov, out=innov)  # y_J(k+1) - C_J x_pred
+                for a, b, out in correct:
+                    np.matmul(a, b, out=out)
+                np.add(Z_pred, dZ, out=Z)  # z = z_pred + K innov
+                for a, b, out in rebuild:
+                    np.matmul(a, b, out=out)
+                np.add(NZ, My[k + 1], out=X)  # x_hat = N z + M y_J(k+1)
+                est[:, :, k + 1] = X[..., 0]
+        if order != list(range(G)):
+            est = est[np.argsort(order)]
         return _sticky_nan(est)
+
+
+def _blocks(shapes: list[tuple], *lead: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One flat buffer (*lead, total) and a view (*lead, *shape) of each consecutive block."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.empty(lead + (sum(sizes),))
+    ends = np.cumsum(sizes).tolist()
+    return flat, [flat[..., end - size:end].reshape(lead + shape)
+                  for size, end, shape in zip(sizes, ends, shapes)]
 
 
 class CircleCriterionObserver(Observer):
@@ -389,6 +443,7 @@ class CircleCriterionObserver(Observer):
         out = est.swapaxes(0, 1)  # (B, G, T+1, n) view
         X = np.repeat(np.asarray(x0_est, dtype=float)[:, None], nobs, axis=1)  # (B, G, n)
         out[:, :, 0] = X
+        channels, GT = st.channels, st.G.T
         with np.errstate(over="ignore", invalid="ignore"):
             for j, obs in enumerate(members):
                 AQ[j] = st.A + obs.L @ obs.C_J
@@ -396,10 +451,11 @@ class CircleCriterionObserver(Observer):
                 Lt[j][:, obs._idx] = obs.L
                 Kt[j][:, obs._idx] = obs.K
             y_k = y[:, :, None, :, None]  # (B, T+1, 1, p, 1)
-            Ky, Ly = (Kt @ y_k)[..., 0], (Lt @ y_k)[..., 0]  # (B, T+1, G, r) and (.., n)
+            # T+1 step views each of K y_J(k) (B, G, r) and L y_J(k) (B, G, n)
+            Ky, Ly = (list((gain @ y_k)[..., 0].swapaxes(0, 1)) for gain in (Kt, Lt))
             for k in range(T):
-                arg = np.einsum("jrn,bjn->bjr", HP, X) - Ky[:, k]
-                X = np.einsum("jmn,bjn->bjm", AQ, X) + st.channels(arg) @ st.G.T - Ly[:, k]
+                arg = np.einsum("jrn,bjn->bjr", HP, X) - Ky[k]
+                X = np.einsum("jmn,bjn->bjm", AQ, X) + channels(arg) @ GT - Ly[k]
                 out[:, :, k + 1] = X
         return est
 
@@ -414,19 +470,26 @@ class CertificateResult:
     passed: bool
 
 
-def certify_linear_gain(closed: np.ndarray) -> CertificateResult:
-    """Spectral-radius certificate of a closed error loop.
+def certify_linear_gain(closed: np.ndarray) -> CertificateResult | list[CertificateResult]:
+    """Spectral-radius certificate of a closed error loop, or of a stack of them.
 
     The caller writes the loop its family steps: A - K C_J for the
     Luenberger family, A_L - K C_J A N in partial coordinates for the
     reduced-order family, and A + L C_J for the circle family.  Passing
     means the radius clears 1 by ``CERTIFICATE_MARGIN``; a loop with a
-    non-finite entry has radius inf and fails.
+    non-finite entry has radius inf and fails.  A (G, m, m) stack of loops
+    gives a list of G results from one stacked ``eigvals`` call; LAPACK runs
+    on each matrix alone, so every radius is the one its loop gets alone,
+    bit for bit.
     """
     closed = np.asarray(closed, dtype=float)
-    finite = np.isfinite(closed).all()
-    rho = float(np.max(np.abs(np.linalg.eigvals(closed)))) if finite else np.inf
-    return CertificateResult(rho, rho < 1.0 - CERTIFICATE_MARGIN)
+    loops = closed if closed.ndim == 3 else closed[None]
+    finite = np.isfinite(loops).all(axis=(1, 2))
+    rho = np.full(len(loops), np.inf)
+    if finite.any():
+        rho[finite] = np.abs(np.linalg.eigvals(loops[finite])).max(axis=-1)
+    results = [CertificateResult(r, r < 1.0 - CERTIFICATE_MARGIN) for r in rho.tolist()]
+    return results if closed.ndim == 3 else results[0]
 
 
 # Points of the sorted grid the slope check evaluates a channel on, both ends included.
@@ -493,8 +556,10 @@ class ObserverBank:
         x0_est (B, n) map to (len(bank), B, T+1, n), each row as that run
         alone gives it.  Observers with equal ``group_key`` are stepped
         together by their family's ``run_group``: the reduced-order family
-        as one stacked state per |J|, the circle family folded, and the
-        Luenberger family one observer and one run at a time.
+        in one time loop per structure (one plant prediction per step for
+        all its observers, then one stacked update per |J| class), the
+        circle family folded, and the Luenberger family one observer and
+        one run at a time.
         """
         if y.ndim == 2:
             x0 = np.asarray(x0_est, dtype=float)

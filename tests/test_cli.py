@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import re
 import shutil
@@ -144,6 +145,19 @@ def test_run_writes_artifacts_and_reports(scenario_dir, tmp_path, capsys):
     assert "run complete: example1" in out
     assert (tmp_path / "example1" / "metadata.json").exists()
     assert (tmp_path / "example1" / "trajectory.csv").exists()
+
+
+def test_run_counts_steps_and_samples_alike(scenario_dir, tmp_path, capsys, caplog):
+    # a horizon of T steps gives T+1 samples, x(0) .. x(T); the printed summary
+    # and the log line say the same
+    with caplog.at_level(logging.INFO, logger="multiobserver"):
+        code = main(["run", "--config", _path(scenario_dir, "example2"), "--horizon", "1",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert "run complete: example2, 1 steps, 2 samples\n" in capsys.readouterr().out
+    assert "run example2: 1 steps, 2 samples, artifacts in" in caplog.text
+    rows = (tmp_path / "example2" / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2  # the header and one row per sample
 
 
 def test_run_prints_isolation_verdicts(scenario_dir, tmp_path, capsys):

@@ -7,6 +7,7 @@ from dataclasses import replace
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multiobserver import (
@@ -224,6 +225,26 @@ def test_practical_flag_waives_the_certificate(scenario_dir):
     cfg = parse_config(raw)
     bank, report = build_bank(cfg, enforce=True)
     assert report.problems == []
+
+
+def test_construction_faults_and_certificate_failures_list_in_bank_order(scenario_dir):
+    # every subset's construction fault, then its certificate failure, in bank
+    # order, although the certificates of one loop shape are computed together
+    raw = _raw(scenario_dir, "example3")
+    raw["observers"]["bundle"]["J:1,2,3"]["L"] = [[0.0] * 3, [0.0] * 3]  # leaves rho(A) = 1
+    raw["observers"]["bundle"]["S:5"]["L"] = [[0.0], [0.0]]
+    cfg = parse_config(raw)
+    sub = next(s for s in cfg.specs if s.label == "J:1,2,4")
+    cfg.specs[sub] = replace(cfg.specs[sub], K=np.zeros((2, 2)))  # past the loader's check
+    failed = ("linear certificate failed (spectral radius 1 >= 0.999); "
+              "mark the entry practical or redesign the gain")
+    with pytest.raises(ConfigurationError) as err:
+        build_bank(cfg, enforce=False)  # an observer that cannot be built always raises
+    assert err.value.problems == [
+        f"J:1,2,3: {failed}",
+        "J:1,2,4: nonlinearity gain for J:1,2,4 has shape (2, 2), expected (1, 3)",
+        f"S:5: {failed}",
+    ]
 
 
 def test_example1_marks_its_marginal_observer_practical(scenario_dir):
@@ -511,3 +532,58 @@ def test_readme_names_every_key_the_schema_accepts():
     keys = set(_table_keys(tables))
     assert {"divergence_ceiling", "slope_box", "tail_stat", "k_star", "dir"} <= keys
     assert sorted(keys - named) == []
+
+
+# --- state channels -----------------------------------------------------------
+
+def _channel_reference(kind, params, x):
+    """g(x) of a registered state channel, one state row at a time in Python floats:
+    the constant, plus the channel's term of state ``index`` at state ``position``."""
+    constant = [float(c) for c in params["constant"]]
+    index, position = params["index"] - 1, params["position"] - 1
+    x = np.asarray(x, dtype=float)
+    want = np.empty(x.shape)
+    for row in np.ndindex(x.shape[:-1]):
+        v = x[row][index]
+        if kind == "tanh_channel":
+            term = params["gain"] * float(np.tanh(v))
+        elif kind == "sin_channel":
+            term = params["gain"] * float(np.sin(v))
+        elif kind == "poly_channel":
+            term = 0.0
+            for c in params["coeffs"]:
+                term = term * float(v) + c
+        else:
+            term = None
+        for j in range(x.shape[-1]):
+            if kind == "zero":
+                want[row + (j,)] = 0.0
+            else:
+                want[row + (j,)] = constant[j] + term if j == position else constant[j]
+    return want
+
+
+def test_state_channels_match_their_formula_on_every_input_shape():
+    # every registered reduced-order nonlinearity returns float64, equal bit for
+    # bit (NaN sign and payload aside) to its formula, on 1-D, (B, n) and
+    # (B, G, n) inputs with +-inf and NaN entries, and on an integer input
+    rng = np.random.default_rng(5)
+    n = 4
+    params = {"constant": list(rng.normal(size=n)), "index": 3, "position": 2,
+              "gain": -1.25, "coeffs": [0.3, -0.2, 0.7]}
+    inputs = [rng.normal(size=n), rng.normal(size=(5, n)), rng.normal(size=(3, 4, n))]
+    for x in inputs:
+        flat = x.reshape(-1)
+        flat[rng.choice(flat.size, size=3, replace=False)] = [np.inf, -np.inf, np.nan]
+    inputs[0][2] = np.nan  # the 1-D input reads its non-finite entry
+    inputs.append(rng.integers(-3, 4, size=(2, 3, n)))
+    for kind, (table, build) in config.STATE_NONLINEARITY_REGISTRY.items():
+        g = build(**{key: params[key] for key in table})
+        for x in inputs:
+            with np.errstate(invalid="ignore"):  # sin(inf), 0 * inf
+                got, want = g(x, None), _channel_reference(kind, params, x)
+            assert got.dtype == np.float64 and got.shape == x.shape, (kind, x.shape)
+            assert np.array_equal(np.isnan(got), np.isnan(want)), (kind, x.shape)
+            same = np.where(np.isnan(got), 0.0, got).view(np.uint64)
+            assert np.array_equal(same, np.where(np.isnan(want), 0.0, want).view(np.uint64)), (
+                kind, x.shape)

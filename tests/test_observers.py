@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from _brute import (
@@ -519,6 +521,40 @@ def test_batched_bank_run_rows_equal_each_run_alone(layout):
     assert diverged >= 10, diverged  # the inf hits reach the divergence rules
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_reduced_bank_predicts_the_plant_once_per_step(scenario_dir, layout):
+    # example2's bank has a |J| = 2 and a |S| = 1 class of one structure: one
+    # time loop steps both, with one call of the plant map g per step, and every
+    # row still equals its observer stepped alone by the reference stepper
+    cfg = load_config(scenario_dir / "example2.json")
+    st = cfg.plant.structure
+    calls = []
+
+    def counted(x, u):
+        calls.append(x.shape)
+        return st.g(x, u)
+
+    cfg.plant = replace(cfg.plant, structure=replace(st, g=counted))
+    bank, _ = build_bank(cfg)
+    assert len({len(sub) for sub in bank.subsets}) == 2
+    rng = np.random.default_rng(3)
+    T, p = 30, cfg.plant.p
+    for B in (1, 2, 7):
+        y = rng.normal(size=(B, T + 1, p))
+        if layout == "strided":
+            y = y[..., np.arange(p)]
+            assert not y.flags.c_contiguous
+        x0 = rng.normal(size=(B, cfg.plant.n))
+        calls.clear()
+        est = bank.run(y, np.zeros((B, T + 1, 0)), x0)
+        assert calls == [(B, len(bank), cfg.plant.n)] * T
+        for j, (sub, obs) in enumerate(bank.items()):
+            for b in range(B):
+                want = reduced_observer_track(st.A, st.C, st.g, obs.L, obs.K, sub.members,
+                                              y[b], x0[b])
+                assert np.array_equal(_bits(est[j, b]), _bits(want)), (B, sub, b)
+
+
 # --- certificates -----------------------------------------------------------
 
 def test_certificates_pass_and_fail():
@@ -542,6 +578,42 @@ def test_certificates_pass_and_fail():
     for bad in (np.inf, np.nan):
         cert = certify_linear_gain(np.array([[0.5, bad], [0.0, 0.5]]))
         assert cert.spectral_radius == np.inf and not cert.passed
+
+
+def test_stacked_certificates_equal_each_loop_alone(scenario_dir):
+    # one stacked certificate gives each loop the radius it gets alone, bit for
+    # bit: the bundled banks' loops (build_bank stacks each loop shape), and
+    # random loops of several sizes with inf and NaN entries
+    def alone(loop):
+        finite = np.isfinite(loop).all()
+        return float(np.max(np.abs(np.linalg.eigvals(loop)))) if finite else np.inf
+
+    def same(cert, loop):
+        rho = alone(loop)
+        bits = (np.float64(r).view(np.uint64) for r in (cert.spectral_radius, rho))
+        return (cert == certify_linear_gain(loop) and len(set(bits)) == 1
+                and cert.passed == (rho < 1.0 - CERTIFICATE_MARGIN))
+
+    for name in ("example1", "example2", "example3", "example4"):
+        cfg = load_config(scenario_dir / f"{name}.json")
+        bank, report = build_bank(cfg)
+        st = cfg.plant.structure
+        for sub, obs in bank.items():
+            loop = {  # the loop build_bank writes for each family
+                "luenberger": lambda: cfg.lin_A - obs.K @ cfg.lin_C[obs._idx],
+                "reduced": lambda: obs.A_L - obs.K @ (obs.C_J @ st.A @ obs.N),
+                "circle": lambda: st.A + obs.L @ obs.C_J,
+            }[cfg.family]()
+            assert same(report.certificates[sub], loop), (name, sub)
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 3, 5):
+        loops = rng.normal(size=(12, m, m)) * rng.choice([0.1, 1.0, 1e3], size=(12, 1, 1))
+        for j in range(0, 12, 3):
+            loops[j][rng.random((m, m)) < 0.3] = rng.choice([np.inf, -np.inf, np.nan])
+        stacked = certify_linear_gain(loops)
+        assert isinstance(stacked, list) and len(stacked) == len(loops)
+        assert all(same(cert, loop) for cert, loop in zip(stacked, loops)), m
+    assert certify_linear_gain(np.empty((0, 3, 3))) == []
 
 
 def _family_loop(cfg, spec, idx):
