@@ -358,26 +358,21 @@ class AttackScenario:
             problems += [f"attack on sensor {i}: {msg}" for msg in gen.validate(self.horizon)]
         if len(self.noise_gens) != p:
             problems.append(f"{len(self.noise_gens)} noise generators for {p} sensors")
-        for i, gen in enumerate(self.noise_gens, start=1):
-            problems += [f"noise on sensor {i}: {msg}" for msg in gen.validate(self.horizon)]
-            b = gen.bound()
-            if b is None:
-                problems.append(f"noise on sensor {i} is unbounded but a noise bound is declared")
-            elif b > self.noise_bound + 1e-12:
-                problems.append(
-                    f"noise on sensor {i} can reach {b}, above the declared bound "
-                    f"{self.noise_bound}"
-                )
-        for j, gen in enumerate(self.disturbance_gens, start=1):
-            problems += [f"disturbance {j}: {msg}" for msg in gen.validate(self.horizon)]
-            b = gen.bound()
-            if b is None:
-                problems.append(f"disturbance {j} is unbounded but a disturbance bound is declared")
-            elif b > self.disturbance_bound + 1e-12:
-                problems.append(
-                    f"disturbance {j} can reach {b}, above the declared bound "
-                    f"{self.disturbance_bound}"
-                )
+        for name, noun, gens, bound in (
+            ("noise on sensor", "noise", self.noise_gens, self.noise_bound),
+            ("disturbance", "disturbances", self.disturbance_gens, self.disturbance_bound),
+        ):
+            for i, gen in enumerate(gens, start=1):
+                faults = [f"{name} {i}: {msg}" for msg in gen.validate(self.horizon)]
+                b = gen.bound()
+                if faults:  # a generator already listed is not checked against its bound
+                    problems += faults
+                elif b is None:
+                    problems.append(f"{name} {i} is unbounded ({gen.kind}); {noun} must be bounded")
+                elif b > bound + 1e-12:
+                    problems.append(
+                        f"{name} {i} can reach {b}, above the declared bound {bound}"
+                    )
         if not 1 <= self.horizon <= MAX_HORIZON:
             problems.append(f"horizon must lie in 1..{MAX_HORIZON}, got {self.horizon}")
         if self.seed < 0:

@@ -2,9 +2,10 @@
 
 Every observer estimates the full plant state from one sensor subset.
 An observer holds only its parameters.  Each family has two group
-kernels, both classmethods over a list of its observers that map the
+kernels, both classmethods over a list of its observers that step the
 outputs y(0..T), the inputs u and the initial guess of each of a batch
-of runs to the estimate tracks x_hat(0..T) of the group on each run:
+of runs and write the estimate tracks x_hat(0..T) of the group on each
+run into ``out``, the group's block of the bank's estimate array:
 
 * ``run_group``: :meth:`ObserverBank.run` steps a bank through it;
 * ``run_trials``: calibration steps its Monte-Carlo trials through it
@@ -22,9 +23,9 @@ y_J(k+1), which keeps estimates from different families aligned on the
 same time index.
 
 Divergence is never fatal: the selection stage discounts a track with
-non-finite estimates.  Tracks keep their first non-finite estimate and
-are NaN after it, except the circle family's folded ``run_group``, whose
-values after a track's first non-finite estimate are not defined.
+non-finite estimates.  One rule holds for every family: a track keeps its
+first non-finite estimate and is NaN after it, set once for the whole
+bank by :func:`_by_group`, the one owner of the estimate array.
 """
 
 from __future__ import annotations
@@ -90,10 +91,11 @@ class ISSGainModel:
 class Observer(ABC):
     """Interface every observer family implements.
 
-    ``run_group`` and ``run_trials`` map a batch of B runs, the outputs
+    ``run_group`` and ``run_trials`` step a batch of B runs, the outputs
     y (B, T+1, p), the inputs u (B, T+1, n_u) and the initial guesses
-    x0_est (B, n), to the estimates of ``members``, shape
-    (len(members), B, T+1, n).
+    x0_est (B, n), and write the estimates of ``members``, which come in
+    descending |J| order, into ``out`` (len(members), B, T+1, n).  Entries
+    after a track's first non-finite estimate need not be written.
     """
 
     subset: SubsetIndex
@@ -110,22 +112,29 @@ class Observer(ABC):
 
     @classmethod
     @abstractmethod
-    def run_group(cls, members: list[Observer], y, u, x0_est) -> np.ndarray: ...
+    def run_group(cls, members: list[Observer], y, u, x0_est, out: np.ndarray) -> None: ...
 
     @classmethod
-    def run_trials(cls, members: list[Observer], y, u, x0_est) -> np.ndarray:
+    def run_trials(cls, members: list[Observer], y, u, x0_est, out: np.ndarray) -> None:
         """Estimates of ``members`` on a batch of runs, as calibration steps them."""
-        return cls.run_group(members, y, u, x0_est)
+        cls.run_group(members, y, u, x0_est, out)
 
 
-def _sticky_nan(est: np.ndarray) -> np.ndarray:
+def _sticky_nan(est: np.ndarray) -> None:
     """Set every estimate after a track's first non-finite one to NaN, in place.
 
     ``est`` holds tracks along its last two axes, (..., T+1, n).
     """
-    bad = np.logical_or.accumulate(~np.isfinite(est).all(axis=-1), axis=-1)
-    est[..., 1:, :][bad[..., :-1]] = np.nan
-    return est
+    if not np.isfinite(est).all():  # one pass: reducing over n alone is many times slower
+        bad = np.logical_or.accumulate(~np.isfinite(est).all(axis=-1), axis=-1)
+        est[..., 1:, :][bad[..., :-1]] = np.nan
+
+
+def _by_card(members: list[Observer]) -> list[tuple[slice, list[Observer]]]:
+    """(rows, observers) of each |J| class of ``members``, which come in descending |J| order."""
+    cards = [len(obs.subset) for obs in members]
+    starts = [j for j, card in enumerate(cards) if j == 0 or card != cards[j - 1]] + [len(cards)]
+    return [(slice(a, b), members[a:b]) for a, b in zip(starts, starts[1:])]
 
 
 class LuenbergerObserver(Observer):
@@ -156,30 +165,27 @@ class LuenbergerObserver(Observer):
         self._d0 = np.zeros(n_d)
 
     @classmethod
-    def run_group(cls, members, y, u, x0_est):
+    def run_group(cls, members, y, u, x0_est, out):
         """Step each observer alone on each run, on 1-D states.
 
         Stacking them would change the bits: numpy's array ``x**3`` can
         take a SIMD ``pow`` that rounds differently from the scalar one.
         ``f`` and ``h`` are never called on a non-finite estimate; the
-        rest of that track is NaN.
+        rest of that track is left unwritten.
         """
-        T = y.shape[1] - 1
-        est = np.full((len(members), len(y), T + 1, members[0].n), np.nan)
         x0 = np.asarray(x0_est, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             for j, obs in enumerate(members):
                 for b, (y_b, u_b) in enumerate(zip(y, u)):
                     y_J = y_b[:, obs._idx]
-                    x = est[j, b, 0] = x0[b].copy()
-                    for k in range(T):
+                    x = out[j, b, 0] = x0[b].copy()
+                    for k in range(y.shape[1] - 1):
                         if not all(map(math.isfinite, x.tolist())):
                             break
                         h_hat = np.asarray(obs.h(x, u_b[k]), dtype=float)[obs._idx]
                         x = np.asarray(obs.f(x, u_b[k], obs._d0, k) + obs.K @ (y_J[k] - h_hat),
                                        dtype=float)
-                        est[j, b, k + 1] = x
-        return est
+                        out[j, b, k + 1] = x
 
 
 _RECONSTRUCTION_TOL = 1e-8
@@ -257,7 +263,7 @@ class ReducedOrderObserver(Observer):
         return (type(self), id(self.structure))
 
     @classmethod
-    def run_group(cls, members, y, u, x0_est):
+    def run_group(cls, members, y, u, x0_est, out):
         """Step every observer of one structure in one time loop.
 
         This is also the family's ``run_trials``.  Each step makes one call
@@ -273,11 +279,7 @@ class ReducedOrderObserver(Observer):
         M y_J(k+1), are computed for the whole run up front.
         """
         A, g = members[0].structure.A, members[0].structure.g
-        by_nz: dict[int, list[int]] = {}
-        for j, obs in enumerate(members):
-            by_nz.setdefault(obs.nz, []).append(j)
-        order = [j for rows in by_nz.values() for j in rows]  # each class contiguous
-        classes = [[members[j] for j in rows] for rows in by_nz.values()]
+        cols, classes = zip(*_by_card(members))  # rows of X, per class
         G, B, T, n = len(members), y.shape[0], y.shape[-2] - 1, members[0].n
         # per class, the partial states (G_J, B, nz, 1) and the innovations
         # y_J - C_J x_pred (G_J, B, |J|, 1), each one block of a flat buffer
@@ -288,11 +290,9 @@ class ReducedOrderObserver(Observer):
         Y_next, y_next = _blocks(shape_y, T)
         X, X_pred, g_X, NZ = (np.empty((G, B, n, 1)) for _ in range(4))
         My = np.empty((T + 1, G, B, n, 1))
-        ends = np.cumsum([len(c) for c in classes]).tolist()
-        cols = [slice(end - len(c), end) for c, end in zip(classes, ends)]  # of X, per class
         x0 = np.asarray(x0_est, dtype=float)[..., None]  # (B, n, 1)
         u_k = list(u.swapaxes(0, 1)[..., None, :])  # T+1 views (B, 1, n_u)
-        # each step's products, (operator, operand, out), in three phases
+        # each step's products, (operator, operand, destination), in three phases
         predict, correct, rebuild = [], [], []
         with np.errstate(over="ignore", invalid="ignore"):
             for c, group in enumerate(classes):
@@ -316,26 +316,22 @@ class ReducedOrderObserver(Observer):
                 rebuild.append((N, z[c], NZ[cols[c]]))
             np.add(NZ, My[0], out=X)
             x_hat, g_x_hat = X[..., 0].swapaxes(0, 1), g_X[..., 0].swapaxes(0, 1)  # (B, G, n)
-            est = np.empty((G, B, T + 1, n))
-            est[:, :, 0] = X[..., 0]
+            out[:, :, 0] = X[..., 0]
             for k in range(T):
                 g_x_hat[...] = g(x_hat, u_k[k])
                 np.add(A @ X, g_X, out=X_pred)
-                for a, b, out in predict:
-                    np.matmul(a, b, out=out)
+                for a, b, dst in predict:
+                    np.matmul(a, b, out=dst)
                 Z_pred += By[k]
                 Z_pred += dZ  # z_pred = A_L z + B_L y_J(k) + L g
                 np.subtract(Y_next[k], innov, out=innov)  # y_J(k+1) - C_J x_pred
-                for a, b, out in correct:
-                    np.matmul(a, b, out=out)
+                for a, b, dst in correct:
+                    np.matmul(a, b, out=dst)
                 np.add(Z_pred, dZ, out=Z)  # z = z_pred + K innov
-                for a, b, out in rebuild:
-                    np.matmul(a, b, out=out)
+                for a, b, dst in rebuild:
+                    np.matmul(a, b, out=dst)
                 np.add(NZ, My[k + 1], out=X)  # x_hat = N z + M y_J(k+1)
-                est[:, :, k + 1] = X[..., 0]
-        if order != list(range(G)):
-            est = est[np.argsort(order)]
-        return _sticky_nan(est)
+                out[:, :, k + 1] = X[..., 0]
 
 
 def _blocks(shapes: list[tuple], *lead: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -384,7 +380,7 @@ class CircleCriterionObserver(Observer):
         return (type(self), id(self.structure))
 
     @classmethod
-    def run_trials(cls, members, y, u, x0_est):
+    def run_trials(cls, members, y, u, x0_est, out):
         """Step observers sharing a structure on a batch of runs, in the unfolded form above.
 
         Observers of one |J| advance as one (G_J, B, n) state kept as
@@ -396,17 +392,12 @@ class CircleCriterionObserver(Observer):
         moves calibration to the folded ``run_group``.
         """
         st = members[0].structure
-        est = np.empty((len(members), y.shape[0], y.shape[1], members[0].n))
-        by_card: dict[int, list[int]] = {}
-        for j, obs in enumerate(members):
-            by_card.setdefault(len(obs.subset), []).append(j)
         x0 = np.asarray(x0_est, dtype=float)[..., None]  # (B, n, 1)
-        for rows in by_card.values():
-            group = [members[j] for j in rows]
+        for rows, group in _by_card(members):
             C_J, K, L = (np.stack([getattr(obs, name) for obs in group])[:, None]
                          for name in ("C_J", "K", "L"))
             y_J = y[..., np.stack([obs._idx for obs in group])].transpose(1, 2, 0, 3)[..., None]
-            part = np.empty((len(group),) + est.shape[1:])
+            part = out[rows]
             part[:, :, 0] = x0[..., 0]
             x = x0
             with np.errstate(over="ignore", invalid="ignore"):
@@ -415,11 +406,9 @@ class CircleCriterionObserver(Observer):
                     arg = st.H @ x + K @ innov
                     x = st.A @ x + st.G @ st.channels(arg) + L @ innov
                     part[:, :, k + 1] = x[..., 0]
-            est[rows] = part
-        return _sticky_nan(est)
 
     @classmethod
-    def run_group(cls, members, y, u, x0_est):
+    def run_group(cls, members, y, u, x0_est, out):
         """Step observers sharing a structure together, each gain pair folded into one update.
 
         The state of all runs is one (B, G, n) array, advanced by
@@ -438,11 +427,9 @@ class CircleCriterionObserver(Observer):
         HP = np.empty((nobs, r, n))
         Lt = np.zeros((nobs, n, p))
         Kt = np.zeros((nobs, r, p))
-        B, T = y.shape[0], y.shape[1] - 1
-        est = np.empty((nobs, B, T + 1, n))
-        out = est.swapaxes(0, 1)  # (B, G, T+1, n) view
+        est = out.swapaxes(0, 1)  # (B, G, T+1, n) view
         X = np.repeat(np.asarray(x0_est, dtype=float)[:, None], nobs, axis=1)  # (B, G, n)
-        out[:, :, 0] = X
+        est[:, :, 0] = X
         channels, GT = st.channels, st.G.T
         with np.errstate(over="ignore", invalid="ignore"):
             for j, obs in enumerate(members):
@@ -453,11 +440,10 @@ class CircleCriterionObserver(Observer):
             y_k = y[:, :, None, :, None]  # (B, T+1, 1, p, 1)
             # T+1 step views each of K y_J(k) (B, G, r) and L y_J(k) (B, G, n)
             Ky, Ly = (list((gain @ y_k)[..., 0].swapaxes(0, 1)) for gain in (Kt, Lt))
-            for k in range(T):
+            for k in range(y.shape[1] - 1):
                 arg = np.einsum("jrn,bjn->bjr", HP, X) - Ky[k]
                 X = np.einsum("jmn,bjn->bjm", AQ, X) + channels(arg) @ GT - Ly[k]
-                out[:, :, k + 1] = X
-        return est
+                est[:, :, k + 1] = X
 
 
 # How far a certified spectral radius must stay below 1.
@@ -477,7 +463,9 @@ def certify_linear_gain(closed: np.ndarray) -> CertificateResult | list[Certific
     Luenberger family, A_L - K C_J A N in partial coordinates for the
     reduced-order family, and A + L C_J for the circle family.  Passing
     means the radius clears 1 by ``CERTIFICATE_MARGIN``; a loop with a
-    non-finite entry has radius inf and fails.  A (G, m, m) stack of loops
+    non-finite entry has radius inf and fails, and an empty (0, 0) loop (a
+    reduced-order observer with |J| = n) has no modes, radius 0.0, and
+    passes.  A (G, m, m) stack of loops
     gives a list of G results from one stacked ``eigvals`` call; LAPACK runs
     on each matrix alone, so every radius is the one its loop gets alone,
     bit for bit.
@@ -487,7 +475,7 @@ def certify_linear_gain(closed: np.ndarray) -> CertificateResult | list[Certific
     finite = np.isfinite(loops).all(axis=(1, 2))
     rho = np.full(len(loops), np.inf)
     if finite.any():
-        rho[finite] = np.abs(np.linalg.eigvals(loops[finite])).max(axis=-1)
+        rho[finite] = np.abs(np.linalg.eigvals(loops[finite])).max(axis=-1, initial=0.0)
     results = [CertificateResult(r, r < 1.0 - CERTIFICATE_MARGIN) for r in rho.tolist()]
     return results if closed.ndim == 3 else results[0]
 
@@ -555,11 +543,12 @@ class ObserverBank:
         With a leading run axis, y (B, T+1, p), u (B, T+1, n_u) and
         x0_est (B, n) map to (len(bank), B, T+1, n), each row as that run
         alone gives it.  Observers with equal ``group_key`` are stepped
-        together by their family's ``run_group``: the reduced-order family
-        in one time loop per structure (one plant prediction per step for
-        all its observers, then one stacked update per |J| class), the
-        circle family folded, and the Luenberger family one observer and
-        one run at a time.
+        together by their family's ``run_group``, which writes straight into
+        its block of the one result: the reduced-order family in one time
+        loop per structure (one plant prediction per step for all its
+        observers, then one stacked update per |J| class), the circle family
+        folded, and the Luenberger family one observer and one run at a
+        time.  Every track is NaN after its first non-finite estimate.
         """
         if y.ndim == 2:
             x0 = np.asarray(x0_est, dtype=float)
@@ -579,12 +568,22 @@ def run_trials(observers: list[Observer], y, u, x0_est) -> np.ndarray:
 
 
 def _by_group(observers: list[Observer], kernel: str, y, u, x0_est) -> np.ndarray:
-    """Step each group of observers with equal ``group_key`` through its family's ``kernel``."""
+    """Step each group of observers with equal ``group_key`` through its family's ``kernel``.
+
+    Each kernel gets its group in descending |J| order and writes into that
+    group's block of one estimate array; rows go back to the caller's order
+    only when it differs, which the order ``build_bank`` gives never does.
+    """
     groups: dict[tuple, list[int]] = {}
     for j, obs in enumerate(observers):
         groups.setdefault(obs.group_key(), []).append(j)
+    order = [j for rows in groups.values()
+             for j in sorted(rows, key=lambda i: -len(observers[i].subset))]
     est = np.empty((len(observers),) + y.shape[:-1] + (observers[0].n,))
+    lo = 0
     for rows in groups.values():
-        group = [observers[j] for j in rows]
-        est[rows] = getattr(type(group[0]), kernel)(group, y, u, x0_est)
-    return est
+        group = [observers[j] for j in order[lo:lo + len(rows)]]
+        getattr(type(group[0]), kernel)(group, y, u, x0_est, est[lo:lo + len(rows)])
+        lo += len(rows)
+    _sticky_nan(est)
+    return est if order == list(range(len(order))) else est[np.argsort(order)]

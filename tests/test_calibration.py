@@ -338,11 +338,10 @@ class _NaNFromTrial(LuenbergerObserver):
     fail_from = fail_step = 0
 
     @classmethod
-    def run_group(cls, members, y, u, x0_est):
-        est = super().run_group(members, y, u, x0_est)
+    def run_group(cls, members, y, u, x0_est, out):
+        super().run_group(members, y, u, x0_est, out)
         for j, obs in enumerate(members):
-            est[j, obs.fail_from:, obs.fail_step:] = np.nan
-        return est
+            out[j, obs.fail_from:, obs.fail_step:] = np.nan
 
 
 def _fail_from_trial(bank, subset, trial, step=0):

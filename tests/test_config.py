@@ -443,6 +443,38 @@ def test_a_bad_generator_or_x0_is_one_problem(scenario_dir, path, value, problem
     assert err.value.problems == [problem]
 
 
+
+_NORMAL = {"kind": "normal", "mean": 0, "std": 0.1}
+
+
+@pytest.mark.parametrize(
+    "scenario, problems",
+    [
+        ({"noise": _NORMAL}, [f"scenario: noise on sensor {i} is unbounded (normal); "
+                              "noise must be bounded" for i in (1, 2, 3)]),
+        ({"disturbance": [_NORMAL]},
+         ["scenario: disturbance 1 is unbounded (normal); disturbances must be bounded"]),
+        ({"noise": {"kind": "table", "values": []}}, ["scenario.noise: table signal has no values"]),
+        ({"disturbance": [{"kind": "constant", "value": 0.5}]},
+         ["scenario: disturbance 1 can reach 0.5, above the declared bound 0.2"]),
+        ({"disturbance": [{"kind": "zero"}] * 2},
+         ["scenario: 2 disturbance generators for plant with 1 disturbance channels"]),
+    ],
+)
+def test_noise_and_disturbances_must_be_bounded(scenario_dir, scenario, problems):
+    # example2 with one disturbance channel, bounded by 0.2, and no noise bound
+    # declared: a normal generator is refused for being unbounded, whatever bound
+    # the config declares or leaves out
+    raw = _raw(scenario_dir, "example2")
+    raw["plant"]["D"] = [[0.1], [0.0], [0.0], [0.0]]
+    del raw["scenario"]["noise_bound"]
+    raw["scenario"].update({"disturbance": [{"kind": "zero"}], "disturbance_bound": 0.2},
+                           **scenario)
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
+    assert err.value.problems == problems
+
+
 _ABSENT = object()
 
 

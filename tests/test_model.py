@@ -107,6 +107,18 @@ def test_scenario_rejects_noise_above_declared_bound():
     assert any("above the declared bound" in msg for msg in loud.validate())
 
 
+def test_a_bad_noise_generator_is_listed_once():
+    # a generator whose own check fails is not also called unbounded or too loud
+    scen = replace(toy_scenario(noise_bound=0.1),
+                   noise_gens=(SignalSpec(kind="ramp"), SignalSpec(kind="uniform", low=1, high=0),
+                               SignalSpec(kind="normal")))
+    assert scen.validate() == [
+        "noise on sensor 1: unknown signal kind 'ramp'",
+        "noise on sensor 2: uniform signal needs low < high, got (1, 0)",
+        "noise on sensor 3 is unbounded (normal); noise must be bounded",
+    ]
+
+
 def test_attack_support_is_respected():
     plant = toy_plant()
     for seed in range(20):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -213,12 +214,6 @@ def _nan_rows(est):
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
-
-
-def _bits_but_nan(a):
-    """``_bits`` with every NaN as one pattern: the folded circle kernel leaves
-    the sign and payload of a NaN after a track's divergence undefined."""
-    return _bits(np.where(np.isnan(a), np.nan, a))
 
 
 def test_circle_vectorized_run_matches_loop():
@@ -443,7 +438,8 @@ def test_trial_batched_kernels_match_brute_force():
 def test_batched_bank_run_rows_equal_each_run_alone(layout):
     # banks mixing all three families, with inf hits in the outputs, stepped on
     # batches of B runs: each row equals that run stepped alone, bit for bit,
-    # and the Luenberger and reduced rows equal the reference steppers too.
+    # NaN rows included, and the Luenberger and reduced rows equal the reference
+    # steppers too.
     # Strided outputs come from fancy indexing, which lays the sensor axis out
     # with a long stride; BLAS picks its dot kernel by that stride, so each run
     # alone is given in the layout it has in the batch.
@@ -507,7 +503,7 @@ def test_batched_bank_run_rows_equal_each_run_alone(layout):
             diverged += int(np.isnan(est[:, :, -1]).any(axis=-1).sum())
             for b in range(B):
                 alone = bank.run(y[b], u[b], x0[b])
-                assert np.array_equal(_bits_but_nan(est[:, b]), _bits_but_nan(alone)), (case, B, b)
+                assert np.array_equal(_bits(est[:, b]), _bits(alone)), (case, B, b)
                 for j, (sub, obs) in enumerate(bank.items()):
                     if isinstance(obs, LuenbergerObserver):
                         want = luenberger_observer_track(f, h, obs.K, sub.members, y[b], u[b],
@@ -518,7 +514,94 @@ def test_batched_bank_run_rows_equal_each_run_alone(layout):
                     else:
                         continue
                     assert np.array_equal(_bits(est[j, b]), _bits(want)), (case, B, b, j)
-    assert diverged >= 10, diverged  # the inf hits reach the divergence rules
+    assert diverged >= 10, diverged  # the inf hits reach the sticky-NaN rule
+
+
+def test_folded_circle_track_is_nan_after_its_first_non_finite_row():
+    # one sensor, so no zero gain column meets the inf: tanh saturates and
+    # A + L C_J > 0, so the folded update holds the state at +inf after the hit;
+    # the bank keeps that first non-finite row and makes every later one NaN, as
+    # in every family
+    st = CircleStructure(A=np.array([[0.5]]), G=np.array([[0.1]]), H=np.array([[1.0]]),
+                         C=np.array([[1.0]]), channels=np.tanh)
+    obs = CircleCriterionObserver(SubsetIndex("J", (1,)), st, np.array([[0.2]]),
+                                  np.array([[-0.3]]))
+    y = np.full((21, 1), 0.5)
+    y[8] = np.inf
+    u = np.zeros((21, 0))
+    for est in (ObserverBank({obs.subset: obs}).run(y, u, np.zeros(1))[0],
+                run_trials([obs], y[None], u[None], np.zeros((1, 1)))[0, 0]):
+        assert np.isfinite(est[:9]).all() and est[9].tolist() == [np.inf]
+        assert np.isnan(est[10:]).all()
+
+
+def test_rows_do_not_depend_on_the_caller_order():
+    # S before J with the three families interleaved: each group is stepped in
+    # descending |J| order and every row is put back where the caller had it,
+    # bit for bit the row the sorted order gives, through both kernels
+    rng = np.random.default_rng(43)
+    n, p, B, T = 3, 5, 3, 25
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+    C = rng.normal(size=(p, n))
+
+    def f(x, u, d, k):
+        return A @ x + 0.01 * x**3
+
+    def h(x, u):
+        return C @ x
+
+    def g(x, u):
+        out = np.zeros(np.shape(x))
+        out[..., 1] = 0.2 * np.tanh(x[..., 0])
+        return out
+
+    circle_st = CircleStructure(A=A, G=0.3 * rng.normal(size=(n, 1)),
+                                H=rng.normal(size=(1, n)), C=C, channels=np.tanh)
+    reduced_st = ReducedStructure(A=A, C=C, g=g)
+    families = [
+        lambda sub, card: LuenbergerObserver(sub, f, h, 0.3 * rng.normal(size=(n, card)), n),
+        lambda sub, card: ReducedOrderObserver(sub, reduced_st, rng.normal(size=(n - card, n)),
+                                               0.3 * rng.normal(size=(n - card, card))),
+        lambda sub, card: CircleCriterionObserver(sub, circle_st,
+                                                  0.3 * rng.normal(size=(1, card)),
+                                                  0.3 * rng.normal(size=(n, card))),
+    ]
+    subsets = ([SubsetIndex("S", m) for m in [(1,), (2,), (3,), (1, 5), (2, 4), (4,)]]
+               + [SubsetIndex("J", m) for m in [(1, 2, 3), (2, 3, 4), (1, 3), (3, 4, 5),
+                                                (1, 4, 5), (2, 5)]])
+    observers = {sub: families[j % 3](sub, len(sub)) for j, sub in enumerate(subsets)}
+    ranked = sorted(subsets, key=lambda sub: (subsets.index(sub) % 3, -len(sub)))
+    assert ranked != subsets
+    y = rng.normal(size=(B, T + 1, p))
+    y[1, 12, 2] = np.inf
+    u, x0 = np.zeros((B, T + 1, 0)), rng.normal(size=(B, n))
+    for step in (lambda obs: ObserverBank(obs).run(y, u, x0),
+                 lambda obs: run_trials(list(obs.values()), y, u, x0)):
+        got = step(observers)
+        want = step({sub: observers[sub] for sub in ranked})
+        for j, sub in enumerate(subsets):
+            assert np.array_equal(_bits(got[j]), _bits(want[ranked.index(sub)])), sub
+
+
+def test_bank_run_peak_memory_stays_near_its_result(scenario_dir):
+    # the kernels write into the one estimate array the bank allocates, so
+    # example4's circle bank holds at most that array, the folded kernel's
+    # up-front L y_J (as large) and K y_J (half that) at once
+    cfg = load_config(scenario_dir / "example4.json")
+    bank, _ = build_bank(cfg)
+    runs = [simulate(cfg.plant, replace(cfg.scenario, seed=seed), cfg.ceiling)
+            for seed in range(20)]
+    y, u = np.stack([run.y for run in runs]), np.stack([run.u for run in runs])
+    x0 = np.stack([cfg.initial_estimate(run.x[0]) for run in runs])
+    tracemalloc.start()
+    try:
+        est = bank.run(y, u, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.shape == (len(bank), 20, cfg.scenario.horizon + 1, cfg.plant.n)
+    assert peak <= 3.0 * est.nbytes, peak / est.nbytes
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided"])
@@ -614,6 +697,19 @@ def test_stacked_certificates_equal_each_loop_alone(scenario_dir):
         assert isinstance(stacked, list) and len(stacked) == len(loops)
         assert all(same(cert, loop) for cert, loop in zip(stacked, loops)), m
     assert certify_linear_gain(np.empty((0, 3, 3))) == []
+
+
+def test_an_empty_loop_has_no_modes_and_passes():
+    # the loop of a reduced-order observer with |J| = n is (0, 0), alone or stacked
+    st = ReducedStructure(A=A2, C=C3, g=lambda x, u: np.zeros(2))
+    obs = ReducedOrderObserver(SubsetIndex("J", (1, 2)), st, np.zeros((0, 2)))
+    loop = obs.A_L - obs.K @ (obs.C_J @ A2 @ obs.N)
+    assert loop.shape == (0, 0)
+    for closed in (loop, np.zeros((0, 0))):
+        cert = certify_linear_gain(closed)
+        assert (cert.spectral_radius, cert.passed) == (0.0, True)
+    stacked = certify_linear_gain(np.zeros((2, 0, 0)))
+    assert [(cert.spectral_radius, cert.passed) for cert in stacked] == [(0.0, True)] * 2
 
 
 def _family_loop(cfg, spec, idx):
