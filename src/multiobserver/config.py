@@ -863,7 +863,7 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
                     loop = obs.A_L - obs.K @ (obs.C_J @ st.A @ obs.N)
                 else:
                     obs = CircleCriterionObserver(sub, st, spec.K, spec.L)
-                    loop = st.A + obs.L @ obs.C_J
+                    loop = obs.A_LC
             except ConfigurationError as exc:
                 faults[sub] = exc.problems
                 continue

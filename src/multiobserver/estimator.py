@@ -29,18 +29,21 @@ _BLOCK_ELEMS = 2**15
 class EstimatorRun:
     """Whole-run estimator output in dense array form.
 
-    ``est`` is (n_subsets, T+1, n) in ``subsets`` = ``bank.all_subsets``
-    order (J class first, then S class, each canonical); ``pi`` is
+    ``est`` is (n_subsets, T+1, n) in the order ``subsets`` reads from the
+    bank, ``bank.all_subsets`` (J class first, then S class, each canonical); ``pi`` is
     (T+1, n_J) in the J order; ``sigma_idx[k]`` indexes into the J class.
     """
 
     bank: BankIndex
-    subsets: tuple[SubsetIndex, ...]
     est: np.ndarray
     pi: np.ndarray
     sigma_idx: np.ndarray
     x_hat: np.ndarray
     truth: np.ndarray | None = None
+
+    @property
+    def subsets(self) -> tuple[SubsetIndex, ...]:
+        return self.bank.all_subsets
 
     @property
     def horizon(self) -> int:
@@ -112,10 +115,7 @@ def run_estimator(
         raise EstimatorStarvedError(int(np.argmax(starved)))
     sigma_idx = np.argmin(pi, axis=1)
     x_hat = est[sigma_idx, np.arange(T1)]
-    return EstimatorRun(
-        bank=bank, subsets=order, est=est, pi=pi,
-        sigma_idx=sigma_idx, x_hat=x_hat, truth=truth,
-    )
+    return EstimatorRun(bank=bank, est=est, pi=pi, sigma_idx=sigma_idx, x_hat=x_hat, truth=truth)
 
 
 def frames_to_csv(run: EstimatorRun, fh) -> None:

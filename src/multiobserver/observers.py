@@ -1,11 +1,13 @@
 """Observer families, their certificates, and the bank container.
 
 Every observer estimates the full plant state from one sensor subset.
-An observer holds only its parameters.  Each family has two group
-kernels, both classmethods over a list of its observers that step the
-outputs y(0..T), the inputs u and the initial guess of each of a batch
-of runs and write the estimate tracks x_hat(0..T) of the group on each
-run into ``out``, the group's block of the bank's estimate array:
+An observer holds its parameters and what its family derives from them
+once: A_L, B_L, N and M in the reduced-order family, the folded update in
+the circle family.  Each family has two group kernels, classmethods over
+a list of its observers that only step: they step the outputs y(0..T),
+the inputs u and the initial guess of each of a batch of runs and write
+the estimate tracks x_hat(0..T) of the group on each run into ``out``,
+the group's block of the bank's estimate array:
 
 * ``run_group``: :meth:`ObserverBank.run` steps a bank through it;
 * ``run_trials``: calibration steps its Monte-Carlo trials through it
@@ -23,9 +25,10 @@ y_J(k+1), which keeps estimates from different families aligned on the
 same time index.
 
 Divergence is never fatal: the selection stage discounts a track with
-non-finite estimates.  One rule holds for every family: a track keeps its
-first non-finite estimate and is NaN after it, set once for the whole
-bank by :func:`_by_group`, the one owner of the estimate array.
+non-finite estimates.  :func:`_by_group` drives every kernel and owns
+what all families share: the float initial guess, one ``errstate`` that
+ignores overflow and invalid operations, the estimate array, and the rule
+that a track keeps its first non-finite estimate and is NaN after it.
 """
 
 from __future__ import annotations
@@ -92,10 +95,11 @@ class Observer(ABC):
     """Interface every observer family implements.
 
     ``run_group`` and ``run_trials`` step a batch of B runs, the outputs
-    y (B, T+1, p), the inputs u (B, T+1, n_u) and the initial guesses
+    y (B, T+1, p), the inputs u (B, T+1, n_u) and the float initial guesses
     x0_est (B, n), and write the estimates of ``members``, which come in
-    descending |J| order, into ``out`` (len(members), B, T+1, n).  Entries
-    after a track's first non-finite estimate need not be written.
+    descending |J| order, into ``out`` (len(members), B, T+1, n), inside the
+    ``errstate`` of :func:`_by_group`.  Entries after a track's first
+    non-finite estimate need not be written.
     """
 
     subset: SubsetIndex
@@ -130,11 +134,21 @@ def _sticky_nan(est: np.ndarray) -> None:
         est[..., 1:, :][bad[..., :-1]] = np.nan
 
 
-def _by_card(members: list[Observer]) -> list[tuple[slice, list[Observer]]]:
-    """(rows, observers) of each |J| class of ``members``, which come in descending |J| order."""
+def _by_card(members: list[Observer], y, names: tuple[str, ...]) -> Iterator[tuple]:
+    """(rows, observers, inputs) of each |J| class of ``members`` (in descending |J| order).
+
+    The inputs are the outputs y_J (T+1, G_J, B, |J|, 1), then each of ``names``
+    stacked (G_J, 1, ., .).  From a C-ordered y, the fancy index lays y_J out as
+    (G_J, |J|, B, T+1), as each observer's own y[:, idx]; BLAS picks its dot
+    kernel by the stride of the sensor axis, so a copy to unit stride changes bits.
+    """
     cards = [len(obs.subset) for obs in members]
     starts = [j for j, card in enumerate(cards) if j == 0 or card != cards[j - 1]] + [len(cards)]
-    return [(slice(a, b), members[a:b]) for a, b in zip(starts, starts[1:])]
+    for a, b in zip(starts, starts[1:]):
+        group = members[a:b]
+        y_J = y[..., np.stack([obs._idx for obs in group])].transpose(1, 2, 0, 3)[..., None]
+        yield slice(a, b), group, [y_J] + [np.stack([getattr(obs, name) for obs in group])[:, None]
+                                           for name in names]
 
 
 class LuenbergerObserver(Observer):
@@ -173,19 +187,17 @@ class LuenbergerObserver(Observer):
         ``f`` and ``h`` are never called on a non-finite estimate; the
         rest of that track is left unwritten.
         """
-        x0 = np.asarray(x0_est, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, obs in enumerate(members):
-                for b, (y_b, u_b) in enumerate(zip(y, u)):
-                    y_J = y_b[:, obs._idx]
-                    x = out[j, b, 0] = x0[b].copy()
-                    for k in range(y.shape[1] - 1):
-                        if not all(map(math.isfinite, x.tolist())):
-                            break
-                        h_hat = np.asarray(obs.h(x, u_b[k]), dtype=float)[obs._idx]
-                        x = np.asarray(obs.f(x, u_b[k], obs._d0, k) + obs.K @ (y_J[k] - h_hat),
-                                       dtype=float)
-                        out[j, b, k + 1] = x
+        for j, obs in enumerate(members):
+            for b, (y_b, u_b) in enumerate(zip(y, u)):
+                y_J = y_b[:, obs._idx]
+                x = out[j, b, 0] = x0_est[b].copy()
+                for k in range(y.shape[1] - 1):
+                    if not all(map(math.isfinite, x.tolist())):
+                        break
+                    h_hat = np.asarray(obs.h(x, u_b[k]), dtype=float)[obs._idx]
+                    x = np.asarray(obs.f(x, u_b[k], obs._d0, k) + obs.K @ (y_J[k] - h_hat),
+                                   dtype=float)
+                    out[j, b, k + 1] = x
 
 
 _RECONSTRUCTION_TOL = 1e-8
@@ -279,7 +291,8 @@ class ReducedOrderObserver(Observer):
         M y_J(k+1), are computed for the whole run up front.
         """
         A, g = members[0].structure.A, members[0].structure.g
-        cols, classes = zip(*_by_card(members))  # rows of X, per class
+        names = ("A_L", "B_L", "L", "K", "C_J", "N", "M")
+        cols, classes, inputs = zip(*_by_card(members, y, names))  # rows of X, per class
         G, B, T, n = len(members), y.shape[0], y.shape[-2] - 1, members[0].n
         # per class, the partial states (G_J, B, nz, 1) and the innovations
         # y_J - C_J x_pred (G_J, B, |J|, 1), each one block of a flat buffer
@@ -290,48 +303,37 @@ class ReducedOrderObserver(Observer):
         Y_next, y_next = _blocks(shape_y, T)
         X, X_pred, g_X, NZ = (np.empty((G, B, n, 1)) for _ in range(4))
         My = np.empty((T + 1, G, B, n, 1))
-        x0 = np.asarray(x0_est, dtype=float)[..., None]  # (B, n, 1)
         u_k = list(u.swapaxes(0, 1)[..., None, :])  # T+1 views (B, 1, n_u)
         # each step's products, (operator, operand, destination), in three phases
         predict, correct, rebuild = [], [], []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c, group in enumerate(classes):
-                A_L, B_L, L, K, C_J, N, M = (
-                    np.stack([getattr(obs, name) for obs in group])[:, None]
-                    for name in ("A_L", "B_L", "L", "K", "C_J", "N", "M")
-                )
-                # (T+1, G_J, B, |J|, 1); from a C-ordered y, indexing lays it out
-                # as (G_J, |J|, B, T+1), as each observer's own y[:, idx], and BLAS
-                # picks its dot kernel by the stride of the sensor axis, so a copy
-                # to unit stride changes bits
-                y_J = y[..., np.stack([obs._idx for obs in group])].transpose(1, 2, 0, 3)[..., None]
-                np.matmul(B_L, y_J, out=By_J[c])
-                np.matmul(M, y_J, out=My[:, cols[c]])
-                y_next[c][...] = y_J[1:]  # a copy: it is only subtracted from
-                np.matmul(L, x0, out=z[c])
-                np.matmul(N, z[c], out=NZ[cols[c]])
-                predict += [(A_L, z[c], z_pred[c]), (L, g_X[cols[c]], dz[c]),
-                            (C_J, X_pred[cols[c]], innov_J[c])]
-                correct.append((K, innov_J[c], dz[c]))
-                rebuild.append((N, z[c], NZ[cols[c]]))
-            np.add(NZ, My[0], out=X)
-            x_hat, g_x_hat = X[..., 0].swapaxes(0, 1), g_X[..., 0].swapaxes(0, 1)  # (B, G, n)
-            out[:, :, 0] = X[..., 0]
-            for k in range(T):
-                g_x_hat[...] = g(x_hat, u_k[k])
-                np.add(A @ X, g_X, out=X_pred)
-                for a, b, dst in predict:
-                    np.matmul(a, b, out=dst)
-                Z_pred += By[k]
-                Z_pred += dZ  # z_pred = A_L z + B_L y_J(k) + L g
-                np.subtract(Y_next[k], innov, out=innov)  # y_J(k+1) - C_J x_pred
-                for a, b, dst in correct:
-                    np.matmul(a, b, out=dst)
-                np.add(Z_pred, dZ, out=Z)  # z = z_pred + K innov
-                for a, b, dst in rebuild:
-                    np.matmul(a, b, out=dst)
-                np.add(NZ, My[k + 1], out=X)  # x_hat = N z + M y_J(k+1)
-                out[:, :, k + 1] = X[..., 0]
+        for c, (y_J, A_L, B_L, L, K, C_J, N, M) in enumerate(inputs):
+            np.matmul(B_L, y_J, out=By_J[c])
+            np.matmul(M, y_J, out=My[:, cols[c]])
+            y_next[c][...] = y_J[1:]  # a copy: it is only subtracted from
+            np.matmul(L, x0_est[..., None], out=z[c])
+            np.matmul(N, z[c], out=NZ[cols[c]])
+            predict += [(A_L, z[c], z_pred[c]), (L, g_X[cols[c]], dz[c]),
+                        (C_J, X_pred[cols[c]], innov_J[c])]
+            correct.append((K, innov_J[c], dz[c]))
+            rebuild.append((N, z[c], NZ[cols[c]]))
+        np.add(NZ, My[0], out=X)
+        x_hat, g_x_hat = X[..., 0].swapaxes(0, 1), g_X[..., 0].swapaxes(0, 1)  # (B, G, n)
+        out[:, :, 0] = X[..., 0]
+        for k in range(T):
+            g_x_hat[...] = g(x_hat, u_k[k])
+            np.add(A @ X, g_X, out=X_pred)
+            for a, b, dst in predict:
+                np.matmul(a, b, out=dst)
+            Z_pred += By[k]
+            Z_pred += dZ  # z_pred = A_L z + B_L y_J(k) + L g
+            np.subtract(Y_next[k], innov, out=innov)  # y_J(k+1) - C_J x_pred
+            for a, b, dst in correct:
+                np.matmul(a, b, out=dst)
+            np.add(Z_pred, dZ, out=Z)  # z = z_pred + K innov
+            for a, b, dst in rebuild:
+                np.matmul(a, b, out=dst)
+            np.add(NZ, My[k + 1], out=X)  # x_hat = N z + M y_J(k+1)
+            out[:, :, k + 1] = X[..., 0]
 
 
 def _blocks(shapes: list[tuple], *lead: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -349,7 +351,9 @@ class CircleCriterionObserver(Observer):
     x_hat(k+1) = A x_hat + G f(H x_hat + K (C_J x_hat - y_J(k)))
                  + L (C_J x_hat - y_J(k)).
     Feeding the innovation into the nonlinearity (via K) is what lets a
-    nondecreasing f help rather than hurt convergence.
+    nondecreasing f help rather than hurt convergence.  ``run_group`` steps
+    the update folded once here: A + L C_J (``A_LC``, the certified loop),
+    H + K C_J (``H_KC``) and the gains over all p outputs, zero off J.
     """
 
     def __init__(
@@ -363,7 +367,7 @@ class CircleCriterionObserver(Observer):
         super().__init__(subset, n)
         self.structure = structure
         card = len(subset)
-        r = structure.H.shape[0]
+        r, p = structure.H.shape[0], structure.C.shape[0]
         self.K = np.asarray(K, dtype=float)
         self.L = np.asarray(L, dtype=float)
         if self.K.shape != (r, card):
@@ -375,6 +379,11 @@ class CircleCriterionObserver(Observer):
                 f"output gain for {subset} has shape {self.L.shape}, expected ({n}, {card})"
             )
         self.C_J = structure.C[self._idx]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
+            self.A_LC = structure.A + self.L @ self.C_J
+            self.H_KC = structure.H + self.K @ self.C_J
+        self.L_p, self.K_p = np.zeros((n, p)), np.zeros((r, p))
+        self.L_p[:, self._idx], self.K_p[:, self._idx] = self.L, self.K
 
     def group_key(self) -> tuple:
         return (type(self), id(self.structure))
@@ -392,20 +401,14 @@ class CircleCriterionObserver(Observer):
         moves calibration to the folded ``run_group``.
         """
         st = members[0].structure
-        x0 = np.asarray(x0_est, dtype=float)[..., None]  # (B, n, 1)
-        for rows, group in _by_card(members):
-            C_J, K, L = (np.stack([getattr(obs, name) for obs in group])[:, None]
-                         for name in ("C_J", "K", "L"))
-            y_J = y[..., np.stack([obs._idx for obs in group])].transpose(1, 2, 0, 3)[..., None]
-            part = out[rows]
-            part[:, :, 0] = x0[..., 0]
-            x = x0
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(y.shape[1] - 1):
-                    innov = C_J @ x - y_J[k]
-                    arg = st.H @ x + K @ innov
-                    x = st.A @ x + st.G @ st.channels(arg) + L @ innov
-                    part[:, :, k + 1] = x[..., 0]
+        for rows, _, (y_J, C_J, K, L) in _by_card(members, y, ("C_J", "K", "L")):
+            out[rows, :, 0] = x0_est
+            x = x0_est[..., None]  # (B, n, 1)
+            for k in range(y.shape[1] - 1):
+                innov = C_J @ x - y_J[k]
+                arg = st.H @ x + K @ innov
+                x = st.A @ x + st.G @ st.channels(arg) + L @ innov
+                out[rows, :, k + 1] = x[..., 0]
 
     @classmethod
     def run_group(cls, members, y, u, x0_est, out):
@@ -415,35 +418,32 @@ class CircleCriterionObserver(Observer):
         ``einsum`` through each observer's A + L C_J and H + K C_J.  The
         measurement terms K y_J(k) and L y_J(k) are computed for the whole
         batch up front, each a stacked ``np.matmul`` of the observer's gain
-        on one step's outputs.  Rows never interact, so each one equals its
-        run stepped alone, bit for bit.  This agrees with ``run_trials`` up
-        to rounding, not bit for bit: the two differ by up to 1.3e-14 on the
-        bundled example3 and example4 runs.
+        on one step's outputs; an observer whose J leaves out a non-finite
+        output reads it as 0, as ``run_trials`` never reads it.  Rows never
+        interact, so each one equals its run stepped alone, bit for bit.
+        This agrees with ``run_trials`` up to rounding, not bit for bit: the
+        two differ by up to 1.3e-14 on the bundled example3 and example4 runs.
         """
         st = members[0].structure
-        n, r, p = members[0].n, st.H.shape[0], st.C.shape[0]
-        nobs = len(members)
-        AQ = np.empty((nobs, n, n))
-        HP = np.empty((nobs, r, n))
-        Lt = np.zeros((nobs, n, p))
-        Kt = np.zeros((nobs, r, p))
+        AQ, HP, Lp, Kp = (np.stack([getattr(obs, name) for obs in members])
+                          for name in ("A_LC", "H_KC", "L_p", "K_p"))
         est = out.swapaxes(0, 1)  # (B, G, T+1, n) view
-        X = np.repeat(np.asarray(x0_est, dtype=float)[:, None], nobs, axis=1)  # (B, G, n)
-        est[:, :, 0] = X
+        X = est[:, :, 0] = np.repeat(x0_est[:, None], len(members), axis=1)  # (B, G, n)
         channels, GT = st.channels, st.G.T
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, obs in enumerate(members):
-                AQ[j] = st.A + obs.L @ obs.C_J
-                HP[j] = st.H + obs.K @ obs.C_J
-                Lt[j][:, obs._idx] = obs.L
-                Kt[j][:, obs._idx] = obs.K
-            y_k = y[:, :, None, :, None]  # (B, T+1, 1, p, 1)
-            # T+1 step views each of K y_J(k) (B, G, r) and L y_J(k) (B, G, n)
-            Ky, Ly = (list((gain @ y_k)[..., 0].swapaxes(0, 1)) for gain in (Kt, Lt))
-            for k in range(y.shape[1] - 1):
-                arg = np.einsum("jrn,bjn->bjr", HP, X) - Ky[k]
-                X = np.einsum("jmn,bjn->bjm", AQ, X) + channels(arg) @ GT - Ly[k]
-                est[:, :, k + 1] = X
+        # K y_J(k) and L y_J(k), (B, T+1, G, ., 1)
+        Ky, Ly = (gain @ y[:, :, None, :, None] for gain in (Kp, Lp))
+        bad = ~np.isfinite(y)
+        if bad.any():  # only then: a finite y keeps its strides, and so its bits
+            hit = bad.any(axis=-1)  # (B, T+1): the steps with a non-finite output
+            off = ~np.stack([bad[hit][:, obs._idx].any(axis=-1) for obs in members], axis=-1)
+            y0 = np.where(bad[hit], 0.0, y[hit])[:, None, :, None]  # (R, 1, p, 1)
+            for prod, gain in ((Ky, Kp), (Ly, Lp)):  # zeroed where J leaves every bad output out
+                prod[hit] = np.where(off[..., None, None], gain @ y0, prod[hit])
+        Ky, Ly = (list(prod[..., 0].swapaxes(0, 1)) for prod in (Ky, Ly))  # T+1 views (B, G, .)
+        for k in range(y.shape[1] - 1):
+            arg = np.einsum("jrn,bjn->bjr", HP, X) - Ky[k]
+            X = np.einsum("jmn,bjn->bjm", AQ, X) + channels(arg) @ GT - Ly[k]
+            est[:, :, k + 1] = X
 
 
 # How far a certified spectral radius must stay below 1.
@@ -544,15 +544,11 @@ class ObserverBank:
         x0_est (B, n) map to (len(bank), B, T+1, n), each row as that run
         alone gives it.  Observers with equal ``group_key`` are stepped
         together by their family's ``run_group``, which writes straight into
-        its block of the one result: the reduced-order family in one time
-        loop per structure (one plant prediction per step for all its
-        observers, then one stacked update per |J| class), the circle family
-        folded, and the Luenberger family one observer and one run at a
-        time.  Every track is NaN after its first non-finite estimate.
+        its block of the one result.  Every track is NaN after its first
+        non-finite estimate.
         """
         if y.ndim == 2:
-            x0 = np.asarray(x0_est, dtype=float)
-            return self.run(y[None], u[None], x0[None])[:, 0]
+            return self.run(y[None], u[None], np.asarray(x0_est)[None])[:, 0]
         return _by_group(list(self.observers.values()), "run_group", y, u, x0_est)
 
 
@@ -570,9 +566,9 @@ def run_trials(observers: list[Observer], y, u, x0_est) -> np.ndarray:
 def _by_group(observers: list[Observer], kernel: str, y, u, x0_est) -> np.ndarray:
     """Step each group of observers with equal ``group_key`` through its family's ``kernel``.
 
-    Each kernel gets its group in descending |J| order and writes into that
-    group's block of one estimate array; rows go back to the caller's order
-    only when it differs, which the order ``build_bank`` gives never does.
+    Each kernel gets its group in descending |J| order, the float initial
+    guesses and that group's block of one estimate array; rows go back to
+    the caller's order only when it differs, which ``build_bank``'s never does.
     """
     groups: dict[tuple, list[int]] = {}
     for j, obs in enumerate(observers):
@@ -580,10 +576,12 @@ def _by_group(observers: list[Observer], kernel: str, y, u, x0_est) -> np.ndarra
     order = [j for rows in groups.values()
              for j in sorted(rows, key=lambda i: -len(observers[i].subset))]
     est = np.empty((len(observers),) + y.shape[:-1] + (observers[0].n,))
+    x0 = np.asarray(x0_est, dtype=float)
     lo = 0
-    for rows in groups.values():
-        group = [observers[j] for j in order[lo:lo + len(rows)]]
-        getattr(type(group[0]), kernel)(group, y, u, x0_est, est[lo:lo + len(rows)])
-        lo += len(rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging track is no error
+        for rows in groups.values():
+            group = [observers[j] for j in order[lo:lo + len(rows)]]
+            getattr(type(group[0]), kernel)(group, y, u, x0, est[lo:lo + len(rows)])
+            lo += len(rows)
     _sticky_nan(est)
     return est if order == list(range(len(order))) else est[np.argsort(order)]

@@ -103,7 +103,6 @@ def run_from_pi(idx, pi):
     steps = pi.shape[0]
     return EstimatorRun(
         bank=idx,
-        subsets=idx.all_subsets,
         est=np.zeros((len(idx.all_subsets), steps, 1)),
         pi=pi,
         sigma_idx=np.argmin(pi, axis=1),

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +31,7 @@ from multiobserver import (
     load_config,
     simulate,
 )
-from multiobserver.config import CHANNEL_REGISTRY
+from multiobserver.config import CHANNEL_REGISTRY, parse_config
 from multiobserver.observers import CERTIFICATE_MARGIN, _SLOPE_GRID, _SLOPE_TOL, run_trials
 
 
@@ -533,6 +535,73 @@ def test_folded_circle_track_is_nan_after_its_first_non_finite_row():
                 run_trials([obs], y[None], u[None], np.zeros((1, 1)))[0, 0]):
         assert np.isfinite(est[:9]).all() and est[9].tolist() == [np.inf]
         assert np.isnan(est[10:]).all()
+
+
+def _first_non_finite(est):
+    """{(track, run): first non-finite row} of the diverged tracks of a (G, B, T+1, n) estimate."""
+    bad = ~np.isfinite(est).all(axis=-1)
+    return {(j, b): int(np.argmax(bad[j, b])) for j, b in zip(*np.nonzero(bad.any(axis=-1)))}
+
+
+def test_a_non_finite_output_reaches_only_the_circle_tracks_that_read_it():
+    # a dropped sensor given as inf or NaN: the folded kernel reads it only in
+    # the observers whose J holds it, as the unfolded one does, so both give the
+    # same diverged tracks from the same first non-finite row, and only those
+    _, bank = _circle_bank(_circle_structure())
+    rng = np.random.default_rng(17)
+    y = rng.normal(scale=0.5, size=(2, 30, 5))
+    y[0, 12, 3], y[1, 20, 0] = np.inf, np.nan
+    u, x0 = np.zeros((2, 30, 0)), rng.normal(scale=0.3, size=(2, 2))
+    folded = bank.run(y, u, x0)
+    unfolded = run_trials(list(bank.observers.values()), y, u, x0)
+    want = {(j, b): row for j, sub in enumerate(bank.subsets)
+            for b, (sensor, row) in enumerate([(4, 13), (1, 21)]) if sensor in sub.members}
+    assert len(want) == 14
+    assert _first_non_finite(folded) == _first_non_finite(unfolded) == want
+    finite = np.isfinite(unfolded)
+    assert np.allclose(folded[finite], unfolded[finite], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("gain", ["K", "L"])
+def test_a_huge_circle_gain_folds_without_a_warning(scenario_dir, gain):
+    # the constructor folds A + L C_J and H + K C_J under its own errstate: a
+    # 1e308 gain entry times C_J's 3.0 overflows to inf without a RuntimeWarning,
+    # and build_bank certifies the stored loop, so an overflowing L gets radius inf
+    raw = json.loads((scenario_dir / "example3.json").read_text())
+    raw["observers"]["bundle"]["S:1"][gain][0][0] = 1e308
+    sub = SubsetIndex("S", (1,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = parse_config(raw)
+        obs = CircleCriterionObserver(sub, cfg.plant.structure, cfg.specs[sub].K, cfg.specs[sub].L)
+        _, report = build_bank(cfg, enforce=False)
+    assert np.isinf({"K": obs.H_KC, "L": obs.A_LC}[gain]).any()
+    cert = report.certificates[sub]
+    if gain == "L":
+        assert (cert.spectral_radius, cert.passed) == (np.inf, False)
+        assert any(msg.startswith("S:1: linear certificate failed") for msg in report.problems)
+    else:
+        assert np.isfinite(cert.spectral_radius)
+
+
+def test_bank_run_raises_nothing_under_a_raising_errstate(scenario_dir):
+    # _by_group ignores overflow and invalid operations around every kernel, so
+    # a caller's errstate(all="raise") neither stops a diverging batch nor moves
+    # a bit of it, in every family
+    for name in ("example1", "example2", "example3", "example4"):
+        cfg = load_config(scenario_dir / f"{name}.json")
+        bank, _ = build_bank(cfg)
+        run = simulate(cfg.plant, cfg.scenario, cfg.ceiling)
+        y, u = np.stack([run.y] * 3), np.stack([run.u] * 3)
+        y[1, 6:] *= 1e300
+        y[2, 9, 0] = np.inf
+        x0 = np.stack([cfg.initial_estimate(run.x[0])] * 3)
+        x0[0] *= 1e200
+        want = bank.run(y, u, x0)
+        with np.errstate(all="raise"):
+            got = bank.run(y, u, x0)
+        assert np.array_equal(_bits(got), _bits(want)), name
+        assert not np.isfinite(want).all(), name
 
 
 def test_rows_do_not_depend_on_the_caller_order():

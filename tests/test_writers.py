@@ -63,7 +63,6 @@ def test_frames_csv_matches_the_reference(rows, with_truth):
     n, n_j = 2, len(bank.j_subsets)
     run = EstimatorRun(
         bank=bank,
-        subsets=bank.all_subsets,
         est=np.zeros((len(bank.all_subsets), rows, n)),
         pi=_track(rng, rows, n_j),
         sigma_idx=rng.integers(0, n_j, rows),
