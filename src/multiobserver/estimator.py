@@ -22,6 +22,9 @@ __all__ = ["EstimatorRun", "run_estimator", "frames_to_csv"]
 
 # Elements of est gathered per candidate block: a (block, T+1, n) slab of
 # 256 KiB stays in cache while each cross-check slot is subtracted from it.
+# One such slab and two (block, T+1) score arrays are allocated per call and
+# reused for every block and slot: a fresh array per operation page-faults
+# its memory in anew, which cost more than the arithmetic on it.
 _BLOCK_ELEMS = 2**15
 
 
@@ -74,7 +77,10 @@ def run_estimator(
     is monotone and correctly rounded, so this equals the largest of the
     per-cross-check roots bit for bit.  A non-finite score becomes +inf,
     so a diverged observer loses every argmin.  Ties go to the first
-    (canonical) J.
+    (canonical) J.  Candidates are scored in blocks of ``_BLOCK_ELEMS``
+    elements, each cross-check gathered into one buffer that is reused for
+    every block and slot, as are the running sum and maximum; none of them
+    is a view of ``est``, which is never written.
     """
     order = bank.all_subsets
     if tuple(subsets) != order:
@@ -92,28 +98,43 @@ def run_estimator(
     _, T1, n = est.shape
     n_j = len(bank.j_subsets)
     block = max(1, _BLOCK_ELEMS // (T1 * n))
+    rows = min(block, n_j)
+    # d holds a gathered cross-check, then its squared difference; acc and
+    # worst hold the running sum and maximum
+    d = np.empty((rows, T1, n))
+    acc = np.empty((rows, T1))
+    worst = np.empty((rows, T1))
     pi = np.empty((T1, n_j))
     # squares of diverged tracks overflow by design and collapse to +inf
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_j, block):
-            x_J = est[lo : min(lo + block, n_j)]
-            worst = None
-            for slot in bank.cross_check_pos[lo : lo + block].T:
-                d = x_J - est[slot]
-                d *= d
+            hi = min(lo + block, n_j)
+            x_J = est[lo:hi]
+            d_b, acc_b, worst_b = d[: hi - lo], acc[: hi - lo], worst[: hi - lo]
+            for s, slot in enumerate(bank.cross_check_pos[lo:hi].T):
+                # positions are in range by construction; "raise" would copy out
+                np.take(est, slot, axis=0, out=d_b, mode="clip")
+                np.subtract(x_J, d_b, out=d_b)
+                d_b *= d_b
                 # left to right: np.sum would pair up the terms once n >= 8
-                acc = d[..., 0] + d[..., 1] if n > 1 else d[..., 0].copy()
+                total = worst_b if s == 0 else acc_b
+                if n > 1:
+                    np.add(d_b[..., 0], d_b[..., 1], out=total)
+                else:
+                    total[...] = d_b[..., 0]
                 for i in range(2, n):
-                    acc += d[..., i]
-                worst = acc if worst is None else np.maximum(worst, acc, out=worst)
+                    total += d_b[..., i]
+                if s:
+                    np.maximum(worst_b, acc_b, out=worst_b)
             # one root per score, after the max; a NaN survives np.maximum
-            worst = np.sqrt(worst, out=worst)
-            worst[~np.isfinite(worst)] = np.inf
-            pi[:, lo : lo + block] = worst.T
-    starved = ~np.isfinite(pi).any(axis=1)
-    if starved.any():
-        raise EstimatorStarvedError(int(np.argmax(starved)))
+            np.sqrt(worst_b, out=worst_b)
+            worst_b[~np.isfinite(worst_b)] = np.inf
+            pi[:, lo:hi] = worst_b.T
+    # every non-finite score is +inf, so a step starves when its argmin is
     sigma_idx = np.argmin(pi, axis=1)
+    starved = np.flatnonzero(pi[np.arange(T1), sigma_idx] == np.inf)
+    if starved.size:
+        raise EstimatorStarvedError(int(starved[0]))
     x_hat = est[sigma_idx, np.arange(T1)]
     return EstimatorRun(bank=bank, est=est, pi=pi, sigma_idx=sigma_idx, x_hat=x_hat, truth=truth)
 

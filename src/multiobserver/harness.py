@@ -43,6 +43,7 @@ from .isolation import (
 from .model import (
     MAX_BATCH,
     AttackScenario,
+    PlantModel,
     Trajectory,
     draw_run,
     first_divergence,
@@ -90,6 +91,21 @@ def resolve_out_dir(cfg: ScenarioConfig, out: str | None) -> Path:
     return Path(base) / cfg.name
 
 
+def _check_batch(plant: PlantModel, observers: int, scenarios: list[AttackScenario]) -> None:
+    """Refuse scenarios that do not validate, and then a batch whose bank
+    estimates would pass ``MAX_BATCH`` entries, before anything is drawn."""
+    problems = list(dict.fromkeys(msg for scen in scenarios for msg in scen.validate(plant)))
+    if not problems and scenarios:
+        steps = scenarios[0].horizon + 1
+        if observers * len(scenarios) * steps * plant.n > MAX_BATCH:
+            problems.append(
+                f"batch of {observers} observers x {len(scenarios)} seeds x "
+                f"{steps} steps x {plant.n} states exceeds {MAX_BATCH} estimates"
+            )
+    if problems:
+        raise ConfigurationError(problems)
+
+
 def run_scenario(
     cfg: ScenarioConfig,
     out: str | None = None,
@@ -97,10 +113,13 @@ def run_scenario(
 ) -> RunArtifacts:
     """Simulate, estimate, isolate, and persist one scenario.
 
-    The run directory is made once selection and isolation have
-    succeeded, so a failed run leaves none behind.
+    The scenario is validated, and its bank estimates are held to
+    ``MAX_BATCH`` entries as a one-seed batch of ``run_seeds`` is, before
+    anything is drawn.  The run directory is made once selection and
+    isolation have succeeded, so a failed run leaves none behind.
     """
     started = time.perf_counter()
+    _check_batch(cfg.plant, len(cfg.bank.all_subsets), [cfg.scenario])
     trajectory = simulate(cfg.plant, cfg.scenario, ceiling=cfg.ceiling)
     bank, _ = build_bank(cfg)
     est = bank.run(trajectory.y, trajectory.u, cfg.initial_estimate(trajectory.x[0]))
@@ -184,15 +203,7 @@ def run_seeds(
     plant = cfg.plant
     base = cfg.scenario if scenario is None else scenario
     scenarios = [replace(base, seed=seed) for seed in seeds]
-    problems = list(dict.fromkeys(msg for scen in scenarios for msg in scen.validate(plant)))
-    entries = len(bank) * len(scenarios) * (base.horizon + 1) * plant.n
-    if not problems and entries > MAX_BATCH:
-        problems.append(
-            f"batch of {len(bank)} observers x {len(scenarios)} seeds x "
-            f"{base.horizon + 1} steps x {plant.n} states exceeds {MAX_BATCH} estimates"
-        )
-    if problems:
-        raise ConfigurationError(problems)
+    _check_batch(plant, len(bank), scenarios)
     if not scenarios:
         return []
     x0, u, d, m, a = (np.array(signal) for signal in zip(*(draw_run(plant, s) for s in scenarios)))

@@ -188,14 +188,22 @@ def test_run_window_override_needs_isolation_section(scenario_dir, tmp_path, cap
     assert "no isolation section" in capsys.readouterr().err
 
 
+_BAD_RUN_OVERRIDES = [
+    ("--window", "0", "window length must be >= 1, got 0"),
+    ("--horizon", "0", "horizon must lie in 1..1000000, got 0"),
+    # 10 observers x 1000001 steps x 2 states passes the 2**24 cap
+    ("--horizon", "1000000",
+     "batch of 10 observers x 1 seeds x 1000001 steps x 2 states exceeds 16777216 estimates"),
+]
+
+
 @pytest.mark.parametrize(
-    "flag, problem",
-    [("--window", "window length must be >= 1, got 0"),
-     ("--horizon", "horizon must lie in 1..1000000, got 0")],
+    "flag, value, problem", _BAD_RUN_OVERRIDES,
+    ids=[f"{flag}-{problem}" for flag, _, problem in _BAD_RUN_OVERRIDES],
 )
 def test_a_bad_run_override_exits_1_and_writes_nothing(scenario_dir, tmp_path, capsys,
-                                                       flag, problem):
-    code = main(["run", "--config", _path(scenario_dir, "example4"), flag, "0",
+                                                       flag, value, problem):
+    code = main(["run", "--config", _path(scenario_dir, "example4"), flag, value,
                  "--out", str(tmp_path / "runs")])
     assert code == 1
     assert capsys.readouterr().err == f"configuration error (1 problem(s)):\n  - {problem}\n"

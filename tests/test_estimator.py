@@ -151,6 +151,7 @@ def test_run_estimator_matches_stepwise_loop():
         (11, 5, 12, 12),  # 462 candidates at 144 elements each: three blocks
         (3, 1, 3, _BLOCK_ELEMS // 3 + 1),  # one candidate per block
         (13, 6, 2, 20),  # 1716 candidates at 40 elements each: blocks of 819
+        (9, 4, 1, 512),  # 126 candidates at 512 elements each: 64, then a partial 62
     ],
 )
 def test_pi_matches_brute_force_bit_for_bit(p, q, n, steps):
@@ -178,6 +179,25 @@ def test_pi_matches_brute_force_bit_for_bit(p, q, n, steps):
         sigma = argmin_selection(pi)
         assert run.bank.j_subsets[run.sigma_idx[k]].members == sigma
         assert np.array_equal(run.x_hat[k], est_j[sigma])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_run_estimator_leaves_the_estimates_untouched(n):
+    # several blocks, each scored in buffers that must never alias est
+    idx = bank_index(9, 4)
+    rng = np.random.default_rng(n)
+    steps = _BLOCK_ELEMS // (40 * n)  # blocks of 40 candidates
+    est = rng.normal(size=(len(idx.all_subsets), steps, n))
+    # non-finite and square-overflowing entries in the cross-check tracks only,
+    # so no step starves
+    bad = rng.random(est.shape) < 0.05
+    bad[: len(idx.j_subsets)] = False
+    est[bad] = rng.choice([np.nan, np.inf, -np.inf, 1e200], size=int(bad.sum()))
+    before = est.tobytes()
+    run = run_estimator(idx, idx.all_subsets, est)
+    assert est.tobytes() == before
+    assert run.est is est
+    assert np.isinf(run.pi).any() and np.isfinite(run.pi).any()
 
 
 def test_run_estimator_starves_on_all_nan_step():

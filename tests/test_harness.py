@@ -256,6 +256,31 @@ def test_run_seeds_refuses_a_batch_past_the_cap_before_drawing(scenario_dir, mon
     assert f"exceeds {MAX_BATCH} estimates" in str(err.value)
 
 
+def test_run_scenario_holds_its_one_run_to_the_cap_before_simulating(scenario_dir, tmp_path,
+                                                                      monkeypatch):
+    # example4 at 10**6 steps: 10 observers x 1000001 steps x 2 states
+    cfg = _cfg(scenario_dir, "example4")
+
+    def simulated(*args, **kwargs):
+        raise RuntimeError("simulated")
+
+    monkeypatch.setattr(harness, "simulate", simulated)
+    with pytest.raises(RuntimeError, match="simulated"):
+        run_scenario(cfg, out=str(tmp_path))
+    long = replace(cfg, scenario=replace(cfg.scenario, horizon=10**6))
+    with pytest.raises(ConfigurationError) as err:
+        run_scenario(long, out=str(tmp_path))
+    assert err.value.problems == [
+        f"batch of 10 observers x 1 seeds x 1000001 steps x 2 states exceeds {MAX_BATCH} estimates"
+    ]
+    # the scenario's own problems come first, and the cap is not listed with them
+    bad = replace(long, scenario=replace(long.scenario, seed=-1))
+    with pytest.raises(ConfigurationError) as err:
+        run_scenario(bad, out=str(tmp_path))
+    assert err.value.problems == bad.scenario.validate(bad.plant) != []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("with_d", [False, True])
 def test_the_linear_luenberger_plant_runs_like_the_reference(scenario_dir, tmp_path, with_d):
     # the luenberger family's `linear` dynamics: x+ = A x (+ D d), y = C x, with
