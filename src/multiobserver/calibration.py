@@ -19,12 +19,22 @@ across trials of the tail RMS); ``"median"`` fits the per-step level
 isolation thresholds, which must sit close to typical deviations to
 stay sensitive to small attacks.  The procedure is deterministic for
 a fixed seed: each trial draws from its own counter-based stream.
+
+A bundle has two fits: one per observer, and one of the fused
+estimator on its own stream block.  :func:`calibrate_bundle` simulates
+both fits' runs in one ``plant_track`` batch, and steps the bank once
+over both fits' kept runs when every observer calibrates through its
+bank kernel (Luenberger and reduced-order); a circle bank takes one
+pass per fit.  Every row of a batch equals its run alone, so each fit
+is the one :func:`calibrate_bank` or :func:`calibrate_estimator` gives,
+bit for bit; those run one fit through the same helpers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,6 +59,7 @@ __all__ = [
     "estimate_iss_gains",
     "calibrate_estimator",
     "calibrate_bank",
+    "calibrate_bundle",
 ]
 
 TAIL_STATS = ("max", "rms", "median")
@@ -141,7 +152,7 @@ def _fit_model(
     for seg in segments:
         if len(seg) < 4:
             continue
-        slope = float(np.polyfit(np.arange(len(seg)), [math.log(v) for v in seg], 1)[0])
+        slope = float(np.polyfit(np.arange(len(seg)), list(map(math.log, seg.tolist())), 1)[0])
         # a rising segment clips to 0.9999 either way; capped, exp cannot overflow
         lam_fits.append(min(max(math.exp(min(slope, 0.0)), 1e-6), 0.9999))
     if lam_fits:
@@ -173,16 +184,15 @@ def _fit_model(
     return ISSGainModel(c=c, lam=lam, gamma1=gamma1, gamma2=gamma2, nu=nu, k_star=k_star)
 
 
-def _trial_runs(plant, x0_spec, m_bar, d_bar, settings, observers, kind_offset=0):
-    """The attack-free runs of one fit, simulated as one batch, and its plant error.
+def _draw_trials(plant, x0_spec, m_bar, d_bar, settings, observers, kind_offset=0):
+    """The draws of one fit's attack-free runs, as arrays along a leading run axis.
 
     The fit is refused before anything is drawn when stepping ``observers``
     on every run at once would pass ``MAX_BATCH`` estimates.  The runs come
     kind by kind, each in trial order; each draws from its own stream, in
     this order: x(0), the initial estimate, the disturbances and the output
-    noise.  The runs before the first whose plant state is non-finite or
-    leaves the ceiling at a step after 0 are kept, as (x, y, u, x0_est) along
-    a leading run axis; that run's :class:`CalibrationError` names its step.
+    noise.  Returns (x0, x0_est, d, noise), noise a list with None for a
+    noise-free run.
     """
     problems = settings.validate()
     kinds = [(0, 0.0, 0.0)]  # (stream block, noise amplitude, disturbance amplitude)
@@ -210,18 +220,36 @@ def _trial_runs(plant, x0_spec, m_bar, d_bar, settings, observers, kind_offset=0
                      else np.zeros((T, plant.n_d)))
             noise.append(noise_amp * rng.uniform(-1.0, 1.0, (T + 1, plant.p)) if noise_amp > 0
                          else None)
-    u = np.zeros((len(x0), T + 1, plant.n_u))
-    x = plant_track(plant, np.array(x0), u, np.array(d), DIVERGENCE_CEILING)
-    diverged = ((run, hit) for run, row in enumerate(x)
-                if (hit := first_divergence(row[1:])) is not None)
-    first, hit = next(diverged, (len(x), None))
-    plant_error = None if hit is None else CalibrationError(
-        f"plant diverged at step {hit[0] + 1} of calibration trial {first % trials}")
-    y = output_track(plant, x[:first], u[:first])
-    for y_run, noise_run in zip(y, noise):
-        if noise_run is not None:
-            y_run += noise_run
-    return (x[:first], y, u[:first], np.array(x0_est)[:first]), plant_error
+    return np.array(x0), np.array(x0_est), np.array(d), noise
+
+
+def _trial_runs(plant, trials, *fits):
+    """The runs of every fit, drawn by :func:`_draw_trials`, simulated as one batch.
+
+    Per fit, its kept runs and its plant error.  A fit keeps its runs before
+    the first whose plant state is non-finite or leaves the ceiling at a step
+    after 0, as (x, y, u, x0_est) along a leading run axis; that run's
+    :class:`CalibrationError` names its step.  ``plant_track`` steps each row
+    as that run alone, so a fit's runs do not depend on the other fits.
+    """
+    x0, d = (np.concatenate([fit[i] for fit in fits]) for i in (0, 2))
+    u = np.zeros((len(x0), d.shape[1] + 1, plant.n_u))
+    x_all = plant_track(plant, x0, u, d, DIVERGENCE_CEILING)
+    results, lo = [], 0
+    for _, x0_est, _, noise in fits:
+        x, u_fit = x_all[lo:lo + len(x0_est)], u[lo:lo + len(x0_est)]
+        lo += len(x0_est)
+        diverged = ((run, hit) for run, row in enumerate(x)
+                    if (hit := first_divergence(row[1:])) is not None)
+        first, hit = next(diverged, (len(x), None))
+        plant_error = None if hit is None else CalibrationError(
+            f"plant diverged at step {hit[0] + 1} of calibration trial {first % trials}")
+        y = output_track(plant, x[:first], u_fit[:first])
+        for y_run, noise_run in zip(y, noise):
+            if noise_run is not None:
+                y_run += noise_run
+        results.append(((x[:first], y, u_fit[:first], x0_est[:first]), plant_error))
+    return results
 
 
 def _result(tracks, failure, plant_error, m_bar, d_bar, settings):
@@ -241,19 +269,16 @@ def _result(tracks, failure, plant_error, m_bar, d_bar, settings):
     return _fit_model(list(tracks[:n]), noisy, disturbed, m_bar, d_bar, settings)
 
 
-def _observer_fits(observers, plant, m_bar, d_bar, x0_spec, settings):
+def _observer_fits(est, runs, plant_error, m_bar, d_bar, settings):
     """Per observer, its fitted model or the :class:`CalibrationError` of its fit.
 
-    Every observer is stepped once on all kept runs by ``run_trials``;
-    a run is a trial of its kind, ``run % settings.trials``, because
-    the kinds come one after another, each in trial order.
+    ``est`` holds each observer's estimates on the fit's kept ``runs``; a
+    run is a trial of its kind, ``run % settings.trials``, because the
+    kinds come one after another, each in trial order.
     """
-    (x, y, u, x0_est), plant_error = _trial_runs(plant, x0_spec, m_bar, d_bar, settings,
-                                                 len(observers))
-    est = run_trials(observers, y, u, x0_est)
     diverged = ~np.isfinite(est).all(axis=(2, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's norm is not read
-        norms = np.linalg.norm(est - x, axis=-1)
+        norms = np.linalg.norm(est - runs[0], axis=-1)
     results = []
     for tracks, bad in zip(norms, diverged):
         failure = None
@@ -264,10 +289,64 @@ def _observer_fits(observers, plant, m_bar, d_bar, x0_spec, settings):
     return results
 
 
+def _estimator_fit(bank, bank_idx, est, runs, plant_error, m_bar, d_bar, settings):
+    """The fused estimator's model, or its error, from the bank's estimates ``est``
+    on the fit's kept ``runs``."""
+    x = runs[0]
+    tracks = failure = None
+    if len(x):
+        # pi(k) and sigma(k) read step k alone, so one selection over the
+        # runs laid end to end scores each run as it alone would be scored
+        B, T1, n = x.shape
+        try:
+            x_hat = run_estimator(bank_idx, bank.subsets, est.reshape(len(bank), B * T1, n)).x_hat
+        except EstimatorStarvedError as exc:
+            run, step = divmod(exc.step, T1)
+            failure = CalibrationError(f"all deviation scores are infinite at step {step} "
+                                       f"of calibration trial {run % settings.trials}")
+        else:
+            tracks = np.linalg.norm(x_hat.reshape(x.shape) - x, axis=-1)
+    return _result(tracks, failure, plant_error, m_bar, d_bar, settings)
+
+
+def _bank_estimates(bank, *runs):
+    """The bank's estimates on each fit's kept ``runs``, stepped in one ``bank.run``."""
+    y, u, x0_est = (np.concatenate([run[i] for run in runs]) for i in (1, 2, 3))
+    return np.split(bank.run(y, u, x0_est), list(accumulate(len(r[0]) for r in runs[:-1])),
+                    axis=1)
+
+
+def _estimator_draws(bank, plant, m_bar, d_bar, x0_spec, settings, truth_init):
+    """The estimator fit's settings and draws: its own stream block, and no
+    initial error under ``truth_init``."""
+    eff = settings if not truth_init else replace(settings, init_scale=0.0)
+    return eff, _draw_trials(plant, x0_spec, m_bar, d_bar, eff, len(bank), kind_offset=10_000)
+
+
+def _by_subset(bank, results):
+    """The fitted models by subset, and the failures in bank order."""
+    models: dict[SubsetIndex, ISSGainModel] = {}
+    failures: list[str] = []
+    for (subset, _), result in zip(bank.items(), results):
+        if isinstance(result, CalibrationError):
+            failures.append(f"{subset.label}: {result}")
+        else:
+            models[subset] = result
+    return models, failures
+
+
 def _fitted(result: ISSGainModel | CalibrationError) -> ISSGainModel:
     if isinstance(result, CalibrationError):
         raise result
     return result
+
+
+def _fit_observers(observers, plant, m_bar, d_bar, x0_spec, settings):
+    """Per observer, its fit's result, every observer stepped once by ``run_trials``."""
+    draws = _draw_trials(plant, x0_spec, m_bar, d_bar, settings, len(observers))
+    ((runs, plant_error),) = _trial_runs(plant, settings.trials, draws)
+    return _observer_fits(run_trials(observers, *runs[1:]), runs, plant_error,
+                          m_bar, d_bar, settings)
 
 
 def estimate_iss_gains(
@@ -285,7 +364,7 @@ def estimate_iss_gains(
     :class:`CalibrationError` when a trial diverges — the observer is
     then not usable on the sampled operating region.
     """
-    (result,) = _observer_fits([obs], plant, m_bar, d_bar, x0_spec, settings)
+    (result,) = _fit_observers([obs], plant, m_bar, d_bar, x0_spec, settings)
     return _fitted(result)
 
 
@@ -306,24 +385,10 @@ def calibrate_estimator(
     at the true state (then the transient term is degenerate and the
     fit reduces to the steady terms).
     """
-    eff = settings if not truth_init else replace(settings, init_scale=0.0)
-    (x, y, u, x0_est), plant_error = _trial_runs(plant, x0_spec, m_bar, d_bar, eff, len(bank),
-                                                 kind_offset=10_000)
-    tracks = failure = None
-    if len(x):
-        # pi(k) and sigma(k) read step k alone, so one selection over the
-        # runs laid end to end scores each run as it alone would be scored
-        B, T1, n = x.shape
-        est = bank.run(y, u, x0_est).reshape(len(bank), B * T1, n)
-        try:
-            x_hat = run_estimator(bank_idx, bank.subsets, est).x_hat
-        except EstimatorStarvedError as exc:
-            run, step = divmod(exc.step, T1)
-            failure = CalibrationError(f"all deviation scores are infinite at step {step} "
-                                       f"of calibration trial {run % eff.trials}")
-        else:
-            tracks = np.linalg.norm(x_hat.reshape(x.shape) - x, axis=-1)
-    return _fitted(_result(tracks, failure, plant_error, m_bar, d_bar, eff))
+    eff, draws = _estimator_draws(bank, plant, m_bar, d_bar, x0_spec, settings, truth_init)
+    ((runs, plant_error),) = _trial_runs(plant, eff.trials, draws)
+    est = _bank_estimates(bank, runs)[0] if len(runs[0]) else None
+    return _fitted(_estimator_fit(bank, bank_idx, est, runs, plant_error, m_bar, d_bar, eff))
 
 
 def calibrate_bank(
@@ -341,13 +406,51 @@ def calibrate_bank(
     fitted models plus a list of per-subset failure messages in bank
     order (empty when all succeeded).
     """
-    results = _observer_fits(list(bank.observers.values()), plant, m_bar, d_bar, x0_spec,
-                             settings)
-    models: dict[SubsetIndex, ISSGainModel] = {}
-    failures: list[str] = []
-    for (subset, _), result in zip(bank.items(), results):
-        if isinstance(result, CalibrationError):
-            failures.append(f"{subset.label}: {result}")
-        else:
-            models[subset] = result
-    return models, failures
+    return _by_subset(bank, _fit_observers(list(bank.observers.values()), plant,
+                                                  m_bar, d_bar, x0_spec, settings))
+
+
+def calibrate_bundle(
+    bank: ObserverBank,
+    bank_idx: BankIndex,
+    plant: PlantModel,
+    m_bar: float,
+    d_bar: float,
+    x0_spec: InitSpec,
+    settings: CalibrationSettings = CalibrationSettings(),
+    truth_init: bool = False,
+) -> tuple[dict[SubsetIndex, ISSGainModel], ISSGainModel]:
+    """Every observer's model and the fused estimator's, as :func:`calibrate_bank`
+    and then :func:`calibrate_estimator` fit them, bit for bit.
+
+    Both fits' runs are simulated in one ``plant_track`` batch.  The bank is
+    stepped once over both fits' kept runs when every observer's calibration
+    kernel is its bank kernel, the union stays within ``MAX_BATCH`` estimates
+    and the observer fits kept every run (a plant divergence fails every
+    observer, so the estimator's runs would go unread).  Otherwise the
+    observer fits are finished, and their estimates dropped, before the
+    estimator's pass.  Raises :class:`CalibrationError` naming every failed
+    observer fit, else the estimator fit's error.
+    """
+    observers = list(bank.observers.values())
+    draws = _draw_trials(plant, x0_spec, m_bar, d_bar, settings, len(bank))
+    eff, est_draws = _estimator_draws(bank, plant, m_bar, d_bar, x0_spec, settings, truth_init)
+    (runs, plant_error), (est_runs, est_error) = _trial_runs(plant, settings.trials,
+                                                             draws, est_draws)
+    # a family that keeps Observer.run_trials calibrates through its run_group
+    shared_kernel = all(type(obs).run_trials.__func__ is Observer.run_trials.__func__
+                        for obs in observers)
+    union = len(bank) * (len(runs[0]) + len(est_runs[0])) * (settings.horizon + 1) * plant.n
+    if shared_kernel and union <= MAX_BATCH and plant_error is None:
+        est, bank_est = _bank_estimates(bank, runs, est_runs)
+    else:
+        est, bank_est = run_trials(observers, *runs[1:]), None
+    models, failures = _by_subset(bank, _observer_fits(est, runs, plant_error,
+                                                       m_bar, d_bar, settings))
+    del est
+    if failures:
+        raise CalibrationError("calibration failed for: " + "; ".join(failures))
+    if bank_est is None and len(est_runs[0]):
+        (bank_est,) = _bank_estimates(bank, est_runs)
+    return models, _fitted(_estimator_fit(bank, bank_idx, bank_est, est_runs, est_error,
+                                          m_bar, d_bar, eff))

@@ -23,10 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import calibrate_bank, calibrate_estimator
+from .calibration import calibrate_bundle
 from .config import ScenarioConfig, build_bank
 from .errors import (
-    CalibrationError,
     ConfigurationError,
     EstimatorStarvedError,
     PlumbingError,
@@ -251,18 +250,9 @@ def calibrate(
         raise ConfigurationError(problems)
 
     bank, _ = build_bank(cfg)
-    m_bar = cfg.scenario.noise_bound
-    d_bar = cfg.scenario.disturbance_bound
-    models, failures = calibrate_bank(
-        bank, cfg.plant, m_bar, d_bar, cfg.scenario.x0, settings
-    )
-    if failures:
-        raise CalibrationError(
-            "calibration failed for: " + "; ".join(failures)
-        )
-    est_model = calibrate_estimator(
-        bank, cfg.bank, cfg.plant, m_bar, d_bar, cfg.scenario.x0, settings,
-        truth_init=cfg.estimator_init == "truth",
+    models, est_model = calibrate_bundle(
+        bank, cfg.bank, cfg.plant, cfg.scenario.noise_bound, cfg.scenario.disturbance_bound,
+        cfg.scenario.x0, settings, truth_init=cfg.estimator_init == "truth",
     )
 
     raw = json.loads(json.dumps(cfg.raw))  # deep copy

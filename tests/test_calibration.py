@@ -26,7 +26,7 @@ from multiobserver import (
     load_config,
     signal_stream,
 )
-from multiobserver import calibration
+from multiobserver import calibration, observers
 from multiobserver.calibration import _fit_model
 from multiobserver.cli import main as cli_main
 
@@ -265,7 +265,8 @@ def test_calibration_draws_match_the_per_step_reference(monkeypatch):
                                      signal_stream(5, "calibration", stream), 0.8, n_d=1, p=3)
 
     kinds = [(0.0, 0.0), (0.2, 0.0), (0.0, 0.3)]  # noise-free, noisy, disturbed
-    got, plant_error = calibration._trial_runs(plant, x0, 0.2, 0.3, settings, 1, kind_offset=7)
+    draws = calibration._draw_trials(plant, x0, 0.2, 0.3, settings, 1, kind_offset=7)
+    ((got, plant_error),) = calibration._trial_runs(plant, 2, draws)
     assert plant_error is None
     for block, (noise_amp, dist_amp) in enumerate(kinds):
         for trial in range(2):
@@ -553,3 +554,105 @@ def test_estimator_fit_checks_its_batch_before_drawing(monkeypatch, trials, refu
             f"calibration batch of 6 observers x 3 trial kinds x {trials} trials x 101 steps "
             "x 2 states exceeds 16777216 estimates"
         ]
+
+
+def _fit_or_error(call):
+    """``call()``'s models in bank order and the estimator's, or the message
+    of the :class:`CalibrationError` it raises."""
+    try:
+        models, est_model = call()
+    except CalibrationError as exc:
+        return str(exc)
+    return list(models.items()), est_model
+
+
+def _apart(bank, idx, args, truth_init=False):
+    """``calibrate_bank`` and then ``calibrate_estimator``, each with its own passes."""
+    models, failures = calibrate_bank(bank, *args)
+    if failures:
+        raise CalibrationError("calibration failed for: " + "; ".join(failures))
+    return models, calibrate_estimator(bank, idx, *args, truth_init=truth_init)
+
+
+def _both_ways(bank_of, idx, args, truth_init=False):
+    """The bundle fit and the two fits run apart, each on a fresh bank from ``bank_of``."""
+    together = _fit_or_error(lambda: calibration.calibrate_bundle(
+        bank_of(), idx, *args, truth_init=truth_init))
+    return together, _fit_or_error(lambda: _apart(bank_of(), idx, args, truth_init))
+
+
+def _config_fits(cfg, settings):
+    args = (cfg.plant, cfg.scenario.noise_bound, cfg.scenario.disturbance_bound,
+            cfg.scenario.x0, settings)
+    return _both_ways(lambda: build_bank(cfg)[0], cfg.bank, args,
+                      truth_init=cfg.estimator_init == "truth")
+
+
+def _count_passes(monkeypatch):
+    """Count ``plant_track`` calls and bank passes (one per ``_by_group``) from now on."""
+    calls = {"plant": 0, "bank": 0}
+
+    def counted(name, module, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        monkeypatch.setattr(module, func.__name__, wrapper)
+
+    counted("plant", calibration, calibration.plant_track)
+    counted("bank", observers, observers._by_group)
+    return calls
+
+
+@pytest.mark.parametrize("name, trials", [
+    ("example1", 2), ("example2", 2), ("example3", 2), ("example4", 2), ("example2", None),
+])
+def test_calibrate_bundle_equals_the_fits_run_apart(scenario_dir, name, trials):
+    cfg = load_config(scenario_dir / f"{name}.json")
+    settings = replace(cfg.calibration, trials=trials or cfg.calibration.trials)
+    together, apart = _config_fits(cfg, settings)
+    assert together == apart  # bit for bit, and the same failure message
+    assert isinstance(together, str) == (name == "example1")
+
+
+@pytest.mark.parametrize("name, bank_passes", [("example2", 1), ("example3", 2), ("example4", 2)])
+def test_calibrate_simulates_both_fits_in_one_plant_pass(scenario_dir, tmp_path, monkeypatch,
+                                                         name, bank_passes):
+    # reduced-order observers calibrate through their bank kernel, so the bank
+    # steps both fits' runs at once; the circle family's unfolded kernel
+    # steps the observer fits in a pass of their own
+    cfg = load_config(scenario_dir / f"{name}.json")
+    passes = _count_passes(monkeypatch)
+    calibrate(cfg, trials=2, out_path=tmp_path / "cal.json")
+    assert passes == {"plant": 1, "bank": bank_passes}
+
+
+def test_a_union_past_the_estimate_cap_steps_one_bank_pass_per_fit(scenario_dir, monkeypatch):
+    cfg = load_config(scenario_dir / "example2.json")
+    settings = replace(cfg.calibration, trials=2)
+    want = _config_fits(cfg, settings)[0]
+    # 6 observers x 1 trial kind x 2 trials x 201 steps x 4 states: 9648
+    # estimates per fit, within the cap, and 19296 for both fits
+    monkeypatch.setattr(calibration, "MAX_BATCH", 9648)
+    passes = _count_passes(monkeypatch)
+    together, apart = _config_fits(cfg, settings)
+    assert together == apart == want
+    # the bundle's one plant pass and two bank passes, then the fits apart
+    assert passes == {"plant": 1 + 2, "bank": 2 + 2}
+
+
+def test_calibrate_bundle_failures_equal_the_fits_run_apart():
+    settings = CalibrationSettings(trials=4, horizon=40, seed=0)
+    x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
+    plant, idx, _ = _failing_bank()
+    together, apart = _both_ways(lambda: _failing_bank()[2], idx, (plant, 0.1, 0.0, x0, settings))
+    assert together == apart
+    assert together.startswith(f"calibration failed for: {idx.j_subsets[0].label}: ")
+    # only the estimator's runs pass the ceiling (its trial 0 at seed 3), so
+    # the observer fits succeed and the estimator fit names its own trial
+    plant, idx, bank = toy_bank()
+    D = np.array([[4e11], [0.0]])
+    plant = replace(plant, n_d=1, f=lambda x, u, d, k: A2 @ x + D @ d)
+    x0 = InitSpec(kind="normal", mean=(1.0, -2.0), std=(0.5, 0.5))
+    settings = CalibrationSettings(trials=4, horizon=40, seed=3)
+    together, apart = _both_ways(lambda: bank, idx, (plant, 0.1, 1.0, x0, settings))
+    assert together == apart == "plant diverged at step 28 of calibration trial 0"

@@ -280,7 +280,7 @@ def test_validate_lists_a_failed_slope_condition(scenario_dir, tmp_path, capsys)
 
 def test_calibrate_with_a_starved_estimator_exits_2(scenario_dir, tmp_path, capsys, monkeypatch):
     # skip the per-observer fits so example1's estimator fit starves
-    monkeypatch.setattr(multiobserver.harness, "calibrate_bank", lambda *args: ({}, []))
+    monkeypatch.setattr(multiobserver.calibration, "_observer_fits", lambda *args: [])
     code = main([
         "calibrate", "--config", _path(scenario_dir, "example1"),
         "--trials", "2", "--out", str(tmp_path / "cal.json"),

@@ -136,7 +136,7 @@ def test_calibrate_writes_a_new_bundle(scenario_dir, tmp_path):
 def test_calibrate_lists_its_output_problems_before_fitting(scenario_dir, monkeypatch):
     # a config parsed from a dict has no path to write beside
     cfg = parse_config(json.loads((scenario_dir / "example4.json").read_text()))
-    monkeypatch.setattr(harness, "calibrate_bank", None)  # fitting would fail loudly
+    monkeypatch.setattr(harness, "calibrate_bundle", None)  # fitting would fail loudly
     with pytest.raises(ConfigurationError) as err:
         calibrate(cfg, trials=0)
     assert err.value.problems == [
