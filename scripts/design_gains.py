@@ -31,14 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from multiobserver import (
+    CalibrationError,
     EstimatorRun,
     EstimatorStarvedError,
     SimulationDivergedError,
     SubsetIndex,
     bank_index,
     build_bank,
-    calibrate_bank,
-    calibrate_estimator,
+    calibrate_bundle,
     compute_thresholds,
     run_seeds,
     windowed_isolation,
@@ -234,11 +234,13 @@ def probe_ex4(args):
         settings = replace(cfg.calibration, trials=args.trials, horizon=args.cal_horizon,
                            tail_stat=args.stat, safety=args.safety)
         t0 = time.perf_counter()
-        models, failures = calibrate_bank(bank, cfg.plant, scen.noise_bound,
-                                          scen.disturbance_bound, scen.x0, settings)
-        if failures:
+        try:
+            models, _ = calibrate_bundle(bank, idx, cfg.plant, scen.noise_bound,
+                                         scen.disturbance_bound, scen.x0, settings,
+                                         truth_init=cfg.estimator_init == "truth")
+        except CalibrationError as exc:
             design = f"style={style}" if fixed else f"style={style} dj={dj} ds={ds}"
-            print(f"{design}: calibration failed: {failures[:2]}")
+            print(f"{design}: {exc}")
             continue
         thresholds = compute_thresholds(models, idx, scen.noise_bound, scen.disturbance_bound,
                                         eps=0.0, k_star_override=0)
@@ -331,13 +333,13 @@ def probe_ex3(args):
         cfg, bank = _example(example3_doc(ex3_bundle(tj)))
         idx, scen = cfg.bank, cfg.scenario
         settings = replace(cfg.calibration, trials=args.trials, horizon=args.cal_horizon)
-        models, failures = calibrate_bank(bank, cfg.plant, scen.noise_bound,
-                                          scen.disturbance_bound, scen.x0, settings)
-        if failures:
-            print(f"dj={dj}: calibration failed: {failures[:2]}")
+        try:
+            _, est_model = calibrate_bundle(bank, idx, cfg.plant, scen.noise_bound,
+                                            scen.disturbance_bound, scen.x0, settings,
+                                            truth_init=cfg.estimator_init == "truth")
+        except CalibrationError as exc:
+            print(f"dj={dj}: {exc}")
             continue
-        est_model = calibrate_estimator(bank, idx, cfg.plant, scen.noise_bound,
-                                        scen.disturbance_bound, scen.x0, settings)
         bound = est_model.gamma1 * scen.noise_bound
         # the same runs with the attacks ten times larger
         loud = replace(scen, attack_gens={

@@ -42,7 +42,7 @@ from .observers import (
 )
 from .calibration import (
     CalibrationSettings,
-    calibrate_bank,
+    calibrate_bundle,
     calibrate_estimator,
     estimate_iss_gains,
 )

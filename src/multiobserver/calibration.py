@@ -20,14 +20,14 @@ isolation thresholds, which must sit close to typical deviations to
 stay sensitive to small attacks.  The procedure is deterministic for
 a fixed seed: each trial draws from its own counter-based stream.
 
-A bundle has two fits: one per observer, and one of the fused
-estimator on its own stream block.  :func:`calibrate_bundle` simulates
-both fits' runs in one ``plant_track`` batch, and steps the bank once
-over both fits' kept runs when every observer calibrates through its
-bank kernel (Luenberger and reduced-order); a circle bank takes one
-pass per fit.  Every row of a batch equals its run alone, so each fit
-is the one :func:`calibrate_bank` or :func:`calibrate_estimator` gives,
-bit for bit; those run one fit through the same helpers.
+:func:`calibrate_bundle` runs both fits of a bundle: one per observer,
+and one of the fused estimator on its own stream block.  A plant with
+a ``structure`` simulates both fits' runs in one ``plant_track``
+batch; a plant without one steps each run alone, so its estimator's
+runs are simulated only once every observer fit has kept all of its
+own.  Every row of a batch equals its run alone, so each observer's
+model is the one :func:`estimate_iss_gains` gives it and the
+estimator's the one :func:`calibrate_estimator` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "CalibrationSettings",
     "estimate_iss_gains",
     "calibrate_estimator",
-    "calibrate_bank",
     "calibrate_bundle",
 ]
 
@@ -323,30 +322,10 @@ def _estimator_draws(bank, plant, m_bar, d_bar, x0_spec, settings, truth_init):
     return eff, _draw_trials(plant, x0_spec, m_bar, d_bar, eff, len(bank), kind_offset=10_000)
 
 
-def _by_subset(bank, results):
-    """The fitted models by subset, and the failures in bank order."""
-    models: dict[SubsetIndex, ISSGainModel] = {}
-    failures: list[str] = []
-    for (subset, _), result in zip(bank.items(), results):
-        if isinstance(result, CalibrationError):
-            failures.append(f"{subset.label}: {result}")
-        else:
-            models[subset] = result
-    return models, failures
-
-
 def _fitted(result: ISSGainModel | CalibrationError) -> ISSGainModel:
     if isinstance(result, CalibrationError):
         raise result
     return result
-
-
-def _fit_observers(observers, plant, m_bar, d_bar, x0_spec, settings):
-    """Per observer, its fit's result, every observer stepped once by ``run_trials``."""
-    draws = _draw_trials(plant, x0_spec, m_bar, d_bar, settings, len(observers))
-    ((runs, plant_error),) = _trial_runs(plant, settings.trials, draws)
-    return _observer_fits(run_trials(observers, *runs[1:]), runs, plant_error,
-                          m_bar, d_bar, settings)
 
 
 def estimate_iss_gains(
@@ -364,7 +343,10 @@ def estimate_iss_gains(
     :class:`CalibrationError` when a trial diverges — the observer is
     then not usable on the sampled operating region.
     """
-    (result,) = _fit_observers([obs], plant, m_bar, d_bar, x0_spec, settings)
+    draws = _draw_trials(plant, x0_spec, m_bar, d_bar, settings, 1)
+    ((runs, plant_error),) = _trial_runs(plant, settings.trials, draws)
+    (result,) = _observer_fits(run_trials([obs], *runs[1:]), runs, plant_error,
+                               m_bar, d_bar, settings)
     return _fitted(result)
 
 
@@ -391,25 +373,6 @@ def calibrate_estimator(
     return _fitted(_estimator_fit(bank, bank_idx, est, runs, plant_error, m_bar, d_bar, eff))
 
 
-def calibrate_bank(
-    bank: ObserverBank,
-    plant: PlantModel,
-    m_bar: float,
-    d_bar: float,
-    x0_spec: InitSpec,
-    settings: CalibrationSettings = CalibrationSettings(),
-) -> tuple[dict[SubsetIndex, ISSGainModel], list[str]]:
-    """Fit every observer in the bank; collect failures per subset.
-
-    The observers share each trial's plant run, and each one's fit is
-    the one :func:`estimate_iss_gains` gives it alone.  Returns the
-    fitted models plus a list of per-subset failure messages in bank
-    order (empty when all succeeded).
-    """
-    return _by_subset(bank, _fit_observers(list(bank.observers.values()), plant,
-                                                  m_bar, d_bar, x0_spec, settings))
-
-
 def calibrate_bundle(
     bank: ObserverBank,
     bank_idx: BankIndex,
@@ -420,36 +383,46 @@ def calibrate_bundle(
     settings: CalibrationSettings = CalibrationSettings(),
     truth_init: bool = False,
 ) -> tuple[dict[SubsetIndex, ISSGainModel], ISSGainModel]:
-    """Every observer's model and the fused estimator's, as :func:`calibrate_bank`
-    and then :func:`calibrate_estimator` fit them, bit for bit.
+    """Every observer's model, as :func:`estimate_iss_gains` fits it alone, and
+    the fused estimator's, as :func:`calibrate_estimator` fits it, bit for bit.
 
-    Both fits' runs are simulated in one ``plant_track`` batch.  The bank is
-    stepped once over both fits' kept runs when every observer's calibration
-    kernel is its bank kernel, the union stays within ``MAX_BATCH`` estimates
-    and the observer fits kept every run (a plant divergence fails every
-    observer, so the estimator's runs would go unread).  Otherwise the
-    observer fits are finished, and their estimates dropped, before the
-    estimator's pass.  Raises :class:`CalibrationError` naming every failed
-    observer fit, else the estimator fit's error.
+    The bank is stepped once over both fits' kept runs when they were
+    simulated together, every observer calibrates through its bank kernel
+    (Luenberger and reduced-order; a circle bank takes one pass per fit), the
+    union stays within ``MAX_BATCH`` estimates and the observer fits kept
+    every run.  Otherwise the observer fits are finished, and their estimates
+    dropped, before the estimator's pass.  Raises :class:`CalibrationError`
+    naming every failed observer fit in bank order, else the estimator fit's.
     """
     observers = list(bank.observers.values())
     draws = _draw_trials(plant, x0_spec, m_bar, d_bar, settings, len(bank))
     eff, est_draws = _estimator_draws(bank, plant, m_bar, d_bar, x0_spec, settings, truth_init)
-    (runs, plant_error), (est_runs, est_error) = _trial_runs(plant, settings.trials,
-                                                             draws, est_draws)
+    if plant.structure is None:
+        ((runs, plant_error),) = _trial_runs(plant, settings.trials, draws)
+        est_runs = est_error = None
+    else:
+        (runs, plant_error), (est_runs, est_error) = _trial_runs(plant, settings.trials,
+                                                                 draws, est_draws)
     # a family that keeps Observer.run_trials calibrates through its run_group
     shared_kernel = all(type(obs).run_trials.__func__ is Observer.run_trials.__func__
                         for obs in observers)
-    union = len(bank) * (len(runs[0]) + len(est_runs[0])) * (settings.horizon + 1) * plant.n
-    if shared_kernel and union <= MAX_BATCH and plant_error is None:
+    if est_runs is not None and shared_kernel and plant_error is None and MAX_BATCH >= (
+            len(bank) * (len(runs[0]) + len(est_runs[0])) * (settings.horizon + 1) * plant.n):
         est, bank_est = _bank_estimates(bank, runs, est_runs)
     else:
         est, bank_est = run_trials(observers, *runs[1:]), None
-    models, failures = _by_subset(bank, _observer_fits(est, runs, plant_error,
-                                                       m_bar, d_bar, settings))
+    models, failures = {}, []
+    for subset, result in zip(bank.subsets, _observer_fits(est, runs, plant_error,
+                                                           m_bar, d_bar, settings)):
+        if isinstance(result, CalibrationError):
+            failures.append(f"{subset.label}: {result}")
+        else:
+            models[subset] = result
     del est
     if failures:
         raise CalibrationError("calibration failed for: " + "; ".join(failures))
+    if est_runs is None:
+        ((est_runs, est_error),) = _trial_runs(plant, eff.trials, est_draws)
     if bank_est is None and len(est_runs[0]):
         (bank_est,) = _bank_estimates(bank, est_runs)
     return models, _fitted(_estimator_fit(bank, bank_idx, bank_est, est_runs, est_error,

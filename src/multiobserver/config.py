@@ -568,11 +568,11 @@ def _plant(col: _Collector, path: str, val) -> dict | None:
 def _attacks(col: _Collector, path: str, val, p: int, horizon: int) -> dict[int, SignalSpec]:
     attacks = {}
     for key, obj in (col.section(path, val) or {}).items():
-        sensor = int(key) if key.isdecimal() else 0
-        if not 1 <= sensor <= p:
+        # only the canonical spelling names a sensor: not "03", nor another script's digits
+        if key not in [str(i) for i in range(1, p + 1)]:
             col.add(f"{path}[{key}]", f"key must be a sensor index in 1..{p}")
             continue
-        attacks[sensor] = _signal(col, f"{path}[{key}]", obj, horizon)
+        attacks[int(key)] = _signal(col, f"{path}[{key}]", obj, horizon)
     return attacks
 
 
@@ -748,19 +748,18 @@ _CALIBRATION = {
 _OUTPUT = {"dir": _Key(_Collector.text, _UNSET)}
 
 
-def _name(col: _Collector, path: str, val, stem: str) -> str:
-    name = val or stem
-    # the name becomes the artifact subdirectory, so it may not leave the output directory:
-    # no path separator, not ``.`` or ``..``
-    if not isinstance(name, str) or name in (".", "..") or "/" in name or "\\" in name:
-        col.add(path, f"expected a file name without path separators, got {name!r:.40}")
-    return name
+def _name(col: _Collector, path: str, val) -> str:
+    # the name becomes the artifact subdirectory, so it may not leave the output directory
+    # nor be it: not empty, no path separator, not ``.`` or ``..``
+    if not isinstance(val, str) or val in ("", ".", "..") or "/" in val or "\\" in val:
+        col.add(path, f"expected a file name without path separators, got {val!r:.40}")
+    return val
 
 
 # The document: its sections in the order they are read, each reader taking
 # what it needs from the sections read before it.
 _TOP = {
-    "name": _Key(_name, stem=itemgetter("stem")),
+    "name": _Key(_name, itemgetter("stem")),
     "plant": _Key(_plant),
     "scenario": _Key(_scenario, plant=itemgetter("plant")),
     "estimator": _Key(_section(_ESTIMATOR), n=lambda c: c["plant"]["plant"].n),

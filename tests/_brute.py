@@ -65,6 +65,31 @@ def argmin_selection(pi_by_members):
     return best
 
 
+def guarantee_check(est, members, x_hat, truth, attacked):
+    """The selection's own guarantee, e_sigma(k) <= 3 max e_K(k), at every step.
+
+    e_K is |x_K - x|, and K ranges over the subsets whose ``members`` miss
+    the ``attacked`` sensors.  Some J* with p - q sensors misses them, and
+    sigma's p - q sensors hold a clean S with p - 2q, so e_sigma <= pi_sigma
+    + e_S <= pi_J* + e_S <= 3 max e_K by the argmin rule alone, for any
+    attack and any observer.  ``est`` holds one (T+1, n) track per entry of
+    ``members``.  A step at which a clean track is non-finite makes the
+    bound vacuous: it is counted, not checked.  Returns the worst ratio
+    e_sigma / max e_K, the steps that break the bound (with a slack of
+    1 + 1e-12 for rounding) and the vacuous steps.
+    """
+    clean = [j for j, m in enumerate(members) if not set(m) & set(attacked)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_clean = np.linalg.norm(np.asarray(est)[clean] - truth, axis=-1)
+        e_sigma = np.linalg.norm(x_hat - truth, axis=-1)
+    vacuous = ~np.isfinite(e_clean).all(axis=0)
+    e_max, e_sigma = e_clean.max(axis=0)[~vacuous], e_sigma[~vacuous]
+    broken = int(np.count_nonzero(~(e_sigma <= 3.0 * (1.0 + 1e-12) * e_max)))
+    settled = e_max > 0.0
+    worst = float(np.max(e_sigma[settled] / e_max[settled], initial=0.0))
+    return worst, broken, int(np.count_nonzero(vacuous))
+
+
 def union_of_passing(pi_by_members, thresholds_by_members):
     out = set()
     for jm, score in pi_by_members.items():

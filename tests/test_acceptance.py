@@ -27,7 +27,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from _brute import argmin_selection, pi_table, union_of_passing, windowed_votes
+from _brute import (
+    argmin_selection,
+    guarantee_check,
+    pi_table,
+    union_of_passing,
+    windowed_votes,
+)
 from _toys import run_from_pi, toy_bank, toy_plant, toy_scenario
 from multiobserver import (
     EstimatorRun,
@@ -70,6 +76,21 @@ def _plant_map_escapes(cfg, seed):
     return False
 
 
+def _guarantee(runs, attacked):
+    """Whether e_sigma <= 3 max e_K over the clean K held on every step of the
+    finished ``runs`` with no clean track non-finite, and a report of it."""
+    worst = broken = vacuous = 0
+    for run in runs:
+        if isinstance(run, EstimatorRun):
+            members = [sub.members for sub in run.bank.all_subsets]
+            w, b, v = guarantee_check(run.est, members, run.x_hat, run.truth, attacked)
+            worst, broken, vacuous = max(worst, w), broken + b, vacuous + v
+    return broken == vacuous == 0, (
+        f"; e_sigma <= 3 max clean e_K broken on {broken} steps (need 0), worst ratio "
+        f"{worst:.2f}, {vacuous} steps with a non-finite clean track (need 0)"
+    )
+
+
 def test_criterion_1_short_horizon_convergence(scenario_dir):
     cfg = load_config(scenario_dir / "example1.json")
     bank, _ = build_bank(cfg)
@@ -91,14 +112,15 @@ def test_criterion_1_short_horizon_convergence(scenario_dir):
         confirmed = "all confirmed divergent by the plant map"
     else:
         confirmed = f"plant map disagrees on seeds {sorted(excluded ^ escaped)}"
-    ok = excluded == escaped and finite >= 50 and passes >= need and elapsed < 1.0
+    bounded, guarantee = _guarantee(outcomes, cfg.scenario.attacked)
+    ok = excluded == escaped and finite >= 50 and passes >= need and elapsed < 1.0 and bounded
     line = _verdict(
         1,
         "short-horizon convergence, 3 sensors / 1 attacked",
         ok,
         f"{passes}/{finite} finite-plant seeds below 1e-2 for k >= 40 "
         f"(need {need}; at least 50 finite); {len(excluded)}/{len(seeds)} excluded, "
-        f"{confirmed}; {starved} starved; batch {elapsed:.2f}s (limit 1s)",
+        f"{confirmed}; {starved} starved; batch {elapsed:.2f}s (limit 1s){guarantee}",
     )
     assert ok, line
 
@@ -108,14 +130,16 @@ def test_criterion_2_reduced_bank_tail(scenario_dir):
     bank, _ = build_bank(cfg)
     steps = cfg.scenario.horizon + 1
     start = steps - steps // 5  # final 20% of the run
+    runs = run_seeds(cfg, bank, range(100))
     passes = sum(isinstance(run, EstimatorRun) and float(run.e_norm[start:].max()) < 1e-2
-                 for run in run_seeds(cfg, bank, range(100)))
-    ok = passes >= 95
+                 for run in runs)
+    bounded, guarantee = _guarantee(runs, cfg.scenario.attacked)
+    ok = passes >= 95 and bounded
     line = _verdict(
         2,
         "reduced-order bank tail error",
         ok,
-        f"{passes}/100 seeds with tail max below 1e-2 over k >= {start} (need 95)",
+        f"{passes}/100 seeds with tail max below 1e-2 over k >= {start} (need 95){guarantee}",
     )
     assert ok, line
 
@@ -125,16 +149,18 @@ def test_criterion_3_noise_gain_bound(scenario_dir):
     bank, _ = build_bank(cfg)
     bound = cfg.estimator_iss.gamma1 * 0.1  # calibrated gain times the noise bound
     started = time.perf_counter()
+    runs = run_seeds(cfg, bank, range(100))
     passes = sum(isinstance(run, EstimatorRun) and float(run.e_norm[150:200].max()) <= bound
-                 for run in run_seeds(cfg, bank, range(100)))
+                 for run in runs)
     elapsed = time.perf_counter() - started
-    ok = passes >= 95 and elapsed < 5.0
+    bounded, guarantee = _guarantee(runs, cfg.scenario.attacked)
+    ok = passes >= 95 and elapsed < 5.0 and bounded
     line = _verdict(
         3,
         "5-sensor circle bank within calibrated noise bound",
         ok,
         f"{passes}/100 seeds with tail max over k in [150,199] within {bound:.4f} "
-        f"(need 95); batch {elapsed:.2f}s (limit 5s)",
+        f"(need 95); batch {elapsed:.2f}s (limit 5s){guarantee}",
     )
     assert ok, line
 
@@ -149,21 +175,22 @@ def test_criterion_4_attack_magnitude_independence(scenario_dir):
     worst = 0.0
     pairs = 0
     loud = replace(cfg.scenario, attack_gens=scaled_gens)
-    for run_base, run_big in zip(run_seeds(cfg, bank, range(20)),
-                                 run_seeds(cfg, bank, range(20), loud)):
+    base_runs, big_runs = run_seeds(cfg, bank, range(20)), run_seeds(cfg, bank, range(20), loud)
+    for run_base, run_big in zip(base_runs, big_runs):
         if not (isinstance(run_base, EstimatorRun) and isinstance(run_big, EstimatorRun)):
             continue
         t_base = float(run_base.e_norm[150:200].max())
         t_big = float(run_big.e_norm[150:200].max())
         worst = max(worst, abs(t_big - t_base) / t_base)
         pairs += 1
-    ok = pairs == 20 and worst <= 0.10
+    bounded, guarantee = _guarantee(base_runs + big_runs, cfg.scenario.attacked)
+    ok = pairs == 20 and worst <= 0.10 and bounded
     line = _verdict(
         4,
         "tail error independent of attack magnitude",
         ok,
         f"scaling attacks x10 moved the tail max by at most {100 * worst:.3f}% "
-        f"across {pairs} seed pairs (limit 10%)",
+        f"across {pairs} seed pairs (limit 10%){guarantee}",
     )
     assert ok, line
 
@@ -344,6 +371,36 @@ def test_criterion_8_invariant_battery(scenario_dir):
         assert np.max(np.abs(obs.N @ obs.L + obs.M @ obs.C_J - np.eye(n))) < 1e-8
         done += 1
 
+    # the selection's guarantee on random banks: clean tracks near the truth,
+    # each track that reads an attacked sensor pushed by up to 1e6 (in half the
+    # cases all of them by one fake offset), NaNs included
+    worst, vacuous, done = 0.0, 0, 0
+    while done < cases:
+        p = int(rng.integers(3, 9))
+        q = int(rng.integers(1, (p - 1) // 2 + 1))
+        n = int(rng.integers(1, 4))
+        idx = bank_index(p, q)
+        members = [sub.members for sub in idx.all_subsets]
+        attacked = set(rng.choice(np.arange(1, p + 1), size=int(rng.integers(0, q + 1)),
+                                  replace=False).tolist())
+        truth = rng.normal(size=(4, n))
+        est = truth + rng.normal(size=(len(members), 4, n)) * 10.0 ** rng.integers(-3, 1)
+        coherent, scale = rng.random() < 0.5, 10.0 ** rng.integers(-3, 7)
+        fake = rng.normal(size=(4, n)) * scale
+        for j, m in enumerate(members):
+            if attacked & set(m):
+                est[j] += fake if coherent else rng.normal(size=(4, n)) * scale
+        if rng.random() < 0.1:
+            est[int(rng.integers(0, len(members))), int(rng.integers(0, 4))] = np.nan
+        try:
+            run = run_estimator(idx, idx.all_subsets, est)
+        except EstimatorStarvedError:
+            continue
+        w, broken, v = guarantee_check(est, members, run.x_hat, truth, attacked)
+        assert broken == 0, (p, q, n, attacked, est, w)
+        worst, vacuous = max(worst, w), vacuous + v
+        done += 1
+
     # slope certificates for the bundled nonlinear scenarios
     slopes = []
     for name in ("example3", "example4"):
@@ -363,7 +420,9 @@ def test_criterion_8_invariant_battery(scenario_dir):
         8,
         "invariant battery",
         True,
-        f"4 randomized property families x {cases} cases, slope certificates for "
+        f"5 randomized property families x {cases} cases (e_sigma <= 3 max clean e_K: "
+        f"worst ratio {worst:.2f}, {vacuous} steps with a non-finite clean track), "
+        f"slope certificates for "
         f"{'/'.join(slopes)}, and bit-identical repeated runs",
     )
     assert line

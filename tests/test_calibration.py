@@ -18,9 +18,10 @@ from multiobserver import (
     ObserverBank,
     PlantModel,
     SubsetIndex,
+    bank_index,
     build_bank,
     calibrate,
-    calibrate_bank,
+    calibrate_bundle,
     calibrate_estimator,
     estimate_iss_gains,
     load_config,
@@ -191,9 +192,8 @@ def test_calibrate_bank_fits_every_subset():
     plant, idx, bank = toy_bank()
     settings = CalibrationSettings(trials=4, horizon=40, seed=0)
     x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
-    models, failures = calibrate_bank(bank, plant, 0.1, 0.0, x0, settings)
-    assert failures == []
-    assert set(models) == set(idx.all_subsets)
+    models, _ = calibrate_bundle(bank, idx, plant, 0.1, 0.0, x0, settings)
+    assert list(models) == list(idx.all_subsets)
     for model in models.values():
         assert model.validate() == []
         assert model.gamma1 >= 0.0
@@ -205,10 +205,11 @@ def test_calibrate_bank_reports_failures_per_subset():
     bank.observers[bad_sub].K = np.array([[1e8], [1e8]])  # destabilize one
     settings = CalibrationSettings(trials=2, horizon=40, seed=0)
     x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
-    models, failures = calibrate_bank(bank, plant, 0.0, 0.0, x0, settings)
-    assert len(failures) == 1 and bad_sub.label in failures[0]
-    assert bad_sub not in models
-    assert len(models) == 5
+    with pytest.raises(CalibrationError) as err:
+        calibrate_bundle(bank, idx, plant, 0.0, 0.0, x0, settings)
+    assert str(err.value) == (
+        f"calibration failed for: {bad_sub.label}: observer diverged in calibration trial 0"
+    )
 
 
 def test_calibrate_estimator_with_truth_init():
@@ -240,12 +241,14 @@ def test_calibrate_bank_simulates_each_trial_once():
     settings = CalibrationSettings(trials=3, horizon=20, seed=0)
     x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
     kinds = 3  # noise-free, noisy (m_bar > 0) and disturbed (d_bar > 0) trials
-    first = next(iter(bank.observers))
-    for observers in (bank.observers, {first: bank.observers[first]}):
-        counted, calls = _counting(plant)
-        models, failures = calibrate_bank(ObserverBank(observers), counted, 0.1, 0.1, x0, settings)
-        assert failures == [] and len(models) == len(observers)
-        assert calls == {"f": 3 * kinds * 20, "h": 3 * kinds * 21}
+    # the bank's observers share each trial's run; the estimator fit has its own
+    counted, calls = _counting(plant)
+    models, _ = calibrate_bundle(bank, idx, counted, 0.1, 0.1, x0, settings)
+    assert len(models) == len(bank)
+    assert calls == {"f": 2 * 3 * kinds * 20, "h": 2 * 3 * kinds * 21}
+    counted, calls = _counting(plant)
+    estimate_iss_gains(next(iter(bank.observers.values())), counted, 0.1, 0.1, x0, settings)
+    assert calls == {"f": 3 * kinds * 20, "h": 3 * kinds * 21}
 
 
 def test_calibration_draws_match_the_per_step_reference(monkeypatch):
@@ -296,7 +299,8 @@ def test_calibration_draws_match_the_per_step_reference(monkeypatch):
 
 
 def _per_observer(bank, plant, m_bar, d_bar, x0, settings):
-    """``calibrate_bank``'s contract, one observer at a time."""
+    """The observer fits of ``calibrate_bundle``, one observer at a time: the
+    models and the failure messages, each in bank order."""
     models, failures = {}, []
     for subset, obs in bank.items():
         try:
@@ -324,11 +328,11 @@ def test_calibrate_bank_equals_the_per_observer_fits(scenario_dir, name, monkeyp
     settings = replace(cfg.calibration, trials=2)
     args = (cfg.plant, cfg.scenario.noise_bound, cfg.scenario.disturbance_bound,
             cfg.scenario.x0, settings)
-    models, failures = calibrate_bank(build_bank(cfg)[0], *args)
+    models, _ = calibrate_bundle(build_bank(cfg)[0], cfg.bank, *args)
     # the reference steps each observer alone, trial by trial, by tests/_brute.py
     monkeypatch.setattr(calibration, "run_trials", _brute_trials)
     want_models, want_failures = _per_observer(build_bank(cfg)[0], *args)
-    assert failures == want_failures == []
+    assert want_failures == []
     assert list(models.items()) == list(want_models.items())  # bit for bit, in bank order
 
 
@@ -365,15 +369,16 @@ def test_calibrate_bank_failures_match_the_per_observer_path():
     settings = CalibrationSettings(trials=4, horizon=40, seed=0)
     x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
     plant, idx, bank = _failing_bank()
-    models, failures = calibrate_bank(bank, plant, 0.1, 0.0, x0, settings)
-    want_models, want_failures = _per_observer(_failing_bank()[2], plant, 0.1, 0.0, x0, settings)
-    assert failures == want_failures
+    with pytest.raises(CalibrationError) as err:
+        calibrate_bundle(bank, idx, plant, 0.1, 0.0, x0, settings)
+    prefix, failures = str(err.value).split(": ", 1)
+    failures = failures.split("; ")
+    assert prefix == "calibration failed for"
+    assert failures == _per_observer(_failing_bank()[2], plant, 0.1, 0.0, x0, settings)[1]
     assert [f.split(": ")[0] for f in failures] == [
         idx.j_subsets[0].label, idx.s_subsets[1].label, idx.s_subsets[2].label
     ]  # bank order, not the order in which they failed
     assert [f.rsplit(" ", 1)[1] for f in failures] == ["2", "0", "1"]
-    assert list(models.items()) == list(want_models.items())
-    assert len(models) == 3
 
 
 def test_observer_failing_before_the_plant_keeps_its_own_trial():
@@ -392,12 +397,12 @@ def test_observer_failing_before_the_plant_keeps_its_own_trial():
     exact = LuenbergerObserver(SubsetIndex("S", (1,)), f, h, np.array([[0.0]]), n=1)
     failing = _NaNFromTrial(SubsetIndex("J", (1,)), f, h, np.array([[0.0]]), n=1)
     bank = ObserverBank({exact.subset: exact, failing.subset: failing})
-    models, failures = calibrate_bank(bank, plant, 0.0, 0.0, x0, settings)
-    assert models == {}
-    assert failures == [
-        "S:1: plant diverged at step 9 of calibration trial 2",
-        "J:1: observer diverged in calibration trial 0",
-    ]
+    with pytest.raises(CalibrationError) as err:
+        calibrate_bundle(bank, bank_index(1, 0), plant, 0.0, 0.0, x0, settings)
+    assert str(err.value) == (
+        "calibration failed for: S:1: plant diverged at step 9 of calibration trial 2; "
+        "J:1: observer diverged in calibration trial 0"
+    )
 
 
 def test_plant_diverging_first_in_a_later_kind_names_its_trial_and_step():
@@ -423,9 +428,10 @@ def test_plant_diverging_first_in_a_later_kind_names_its_trial_and_step():
 
     want = first_plant_failure(0)
     assert want == "plant diverged at step 34 of calibration trial 2"
-    models, failures = calibrate_bank(bank, plant, 0.1, 1.0, x0, settings)
-    assert models == {}
-    assert failures == [f"{subset.label}: {want}" for subset in bank.observers]
+    with pytest.raises(CalibrationError) as err:
+        calibrate_bundle(bank, idx, plant, 0.1, 1.0, x0, settings)
+    assert str(err.value) == "calibration failed for: " + "; ".join(
+        f"{subset.label}: {want}" for subset in bank.observers)
     want = first_plant_failure(10_000)
     assert want == "plant diverged at step 11 of calibration trial 2"
     with pytest.raises(CalibrationError) as err:
@@ -567,8 +573,8 @@ def _fit_or_error(call):
 
 
 def _apart(bank, idx, args, truth_init=False):
-    """``calibrate_bank`` and then ``calibrate_estimator``, each with its own passes."""
-    models, failures = calibrate_bank(bank, *args)
+    """Each observer's fit alone and then ``calibrate_estimator``, each with its own passes."""
+    models, failures = _per_observer(bank, *args)
     if failures:
         raise CalibrationError("calibration failed for: " + "; ".join(failures))
     return models, calibrate_estimator(bank, idx, *args, truth_init=truth_init)
@@ -576,8 +582,8 @@ def _apart(bank, idx, args, truth_init=False):
 
 def _both_ways(bank_of, idx, args, truth_init=False):
     """The bundle fit and the two fits run apart, each on a fresh bank from ``bank_of``."""
-    together = _fit_or_error(lambda: calibration.calibrate_bundle(
-        bank_of(), idx, *args, truth_init=truth_init))
+    together = _fit_or_error(lambda: calibrate_bundle(bank_of(), idx, *args,
+                                                      truth_init=truth_init))
     return together, _fit_or_error(lambda: _apart(bank_of(), idx, args, truth_init))
 
 
@@ -626,18 +632,39 @@ def test_calibrate_simulates_both_fits_in_one_plant_pass(scenario_dir, tmp_path,
     assert passes == {"plant": 1, "bank": bank_passes}
 
 
+def test_a_plant_without_a_structure_simulates_no_estimator_run_after_a_failed_fit(
+        scenario_dir, tmp_path, monkeypatch):
+    # example1's f steps each run alone, so a joint batch saves nothing: its
+    # estimator runs wait for the observer fits, which its plant fails
+    cfg = load_config(scenario_dir / "example1.json")
+    runs, plant_track = [], calibration.plant_track
+
+    def recording(model, x0, *args):
+        runs.append(len(x0))
+        return plant_track(model, x0, *args)
+
+    monkeypatch.setattr(calibration, "plant_track", recording)
+    with pytest.raises(CalibrationError):
+        calibrate(cfg, trials=2, out_path=tmp_path / "cal.json")
+    kinds = 1 + (cfg.scenario.noise_bound > 0) + (cfg.scenario.disturbance_bound > 0)
+    assert runs == [kinds * 2]
+
+
 def test_a_union_past_the_estimate_cap_steps_one_bank_pass_per_fit(scenario_dir, monkeypatch):
     cfg = load_config(scenario_dir / "example2.json")
-    settings = replace(cfg.calibration, trials=2)
-    want = _config_fits(cfg, settings)[0]
+    args = (cfg.plant, cfg.scenario.noise_bound, cfg.scenario.disturbance_bound,
+            cfg.scenario.x0, replace(cfg.calibration, trials=2))
+
+    def fit():
+        return _fit_or_error(lambda: calibrate_bundle(build_bank(cfg)[0], cfg.bank, *args))
+
+    want = fit()
     # 6 observers x 1 trial kind x 2 trials x 201 steps x 4 states: 9648
     # estimates per fit, within the cap, and 19296 for both fits
     monkeypatch.setattr(calibration, "MAX_BATCH", 9648)
     passes = _count_passes(monkeypatch)
-    together, apart = _config_fits(cfg, settings)
-    assert together == apart == want
-    # the bundle's one plant pass and two bank passes, then the fits apart
-    assert passes == {"plant": 1 + 2, "bank": 2 + 2}
+    assert fit() == want
+    assert passes == {"plant": 1, "bank": 2}
 
 
 def test_calibrate_bundle_failures_equal_the_fits_run_apart():

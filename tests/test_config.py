@@ -345,12 +345,33 @@ def test_every_mutated_value_loads_or_is_listed(scenario_dir, tmp_path):
          "scenario.attacks[9]: key must be a sensor index in 1..5"),
         ("example3", ("observers", "bundle", "J:1,2"), {"L": [[0.0], [0.0]]},
          "observers.bundle[J:1,2]: subset not in the bank for p=5, q=2"),
+        # sensor 3 in another spelling, beside example4's own "3", and in Arabic-Indic digits
+        ("example4", ("scenario", "attacks", "03"), {"kind": "zero"},
+         "scenario.attacks[03]: key must be a sensor index in 1..4"),
+        ("example3", ("scenario", "attacks", "\u0663"), {"kind": "zero"},
+         "scenario.attacks[\u0663]: key must be a sensor index in 1..5"),
+        # a key past the 4300 digits that int() converts from a string
+        ("example4", ("scenario", "attacks", "1" * 5000), {"kind": "zero"},
+         "key must be a sensor index in 1..4"),
+        # only an absent or null name takes the file stem
+        *(("example1", ("name",), bad, "name: expected a file name")
+          for bad in (0, False, [], {}, "")),
     ],
 )
 def test_values_that_break_a_guarantee_are_rejected(scenario_dir, name, path, value, needle):
     with pytest.raises(ConfigurationError) as err:
         parse_config(_mutated(_raw(scenario_dir, name), path, value))
     assert any(needle in p for p in err.value.problems), err.value.problems
+
+
+def test_an_absent_or_null_name_is_the_file_stem(scenario_dir, tmp_path):
+    raw = _raw(scenario_dir, "example1")
+    raw["name"] = None
+    path = tmp_path / "mine.json"
+    path.write_text(json.dumps(raw))
+    assert load_config(path).name == "mine"
+    del raw["name"]
+    assert parse_config(raw).name == "scenario"  # a document read without a file
 
 
 @pytest.mark.parametrize(
