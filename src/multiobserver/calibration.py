@@ -21,13 +21,11 @@ stay sensitive to small attacks.  The procedure is deterministic for
 a fixed seed: each trial draws from its own counter-based stream.
 
 :func:`calibrate_bundle` runs both fits of a bundle: one per observer,
-and one of the fused estimator on its own stream block.  A plant with
-a ``structure`` simulates both fits' runs in one ``plant_track``
-batch; a plant without one steps each run alone, so its estimator's
-runs are simulated only once every observer fit has kept all of its
-own.  Every row of a batch equals its run alone, so each observer's
-model is the one :func:`estimate_iss_gains` gives it and the
-estimator's the one :func:`calibrate_estimator` gives, bit for bit.
+and one of the fused estimator on its own stream block.  It simulates
+both fits' runs in one ``plant_track`` batch.  Every row of a batch
+equals its run alone, so each observer's model is the one
+:func:`estimate_iss_gains` gives it and the estimator's the one
+:func:`calibrate_estimator` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -397,16 +395,12 @@ def calibrate_bundle(
     observers = list(bank.observers.values())
     draws = _draw_trials(plant, x0_spec, m_bar, d_bar, settings, len(bank))
     eff, est_draws = _estimator_draws(bank, plant, m_bar, d_bar, x0_spec, settings, truth_init)
-    if plant.structure is None:
-        ((runs, plant_error),) = _trial_runs(plant, settings.trials, draws)
-        est_runs = est_error = None
-    else:
-        (runs, plant_error), (est_runs, est_error) = _trial_runs(plant, settings.trials,
-                                                                 draws, est_draws)
+    (runs, plant_error), (est_runs, est_error) = _trial_runs(plant, settings.trials,
+                                                             draws, est_draws)
     # a family that keeps Observer.run_trials calibrates through its run_group
     shared_kernel = all(type(obs).run_trials.__func__ is Observer.run_trials.__func__
                         for obs in observers)
-    if est_runs is not None and shared_kernel and plant_error is None and MAX_BATCH >= (
+    if shared_kernel and plant_error is None and MAX_BATCH >= (
             len(bank) * (len(runs[0]) + len(est_runs[0])) * (settings.horizon + 1) * plant.n):
         est, bank_est = _bank_estimates(bank, runs, est_runs)
     else:
@@ -421,8 +415,6 @@ def calibrate_bundle(
     del est
     if failures:
         raise CalibrationError("calibration failed for: " + "; ".join(failures))
-    if est_runs is None:
-        ((est_runs, est_error),) = _trial_runs(plant, eff.trials, est_draws)
     if bank_est is None and len(est_runs[0]):
         (bank_est,) = _bank_estimates(bank, est_runs)
     return models, _fitted(_estimator_fit(bank, bank_idx, bank_est, est_runs, est_error,

@@ -77,16 +77,16 @@ def parse_label(label: str) -> SubsetIndex:
         role, body = label.split(":", 1)
         members = tuple(int(tok) for tok in body.split(",")) if body else ()
     except ValueError:
-        raise ConfigurationError(f"malformed subset label {label!r}") from None
+        raise ConfigurationError(f"malformed subset label {label!r:.40}") from None
     if any(i < 1 for i in members):
-        raise ConfigurationError(f"subset label {label!r} has non-positive sensor index")
+        raise ConfigurationError(f"subset label {label!r:.40} has non-positive sensor index")
     if tuple(sorted(set(members))) != members:
-        raise ConfigurationError(f"subset label {label!r} is not in canonical order")
+        raise ConfigurationError(f"subset label {label!r:.40} is not in canonical order")
     if role not in ("J", "S"):
-        raise ConfigurationError(f"subset label {label!r} has unknown role {role!r}")
+        raise ConfigurationError(f"subset label {label!r:.40} has unknown role {role!r:.40}")
     sub = SubsetIndex(role, members)
     if sub.label != label:
-        raise ConfigurationError(f"subset label {label!r} must be written {sub.label!r}")
+        raise ConfigurationError(f"subset label {label!r:.40} must be written {sub.label!r:.40}")
     return sub
 
 

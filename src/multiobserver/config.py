@@ -164,11 +164,12 @@ class _Collector:
 
     def known(self, path: str, obj: dict, table: dict, also=()):
         """List every key of the object ``obj`` that neither ``table`` nor ``also`` names,
-        as an unknown field (an unknown section at the top level)."""
+        as an unknown field (an unknown section at the top level), cut as values are."""
         if obj.keys() <= table.keys():
             return
         for key in sorted((obj.keys() - table.keys()).difference(also)):
-            self.add(f"{path}.{key}" if path else key, "unknown field" if path else "unknown section")
+            self.add(f"{path}.{key:.40}" if path else f"{key:.40}",
+                     "unknown field" if path else "unknown section")
 
     def tagged(self, path: str, val, tag: str, tables: dict, **ctx) -> dict | None:
         """An object whose ``tag`` key names the table that reads it, read like a
@@ -359,16 +360,23 @@ def _example1_plant() -> tuple[PlantModel, np.ndarray, np.ndarray]:
     """A 2-state polynomial plant with one quadratic and two linear-ish outputs.
 
     Returns the model plus the Jacobians (A, C) at the origin used to
-    certify output-injection gains.
+    certify output-injection gains.  Every power goes through
+    ``np.float_power``, which rounds as a scalar ``**`` does on every SIMD
+    dispatch; array ``**`` does not, nor ``**2``, which is ``x * x``.
     """
 
     def f(x, u, d, k):
-        x1, x2 = x
-        return np.array([x1 - x1**3 + x2 * x1**2 - x2**2 * x1**3, -x2])
+        x1, x2 = x[..., 0], x[..., 1]
+        x1_3, out = np.float_power(x1, 3.0), np.empty(x.shape)
+        out[..., 0] = x1 - x1_3 + x2 * np.float_power(x1, 2.0) - np.float_power(x2, 2.0) * x1_3
+        np.negative(x2, out=out[..., 1])
+        return out
 
     def h(x, u):
-        x1, x2 = x
-        return np.array([2.0 * x1 + x1**2, x1 + x2, 2.0 * x1 + x2])
+        x1, x2, out = x[..., 0], x[..., 1], np.empty(x.shape[:-1] + (3,))
+        out[..., 0] = 2.0 * x1 + np.float_power(x1, 2.0)
+        out[..., 1], out[..., 2] = x1 + x2, 2.0 * x1 + x2
+        return out
 
     model = PlantModel(name="example1", n=2, p=3, f=f, h=h)
     A = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -547,14 +555,15 @@ def _plant(col: _Collector, path: str, val) -> dict | None:
         structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels, D=D)
 
         def term(x, u):
-            return G @ channels(H @ x)
+            return (G @ channels(H @ x[..., None]))[..., 0]
 
     def f(x, u, d, k):
-        x_next = A @ x if term is None else A @ x + term(x, u)
-        return x_next if D is None else x_next + D @ d
+        x_next = (A @ x[..., None])[..., 0]
+        x_next = x_next if term is None else x_next + term(x, u)
+        return x_next if D is None else x_next + (D @ d[..., None])[..., 0]
 
     def h(x, u):
-        return C @ x
+        return (C @ x[..., None])[..., 0]
 
     model = PlantModel(
         name=name if term is None else f"{family}[{name}]", n=len(A), p=len(C), f=f, h=h,
@@ -570,7 +579,7 @@ def _attacks(col: _Collector, path: str, val, p: int, horizon: int) -> dict[int,
     for key, obj in (col.section(path, val) or {}).items():
         # only the canonical spelling names a sensor: not "03", nor another script's digits
         if key not in [str(i) for i in range(1, p + 1)]:
-            col.add(f"{path}[{key}]", f"key must be a sensor index in 1..{p}")
+            col.add(f"{path}[{key:.40}]", f"key must be a sensor index in 1..{p}")
             continue
         attacks[int(key)] = _signal(col, f"{path}[{key}]", obj, horizon)
     return attacks
@@ -682,9 +691,9 @@ def _bundle(col: _Collector, path: str, val, plant: dict, bank: BankIndex) -> di
             try:
                 outside.add(parse_label(label))
             except ConfigurationError as exc:
-                col.add(f"{path}[{label}]", str(exc))
+                col.add(f"{path}[{label:.40}]", str(exc))
     for sub in sorted(outside):
-        col.add(f"{path}[{sub.label}]", f"subset not in the bank for p={bank.p}, q={bank.q}")
+        col.add(f"{path}[{sub.label:.40}]", f"subset not in the bank for p={bank.p}, q={bank.q}")
     specs = {}
     for label, sub in canonical.items():  # the bank's order, so specs come out sorted
         entry, at = bundle.get(label), f"{path}[{label}]"

@@ -213,8 +213,10 @@ class ReducedStructure:
 class PlantModel:
     """A simulatable plant with optional structural payload for observers.
 
-    A plant with a ``structure`` is stepped and measured through it, so
-    ``f`` and ``h`` must be its maps.
+    ``f`` and ``h`` take states with leading batch axes, (..., n), and
+    their inputs broadcast against them; they may be called on non-finite
+    rows, under the caller's ``errstate``.  A plant with a ``structure`` is
+    stepped through it, so ``f`` must be its map.
     """
 
     name: str
@@ -234,13 +236,12 @@ def plant_track(
 
     ``x0`` holds the initial states (B, n), ``u`` the T+1 inputs of each
     run (B, T+1, n_u) and ``d`` at least T disturbances of each (B, ·, n_d).
-    A plant with a ``structure`` steps all runs as one (B, n, 1) column
-    state, so every product is a stacked ``np.matmul`` that rounds like
-    ``f``'s own 2-D @ 1-D product: each row equals its run stepped alone,
-    bit for bit.  It checks the runs every ``_STOP_STRIDE`` steps and stops
-    once all of them are surely past ``ceiling``.  Otherwise ``f`` steps each
-    run alone and is never called on a non-finite state, nor on one whose
-    norm surely passes ``ceiling``.
+    All runs step as one batch: through one call of ``f`` per step or, for
+    a plant with a ``structure``, as one (B, n, 1) column state, so every
+    product is a stacked ``np.matmul`` that rounds like ``f``'s own
+    product.  Each row equals its run stepped alone, bit for bit.  The loop
+    checks the runs every ``_STOP_STRIDE`` steps and stops once all of them
+    are surely past ``ceiling``.
 
     A run stops only after the step :func:`first_divergence` names with
     ``ceiling``.  Its values after that step are not defined.
@@ -251,30 +252,22 @@ def plant_track(
     limit = min(2.0 * ceiling * math.sqrt(n), sys.float_info.max)
     x = np.full((len(x0), steps + 1, n), np.nan)
     x[:, 0] = x0
-    st = model.structure
+    st, X = model.structure, x[:, 0, :, None].copy()
+    circle, D = isinstance(st, CircleStructure), getattr(st, "D", None)
     with np.errstate(over="ignore", invalid="ignore"):
-        if st is None:
-            for x_b, u_b, d_b in zip(x, u, d):
-                x_k = x_b[0]
-                for k in range(steps):
-                    if not sum(map(abs, x_k.tolist())) <= limit:  # the cheapest check per step
-                        break
-                    x_k = np.asarray(model.f(x_k, u_b[k], d_b[k], k), dtype=float)
-                    if x_k.shape != (n,):
-                        raise ConfigurationError(
-                            f"dynamics returned shape {x_k.shape}, expected ({n},)"
-                        )
-                    x_b[k + 1] = x_k
-            return x
-        X = x[:, 0, :, None].copy()
-        circle, A, D = isinstance(st, CircleStructure), st.A, st.D
         for k in range(steps):
             if k % _STOP_STRIDE == 0 and not (np.abs(X).sum(axis=(1, 2)) <= limit).any():
                 break
-            if circle:
-                X = A @ X + st.G @ st.channels(st.H @ X)
+            if st is None:
+                x_k = np.asarray(model.f(X[..., 0], u[:, k], d[:, k], k), dtype=float)
+                if x_k.shape != X.shape[:2]:
+                    raise ConfigurationError(
+                        f"dynamics returned shape {x_k.shape}, expected {X.shape[:2]}")
+                X = x_k[..., None]
+            elif circle:
+                X = st.A @ X + st.G @ st.channels(st.H @ X)
             else:
-                X = A @ X + st.g(X[..., 0], u[:, k])[..., None]
+                X = st.A @ X + st.g(X[..., 0], u[:, k])[..., None]
             if D is not None:
                 X = X + D @ d[:, k, :, None]
             x[:, k + 1] = X[..., 0]
@@ -282,21 +275,14 @@ def plant_track(
 
 
 def output_track(model: PlantModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The noise-free outputs h(x(k), u(k)) of B plant runs ``x``, as (B, T+1, p).
-
-    A plant with a ``structure`` computes them as C x on columns.
-    """
-    if model.structure is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # a diverged run overflows
-            return (model.structure.C @ x[..., None])[..., 0]
-    y = [np.asarray(model.h(x_k, u_k), dtype=float)
-         for x_b, u_b in zip(x, u) for x_k, u_k in zip(x_b, u_b)]
-    for y_k in y:
-        if y_k.shape != (model.p,):
-            raise ConfigurationError(
-                f"output map returned shape {y_k.shape}, expected ({model.p},)"
-            )
-    return np.array(y).reshape(x.shape[:-1] + (model.p,))
+    """The noise-free outputs h(x(k), u(k)) of B plant runs ``x``, as (B, T+1, p),
+    from one call of ``h``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run overflows
+        y = np.asarray(model.h(x, u), dtype=float)
+    if y.shape != x.shape[:-1] + (model.p,):
+        raise ConfigurationError(
+            f"output map returned shape {y.shape}, expected {x.shape[:-1] + (model.p,)}")
+    return y
 
 
 def first_divergence(

@@ -13,10 +13,11 @@ the group's block of the bank's estimate array:
 * ``run_trials``: calibration steps its Monte-Carlo trials through it
   (:func:`run_trials`).
 
-A group is every observer with one ``group_key``: in the reduced-order
-and circle families, every observer of one plant structure, so a
-reduced-order bank makes one call of the plant map per step for all its
-|J| classes.  Each row of a batch equals its run stepped alone, bit for
+A group is every observer with one ``group_key``: in the Luenberger
+family, every observer of one ``f`` and ``h``; in the reduced-order and
+circle families, every observer of one plant structure.  So a Luenberger
+or reduced-order bank makes one call of each plant map per step for all
+its |J| classes.  Each row of a batch equals its run stepped alone, bit for
 bit.  The two kernels are one except in the circle family, whose
 ``run_group`` folds each gain pair into one update while ``run_trials``
 keeps the unfolded arithmetic the calibrated fits are pinned to.  All
@@ -178,26 +179,36 @@ class LuenbergerObserver(Observer):
             )
         self._d0 = np.zeros(n_d)
 
+    def group_key(self) -> tuple:
+        return (type(self), self.f, self.h)
+
     @classmethod
     def run_group(cls, members, y, u, x0_est, out):
-        """Step each observer alone on each run, on 1-D states.
+        """Step every observer of one ``f`` and ``h`` on every run in one time loop.
 
-        Stacking them would change the bits: numpy's array ``x**3`` can
-        take a SIMD ``pow`` that rounds differently from the scalar one.
-        ``f`` and ``h`` are never called on a non-finite estimate; the
-        rest of that track is left unwritten.
+        The estimates are one observer-major state of G·B rows, (G·B, n), and
+        the inputs are repeated to match.  Each step makes one call of ``f``
+        and one of ``h`` on it, gathers every observer's h_J through one flat
+        index built up front, and forms each |J| class's K (y_J(k) - h_J) as
+        one stacked ``np.matmul``, which rounds like each observer's own
+        ``2-D @ 1-D`` product.  Rows never interact, so each equals its
+        observer stepped alone on its run, bit for bit.
         """
-        for j, obs in enumerate(members):
-            for b, (y_b, u_b) in enumerate(zip(y, u)):
-                y_J = y_b[:, obs._idx]
-                x = out[j, b, 0] = x0_est[b].copy()
-                for k in range(y.shape[1] - 1):
-                    if not all(map(math.isfinite, x.tolist())):
-                        break
-                    h_hat = np.asarray(obs.h(x, u_b[k]), dtype=float)[obs._idx]
-                    x = np.asarray(obs.f(x, u_b[k], obs._d0, k) + obs.K @ (y_J[k] - h_hat),
-                                   dtype=float)
-                    out[j, b, k + 1] = x
+        f, h, d0 = members[0].f, members[0].h, members[0]._d0
+        G, (B, T1, p), n = len(members), y.shape, members[0].n
+        classes = []  # (rows, y_J, K, flat index of h_J (G_J, B, |J|, 1)) per |J| class
+        for rows, _, (y_J, K, idx) in _by_card(members, y, ("K", "_idx")):
+            run_row = np.arange(rows.start, rows.stop)[:, None, None] * B + np.arange(B)[:, None]
+            classes.append((rows, y_J, K, (run_row * p + idx)[..., None]))
+        X, u = np.tile(x0_est, (G, 1)), np.tile(u, (G, 1, 1))
+        KI = np.empty((G, B, n, 1))  # K (y_J - h_J) of every row, class by class
+        out[:, :, 0] = x0_est
+        for k in range(T1 - 1):
+            h_X = np.asarray(h(X, u[:, k]), dtype=float)
+            for rows, y_J, K, at in classes:
+                np.matmul(K, y_J[k] - h_X.take(at), out=KI[rows])
+            X = np.asarray(f(X, u[:, k], d0, k), dtype=float) + KI.reshape(G * B, n)
+            out[:, :, k + 1] = X.reshape(G, B, n)
 
 
 _RECONSTRUCTION_TOL = 1e-8

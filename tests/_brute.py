@@ -177,6 +177,19 @@ def reduced_observer_track(A, C, g, L, K, members, y, x0):
     return track
 
 
+def example1_f(x, u, d, k):
+    """example1's plant map on one 1-D state, as written before the maps took
+    batch axes: numpy scalar ``**``, which rounds as C's ``pow``."""
+    x1, x2 = x
+    return np.array([x1 - x1**3 + x2 * x1**2 - x2**2 * x1**3, -x2])
+
+
+def example1_h(x, u):
+    """example1's output map on one 1-D state, with scalar ``**`` as in :func:`example1_f`."""
+    x1, x2 = x
+    return np.array([2.0 * x1 + x1**2, x1 + x2, 2.0 * x1 + x2])
+
+
 def luenberger_observer_track(f, h, K, members, y, u, x0, n_d=0):
     """One Luenberger observer stepped alone over the outputs ``y``.
 

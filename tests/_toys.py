@@ -21,15 +21,20 @@ A2 = np.array([[0.9, 0.1], [-0.1, 0.8]])
 C3 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
+def times(M, x):
+    """M x for every vector along the last axis of ``x``: a plant map's batched product."""
+    return (M @ x[..., None])[..., 0]
+
+
 def toy_plant(A=A2, C=C3, name="toy"):
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
 
     def f(x, u, d, k):
-        return A @ x
+        return times(A, x)
 
     def h(x, u):
-        return C @ x
+        return times(C, x)
 
     return PlantModel(name=name, n=A.shape[0], p=C.shape[0], f=f, h=h)
 

@@ -76,18 +76,22 @@ def _plant_map_escapes(cfg, seed):
     return False
 
 
-def _guarantee(runs, attacked):
+def _guarantee(runs, attacked, need_finite=True):
     """Whether e_sigma <= 3 max e_K over the clean K held on every step of the
-    finished ``runs`` with no clean track non-finite, and a report of it."""
+    finished ``runs``, and a report of it.  ``attacked`` is the attacked set of
+    every run, or a list of one per run.  A step with a non-finite clean track
+    is vacuous: counted, and allowed only when not ``need_finite``."""
     worst = broken = vacuous = 0
-    for run in runs:
+    per_run = attacked if isinstance(attacked, list) else [attacked] * len(runs)
+    for run, attacked_set in zip(runs, per_run):
         if isinstance(run, EstimatorRun):
             members = [sub.members for sub in run.bank.all_subsets]
-            w, b, v = guarantee_check(run.est, members, run.x_hat, run.truth, attacked)
+            w, b, v = guarantee_check(run.est, members, run.x_hat, run.truth, attacked_set)
             worst, broken, vacuous = max(worst, w), broken + b, vacuous + v
-    return broken == vacuous == 0, (
+    return broken == 0 and (vacuous == 0 or not need_finite), (
         f"; e_sigma <= 3 max clean e_K broken on {broken} steps (need 0), worst ratio "
-        f"{worst:.2f}, {vacuous} steps with a non-finite clean track (need 0)"
+        f"{worst:.2f}, {vacuous} steps with a non-finite clean track "
+        f"({'need 0' if need_finite else 'reported'})"
     )
 
 
@@ -449,8 +453,10 @@ def test_criterion_9_isolation_over_a_seed_block(scenario_dir):
     hit100 = np.mean([w.isolated == (3,) for w in attacked[100]])
     hit200 = np.mean([w.isolated == (3,) for w in attacked[200]])
     empty = np.mean([w.isolated == () and not w.no_quorum for w in clean])
+    bounded, guarantee = _guarantee(runs + clean_runs, [cfg.scenario.attacked] * len(runs)
+                                    + [frozenset()] * len(clean_runs), need_finite=False)
     ok = (wrong == 0 and hit100 >= 0.95 and hit200 >= 0.99 and empty >= 0.99
-          and elapsed < 10.0)
+          and elapsed < 10.0 and bounded)
     line = _verdict(
         9,
         "windowed attack isolation over seeds 0-99",
@@ -458,7 +464,8 @@ def test_criterion_9_isolation_over_a_seed_block(scenario_dir):
         f"sensor 3 isolated in {100 * hit100:.1f}% of {len(attacked[100])} N=100 windows "
         f"(need 95) and {100 * hit200:.1f}% of {len(attacked[200])} N=200 windows (need 99); "
         f"attack-free runs empty in {100 * empty:.1f}% of {len(clean)} (need 99); "
-        f"{wrong} windows isolate a sensor other than 3 (need 0); {elapsed:.2f}s (limit 10s)",
+        f"{wrong} windows isolate a sensor other than 3 (need 0); {elapsed:.2f}s (limit 10s)"
+        f"{guarantee}",
     )
     assert ok, line
 
@@ -496,10 +503,13 @@ def test_criterion_10_adversarial_attack_battery(scenario_dir):
         "noise only": [-(run.truth @ C3) for run in clean],
         "replay": [(other.truth - run.truth) @ C3 for run, other in zip(clean, replayed)],
     }
+    # every run, with its attacked set, for the selection's own guarantee
+    checked = [(run, frozenset()) for run in clean + replayed]
     wrong, named, worst = {}, {}, {}
     for name, tables in attacks.items():
         runs = [run_seeds(cfg, bank, [seed], replace(cfg.scenario, attack_gens={3: _table(a)}))[0]
                 for seed, a in zip(seeds, tables)]
+        checked += [(run, cfg.scenario.attacked) for run in runs]
         windows = [w for run in runs for w in windowed_isolation(run, thresholds, iso.window).windows]
         wrong[name] = sum(not set(w.isolated) <= {3} for w in windows)
         named[name] = f"{sum(w.isolated == (3,) for w in windows)}/{len(windows)}"
@@ -511,8 +521,10 @@ def test_criterion_10_adversarial_attack_battery(scenario_dir):
         bank, _ = build_bank(cfg)
         ramp = _table(np.geomspace(1.0, 1e12, cfg.scenario.horizon + 1))
         loud = replace(cfg.scenario, attack_gens=dict.fromkeys(cfg.scenario.attacked, ramp))
-        base, big = ([float(run.e_norm[start:].max()) for run in run_seeds(cfg, bank, seeds, scen)]
-                     for scen in (cfg.scenario, loud))
+        base_runs, big_runs = (run_seeds(cfg, bank, seeds, scen) for scen in (cfg.scenario, loud))
+        checked += [(run, cfg.scenario.attacked) for run in base_runs + big_runs]
+        base, big = ([float(run.e_norm[start:].max()) for run in runs]
+                     for runs in (base_runs, big_runs))
         same.append(np.allclose(big, base, rtol=1e-9, atol=1e-12))
         ramps[name] = f"{'equal' if same[-1] else 'NOT equal'} (max {max(big):.6f})"
     elapsed = time.perf_counter() - started
@@ -520,8 +532,10 @@ def test_criterion_10_adversarial_attack_battery(scenario_dir):
     def each(values, fmt="{}"):
         return ", ".join(f"{name} {fmt.format(v)}" for name, v in values.items())
 
+    bounded, guarantee = _guarantee([run for run, _ in checked], [w for _, w in checked],
+                                    need_finite=False)
     ok = (not any(wrong.values()) and max(worst.values()) <= limit and all(same)
-          and elapsed < 10.0)
+          and elapsed < 10.0 and bounded)
     line = _verdict(
         10,
         "adversarial attacks on example4's sensor 3 and 1e12 ramps",
@@ -529,6 +543,6 @@ def test_criterion_10_adversarial_attack_battery(scenario_dir):
         f"windows naming a clean sensor: {each(wrong)} (need 0); fused error for k >= 100: "
         f"{each(worst, '{:.4f}')} (limit {limit:.4f}, 1.2x attack-free); sensor 3 named in "
         f"{each(named)} windows (reported); ramp tail error against the uniform attack's: "
-        f"{each(ramps)}; {elapsed:.2f}s (limit 10s)",
+        f"{each(ramps)}; {elapsed:.2f}s (limit 10s){guarantee}",
     )
     assert ok, line

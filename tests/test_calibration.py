@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from _brute import calibration_plant_run, circle_observer_track, reduced_observer_track
-from _toys import A2, toy_bank
+from _toys import A2, times, toy_bank
 
 from multiobserver import (
     CalibrationError,
@@ -38,10 +38,10 @@ GOLDEN = json.loads(
 
 def _scalar_plant(a=0.5, bias=0.0):
     def f(x, u, d, k):
-        return np.array([a * x[0] + bias])
+        return a * x + bias
 
     def h(x, u):
-        return np.array([x[0]])
+        return x.copy()
 
     return PlantModel(name="scalar", n=1, p=1, f=f, h=h)
 
@@ -49,7 +49,7 @@ def _scalar_plant(a=0.5, bias=0.0):
 def _scalar_observer(plant, k_gain=0.2, model_bias=0.0, a=0.5):
     # the observer may deliberately model the plant wrong (model_bias)
     def f_hat(x, u, d, k):
-        return np.array([a * x[0] + model_bias])
+        return a * x + model_bias
 
     return LuenbergerObserver(
         SubsetIndex("S", (1,)), f_hat, plant.h, np.array([[k_gain]]), n=1
@@ -222,15 +222,16 @@ def test_calibrate_estimator_with_truth_init():
 
 
 def _counting(plant):
-    """``plant`` with call counters on ``f`` and ``h``; the observers keep the bare maps."""
+    """``plant`` with counters of the states its ``f`` and ``h`` map, over every
+    row of each batched call; the observers keep the bare maps."""
     calls = {"f": 0, "h": 0}
 
     def f(x, u, d, k):
-        calls["f"] += 1
+        calls["f"] += x.size // x.shape[-1]
         return plant.f(x, u, d, k)
 
     def h(x, u):
-        calls["h"] += 1
+        calls["h"] += x.size // x.shape[-1]
         return plant.h(x, u)
 
     return replace(plant, f=f, h=h), calls
@@ -258,7 +259,8 @@ def test_calibration_draws_match_the_per_step_reference(monkeypatch):
     C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     D = np.array([[1.0], [0.5]])
     plant = PlantModel(name="disturbed", n=2, p=3, n_d=1,
-                       f=lambda x, u, d, k: A @ x + D @ d, h=lambda x, u: C @ x)
+                       f=lambda x, u, d, k: times(A, x) + times(D, d),
+                       h=lambda x, u: times(C, x))
     mean, std = (0.5, -0.5), (1.0, 2.0)
     x0 = InitSpec(kind="normal", mean=mean, std=std)
     settings = CalibrationSettings(trials=2, horizon=30, seed=5, init_scale=0.8)
@@ -411,7 +413,7 @@ def test_plant_diverging_first_in_a_later_kind_names_its_trial_and_step():
     # its trial 2 at seed 1 for the bank's streams and for the estimator's
     plant, idx, bank = toy_bank()
     D = np.array([[4e11], [0.0]])
-    plant = replace(plant, n_d=1, f=lambda x, u, d, k: A2 @ x + D @ d)
+    plant = replace(plant, n_d=1, f=lambda x, u, d, k: times(A2, x) + times(D, d))
     mean, std = (1.0, -2.0), (0.5, 0.5)
     x0 = InitSpec(kind="normal", mean=mean, std=std)
     settings = CalibrationSettings(trials=4, horizon=40, seed=1)
@@ -632,22 +634,15 @@ def test_calibrate_simulates_both_fits_in_one_plant_pass(scenario_dir, tmp_path,
     assert passes == {"plant": 1, "bank": bank_passes}
 
 
-def test_a_plant_without_a_structure_simulates_no_estimator_run_after_a_failed_fit(
-        scenario_dir, tmp_path, monkeypatch):
-    # example1's f steps each run alone, so a joint batch saves nothing: its
-    # estimator runs wait for the observer fits, which its plant fails
+def test_example1_makes_one_plant_pass(scenario_dir, tmp_path, monkeypatch):
+    # example1's plant fails the observer fits: both fits' runs are still
+    # simulated in the one plant pass, and the bank steps the observer fits only
     cfg = load_config(scenario_dir / "example1.json")
-    runs, plant_track = [], calibration.plant_track
-
-    def recording(model, x0, *args):
-        runs.append(len(x0))
-        return plant_track(model, x0, *args)
-
-    monkeypatch.setattr(calibration, "plant_track", recording)
-    with pytest.raises(CalibrationError):
+    passes = _count_passes(monkeypatch)
+    with pytest.raises(CalibrationError, match="J:1,2: plant diverged at step 4 of calibration "
+                                               "trial 0"):
         calibrate(cfg, trials=2, out_path=tmp_path / "cal.json")
-    kinds = 1 + (cfg.scenario.noise_bound > 0) + (cfg.scenario.disturbance_bound > 0)
-    assert runs == [kinds * 2]
+    assert passes == {"plant": 1, "bank": 1}
 
 
 def test_a_union_past_the_estimate_cap_steps_one_bank_pass_per_fit(scenario_dir, monkeypatch):
@@ -678,7 +673,7 @@ def test_calibrate_bundle_failures_equal_the_fits_run_apart():
     # the observer fits succeed and the estimator fit names its own trial
     plant, idx, bank = toy_bank()
     D = np.array([[4e11], [0.0]])
-    plant = replace(plant, n_d=1, f=lambda x, u, d, k: A2 @ x + D @ d)
+    plant = replace(plant, n_d=1, f=lambda x, u, d, k: times(A2, x) + times(D, d))
     x0 = InitSpec(kind="normal", mean=(1.0, -2.0), std=(0.5, 0.5))
     settings = CalibrationSettings(trials=4, horizon=40, seed=3)
     together, apart = _both_ways(lambda: bank, idx, (plant, 0.1, 1.0, x0, settings))

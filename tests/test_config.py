@@ -364,6 +364,30 @@ def test_values_that_break_a_guarantee_are_rejected(scenario_dir, name, path, va
     assert any(needle in p for p in err.value.problems), err.value.problems
 
 
+_LONG_LABEL = "J:" + ",".join(map(str, range(1, 2000)))  # canonical, but not in the bank
+
+
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("x" * 5000,), 1, f"{'x' * 40}: unknown section"),
+        (("scenario", "x0", "k" * 5000), 1, f"scenario.x0.{'k' * 40}: unknown field"),
+        (("scenario", "attacks", "1" * 5000), {"kind": "zero"},
+         f"scenario.attacks[{'1' * 40}]: key must be a sensor index in 1..3"),
+        (("observers", "bundle", "Q" * 5000), {},
+         f"observers.bundle[{'Q' * 40}]: malformed subset label '{'Q' * 39}"),
+        (("observers", "bundle", _LONG_LABEL), {},
+         f"observers.bundle[{_LONG_LABEL[:40]}]: subset not in the bank for p=3, q=1"),
+    ],
+    ids=["section", "field", "attack", "label", "subset"],
+)
+def test_a_long_key_is_cut_as_values_are(scenario_dir, path, value, problem):
+    # a key goes into its problem's path cut to 40 characters, as a quoted value is
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(_mutated(_raw(scenario_dir, "example2"), path, value))
+    assert err.value.problems == [problem]
+
+
 def test_an_absent_or_null_name_is_the_file_stem(scenario_dir, tmp_path):
     raw = _raw(scenario_dir, "example1")
     raw["name"] = None

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from _brute import sample_signal
-from _toys import C3, toy_plant, toy_scenario
+from _toys import C3, times, toy_plant, toy_scenario
 
 from multiobserver import (
     AttackScenario,
@@ -151,18 +151,28 @@ def test_simulation_is_deterministic_in_the_seed():
 
 
 def test_simulate_checks_map_shapes_at_every_step():
+    # the maps get a batch of one run: f's rows from step 3 on, and h's,
+    # have the wrong length; a map that drops the batch axis is listed too
     plant = toy_plant()
 
     def f(x, u, d, k):
-        return plant.f(x, u, d, k) if k < 3 else np.zeros(3)
+        return plant.f(x, u, d, k) if k < 3 else np.zeros(x.shape[:-1] + (3,))
 
-    def h(x, u):  # right at x(0) only
-        return plant.h(x, u) if list(x) == [1.0, 0.0] else np.zeros(2)
+    def h(x, u):
+        return np.zeros(x.shape[:-1] + (2,))
+
+    def f_1d(x, u, d, k):
+        return plant.f(x, u, d, k)[0]
 
     scen = toy_scenario(horizon=10, x0=InitSpec(kind="fixed", value=(1.0, 0.0)))
-    with pytest.raises(ConfigurationError, match=r"dynamics returned shape \(3,\), expected \(2,\)"):
+    with pytest.raises(ConfigurationError,
+                       match=r"dynamics returned shape \(1, 3\), expected \(1, 2\)"):
         simulate(replace(plant, f=f), scen)
-    with pytest.raises(ConfigurationError, match=r"output map returned shape \(2,\), expected \(3,\)"):
+    with pytest.raises(ConfigurationError,
+                       match=r"dynamics returned shape \(2,\), expected \(1, 2\)"):
+        simulate(replace(plant, f=f_1d), scen)
+    with pytest.raises(ConfigurationError,
+                       match=r"output map returned shape \(1, 11, 2\), expected \(1, 11, 3\)"):
         simulate(replace(plant, h=h), scen)
 
 
@@ -182,15 +192,13 @@ def test_divergence_raises_with_step():
 )
 def test_dynamics_never_see_a_non_finite_state(bad_at, ceiling, step, norm):
     # at step ``bad_at`` f returns NaN (then x(3) is NaN) or 1e200 x (then
-    # |x(1)| overflows, past any ceiling); a map that rejects non-finite
-    # input is never given one
+    # |x(1)| overflows, past any ceiling); f may then be called on the
+    # non-finite state, but the error names the first such step and its norm
     plant = toy_plant()
 
     def f(x, u, d, k):
-        if not np.isfinite(x).all():
-            raise AssertionError(f"f called on {x} at step {k}")
         if k == bad_at:
-            return np.full(2, np.nan) if np.isnan(norm) else 1e200 * x
+            return np.full(x.shape, np.nan) if np.isnan(norm) else 1e200 * x
         return plant.f(x, u, d, k)
 
     with pytest.raises(SimulationDivergedError) as err:
@@ -200,8 +208,8 @@ def test_dynamics_never_see_a_non_finite_state(bad_at, ceiling, step, norm):
 
 
 def test_a_finite_state_past_the_ceiling_ends_the_plant_loop():
-    # x(1) is finite but past the ceiling: f is not stepped to the horizon,
-    # and the error still names step 1 with its norm
+    # x(1) is finite but past the ceiling: the loop checks every stride steps,
+    # so f runs at most a stride more, and the error still names step 1 with its norm
     plant = toy_plant()
     calls = []
 
@@ -211,23 +219,23 @@ def test_a_finite_state_past_the_ceiling_ends_the_plant_loop():
 
     with pytest.raises(SimulationDivergedError) as err:
         simulate(replace(plant, f=f), toy_scenario(horizon=100_000))
-    assert len(calls) <= 2
+    assert len(calls) <= _STOP_STRIDE + 1
     assert err.value.step == 1
     assert err.value.value == float(np.linalg.norm(np.array([1.0, -2.0]) + 1e13))
 
 
 def _structured(st: CircleStructure | ReducedStructure) -> PlantModel:
-    """A plant stepped through ``st``, with the matching 1-D maps as its ``f`` and ``h``."""
+    """A plant stepped through ``st``, with the matching batched maps as its ``f`` and ``h``."""
 
     def f(x, u, d, k):
         if isinstance(st, CircleStructure):
-            x_next = st.A @ x + st.G @ st.channels(st.H @ x)
+            x_next = times(st.A, x) + (st.G @ st.channels(st.H @ x[..., None]))[..., 0]
         else:
-            x_next = st.A @ x + st.g(x, u)
-        return x_next if st.D is None else x_next + st.D @ d
+            x_next = times(st.A, x) + st.g(x, u)
+        return x_next if st.D is None else x_next + times(st.D, d)
 
     def h(x, u):
-        return st.C @ x
+        return times(st.C, x)
 
     n_d = 0 if st.D is None else st.D.shape[1]
     return PlantModel(name="structured", n=len(st.A), p=len(st.C), f=f, h=h, n_d=n_d,
@@ -241,7 +249,8 @@ def _bits(a):
 def test_batched_plant_rows_equal_the_per_row_loop(scenario_dir):
     # the bundled structured plants, then random plants of every circle channel
     # and every reduced nonlinearity with a disturbance input (n_d = 1, which no
-    # bundled plant has): each row of a batch equals its run stepped alone by f
+    # bundled plant has): each row of a batch equals its run stepped alone,
+    # through the structure and through f
     rng = np.random.default_rng(23)
     plants = [load_config(scenario_dir / f"{name}.json").plant
               for name in ("example2", "example3", "example4")]
@@ -264,18 +273,21 @@ def test_batched_plant_rows_equal_the_per_row_loop(scenario_dir):
             st = ReducedStructure(A=A, C=C, g=build(**{key: params[key] for key in table}), D=D)
         plants.append(_structured(st))
     for plant in plants:
-        alone = replace(plant, structure=None)  # the per-row loop over f
+        alone = replace(plant, structure=None)  # stepped through f
         for B in (1, 2, 7):
             T = 40
             x0 = rng.normal(size=(B, plant.n))
             u = np.zeros((B, T + 1, plant.n_u))
             d = rng.uniform(-1.0, 1.0, size=(B, T, plant.n_d))
             x = plant_track(plant, x0, u, d, DIVERGENCE_CEILING)
-            want = plant_track(alone, x0, u, d, DIVERGENCE_CEILING)
-            assert [first_divergence(row) for row in want] == [None] * B, plant.name
-            assert np.array_equal(_bits(x), _bits(want)), (plant.name, B)
-            assert np.array_equal(_bits(output_track(plant, x, u)),
-                                  _bits(output_track(alone, x, u))), (plant.name, B)
+            y = output_track(plant, x, u)
+            for model in (plant, alone):
+                want = np.concatenate([plant_track(model, x0[b:b + 1], u[b:b + 1], d[b:b + 1],
+                                                   DIVERGENCE_CEILING) for b in range(B)])
+                assert [first_divergence(row) for row in want] == [None] * B, plant.name
+                assert np.array_equal(_bits(x), _bits(want)), (plant.name, B)
+                assert np.array_equal(_bits(y), _bits(np.concatenate(
+                    [output_track(model, row[None], u[:1]) for row in want]))), (plant.name, B)
 
 
 def test_a_diverging_row_leaves_the_others_and_names_its_own_step():
@@ -401,7 +413,7 @@ def test_simulate_draws_every_signal_kind_as_per_step_sampling():
     D = np.array([[1.0, 0.0], [0.5, 1.0]])
     plant = PlantModel(
         name="disturbed", n=2, p=5, n_d=2,
-        f=lambda x, u, d, k: A @ x + D @ d, h=lambda x, u: C @ x,
+        f=lambda x, u, d, k: times(A, x) + times(D, d), h=lambda x, u: times(C, x),
     )
     table = SignalSpec(kind="table", values=tuple(0.01 * k for k in range(31)))
     noise = (

@@ -11,14 +11,27 @@ from dataclasses import replace
 
 import numpy as np
 
-from _brute import argmin_selection, pi_table, union_of_passing, windowed_votes
+from _brute import (
+    argmin_selection,
+    example1_f,
+    example1_h,
+    luenberger_observer_track,
+    pi_table,
+    union_of_passing,
+    windowed_votes,
+)
 from _toys import run_from_pi, toy_bank, toy_scenario
 from multiobserver import (
+    SimulationDivergedError,
     ThresholdTable,
+    build_bank,
+    load_config,
     run_estimator,
+    run_seeds,
     simulate,
     windowed_isolation,
 )
+from multiobserver.model import draw_run, first_divergence
 
 P, Q = 3, 1
 HORIZON = 99  # k = 0..99: one hundred estimator steps
@@ -135,3 +148,72 @@ def test_stepwise_and_vectorized_paths_agree_end_to_end():
     vectorized = windowed_isolation(RUN, table, WINDOW)
     assert stepwise.step_unions == vectorized.step_unions
     assert stepwise.windows == vectorized.windows
+
+
+# --- example1's batched maps against its scalar maps --------------------------
+
+
+def _example1_states(rng, size):
+    """(size, 2) states: ordinary magnitudes, entries near 1e150 (whose cube
+    overflows), and ±inf, NaN, signed zeros and subnormals."""
+    ordinary = rng.normal(size=(size, 2)) * 10.0 ** rng.uniform(-3, 3, (size, 2))
+    huge = rng.choice([-1.0, 1.0], (size, 2)) * 1e150 * rng.uniform(0.5, 2.0, (size, 2))
+    special = rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324], (size, 2))
+    kind = rng.choice(3, (size, 2), p=[0.6, 0.2, 0.2])
+    return np.choose(kind, [ordinary, huge, special])
+
+
+def _same(got, want):
+    """NaN at the same entries, and the same bits at every other (a NaN's sign
+    is not an outcome: inf meeting NaN gives either sign)."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_example1_maps_equal_the_scalar_reference(scenario_dir):
+    # np.float_power on arrays rounds as numpy's scalar ``**`` on every SIMD
+    # dispatch; array ``**`` does not, so the maps must not use it
+    plant = load_config(scenario_dir / "example1.json").plant
+    x = _example1_states(np.random.default_rng(1), 100_000)
+    with np.errstate(all="ignore"):
+        want_f = np.array([example1_f(row, None, None, 0) for row in x])
+        want_h = np.array([example1_h(row, None) for row in x])
+        got_f, got_h = plant.f(x, None, None, 0), plant.h(x, None)
+        # more leading axes, as a bank steps (observers, runs, n)
+        assert _same(plant.f(x.reshape(100, 1000, 2), None, None, 0).reshape(-1, 2), got_f)
+    assert not np.isfinite(want_f).all() and np.isfinite(want_f).any()
+    assert _same(got_f, want_f)
+    assert _same(got_h, want_h)
+    finite = np.isfinite(x).all(axis=1)  # the only states the old maps were given
+    assert np.array_equal(got_f[finite].view(np.uint64), want_f[finite].view(np.uint64))
+
+
+def test_example1_run_seeds_equal_per_run_stepping_through_the_scalar_maps(scenario_dir):
+    # each seed's plant run and every observer track, stepped alone on 1-D
+    # states through the scalar maps, against the batched run_seeds
+    cfg = load_config(scenario_dir / "example1.json")
+    bank, _ = build_bank(cfg)
+    outcomes = run_seeds(cfg, bank, range(200))
+    diverged = 0
+    for seed, out in enumerate(outcomes):
+        x0, u, d, m, a = draw_run(cfg.plant, replace(cfg.scenario, seed=seed))
+        x = [x0]
+        with np.errstate(all="ignore"):
+            for k in range(cfg.scenario.horizon):
+                x.append(example1_f(x[k], u[k], d[k], k))
+        x = np.array(x)
+        hit = first_divergence(x, cfg.ceiling)
+        if hit is not None:
+            assert isinstance(out, SimulationDivergedError), seed
+            assert (out.step, out.value) == hit, seed
+            diverged += 1
+            continue
+        assert np.array_equal(out.truth.view(np.uint64), x.view(np.uint64)), seed
+        y = np.array([example1_h(x_k, u_k) for x_k, u_k in zip(x, u)]) + m + a
+        x0_est = cfg.initial_estimate(x[0])
+        for j, (sub, obs) in enumerate(bank.items()):
+            want = luenberger_observer_track(example1_f, example1_h, obs.K, sub.members, y, u,
+                                             x0_est)
+            assert np.array_equal(out.est[j].view(np.uint64), want.view(np.uint64)), (seed, sub)
+    assert 0 < diverged < 200
