@@ -3,7 +3,7 @@
 # ships as data, with every Python warning an error:
 #   - validate the four bundled configs;
 #   - run example4 and check that every file its metadata.json names is non-empty;
-#   - calibrate example4 and example2, and validate what each writes;
+#   - calibrate example4, example2 and example3, and validate what each writes;
 #   - check that example1's calibration exits 2 with its pinned message.
 # Install the package first (`python -m pip install .`) and run this from a
 # scratch directory outside the checkout: it writes its outputs there.
@@ -18,6 +18,10 @@ multiobserver validate --config calibrated.json
 # example2's reduced-order bank steps both fits in one bank pass
 multiobserver calibrate --config "$scenarios/example2.json" --trials 2 --out calibrated2.json
 multiobserver validate --config calibrated2.json
+# example3's circle bank has |J| = 3 and 1 classes (example4's has 3 and 2):
+# both circle kernels step each of them
+multiobserver calibrate --config "$scenarios/example3.json" --trials 2 --horizon 50 --out calibrated3.json
+multiobserver validate --config calibrated3.json
 # example1's plant diverges in the observer fits, which ends the fit (exit 2)
 status=0
 multiobserver calibrate --config "$scenarios/example1.json" --trials 2 --out calibrated1.json 2> calibrate1.err || status=$?

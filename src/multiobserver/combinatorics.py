@@ -27,7 +27,9 @@ class SubsetIndex:
     ``role`` is ``"J"`` for the selection-candidate class (cardinality
     p - q) and ``"S"`` for the cross-check class (cardinality p - 2q).
     Equality and order are by (role, members); the hash is stored when
-    the subset is built.
+    the subset is built.  ``__eq__`` compares the fields directly, without
+    the two tuples the generated one builds: a dict lookup by an equal
+    subset from another bank calls it.
     """
 
     role: str
@@ -58,6 +60,11 @@ class SubsetIndex:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.members == other.members and self.role == other.role
+        return NotImplemented
 
     @property
     def label(self) -> str:

@@ -54,6 +54,8 @@ DIVERGENCE_CEILING = 1e12
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)  # a larger entry overflows the norm
 # Steps between the batched plant loop's checks of its stop rule: at one run,
 # checking the (B, n) state on every step costs more than the step itself.
+# Before the first stride the loop also checks at steps 1, 2, 4, ..., so a run
+# that diverges within a few steps stops within a few more.
 _STOP_STRIDE = 64
 
 
@@ -240,8 +242,8 @@ def plant_track(
     a plant with a ``structure``, as one (B, n, 1) column state, so every
     product is a stacked ``np.matmul`` that rounds like ``f``'s own
     product.  Each row equals its run stepped alone, bit for bit.  The loop
-    checks the runs every ``_STOP_STRIDE`` steps and stops once all of them
-    are surely past ``ceiling``.
+    checks the runs at steps 0, 1, 2, 4, ... and then every ``_STOP_STRIDE``
+    steps, and stops once all of them are surely past ``ceiling``.
 
     A run stops only after the step :func:`first_divergence` names with
     ``ceiling``.  Its values after that step are not defined.
@@ -256,7 +258,8 @@ def plant_track(
     circle, D = isinstance(st, CircleStructure), getattr(st, "D", None)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            if k % _STOP_STRIDE == 0 and not (np.abs(X).sum(axis=(1, 2)) <= limit).any():
+            due = k % _STOP_STRIDE == 0 or (k & (k - 1)) == 0  # a power of two
+            if due and not (np.abs(X).sum(axis=(1, 2)) <= limit).any():
                 break
             if st is None:
                 x_k = np.asarray(model.f(X[..., 0], u[:, k], d[:, k], k), dtype=float)

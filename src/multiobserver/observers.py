@@ -15,12 +15,13 @@ the group's block of the bank's estimate array:
 
 A group is every observer with one ``group_key``: in the Luenberger
 family, every observer of one ``f`` and ``h``; in the reduced-order and
-circle families, every observer of one plant structure.  So a Luenberger
-or reduced-order bank makes one call of each plant map per step for all
-its |J| classes.  Each row of a batch equals its run stepped alone, bit for
-bit.  The two kernels are one except in the circle family, whose
-``run_group`` folds each gain pair into one update while ``run_trials``
-keeps the unfolded arithmetic the calibrated fits are pinned to.  All
+circle families, every observer of one plant structure.  Every kernel
+steps its group in one time loop, so a bank makes one call of each plant
+map (or of the circle channels) per step for all its |J| classes.  Each
+row of a batch equals its run stepped alone, bit for bit.  The two kernels
+are one except in the circle family, whose ``run_group`` folds each gain
+pair into one update while ``run_trials`` keeps the unfolded arithmetic
+the calibrated fits are pinned to.  All
 families share a one-step schedule: x_hat(k+1) may use both y_J(k) and
 y_J(k+1), which keeps estimates from different families aligned on the
 same time index.
@@ -206,7 +207,7 @@ class LuenbergerObserver(Observer):
         for k in range(T1 - 1):
             h_X = np.asarray(h(X, u[:, k]), dtype=float)
             for rows, y_J, K, at in classes:
-                np.matmul(K, y_J[k] - h_X.take(at), out=KI[rows])
+                np.matmul(K, y_J[k] - h_X.take(at), KI[rows])
             X = np.asarray(f(X, u[:, k], d0, k), dtype=float) + KI.reshape(G * B, n)
             out[:, :, k + 1] = X.reshape(G, B, n)
 
@@ -318,32 +319,32 @@ class ReducedOrderObserver(Observer):
         # each step's products, (operator, operand, destination), in three phases
         predict, correct, rebuild = [], [], []
         for c, (y_J, A_L, B_L, L, K, C_J, N, M) in enumerate(inputs):
-            np.matmul(B_L, y_J, out=By_J[c])
-            np.matmul(M, y_J, out=My[:, cols[c]])
+            np.matmul(B_L, y_J, By_J[c])
+            np.matmul(M, y_J, My[:, cols[c]])
             y_next[c][...] = y_J[1:]  # a copy: it is only subtracted from
-            np.matmul(L, x0_est[..., None], out=z[c])
-            np.matmul(N, z[c], out=NZ[cols[c]])
+            np.matmul(L, x0_est[..., None], z[c])
+            np.matmul(N, z[c], NZ[cols[c]])
             predict += [(A_L, z[c], z_pred[c]), (L, g_X[cols[c]], dz[c]),
                         (C_J, X_pred[cols[c]], innov_J[c])]
             correct.append((K, innov_J[c], dz[c]))
             rebuild.append((N, z[c], NZ[cols[c]]))
-        np.add(NZ, My[0], out=X)
+        np.add(NZ, My[0], X)
         x_hat, g_x_hat = X[..., 0].swapaxes(0, 1), g_X[..., 0].swapaxes(0, 1)  # (B, G, n)
         out[:, :, 0] = X[..., 0]
         for k in range(T):
             g_x_hat[...] = g(x_hat, u_k[k])
-            np.add(A @ X, g_X, out=X_pred)
+            np.add(A @ X, g_X, X_pred)
             for a, b, dst in predict:
-                np.matmul(a, b, out=dst)
+                np.matmul(a, b, dst)
             Z_pred += By[k]
             Z_pred += dZ  # z_pred = A_L z + B_L y_J(k) + L g
-            np.subtract(Y_next[k], innov, out=innov)  # y_J(k+1) - C_J x_pred
+            np.subtract(Y_next[k], innov, innov)  # y_J(k+1) - C_J x_pred
             for a, b, dst in correct:
-                np.matmul(a, b, out=dst)
-            np.add(Z_pred, dZ, out=Z)  # z = z_pred + K innov
+                np.matmul(a, b, dst)
+            np.add(Z_pred, dZ, Z)  # z = z_pred + K innov
             for a, b, dst in rebuild:
-                np.matmul(a, b, out=dst)
-            np.add(NZ, My[k + 1], out=X)  # x_hat = N z + M y_J(k+1)
+                np.matmul(a, b, dst)
+            np.add(NZ, My[k + 1], X)  # x_hat = N z + M y_J(k+1)
             out[:, :, k + 1] = X[..., 0]
 
 
@@ -403,44 +404,53 @@ class CircleCriterionObserver(Observer):
     def run_trials(cls, members, y, u, x0_est, out):
         """Step observers sharing a structure on a batch of runs, in the unfolded form above.
 
-        Observers of one |J| advance as one (G_J, B, n) state kept as
-        (·, ·, n, 1) columns, so every product is a stacked ``np.matmul``
-        that rounds like each observer's own ``2-D @ 1-D`` product: each row
-        reproduces the observer stepped alone on its run bit for bit.  The
-        calibrated fits (through ``freeze``, the bundled configs' ``iss``) are
-        pinned to this form; ROADMAP item 4 step b, a benchmark change,
-        moves calibration to the folded ``run_group``.
+        All G observers advance in one time loop as one observer-major
+        (G, B, n) state kept as (·, ·, n, 1) columns, so every product is a
+        stacked ``np.matmul`` that rounds like each observer's own
+        ``2-D @ 1-D`` product: each row reproduces the observer stepped alone
+        on its run bit for bit.  A x, H x, the channels and G f(.) are one call
+        each for all observers; only the innovation C_J x - y_J(k) and its
+        products K e and L e are taken per |J| class, into two (G, B, ., 1)
+        buffers.  The calibrated fits (through ``freeze``, the bundled
+        configs' ``iss``) are pinned to this form; ROADMAP item 4 step b, a
+        benchmark change, moves calibration to the folded ``run_group``.
         """
-        st = members[0].structure
-        for rows, _, (y_J, C_J, K, L) in _by_card(members, y, ("C_J", "K", "L")):
-            out[rows, :, 0] = x0_est
-            x = x0_est[..., None]  # (B, n, 1)
-            for k in range(y.shape[1] - 1):
-                innov = C_J @ x - y_J[k]
-                arg = st.H @ x + K @ innov
-                x = st.A @ x + st.G @ st.channels(arg) + L @ innov
-                out[rows, :, k + 1] = x[..., 0]
+        st, G, (B, n) = members[0].structure, len(members), x0_est.shape
+        classes = list(_by_card(members, y, ("C_J", "K", "L")))
+        KE, LE = np.empty((G, B, st.H.shape[0], 1)), np.empty((G, B, n, 1))  # K innov, L innov
+        X = np.repeat(x0_est[None, ..., None], G, axis=0)  # (G, B, n, 1)
+        out[:, :, 0] = x0_est
+        for k in range(y.shape[1] - 1):
+            for rows, _, (y_J, C_J, K, L) in classes:
+                innov = C_J @ X[rows] - y_J[k]
+                np.matmul(K, innov, KE[rows])
+                np.matmul(L, innov, LE[rows])
+            X = st.A @ X + st.G @ st.channels(st.H @ X + KE) + LE
+            out[:, :, k + 1] = X[..., 0]
 
     @classmethod
     def run_group(cls, members, y, u, x0_est, out):
         """Step observers sharing a structure together, each gain pair folded into one update.
 
-        The state of all runs is one (B, G, n) array, advanced by
-        ``einsum`` through each observer's A + L C_J and H + K C_J.  The
-        measurement terms K y_J(k) and L y_J(k) are computed for the whole
-        batch up front, each a stacked ``np.matmul`` of the observer's gain
-        on one step's outputs; an observer whose J leaves out a non-finite
-        output reads it as 0, as ``run_trials`` never reads it.  Rows never
-        interact, so each one equals its run stepped alone, bit for bit.
+        The state of all runs is one (B, G, n) array.  Each observer's
+        H + K C_J is stacked over its A + L C_J once per call, so one
+        ``einsum`` per step gives both products of the state; ``einsum``
+        sums each entry alike whatever the number of rows, so this equals
+        one call per product bit for bit.  The measurement terms K y_J(k)
+        and L y_J(k) are computed for the whole batch up front, each a
+        stacked ``np.matmul`` of the observer's gain on one step's outputs;
+        an observer whose J leaves out a non-finite output reads it as 0, as
+        ``run_trials`` never reads it.  Rows never interact, so each one
+        equals its run stepped alone, bit for bit.
         This agrees with ``run_trials`` up to rounding, not bit for bit: the
         two differ by up to 1.3e-14 on the bundled example3 and example4 runs.
         """
         st = members[0].structure
-        AQ, HP, Lp, Kp = (np.stack([getattr(obs, name) for obs in members])
-                          for name in ("A_LC", "H_KC", "L_p", "K_p"))
+        Lp, Kp = (np.stack([getattr(obs, name) for obs in members]) for name in ("L_p", "K_p"))
+        W = np.stack([np.vstack((obs.H_KC, obs.A_LC)) for obs in members])  # (G, r + n, n)
         est = out.swapaxes(0, 1)  # (B, G, T+1, n) view
         X = est[:, :, 0] = np.repeat(x0_est[:, None], len(members), axis=1)  # (B, G, n)
-        channels, GT = st.channels, st.G.T
+        channels, GT, r = st.channels, st.G.T, len(st.H)
         # K y_J(k) and L y_J(k), (B, T+1, G, ., 1)
         Ky, Ly = (gain @ y[:, :, None, :, None] for gain in (Kp, Lp))
         bad = ~np.isfinite(y)
@@ -452,8 +462,8 @@ class CircleCriterionObserver(Observer):
                 prod[hit] = np.where(off[..., None, None], gain @ y0, prod[hit])
         Ky, Ly = (list(prod[..., 0].swapaxes(0, 1)) for prod in (Ky, Ly))  # T+1 views (B, G, .)
         for k in range(y.shape[1] - 1):
-            arg = np.einsum("jrn,bjn->bjr", HP, X) - Ky[k]
-            X = np.einsum("jmn,bjn->bjm", AQ, X) + channels(arg) @ GT - Ly[k]
+            WX = np.einsum("jmn,bjn->bjm", W, X)  # H_KC x over A_LC x, (B, G, r + n)
+            X = WX[..., r:] + channels(WX[..., :r] - Ky[k]) @ GT - Ly[k]
             est[:, :, k + 1] = X
 
 

@@ -233,6 +233,40 @@ def circle_observer_track(A, G, H, C, channels, K, L, members, y, x0):
     return track
 
 
+def circle_folded_track(A, G, H, C, channels, K, L, members, y, x0):
+    """One circle-criterion observer stepped alone on one run, in the folded form.
+
+    With A + L C_J and H + K C_J folded once and the gains widened to all p
+    outputs (zero off J), x(k+1) = (A + L C_J) x + G f((H + K C_J) x - K y(k))
+    - L y(k), each product of x one ``einsum`` call.  G f(.) is taken as
+    one row of a two-row matrix product, as in a group of two or more
+    observers: BLAS rounds that (gemm) unlike a lone vector-matrix product
+    (gemv) once r >= 2.  A non-finite output off J is read as 0 when J reads
+    no non-finite output of that step; once an estimate turns non-finite,
+    every later estimate is NaN.
+    """
+    idx = [s - 1 for s in members]
+    C_J = C[idx]
+    A_LC, H_KC = A + L @ C_J, H + K @ C_J
+    K_p, L_p = np.zeros((K.shape[0], C.shape[0])), np.zeros((L.shape[0], C.shape[0]))
+    K_p[:, idx], L_p[:, idx] = K, L
+    track = np.full((y.shape[0], len(x0)), np.nan)
+    x = np.array(x0, dtype=float)
+    track[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(y.shape[0] - 1):
+            if not all(math.isfinite(v) for v in x):
+                break
+            bad = [not math.isfinite(v) for v in y[k]]
+            y_k = y[k] if any(bad[i] for i in idx) else np.where(bad, 0.0, y[k])
+            Ky, Ly = ((gain @ y_k[:, None])[:, 0] for gain in (K_p, L_p))
+            arg = np.einsum("jrn,bjn->bjr", H_KC[None], x[None, None])[0, 0] - Ky
+            x = (np.einsum("jmn,bjn->bjm", A_LC[None], x[None, None])[0, 0]
+                 + (np.stack([channels(arg)] * 2) @ G.T)[0] - Ly)
+            track[k + 1] = x
+    return track
+
+
 def calibration_plant_run(f, h, mean, std, noise_amp, dist_amp, horizon, rng, init_scale,
                           n_d, p):
     """One calibration plant run, every signal drawn step by step.

@@ -129,3 +129,17 @@ def test_subsets_from_separate_banks_are_interchangeable():
     keyed = {sub: i for i, sub in enumerate(first.all_subsets)}
     assert [keyed[sub] for sub in second.all_subsets] == list(range(len(keyed)))
     assert second.contained == first.contained
+
+
+def test_subset_equality_is_by_role_and_members_and_leaves_the_order():
+    # q = 0 gives a J and an S with the same members, which must differ
+    j, s = bank_index(3, 0).all_subsets
+    assert j.members == s.members and j != s and not j == s
+    for a, b in [(SubsetIndex("J", (1, 3)), SubsetIndex("J", (1, 3))),
+                 (SubsetIndex("S", ()), SubsetIndex("S", ()))]:
+        assert a == b and not a != b and a is not b
+    for other in [SubsetIndex("J", (1, 2)), SubsetIndex("J", (1, 3, 4)), ("J", (1, 3)), (1, 3)]:
+        assert SubsetIndex("J", (1, 3)) != other and not SubsetIndex("J", (1, 3)) == other
+    subsets = list(bank_index(7, 2).all_subsets)
+    shuffled = [subsets[i] for i in np.random.default_rng(5).permutation(len(subsets))]
+    assert sorted(shuffled) == sorted(subsets, key=lambda sub: (sub.role, sub.members))

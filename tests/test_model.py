@@ -224,6 +224,24 @@ def test_a_finite_state_past_the_ceiling_ends_the_plant_loop():
     assert err.value.value == float(np.linalg.norm(np.array([1.0, -2.0]) + 1e13))
 
 
+@pytest.mark.parametrize("seed, step", [(2, 4), (26, 6)])
+def test_a_plant_diverging_in_its_first_steps_stops_at_the_next_power_of_two(scenario_dir,
+                                                                               seed, step):
+    # example1's plant leaves the ceiling at step 4 (seed 2) or 6 (seed 26) of
+    # its 49: the loop checks at steps 1, 2, 4, 8, ..., so f runs at most 8 times
+    cfg = load_config(scenario_dir / "example1.json")
+    calls = []
+
+    def f(x, u, d, k):
+        calls.append(k)
+        return cfg.plant.f(x, u, d, k)
+
+    with pytest.raises(SimulationDivergedError) as err:
+        simulate(replace(cfg.plant, f=f), replace(cfg.scenario, seed=seed))
+    assert err.value.step == step
+    assert len(calls) <= 8 < cfg.scenario.horizon
+
+
 def _structured(st: CircleStructure | ReducedStructure) -> PlantModel:
     """A plant stepped through ``st``, with the matching batched maps as its ``f`` and ``h``."""
 

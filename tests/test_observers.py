@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from _brute import (
+    circle_folded_track,
     circle_observer_track,
     luenberger_observer_track,
     pair_slope_minimum,
@@ -850,3 +851,35 @@ def test_slope_grid_rejects_whatever_the_pair_check_rejects(name, box):
     assert res.worst_quotient <= pair_min
     # the grid rejects whatever the pair check rejects, and nothing else
     assert res.passed == (pair_min >= _SLOPE_TOL)
+
+
+def test_folded_circle_kernel_matches_brute_force_at_every_n():
+    # the golden digests pin only n = 2 circle plants: random circle banks of
+    # n = 1-5 states and r = 1-3 channels on B = 1-4 runs, each batch with one
+    # non-finite output, against the folded update stepped for one observer on
+    # one run; every bank has at least two observers, as the brute force assumes
+    rng = np.random.default_rng(43)
+    hit = {"read": 0, "off J": 0}
+    for case in range(75):
+        n, r, B = case % 5 + 1, case // 5 % 3 + 1, case // 15 % 4 + 1
+        p, T = n + int(rng.integers(1, 4)), int(rng.integers(5, 25))
+        A = rng.normal(size=(n, n))
+        A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+        channels = list(CHANNEL_REGISTRY.values())[case % len(CHANNEL_REGISTRY)]
+        st = CircleStructure(A=A, G=0.3 * rng.normal(size=(n, r)), H=rng.normal(size=(r, n)),
+                             C=rng.normal(size=(p, n)), channels=channels)
+        observers = {sub: CircleCriterionObserver(sub, st, 0.3 * rng.normal(size=(r, len(sub))),
+                                                  0.3 * rng.normal(size=(n, len(sub))))
+                     for sub in bank_index(p, int(rng.integers(0, (p + 1) // 2))).all_subsets}
+        y = rng.normal(size=(B, T + 1, p))
+        b, k, s = int(rng.integers(0, B)), int(rng.integers(0, T)), int(rng.integers(0, p))
+        y[b, k, s] = rng.choice([np.inf, -np.inf, np.nan])
+        x0 = rng.normal(size=(B, n))
+        est = ObserverBank(observers).run(y, np.zeros((B, T + 1, 0)), x0)
+        for j, (sub, obs) in enumerate(observers.items()):
+            hit["read" if s + 1 in sub.members else "off J"] += 1
+            for run in range(B):
+                want = circle_folded_track(A, st.G, st.H, st.C, channels, obs.K, obs.L,
+                                           sub.members, y[run], x0[run])
+                assert np.array_equal(_bits(est[j, run]), _bits(want)), (case, sub, run)
+    assert min(hit.values()) >= 50, hit
