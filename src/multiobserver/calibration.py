@@ -22,9 +22,10 @@ a fixed seed: each trial draws from its own counter-based stream.
 
 :func:`calibrate_bundle` runs both fits of a bundle: one per observer,
 and one of the fused estimator on its own stream block.  It simulates
-both fits' runs in one ``plant_track`` batch.  Every row of a batch
-equals its run alone, so each observer's model is the one
-:func:`estimate_iss_gains` gives it and the estimator's the one
+both fits' runs in one ``plant_track`` batch, and one tail fits every
+row: each observer's estimates, and the fused estimate as one more row.
+Every row of a batch equals its run alone, so each observer's model is
+the one :func:`estimate_iss_gains` gives it and the estimator's the one
 :func:`calibrate_estimator` gives, bit for bit.
 """
 
@@ -110,14 +111,14 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return signal_stream(seed, "calibration", trial)
 
 
-def _fit_model(
-    noise_free: list[np.ndarray],
-    noisy: list[np.ndarray],
-    disturbed: list[np.ndarray],
-    m_bar: float,
-    d_bar: float,
-    settings: CalibrationSettings,
-) -> ISSGainModel:
+def _fit_model(tracks, m_bar: float, d_bar: float, settings: CalibrationSettings) -> ISSGainModel:
+    """One row's model from its |e(k)| ``tracks``, one per run of every kind: the
+    noise-free trials, then the noisy ones if ``m_bar > 0``, then the disturbed
+    ones if ``d_bar > 0``."""
+    n = settings.trials
+    noise_free = list(tracks[:n])
+    noisy = list(tracks[n:2 * n]) if m_bar > 0 else []
+    disturbed = list(tracks[-n:]) if d_bar > 0 else []
     tail_at = int((1.0 - _TAIL_FRACTION) * (len(noise_free[0]) - 1))
     if settings.tail_stat == "max":
         def tail_level(tracks):
@@ -249,49 +250,33 @@ def _trial_runs(plant, trials, *fits):
     return results
 
 
-def _result(tracks, failure, plant_error, m_bar, d_bar, settings):
-    """One fit's model from its |e(k)| tracks, one per kept run, or its error.
-
-    ``failure``, the error of the fit's first failing run, comes first,
-    then ``plant_error``.  Without either every trial of every kind was
-    kept: ``tracks`` holds the noise-free trials, then the noisy ones if
-    ``m_bar > 0``, then the disturbed ones if ``d_bar > 0``.
-    """
-    failure = failure or plant_error
-    if failure is not None:
-        return failure
-    n = settings.trials
-    noisy = list(tracks[n:2 * n]) if m_bar > 0 else []
-    disturbed = list(tracks[-n:]) if d_bar > 0 else []
-    return _fit_model(list(tracks[:n]), noisy, disturbed, m_bar, d_bar, settings)
-
-
-def _observer_fits(est, runs, plant_error, m_bar, d_bar, settings):
-    """Per observer, its fitted model or the :class:`CalibrationError` of its fit.
-
-    ``est`` holds each observer's estimates on the fit's kept ``runs``; a
-    run is a trial of its kind, ``run % settings.trials``, because the
-    kinds come one after another, each in trial order.
-    """
+def _row_fits(est, runs, plant_error, m_bar, d_bar, settings):
+    """Per row of ``est``, an observer's or the fused estimator's estimates on the
+    fit's kept ``runs``, its model or its :class:`CalibrationError`: the row's own
+    divergence first, then ``plant_error``.  A run is a trial of its kind, ``run %
+    settings.trials``: the kinds come one after another, each in trial order."""
     diverged = ~np.isfinite(est).all(axis=(2, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's norm is not read
         norms = np.linalg.norm(est - runs[0], axis=-1)
     results = []
     for tracks, bad in zip(norms, diverged):
-        failure = None
         if bad.any():
-            failure = CalibrationError(
-                f"observer diverged in calibration trial {np.argmax(bad) % settings.trials}")
-        results.append(_result(tracks, failure, plant_error, m_bar, d_bar, settings))
+            results.append(CalibrationError(
+                f"observer diverged in calibration trial {np.argmax(bad) % settings.trials}"))
+        else:
+            results.append(plant_error or _fit_model(tracks, m_bar, d_bar, settings))
     return results
 
 
-def _estimator_fit(bank, bank_idx, est, runs, plant_error, m_bar, d_bar, settings):
-    """The fused estimator's model, or its error, from the bank's estimates ``est``
-    on the fit's kept ``runs``."""
+def _estimator_fit(bank, bank_idx, runs, plant_error, m_bar, d_bar, settings, est=None):
+    """The fused estimator's model, or its error, on the fit's kept ``runs``, from the
+    bank's estimates ``est`` on them (stepped here when not given).  The selected track
+    is fitted as one more row: a selection that does not starve is finite at every step."""
     x = runs[0]
-    tracks = failure = None
+    x_hat = x[None]  # no run kept: an empty row, which falls to plant_error
     if len(x):
+        if est is None:
+            (est,) = _bank_estimates(bank, runs)
         # pi(k) and sigma(k) read step k alone, so one selection over the
         # runs laid end to end scores each run as it alone would be scored
         B, T1, n = x.shape
@@ -299,11 +284,11 @@ def _estimator_fit(bank, bank_idx, est, runs, plant_error, m_bar, d_bar, setting
             x_hat = run_estimator(bank_idx, bank.subsets, est.reshape(len(bank), B * T1, n)).x_hat
         except EstimatorStarvedError as exc:
             run, step = divmod(exc.step, T1)
-            failure = CalibrationError(f"all deviation scores are infinite at step {step} "
-                                       f"of calibration trial {run % settings.trials}")
-        else:
-            tracks = np.linalg.norm(x_hat.reshape(x.shape) - x, axis=-1)
-    return _result(tracks, failure, plant_error, m_bar, d_bar, settings)
+            return CalibrationError(f"all deviation scores are infinite at step {step} "
+                                    f"of calibration trial {run % settings.trials}")
+        x_hat = x_hat.reshape(1, *x.shape)
+    (result,) = _row_fits(x_hat, runs, plant_error, m_bar, d_bar, settings)
+    return result
 
 
 def _bank_estimates(bank, *runs):
@@ -339,12 +324,13 @@ def estimate_iss_gains(
     All trials are attack-free with zero input; each trial's track
     starts at a perturbed copy of the true initial state.  Raises
     :class:`CalibrationError` when a trial diverges — the observer is
-    then not usable on the sampled operating region.
+    then not usable on the sampled operating region.  It remains for the
+    benchmark's per-fit replay and as the tests' per-observer reference.
     """
     draws = _draw_trials(plant, x0_spec, m_bar, d_bar, settings, 1)
     ((runs, plant_error),) = _trial_runs(plant, settings.trials, draws)
-    (result,) = _observer_fits(run_trials([obs], *runs[1:]), runs, plant_error,
-                               m_bar, d_bar, settings)
+    (result,) = _row_fits(run_trials([obs], *runs[1:]), runs, plant_error,
+                          m_bar, d_bar, settings)
     return _fitted(result)
 
 
@@ -363,12 +349,12 @@ def calibrate_estimator(
     Runs the whole bank plus selection attack-free and fits the same
     model shape to |x_hat(k) - x(k)|.  ``truth_init`` starts the bank
     at the true state (then the transient term is degenerate and the
-    fit reduces to the steady terms).
+    fit reduces to the steady terms).  It remains, as
+    :func:`estimate_iss_gains` does, for the benchmark and the tests.
     """
     eff, draws = _estimator_draws(bank, plant, m_bar, d_bar, x0_spec, settings, truth_init)
     ((runs, plant_error),) = _trial_runs(plant, eff.trials, draws)
-    est = _bank_estimates(bank, runs)[0] if len(runs[0]) else None
-    return _fitted(_estimator_fit(bank, bank_idx, est, runs, plant_error, m_bar, d_bar, eff))
+    return _fitted(_estimator_fit(bank, bank_idx, runs, plant_error, m_bar, d_bar, eff))
 
 
 def calibrate_bundle(
@@ -384,13 +370,13 @@ def calibrate_bundle(
     """Every observer's model, as :func:`estimate_iss_gains` fits it alone, and
     the fused estimator's, as :func:`calibrate_estimator` fits it, bit for bit.
 
-    The bank is stepped once over both fits' kept runs when they were
-    simulated together, every observer calibrates through its bank kernel
-    (Luenberger and reduced-order; a circle bank takes one pass per fit), the
+    The bank is stepped once over both fits' kept runs when every observer
+    calibrates through its bank kernel (Luenberger and reduced-order), the
     union stays within ``MAX_BATCH`` estimates and the observer fits kept
-    every run.  Otherwise the observer fits are finished, and their estimates
-    dropped, before the estimator's pass.  Raises :class:`CalibrationError`
-    naming every failed observer fit in bank order, else the estimator fit's.
+    every run.  Otherwise the observer fits are finished, and their
+    estimates dropped, before the estimator's fit steps the bank.  Raises
+    :class:`CalibrationError` naming every failed observer fit in bank
+    order, else the estimator fit's.
     """
     observers = list(bank.observers.values())
     draws = _draw_trials(plant, x0_spec, m_bar, d_bar, settings, len(bank))
@@ -406,8 +392,8 @@ def calibrate_bundle(
     else:
         est, bank_est = run_trials(observers, *runs[1:]), None
     models, failures = {}, []
-    for subset, result in zip(bank.subsets, _observer_fits(est, runs, plant_error,
-                                                           m_bar, d_bar, settings)):
+    for subset, result in zip(bank.subsets, _row_fits(est, runs, plant_error,
+                                                      m_bar, d_bar, settings)):
         if isinstance(result, CalibrationError):
             failures.append(f"{subset.label}: {result}")
         else:
@@ -415,7 +401,5 @@ def calibrate_bundle(
     del est
     if failures:
         raise CalibrationError("calibration failed for: " + "; ".join(failures))
-    if bank_est is None and len(est_runs[0]):
-        (bank_est,) = _bank_estimates(bank, est_runs)
-    return models, _fitted(_estimator_fit(bank, bank_idx, bank_est, est_runs, est_error,
-                                          m_bar, d_bar, eff))
+    return models, _fitted(_estimator_fit(bank, bank_idx, est_runs, est_error,
+                                          m_bar, d_bar, eff, bank_est))

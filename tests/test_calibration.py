@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from dataclasses import replace
@@ -183,12 +184,12 @@ def test_fit_survives_track_starting_under_its_plateau():
     decaying = 100.0 * 0.3**ks + 1e-12
     flat = np.full(41, 0.5)
     settings = CalibrationSettings(trials=2, horizon=40, safety=1.0, c_safety=1.0)
-    model = _fit_model([decaying, flat], [], [], 0.0, 0.0, settings)
+    model = _fit_model(np.array([decaying, flat]), 0.0, 0.0, settings)
     assert model.lam == pytest.approx(0.3, abs=1e-3)
     assert model.nu >= 0.5  # the flat trial dominates the residual
 
 
-def test_calibrate_bank_fits_every_subset():
+def test_calibrate_bundle_fits_every_subset():
     plant, idx, bank = toy_bank()
     settings = CalibrationSettings(trials=4, horizon=40, seed=0)
     x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
@@ -199,7 +200,7 @@ def test_calibrate_bank_fits_every_subset():
         assert model.gamma1 >= 0.0
 
 
-def test_calibrate_bank_reports_failures_per_subset():
+def test_calibrate_bundle_reports_failures_per_subset():
     plant, idx, bank = toy_bank()
     bad_sub = idx.s_subsets[0]
     bank.observers[bad_sub].K = np.array([[1e8], [1e8]])  # destabilize one
@@ -237,7 +238,7 @@ def _counting(plant):
     return replace(plant, f=f, h=h), calls
 
 
-def test_calibrate_bank_simulates_each_trial_once():
+def test_calibrate_bundle_simulates_each_trial_once():
     plant, idx, bank = toy_bank()
     settings = CalibrationSettings(trials=3, horizon=20, seed=0)
     x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
@@ -325,7 +326,7 @@ def _brute_trials(observers, y, u, x0_est):
 
 
 @pytest.mark.parametrize("name", ["example2", "example3", "example4"])
-def test_calibrate_bank_equals_the_per_observer_fits(scenario_dir, name, monkeypatch):
+def test_calibrate_bundle_equals_the_per_observer_fits(scenario_dir, name, monkeypatch):
     cfg = load_config(scenario_dir / f"{name}.json")
     settings = replace(cfg.calibration, trials=2)
     args = (cfg.plant, cfg.scenario.noise_bound, cfg.scenario.disturbance_bound,
@@ -367,7 +368,7 @@ def _failing_bank():
     return plant, idx, bank
 
 
-def test_calibrate_bank_failures_match_the_per_observer_path():
+def test_calibrate_bundle_failures_match_the_per_observer_path():
     settings = CalibrationSettings(trials=4, horizon=40, seed=0)
     x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
     plant, idx, bank = _failing_bank()
@@ -439,6 +440,32 @@ def test_plant_diverging_first_in_a_later_kind_names_its_trial_and_step():
     with pytest.raises(CalibrationError) as err:
         calibrate_estimator(bank, idx, plant, 0.1, 1.0, x0, settings)
     assert str(err.value) == want
+
+
+def test_fused_fit_reports_starvation_before_a_later_plant_divergence():
+    # the plant above fails at step 11 of the estimator's disturbed trial 2;
+    # every observer turns NaN at step 5 of the noise-free trial 1, a run the
+    # fit keeps, so selection starves there first and that is the fit's error
+    plant, idx, bank = toy_bank()
+    D = np.array([[4e11], [0.0]])
+    plant = replace(plant, n_d=1, f=lambda x, u, d, k: times(A2, x) + times(D, d))
+    for subset in idx.all_subsets:
+        _fail_from_trial(bank, subset, 1, 5)
+    x0 = InitSpec(kind="normal", mean=(1.0, -2.0), std=(0.5, 0.5))
+    settings = CalibrationSettings(trials=4, horizon=40, seed=1)
+    with pytest.raises(CalibrationError) as err:
+        calibrate_estimator(bank, idx, plant, 0.1, 1.0, x0, settings)
+    assert str(err.value) == "all deviation scores are infinite at step 5 of calibration trial 1"
+
+
+def test_example2_calibrates_to_its_pinned_bytes(scenario_dir, tmp_path):
+    # the reduced-order family at its bundled settings (30 trials, horizon
+    # 200): every observer fit and the fused fit, from one shared bank pass
+    cfg = load_config(scenario_dir / "example2.json")
+    out = calibrate(cfg, out_path=tmp_path / "example2.calibrated.json")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "af471156fdeba621b2ad190181d81a77b8e531ee1ce690e104bcffa6ca933209"
+    )
 
 
 def test_example1_calibration_failure_matches_the_pinned_message(scenario_dir, tmp_path):

@@ -279,8 +279,10 @@ def test_validate_lists_a_failed_slope_condition(scenario_dir, tmp_path, capsys)
 
 
 def test_calibrate_with_a_starved_estimator_exits_2(scenario_dir, tmp_path, capsys, monkeypatch):
-    # skip the per-observer fits so example1's estimator fit starves
-    monkeypatch.setattr(multiobserver.calibration, "_observer_fits", lambda *args: [])
+    # skip the bank's observer rows, not the fused one, so example1's estimator fit starves
+    row_fits = multiobserver.calibration._row_fits
+    monkeypatch.setattr(multiobserver.calibration, "_row_fits",
+                        lambda est, *args: row_fits(est, *args) if len(est) == 1 else [])
     code = main([
         "calibrate", "--config", _path(scenario_dir, "example1"),
         "--trials", "2", "--out", str(tmp_path / "cal.json"),
