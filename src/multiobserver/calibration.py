@@ -253,11 +253,13 @@ def _trial_runs(plant, trials, *fits):
 def _row_fits(est, runs, plant_error, m_bar, d_bar, settings):
     """Per row of ``est``, an observer's or the fused estimator's estimates on the
     fit's kept ``runs``, its model or its :class:`CalibrationError`: the row's own
-    divergence first, then ``plant_error``.  A run is a trial of its kind, ``run %
-    settings.trials``: the kinds come one after another, each in trial order."""
-    diverged = ~np.isfinite(est).all(axis=(2, 3))
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's norm is not read
+    divergence first, then ``plant_error``.  A row diverges in a run where its error
+    norm is not finite at some step: its estimate is, or is too large for the norm.
+    A run is a trial of its kind, ``run % settings.trials``: the kinds come one
+    after another, each in trial order."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm reads as inf
         norms = np.linalg.norm(est - runs[0], axis=-1)
+    diverged = ~np.isfinite(norms).all(axis=2)
     results = []
     for tracks, bad in zip(norms, diverged):
         if bad.any():

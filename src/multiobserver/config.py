@@ -546,27 +546,28 @@ def _plant(col: _Collector, path: str, val) -> dict | None:
     if got is None or "plant" in got:  # no plant, or the named one
         return got
     family, A, C, D = got["family"], got["A"], got["C"], got["D"]
-    name, term, structure = "linear", None, None
+    name, g, structure = "linear", None, None
     if family == "reduced":
-        name, term = got["nonlinearity"].values()
-        structure = ReducedStructure(A=A, C=C, g=term, D=D)
+        name, g = got["nonlinearity"].values()
+        structure = ReducedStructure(A=A, C=C, g=g)
     elif family == "circle":
         (name, channels), G, H = got["nonlinearity"].values(), got["G"], got["H"]
-        structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels, D=D)
-
-        def term(x, u):
-            return (G @ channels(H @ x[..., None]))[..., 0]
+        structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels)
 
     def f(x, u, d, k):
-        x_next = (A @ x[..., None])[..., 0]
-        x_next = x_next if term is None else x_next + term(x, u)
-        return x_next if D is None else x_next + (D @ d[..., None])[..., 0]
+        col = x[..., None]
+        x_next = A @ col
+        if family == "circle":
+            x_next = x_next + G @ channels(H @ col)
+        elif g is not None:
+            x_next = x_next + g(x, u)[..., None]
+        return (x_next if D is None else x_next + D @ d[..., None])[..., 0]
 
     def h(x, u):
         return (C @ x[..., None])[..., 0]
 
     model = PlantModel(
-        name=name if term is None else f"{family}[{name}]", n=len(A), p=len(C), f=f, h=h,
+        name=name if structure is None else f"{family}[{name}]", n=len(A), p=len(C), f=f, h=h,
         n_d=0 if D is None else D.shape[1], structure=structure,
     )
     return dict(family=family, plant=model, lin_A=A, lin_C=C, slope_box=got.get("slope_box"))

@@ -186,11 +186,11 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class CircleStructure:
-    """Structural data of a plant x+ = A x + G f(H x) + D d with outputs C x.
+    """Structural data of a plant x+ = A x + G f(H x) + D d with outputs C x,
+    as the circle-criterion observers read it.
 
     ``channels`` applies the scalar nonlinearity slope-restricted to
-    [0, inf) componentwise.  ``D`` is None when the plant has no
-    disturbance input.
+    [0, inf) componentwise.
     """
 
     A: np.ndarray
@@ -198,17 +198,16 @@ class CircleStructure:
     H: np.ndarray
     C: np.ndarray
     channels: Callable[[np.ndarray], np.ndarray]
-    D: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class ReducedStructure:
-    """Structural data of a plant x+ = A x + g(x, u) + D d with outputs C x."""
+    """Structural data of a plant x+ = A x + g(x, u) + D d with outputs C x,
+    as the reduced-order observers read it."""
 
     A: np.ndarray
     C: np.ndarray
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    D: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -217,8 +216,9 @@ class PlantModel:
 
     ``f`` and ``h`` take states with leading batch axes, (..., n), and
     their inputs broadcast against them; they may be called on non-finite
-    rows, under the caller's ``errstate``.  A plant with a ``structure`` is
-    stepped through it, so ``f`` must be its map.
+    rows, under the caller's ``errstate``.  Every plant is stepped through
+    its ``f``; a ``structure`` is only what the reduced-order and circle
+    observers are built from.
     """
 
     name: str
@@ -238,12 +238,11 @@ def plant_track(
 
     ``x0`` holds the initial states (B, n), ``u`` the T+1 inputs of each
     run (B, T+1, n_u) and ``d`` at least T disturbances of each (B, ·, n_d).
-    All runs step as one batch: through one call of ``f`` per step or, for
-    a plant with a ``structure``, as one (B, n, 1) column state, so every
-    product is a stacked ``np.matmul`` that rounds like ``f``'s own
-    product.  Each row equals its run stepped alone, bit for bit.  The loop
-    checks the runs at steps 0, 1, 2, 4, ... and then every ``_STOP_STRIDE``
-    steps, and stops once all of them are surely past ``ceiling``.
+    All runs step as one batch, through one call of ``f`` per step on the
+    (B, n) state, so each row equals its run stepped alone, bit for bit.
+    The loop checks the runs at steps 0, 1, 2, 4, ... and then every
+    ``_STOP_STRIDE`` steps, and stops once all of them are surely past
+    ``ceiling``.
 
     A run stops only after the step :func:`first_divergence` names with
     ``ceiling``.  Its values after that step are not defined.
@@ -254,26 +253,18 @@ def plant_track(
     limit = min(2.0 * ceiling * math.sqrt(n), sys.float_info.max)
     x = np.full((len(x0), steps + 1, n), np.nan)
     x[:, 0] = x0
-    st, X = model.structure, x[:, 0, :, None].copy()
-    circle, D = isinstance(st, CircleStructure), getattr(st, "D", None)
+    x_k = x[:, 0].copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
+        # step k's (B, ·) inputs, as views taken once
+        for k, u_k, d_k in zip(range(steps), u.swapaxes(0, 1), d.swapaxes(0, 1)):
             due = k % _STOP_STRIDE == 0 or (k & (k - 1)) == 0  # a power of two
-            if due and not (np.abs(X).sum(axis=(1, 2)) <= limit).any():
+            if due and not (np.abs(x_k).sum(axis=1) <= limit).any():
                 break
-            if st is None:
-                x_k = np.asarray(model.f(X[..., 0], u[:, k], d[:, k], k), dtype=float)
-                if x_k.shape != X.shape[:2]:
-                    raise ConfigurationError(
-                        f"dynamics returned shape {x_k.shape}, expected {X.shape[:2]}")
-                X = x_k[..., None]
-            elif circle:
-                X = st.A @ X + st.G @ st.channels(st.H @ X)
-            else:
-                X = st.A @ X + st.g(X[..., 0], u[:, k])[..., None]
-            if D is not None:
-                X = X + D @ d[:, k, :, None]
-            x[:, k + 1] = X[..., 0]
+            x_next = np.asarray(model.f(x_k, u_k, d_k, k), dtype=float)
+            if x_next.shape != x_k.shape:
+                raise ConfigurationError(
+                    f"dynamics returned shape {x_next.shape}, expected {x_k.shape}")
+            x[:, k + 1] = x_k = x_next
     return x
 
 

@@ -267,6 +267,28 @@ def circle_folded_track(A, G, H, C, channels, K, L, members, y, x0):
     return track
 
 
+def structure_plant_track(st, D, x0, u, d):
+    """B plant runs stepped through the structure ``st`` and the disturbance
+    input ``D`` (None for none), as (B, T+1, n) with T = u.shape[1] - 1.
+
+    The runs step as one (B, n, 1) column state: A x + G f(H x) for a circle
+    structure, A x + g(x, u) for a reduced-order one, then D d(k), each
+    product one stacked ``np.matmul``.  No stop rule: every step is taken.
+    """
+    X = np.array(x0, dtype=float)[..., None]
+    track = [X[..., 0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(u.shape[1] - 1):
+            if hasattr(st, "G"):
+                X = st.A @ X + st.G @ st.channels(st.H @ X)
+            else:
+                X = st.A @ X + st.g(X[..., 0], u[:, k])[..., None]
+            if D is not None:
+                X = X + D @ d[:, k, :, None]
+            track.append(X[..., 0])
+    return np.stack(track, axis=1)
+
+
 def calibration_plant_run(f, h, mean, std, noise_amp, dist_amp, horizon, rng, init_scale,
                           n_d, p):
     """One calibration plant run, every signal drawn step by step.

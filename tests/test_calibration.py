@@ -213,6 +213,25 @@ def test_calibrate_bundle_reports_failures_per_subset():
     )
 
 
+def test_an_observer_whose_error_overflows_fails_before_its_estimate_does():
+    # with K = 1e8 the observer's estimate stays finite through step 30, but its
+    # error norm passes the largest float long before: the fit fails, where a
+    # fit would give nu = inf, which no config can hold
+    plant, idx, bank = toy_bank()
+    bad_sub = idx.s_subsets[0]
+    bank.observers[bad_sub].K = np.array([[1e8], [1e8]])
+    settings = CalibrationSettings(trials=2, horizon=30, seed=0)
+    x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
+    draws = calibration._draw_trials(plant, x0, 0.0, 0.0, settings, 1)
+    ((runs, _),) = calibration._trial_runs(plant, settings.trials, draws)
+    assert np.isfinite(observers.run_trials([bank.observers[bad_sub]], *runs[1:])).all()
+    with pytest.raises(CalibrationError) as err:
+        calibrate_bundle(bank, idx, plant, 0.0, 0.0, x0, settings)
+    assert str(err.value) == (
+        f"calibration failed for: {bad_sub.label}: observer diverged in calibration trial 0"
+    )
+
+
 def test_calibrate_estimator_with_truth_init():
     plant, idx, bank = toy_bank()
     settings = CalibrationSettings(trials=4, horizon=40, seed=0, safety=1.0, c_safety=1.0)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _brute import sample_signal
+from _brute import sample_signal, structure_plant_track
 from _toys import C3, times, toy_plant, toy_scenario
 
 from multiobserver import (
@@ -15,12 +15,13 @@ from multiobserver import (
     ReducedStructure,
     SignalSpec,
     SimulationDivergedError,
+    bank_index,
     load_config,
     sample_block,
     signal_stream,
     simulate,
 )
-from multiobserver.config import CHANNEL_REGISTRY, STATE_NONLINEARITY_REGISTRY
+from multiobserver.config import CHANNEL_REGISTRY, STATE_NONLINEARITY_REGISTRY, parse_config
 from multiobserver.model import (
     _STOP_STRIDE,
     DIVERGENCE_CEILING,
@@ -242,20 +243,21 @@ def test_a_plant_diverging_in_its_first_steps_stops_at_the_next_power_of_two(sce
     assert len(calls) <= 8 < cfg.scenario.horizon
 
 
-def _structured(st: CircleStructure | ReducedStructure) -> PlantModel:
-    """A plant stepped through ``st``, with the matching batched maps as its ``f`` and ``h``."""
+def _structured(st: CircleStructure | ReducedStructure, D: np.ndarray | None = None) -> PlantModel:
+    """A plant with the structure ``st`` and the disturbance input ``D`` (None
+    for none), with the matching batched maps as its ``f`` and ``h``."""
 
     def f(x, u, d, k):
         if isinstance(st, CircleStructure):
             x_next = times(st.A, x) + (st.G @ st.channels(st.H @ x[..., None]))[..., 0]
         else:
             x_next = times(st.A, x) + st.g(x, u)
-        return x_next if st.D is None else x_next + times(st.D, d)
+        return x_next if D is None else x_next + times(D, d)
 
     def h(x, u):
         return times(st.C, x)
 
-    n_d = 0 if st.D is None else st.D.shape[1]
+    n_d = 0 if D is None else D.shape[1]
     return PlantModel(name="structured", n=len(st.A), p=len(st.C), f=f, h=h, n_d=n_d,
                       structure=st)
 
@@ -264,34 +266,84 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def _random_plant_doc(rng, case):
+    """A plant section: a stable random A, C with three rows and a one-column D;
+    odd cases are circle plants of every channel, even ones reduced-order plants
+    of every nonlinearity, the registries taken in turn."""
+    circle = case % 2 == 1
+    n = int(rng.integers(2 if circle else 3, 5))  # a reduced-order L has n - |J| >= 1 rows
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+    doc = {"A": A.tolist(), "C": rng.normal(size=(3, n)).tolist(),
+           "D": rng.normal(size=(n, 1)).tolist()}
+    if circle:
+        r = int(rng.integers(1, 3))
+        name = list(CHANNEL_REGISTRY)[case // 2 % len(CHANNEL_REGISTRY)]
+        return {**doc, "family": "circle", "nonlinearity": {"name": name},
+                "G": (0.3 * rng.normal(size=(n, r))).tolist(),
+                "H": rng.normal(size=(r, n)).tolist(), "slope_box": [-1.0, 1.0]}
+    name = list(STATE_NONLINEARITY_REGISTRY)[case // 2 % len(STATE_NONLINEARITY_REGISTRY)]
+    params = {"constant": rng.normal(size=n).tolist(), "index": int(rng.integers(1, n + 1)),
+              "position": int(rng.integers(1, n + 1)), "gain": 0.5, "coeffs": [0.02, -0.2, 0.3]}
+    table, _ = STATE_NONLINEARITY_REGISTRY[name]
+    return {**doc, "family": "reduced",
+            "nonlinearity": {"name": name, "params": {key: params[key] for key in table}}}
+
+
+def _parsed_plant(plant_doc):
+    """The plant ``parse_config`` builds from ``plant_doc``, in a document of three
+    sensors, q = 1, one disturbance and zero gains of the family's shapes."""
+    n, r = len(plant_doc["A"]), len(plant_doc.get("H", ()))
+    bundle = {}
+    for sub in bank_index(3, 1).all_subsets:
+        card = len(sub)
+        shapes = ({"K": (r, card), "L": (n, card)} if plant_doc["family"] == "circle"
+                  else {"L": (n - card, n)})
+        bundle[sub.label] = {key: np.zeros(shape).tolist() for key, shape in shapes.items()}
+    return parse_config({
+        "plant": plant_doc,
+        "scenario": {"q": 1, "horizon": 40, "noise": {"kind": "zero"}, "noise_bound": 0.0,
+                     "disturbance": [{"kind": "uniform", "low": -1.0, "high": 1.0}],
+                     "disturbance_bound": 1.0, "x0": {"kind": "fixed", "value": [0.0] * n}},
+        "observers": {"bundle": bundle},
+    }).plant
+
+
+def test_parsed_plants_step_as_their_structure_and_disturbance_input(scenario_dir):
+    # the reference steps the structure as one (B, n, 1) column state and adds
+    # D d(k); the loaded f of every bundled structured plant and of random ones
+    # with a disturbance input (which no bundled plant has) gives the same bits
+    rng = np.random.default_rng(29)
+    plants = [(load_config(scenario_dir / f"{name}.json").plant, None)
+              for name in ("example2", "example3", "example4")]
+    for case in range(14):
+        doc = _random_plant_doc(rng, case)
+        plant = _parsed_plant(doc)
+        assert plant.n_d == 1 and plant.name.startswith(doc["family"])
+        plants.append((plant, np.array(doc["D"])))
+    for plant, D in plants:
+        for B in (1, 2, 7):
+            T = 40
+            x0 = rng.normal(size=(B, plant.n))
+            u = np.zeros((B, T + 1, plant.n_u))
+            d = rng.uniform(-1.0, 1.0, size=(B, T, plant.n_d))
+            x = plant_track(plant, x0, u, d, DIVERGENCE_CEILING)
+            want = structure_plant_track(plant.structure, D, x0, u, d)
+            assert [first_divergence(row) for row in want] == [None] * B, plant.name
+            assert np.array_equal(_bits(x), _bits(want)), (plant.name, B)
+
+
 def test_batched_plant_rows_equal_the_per_row_loop(scenario_dir):
     # the bundled structured plants, then random plants of every circle channel
     # and every reduced nonlinearity with a disturbance input (n_d = 1, which no
-    # bundled plant has): each row of a batch equals its run stepped alone,
-    # through the structure and through f
+    # bundled plant has): each row of a batch equals its run stepped alone
     rng = np.random.default_rng(23)
     plants = [load_config(scenario_dir / f"{name}.json").plant
               for name in ("example2", "example3", "example4")]
     for case in range(14):
-        n = int(rng.integers(2, 5))
-        A = rng.normal(size=(n, n))
-        A *= 0.9 / max(abs(np.linalg.eigvals(A)))
-        C, D = rng.normal(size=(n + 1, n)), rng.normal(size=(n, 1))
-        if case % 2:
-            r = int(rng.integers(1, 3))
-            channels = list(CHANNEL_REGISTRY.values())[case // 2 % len(CHANNEL_REGISTRY)]
-            st = CircleStructure(A=A, G=0.3 * rng.normal(size=(n, r)), H=rng.normal(size=(r, n)),
-                                 C=C, channels=channels, D=D)
-        else:
-            kind = list(STATE_NONLINEARITY_REGISTRY)[case // 2 % len(STATE_NONLINEARITY_REGISTRY)]
-            table, build = STATE_NONLINEARITY_REGISTRY[kind]
-            params = {"constant": list(rng.normal(size=n)), "index": int(rng.integers(1, n + 1)),
-                      "position": int(rng.integers(1, n + 1)), "gain": 0.5,
-                      "coeffs": [0.05, -0.2, 0.3]}
-            st = ReducedStructure(A=A, C=C, g=build(**{key: params[key] for key in table}), D=D)
-        plants.append(_structured(st))
+        doc = _random_plant_doc(rng, case)
+        plants.append(_structured(_parsed_plant(doc).structure, np.array(doc["D"])))
     for plant in plants:
-        alone = replace(plant, structure=None)  # stepped through f
         for B in (1, 2, 7):
             T = 40
             x0 = rng.normal(size=(B, plant.n))
@@ -299,13 +351,12 @@ def test_batched_plant_rows_equal_the_per_row_loop(scenario_dir):
             d = rng.uniform(-1.0, 1.0, size=(B, T, plant.n_d))
             x = plant_track(plant, x0, u, d, DIVERGENCE_CEILING)
             y = output_track(plant, x, u)
-            for model in (plant, alone):
-                want = np.concatenate([plant_track(model, x0[b:b + 1], u[b:b + 1], d[b:b + 1],
-                                                   DIVERGENCE_CEILING) for b in range(B)])
-                assert [first_divergence(row) for row in want] == [None] * B, plant.name
-                assert np.array_equal(_bits(x), _bits(want)), (plant.name, B)
-                assert np.array_equal(_bits(y), _bits(np.concatenate(
-                    [output_track(model, row[None], u[:1]) for row in want]))), (plant.name, B)
+            want = np.concatenate([plant_track(plant, x0[b:b + 1], u[b:b + 1], d[b:b + 1],
+                                               DIVERGENCE_CEILING) for b in range(B)])
+            assert [first_divergence(row) for row in want] == [None] * B, plant.name
+            assert np.array_equal(_bits(x), _bits(want)), (plant.name, B)
+            assert np.array_equal(_bits(y), _bits(np.concatenate(
+                [output_track(plant, row[None], u[:1]) for row in want]))), (plant.name, B)
 
 
 def test_a_diverging_row_leaves_the_others_and_names_its_own_step():
@@ -335,7 +386,7 @@ def test_a_diverging_row_leaves_the_others_and_names_its_own_step():
 def test_a_structured_plant_past_the_ceiling_stops_within_a_stride():
     # x(1) is finite but past the ceiling: the batched loop checks every
     # stride steps, so the nonlinearity runs at most a stride more; the error
-    # still names step 1 with the norm the per-row loop gives
+    # still names step 1 with the norm of the column-stepped x(1)
     calls = []
 
     def channels(v):
@@ -344,15 +395,13 @@ def test_a_structured_plant_past_the_ceiling_stops_within_a_stride():
 
     plant = _structured(CircleStructure(A=1e13 * np.eye(2), G=np.array([[0.05], [0.1]]),
                                         H=np.array([[1.0, 1.0]]), C=C3, channels=channels))
-    errors = []
-    for model in (plant, replace(plant, structure=None)):
-        calls.clear()
-        with pytest.raises(SimulationDivergedError) as err:
-            simulate(model, toy_scenario(horizon=100_000))
-        assert len(calls) <= _STOP_STRIDE + 1
-        errors.append((err.value.step, err.value.value))
-    assert errors[0] == errors[1]
-    assert errors[0][0] == 1
+    scen = toy_scenario(horizon=100_000)
+    with pytest.raises(SimulationDivergedError) as err:
+        simulate(plant, scen)
+    assert len(calls) <= _STOP_STRIDE + 1
+    x0 = scen.x0.sample(signal_stream(scen.seed, "init"))[None]
+    want = structure_plant_track(plant.structure, None, x0, np.zeros((1, 2, 0)), None)
+    assert (err.value.step, err.value.value) == (1, float(np.linalg.norm(want[0, 1])))
 
 
 def test_trajectory_shapes_and_csv():
