@@ -4,7 +4,10 @@
 #   - validate the four bundled configs;
 #   - run example4 and check that every file its metadata.json names is non-empty;
 #   - calibrate example4, example2 and example3, and validate what each writes;
-#   - check that example1's calibration exits 2 with its pinned message.
+#   - check that example1's calibration exits 2 with its pinned message;
+#   - run example1 on seed 2 and check that it exits 2 with its step-4 divergence message;
+#   - run example1 on seed 5070 and check that it exits 2 with its step-10 starvation message;
+#     neither run leaves a directory.
 # Install the package first (`python -m pip install .`) and run this from a
 # scratch directory outside the checkout: it writes its outputs there.
 set -eo pipefail
@@ -28,3 +31,14 @@ multiobserver calibrate --config "$scenarios/example1.json" --trials 2 --out cal
 cat calibrate1.err
 test "$status" -eq 2
 grep -F "calibration failed for: J:1,2: plant diverged at step 4 of calibration trial 0" calibrate1.err
+# example1's plant diverges on seed 2, and its whole bank on seed 5070 (exit 2)
+for case in "2:plant state exceeded the divergence ceiling at step 4 (|x| = 1.168e+19)" \
+            "5070:all deviation scores are infinite at step 10"; do
+    seed="${case%%:*}"
+    status=0
+    multiobserver run --config "$scenarios/example1.json" --seed "$seed" --out runs 2> "run$seed.err" || status=$?
+    cat "run$seed.err"
+    test "$status" -eq 2
+    grep -F "runtime failure: ${case#*:}" "run$seed.err"
+    test ! -e runs/example1
+done

@@ -54,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_run_overrides(cfg, args) -> dict:
-    """Apply the run's overrides to ``cfg``; ``simulate`` and
-    ``windowed_isolation`` check the values before anything is written."""
+    """Apply the run's overrides to ``cfg``; ``run_scenario`` checks the seed
+    and horizon before drawing and the window before writing anything."""
     overrides = {}
     if args.seed is not None:
         cfg.scenario = replace(cfg.scenario, seed=args.seed)

@@ -1,9 +1,9 @@
 """End-to-end experiment runner and artifact plumbing.
 
-``run_scenario`` wires plant → bank → selection → isolation and writes
-every artifact atomically (temp file + rename) so a crashed run never
-leaves a half-written CSV behind.  ``run_seeds`` runs plant → bank →
-selection on many seeds of a scenario as one batch.  ``calibrate``
+``run_seeds`` runs plant → bank → selection on many seeds of a scenario
+as one batch.  ``run_scenario`` runs its one seed through that batch,
+isolates, and writes every artifact atomically (temp file + rename) so a
+crashed run never leaves a half-written CSV behind.  ``calibrate``
 produces a new config with fitted convergence models, leaving the
 original file untouched.
 """
@@ -42,13 +42,11 @@ from .isolation import (
 from .model import (
     MAX_BATCH,
     AttackScenario,
-    PlantModel,
     Trajectory,
     draw_run,
     first_divergence,
     output_track,
     plant_track,
-    simulate,
 )
 from .observers import ObserverBank
 
@@ -90,21 +88,6 @@ def resolve_out_dir(cfg: ScenarioConfig, out: str | None) -> Path:
     return Path(base) / cfg.name
 
 
-def _check_batch(plant: PlantModel, observers: int, scenarios: list[AttackScenario]) -> None:
-    """Refuse scenarios that do not validate, and then a batch whose bank
-    estimates would pass ``MAX_BATCH`` entries, before anything is drawn."""
-    problems = list(dict.fromkeys(msg for scen in scenarios for msg in scen.validate(plant)))
-    if not problems and scenarios:
-        steps = scenarios[0].horizon + 1
-        if observers * len(scenarios) * steps * plant.n > MAX_BATCH:
-            problems.append(
-                f"batch of {observers} observers x {len(scenarios)} seeds x "
-                f"{steps} steps x {plant.n} states exceeds {MAX_BATCH} estimates"
-            )
-    if problems:
-        raise ConfigurationError(problems)
-
-
 def run_scenario(
     cfg: ScenarioConfig,
     out: str | None = None,
@@ -112,17 +95,17 @@ def run_scenario(
 ) -> RunArtifacts:
     """Simulate, estimate, isolate, and persist one scenario.
 
-    The scenario is validated, and its bank estimates are held to
-    ``MAX_BATCH`` entries as a one-seed batch of ``run_seeds`` is, before
-    anything is drawn.  The run directory is made once selection and
-    isolation have succeeded, so a failed run leaves none behind.
+    The bank is built and certified, then the seed runs as a one-seed
+    ``run_seeds`` batch: validated and held to ``MAX_BATCH`` estimates
+    before anything is drawn; a divergence or starvation is raised.  The
+    run directory is made after isolation, so a failed run leaves none.
     """
     started = time.perf_counter()
-    _check_batch(cfg.plant, len(cfg.bank.all_subsets), [cfg.scenario])
-    trajectory = simulate(cfg.plant, cfg.scenario, ceiling=cfg.ceiling)
     bank, _ = build_bank(cfg)
-    est = bank.run(trajectory.y, trajectory.u, cfg.initial_estimate(trajectory.x[0]))
-    run = run_estimator(cfg.bank, bank.subsets, est, truth=trajectory.x)
+    outcome = _run_batch(cfg, bank, [cfg.scenario])[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    trajectory, run = outcome
     thresholds = isolation = None
     if cfg.isolation is not None:
         iso = cfg.isolation
@@ -182,6 +165,39 @@ def run_scenario(
     return RunArtifacts(out_dir, paths, trajectory, run, isolation)
 
 
+def _run_batch(cfg: ScenarioConfig, bank: ObserverBank, scenarios: list[AttackScenario]) -> list:
+    """Each scenario's ``(Trajectory, EstimatorRun)``, or its run's error, stepped as one batch."""
+    plant = cfg.plant
+    problems = list(dict.fromkeys(msg for scen in scenarios for msg in scen.validate(plant)))
+    if not problems and scenarios:
+        steps = scenarios[0].horizon + 1
+        if len(bank) * len(scenarios) * steps * plant.n > MAX_BATCH:
+            problems.append(
+                f"batch of {len(bank)} observers x {len(scenarios)} seeds x "
+                f"{steps} steps x {plant.n} states exceeds {MAX_BATCH} estimates"
+            )
+    if problems:
+        raise ConfigurationError(problems)
+    if not scenarios:
+        return []
+    x0, u, d, m, a = (np.array(signal) for signal in zip(*(draw_run(plant, s) for s in scenarios)))
+    x = plant_track(plant, x0, u, d, cfg.ceiling)
+    outcomes = [None if out is None else SimulationDivergedError(*out)
+                for out in (first_divergence(row, cfg.ceiling) for row in x)]
+    finite = [i for i, out in enumerate(outcomes) if out is None]
+    if finite:
+        y = output_track(plant, x[finite], u[finite]) + m[finite] + a[finite]
+        x0_est = np.array([cfg.initial_estimate(x[i, 0]) for i in finite])
+        est = bank.run(y, u[finite], x0_est)
+    for row, i in enumerate(finite):
+        try:
+            outcomes[i] = (Trajectory(x[i], y[row], u[i], d[i], m[i], a[i]),
+                           run_estimator(cfg.bank, bank.subsets, est[:, row].copy(), truth=x[i]))
+        except EstimatorStarvedError as exc:
+            outcomes[i] = exc
+    return outcomes
+
+
 def run_seeds(
     cfg: ScenarioConfig,
     bank: ObserverBank,
@@ -199,26 +215,9 @@ def run_seeds(
     batch whose bank estimates would pass ``MAX_BATCH`` entries is
     refused, before anything is drawn.
     """
-    plant = cfg.plant
     base = cfg.scenario if scenario is None else scenario
-    scenarios = [replace(base, seed=seed) for seed in seeds]
-    _check_batch(plant, len(bank), scenarios)
-    if not scenarios:
-        return []
-    x0, u, d, m, a = (np.array(signal) for signal in zip(*(draw_run(plant, s) for s in scenarios)))
-    x = plant_track(plant, x0, u, d, cfg.ceiling)
-    outcomes = [first_divergence(row, cfg.ceiling) for row in x]
-    finite = [i for i, diverged in enumerate(outcomes) if diverged is None]
-    if finite:
-        y = output_track(plant, x[finite], u[finite]) + m[finite] + a[finite]
-        x0_est = np.array([cfg.initial_estimate(x[i, 0]) for i in finite])
-        est = bank.run(y, u[finite], x0_est)
-    for row, i in enumerate(finite):
-        try:
-            outcomes[i] = run_estimator(cfg.bank, bank.subsets, est[:, row].copy(), truth=x[i])
-        except EstimatorStarvedError as exc:
-            outcomes[i] = exc
-    return [SimulationDivergedError(*out) if isinstance(out, tuple) else out for out in outcomes]
+    outcomes = _run_batch(cfg, bank, [replace(base, seed=seed) for seed in seeds])
+    return [out[1] if isinstance(out, tuple) else out for out in outcomes]
 
 
 def calibrate(

@@ -414,8 +414,9 @@ def draw_run(model: PlantModel, scenario: AttackScenario):
     """The signals of one run of ``scenario``: x(0), u, d, m and a.
 
     Each signal draws from its own stream, so drawing past a divergence
-    changes nothing.  ``simulate`` and ``harness.run_seeds`` both draw
-    through this, so a seed gives the same run on either path.
+    changes nothing.  ``simulate`` and the harness's one batch, behind
+    ``run_scenario`` and ``run_seeds``, both draw through this, so a seed
+    gives the same run on either path.
     """
     T, seed = scenario.horizon, scenario.seed
     u = np.zeros((T + 1, model.n_u))

@@ -239,6 +239,22 @@ def test_run_divergence_exits_2(scenario_dir, tmp_path, capsys):
     pytest.fail("no diverging seed found in 0..39")
 
 
+def test_run_certifies_the_bank_before_the_plant_runs(scenario_dir, tmp_path, capsys):
+    # example1 with a failing J:1,2 gain on seed 2, whose plant diverges at step
+    # 4: the certificate is listed (exit 1), not the divergence (exit 2)
+    raw = json.loads((scenario_dir / "example1.json").read_text())
+    raw["observers"]["bundle"]["J:1,2"]["K"] = [[50, 0], [0, 50]]
+    config = tmp_path / "bad_gain.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--seed", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error (1 problem(s)):\n  - J:1,2: linear certificate failed "
+        "(spectral radius 99 >= 0.999); mark the entry practical or redesign the gain\n"
+    )
+    assert not out.exists()
+
+
 def test_calibrate_writes_bundle(scenario_dir, tmp_path, capsys):
     out_file = tmp_path / "cal.json"
     code = main([

@@ -101,21 +101,28 @@ def test_failed_write_leaves_no_tmp_file(scenario_dir, tmp_path):
 
 
 def test_divergence_carries_the_config_hash(scenario_dir, tmp_path, capsys):
-    # example1's plant diverges on seed 2, and its 2-trial calibration fails:
-    # each exit-2 message ends with the config's hash, and the run leaves no
-    # directory behind
+    # example1's plant diverges on seed 2, its bank starves on seed 5070, and
+    # its 2-trial calibration fails: each exit-2 message ends with the
+    # config's hash, and the run leaves no directory behind
     cfg = _cfg(scenario_dir, "example1")
-    cfg.scenario = replace(cfg.scenario, seed=2)
-    with pytest.raises(SimulationDivergedError) as err:
-        run_scenario(cfg, out=str(tmp_path))
-    assert err.value.step > 0
+    for seed, error in ((2, SimulationDivergedError), (5070, EstimatorStarvedError)):
+        cfg.scenario = replace(cfg.scenario, seed=seed)
+        with pytest.raises(error) as err:
+            run_scenario(cfg, out=str(tmp_path))
+        assert err.value.step > 0
     tag = f" [config sha256 {cfg.sha256[:12]}]\n"
     config = str(scenario_dir / "example1.json")
-    for args in (["run", "--seed", "2", "--out", str(tmp_path)],
-                 ["calibrate", "--trials", "2", "--out", str(tmp_path / "cal.json")]):
+    for args, message in (
+        (["run", "--seed", "2", "--out", str(tmp_path)],
+         "plant state exceeded the divergence ceiling at step 4 (|x| = 1.168e+19)"),
+        (["run", "--seed", "5070", "--out", str(tmp_path)],
+         "all deviation scores are infinite at step 10"),
+        (["calibrate", "--trials", "2", "--out", str(tmp_path / "cal.json")],
+         "calibration failed for: J:1,2: plant diverged at step 4 of calibration trial 0"),
+    ):
         assert cli_main([args[0], "--config", config, *args[1:]]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("runtime failure: ") and err.endswith(tag), err
+        assert err.startswith(f"runtime failure: {message}") and err.endswith(tag), err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -261,11 +268,11 @@ def test_run_scenario_holds_its_one_run_to_the_cap_before_simulating(scenario_di
     # example4 at 10**6 steps: 10 observers x 1000001 steps x 2 states
     cfg = _cfg(scenario_dir, "example4")
 
-    def simulated(*args, **kwargs):
-        raise RuntimeError("simulated")
+    def drawn(*args):
+        raise RuntimeError("drawn")
 
-    monkeypatch.setattr(harness, "simulate", simulated)
-    with pytest.raises(RuntimeError, match="simulated"):
+    monkeypatch.setattr(harness, "draw_run", drawn)
+    with pytest.raises(RuntimeError, match="drawn"):
         run_scenario(cfg, out=str(tmp_path))
     long = replace(cfg, scenario=replace(cfg.scenario, horizon=10**6))
     with pytest.raises(ConfigurationError) as err:
