@@ -3,6 +3,8 @@
 # ships as data, with every Python warning an error:
 #   - validate the four bundled configs;
 #   - run example4 and check that every file its metadata.json names is non-empty;
+#   - run example3 for 100 000 steps into a temp directory and check that its
+#     trajectory.csv has 100 002 lines and that no .tmp file is left;
 #   - calibrate example4, example2 and example3, and validate what each writes;
 #   - check that example1's calibration exits 2 with its pinned message;
 #   - run example1 on seed 2 and check that it exits 2 with its step-4 divergence message;
@@ -16,6 +18,12 @@ scenarios="$(python -c "from importlib import resources; print(resources.files('
 for config in "$scenarios"/example*.json; do multiobserver validate --config "$config"; done
 multiobserver run --config "$scenarios/example4.json" --horizon 50 --out runs
 python -c "import json, pathlib; run = pathlib.Path('runs/example4'); files = json.loads((run / 'metadata.json').read_text())['files']; assert all((run / name).stat().st_size > 0 for name in files.values() if name is not None), files"
+# a long run streams every artifact into its .tmp and renames it when complete
+long="$(mktemp -d)"
+multiobserver run --config "$scenarios/example3.json" --horizon 100000 --out "$long"
+test "$(wc -l < "$long/example3/trajectory.csv")" -eq 100002
+test -z "$(find "$long" -name '*.tmp')"
+rm -r "$long"
 multiobserver calibrate --config "$scenarios/example4.json" --trials 2 --out calibrated.json
 multiobserver validate --config calibrated.json
 # example2's reduced-order bank steps both fits in one bank pass

@@ -2,22 +2,22 @@
 
 ``run_seeds`` runs plant → bank → selection on many seeds of a scenario
 as one batch.  ``run_scenario`` runs its one seed through that batch,
-isolates, and writes every artifact atomically (temp file + rename) so a
-crashed run never leaves a half-written CSV behind.  ``calibrate``
-produces a new config with fitted convergence models, leaving the
-original file untouched.
+isolates, and writes its artifacts; ``calibrate`` writes a new config
+with fitted convergence models, leaving the original file untouched.
+Each file is written into ``<name>.tmp``, a CSV one row block at a time,
+and renamed onto ``<name>`` when complete, so no artifact is ever partial.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import logging
 import os
 import platform
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,15 +72,17 @@ class RunArtifacts:
     isolation: IsolationReport | None
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as fh:
+            write(fh)
         os.replace(tmp, path)
     except OSError as exc:
+        raise PlumbingError(f"cannot write {path}: {exc}") from None
+    finally:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
-        raise PlumbingError(f"cannot write {path}: {exc}") from None
 
 
 def resolve_out_dir(cfg: ScenarioConfig, out: str | None) -> Path:
@@ -131,9 +133,7 @@ def run_scenario(
         raise PlumbingError(f"cannot create {out_dir}: {exc}") from None
     for name, write, result in table.values():
         if result is not None:
-            buf = io.StringIO()
-            write(result, buf)
-            _atomic_write_text(out_dir / name, buf.getvalue())
+            _atomic_write(out_dir / name, partial(write, result))
 
     metadata = {
         "name": cfg.name,
@@ -157,11 +157,11 @@ def run_scenario(
             "eps": thresholds.eps,
             "thresholds": {J.label: v for J, v in thresholds.pi_bar.items()},
         }
-    _atomic_write_text(out_dir / "metadata.json", json.dumps(metadata, indent=2) + "\n")
-    T = cfg.scenario.horizon
-    log.info("run %s: %d steps, %d samples, artifacts in %s", cfg.name, T, T + 1, out_dir)
     paths = {key: None if name is None else out_dir / name
              for key, name in {**files, "metadata": "metadata.json"}.items()}
+    _atomic_write(paths["metadata"], lambda fh: fh.write(json.dumps(metadata, indent=2) + "\n"))
+    T = cfg.scenario.horizon
+    log.info("run %s: %d steps, %d samples, artifacts in %s", cfg.name, T, T + 1, out_dir)
     return RunArtifacts(out_dir, paths, trajectory, run, isolation)
 
 
@@ -260,6 +260,6 @@ def calibrate(
     raw.setdefault("estimator", {})["iss"] = asdict(est_model)
 
     out_path = Path(out_path)
-    _atomic_write_text(out_path, json.dumps(raw, indent=2) + "\n")
+    _atomic_write(out_path, lambda fh: fh.write(json.dumps(raw, indent=2) + "\n"))
     log.info("calibrated %d observers -> %s", len(models), out_path)
     return out_path

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from dataclasses import replace
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from _brute import luenberger_observer_track
 from _toys import A2, C3, toy_bank
+from test_golden import GOLDEN
 
 from multiobserver import (
     ConfigurationError,
@@ -98,6 +100,56 @@ def test_failed_write_leaves_no_tmp_file(scenario_dir, tmp_path):
         "frames.csv", "trajectory.csv",
     ]
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+class _RecordingFile:
+    """A text file that records the length of each ``write`` call."""
+
+    def __init__(self, fh, sizes):
+        self._fh, self._sizes = fh, sizes
+
+    def write(self, text):
+        self._sizes.append(len(text))
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_artifacts_stream_into_their_files(scenario_dir, tmp_path, monkeypatch):
+    # each CSV is written a row block at a time, never as one whole-file string
+    sizes = {}
+
+    def recording_open(path, *args, **kwargs):
+        name = Path(path).name.removesuffix(".tmp")
+        return _RecordingFile(open(path, *args, **kwargs), sizes.setdefault(name, []))
+
+    monkeypatch.setattr(harness, "open", recording_open, raising=False)
+    run_scenario(_cfg(scenario_dir, "example4"), out=str(tmp_path))
+    for name in ("trajectory.csv", "frames.csv"):
+        written = sizes.get(name, [])
+        assert len(written) > 1, name
+        assert max(written) < sum(written) / 3, name
+    golden = GOLDEN["example4"]
+    got = {name: hashlib.sha256((tmp_path / "example4" / name).read_bytes()).hexdigest()
+           for name in golden}
+    assert got == golden
+    assert sorted(sizes) == sorted([*golden, "metadata.json"])
+
+
+def test_a_writer_failing_part_way_leaves_no_file(scenario_dir, tmp_path, monkeypatch):
+    def fails_after_one_row(run, fh):
+        fh.write("k,sigma\n")
+        raise ValueError("writer failed")
+
+    monkeypatch.setattr(harness, "frames_to_csv", fails_after_one_row)
+    with pytest.raises(ValueError, match="writer failed") as err:
+        run_scenario(_cfg(scenario_dir, "example1"), out=str(tmp_path))
+    assert type(err.value) is ValueError  # not wrapped as a PlumbingError
+    assert [p.name for p in (tmp_path / "example1").iterdir()] == ["trajectory.csv"]
 
 
 def test_divergence_carries_the_config_hash(scenario_dir, tmp_path, capsys):
