@@ -4,8 +4,8 @@
 as one batch.  ``run_scenario`` runs its one seed through that batch,
 isolates, and writes its artifacts; ``calibrate`` writes a new config
 with fitted convergence models, leaving the original file untouched.
-Each file is written into ``<name>.tmp``, a CSV one row block at a time,
-and renamed onto ``<name>`` when complete, so no artifact is ever partial.
+Each file streams into ``<name>.tmp``, ``trajectory.csv`` and ``frames.csv``
+a row block at a time, and is renamed onto ``<name>`` when complete.
 """
 
 from __future__ import annotations
