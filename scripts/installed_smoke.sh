@@ -2,6 +2,9 @@
 # Run the installed `multiobserver` console script on the configs the package
 # ships as data, with every Python warning an error:
 #   - validate the four bundled configs;
+#   - validate example3 with a slope box of [-1.7e308, 1.7e308] and example4 with a
+#     uniform attack on sensor 3 whose high - low overflows, and check that each
+#     exits 1 with its listed problem and no traceback;
 #   - run example4 and check that every file its metadata.json names is non-empty;
 #   - run example3 for 100 000 steps into a temp directory and check that its
 #     trajectory.csv has 100 002 lines and that no .tmp file is left;
@@ -16,6 +19,27 @@ set -eo pipefail
 export PYTHONWARNINGS=error
 scenarios="$(python -c "from importlib import resources; print(resources.files('multiobserver') / 'scenarios')")"
 for config in "$scenarios"/example*.json; do multiobserver validate --config "$config"; done
+# a finite box or range whose width overflows is a listed config fault (exit 1)
+python - "$scenarios" <<'CONFIGS'
+import json, pathlib, sys
+scenarios = pathlib.Path(sys.argv[1])
+raw = json.loads((scenarios / "example3.json").read_text())
+raw["plant"]["slope_box"] = [-1.7e308, 1.7e308]
+pathlib.Path("huge_box.json").write_text(json.dumps(raw))
+raw = json.loads((scenarios / "example4.json").read_text())
+raw["scenario"]["attacks"]["3"] = {"kind": "uniform", "low": -1e308, "high": 1e308}
+pathlib.Path("huge_uniform.json").write_text(json.dumps(raw))
+CONFIGS
+for case in "huge_box:plant.slope_box: slope condition failed on box (-1.7e+308, 1.7e+308)" \
+            "huge_uniform:scenario.attacks[3]: uniform signal's high - low overflows"; do
+    name="${case%%:*}"
+    status=0
+    multiobserver validate --config "$name.json" 2> "$name.err" || status=$?
+    cat "$name.err"
+    test "$status" -eq 1
+    grep -F "  - ${case#*:}" "$name.err"
+    if grep -qF Traceback "$name.err"; then exit 1; fi
+done
 multiobserver run --config "$scenarios/example4.json" --horizon 50 --out runs
 python -c "import json, pathlib; run = pathlib.Path('runs/example4'); files = json.loads((run / 'metadata.json').read_text())['files']; assert all((run / name).stat().st_size > 0 for name in files.values() if name is not None), files"
 # a long run streams every artifact into its .tmp and renames it when complete

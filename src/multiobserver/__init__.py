@@ -38,7 +38,6 @@ from .observers import (
     ObserverBank,
     ReducedOrderObserver,
     certify_linear_gain,
-    check_slope_condition,
 )
 from .calibration import (
     CalibrationSettings,

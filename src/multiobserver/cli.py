@@ -102,8 +102,6 @@ def _cmd_validate(cfg, args) -> int:
         f"OK: {cfg.name} (p={cfg.plant.p}, q={cfg.scenario.q}, "
         f"{len(cfg.bank.all_subsets)} observers, worst certificate radius {worst:.4f})"
     )
-    if report.slope is not None:
-        print(f"slope condition holds (worst quotient {report.slope.worst_quotient:.3e})")
     return 0
 
 

@@ -46,9 +46,7 @@ from .observers import (
     Observer,
     ObserverBank,
     ReducedOrderObserver,
-    SlopeCheckResult,
     certify_linear_gain,
-    check_slope_condition,
 )
 
 __all__ = [
@@ -430,7 +428,6 @@ class ScenarioConfig:
     raw: dict = field(repr=False)
     lin_A: np.ndarray | None = field(default=None, repr=False)
     lin_C: np.ndarray | None = field(default=None, repr=False)
-    slope_box: tuple[float, float] | None = None
 
     def initial_estimate(self, x0: np.ndarray) -> np.ndarray:
         """The bank's shared initial estimate for a run starting at x0."""
@@ -517,6 +514,37 @@ def _nonlinearity(registry: dict) -> _Key:
     return _Key(_Collector.tagged, needed=True, tag="name", tables=tables, n=lambda c: len(c["A"]))
 
 
+# Points of the sorted grid the slope box is checked on, both ends included.
+_SLOPE_GRID = 4097
+# Room for rounding: how far below 0 the quotient of two consecutive grid points
+# may fall, and, on a grid coarser than 1, their difference f(w) - f(v).
+_SLOPE_TOL = -1e-12
+
+
+def _slope_box(col: _Collector, path: str, val, channel: Callable):
+    """A box [lo, hi], lo < hi, on which the circle channel must be nondecreasing.
+
+    The channel is evaluated on ``_SLOPE_GRID`` evenly spaced points lo (1 - t) + hi t,
+    finite for every finite box; each two consecutive ones must clear ``_SLOPE_TOL``,
+    and the worst pair is the listed witness.  Any pair's quotient is a weighted mean
+    of the consecutive ones between them: no pair falls below the grid's least one.
+    """
+    listed = len(col.problems)
+    lo, hi = col.vector(path, val, n=2)
+    if len(col.problems) == listed and not lo < hi:  # a listed value is not checked again
+        col.add(path, "circle family needs slope_box [lo, hi] with lo < hi")
+    if len(col.problems) > listed:
+        return
+    t = np.linspace(0.0, 1.0, _SLOPE_GRID)
+    v = np.unique(lo * (1.0 - t) + hi * t)  # a narrow box repeats points
+    dv, df = np.diff(v), np.diff(np.asarray(channel(v), dtype=float))
+    slack = df / np.minimum(dv, 1.0)  # the quotient, or on a coarse grid the difference
+    worst = int(np.argmin(slack))
+    if not slack[worst] >= _SLOPE_TOL:  # a NaN fails too
+        col.add(path, f"slope condition failed on box {(lo, hi)}: quotient "
+                f"{df[worst] / dv[worst]:.3e} at witness {(float(v[worst]), float(v[worst + 1]))}")
+
+
 # A comes first: the others are shaped by its n rows.
 _LINEAR = {
     "A": _Key(_Collector.matrix, needed=True, check=(
@@ -534,14 +562,13 @@ _PLANTS = {
             {name: ({}, lambda fn=fn: fn) for name, fn in CHANNEL_REGISTRY.items()}),
         "G": _Key(_Collector.matrix, needed=True, shape=lambda c: (len(c["A"]), None)),
         "H": _Key(_Collector.matrix, needed=True, shape=lambda c: (c["G"].shape[1], len(c["A"]))),
-        "slope_box": _Key(_Collector.vector, n=2, check=(
-            lambda box: box[0] < box[1], "circle family needs slope_box [lo, hi] with lo < hi")),
+        "slope_box": _Key(_slope_box, channel=lambda c: c["nonlinearity"]["params"]),
     },
 }
 
 
 def _plant(col: _Collector, path: str, val) -> dict | None:
-    """The plant model, the (A, C) its gains are certified with, and the slope box."""
+    """The plant model and the (A, C) its gains are certified with."""
     got = col.tagged(path, val, "family", _PLANTS, section=val)
     if got is None or "plant" in got:  # no plant, or the named one
         return got
@@ -570,7 +597,7 @@ def _plant(col: _Collector, path: str, val) -> dict | None:
         name=name if structure is None else f"{family}[{name}]", n=len(A), p=len(C), f=f, h=h,
         n_d=0 if D is None else D.shape[1], structure=structure,
     )
-    return dict(family=family, plant=model, lin_A=A, lin_C=C, slope_box=got.get("slope_box"))
+    return dict(family=family, plant=model, lin_A=A, lin_C=C)
 
 
 # --- scenario and estimator --------------------------------------------------
@@ -840,10 +867,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 @dataclass
 class BankBuildReport:
-    """Numeric health of a constructed bank: certificates and slope check."""
+    """Numeric health of a constructed bank: its gain certificates."""
 
     certificates: dict[SubsetIndex, CertificateResult]
-    slope: SlopeCheckResult | None
     problems: list[str]
 
 
@@ -851,9 +877,7 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
     """Construct every observer and certify the gains.
 
     Certificate failures on subsets not marked ``practical`` are
-    collected and (when ``enforce``) raised as one error.  The circle
-    family additionally gets its slope certificate checked over the
-    configured box.
+    collected and (when ``enforce``) raised as one error.
     """
     observers: dict[SubsetIndex, Observer] = {}
     loops: dict[tuple, dict[SubsetIndex, np.ndarray]] = {}  # by shape: one stack each
@@ -893,17 +917,8 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
                 f"(spectral radius {cert.spectral_radius:.6g} >= {1 - CERTIFICATE_MARGIN}); "
                 f"mark the entry practical or redesign the gain"
             )
-    slope = None
-    if cfg.family == "circle" and cfg.slope_box is not None:
-        slope = check_slope_condition(st.channels, cfg.slope_box)
-        if not slope.passed:
-            problems.append(
-                f"slope condition failed on box {cfg.slope_box}: quotient "
-                f"{slope.worst_quotient:.3e} at witness {slope.witness}"
-            )
-    report = BankBuildReport(certificates=certificates, slope=slope, problems=problems)
     if enforce and problems:
         raise ConfigurationError(problems)
     if len(observers) != len(cfg.bank.all_subsets):
         raise ConfigurationError(problems or ["bank incomplete after construction"])
-    return ObserverBank(observers), report
+    return ObserverBank(observers), BankBuildReport(certificates, problems)

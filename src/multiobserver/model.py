@@ -92,6 +92,8 @@ class SignalSpec:
             problems.append(f"unknown signal kind {self.kind!r}")
         if self.kind == "uniform" and not self.low < self.high:
             problems.append(f"uniform signal needs low < high, got ({self.low}, {self.high})")
+        elif self.kind == "uniform" and math.isinf(self.high - self.low):
+            problems.append(f"uniform signal's high - low overflows, got ({self.low}, {self.high})")
         if self.kind == "normal" and self.std < 0:
             problems.append(f"normal signal needs std >= 0, got {self.std}")
         if self.kind == "table":
@@ -189,8 +191,8 @@ class CircleStructure:
     """Structural data of a plant x+ = A x + G f(H x) + D d with outputs C x,
     as the circle-criterion observers read it.
 
-    ``channels`` applies the scalar nonlinearity slope-restricted to
-    [0, inf) componentwise.
+    ``channels`` applies the scalar nonlinearity componentwise.  The loader
+    checks only that it is nondecreasing on the config's ``slope_box``.
     """
 
     A: np.ndarray

@@ -55,9 +55,7 @@ __all__ = [
     "ObserverBank",
     "run_trials",
     "certify_linear_gain",
-    "check_slope_condition",
     "CertificateResult",
-    "SlopeCheckResult",
 ]
 
 
@@ -219,11 +217,11 @@ class ReducedOrderObserver(Observer):
     """Observer in partial coordinates z = L x for plants x+ = A x + g(x, u).
 
     With T = [L; C_J] invertible and (N, M) the blocks of T^-1, the
-    update integrates the z-dynamics and rebuilds the estimate from the
-    newest measurement:
+    update integrates the z-dynamics, corrects them with the innovation of
+    the newest measurement and rebuilds the estimate from it:
 
-        z(k+1)      = (A_L - K C_eq) z(k) + (B_L + K ...) terms via the
-                      innovation y_J(k+1) - C_J x_pred(k+1),
+        z(k+1)      = A_L z(k) + B_L y_J(k) + L g(x_hat(k), u(k))
+                      + K (y_J(k+1) - C_J x_pred(k+1)),
         x_hat(k+1)  = N z(k+1) + M y_J(k+1),
 
     where x_pred(k+1) = A x_hat(k) + g(x_hat(k), u(k)) is the one-step
@@ -499,44 +497,6 @@ def certify_linear_gain(closed: np.ndarray) -> CertificateResult | list[Certific
         rho[finite] = np.abs(np.linalg.eigvals(loops[finite])).max(axis=-1, initial=0.0)
     results = [CertificateResult(r, r < 1.0 - CERTIFICATE_MARGIN) for r in rho.tolist()]
     return results if closed.ndim == 3 else results[0]
-
-
-# Points of the sorted grid the slope check evaluates a channel on, both ends included.
-_SLOPE_GRID = 4097
-# Difference quotient below which the slope check fails: room for rounding.
-_SLOPE_TOL = -1e-12
-
-
-@dataclass(frozen=True)
-class SlopeCheckResult:
-    passed: bool
-    worst_quotient: float
-    witness: tuple[float, float] | None
-
-
-def check_slope_condition(
-    channel: Callable[[np.ndarray], np.ndarray],
-    box: tuple[float, float],
-) -> SlopeCheckResult:
-    """Check on a sorted grid that a scalar channel is nondecreasing on a box.
-
-    Evaluates the channel once on ``_SLOPE_GRID`` evenly spaced points
-    from lo to hi and requires every quotient (f(w) - f(v)) / (w - v) of
-    consecutive points v < w to clear ``_SLOPE_TOL``; the worst such pair
-    is returned as the witness of a failure.  The quotient of any pair of
-    grid points is a weighted mean of the consecutive quotients between
-    them, so no pair of grid points falls below the grid's minimum.
-    """
-    lo, hi = box
-    if not lo < hi:
-        raise ConfigurationError(f"slope-check box must have lo < hi, got ({lo}, {hi})")
-    v = np.unique(np.linspace(lo, hi, _SLOPE_GRID))  # a narrow box repeats points
-    quotients = np.diff(np.asarray(channel(v), dtype=float)) / np.diff(v)
-    worst = int(np.argmin(quotients))
-    worst_q = float(quotients[worst])
-    if not worst_q >= _SLOPE_TOL:  # a NaN quotient fails too
-        return SlopeCheckResult(False, worst_q, (float(v[worst]), float(v[worst + 1])))
-    return SlopeCheckResult(True, worst_q, None)
 
 
 class ObserverBank:

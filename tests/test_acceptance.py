@@ -26,6 +26,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from _brute import (
     argmin_selection,
@@ -36,6 +37,7 @@ from _brute import (
 )
 from _toys import run_from_pi, toy_bank, toy_plant, toy_scenario
 from multiobserver import (
+    ConfigurationError,
     EstimatorRun,
     EstimatorStarvedError,
     SignalSpec,
@@ -51,6 +53,7 @@ from multiobserver import (
     simulate,
     windowed_isolation,
 )
+from multiobserver.config import parse_config
 
 
 def _verdict(num, label, ok, detail):
@@ -405,11 +408,17 @@ def test_criterion_8_invariant_battery(scenario_dir):
         worst, vacuous = max(worst, w), vacuous + v
         done += 1
 
-    # slope certificates for the bundled nonlinear scenarios
+    # slope certificates for the bundled nonlinear scenarios: each loads, and
+    # the loader lists the same plant on a box where sin decreases
     slopes = []
     for name in ("example3", "example4"):
-        _, rep = build_bank(load_config(scenario_dir / f"{name}.json"))
-        assert rep.slope is not None and rep.slope.passed
+        cfg = load_config(scenario_dir / f"{name}.json")
+        assert cfg.family == "circle"
+        cfg.raw["plant"]["slope_box"] = [-2, 2]
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(cfg.raw)
+        (problem,) = err.value.problems
+        assert problem.startswith("plant.slope_box: slope condition failed on box (-2.0, 2.0)")
         slopes.append(name)
 
     # determinism: the same seed reproduces a full run bit for bit

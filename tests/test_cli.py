@@ -26,11 +26,6 @@ def test_validate_accepts_every_bundled_config(scenario_dir, capsys):
         assert "observers" in out
 
 
-def test_validate_prints_slope_line_for_circle_family(scenario_dir, capsys):
-    main(["validate", "--config", _path(scenario_dir, "example3")])
-    assert "slope condition holds" in capsys.readouterr().out
-
-
 def test_validate_rejects_broken_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"plant": {"family": "nope"}, "scenario": {"q": 1, "horizon": 5}}))
@@ -291,7 +286,7 @@ def test_validate_lists_a_failed_slope_condition(scenario_dir, tmp_path, capsys)
     assert main(["validate", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert "configuration error (1 problem(s))" in err
-    assert "  - slope condition failed on box (-2.0, 2.0)" in err
+    assert "  - plant.slope_box: slope condition failed on box (-2.0, 2.0)" in err
 
 
 def test_calibrate_with_a_starved_estimator_exits_2(scenario_dir, tmp_path, capsys, monkeypatch):

@@ -46,8 +46,6 @@ def test_every_bundled_config_loads_and_certifies(scenario_dir):
         bank, report = build_bank(cfg, enforce=True)
         assert len(bank.observers) == size
         assert report.problems == []
-        if family == "circle":
-            assert report.slope is not None and report.slope.passed
 
 
 def test_bundled_isolation_configs_have_full_iss(scenario_dir):
@@ -149,6 +147,20 @@ def test_bad_slope_box_rejected(scenario_dir):
     with pytest.raises(ConfigurationError) as err:
         parse_config(raw)
     assert any("slope_box" in p for p in err.value.problems)
+
+
+def test_a_failed_slope_condition_is_listed_with_every_other_fault(scenario_dir):
+    # sin's slope turns negative past pi/2, inside a box of [-2, 2]
+    raw = _raw(scenario_dir, "example3")
+    raw["plant"]["slope_box"] = [-2, 2]
+    raw["scenario"]["horizon"] = -1
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
+    assert err.value.problems == [
+        "plant.slope_box: slope condition failed on box (-2.0, 2.0): "
+        "quotient -4.157e-01 at witness (-2.0, -1.9990234375)",
+        "scenario: horizon must lie in 1..1000000, got -1",
+    ]
 
 
 def test_unknown_calibration_field_rejected(scenario_dir):
@@ -469,6 +481,9 @@ def test_an_unknown_tag_is_one_problem(scenario_dir, name, path, value, problem)
     assert err.value.problems == [problem]
 
 
+_HUGE_UNIFORM = {"kind": "uniform", "low": -1e308, "high": 1e308}
+
+
 @pytest.mark.parametrize(
     "path, value, problem",
     [
@@ -478,6 +493,11 @@ def test_an_unknown_tag_is_one_problem(scenario_dir, name, path, value, problem)
          "scenario.attacks[2]: table signal has 1 values but horizon 199 needs 200"),
         (("scenario", "x0", "std", 1), -1.0,
          "scenario.x0: normal init needs std >= 0, got [1.0, -1.0, 1.0, 1.0]"),
+        # numpy cannot draw from a uniform generator whose high - low overflows
+        (("scenario", "attacks", "3"), _HUGE_UNIFORM,
+         "scenario.attacks[3]: uniform signal's high - low overflows, got (-1e+308, 1e+308)"),
+        (("scenario", "noise"), _HUGE_UNIFORM,
+         "scenario.noise: uniform signal's high - low overflows, got (-1e+308, 1e+308)"),
     ],
 )
 def test_a_bad_generator_or_x0_is_one_problem(scenario_dir, path, value, problem):
@@ -551,8 +571,7 @@ def _fields(cfg):
     plant = (cfg.plant.name, cfg.plant.n, cfg.plant.p, cfg.plant.n_d)
     init = None if cfg.estimator_init_value is None else cfg.estimator_init_value.tolist()
     return (cfg.name, cfg.family, plant, cfg.bank, specs, cfg.scenario, cfg.estimator_init, init,
-            cfg.estimator_iss, cfg.isolation, cfg.calibration, cfg.ceiling, cfg.out_dir,
-            cfg.slope_box)
+            cfg.estimator_iss, cfg.isolation, cfg.calibration, cfg.ceiling, cfg.out_dir)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import ast
 import json
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -28,12 +30,12 @@ from multiobserver import (
     bank_index,
     build_bank,
     certify_linear_gain,
-    check_slope_condition,
     load_config,
     simulate,
 )
-from multiobserver.config import CHANNEL_REGISTRY, parse_config
-from multiobserver.observers import CERTIFICATE_MARGIN, _SLOPE_GRID, _SLOPE_TOL, run_trials
+from multiobserver import config
+from multiobserver.config import _SLOPE_GRID, _SLOPE_TOL, CHANNEL_REGISTRY, parse_config
+from multiobserver.observers import CERTIFICATE_MARGIN, run_trials
 
 
 def test_luenberger_update_formula():
@@ -809,32 +811,42 @@ def test_circle_certificate_uses_plus_sign(scenario_dir):
             assert cert.passed == (rho < 1.0 - CERTIFICATE_MARGIN), (name, sub)
 
 
-def test_slope_condition_monotone_channel():
-    res = check_slope_condition(np.sin, (-1.5, 1.5))
-    assert res.passed
-    assert res.witness is None
-    assert res.worst_quotient >= 0.0
+def _slope_problems(channel, box):
+    """What the loader's ``slope_box`` reader lists for ``channel`` on ``box``."""
+    col = config._Collector()
+    config._slope_box(col, "plant.slope_box", list(box), channel)
+    return col.problems
+
+
+def _witness(problem):
+    """The (v, w) pair a slope failure names."""
+    return ast.literal_eval(problem.rsplit(" at witness ", 1)[1])
+
+
+def test_slope_condition_monotone_channel(monkeypatch):
+    assert _slope_problems(np.sin, (-1.5, 1.5)) == []
+    # every quotient of the grid is >= 0: it passes without room for rounding too
+    monkeypatch.setattr(config, "_SLOPE_TOL", 0.0)
+    assert _slope_problems(np.sin, (-1.5, 1.5)) == []
 
 
 def test_slope_condition_catches_decreasing_channel():
-    res = check_slope_condition(np.sin, (-np.pi, np.pi))  # sin decreases past pi/2
-    assert not res.passed
-    assert res.witness is not None
-    v, w = res.witness
+    (problem,) = _slope_problems(np.sin, (-np.pi, np.pi))  # sin decreases past pi/2
+    assert problem.startswith("plant.slope_box: slope condition failed on box")
+    v, w = _witness(problem)
     assert (np.sin(v) - np.sin(w)) * (v - w) < 0
 
 
 def test_slope_condition_rejects_a_channel_that_returns_nan():
-    res = check_slope_condition(lambda v: np.where(v > 0.5, np.nan, v), (0.0, 1.0))
-    assert not res.passed
-    assert res.witness is not None
+    (problem,) = _slope_problems(lambda v: np.where(v > 0.5, np.nan, v), (0.0, 1.0))
+    assert "quotient nan at witness" in problem
+    assert len(_witness(problem)) == 2
 
 
 def test_slope_condition_is_deterministic():
-    # the grid check draws nothing, so repeated calls agree
-    a = check_slope_condition(np.tanh, (-2.0, 2.0))
-    b = check_slope_condition(np.tanh, (-2.0, 2.0))
-    assert a == b
+    # the grid check draws nothing, so repeated reads list the same problems
+    for channel, box in ((np.tanh, (-2.0, 2.0)), (np.sin, (-2.0, 2.0))):
+        assert _slope_problems(channel, box) == _slope_problems(channel, box)
 
 
 @pytest.mark.parametrize("name, box", [
@@ -844,13 +856,27 @@ def test_slope_condition_is_deterministic():
     ("sin", (-np.pi, np.pi)),  # fails
     ("sin", (1.0, 1.0000000000000004)),  # a box narrower than the grid repeats points
 ])
-def test_slope_grid_rejects_whatever_the_pair_check_rejects(name, box):
+def test_slope_grid_rejects_whatever_the_pair_check_rejects(name, box, monkeypatch):
     channel = CHANNEL_REGISTRY[name]
-    pair_min = pair_slope_minimum(channel, np.linspace(*box, _SLOPE_GRID))
-    res = check_slope_condition(channel, box)
-    assert res.worst_quotient <= pair_min
+    t = np.linspace(0.0, 1.0, _SLOPE_GRID)
+    pair_min = pair_slope_minimum(channel, box[0] * (1.0 - t) + box[1] * t)
     # the grid rejects whatever the pair check rejects, and nothing else
-    assert res.passed == (pair_min >= _SLOPE_TOL)
+    assert (_slope_problems(channel, box) == []) == (pair_min >= _SLOPE_TOL)
+    # the grid's worst quotient is <= every pair's: a tolerance just above them fails it
+    monkeypatch.setattr(config, "_SLOPE_TOL", float(np.nextafter(pair_min, np.inf)))
+    assert len(_slope_problems(channel, box)) == 1
+
+
+@pytest.mark.parametrize("name, fails", [("tanh", False), ("identity", False), ("sin", True)])
+def test_slope_grid_stays_finite_on_a_huge_box(name, fails):
+    # hi - lo overflows, and the suite runs with every warning an error, so an
+    # overflow in the grid fails the test; sin's quotients there are near
+    # -1e-305, within the quotient's room for rounding but not the difference's
+    problems = _slope_problems(CHANNEL_REGISTRY[name], (-1.7e308, 1.7e308))
+    assert len(problems) == fails
+    for problem in problems:
+        assert all(map(math.isfinite, _witness(problem))), problem
+        assert " quotient nan " not in problem
 
 
 def test_folded_circle_kernel_matches_brute_force_at_every_n():
