@@ -109,7 +109,6 @@ def circle_doc(name: str, C: np.ndarray, scenario: dict, init: str, bundle: dict
             "H": _mat(H_CIRCLE),
             "C": _mat(C),
             "nonlinearity": {"name": "sin"},
-            "slope_box": [-1.5, 1.5],
         },
         "scenario": scenario,
         "estimator": {"init": {"kind": init}},
@@ -309,6 +308,9 @@ def example3_doc(bundle: dict) -> dict:
 # gain is sensor 4's scaled by 1.2/1.5 (parallel rows, same closed loop).
 EX3_SINGLE_POLES = {1: (0.95, 0.90), 2: (0.95, 0.90), 3: (0.95, 0.90)}
 EX3_WEAK_GAINS = {4: (0.0167, 0.0542), 5: (0.01336, 0.04336)}
+# The single-sensor observers converge on the runs, but no certificate over a
+# sector that contains slope 1 exists for them: rho(A + L C_J + G H) > 1, and
+# their margins over sin's [-1, 1] are -0.53 to -0.61.  So they are practical.
 
 
 def ex3_bundle(target_j: np.ndarray) -> dict:
@@ -323,7 +325,7 @@ def ex3_bundle(target_j: np.ndarray) -> dict:
         else:
             k1, k2 = EX3_WEAK_GAINS[subset.members[0]]
             L = np.array([[-k1], [-k2]])
-        bundle[subset.label] = _circle_entry(L)
+        bundle[subset.label] = _circle_entry(L) | ({"practical": True} if len(subset) == 1 else {})
     return bundle
 
 

@@ -2,9 +2,10 @@
 # Run the installed `multiobserver` console script on the configs the package
 # ships as data, with every Python warning an error:
 #   - validate the four bundled configs;
-#   - validate example3 with a slope box of [-1.7e308, 1.7e308] and example4 with a
-#     uniform attack on sensor 3 whose high - low overflows, and check that each
-#     exits 1 with its listed problem and no traceback;
+#   - validate example3 with S:1 no longer marked practical (it has no certificate
+#     over sin's slope sector) and example4 with a uniform attack on sensor 3 whose
+#     high - low overflows, and check that each exits 1 with its listed problem and
+#     no traceback;
 #   - run example4 and check that every file its metadata.json names is non-empty;
 #   - run example3 for 100 000 steps into a temp directory and check that its
 #     trajectory.csv has 100 002 lines and that no .tmp file is left;
@@ -19,18 +20,19 @@ set -eo pipefail
 export PYTHONWARNINGS=error
 scenarios="$(python -c "from importlib import resources; print(resources.files('multiobserver') / 'scenarios')")"
 for config in "$scenarios"/example*.json; do multiobserver validate --config "$config"; done
-# a finite box or range whose width overflows is a listed config fault (exit 1)
+# an observer without a sector certificate, and a range whose width overflows,
+# are listed config faults (exit 1)
 python - "$scenarios" <<'CONFIGS'
 import json, pathlib, sys
 scenarios = pathlib.Path(sys.argv[1])
 raw = json.loads((scenarios / "example3.json").read_text())
-raw["plant"]["slope_box"] = [-1.7e308, 1.7e308]
-pathlib.Path("huge_box.json").write_text(json.dumps(raw))
+del raw["observers"]["bundle"]["S:1"]["practical"]
+pathlib.Path("uncertified.json").write_text(json.dumps(raw))
 raw = json.loads((scenarios / "example4.json").read_text())
 raw["scenario"]["attacks"]["3"] = {"kind": "uniform", "low": -1e308, "high": 1e308}
 pathlib.Path("huge_uniform.json").write_text(json.dumps(raw))
 CONFIGS
-for case in "huge_box:plant.slope_box: slope condition failed on box (-1.7e+308, 1.7e+308)" \
+for case in "uncertified:S:1: sector certificate failed" \
             "huge_uniform:scenario.attacks[3]: uniform signal's high - low overflows"; do
     name="${case%%:*}"
     status=0

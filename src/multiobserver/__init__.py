@@ -38,6 +38,7 @@ from .observers import (
     ObserverBank,
     ReducedOrderObserver,
     certify_linear_gain,
+    certify_sector,
 )
 from .calibration import (
     CalibrationSettings,

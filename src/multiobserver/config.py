@@ -47,6 +47,7 @@ from .observers import (
     ObserverBank,
     ReducedOrderObserver,
     certify_linear_gain,
+    certify_sector,
 )
 
 __all__ = [
@@ -287,11 +288,12 @@ _N, _P = itemgetter("n"), itemgetter("p")
 # --- nonlinearity registries -------------------------------------------------
 
 # Channelwise nonlinearities for the circle-criterion family: numpy-vectorized
-# callables applied elementwise to H x + K(...).  They take no params.
-CHANNEL_REGISTRY: dict[str, Callable] = {
-    "sin": np.sin,
-    "tanh": np.tanh,
-    "identity": lambda v: v,
+# callables applied elementwise to H x + K(...), each with its global slope
+# sector [a, b], the one its observers are certified over.  They take no params.
+CHANNEL_REGISTRY: dict[str, tuple[Callable, tuple[float, float]]] = {
+    "sin": (np.sin, (-1.0, 1.0)),
+    "tanh": (np.tanh, (0.0, 1.0)),
+    "identity": (lambda v: v, (1.0, 1.0)),
 }
 
 # The params of every state channel: its constant term, and the state the
@@ -514,37 +516,6 @@ def _nonlinearity(registry: dict) -> _Key:
     return _Key(_Collector.tagged, needed=True, tag="name", tables=tables, n=lambda c: len(c["A"]))
 
 
-# Points of the sorted grid the slope box is checked on, both ends included.
-_SLOPE_GRID = 4097
-# Room for rounding: how far below 0 the quotient of two consecutive grid points
-# may fall, and, on a grid coarser than 1, their difference f(w) - f(v).
-_SLOPE_TOL = -1e-12
-
-
-def _slope_box(col: _Collector, path: str, val, channel: Callable):
-    """A box [lo, hi], lo < hi, on which the circle channel must be nondecreasing.
-
-    The channel is evaluated on ``_SLOPE_GRID`` evenly spaced points lo (1 - t) + hi t,
-    finite for every finite box; each two consecutive ones must clear ``_SLOPE_TOL``,
-    and the worst pair is the listed witness.  Any pair's quotient is a weighted mean
-    of the consecutive ones between them: no pair falls below the grid's least one.
-    """
-    listed = len(col.problems)
-    lo, hi = col.vector(path, val, n=2)
-    if len(col.problems) == listed and not lo < hi:  # a listed value is not checked again
-        col.add(path, "circle family needs slope_box [lo, hi] with lo < hi")
-    if len(col.problems) > listed:
-        return
-    t = np.linspace(0.0, 1.0, _SLOPE_GRID)
-    v = np.unique(lo * (1.0 - t) + hi * t)  # a narrow box repeats points
-    dv, df = np.diff(v), np.diff(np.asarray(channel(v), dtype=float))
-    slack = df / np.minimum(dv, 1.0)  # the quotient, or on a coarse grid the difference
-    worst = int(np.argmin(slack))
-    if not slack[worst] >= _SLOPE_TOL:  # a NaN fails too
-        col.add(path, f"slope condition failed on box {(lo, hi)}: quotient "
-                f"{df[worst] / dv[worst]:.3e} at witness {(float(v[worst]), float(v[worst + 1]))}")
-
-
 # A comes first: the others are shaped by its n rows.
 _LINEAR = {
     "A": _Key(_Collector.matrix, needed=True, check=(
@@ -559,10 +530,9 @@ _PLANTS = {
         **_LINEAR,
         # circle channels take no params
         "nonlinearity": _nonlinearity(
-            {name: ({}, lambda fn=fn: fn) for name, fn in CHANNEL_REGISTRY.items()}),
+            {name: ({}, lambda entry=entry: entry) for name, entry in CHANNEL_REGISTRY.items()}),
         "G": _Key(_Collector.matrix, needed=True, shape=lambda c: (len(c["A"]), None)),
         "H": _Key(_Collector.matrix, needed=True, shape=lambda c: (c["G"].shape[1], len(c["A"]))),
-        "slope_box": _Key(_slope_box, channel=lambda c: c["nonlinearity"]["params"]),
     },
 }
 
@@ -578,8 +548,8 @@ def _plant(col: _Collector, path: str, val) -> dict | None:
         name, g = got["nonlinearity"].values()
         structure = ReducedStructure(A=A, C=C, g=g)
     elif family == "circle":
-        (name, channels), G, H = got["nonlinearity"].values(), got["G"], got["H"]
-        structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels)
+        (name, (channels, sector)), G, H = got["nonlinearity"].values(), got["G"], got["H"]
+        structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels, sector=sector)
 
     def f(x, u, d, k):
         col = x[..., None]
@@ -650,12 +620,13 @@ _SCENARIO_SIGNALS = {
 
 
 def _scenario(col: _Collector, path: str, val, plant: dict | None) -> dict:
-    """The attack scenario, and the bank geometry its q asks for."""
+    """The attack scenario, and the bank geometry its q asks for; without a plant,
+    which is listed, both read as None once the keys that need no plant are read."""
     scen = col.section(path, val) or {}
     col.known(path, scen, _SCENARIO, also=_SCENARIO_SIGNALS)
     head = col.read(path, scen, _SCENARIO)
     if plant is None:
-        raise ConfigurationError(col.problems or ["plant: could not be constructed"])
+        return dict(scenario=None, bank=None)
     model, q = plant["plant"], head["q"]
     # an unreadable q is listed once: no bank is built and nothing is checked against it
     bank = bank_index(model.p, q) if q is not None and 0 <= 2 * q < model.p else None
@@ -799,16 +770,16 @@ _TOP = {
     "name": _Key(_name, itemgetter("stem")),
     "plant": _Key(_plant),
     "scenario": _Key(_scenario, plant=itemgetter("plant")),
-    "estimator": _Key(_section(_ESTIMATOR), n=lambda c: c["plant"]["plant"].n),
+    "estimator": _Key(_section(_ESTIMATOR), n=lambda c: c["plant"] and c["plant"]["plant"].n),
     "observers": _Key(_observers, plant=itemgetter("plant"), bank=lambda c: c["scenario"]["bank"]),
     "isolation": _Key(
         _isolation, _UNSET, specs=itemgetter("observers"),
-        noise_bound=lambda c: c["scenario"]["scenario"].noise_bound,
-        disturbance_bound=lambda c: c["scenario"]["scenario"].disturbance_bound,
+        noise_bound=lambda c: getattr(c["scenario"]["scenario"], "noise_bound", 0.0),
+        disturbance_bound=lambda c: getattr(c["scenario"]["scenario"], "disturbance_bound", 0.0),
     ),
     "calibration": _Key(
         _section(_CALIBRATION, CalibrationSettings),
-        seed=lambda c: c["scenario"]["scenario"].seed + 1,
+        seed=lambda c: getattr(c["scenario"]["scenario"], "seed", 0) + 1,
     ),
     "divergence_ceiling": _Key(
         _Collector.number, DIVERGENCE_CEILING, check=(lambda v: v > 0, "must be positive")
@@ -876,6 +847,9 @@ class BankBuildReport:
 def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank, BankBuildReport]:
     """Construct every observer and certify the gains.
 
+    Each family certifies the error loop it steps: A - K C_J at the fixed
+    Jacobian (Luenberger), the linear part A_L - K C_J A N (reduced-order),
+    or A + L C_J with H + K C_J over the channel's slope sector (circle).
     Certificate failures on subsets not marked ``practical`` are
     collected and (when ``enforce``) raised as one error.
     """
@@ -883,8 +857,7 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
     loops: dict[tuple, dict[SubsetIndex, np.ndarray]] = {}  # by shape: one stack each
     faults: dict[SubsetIndex, list[str]] = {}
     plant, st = cfg.plant, cfg.plant.structure
-    # each family certifies the error loop it steps; an overflow fails the certificate
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
         for sub in cfg.bank.all_subsets:
             spec = cfg.specs[sub]
             try:
@@ -904,7 +877,12 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
             loops.setdefault(loop.shape, {})[sub] = loop
         certified = {}
         for group in loops.values():
-            certified.update(zip(group, certify_linear_gain(np.stack(list(group.values())))))
+            stack = np.stack(list(group.values()))
+            if cfg.family == "circle":
+                H_KC = np.stack([observers[sub].H_KC for sub in group])
+                certified.update(zip(group, certify_sector(stack, st.G, H_KC, st.sector)))
+            else:
+                certified.update(zip(group, certify_linear_gain(stack)))
     certificates = {sub: certified[sub] for sub in observers}
     problems: list[str] = []
     for sub in cfg.bank.all_subsets:  # each subset's faults, then its certificate's
@@ -912,11 +890,12 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
         if cert is None:
             problems += [f"{sub.label}: {msg}" for msg in faults[sub]]
         elif not cert.passed and not cfg.specs[sub].practical:
-            problems.append(
-                f"{sub.label}: linear certificate failed "
-                f"(spectral radius {cert.spectral_radius:.6g} >= {1 - CERTIFICATE_MARGIN}); "
-                f"mark the entry practical or redesign the gain"
-            )
+            rho, edge = f"spectral radius {cert.spectral_radius:.6g}", 1.0 - CERTIFICATE_MARGIN
+            why = (f"linear certificate failed ({rho} >= {edge})" if cert.margin is None else
+                   "sector certificate failed over slopes [%g, %g]" % st.sector
+                   + f" ({rho}, margin {cert.margin:.6g}; need radius < {edge} and margin "
+                   f">= {CERTIFICATE_MARGIN})")
+            problems.append(f"{sub.label}: {why}; mark the entry practical or redesign the gain")
     if enforce and problems:
         raise ConfigurationError(problems)
     if len(observers) != len(cfg.bank.all_subsets):

@@ -191,8 +191,9 @@ class CircleStructure:
     """Structural data of a plant x+ = A x + G f(H x) + D d with outputs C x,
     as the circle-criterion observers read it.
 
-    ``channels`` applies the scalar nonlinearity componentwise.  The loader
-    checks only that it is nondecreasing on the config's ``slope_box``.
+    ``channels`` applies the scalar nonlinearity componentwise.  Its slope
+    ``sector`` [a, b] bounds every increment on the whole line,
+    a <= (f(w) - f(v)) / (w - v) <= b, and the circle certificate covers it.
     """
 
     A: np.ndarray
@@ -200,6 +201,7 @@ class CircleStructure:
     H: np.ndarray
     C: np.ndarray
     channels: Callable[[np.ndarray], np.ndarray]
+    sector: tuple[float, float]
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ that a track keeps its first non-finite estimate and is NaN after it.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -55,6 +56,7 @@ __all__ = [
     "ObserverBank",
     "run_trials",
     "certify_linear_gain",
+    "certify_sector",
     "CertificateResult",
 ]
 
@@ -356,14 +358,15 @@ def _blocks(shapes: list[tuple], *lead: int) -> tuple[np.ndarray, list[np.ndarra
 
 
 class CircleCriterionObserver(Observer):
-    """Observer for x+ = A x + G f(H x) with slope-restricted f.
+    """Observer for x+ = A x + G f(H x), the slopes of f in its channel's sector.
 
     x_hat(k+1) = A x_hat + G f(H x_hat + K (C_J x_hat - y_J(k)))
                  + L (C_J x_hat - y_J(k)).
     Feeding the innovation into the nonlinearity (via K) is what lets a
     nondecreasing f help rather than hurt convergence.  ``run_group`` steps
-    the update folded once here: A + L C_J (``A_LC``, the certified loop),
-    H + K C_J (``H_KC``) and the gains over all p outputs, zero off J.
+    the update folded once here: A + L C_J (``A_LC``) and H + K C_J
+    (``H_KC``), the loop :func:`certify_sector` certifies, and the gains
+    over all p outputs, zero off J.
     """
 
     def __init__(
@@ -465,7 +468,7 @@ class CircleCriterionObserver(Observer):
             est[:, :, k + 1] = X
 
 
-# How far a certified spectral radius must stay below 1.
+# How far a certified spectral radius must stay below 1, and a sector margin above 0.
 CERTIFICATE_MARGIN = 1e-3
 
 
@@ -473,30 +476,83 @@ CERTIFICATE_MARGIN = 1e-3
 class CertificateResult:
     spectral_radius: float
     passed: bool
+    margin: float | None = None  # a circle loop's sector margin
 
 
-def certify_linear_gain(closed: np.ndarray) -> CertificateResult | list[CertificateResult]:
-    """Spectral-radius certificate of a closed error loop, or of a stack of them.
+def _spectra(loops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and spectral radii of a (..., m, m) stack of loops, from one ``eigvals``
+    call: each radius is its loop's alone, bit for bit, and a non-finite loop's is inf."""
+    finite = np.isfinite(loops).all(axis=(-2, -1))
+    eig = np.linalg.eigvals(loops if finite.all() else np.where(finite[..., None, None], loops, 0))
+    rho = np.abs(eig).max(axis=-1, initial=0.0)
+    if not finite.all():
+        eig[~finite], rho[~finite] = np.nan, np.inf
+    return eig, rho
 
-    The caller writes the loop its family steps: A - K C_J for the
-    Luenberger family, A_L - K C_J A N in partial coordinates for the
-    reduced-order family, and A + L C_J for the circle family.  Passing
-    means the radius clears 1 by ``CERTIFICATE_MARGIN``; a loop with a
-    non-finite entry has radius inf and fails, and an empty (0, 0) loop (a
-    reduced-order observer with |J| = n) has no modes, radius 0.0, and
-    passes.  A (G, m, m) stack of loops
-    gives a list of G results from one stacked ``eigvals`` call; LAPACK runs
-    on each matrix alone, so every radius is the one its loop gets alone,
-    bit for bit.
+
+def certify_linear_gain(loops: np.ndarray) -> list[CertificateResult]:
+    """Spectral-radius certificates of a (G, m, m) stack of closed error loops: each
+    passes when its radius clears 1 by ``CERTIFICATE_MARGIN``, as an empty one does."""
+    _, rho = _spectra(np.asarray(loops, dtype=float))
+    return [CertificateResult(r, r < 1.0 - CERTIFICATE_MARGIN) for r in rho.tolist()]
+
+
+def certify_sector(A_LC: np.ndarray, G: np.ndarray, H_KC: np.ndarray,
+                   sector: tuple[float, float]) -> list[CertificateResult]:
+    """Circle-criterion certificates of a (B, n, n) stack of loops e+ = A_LC e + G psi(H_KC e).
+
+    When psi's slopes lie in ``sector`` [a, b], a loop's error converges globally
+    if A_a = A_LC + a G H_KC has spectral radius below 1 - ``CERTIFICATE_MARGIN``
+    and its margin, the least Re[1 - (b - a) H_KC (zI - A_a)^-1 G] over |z| = 1,
+    is at least ``CERTIFICATE_MARGIN``.  By the matrix determinant lemma that is
+    P_b(z) / P_a(z), with P_s the characteristic polynomial of A_LC + s G H_KC,
+    so one stacked ``eigvals`` call on both edges gives the margin exactly.  With
+    r > 1 channels there is no such certificate: the margin is NaN and it fails.
     """
-    closed = np.asarray(closed, dtype=float)
-    loops = closed if closed.ndim == 3 else closed[None]
-    finite = np.isfinite(loops).all(axis=(1, 2))
-    rho = np.full(len(loops), np.inf)
-    if finite.any():
-        rho[finite] = np.abs(np.linalg.eigvals(loops[finite])).max(axis=-1, initial=0.0)
-    results = [CertificateResult(r, r < 1.0 - CERTIFICATE_MARGIN) for r in rho.tolist()]
-    return results if closed.ndim == 3 else results[0]
+    with np.errstate(all="ignore"):  # an overflow or a pole on |z| = 1 fails
+        GH = G @ H_KC
+        eig, rho = _spectra(np.stack([A_LC + s * GH for s in sector]))
+        margin = _least_ratio(eig) if G.shape[1] == 1 else np.full(len(GH), np.nan)
+    ok = (rho[0] < 1.0 - CERTIFICATE_MARGIN) & (margin >= CERTIFICATE_MARGIN)
+    return [CertificateResult(*cert) for cert in zip(rho[0].tolist(), ok.tolist(), margin.tolist())]
+
+
+@functools.cache
+def _ratio_fit(n: int) -> tuple[np.ndarray, ...]:
+    """2n points z = x + j sqrt(1 - x^2); the maps from a polynomial's values at their x
+    to its derivative's (degree n) and to its coefficients (degree 2n - 2); the companion
+    matrix's shifted identity."""
+    x = np.cos(np.pi * (np.arange(2 * n) + 0.5) / (2 * n))
+    V = [np.vander(x, deg + 1, increasing=True) for deg in (n - 1, n, 2 * n - 2)]
+    fit = [np.linalg.solve(v.T @ v, v.T) for v in V[1:]]  # least squares, exact here
+    diff = V[0] @ (np.arange(1, n + 1)[:, None] * fit[0][1:])
+    shift = np.eye(2 * n - 2, max(2 * n - 3, 0), k=-1)
+    return x + 1j * np.sqrt(1.0 - x * x), diff.T, fit[1].T, shift
+
+
+def _least_ratio(eig: np.ndarray) -> np.ndarray:
+    """The least Re[P_b / P_a] over |z| = 1, from the roots (2, B, n) of each monic P_a, P_b.
+
+    On z = x + j sqrt(1 - x^2), N = Re[P_b conj(P_a)] and D = |P_a|^2 have degree
+    n in x, so N / D is least at x = +-1 or at a root of N' D - N D'.  Its roots
+    come from a companion matrix, its leading coefficient moved 1e-12 of the
+    largest away from 0; the ratio is evaluated at each root's real part in [-1, 1].
+    """
+    _, B, n = eig.shape
+    z, diff, fit, shift = _ratio_fit(n)
+    P = np.prod(z[:, None] - eig[:, :, None], axis=-1)  # (2, B, 2n)
+    N, D = ND = (P * P[0].conj()).real[::-1]
+    dN, dD = ND @ diff
+    w = (dN * D - N * dD) @ fit
+    x = np.broadcast_to([-1.0, 1.0], (B, 2))
+    if n > 1:
+        lead = w[:, -1:] + np.copysign(np.abs(w).max(axis=-1, keepdims=True) * 1e-12
+                                       + np.finfo(float).tiny, w[:, -1:])
+        companion = np.concatenate((np.broadcast_to(shift, (B,) + shift.shape),
+                                    (w[:, :-1] / -lead)[..., None]), axis=-1)
+        x = np.concatenate((x, _spectra(companion)[0].real.clip(-1.0, 1.0)), axis=1)
+    P = np.prod(np.exp(1j * np.arccos(x))[..., None] - eig[:, :, None], axis=-1)
+    return (P[1] / P[0]).real.min(axis=-1)
 
 
 class ObserverBank:

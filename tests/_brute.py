@@ -388,19 +388,12 @@ def steps_csv(report):
     return _csv_text(["k", "Wbar"], rows)
 
 
-def pair_slope_minimum(channel, points, block=256):
-    """The least quotient (f(v) - f(w)) / (v - w) over every pair of distinct ``points``.
-
-    The all-pairs reference for the slope check: each pair's quotient is
-    taken straight from its two channel values, ``block`` rows of the
-    pair table at a time.
-    """
-    v = np.asarray(points, dtype=float)
-    f = np.asarray(channel(v), dtype=float)
-    worst = math.inf
-    for lo in range(0, len(v), block):
-        dv = v[lo:lo + block, None] - v
-        df = f[lo:lo + block, None] - f
-        keep = dv != 0.0
-        worst = min(worst, float(np.min(df[keep] / dv[keep])))
-    return worst
+def sector_margin_on_grid(A_LC, G, H_KC, sector, points=1 << 14):
+    """The least Re[1 - (b - a) H_KC (zI - A_a)^-1 G], A_a = A_LC + a G H_KC, over
+    ``points`` + 1 evenly spaced z = e^{jw}, w in [0, pi], by one linear solve per
+    frequency; the real part at -w is the same."""
+    a, b = sector
+    A_a = A_LC + a * (G @ H_KC)
+    z = np.exp(1j * np.linspace(0.0, np.pi, points + 1))
+    X = np.linalg.solve(z[:, None, None] * np.eye(len(A_a)) - A_a, G.astype(complex))
+    return float(np.min((1.0 - (b - a) * (H_KC @ X)[:, 0, 0]).real))

@@ -408,18 +408,27 @@ def test_criterion_8_invariant_battery(scenario_dir):
         worst, vacuous = max(worst, w), vacuous + v
         done += 1
 
-    # slope certificates for the bundled nonlinear scenarios: each loads, and
-    # the loader lists the same plant on a box where sin decreases
-    slopes = []
+    # sector certificates for the bundled circle scenarios: each builds with
+    # every observer not marked practical certified over sin's sector [-1, 1],
+    # and with the marks dropped the practical ones, and only they, are listed
+    sectors = []
     for name in ("example3", "example4"):
         cfg = load_config(scenario_dir / f"{name}.json")
-        assert cfg.family == "circle"
-        cfg.raw["plant"]["slope_box"] = [-2, 2]
-        with pytest.raises(ConfigurationError) as err:
-            parse_config(cfg.raw)
-        (problem,) = err.value.problems
-        assert problem.startswith("plant.slope_box: slope condition failed on box (-2.0, 2.0)")
-        slopes.append(name)
+        assert cfg.family == "circle" and cfg.plant.structure.sector == (-1.0, 1.0)
+        _, report = build_bank(cfg)
+        practical = [sub.label for sub, spec in cfg.specs.items() if spec.practical]
+        assert [sub.label for sub, cert in report.certificates.items()
+                if not cert.passed] == practical
+        for entry in cfg.raw["observers"]["bundle"].values():
+            entry.pop("practical", None)
+        refused = []
+        try:
+            build_bank(parse_config(cfg.raw))
+        except ConfigurationError as err:
+            refused = err.problems
+        assert [p.split(": ")[0] for p in refused] == practical
+        assert all("sector certificate failed" in p for p in refused)
+        sectors.append(name)
 
     # determinism: the same seed reproduces a full run bit for bit
     cfg = load_config(scenario_dir / "example1.json")
@@ -435,8 +444,8 @@ def test_criterion_8_invariant_battery(scenario_dir):
         True,
         f"5 randomized property families x {cases} cases (e_sigma <= 3 max clean e_K: "
         f"worst ratio {worst:.2f}, {vacuous} steps with a non-finite clean track), "
-        f"slope certificates for "
-        f"{'/'.join(slopes)}, and bit-identical repeated runs",
+        f"sector certificates for "
+        f"{'/'.join(sectors)}, and bit-identical repeated runs",
     )
     assert line
 

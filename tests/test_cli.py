@@ -79,7 +79,7 @@ def test_malformed_values_exit_1_without_traceback(scenario_dir, tmp_path):
         ("example1", "J:1,2", "K", [[1e308, 1e308], [1e308, 1e308]], "spectral radius inf"),
         ("example2", "J:1,2", "L", [[1e-310, 0, 0, 0], [0, 0, 0, 1]],
          "coordinate reconstruction for J:1,2 off by nan"),
-        ("example3", "S:1", "L", [[1e308], [1e308]], "spectral radius inf"),
+        ("example3", "J:1,2,3", "L", [[1e308, 0, 0], [0, 0, 0]], "spectral radius inf"),
         ("example4", "J:1,2,3", "L", [[1e308, 0, 0], [0, 0, 0]], "spectral radius inf"),
     ],
     ids=["example1", "example2", "example3", "example4"],
@@ -102,8 +102,9 @@ def test_an_overflowing_gain_is_a_listed_problem(scenario_dir, tmp_path, name, l
 @pytest.mark.parametrize(
     "name, path, value, code",
     [
-        # a nonlinearity gain, which the certificate does not read, overflows
-        # the folded update: that observer's track diverges and the run completes
+        # a nonlinearity gain overflows the folded update of a practical
+        # observer: its certificate fails unlisted, its track diverges and the
+        # run completes
         ("example3", ("observers", "bundle", "S:1", "K"), [[1e308]], 0),
         # an output row that overflows C x: the certificates fail and are listed
         ("example4", ("plant", "C", 0, 0), 1e308, 1),
@@ -124,8 +125,8 @@ def test_an_overflowing_run_raises_no_warning(scenario_dir, tmp_path, name, path
     assert (tmp_path / name / "metadata.json").exists() == (code == 0)
     if code:
         # a huge radius is printed in six significant digits
-        assert ("  - J:1,2,4: linear certificate failed (spectral radius 1.17845e+307 >= 0.999)"
-                in proc.stderr), proc.stderr
+        assert ("  - J:1,2,4: sector certificate failed over slopes [-1, 1] "
+                "(spectral radius 1.17845e+307, margin nan;" in proc.stderr), proc.stderr
 
 
 def test_validate_missing_file_exits_1(tmp_path, capsys):
@@ -278,15 +279,19 @@ def test_calibrate_without_out_writes_beside_the_config(scenario_dir, tmp_path, 
 
 
 def test_validate_lists_a_failed_slope_condition(scenario_dir, tmp_path, capsys):
-    # sin's slope turns negative past pi/2, inside a box of [-2, 2]
+    # the slope condition is the circle criterion over the channel's sector:
+    # example3's S:1 has none over sin's slopes [-1, 1] once it is not practical
     raw = json.loads((scenario_dir / "example3.json").read_text())
-    raw["plant"]["slope_box"] = [-2, 2]
-    config = tmp_path / "wide_box.json"
+    del raw["observers"]["bundle"]["S:1"]["practical"]
+    config = tmp_path / "uncertified.json"
     config.write_text(json.dumps(raw))
     assert main(["validate", "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert "configuration error (1 problem(s))" in err
-    assert "  - plant.slope_box: slope condition failed on box (-2.0, 2.0)" in err
+    assert err == (
+        "configuration error (1 problem(s)):\n  - S:1: sector certificate failed over slopes "
+        "[-1, 1] (spectral radius 0.851939, margin -0.612403; need radius < 0.999 and "
+        "margin >= 0.001); mark the entry practical or redesign the gain\n"
+    )
 
 
 def test_calibrate_with_a_starved_estimator_exits_2(scenario_dir, tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from multiobserver import (
     CalibrationSettings,
     ConfigurationError,
     MultiObserverError,
+    bank_index,
     build_bank,
     load_config,
     run_scenario,
@@ -141,25 +142,21 @@ def test_unknown_family_rejected():
     assert any("unknown family" in p for p in err.value.problems)
 
 
-def test_bad_slope_box_rejected(scenario_dir):
-    raw = _raw(scenario_dir, "example3")
-    raw["plant"]["slope_box"] = [2.0, -2.0]
-    with pytest.raises(ConfigurationError) as err:
-        parse_config(raw)
-    assert any("slope_box" in p for p in err.value.problems)
-
-
-def test_a_failed_slope_condition_is_listed_with_every_other_fault(scenario_dir):
-    # sin's slope turns negative past pi/2, inside a box of [-2, 2]
-    raw = _raw(scenario_dir, "example3")
-    raw["plant"]["slope_box"] = [-2, 2]
-    raw["scenario"]["horizon"] = -1
+def test_a_config_whose_plant_cannot_be_built_lists_every_other_fault(scenario_dir):
+    # the scenario and the bank read as None, and every section that needs
+    # neither is still read: one fault in each of four sections, four problems
+    raw = _raw(scenario_dir, "example2")
+    del raw["plant"]["A"]
+    raw["calibration"] = {"trials": "x"}
+    raw["isolation"] = {"window": 0}
+    raw["output"] = {"dirr": "x"}
     with pytest.raises(ConfigurationError) as err:
         parse_config(raw)
     assert err.value.problems == [
-        "plant.slope_box: slope condition failed on box (-2.0, 2.0): "
-        "quotient -4.157e-01 at witness (-2.0, -1.9990234375)",
-        "scenario: horizon must lie in 1..1000000, got -1",
+        "plant.A: not a numeric matrix",
+        "isolation.window: must be >= 1, got 0",
+        "calibration.trials: expected an integer, got 'x'",
+        "output.dirr: unknown field",
     ]
 
 
@@ -220,20 +217,20 @@ def test_config_carries_content_hash(scenario_dir):
 
 def test_failed_certificate_blocks_enforced_build(scenario_dir):
     raw = _raw(scenario_dir, "example3")
-    raw["observers"]["bundle"]["S:5"]["L"] = [[0.0], [0.0]]  # leaves rho(A) = 1
+    raw["observers"]["bundle"]["J:3,4,5"]["L"] = [[0.0] * 3] * 2  # leaves A + G sin(H .)
     cfg = parse_config(raw)
     with pytest.raises(ConfigurationError) as err:
         build_bank(cfg, enforce=True)
-    assert any("S:5" in p and "certificate failed" in p for p in err.value.problems)
+    assert any("J:3,4,5" in p and "certificate failed" in p for p in err.value.problems)
     bank, report = build_bank(cfg, enforce=False)
-    assert not report.certificates[[s for s in report.certificates if s.label == "S:5"][0]].passed
+    assert not next(c for s, c in report.certificates.items() if s.label == "J:3,4,5").passed
     assert len(bank.observers) == 15
 
 
 def test_practical_flag_waives_the_certificate(scenario_dir):
     raw = _raw(scenario_dir, "example3")
-    raw["observers"]["bundle"]["S:5"]["L"] = [[0.0], [0.0]]
-    raw["observers"]["bundle"]["S:5"]["practical"] = True
+    raw["observers"]["bundle"]["J:3,4,5"]["L"] = [[0.0] * 3] * 2
+    raw["observers"]["bundle"]["J:3,4,5"]["practical"] = True
     cfg = parse_config(raw)
     bank, report = build_bank(cfg, enforce=True)
     assert report.problems == []
@@ -243,19 +240,20 @@ def test_construction_faults_and_certificate_failures_list_in_bank_order(scenari
     # every subset's construction fault, then its certificate failure, in bank
     # order, although the certificates of one loop shape are computed together
     raw = _raw(scenario_dir, "example3")
-    raw["observers"]["bundle"]["J:1,2,3"]["L"] = [[0.0] * 3, [0.0] * 3]  # leaves rho(A) = 1
-    raw["observers"]["bundle"]["S:5"]["L"] = [[0.0], [0.0]]
+    raw["observers"]["bundle"]["J:1,2,3"]["L"] = [[0.0] * 3, [0.0] * 3]  # leaves A + G sin(H .)
+    raw["observers"]["bundle"]["J:3,4,5"]["L"] = [[0.0] * 3, [0.0] * 3]
     cfg = parse_config(raw)
     sub = next(s for s in cfg.specs if s.label == "J:1,2,4")
     cfg.specs[sub] = replace(cfg.specs[sub], K=np.zeros((2, 2)))  # past the loader's check
-    failed = ("linear certificate failed (spectral radius 1 >= 0.999); "
+    failed = ("sector certificate failed over slopes [-1, 1] (spectral radius 0.927362, "
+              "margin -1.4295; need radius < 0.999 and margin >= 0.001); "
               "mark the entry practical or redesign the gain")
     with pytest.raises(ConfigurationError) as err:
         build_bank(cfg, enforce=False)  # an observer that cannot be built always raises
     assert err.value.problems == [
         f"J:1,2,3: {failed}",
         "J:1,2,4: nonlinearity gain for J:1,2,4 has shape (2, 2), expected (1, 3)",
-        f"S:5: {failed}",
+        f"J:3,4,5: {failed}",
     ]
 
 
@@ -266,6 +264,40 @@ def test_example1_marks_its_marginal_observer_practical(scenario_dir):
     _, report = build_bank(cfg, enforce=True)
     cert = [c for s, c in report.certificates.items() if s.label == "S:1"][0]
     assert not cert.passed  # the practical flag is what admits it
+
+
+def test_a_gain_that_destabilises_the_identity_loop_is_refused():
+    # x+ = 0.5 x - 0.2 x through the identity channel, three sensors reading x:
+    # with L = 0 and K C_J = 9 on every subset, A + L C_J is 0.5 but the error
+    # loop steps e+ = (0.5 - 0.2 (1 + 9)) e = -1.5 e
+    bank = bank_index(3, 1)
+    bundle = {sub.label: {"K": [[9.0 / len(sub)] * len(sub)], "L": [[0.0] * len(sub)]}
+              for sub in bank.all_subsets}
+    cfg = parse_config({
+        "plant": {"family": "circle", "A": [[0.5]], "G": [[-0.2]], "H": [[1.0]],
+                  "C": [[1.0], [1.0], [1.0]], "nonlinearity": {"name": "identity"}},
+        "scenario": {"q": 1, "horizon": 60, "x0": {"kind": "fixed", "value": [1.0]}},
+        "observers": {"bundle": bundle},
+    })
+    with pytest.raises(ConfigurationError) as err:
+        build_bank(cfg)
+    failed = ("sector certificate failed over slopes [1, 1] (spectral radius 1.5, margin 1; "
+              "need radius < 0.999 and margin >= 0.001); "
+              "mark the entry practical or redesign the gain")
+    assert err.value.problems == [f"{sub.label}: {failed}" for sub in bank.all_subsets]
+
+
+def test_example3_without_its_practical_flags_is_refused(scenario_dir):
+    # its single-sensor observers converge on the runs, but have no certificate
+    # over sin's sector: each is listed, and only they are
+    raw = _raw(scenario_dir, "example3")
+    for entry in raw["observers"]["bundle"].values():
+        entry.pop("practical", None)
+    with pytest.raises(ConfigurationError) as err:
+        build_bank(parse_config(raw))
+    assert [p.split(" (")[0] for p in err.value.problems] == [
+        f"S:{i}: sector certificate failed over slopes [-1, 1]" for i in range(1, 6)
+    ]
 
 
 # --- malformed values ---------------------------------------------------------
@@ -548,8 +580,6 @@ _ABSENT = object()
     [
         ("example2", ("plant", "A"), "x", "plant.A: not a numeric matrix"),
         ("example2", ("plant", "A"), _ABSENT, "plant.A: not a numeric matrix"),
-        ("example3", ("plant", "slope_box"), "x",
-         "plant.slope_box: expected a list of numbers, got 'x'"),
     ],
 )
 def test_a_value_its_reader_lists_is_not_checked_again(scenario_dir, name, path, value, problem):
@@ -626,7 +656,7 @@ def test_readme_names_every_key_the_schema_accepts():
     named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", section))))
     tables = [value for name, value in vars(config).items() if not name.startswith("__")]
     keys = set(_table_keys(tables))
-    assert {"divergence_ceiling", "slope_box", "tail_stat", "k_star", "dir"} <= keys
+    assert {"divergence_ceiling", "H", "tail_stat", "k_star", "dir"} <= keys
     assert sorted(keys - named) == []
 
 

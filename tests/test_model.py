@@ -281,7 +281,7 @@ def _random_plant_doc(rng, case):
         name = list(CHANNEL_REGISTRY)[case // 2 % len(CHANNEL_REGISTRY)]
         return {**doc, "family": "circle", "nonlinearity": {"name": name},
                 "G": (0.3 * rng.normal(size=(n, r))).tolist(),
-                "H": rng.normal(size=(r, n)).tolist(), "slope_box": [-1.0, 1.0]}
+                "H": rng.normal(size=(r, n)).tolist()}
     name = list(STATE_NONLINEARITY_REGISTRY)[case // 2 % len(STATE_NONLINEARITY_REGISTRY)]
     params = {"constant": rng.normal(size=n).tolist(), "index": int(rng.integers(1, n + 1)),
               "position": int(rng.integers(1, n + 1)), "gain": 0.5, "coeffs": [0.02, -0.2, 0.3]}
@@ -394,7 +394,8 @@ def test_a_structured_plant_past_the_ceiling_stops_within_a_stride():
         return np.sin(v)
 
     plant = _structured(CircleStructure(A=1e13 * np.eye(2), G=np.array([[0.05], [0.1]]),
-                                        H=np.array([[1.0, 1.0]]), C=C3, channels=channels))
+                                        H=np.array([[1.0, 1.0]]), C=C3, channels=channels,
+                                        sector=(-1.0, 1.0)))
     scen = toy_scenario(horizon=100_000)
     with pytest.raises(SimulationDivergedError) as err:
         simulate(plant, scen)
