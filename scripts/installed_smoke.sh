@@ -3,9 +3,10 @@
 # ships as data, with every Python warning an error:
 #   - validate the four bundled configs;
 #   - validate example3 with S:1 no longer marked practical (it has no certificate
-#     over sin's slope sector) and example4 with a uniform attack on sensor 3 whose
-#     high - low overflows, and check that each exits 1 with its listed problem and
-#     no traceback;
+#     over sin's slope sector), example2 with its tanh_channel gain widened from
+#     -1.25 to -2 (its reduced-order J:1,2 loop fails over the slopes [-2, 0]) and
+#     example4 with a uniform attack on sensor 3 whose high - low overflows, and
+#     check that each exits 1 with its listed problem and no traceback;
 #   - run example4 and check that every file its metadata.json names is non-empty;
 #   - run example3 for 100 000 steps into a temp directory and check that its
 #     trajectory.csv has 100 002 lines and that no .tmp file is left;
@@ -20,19 +21,23 @@ set -eo pipefail
 export PYTHONWARNINGS=error
 scenarios="$(python -c "from importlib import resources; print(resources.files('multiobserver') / 'scenarios')")"
 for config in "$scenarios"/example*.json; do multiobserver validate --config "$config"; done
-# an observer without a sector certificate, and a range whose width overflows,
-# are listed config faults (exit 1)
+# a circle and a reduced-order observer without a sector certificate, and a
+# range whose width overflows, are listed config faults (exit 1)
 python - "$scenarios" <<'CONFIGS'
 import json, pathlib, sys
 scenarios = pathlib.Path(sys.argv[1])
 raw = json.loads((scenarios / "example3.json").read_text())
 del raw["observers"]["bundle"]["S:1"]["practical"]
 pathlib.Path("uncertified.json").write_text(json.dumps(raw))
+raw = json.loads((scenarios / "example2.json").read_text())
+raw["plant"]["nonlinearity"]["params"]["gain"] = -2.0
+pathlib.Path("wide_channel.json").write_text(json.dumps(raw))
 raw = json.loads((scenarios / "example4.json").read_text())
 raw["scenario"]["attacks"]["3"] = {"kind": "uniform", "low": -1e308, "high": 1e308}
 pathlib.Path("huge_uniform.json").write_text(json.dumps(raw))
 CONFIGS
 for case in "uncertified:S:1: sector certificate failed" \
+            "wide_channel:J:1,2: sector certificate failed over slopes [-2, 0]" \
             "huge_uniform:scenario.attacks[3]: uniform signal's high - low overflows"; do
     name="${case%%:*}"
     status=0

@@ -37,7 +37,6 @@ from .observers import (
     Observer,
     ObserverBank,
     ReducedOrderObserver,
-    certify_linear_gain,
     certify_sector,
 )
 from .calibration import (

@@ -97,11 +97,15 @@ def _cmd_calibrate(cfg, args) -> int:
 
 def _cmd_validate(cfg, args) -> int:
     _, report = build_bank(cfg, enforce=True)
-    worst = max(c.spectral_radius for c in report.certificates.values())
-    print(
-        f"OK: {cfg.name} (p={cfg.plant.p}, q={cfg.scenario.q}, "
-        f"{len(cfg.bank.all_subsets)} observers, worst certificate radius {worst:.4f})"
-    )
+    # the loops not marked practical, rounded as printed: a tie names the first in bank order
+    held = [(round(cert.margin, 4), round(cert.spectral_radius, 4), sub.label)
+            for sub, cert in report.certificates.items() if not cfg.specs[sub].practical]
+    summary = f"{len(held)} certified"
+    if held:
+        (m, _, least), (_, r, worst) = min(held, key=lambda h: h[0]), max(held, key=lambda h: h[1])
+        summary += f": least margin {m:.4f} ({least}), worst radius {r:.4f} ({worst})"
+    print(f"OK: {cfg.name} (p={cfg.plant.p}, q={cfg.scenario.q}, "
+          f"{len(cfg.bank.all_subsets)} observers; {summary})")
     return 0
 
 

@@ -46,7 +46,6 @@ from .observers import (
     Observer,
     ObserverBank,
     ReducedOrderObserver,
-    certify_linear_gain,
     certify_sector,
 )
 
@@ -306,51 +305,47 @@ _CHANNEL = {
 _GAIN_CHANNEL = {**_CHANNEL, "gain": _Key(_Collector.number, 1.0)}
 
 
-def _channel(constant, index, position, term):
-    """g(x, u): the constant term plus ``term`` of state ``index`` at state ``position``.
-
-    ``x`` may carry leading batch axes; g then returns one row per state.
-    """
-    constant, index, position = np.array(constant), index - 1, position - 1
+def _channel(constant, index, position, term, sector):
+    """A ``ReducedStructure``'s g(x, u), the constant plus ``term`` of state ``index`` at
+    state ``position`` (x may have batch axes), the two states (from 0) and the sector."""
+    constant, read, write = np.array(constant), index - 1, position - 1
 
     def g(x, u):
         out = np.empty(x.shape)  # float64 whatever the dtype of x
         out[...] = constant
-        out[..., position] += term(x[..., index])
+        out[..., write] += term(x[..., read])
         return out
 
-    return g
+    return dict(g=g, read=read, write=write, sector=sector)
 
 
-def _make_state_channel(transform):
+def _make_state_channel(transform, sector):
     def build(gain, **channel):
         def term(v):
             t = transform(v)
             t *= gain  # on the 0-d scalar of a 1-D x this rebinds t
             return t
 
-        return _channel(**channel, term=term)
+        return _channel(**channel, term=term, sector=tuple(sorted(gain * s + 0.0 for s in sector)))
 
     return build
 
 
 def _make_poly_channel(coeffs, **channel):
     coeffs = np.array(coeffs)
-    return _channel(**channel, term=lambda v: np.polyval(coeffs, v))
+    return _channel(**channel, term=lambda v: np.polyval(coeffs, v), sector=(-np.inf, np.inf))
 
 
-def _zero_state(x, u):
-    return np.zeros(np.shape(x))
-
-
-# Additive state nonlinearities g(x, u) for the reduced-order family: each
-# entry is its params table and the builder called with the read params.
-# Every g accepts estimates with leading batch axes, as ``run_group`` passes.
+# Additive state nonlinearities g(x, u) for the reduced-order family: each entry is
+# its params table and the builder of g and its channel's fields from the read params.
+# A sector is its function's global one times the gain, + 0.0 so that no bound reads
+# -0; a polynomial has none.  Every g takes estimates with batch axes, as ``run_group`` does.
 STATE_NONLINEARITY_REGISTRY: dict[str, tuple[dict, Callable]] = {
-    "tanh_channel": (_GAIN_CHANNEL, _make_state_channel(np.tanh)),
-    "sin_channel": (_GAIN_CHANNEL, _make_state_channel(np.sin)),
+    "tanh_channel": (_GAIN_CHANNEL, _make_state_channel(np.tanh, (0.0, 1.0))),
+    "sin_channel": (_GAIN_CHANNEL, _make_state_channel(np.sin, (-1.0, 1.0))),
     "poly_channel": ({**_CHANNEL, "coeffs": _Key(_Collector.vector)}, _make_poly_channel),
-    "zero": ({}, lambda: _zero_state),
+    "zero": ({}, lambda: dict(g=lambda x, u: np.zeros(np.shape(x)), read=0, write=0,
+                              sector=(0.0, 0.0))),
 }
 
 
@@ -510,7 +505,7 @@ def _dynamics(col: _Collector, path: str, val, section: dict):
 
 def _nonlinearity(registry: dict) -> _Key:
     """The ``nonlinearity`` key: an object tagged by a registered ``name``,
-    whose ``params`` (read through the entry's table) build the callable."""
+    whose ``params`` (read through the entry's table) build its value."""
     tables = {name: {"params": _Key(_section(table, build), n=_N)}
               for name, (table, build) in registry.items()}
     return _Key(_Collector.tagged, needed=True, tag="name", tables=tables, n=lambda c: len(c["A"]))
@@ -545,8 +540,8 @@ def _plant(col: _Collector, path: str, val) -> dict | None:
     family, A, C, D = got["family"], got["A"], got["C"], got["D"]
     name, g, structure = "linear", None, None
     if family == "reduced":
-        name, g = got["nonlinearity"].values()
-        structure = ReducedStructure(A=A, C=C, g=g)
+        name, channel = got["nonlinearity"].values()
+        structure, g = ReducedStructure(A=A, C=C, **channel), channel["g"]
     elif family == "circle":
         (name, (channels, sector)), G, H = got["nonlinearity"].values(), got["G"], got["H"]
         structure = CircleStructure(A=A, G=G, H=H, C=C, channels=channels, sector=sector)
@@ -847,42 +842,42 @@ class BankBuildReport:
 def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank, BankBuildReport]:
     """Construct every observer and certify the gains.
 
-    Each family certifies the error loop it steps: A - K C_J at the fixed
-    Jacobian (Luenberger), the linear part A_L - K C_J A N (reduced-order),
-    or A + L C_J with H + K C_J over the channel's slope sector (circle).
-    Certificate failures on subsets not marked ``practical`` are
+    Each family's error loop e+ = A_cl e + B psi(H e) is certified over its
+    channel's slope sector, one :func:`certify_sector` call per loop shape:
+    A - K C_J at the fixed Jacobian with no channel (Luenberger, local);
+    (L - K C_J) A N, (L - K C_J) e_write, e_read^T N (reduced-order); A + L C_J,
+    G, H + K C_J (circle).  Failures on subsets not marked ``practical`` are
     collected and (when ``enforce``) raised as one error.
     """
     observers: dict[SubsetIndex, Observer] = {}
-    loops: dict[tuple, dict[SubsetIndex, np.ndarray]] = {}  # by shape: one stack each
+    loops: dict[tuple, dict[SubsetIndex, tuple]] = {}  # by shape: one stack each
     faults: dict[SubsetIndex, list[str]] = {}
     plant, st = cfg.plant, cfg.plant.structure
+    sector = (0.0, 0.0) if st is None else st.sector
+    no_channel = np.zeros((plant.n, 1)), np.zeros((1, plant.n))  # B and H of a Luenberger loop
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
         for sub in cfg.bank.all_subsets:
             spec = cfg.specs[sub]
             try:
                 if cfg.family == "luenberger":
                     obs = LuenbergerObserver(sub, plant.f, plant.h, spec.K, plant.n, plant.n_d)
-                    loop = cfg.lin_A - obs.K @ cfg.lin_C[obs._idx]
+                    loop = cfg.lin_A - obs.K @ cfg.lin_C[obs._idx], *no_channel
                 elif cfg.family == "reduced":
                     obs = ReducedOrderObserver(sub, st, spec.L, spec.K)
-                    loop = obs.A_L - obs.K @ (obs.C_J @ st.A @ obs.N)
+                    loop = (obs.A_L - obs.K @ (obs.C_J @ st.A @ obs.N),
+                            (obs.L - obs.K @ obs.C_J)[:, st.write, None], obs.N[None, st.read])
                 else:
                     obs = CircleCriterionObserver(sub, st, spec.K, spec.L)
-                    loop = obs.A_LC
+                    loop = obs.A_LC, st.G, obs.H_KC
             except ConfigurationError as exc:
                 faults[sub] = exc.problems
                 continue
             observers[sub] = obs
-            loops.setdefault(loop.shape, {})[sub] = loop
+            loops.setdefault(loop[0].shape, {})[sub] = loop
         certified = {}
         for group in loops.values():
-            stack = np.stack(list(group.values()))
-            if cfg.family == "circle":
-                H_KC = np.stack([observers[sub].H_KC for sub in group])
-                certified.update(zip(group, certify_sector(stack, st.G, H_KC, st.sector)))
-            else:
-                certified.update(zip(group, certify_linear_gain(stack)))
+            A_cl, B, H = map(np.stack, zip(*group.values()))
+            certified.update(zip(group, certify_sector(A_cl, B, H, sector)))
     certificates = {sub: certified[sub] for sub in observers}
     problems: list[str] = []
     for sub in cfg.bank.all_subsets:  # each subset's faults, then its certificate's
@@ -890,12 +885,11 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
         if cert is None:
             problems += [f"{sub.label}: {msg}" for msg in faults[sub]]
         elif not cert.passed and not cfg.specs[sub].practical:
-            rho, edge = f"spectral radius {cert.spectral_radius:.6g}", 1.0 - CERTIFICATE_MARGIN
-            why = (f"linear certificate failed ({rho} >= {edge})" if cert.margin is None else
-                   "sector certificate failed over slopes [%g, %g]" % st.sector
-                   + f" ({rho}, margin {cert.margin:.6g}; need radius < {edge} and margin "
-                   f">= {CERTIFICATE_MARGIN})")
-            problems.append(f"{sub.label}: {why}; mark the entry practical or redesign the gain")
+            problems.append(
+                f"{sub.label}: sector certificate failed over slopes [{sector[0]:g}, {sector[1]:g}]"
+                f" (spectral radius {cert.spectral_radius:.6g}, margin {cert.margin:.6g}; "
+                f"need radius < {1.0 - CERTIFICATE_MARGIN} and margin >= {CERTIFICATE_MARGIN}); "
+                "mark the entry practical or redesign the gain")
     if enforce and problems:
         raise ConfigurationError(problems)
     if len(observers) != len(cfg.bank.all_subsets):

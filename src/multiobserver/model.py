@@ -206,12 +206,15 @@ class CircleStructure:
 
 @dataclass(frozen=True)
 class ReducedStructure:
-    """Structural data of a plant x+ = A x + g(x, u) + D d with outputs C x,
-    as the reduced-order observers read it."""
+    """Structural data of a plant x+ = A x + g(x, u) + D d with outputs C x: g adds a
+    channel of state ``read`` at state ``write`` (from 0), its slopes in ``sector``."""
 
     A: np.ndarray
     C: np.ndarray
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    read: int
+    write: int
+    sector: tuple[float, float]
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ __all__ = [
     "CircleCriterionObserver",
     "ObserverBank",
     "run_trials",
-    "certify_linear_gain",
     "certify_sector",
     "CertificateResult",
 ]
@@ -476,7 +475,7 @@ CERTIFICATE_MARGIN = 1e-3
 class CertificateResult:
     spectral_radius: float
     passed: bool
-    margin: float | None = None  # a circle loop's sector margin
+    margin: float  # the sector margin: 1 over a one-point sector
 
 
 def _spectra(loops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -490,31 +489,29 @@ def _spectra(loops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eig, rho
 
 
-def certify_linear_gain(loops: np.ndarray) -> list[CertificateResult]:
-    """Spectral-radius certificates of a (G, m, m) stack of closed error loops: each
-    passes when its radius clears 1 by ``CERTIFICATE_MARGIN``, as an empty one does."""
-    _, rho = _spectra(np.asarray(loops, dtype=float))
-    return [CertificateResult(r, r < 1.0 - CERTIFICATE_MARGIN) for r in rho.tolist()]
-
-
-def certify_sector(A_LC: np.ndarray, G: np.ndarray, H_KC: np.ndarray,
+def certify_sector(A_cl: np.ndarray, B: np.ndarray, H: np.ndarray,
                    sector: tuple[float, float]) -> list[CertificateResult]:
-    """Circle-criterion certificates of a (B, n, n) stack of loops e+ = A_LC e + G psi(H_KC e).
+    """Circle-criterion certificates of a (G, m, m) stack of Lur'e loops e+ = A_cl e + B psi(H e),
+    B (m, r) or (G, m, r), H (G, r, m).
 
     When psi's slopes lie in ``sector`` [a, b], a loop's error converges globally
-    if A_a = A_LC + a G H_KC has spectral radius below 1 - ``CERTIFICATE_MARGIN``
-    and its margin, the least Re[1 - (b - a) H_KC (zI - A_a)^-1 G] over |z| = 1,
+    if A_a = A_cl + a B H has spectral radius below 1 - ``CERTIFICATE_MARGIN``
+    and its margin, the least Re[1 - (b - a) H (zI - A_a)^-1 B] over |z| = 1,
     is at least ``CERTIFICATE_MARGIN``.  By the matrix determinant lemma that is
-    P_b(z) / P_a(z), with P_s the characteristic polynomial of A_LC + s G H_KC,
-    so one stacked ``eigvals`` call on both edges gives the margin exactly.  With
+    P_b(z) / P_a(z), with P_s the characteristic polynomial of A_cl + s B H,
+    so one stacked ``eigvals`` call on both edges gives the margin exactly: 1 when
+    P_b = P_a (a one-point sector, or no state), which needs no upper edge.  With
     r > 1 channels there is no such certificate: the margin is NaN and it fails.
     """
     with np.errstate(all="ignore"):  # an overflow or a pole on |z| = 1 fails
-        GH = G @ H_KC
-        eig, rho = _spectra(np.stack([A_LC + s * GH for s in sector]))
-        margin = _least_ratio(eig) if G.shape[1] == 1 else np.full(len(GH), np.nan)
-    ok = (rho[0] < 1.0 - CERTIFICATE_MARGIN) & (margin >= CERTIFICATE_MARGIN)
-    return [CertificateResult(*cert) for cert in zip(rho[0].tolist(), ok.tolist(), margin.tolist())]
+        BH = B @ H
+        if sector[0] == sector[1] or not A_cl.shape[-1]:
+            rho, margin = _spectra(A_cl + sector[0] * BH)[1], np.ones(len(A_cl))
+        else:
+            eig, (rho, _) = _spectra(np.stack([A_cl + s * BH for s in sector]))
+            margin = _least_ratio(eig) if B.shape[-1] == 1 else np.full(len(rho), np.nan)
+    ok = (rho < 1.0 - CERTIFICATE_MARGIN) & (margin >= CERTIFICATE_MARGIN)
+    return [CertificateResult(*cert) for cert in zip(rho.tolist(), ok.tolist(), margin.tolist())]
 
 
 @functools.cache
@@ -537,13 +534,15 @@ def _least_ratio(eig: np.ndarray) -> np.ndarray:
     n in x, so N / D is least at x = +-1 or at a root of N' D - N D'.  Its roots
     come from a companion matrix, its leading coefficient moved 1e-12 of the
     largest away from 0; the ratio is evaluated at each root's real part in [-1, 1].
+    The two fits are ``einsum`` products, which sum each entry alike at any B, so a
+    loop's margin does not depend on its stack (BLAS's GEMM and GEMV round apart).
     """
     _, B, n = eig.shape
     z, diff, fit, shift = _ratio_fit(n)
     P = np.prod(z[:, None] - eig[:, :, None], axis=-1)  # (2, B, 2n)
     N, D = ND = (P * P[0].conj()).real[::-1]
-    dN, dD = ND @ diff
-    w = (dN * D - N * dD) @ fit
+    dN, dD = np.einsum("cbi,ij->cbj", ND, diff)
+    w = np.einsum("bi,ij->bj", dN * D - N * dD, fit)
     x = np.broadcast_to([-1.0, 1.0], (B, 2))
     if n > 1:
         lead = w[:, -1:] + np.copysign(np.abs(w).max(axis=-1, keepdims=True) * 1e-12

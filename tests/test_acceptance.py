@@ -370,7 +370,8 @@ def test_criterion_8_invariant_battery(scenario_dir):
             sorted(rng.choice(np.arange(1, p + 1), size=card, replace=False))
         )
         L = rng.normal(size=(n - card, n))
-        st = ReducedStructure(A=A, C=C, g=lambda x, u: np.zeros(n))
+        st = ReducedStructure(A=A, C=C, g=lambda x, u: np.zeros(n), read=0, write=0,
+                              sector=(0.0, 0.0))
         try:
             obs = ReducedOrderObserver(SubsetIndex("J", members), st, L)
         except ConfigurationError:

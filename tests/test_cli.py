@@ -19,11 +19,22 @@ def _path(scenario_dir, name):
 
 
 def test_validate_accepts_every_bundled_config(scenario_dir, capsys):
-    for name in ("example1", "example2", "example3", "example4"):
+    # the OK line names the least margin and the worst radius over the loops not
+    # marked practical: example1's practical S:1 (radius 1) and example3's S loops
+    # (no margin) are left out
+    lines = {
+        "example1": "OK: example1 (p=3, q=1, 6 observers; 5 certified: least margin 1.0000 "
+                    "(J:1,2), worst radius 0.7500 (S:2))",
+        "example2": "OK: example2 (p=3, q=1, 6 observers; 6 certified: least margin 0.2857 "
+                    "(J:1,2), worst radius 0.9531 (S:3))",
+        "example3": "OK: example3 (p=5, q=2, 15 observers; 10 certified: least margin 0.3770 "
+                    "(J:1,2,3), worst radius 0.6866 (J:1,2,3))",
+        "example4": "OK: example4 (p=4, q=1, 10 observers; 10 certified: least margin 0.1283 "
+                    "(S:2,3), worst radius 0.8466 (S:2,3))",
+    }
+    for name, line in lines.items():
         assert main(["validate", "--config", _path(scenario_dir, name)]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith(f"OK: {name}")
-        assert "observers" in out
+        assert capsys.readouterr().out == line + "\n"
 
 
 def test_validate_rejects_broken_config(tmp_path, capsys):
@@ -245,8 +256,9 @@ def test_run_certifies_the_bank_before_the_plant_runs(scenario_dir, tmp_path, ca
     out = tmp_path / "runs"
     assert main(["run", "--config", str(config), "--seed", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "configuration error (1 problem(s)):\n  - J:1,2: linear certificate failed "
-        "(spectral radius 99 >= 0.999); mark the entry practical or redesign the gain\n"
+        "configuration error (1 problem(s)):\n  - J:1,2: sector certificate failed over slopes "
+        "[0, 0] (spectral radius 99, margin 1; need radius < 0.999 and margin >= 0.001); "
+        "mark the entry practical or redesign the gain\n"
     )
     assert not out.exists()
 

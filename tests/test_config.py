@@ -287,6 +287,47 @@ def test_a_gain_that_destabilises_the_identity_loop_is_refused():
     assert err.value.problems == [f"{sub.label}: {failed}" for sub in bank.all_subsets]
 
 
+def _reduced_toy(nonlinearity, practical=False):
+    """x+ = 0.5 x + g(x), every state measured, q = 1, each L the unit rows
+    completing C_J and K = 0."""
+    bank = bank_index(3, 1)
+    return parse_config({
+        "plant": {"family": "reduced", "A": (0.5 * np.eye(3)).tolist(), "C": np.eye(3).tolist(),
+                  "nonlinearity": nonlinearity},
+        "scenario": {"q": 1, "horizon": 60, "x0": {"kind": "fixed", "value": [1.0] * 3}},
+        "observers": {"bundle": {
+            sub.label: {"L": np.eye(3)[[i for i in range(3) if i + 1 not in sub.members]].tolist(),
+                        "practical": practical} for sub in bank.all_subsets}},
+    })
+
+
+def test_a_channel_that_destabilises_the_reduced_loop_is_refused():
+    # g = 3 sin(x3) e3: where z holds x3 its error steps e+ = 0.5 e + 3 psi(e),
+    # psi's slopes in [-3, 3], unstable at slope -3 though the linear part is 0.5;
+    # where x3 is measured the channel does not enter z's error, margin 1
+    cfg = _reduced_toy({"name": "sin_channel", "params": {"gain": 3.0, "index": 3, "position": 3}})
+    with pytest.raises(ConfigurationError) as err:
+        build_bank(cfg)
+    failed = ("sector certificate failed over slopes [-3, 3] (spectral radius 2.5, margin -3; "
+              "need radius < 0.999 and margin >= 0.001); "
+              "mark the entry practical or redesign the gain")
+    assert err.value.problems == [f"{label}: {failed}" for label in ("J:1,2", "S:1", "S:2")]
+    _, report = build_bank(cfg, enforce=False)
+    assert {sub.label: (cert.spectral_radius, cert.margin)
+            for sub, cert in report.certificates.items() if cert.passed} == {
+        "J:1,3": (0.5, 1.0), "J:2,3": (0.5, 1.0), "S:3": (0.5, 1.0)}
+
+
+def test_a_polynomial_channel_has_no_sector_and_needs_practical():
+    poly = {"name": "poly_channel", "params": {"index": 3, "position": 3, "coeffs": [0.1, 0.0]}}
+    with pytest.raises(ConfigurationError) as err:
+        build_bank(_reduced_toy(poly))
+    assert [p.split(" (")[0] for p in err.value.problems] == [
+        f"{sub.label}: sector certificate failed over slopes [-inf, inf]"
+        for sub in bank_index(3, 1).all_subsets]
+    assert build_bank(_reduced_toy(poly, practical=True))[1].problems == []
+
+
 def test_example3_without_its_practical_flags_is_refused(scenario_dir):
     # its single-sensor observers converge on the runs, but have no certificate
     # over sin's sector: each is listed, and only they are
@@ -704,7 +745,7 @@ def test_state_channels_match_their_formula_on_every_input_shape():
     inputs[0][2] = np.nan  # the 1-D input reads its non-finite entry
     inputs.append(rng.integers(-3, 4, size=(2, 3, n)))
     for kind, (table, build) in config.STATE_NONLINEARITY_REGISTRY.items():
-        g = build(**{key: params[key] for key in table})
+        g = build(**{key: params[key] for key in table})["g"]
         for x in inputs:
             with np.errstate(invalid="ignore"):  # sin(inf), 0 * inf
                 got, want = g(x, None), _channel_reference(kind, params, x)

@@ -363,9 +363,9 @@ def test_a_diverging_row_leaves_the_others_and_names_its_own_step():
     # x1+ = x1**2 diverges from |x1(0)| > 1 and decays from |x1(0)| < 1; the
     # rows are the initial states simulate draws for seeds 0..6, over a
     # horizon that passes several checks of the stop rule
-    g = STATE_NONLINEARITY_REGISTRY["poly_channel"][1](
+    channel = STATE_NONLINEARITY_REGISTRY["poly_channel"][1](
         constant=[0.0, 0.0], index=1, position=1, coeffs=[1.0, 0.0, 0.0])
-    plant = _structured(ReducedStructure(A=np.diag([0.0, 0.5]), C=C3, g=g))
+    plant = _structured(ReducedStructure(A=np.diag([0.0, 0.5]), C=C3, **channel))
     T = 3 * _STOP_STRIDE
     scen = toy_scenario(horizon=T, x0=InitSpec(kind="normal", mean=(0.0, 0.0), std=(1.0, 1.0)))
     x0 = np.array([scen.x0.sample(signal_stream(seed, "init")) for seed in range(7)])

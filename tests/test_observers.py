@@ -28,7 +28,6 @@ from multiobserver import (
     SubsetIndex,
     bank_index,
     build_bank,
-    certify_linear_gain,
     certify_sector,
     load_config,
     simulate,
@@ -93,7 +92,7 @@ C4 = np.eye(4)[[1, 2, 3]]  # three sensors reading x2, x3, x4
 
 def _reduced_structure(g=None):
     g = g or (lambda x, u: np.zeros(4))
-    return ReducedStructure(A=A4, C=C4, g=g)
+    return ReducedStructure(A=A4, C=C4, g=g, read=0, write=0, sector=(0.0, 0.0))
 
 
 def test_reduced_coordinate_identity():
@@ -119,7 +118,8 @@ def test_reduced_coordinate_identity_randomized():
         members = tuple(sorted(rng.choice(np.arange(1, p + 1), size=card, replace=False)))
         sub = SubsetIndex("J", members)
         L = rng.normal(size=(n - card, n))
-        st = ReducedStructure(A=A, C=C, g=lambda x, u: np.zeros(n))
+        st = ReducedStructure(A=A, C=C, g=lambda x, u: np.zeros(n), read=0, write=0,
+                              sector=(0.0, 0.0))
         try:
             obs = ReducedOrderObserver(sub, st, L)
         except ConfigurationError:
@@ -247,7 +247,7 @@ def test_mixed_family_bank_matches_per_observer_stepping():
         return out
 
     plant, _, luen = toy_bank()
-    st = ReducedStructure(A=A2, C=C3, g=g)
+    st = ReducedStructure(A=A2, C=C3, g=g, read=0, write=1, sector=(0.0, 0.2))
     observers = {}
     for sub, obs in luen.items():
         if sub.label in ("J:1,3", "S:2"):
@@ -297,8 +297,8 @@ def test_reduced_group_kernel_matches_brute_force():
         params = {"constant": list(rng.normal(size=n)), "index": int(rng.integers(1, n + 1)),
                   "position": int(rng.integers(1, n + 1)), "gain": 0.5,
                   "coeffs": [0.1, -0.2, 0.3]}
-        g = build(**{key: params[key] for key in table})
-        st = ReducedStructure(A=A, C=C, g=g)
+        st = ReducedStructure(A=A, C=C, **build(**{key: params[key] for key in table}))
+        g = st.g
         observers, gains = {}, {}
         for j in range(int(rng.integers(2, 9))):
             card = int(rng.integers(1, min(n, p) + 1))
@@ -408,7 +408,7 @@ def test_trial_batched_kernels_match_brute_force():
         params = {"constant": list(rng.normal(size=n)), "index": int(rng.integers(1, n + 1)),
                   "position": int(rng.integers(1, n + 1)), "gain": 0.5,
                   "coeffs": [0.1, -0.2, 0.3]}
-        reduced_st = ReducedStructure(A=A, C=C, g=build(**{key: params[key] for key in table}))
+        reduced_st = ReducedStructure(A=A, C=C, **build(**{key: params[key] for key in table}))
 
         observers = []
         for j in range(int(rng.integers(2, 8))):
@@ -475,7 +475,7 @@ def test_batched_bank_run_rows_equal_each_run_alone(layout):
         params = {"constant": list(rng.normal(size=n)), "index": int(rng.integers(1, n + 1)),
                   "position": int(rng.integers(1, n + 1)), "gain": 0.5,
                   "coeffs": [0.1, -0.2, 0.3]}
-        reduced_st = ReducedStructure(A=A, C=C, g=build(**{key: params[key] for key in table}))
+        reduced_st = ReducedStructure(A=A, C=C, **build(**{key: params[key] for key in table}))
         observers = {}
         for j in range(6):
             card = int(rng.integers(1, n + 1))
@@ -629,7 +629,7 @@ def test_rows_do_not_depend_on_the_caller_order():
     circle_st = CircleStructure(A=A, G=0.3 * rng.normal(size=(n, 1)),
                                 H=rng.normal(size=(1, n)), C=C, channels=np.tanh,
                                 sector=(0.0, 1.0))
-    reduced_st = ReducedStructure(A=A, C=C, g=g)
+    reduced_st = ReducedStructure(A=A, C=C, g=g, read=0, write=1, sector=(0.0, 0.2))
     families = [
         lambda sub, card: LuenbergerObserver(sub, f, h, 0.3 * rng.normal(size=(n, card)), n),
         lambda sub, card: ReducedOrderObserver(sub, reduced_st, rng.normal(size=(n - card, n)),
@@ -711,9 +711,16 @@ def test_reduced_bank_predicts_the_plant_once_per_step(scenario_dir, layout):
 
 # --- certificates -----------------------------------------------------------
 
+def _no_channel(loops):
+    """Certificates of a (G, m, m) stack of loops with no channel: B = 0 and H = 0,
+    over the one-point sector [0, 0], as build_bank certifies a Luenberger loop."""
+    G, m = loops.shape[:2]
+    return certify_sector(loops, np.zeros((m, 1)), np.zeros((G, 1, m)), (0.0, 0.0))
+
+
 def _one(loop):
-    """The certificate of one loop, as a stack of one."""
-    (cert,) = certify_linear_gain(np.asarray(loop, dtype=float)[None])
+    """The certificate of one loop with no channel, as a stack of one."""
+    (cert,) = _no_channel(np.asarray(loop, dtype=float)[None])
     return cert
 
 
@@ -723,6 +730,7 @@ def test_certificates_pass_and_fail():
     K = A2 @ np.linalg.pinv(C_J)
     cert = _one(A2 - K @ C_J)
     assert cert.passed and cert.spectral_radius < 1e-12
+    assert cert.margin == 1.0  # a one-point sector's margin is exactly 1
 
     # a zero gain leaves the marginally stable A_C: radius 1 fails
     cert = _one(A_C)
@@ -742,8 +750,9 @@ def test_certificates_pass_and_fail():
 
 def test_stacked_certificates_equal_each_loop_alone(scenario_dir):
     # one stacked certificate gives each loop the radius it gets alone, bit for
-    # bit: the bundled banks' loops (build_bank stacks each loop shape), and
-    # random loops of several sizes with inf and NaN entries
+    # bit: the bundled banks' loops at their sector's lower slope (build_bank
+    # stacks each loop shape), and random loops with no channel of several
+    # sizes with inf and NaN entries
     def alone(loop):
         finite = np.isfinite(loop).all()
         return float(np.max(np.abs(np.linalg.eigvals(loop)))) if finite else np.inf
@@ -751,7 +760,7 @@ def test_stacked_certificates_equal_each_loop_alone(scenario_dir):
     def same(cert, loop):
         rho = alone(loop)
         bits = (np.float64(r).view(np.uint64) for r in (cert.spectral_radius, rho))
-        sector = cert.margin is None or cert.margin >= CERTIFICATE_MARGIN
+        sector = cert.margin >= CERTIFICATE_MARGIN
         return len(set(bits)) == 1 and cert.passed == (rho < 1.0 - CERTIFICATE_MARGIN and sector)
 
     for name in ("example1", "example2", "example3", "example4"):
@@ -759,9 +768,10 @@ def test_stacked_certificates_equal_each_loop_alone(scenario_dir):
         bank, report = build_bank(cfg)
         st = cfg.plant.structure
         for sub, obs in bank.items():
-            loop = {  # the loop build_bank writes for each family
+            loop = {  # the lower edge of the loop build_bank writes for each family
                 "luenberger": lambda: cfg.lin_A - obs.K @ cfg.lin_C[obs._idx],
-                "reduced": lambda: obs.A_L - obs.K @ (obs.C_J @ st.A @ obs.N),
+                "reduced": lambda: obs.A_L - obs.K @ (obs.C_J @ st.A @ obs.N) + st.sector[0] * (
+                    (obs.L - obs.K @ obs.C_J)[:, [st.write]] @ obs.N[[st.read]]),
                 "circle": lambda: obs.A_LC + st.sector[0] * (st.G @ obs.H_KC),
             }[cfg.family]()
             assert same(report.certificates[sub], loop), (name, sub)
@@ -770,29 +780,34 @@ def test_stacked_certificates_equal_each_loop_alone(scenario_dir):
         loops = rng.normal(size=(12, m, m)) * rng.choice([0.1, 1.0, 1e3], size=(12, 1, 1))
         for j in range(0, 12, 3):
             loops[j][rng.random((m, m)) < 0.3] = rng.choice([np.inf, -np.inf, np.nan])
-        stacked = certify_linear_gain(loops)
+        stacked = _no_channel(loops)
         assert isinstance(stacked, list) and len(stacked) == len(loops)
         assert all(same(cert, loop) and cert == _one(loop)
                    for cert, loop in zip(stacked, loops)), m
-    assert certify_linear_gain(np.empty((0, 3, 3))) == []
+    assert _no_channel(np.empty((0, 3, 3))) == []
 
 
 def test_an_empty_loop_has_no_modes_and_passes():
-    # the loop of a reduced-order observer with |J| = n is (0, 0), alone or stacked
-    st = ReducedStructure(A=A2, C=C3, g=lambda x, u: np.zeros(2))
+    # the loop of a reduced-order observer with |J| = n is (0, 0), alone or
+    # stacked, with no channel or over a channel's sector: P_b = P_a = 1
+    st = ReducedStructure(A=A2, C=C3, g=lambda x, u: np.zeros(2), read=0, write=0,
+                          sector=(0.0, 0.0))
     obs = ReducedOrderObserver(SubsetIndex("J", (1, 2)), st, np.zeros((0, 2)))
     loop = obs.A_L - obs.K @ (obs.C_J @ A2 @ obs.N)
     assert loop.shape == (0, 0)
     for closed in (loop, np.zeros((0, 0))):
         cert = _one(closed)
-        assert (cert.spectral_radius, cert.passed) == (0.0, True)
-    stacked = certify_linear_gain(np.zeros((2, 0, 0)))
+        assert (cert.spectral_radius, cert.passed, cert.margin) == (0.0, True, 1.0)
+    stacked = _no_channel(np.zeros((2, 0, 0)))
     assert [(cert.spectral_radius, cert.passed) for cert in stacked] == [(0.0, True)] * 2
+    sector = certify_sector(np.zeros((2, 0, 0)), np.zeros((2, 0, 1)), np.zeros((2, 1, 0)),
+                            (-1.0, 1.0))
+    assert [(c.spectral_radius, c.passed, c.margin) for c in sector] == [(0.0, True, 1.0)] * 2
 
 
 def _family_loop(cfg, spec, idx):
-    """The closed error loop of one bundle entry, from the config's own matrices;
-    a circle loop at its sector's lower slope."""
+    """The closed error loop of one bundle entry, from the config's own matrices,
+    at its sector's lower slope."""
     if cfg.family == "luenberger":
         return cfg.lin_A - spec.K @ cfg.lin_C[idx]
     st = cfg.plant.structure
@@ -801,22 +816,39 @@ def _family_loop(cfg, spec, idx):
     T_inv = np.linalg.inv(np.vstack([spec.L, st.C[idx]]))
     N = T_inv[:, : len(spec.L)]
     K = np.zeros((len(spec.L), len(idx))) if spec.K is None else spec.K
-    return spec.L @ st.A @ N - K @ st.C[idx] @ st.A @ N
+    LK = spec.L - K @ st.C[idx]
+    return LK @ st.A @ N + st.sector[0] * LK[:, [st.write]] @ N[[st.read]]
 
 
 def test_circle_certificate_uses_plus_sign(scenario_dir):
-    # every family's certificate is the radius of the loop it steps: A - K C_J,
-    # A_L - K C_J A N in partial coordinates, and A + L C_J + a G (H + K C_J)
-    # with the circle family's plus signs
+    # every family's certificate is the radius of the loop it steps at its
+    # sector's lower slope a: A - K C_J, (L - K C_J)(A N + a e_write e_read^T N)
+    # in partial coordinates, and A + L C_J + a G (H + K C_J) with the circle
+    # family's plus signs
     for name in ("example1", "example2", "example3", "example4"):
         cfg = load_config(scenario_dir / f"{name}.json")
         _, report = build_bank(cfg)
         for sub, cert in report.certificates.items():
             loop = _family_loop(cfg, cfg.specs[sub], np.asarray(sub.members) - 1)
             rho = np.max(np.abs(np.linalg.eigvals(loop)))
-            sector = cert.margin is None or cert.margin >= CERTIFICATE_MARGIN
+            sector = cert.margin >= CERTIFICATE_MARGIN
             assert cert.spectral_radius == pytest.approx(rho, rel=1e-9, abs=1e-12), (name, sub)
             assert cert.passed == (rho < 1.0 - CERTIFICATE_MARGIN and sector), (name, sub)
+
+
+def test_bundled_reduced_bank_is_certified_over_its_channel_sector(scenario_dir):
+    # example2's tanh_channel of gain -1.25 has slopes in [-1.25, 0]; the channel
+    # enters the error of J:1,2, S:1 and S:2, whose margin is 2/7, and leaves
+    # the others' with margin 1
+    cfg = load_config(scenario_dir / "example2.json")
+    assert cfg.plant.structure.sector == (-1.25, 0.0)
+    _, report = build_bank(cfg)
+    margins = {sub.label: cert.margin for sub, cert in report.certificates.items()}
+    assert all(cert.passed for cert in report.certificates.values())
+    assert margins == pytest.approx({"J:1,2": 2 / 7, "J:1,3": 1.0, "J:2,3": 1.0,
+                                     "S:1": 2 / 7, "S:2": 2 / 7, "S:3": 1.0}, rel=1e-12)
+    radii = [cert.spectral_radius for cert in report.certificates.values()]
+    assert 0.5 <= min(radii) and max(radii) < 0.96
 
 
 # e+ = 0.5 e - 0.6 psi(e): certified over a nondecreasing channel's slopes,
@@ -903,8 +935,7 @@ def test_certified_loops_shrink_under_every_slope_sequence_in_their_sector(name)
 def test_a_non_finite_loop_fails_its_sector_certificate(bad):
     # a non-finite entry, or one whose products overflow, fails its own loop's
     # certificate with no warning, and leaves the certificate stacked with it as
-    # it gets alone: the radius bit for bit, the margin up to BLAS's rounding,
-    # which may differ between a stack of one and of two
+    # it gets alone, radius and margin bit for bit
     rng = np.random.default_rng(5)
     for A_LC, G, H_KC, _, sector in _random_sector_loops(rng, 4, [1, 2, 3, 4], ["sin"]):
         for which in range(2):
@@ -916,9 +947,22 @@ def test_a_non_finite_loop_fails_its_sector_certificate(bad):
                                        sector)
             (alone,) = certify_sector(A_LC[None], G, H_KC[None], sector)
             assert not certs[1].passed
-            assert certs[0].spectral_radius == alone.spectral_radius
-            assert certs[0].passed == alone.passed
-            assert certs[0].margin == pytest.approx(alone.margin, rel=1e-12)
+            assert certs[0] == alone
+
+
+def test_a_loops_margin_does_not_depend_on_its_stack():
+    # 200 random loops, certified in stacks of 25 (one channel and state count
+    # each, every loop with its own G) and each alone: radius and margin bit for bit
+    rng = np.random.default_rng(19)
+    for name in ("sin", "tanh"):
+        for n in (1, 2, 3, 4):
+            A_LC, G, H_KC, _, sector = zip(*_random_sector_loops(rng, 25, [n], [name]))
+            stacked = certify_sector(np.stack(A_LC), np.stack(G), np.stack(H_KC), sector[0])
+            for j, cert in enumerate(stacked):
+                (alone,) = certify_sector(A_LC[j][None], G[j], H_KC[j][None], sector[0])
+                got = np.float64([cert.spectral_radius, cert.margin]).view(np.uint64)
+                want = np.float64([alone.spectral_radius, alone.margin]).view(np.uint64)
+                assert np.array_equal(got, want) and cert.passed == alone.passed, (name, n, j)
 
 
 def test_a_plant_with_several_channels_has_no_sector_certificate():
