@@ -1,18 +1,23 @@
 """Design, tune, and freeze the observer gains of the bundled scenarios.
 
-This is a development tool, not part of the installed package.  It
-derives every gain matrix in ``src/multiobserver/scenarios/*.json``.
-Each example is defined once, as a config document (``exampleN_doc``)
-plus a gain designer that returns the document's ``observers.bundle``
-entries; every command below parses the two with the package's own
-``parse_config`` and builds the bank with ``build_bank``:
+This is a development tool, not part of the installed package.  Each
+example is defined once, in its bundled config
+``src/multiobserver/scenarios/exampleN.json``; this script owns only the
+gain matrices of its ``observers.bundle`` and the fitted ``iss`` models.
+Every command loads the bundled document without what the script
+generates (every ``iss``, and example4's ``isolation``), designs a bundle
+from the document's own plant matrices, and parses the two with the
+package's own ``parse_config`` and builds the bank with ``build_bank``:
 
 * ``probe-ex1`` .. ``probe-ex4``: sweep candidate pole placements and
   report how the acceptance-style metrics respond, so the shipped
-  numbers are reproducible instead of hand-tuned magic.
-* ``freeze``: write the chosen designs into the bundled JSON configs
+  numbers are reproducible instead of hand-tuned magic.  Every candidate
+  entry is marked ``practical``, so a design whose certificate fails
+  still runs.
+* ``freeze``: write the chosen designs back into the bundled JSON configs
   (running the package's own calibration for the examples that ship
-  convergence models).
+  convergence models), then print what ``multiobserver validate`` prints
+  for each.
 
 All placements are computed with plain numpy: subsets with as many
 sensors as states use the exact solve L = (T - A) C^-1, single-sensor
@@ -31,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from multiobserver import (
+    BankIndex,
     CalibrationError,
     EstimatorRun,
     EstimatorStarvedError,
@@ -43,7 +49,9 @@ from multiobserver import (
     run_seeds,
     windowed_isolation,
 )
+from multiobserver.cli import main as multiobserver
 from multiobserver.config import _example1_plant, parse_config
+from multiobserver.harness import calibrate
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "multiobserver" / "scenarios"
 
@@ -73,10 +81,34 @@ def _mat(M) -> list[list[float]]:
     return [[float(v) for v in row] for row in np.asarray(M, dtype=float)]
 
 
-def _example(doc: dict):
-    """The parsed config of ``doc`` and its bank, built without enforcing the certificates."""
-    cfg = parse_config(doc)
-    bank, _ = build_bank(cfg, enforce=False)
+def _load(name: str) -> tuple[dict, dict | None]:
+    """The bundled document ``name`` without what this script generates, and its
+    ``isolation`` section: every ``iss`` goes (the bundle is replaced whole), and so does
+    the section, which needs an ``iss`` on every subset until ``freeze`` puts it back."""
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    doc["estimator"].pop("iss", None)
+    return doc, doc.pop("isolation", None)
+
+
+def _with(doc: dict, bundle: dict) -> dict:
+    return {**doc, "observers": {"bundle": bundle}}
+
+
+def _plant(doc: dict) -> tuple[np.ndarray, np.ndarray, BankIndex]:
+    """The (A, C) that ``doc``'s gains are placed with, and the bank its q asks for."""
+    if doc["plant"].get("dynamics") == "example1":  # the named plant's linearization
+        _, A, C = _example1_plant()
+    else:
+        A, C = np.array(doc["plant"]["A"]), np.array(doc["plant"]["C"])
+    return A, C, bank_index(len(C), doc["scenario"]["q"])
+
+
+def _candidate(doc: dict, bundle: dict):
+    """The parsed config of ``doc`` with ``bundle``, every entry marked ``practical``,
+    and its bank."""
+    cfg = parse_config(_with(doc, {label: {**entry, "practical": True}
+                                   for label, entry in bundle.items()}))
+    bank, _ = build_bank(cfg)
     return cfg, bank
 
 
@@ -90,75 +122,29 @@ def _finished(outcomes: list) -> list[EstimatorRun]:
 
 # ---------------------------------------------------------------- example 4
 
-A_CIRCLE = np.array([[1.0, 0.1], [0.0, 1.0]])
-G_CIRCLE = np.array([[0.05], [0.1]])
-H_CIRCLE = np.array([[1.0, 1.0]])
-C_EX3 = np.array([[3.0, 0.3], [3.0, 0.6], [6.0, 0.9], [1.2, 12.0], [1.5, 15.0]])
-C_EX4 = C_EX3[:4]
-
-
-def circle_doc(name: str, C: np.ndarray, scenario: dict, init: str, bundle: dict,
-               calibration: dict) -> dict:
-    """A document for the sin-channel circle plant read through the sensor rows ``C``."""
-    return {
-        "name": name,
-        "plant": {
-            "family": "circle",
-            "A": _mat(A_CIRCLE),
-            "G": _mat(G_CIRCLE),
-            "H": _mat(H_CIRCLE),
-            "C": _mat(C),
-            "nonlinearity": {"name": "sin"},
-        },
-        "scenario": scenario,
-        "estimator": {"init": {"kind": init}},
-        "observers": {"bundle": bundle},
-        "calibration": calibration,
-    }
-
-
-def example4_doc(bundle: dict) -> dict:
-    return circle_doc(
-        "example4",
-        C_EX4,
-        {
-            "q": 1,
-            "horizon": 999,
-            "seed": 0,
-            "attacked": [3],
-            "attacks": {"3": {"kind": "uniform", "low": -2.0, "high": 2.0}},
-            "noise": {"kind": "uniform", "low": -0.5, "high": 0.5},
-            "noise_bound": 0.5,
-            "x0": {"kind": "normal", "mean": [0.0, 0.0], "std": [1.0, 1.0]},
-        },
-        "truth",
-        bundle,
-        {"trials": 30, "horizon": 250, "seed": 1, "safety": 1.0, "tail_stat": "median"},
-    )
-
-
 def _circle_entry(L: np.ndarray) -> dict:
     """A circle bundle entry: output gain L, no innovation into the nonlinearity."""
     return {"K": _mat(np.zeros((1, L.shape[1]))), "L": _mat(L)}
 
 
-def circle_bundle(C: np.ndarray, p: int, q: int, targets: dict[str, np.ndarray]) -> dict:
+def circle_bundle(doc: dict, targets: dict[str, np.ndarray]) -> dict:
     """Bundle of circle-criterion observers; targets keyed by class role."""
+    A, C, bank = _plant(doc)
     bundle = {}
-    for subset in bank_index(p, q).all_subsets:
+    for subset in bank.all_subsets:
         members = np.asarray(subset.members, dtype=int) - 1
         C_sub = C[members]
         target = targets[subset.role]
         if len(subset) >= 2:
-            L = place_exact(A_CIRCLE, C_sub, target)
+            L = place_exact(A, C_sub, target)
         else:
             poles = np.linalg.eigvals(target)
-            L = -acker_observer_gain(A_CIRCLE, C_sub[0], poles.real)
+            L = -acker_observer_gain(A, C_sub[0], poles.real)
         bundle[subset.label] = _circle_entry(L)
     return bundle
 
 
-def anchored_gain(C: np.ndarray, subset: SubsetIndex, design) -> np.ndarray:
+def anchored_gain(A: np.ndarray, C: np.ndarray, subset: SubsetIndex, design) -> np.ndarray:
     """L for one subset from a compact design spec.
 
     ``("single", s, (p1, p2))``: respond to member sensor s only,
@@ -166,26 +152,27 @@ def anchored_gain(C: np.ndarray, subset: SubsetIndex, design) -> np.ndarray:
     ``("pair", (s1, s2), delta)``: exact placement A - delta*I through
     the two named member sensors, zero columns elsewhere.
     """
-    n = A_CIRCLE.shape[0]
+    n = A.shape[0]
     L = np.zeros((n, len(subset)))
     kind = design[0]
     if kind == "single":
         sensor, poles = design[1], design[2]
-        col = -acker_observer_gain(A_CIRCLE, C[sensor - 1], poles)
+        col = -acker_observer_gain(A, C[sensor - 1], poles)
         L[:, subset.members.index(sensor)] = col[:, 0]
     else:
         (s1, s2), delta = design[1], design[2]
         C_pair = C[[s1 - 1, s2 - 1]]
-        L_pair = place_exact(A_CIRCLE, C_pair, A_CIRCLE - delta * np.eye(n))
+        L_pair = place_exact(A, C_pair, A - delta * np.eye(n))
         L[:, subset.members.index(s1)] = L_pair[:, 0]
         L[:, subset.members.index(s2)] = L_pair[:, 1]
     return L
 
 
-def ex4_anchored_bundle(designs: dict[tuple[int, ...], tuple]) -> dict:
+def ex4_anchored_bundle(doc: dict, designs: dict[tuple[int, ...], tuple]) -> dict:
+    A, C, bank = _plant(doc)
     return {
-        subset.label: _circle_entry(anchored_gain(C_EX4, subset, designs[subset.members]))
-        for subset in bank_index(4, 1).all_subsets
+        subset.label: _circle_entry(anchored_gain(A, C, subset, designs[subset.members]))
+        for subset in bank.all_subsets
     }
 
 
@@ -207,28 +194,31 @@ EX4_DESIGNS = {
 }
 
 
-def ex4_designs(styles: str, deltas_j: str, deltas_s: str):
+def ex4_designs(doc: dict, styles: str, deltas_j: str, deltas_s: str):
     """(style, dj, ds, bundle) of each design to probe, in style order.
 
     The anchored design takes no deltas, so it comes once, with dj and ds None.
     """
+    A, _, _ = _plant(doc)
     for style in styles.split(","):
         if style == "anchored":
-            yield style, None, None, ex4_anchored_bundle(EX4_DESIGNS)
+            yield style, None, None, ex4_anchored_bundle(doc, EX4_DESIGNS)
             continue
         for dj, ds in itertools.product([float(v) for v in deltas_j.split(",")],
                                         [float(v) for v in deltas_s.split(",")]):
             if style == "shift":
-                tj, ts = A_CIRCLE - dj * np.eye(2), A_CIRCLE - ds * np.eye(2)
+                tj, ts = A - dj * np.eye(len(A)), A - ds * np.eye(len(A))
             else:
                 tj, ts = np.diag([1 - dj, 1 - dj - 0.05]), np.diag([1 - ds, 1 - ds - 0.05])
-            yield style, dj, ds, circle_bundle(C_EX4, 4, 1, {"J": tj, "S": ts})
+            yield style, dj, ds, circle_bundle(doc, {"J": tj, "S": ts})
 
 
 def probe_ex4(args):
-    for style, dj, ds, bundle in ex4_designs(args.styles, args.deltas_j, args.deltas_s):
+    doc, iso = _load("example4")
+    window = iso["window"]
+    for style, dj, ds, bundle in ex4_designs(doc, args.styles, args.deltas_j, args.deltas_s):
         fixed = dj is None
-        cfg, bank = _example(example4_doc(bundle))
+        cfg, bank = _candidate(doc, bundle)
         idx, scen = cfg.bank, cfg.scenario
         settings = replace(cfg.calibration, trials=args.trials, horizon=args.cal_horizon,
                            tail_stat=args.stat, safety=args.safety)
@@ -242,20 +232,21 @@ def probe_ex4(args):
             print(f"{design}: {exc}")
             continue
         thresholds = compute_thresholds(models, idx, scen.noise_bound, scen.disturbance_bound,
-                                        eps=0.0, k_star_override=0)
+                                        eps=iso["eps"], k_star_override=iso["k_star"])
         unattacked = replace(scen, attacked=frozenset(), attack_gens={})
         runs = _finished(run_seeds(cfg, bank, range(args.seeds)))
         pi_bar = np.array(list(thresholds.pi_bar.values()))
         exceed = np.zeros(len(idx.j_subsets))
         for run in runs:
             exceed += np.mean(run.pi[:, : len(idx.j_subsets)] > pi_bar, axis=0)
-        stats = {N: [np.mean([w.isolated == (3,) for w in rep.windows])
+        attacked = tuple(sorted(scen.attacked))
+        stats = {N: [np.mean([w.isolated == attacked for w in rep.windows])
                      for rep in (windowed_isolation(run, thresholds, N) for run in runs)]
-                 for N in (100, 200)}
-        full = frozenset(range(1, 5))
+                 for N in (window, 2 * window)}
+        full = frozenset(range(1, cfg.plant.p + 1))
         control_empty, control_full_steps = [], []
         for run in _finished(run_seeds(cfg, bank, range(args.seeds), unattacked)):
-            rep = windowed_isolation(run, thresholds, 100)
+            rep = windowed_isolation(run, thresholds, window)
             control_empty.append(np.mean([w.isolated == () for w in rep.windows]))
             control_full_steps.append(
                 np.mean([frozenset(u) == full for u in rep.step_unions.values()])
@@ -264,9 +255,9 @@ def probe_ex4(args):
         exceed /= args.seeds
         labels = [J.label for J in idx.j_subsets]
         design = f"style={style}" if fixed else f"style={style} dj={dj:4} ds={ds:4}"
+        hits = " ".join(f"N{N}={np.mean(share):.2f}" for N, share in stats.items())
         print(
-            f"{design} stat={args.stat}: "
-            f"isolate3 N100={np.mean(stats[100]):.2f} N200={np.mean(stats[200]):.2f} "
+            f"{design} stat={args.stat}: isolate{''.join(map(str, attacked))} {hits} "
             f"ctrl-empty={np.mean(control_empty):.2f} "
             f"ctrl-full-steps={np.mean(control_full_steps):.3f} ({dt:.1f}s)"
         )
@@ -276,36 +267,13 @@ def probe_ex4(args):
 
 # ---------------------------------------------------------------- example 3
 
-def example3_doc(bundle: dict) -> dict:
-    return circle_doc(
-        "example3",
-        C_EX3,
-        {
-            "q": 2,
-            "horizon": 199,
-            "seed": 0,
-            "attacked": [2, 5],
-            "attacks": {
-                "2": {"kind": "uniform", "low": -10.0, "high": 10.0},
-                "5": {"kind": "uniform", "low": -10.0, "high": 10.0},
-            },
-            "noise": {"kind": "uniform", "low": -0.1, "high": 0.1},
-            "noise_bound": 0.1,
-            "x0": {"kind": "normal", "mean": [0.0, 0.0], "std": [1.0, 1.0]},
-        },
-        "zero",
-        bundle,
-        {"trials": 24, "horizon": 400, "seed": 1, "safety": 1.2, "tail_stat": "max"},
-    )
-
-
-# Sensors 4 and 5 read mostly x2 (rows (1.2, 12) and (1.5, 15), exactly
+# Sensors 4 and 5 read mostly x2 (their rows of C are exactly
 # parallel), so single-sensor pole placement that moves the weakly
 # observed x1 mode inserts a large direct x1 gain whose interplay with
 # the sin coupling creates a spurious attractor: offsets of a few units
 # never converge.  A direct gain-space search found the robust pocket —
 # a *small* x1 gain next to an x2 gain near (1 - 0.35)/c2.  Sensor 5's
-# gain is sensor 4's scaled by 1.2/1.5 (parallel rows, same closed loop).
+# gain is sensor 4's scaled by the ratio of their rows (same closed loop).
 EX3_SINGLE_POLES = {1: (0.95, 0.90), 2: (0.95, 0.90), 3: (0.95, 0.90)}
 EX3_WEAK_GAINS = {4: (0.0167, 0.0542), 5: (0.01336, 0.04336)}
 # The single-sensor observers converge on the runs, but no certificate over a
@@ -313,15 +281,16 @@ EX3_WEAK_GAINS = {4: (0.0167, 0.0542), 5: (0.01336, 0.04336)}
 # their margins over sin's [-1, 1] are -0.53 to -0.61.  So they are practical.
 
 
-def ex3_bundle(target_j: np.ndarray) -> dict:
+def ex3_bundle(doc: dict, target_j: np.ndarray) -> dict:
+    A, C, bank = _plant(doc)
     bundle = {}
-    for subset in bank_index(5, 2).all_subsets:
+    for subset in bank.all_subsets:
         members = np.asarray(subset.members, dtype=int) - 1
         if len(subset) >= 2:
-            L = place_exact(A_CIRCLE, C_EX3[members], target_j)
+            L = place_exact(A, C[members], target_j)
         elif subset.members[0] in EX3_SINGLE_POLES:
             poles = list(EX3_SINGLE_POLES[subset.members[0]])
-            L = -acker_observer_gain(A_CIRCLE, C_EX3[members[0]], poles)
+            L = -acker_observer_gain(A, C[members[0]], poles)
         else:
             k1, k2 = EX3_WEAK_GAINS[subset.members[0]]
             L = np.array([[-k1], [-k2]])
@@ -330,9 +299,10 @@ def ex3_bundle(target_j: np.ndarray) -> dict:
 
 
 def probe_ex3(args):
+    doc, _ = _load("example3")
     for dj in [float(v) for v in args.deltas_j.split(",")]:
         tj = np.diag([1 - dj, 1 - dj - 0.05])
-        cfg, bank = _example(example3_doc(ex3_bundle(tj)))
+        cfg, bank = _candidate(doc, ex3_bundle(doc, tj))
         idx, scen = cfg.bank, cfg.scenario
         settings = replace(cfg.calibration, trials=args.trials, horizon=args.cal_horizon)
         try:
@@ -345,9 +315,10 @@ def probe_ex3(args):
         bound = est_model.gamma1 * scen.noise_bound
         # the same runs with the attacks ten times larger
         loud = replace(scen, attack_gens={
-            i: replace(gen, low=-100.0, high=100.0) for i, gen in scen.attack_gens.items()
+            i: replace(gen, low=10 * gen.low, high=10 * gen.high)
+            for i, gen in scen.attack_gens.items()
         })
-        clean_j = next(i for i, J in enumerate(idx.j_subsets) if J.members == (1, 3, 4))
+        clean_j = next(i for i, J in enumerate(idx.j_subsets) if not scen.attacked & set(J.members))
         t0 = time.perf_counter()
         runs = _finished(run_seeds(cfg, bank, range(args.seeds)))
         tails = [float(np.max(run.e_norm[150:])) for run in runs]
@@ -368,29 +339,10 @@ def probe_ex3(args):
 
 # ---------------------------------------------------------------- example 1
 
-def example1_doc(bundle: dict) -> dict:
-    return {
-        "name": "example1",
-        "plant": {"family": "luenberger", "dynamics": "example1"},
-        "scenario": {
-            "q": 1,
-            "horizon": 49,
-            "seed": 0,
-            "attacked": [2],
-            "attacks": {"2": {"kind": "uniform", "low": -10.0, "high": 10.0}},
-            "noise": {"kind": "zero"},
-            "noise_bound": 0.0,
-            "x0": {"kind": "normal", "mean": [0.0, 0.0], "std": [1.0, 1.0]},
-        },
-        "estimator": {"init": {"kind": "zero"}},
-        "observers": {"bundle": bundle},
-    }
-
-
-def ex1_bundle(lam_j: float, lam_s: float) -> dict:
-    _, A, C = _example1_plant()
+def ex1_bundle(doc: dict, lam_j: float, lam_s: float) -> dict:
+    A, C, bank = _plant(doc)
     bundle = {}
-    for subset in bank_index(3, 1).all_subsets:
+    for subset in bank.all_subsets:
         members = np.asarray(subset.members, dtype=int) - 1
         C_sub = C[members]
         practical = {}
@@ -408,11 +360,12 @@ def ex1_bundle(lam_j: float, lam_s: float) -> dict:
 
 
 def probe_ex1(args):
+    doc, _ = _load("example1")
     for lam_j, lam_s in itertools.product(
         [float(v) for v in args.lams_j.split(",")],
         [float(v) for v in args.lams_s.split(",")],
     ):
-        cfg, bank = _example(example1_doc(ex1_bundle(lam_j, lam_s)))
+        cfg, bank = _candidate(doc, ex1_bundle(doc, lam_j, lam_s))
         t0 = time.perf_counter()
         outcomes = run_seeds(cfg, bank, range(args.seeds))
         dt = time.perf_counter() - t0
@@ -430,62 +383,19 @@ def probe_ex1(args):
 
 # ---------------------------------------------------------------- example 2
 
-A_EX2 = np.array([
-    [0.5, 0.0, 0.0, 0.0],
-    [0.0, 0.8, 1.0, 0.0],
-    [0.5, 0.1, 0.3, 0.0],
-    [0.3, 1.0, 0.0, 0.5],
-])
-C_EX2 = np.array([
-    [0.0, 1.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-])
-
-
-def example2_doc(bundle: dict) -> dict:
-    return {
-        "name": "example2",
-        "plant": {
-            "family": "reduced",
-            "A": _mat(A_EX2),
-            "C": _mat(C_EX2),
-            "nonlinearity": {
-                "name": "tanh_channel",
-                "params": {
-                    "constant": [1.0, 0.0, 0.0, -0.6],
-                    "gain": -1.25,
-                    "index": 4,
-                    "position": 4,
-                },
-            },
-        },
-        "scenario": {
-            "q": 1,
-            "horizon": 199,
-            "seed": 0,
-            "attacked": [2],
-            "attacks": {"2": {"kind": "uniform", "low": -10.0, "high": 10.0}},
-            "noise": {"kind": "zero"},
-            "noise_bound": 0.0,
-            "x0": {"kind": "normal", "mean": [0.0] * 4, "std": [1.0] * 4},
-        },
-        "estimator": {"init": {"kind": "zero"}},
-        "observers": {"bundle": bundle},
-    }
-
-
-def ex2_bundle() -> dict:
+def ex2_bundle(doc: dict) -> dict:
+    """Each reduced-order observer estimates the states its sensors do not read."""
+    _, C, bank = _plant(doc)
     bundle = {}
-    for subset in bank_index(3, 1).all_subsets:
-        measured_states = {m + 1 for m in subset.members}   # sensor j reads x_{j+1}
-        unmeasured = [i for i in range(4) if i + 1 not in measured_states]
-        bundle[subset.label] = {"L": _mat(np.eye(4)[unmeasured])}
+    for subset in bank.all_subsets:
+        read = C[np.asarray(subset.members) - 1].any(axis=0)
+        bundle[subset.label] = {"L": _mat(np.eye(len(read))[~read])}
     return bundle
 
 
 def probe_ex2(args):
-    cfg, bank = _example(example2_doc(ex2_bundle()))
+    doc, _ = _load("example2")
+    cfg, bank = _candidate(doc, ex2_bundle(doc))
     t0 = time.perf_counter()
     tails = [float(np.max(run.e_norm[160:]))
              for run in _finished(run_seeds(cfg, bank, range(args.seeds)))]
@@ -497,54 +407,39 @@ def probe_ex2(args):
 
 # ---------------------------------------------------------------- freeze
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+# The frozen design of each example.
+FROZEN = {
+    "example1": lambda doc: ex1_bundle(doc, 0.6, 0.75),
+    "example2": ex2_bundle,
+    "example3": lambda doc: ex3_bundle(doc, np.diag([0.7, 0.65])),
+    "example4": lambda doc: ex4_anchored_bundle(doc, EX4_DESIGNS),
+}
 
 
 def freeze(args):
-    """Write the frozen designs into the four bundled scenario configs.
+    """Write the frozen designs into the four bundled scenario configs, then validate them.
 
-    Examples 3 and 4 ship convergence models fitted by the package's own
-    calibration (example 4 additionally an isolation section); examples
-    1 and 2 ship gains only — example 1's open plant escapes to infinity
-    from a sizable share of random inits, which aborts Monte-Carlo
-    fitting by design, and example 2 needs no thresholds.
+    An example with a ``calibration`` section (example3 and example4) ships
+    convergence models fitted by the package's own calibration; example1's
+    open plant escapes to infinity from a sizable share of random inits,
+    which aborts Monte-Carlo fitting by design, and example2 needs no
+    thresholds.
     """
-    from multiobserver import load_config
-    from multiobserver.harness import calibrate
-
-    SCENARIO_DIR.mkdir(parents=True, exist_ok=True)
-
-    # ---- example 1: full-order bank on the polynomial plant
-    _write_json(SCENARIO_DIR / "example1.json", example1_doc(ex1_bundle(0.6, 0.75)))
-
-    # ---- example 2: reduced-order bank, prediction via the plant map
-    _write_json(SCENARIO_DIR / "example2.json", example2_doc(ex2_bundle()))
-
-    # ---- example 3: circle-criterion bank, calibrated for the error bound
-    doc3 = example3_doc(ex3_bundle(np.diag([0.7, 0.65])))
-    calibrate(parse_config(doc3), out_path=SCENARIO_DIR / "example3.json")
-
-    # ---- example 4: anchored circle bank, calibrated, with isolation
-    out4 = SCENARIO_DIR / "example4.json"
-    calibrate(parse_config(example4_doc(ex4_anchored_bundle(EX4_DESIGNS))), out_path=out4)
-    # the isolation section goes in after calibration: validation demands
-    # a convergence model on every subset the moment the section exists
-    calibrated = json.loads(out4.read_text())
-    calibrated["isolation"] = {"window": 100, "eps": 0.0, "k_star": 0}
-    _write_json(out4, calibrated)
-
-    # ---- verification pass over the shipped files
-    for name in ("example1", "example2", "example3", "example4"):
-        cfg = load_config(SCENARIO_DIR / f"{name}.json")
-        _, report = build_bank(cfg, enforce=True)
-        worst = max(c.spectral_radius for c in report.certificates.values())
-        print(
-            f"{name}: {len(cfg.bank.all_subsets)} observers, "
-            f"worst certificate radius {worst:.4f}, "
-            f"estimator model {'yes' if cfg.estimator_iss else 'no'}, "
-            f"isolation {'yes' if cfg.isolation else 'no'}"
-        )
+    for name, design in FROZEN.items():
+        path = SCENARIO_DIR / f"{name}.json"
+        doc, isolation = _load(name)
+        doc = _with(doc, design(doc))
+        if "calibration" in doc:
+            calibrate(parse_config(doc), out_path=path)
+            doc = json.loads(path.read_text())
+        # the isolation section goes back after calibration: validation demands
+        # a convergence model on every subset the moment the section exists
+        if isolation is not None:
+            doc["isolation"] = isolation
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    for name in FROZEN:
+        if multiobserver(["validate", "--config", str(SCENARIO_DIR / f"{name}.json")]):
+            raise SystemExit(1)
 
 
 def main():

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .combinatorics import BankIndex, SubsetIndex, bank_index, parse_label
-from .calibration import TAIL_STATS, CalibrationSettings
+from .calibration import CalibrationSettings
 from .errors import ConfigurationError
 from .model import (
     DIVERGENCE_CEILING,
@@ -56,7 +56,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "build_bank",
-    "BankBuildReport",
     "CHANNEL_REGISTRY",
     "STATE_NONLINEARITY_REGISTRY",
 ]
@@ -220,15 +219,6 @@ class _Collector:
             return None
         return val
 
-    def choice(self, path: str, val, options: tuple[str, ...], default: str) -> str:
-        """One of the strings ``options``; a bad value is reported on the enclosing section."""
-        if isinstance(val, str) and val in options:
-            return val
-        section, _, key = path.rpartition(".")
-        *head, last = map(repr, options)
-        self.add(section, f"{key} must be {', '.join(head)}, or {last}, got {val!r:.40}")
-        return default
-
     def section(self, path: str, val) -> dict | None:
         """A JSON object, null reading as an empty one; anything else is listed
         and reads as None."""
@@ -333,13 +323,17 @@ def _make_state_channel(transform, sector):
 
 def _make_poly_channel(coeffs, **channel):
     coeffs = np.array(coeffs)
-    return _channel(**channel, term=lambda v: np.polyval(coeffs, v), sector=(-np.inf, np.inf))
+    lead = np.trim_zeros(coeffs, "f")  # of degree <= 1 the slope is c1 everywhere
+    slope = float(lead[0]) if len(lead) == 2 else 0.0
+    sector = (slope, slope) if len(lead) <= 2 else (-np.inf, np.inf)
+    return _channel(**channel, term=lambda v: np.polyval(coeffs, v), sector=sector)
 
 
 # Additive state nonlinearities g(x, u) for the reduced-order family: each entry is
 # its params table and the builder of g and its channel's fields from the read params.
 # A sector is its function's global one times the gain, + 0.0 so that no bound reads
-# -0; a polynomial has none.  Every g takes estimates with batch axes, as ``run_group`` does.
+# -0; a polynomial of degree 2 or more has none.  Every g takes estimates with batch
+# axes, as ``run_group`` does.
 STATE_NONLINEARITY_REGISTRY: dict[str, tuple[dict, Callable]] = {
     "tanh_channel": (_GAIN_CHANNEL, _make_state_channel(np.tanh, (0.0, 1.0))),
     "sin_channel": (_GAIN_CHANNEL, _make_state_channel(np.sin, (-1.0, 1.0))),
@@ -601,6 +595,8 @@ _SCENARIO = {
     "q": _Key(_Collector.integer, default=None),
     "horizon": _Key(_Collector.integer, default=1),
     "seed": _Key(_Collector.integer, 0),
+    "noise_bound": _Key(_Collector.number, 0.0, lo=0.0),
+    "disturbance_bound": _Key(_Collector.number, 0.0, lo=0.0),
 }
 # ... and against the plant's p outputs and n states.
 _SCENARIO_SIGNALS = {
@@ -609,18 +605,18 @@ _SCENARIO_SIGNALS = {
     "noise": _Key(_noise, {"kind": "zero"}, p=_P, horizon=itemgetter("horizon")),
     "disturbance": _Key(_disturbances, [], horizon=itemgetter("horizon")),
     "x0": _Key(_init_spec, n=_N),
-    "noise_bound": _Key(_Collector.number, 0.0, lo=0.0),
-    "disturbance_bound": _Key(_Collector.number, 0.0, lo=0.0),
 }
 
 
 def _scenario(col: _Collector, path: str, val, plant: dict | None) -> dict:
     """The attack scenario, and the bank geometry its q asks for; without a plant,
-    which is listed, both read as None once the keys that need no plant are read."""
+    which is listed, both read as None once the keys and checks that need no plant are."""
     scen = col.section(path, val) or {}
     col.known(path, scen, _SCENARIO, also=_SCENARIO_SIGNALS)
     head = col.read(path, scen, _SCENARIO)
     if plant is None:
+        for msg in AttackScenario.horizon_and_seed_problems(head["horizon"], head["seed"]):
+            col.add(path, msg)
         return dict(scenario=None, bank=None)
     model, q = plant["plant"], head["q"]
     # an unreadable q is listed once: no bank is built and nothing is checked against it
@@ -746,7 +742,8 @@ _CALIBRATION = {
     "c_safety": _Key(_Collector.number, 1.3),
     "init_scale": _Key(_Collector.number, 1.0),
     "eps_settle": _Key(_Collector.number, 1e-2),
-    "tail_stat": _Key(_Collector.choice, "max", options=TAIL_STATS, default="max"),
+    # any value: the settings' own ``validate`` lists one that is not a known statistic
+    "tail_stat": _Key(lambda col, path, val: val, "max"),
 }
 _OUTPUT = {"dir": _Key(_Collector.text, _UNSET)}
 
@@ -831,23 +828,15 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 # --- bank construction -------------------------------------------------------
 
-@dataclass
-class BankBuildReport:
-    """Numeric health of a constructed bank: its gain certificates."""
-
-    certificates: dict[SubsetIndex, CertificateResult]
-    problems: list[str]
-
-
-def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank, BankBuildReport]:
-    """Construct every observer and certify the gains.
+def build_bank(cfg: ScenarioConfig) -> tuple[ObserverBank, dict[SubsetIndex, CertificateResult]]:
+    """Construct every observer and certify the gains: the bank and each subset's certificate.
 
     Each family's error loop e+ = A_cl e + B psi(H e) is certified over its
     channel's slope sector, one :func:`certify_sector` call per loop shape:
     A - K C_J at the fixed Jacobian with no channel (Luenberger, local);
     (L - K C_J) A N, (L - K C_J) e_write, e_read^T N (reduced-order); A + L C_J,
-    G, H + K C_J (circle).  Failures on subsets not marked ``practical`` are
-    collected and (when ``enforce``) raised as one error.
+    G, H + K C_J (circle).  Every observer that cannot be built, and every failed
+    certificate of a subset not marked ``practical``, is raised as one error.
     """
     observers: dict[SubsetIndex, Observer] = {}
     loops: dict[tuple, dict[SubsetIndex, tuple]] = {}  # by shape: one stack each
@@ -878,10 +867,9 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
         for group in loops.values():
             A_cl, B, H = map(np.stack, zip(*group.values()))
             certified.update(zip(group, certify_sector(A_cl, B, H, sector)))
-    certificates = {sub: certified[sub] for sub in observers}
     problems: list[str] = []
     for sub in cfg.bank.all_subsets:  # each subset's faults, then its certificate's
-        cert = certificates.get(sub)
+        cert = certified.get(sub)
         if cert is None:
             problems += [f"{sub.label}: {msg}" for msg in faults[sub]]
         elif not cert.passed and not cfg.specs[sub].practical:
@@ -890,8 +878,6 @@ def build_bank(cfg: ScenarioConfig, enforce: bool = True) -> tuple[ObserverBank,
                 f" (spectral radius {cert.spectral_radius:.6g}, margin {cert.margin:.6g}; "
                 f"need radius < {1.0 - CERTIFICATE_MARGIN} and margin >= {CERTIFICATE_MARGIN}); "
                 "mark the entry practical or redesign the gain")
-    if enforce and problems:
+    if problems:
         raise ConfigurationError(problems)
-    if len(observers) != len(cfg.bank.all_subsets):
-        raise ConfigurationError(problems or ["bank incomplete after construction"])
-    return ObserverBank(observers), BankBuildReport(certificates, problems)
+    return ObserverBank(observers), {sub: certified[sub] for sub in cfg.bank.all_subsets}

@@ -325,6 +325,16 @@ class AttackScenario:
     disturbance_gens: tuple[SignalSpec, ...] = ()
     disturbance_bound: float = 0.0
 
+    @staticmethod
+    def horizon_and_seed_problems(horizon: int, seed: int) -> list[str]:
+        """The faults of a horizon and a seed: the scenario's checks that need no plant."""
+        problems = []
+        if not 1 <= horizon <= MAX_HORIZON:
+            problems.append(f"horizon must lie in 1..{MAX_HORIZON}, got {horizon}")
+        if seed < 0:
+            problems.append(f"seed must be >= 0, got {seed}")
+        return problems
+
     def validate(self, model: PlantModel | None = None) -> list[str]:
         """Return every violated invariant (empty list means valid)."""
         problems = []
@@ -360,10 +370,7 @@ class AttackScenario:
                     problems.append(
                         f"{name} {i} can reach {b}, above the declared bound {bound}"
                     )
-        if not 1 <= self.horizon <= MAX_HORIZON:
-            problems.append(f"horizon must lie in 1..{MAX_HORIZON}, got {self.horizon}")
-        if self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
+        problems += self.horizon_and_seed_problems(self.horizon, self.seed)
         if model is not None:
             if model.p != p:
                 problems.append(f"scenario says p={p} but plant has {model.p} outputs")

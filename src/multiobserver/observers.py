@@ -500,16 +500,20 @@ def certify_sector(A_cl: np.ndarray, B: np.ndarray, H: np.ndarray,
     is at least ``CERTIFICATE_MARGIN``.  By the matrix determinant lemma that is
     P_b(z) / P_a(z), with P_s the characteristic polynomial of A_cl + s B H,
     so one stacked ``eigvals`` call on both edges gives the margin exactly: 1 when
-    P_b = P_a (a one-point sector, or no state), which needs no upper edge.  With
-    r > 1 channels there is no such certificate: the margin is NaN and it fails.
+    P_b = P_a (a one-point sector, or a loop with no state or with B H = 0, which
+    is A_cl whatever the sector), which needs no upper edge.  With r > 1 channels
+    there is no such certificate: a loop they enter has margin NaN and fails.
     """
     with np.errstate(all="ignore"):  # an overflow or a pole on |z| = 1 fails
         BH = B @ H
-        if sector[0] == sector[1] or not A_cl.shape[-1]:
-            rho, margin = _spectra(A_cl + sector[0] * BH)[1], np.ones(len(A_cl))
+        idle = ~BH.any(axis=(-2, -1))  # no channel enters the loop (an empty one included)
+        lo, hi = (np.where(idle[:, None, None], A_cl, A_cl + s * BH) for s in sector)
+        if sector[0] == sector[1] or idle.all():
+            rho, margin = _spectra(lo)[1], np.ones(len(A_cl))
         else:
-            eig, (rho, _) = _spectra(np.stack([A_cl + s * BH for s in sector]))
+            eig, (rho, _) = _spectra(np.stack([lo, hi]))
             margin = _least_ratio(eig) if B.shape[-1] == 1 else np.full(len(rho), np.nan)
+            margin[idle] = 1.0
     ok = (rho < 1.0 - CERTIFICATE_MARGIN) & (margin >= CERTIFICATE_MARGIN)
     return [CertificateResult(*cert) for cert in zip(rho.tolist(), ok.tolist(), margin.tolist())]
 

@@ -416,9 +416,9 @@ def test_criterion_8_invariant_battery(scenario_dir):
     for name in ("example3", "example4"):
         cfg = load_config(scenario_dir / f"{name}.json")
         assert cfg.family == "circle" and cfg.plant.structure.sector == (-1.0, 1.0)
-        _, report = build_bank(cfg)
+        _, certificates = build_bank(cfg)
         practical = [sub.label for sub, spec in cfg.specs.items() if spec.practical]
-        assert [sub.label for sub, cert in report.certificates.items()
+        assert [sub.label for sub, cert in certificates.items()
                 if not cert.passed] == practical
         for entry in cfg.raw["observers"]["bundle"].values():
             entry.pop("practical", None)

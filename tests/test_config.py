@@ -44,9 +44,8 @@ def test_every_bundled_config_loads_and_certifies(scenario_dir):
         assert cfg.plant.p == p
         assert cfg.scenario.q == q
         assert len(cfg.bank.all_subsets) == size
-        bank, report = build_bank(cfg, enforce=True)
-        assert len(bank.observers) == size
-        assert report.problems == []
+        bank, certificates = build_bank(cfg)
+        assert len(bank.observers) == len(certificates) == size
 
 
 def test_bundled_isolation_configs_have_full_iss(scenario_dir):
@@ -160,6 +159,21 @@ def test_a_config_whose_plant_cannot_be_built_lists_every_other_fault(scenario_d
     ]
 
 
+def test_a_config_whose_plant_cannot_be_built_lists_the_scenarios_own_faults(scenario_dir):
+    # the scenario's checks that need neither n nor p run without the plant
+    raw = _raw(scenario_dir, "example2")
+    raw["plant"]["family"] = "kalman"
+    raw["scenario"].update(horizon=-1, seed=-1, noise_bound=-1.0)
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
+    assert err.value.problems == [
+        "plant.family: unknown family 'kalman'; known: ['circle', 'luenberger', 'reduced']",
+        "scenario.noise_bound: must be >= 0.0, got -1.0",
+        "scenario: horizon must lie in 1..1000000, got -1",
+        "scenario: seed must be >= 0, got -1",
+    ]
+
+
 def test_unknown_calibration_field_rejected(scenario_dir):
     raw = _raw(scenario_dir, "example4")
     raw["calibration"]["jitter"] = 3
@@ -184,6 +198,17 @@ def test_long_tail_stat_is_cut_like_every_echoed_value(scenario_dir):
         parse_config(raw)
     assert err.value.problems == [f"calibration: {message}"]
     assert CalibrationSettings(tail_stat="m" * 100).validate() == [message]
+
+
+def test_a_non_string_tail_stat_is_one_problem(scenario_dir):
+    # the settings' own check lists it, and no reader lists it before
+    raw = _raw(scenario_dir, "example4")
+    for value in (5, True, [1], {"a": 1}):
+        raw["calibration"]["tail_stat"] = value
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(raw)
+        assert err.value.problems == [
+            f"calibration: tail_stat must be 'max', 'rms', or 'median', got {value!r}"]
 
 
 def test_load_config_missing_file(tmp_path):
@@ -218,22 +243,18 @@ def test_config_carries_content_hash(scenario_dir):
 def test_failed_certificate_blocks_enforced_build(scenario_dir):
     raw = _raw(scenario_dir, "example3")
     raw["observers"]["bundle"]["J:3,4,5"]["L"] = [[0.0] * 3] * 2  # leaves A + G sin(H .)
-    cfg = parse_config(raw)
     with pytest.raises(ConfigurationError) as err:
-        build_bank(cfg, enforce=True)
+        build_bank(parse_config(raw))
     assert any("J:3,4,5" in p and "certificate failed" in p for p in err.value.problems)
-    bank, report = build_bank(cfg, enforce=False)
-    assert not next(c for s, c in report.certificates.items() if s.label == "J:3,4,5").passed
-    assert len(bank.observers) == 15
 
 
 def test_practical_flag_waives_the_certificate(scenario_dir):
     raw = _raw(scenario_dir, "example3")
     raw["observers"]["bundle"]["J:3,4,5"]["L"] = [[0.0] * 3] * 2
     raw["observers"]["bundle"]["J:3,4,5"]["practical"] = True
-    cfg = parse_config(raw)
-    bank, report = build_bank(cfg, enforce=True)
-    assert report.problems == []
+    bank, certificates = build_bank(parse_config(raw))
+    assert not next(c for s, c in certificates.items() if s.label == "J:3,4,5").passed
+    assert len(bank.observers) == 15
 
 
 def test_construction_faults_and_certificate_failures_list_in_bank_order(scenario_dir):
@@ -249,7 +270,7 @@ def test_construction_faults_and_certificate_failures_list_in_bank_order(scenari
               "margin -1.4295; need radius < 0.999 and margin >= 0.001); "
               "mark the entry practical or redesign the gain")
     with pytest.raises(ConfigurationError) as err:
-        build_bank(cfg, enforce=False)  # an observer that cannot be built always raises
+        build_bank(cfg)
     assert err.value.problems == [
         f"J:1,2,3: {failed}",
         "J:1,2,4: nonlinearity gain for J:1,2,4 has shape (2, 2), expected (1, 3)",
@@ -261,8 +282,8 @@ def test_example1_marks_its_marginal_observer_practical(scenario_dir):
     cfg = load_config(scenario_dir / "example1.json")
     practical = {sub.label for sub, spec in cfg.specs.items() if spec.practical}
     assert practical == {"S:1"}
-    _, report = build_bank(cfg, enforce=True)
-    cert = [c for s, c in report.certificates.items() if s.label == "S:1"][0]
+    _, certificates = build_bank(cfg)
+    cert = [c for s, c in certificates.items() if s.label == "S:1"][0]
     assert not cert.passed  # the practical flag is what admits it
 
 
@@ -305,27 +326,48 @@ def test_a_channel_that_destabilises_the_reduced_loop_is_refused():
     # g = 3 sin(x3) e3: where z holds x3 its error steps e+ = 0.5 e + 3 psi(e),
     # psi's slopes in [-3, 3], unstable at slope -3 though the linear part is 0.5;
     # where x3 is measured the channel does not enter z's error, margin 1
-    cfg = _reduced_toy({"name": "sin_channel", "params": {"gain": 3.0, "index": 3, "position": 3}})
+    sin = {"name": "sin_channel", "params": {"gain": 3.0, "index": 3, "position": 3}}
+    cfg = _reduced_toy(sin)
     with pytest.raises(ConfigurationError) as err:
         build_bank(cfg)
     failed = ("sector certificate failed over slopes [-3, 3] (spectral radius 2.5, margin -3; "
               "need radius < 0.999 and margin >= 0.001); "
               "mark the entry practical or redesign the gain")
     assert err.value.problems == [f"{label}: {failed}" for label in ("J:1,2", "S:1", "S:2")]
-    _, report = build_bank(cfg, enforce=False)
+    _, certificates = build_bank(_reduced_toy(sin, practical=True))
     assert {sub.label: (cert.spectral_radius, cert.margin)
-            for sub, cert in report.certificates.items() if cert.passed} == {
+            for sub, cert in certificates.items() if cert.passed} == {
         "J:1,3": (0.5, 1.0), "J:2,3": (0.5, 1.0), "S:3": (0.5, 1.0)}
 
 
 def test_a_polynomial_channel_has_no_sector_and_needs_practical():
-    poly = {"name": "poly_channel", "params": {"index": 3, "position": 3, "coeffs": [0.1, 0.0]}}
+    # x3^2 has no global sector: the loops it enters fail over [-inf, inf], and
+    # those where x3 is measured (B H = 0) are A_cl alone, margin 1
+    poly = {"name": "poly_channel", "params": {"index": 3, "position": 3,
+                                               "coeffs": [1.0, 0.0, 0.0]}}
     with pytest.raises(ConfigurationError) as err:
         build_bank(_reduced_toy(poly))
     assert [p.split(" (")[0] for p in err.value.problems] == [
-        f"{sub.label}: sector certificate failed over slopes [-inf, inf]"
-        for sub in bank_index(3, 1).all_subsets]
-    assert build_bank(_reduced_toy(poly, practical=True))[1].problems == []
+        f"{label}: sector certificate failed over slopes [-inf, inf]"
+        for label in ("J:1,2", "S:1", "S:2")]
+    _, certificates = build_bank(_reduced_toy(poly, practical=True))
+    assert {sub.label: (cert.spectral_radius, cert.margin)
+            for sub, cert in certificates.items() if cert.passed} == {
+        "J:1,3": (0.5, 1.0), "J:2,3": (0.5, 1.0), "S:3": (0.5, 1.0)}
+
+
+def test_a_polynomial_of_degree_one_has_its_slope_as_sector():
+    # leading zeros dropped, 0.1 x3 + 0.2 has slope 0.1 everywhere: where x3 is
+    # estimated the loop is 0.5 + 0.1; a constant has slope 0
+    for coeffs, slope in (([0.1, 0.0], 0.1), ([0.0, 0.0, 0.1, 0.2], 0.1), ([0.3], 0.0)):
+        cfg = _reduced_toy({"name": "poly_channel",
+                            "params": {"index": 3, "position": 3, "coeffs": coeffs}})
+        assert cfg.plant.structure.sector == (slope, slope)
+        _, certificates = build_bank(cfg)
+        assert {sub.label: (cert.spectral_radius, cert.passed, cert.margin)
+                for sub, cert in certificates.items()} == pytest.approx({
+            label: (0.5 + slope * (label in ("J:1,2", "S:1", "S:2")), True, 1.0)
+            for label in ("J:1,2", "J:1,3", "J:2,3", "S:1", "S:2", "S:3")}, rel=1e-12)
 
 
 def test_example3_without_its_practical_flags_is_refused(scenario_dir):

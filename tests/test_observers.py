@@ -571,6 +571,7 @@ def test_a_huge_circle_gain_folds_without_a_warning(scenario_dir, gain):
     # the constructor folds A + L C_J and H + K C_J under its own errstate: a
     # 1e308 gain entry times C_J's 3.0 overflows to inf without a RuntimeWarning,
     # and build_bank certifies the stored loops, so either overflow gets radius inf
+    # (it is listed, and marked practical it is built with that certificate)
     raw = json.loads((scenario_dir / "example3.json").read_text())
     raw["observers"]["bundle"]["J:1,2,3"][gain][0][0] = 1e308
     sub = SubsetIndex("J", (1, 2, 3))
@@ -578,11 +579,14 @@ def test_a_huge_circle_gain_folds_without_a_warning(scenario_dir, gain):
         warnings.simplefilter("error")
         cfg = parse_config(raw)
         obs = CircleCriterionObserver(sub, cfg.plant.structure, cfg.specs[sub].K, cfg.specs[sub].L)
-        _, report = build_bank(cfg, enforce=False)
+        with pytest.raises(ConfigurationError) as err:
+            build_bank(cfg)
+        raw["observers"]["bundle"]["J:1,2,3"]["practical"] = True
+        _, certificates = build_bank(parse_config(raw))
     assert np.isinf({"K": obs.H_KC, "L": obs.A_LC}[gain]).any()
-    cert = report.certificates[sub]
+    cert = certificates[sub]
     assert (cert.spectral_radius, cert.passed) == (np.inf, False)
-    assert any(msg.startswith("J:1,2,3: sector certificate failed") for msg in report.problems)
+    assert any(msg.startswith("J:1,2,3: sector certificate failed") for msg in err.value.problems)
 
 
 def test_bank_run_raises_nothing_under_a_raising_errstate(scenario_dir):
@@ -765,7 +769,7 @@ def test_stacked_certificates_equal_each_loop_alone(scenario_dir):
 
     for name in ("example1", "example2", "example3", "example4"):
         cfg = load_config(scenario_dir / f"{name}.json")
-        bank, report = build_bank(cfg)
+        bank, certificates = build_bank(cfg)
         st = cfg.plant.structure
         for sub, obs in bank.items():
             loop = {  # the lower edge of the loop build_bank writes for each family
@@ -774,7 +778,7 @@ def test_stacked_certificates_equal_each_loop_alone(scenario_dir):
                     (obs.L - obs.K @ obs.C_J)[:, [st.write]] @ obs.N[[st.read]]),
                 "circle": lambda: obs.A_LC + st.sector[0] * (st.G @ obs.H_KC),
             }[cfg.family]()
-            assert same(report.certificates[sub], loop), (name, sub)
+            assert same(certificates[sub], loop), (name, sub)
     rng = np.random.default_rng(41)
     for m in (1, 2, 3, 5):
         loops = rng.normal(size=(12, m, m)) * rng.choice([0.1, 1.0, 1e3], size=(12, 1, 1))
@@ -827,8 +831,8 @@ def test_circle_certificate_uses_plus_sign(scenario_dir):
     # family's plus signs
     for name in ("example1", "example2", "example3", "example4"):
         cfg = load_config(scenario_dir / f"{name}.json")
-        _, report = build_bank(cfg)
-        for sub, cert in report.certificates.items():
+        _, certificates = build_bank(cfg)
+        for sub, cert in certificates.items():
             loop = _family_loop(cfg, cfg.specs[sub], np.asarray(sub.members) - 1)
             rho = np.max(np.abs(np.linalg.eigvals(loop)))
             sector = cert.margin >= CERTIFICATE_MARGIN
@@ -842,12 +846,12 @@ def test_bundled_reduced_bank_is_certified_over_its_channel_sector(scenario_dir)
     # the others' with margin 1
     cfg = load_config(scenario_dir / "example2.json")
     assert cfg.plant.structure.sector == (-1.25, 0.0)
-    _, report = build_bank(cfg)
-    margins = {sub.label: cert.margin for sub, cert in report.certificates.items()}
-    assert all(cert.passed for cert in report.certificates.values())
+    _, certificates = build_bank(cfg)
+    margins = {sub.label: cert.margin for sub, cert in certificates.items()}
+    assert all(cert.passed for cert in certificates.values())
     assert margins == pytest.approx({"J:1,2": 2 / 7, "J:1,3": 1.0, "J:2,3": 1.0,
                                      "S:1": 2 / 7, "S:2": 2 / 7, "S:3": 1.0}, rel=1e-12)
-    radii = [cert.spectral_radius for cert in report.certificates.values()]
+    radii = [cert.spectral_radius for cert in certificates.values()]
     assert 0.5 <= min(radii) and max(radii) < 0.96
 
 
@@ -870,11 +874,23 @@ def test_slope_condition_catches_decreasing_channel():
     assert not cert.passed and cert.spectral_radius == pytest.approx(1.1, rel=1e-12)
 
 
+def test_a_loop_no_channel_enters_is_certified_on_its_linear_part():
+    # with B H = 0 the loop is A_cl whatever the channel does: radius 0.5 and
+    # margin 1 over any sector, an unbounded one too (where -inf * 0 is NaN),
+    # beside a loop of the same stack that the channel enters
+    A_cl, B, H = np.full((2, 1, 1), 0.5), np.array([[-1.0]]), np.array([[[0.0]], [[0.6]]])
+    for sector, passed in (((-np.inf, np.inf), False), ((0.0, np.inf), False),
+                           ((-1.0, 1.0), False), ((2.0, 2.0), True)):
+        idle, entered = certify_sector(A_cl, B, H, sector)
+        assert (idle.spectral_radius, idle.passed, idle.margin) == (0.5, True, 1.0), sector
+        assert entered.passed == passed, sector
+
+
 def test_slope_condition_is_deterministic(scenario_dir):
     # the sector certificate draws nothing: a bank built again gives every loop
     # the same radius and margin, bit for bit
     cfg = load_config(scenario_dir / "example4.json")
-    first, second = (build_bank(cfg)[1].certificates for _ in range(2))
+    first, second = (build_bank(cfg)[1] for _ in range(2))
     assert first == second
 
 
@@ -980,8 +996,8 @@ def test_bundled_circle_banks_are_certified_over_the_sin_sector(scenario_dir):
         cfg = load_config(scenario_dir / f"{name}.json")
         st = cfg.plant.structure
         assert st.sector == (-1.0, 1.0)
-        bank, report = build_bank(cfg)
-        for sub, cert in report.certificates.items():
+        bank, certificates = build_bank(cfg)
+        for sub, cert in certificates.items():
             margins[name, sub.label] = cert.margin
             assert cert.passed != cfg.specs[sub].practical, (name, sub)
             if not cert.passed:
