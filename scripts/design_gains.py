@@ -13,7 +13,8 @@ package's own ``parse_config`` and builds the bank with ``build_bank``:
   report how the acceptance-style metrics respond, so the shipped
   numbers are reproducible instead of hand-tuned magic.  Every candidate
   entry is marked ``practical``, so a design whose certificate fails
-  still runs.
+  still runs.  ``probe-ex3`` and ``probe-ex4`` calibrate each design as
+  the document's ``calibration`` section says, and exit 1 if one fails.
 * ``freeze``: write the chosen designs back into the bundled JSON configs
   (running the package's own calibration for the examples that ship
   convergence models), then print what ``multiobserver validate`` prints
@@ -213,23 +214,21 @@ def ex4_designs(doc: dict, styles: str, deltas_j: str, deltas_s: str):
             yield style, dj, ds, circle_bundle(doc, {"J": tj, "S": ts})
 
 
-def probe_ex4(args):
+def probe_ex4(args) -> bool:
     doc, iso = _load("example4")
-    window = iso["window"]
+    window, failed = iso["window"], False
     for style, dj, ds, bundle in ex4_designs(doc, args.styles, args.deltas_j, args.deltas_s):
-        fixed = dj is None
+        design = f"style={style}" if dj is None else f"style={style} dj={dj:4} ds={ds:4}"
         cfg, bank = _candidate(doc, bundle)
         idx, scen = cfg.bank, cfg.scenario
-        settings = replace(cfg.calibration, trials=args.trials, horizon=args.cal_horizon,
-                           tail_stat=args.stat, safety=args.safety)
         t0 = time.perf_counter()
         try:
             models, _ = calibrate_bundle(bank, idx, cfg.plant, scen.noise_bound,
-                                         scen.disturbance_bound, scen.x0, settings,
+                                         scen.disturbance_bound, scen.x0, cfg.calibration,
                                          truth_init=cfg.estimator_init == "truth")
         except CalibrationError as exc:
-            design = f"style={style}" if fixed else f"style={style} dj={dj} ds={ds}"
             print(f"{design}: {exc}")
+            failed = True
             continue
         thresholds = compute_thresholds(models, idx, scen.noise_bound, scen.disturbance_bound,
                                         eps=iso["eps"], k_star_override=iso["k_star"])
@@ -254,15 +253,15 @@ def probe_ex4(args):
         dt = time.perf_counter() - t0
         exceed /= args.seeds
         labels = [J.label for J in idx.j_subsets]
-        design = f"style={style}" if fixed else f"style={style} dj={dj:4} ds={ds:4}"
         hits = " ".join(f"N{N}={np.mean(share):.2f}" for N, share in stats.items())
         print(
-            f"{design} stat={args.stat}: isolate{''.join(map(str, attacked))} {hits} "
+            f"{design}: isolate{''.join(map(str, attacked))} {hits} "
             f"ctrl-empty={np.mean(control_empty):.2f} "
             f"ctrl-full-steps={np.mean(control_full_steps):.3f} ({dt:.1f}s)"
         )
         print("   attacked-run exceedance " +
               " ".join(f"{l}={e:.2f}" for l, e in zip(labels, exceed)))
+    return failed
 
 
 # ---------------------------------------------------------------- example 3
@@ -298,19 +297,20 @@ def ex3_bundle(doc: dict, target_j: np.ndarray) -> dict:
     return bundle
 
 
-def probe_ex3(args):
+def probe_ex3(args) -> bool:
     doc, _ = _load("example3")
+    failed = False
     for dj in [float(v) for v in args.deltas_j.split(",")]:
         tj = np.diag([1 - dj, 1 - dj - 0.05])
         cfg, bank = _candidate(doc, ex3_bundle(doc, tj))
         idx, scen = cfg.bank, cfg.scenario
-        settings = replace(cfg.calibration, trials=args.trials, horizon=args.cal_horizon)
         try:
             _, est_model = calibrate_bundle(bank, idx, cfg.plant, scen.noise_bound,
-                                            scen.disturbance_bound, scen.x0, settings,
+                                            scen.disturbance_bound, scen.x0, cfg.calibration,
                                             truth_init=cfg.estimator_init == "truth")
         except CalibrationError as exc:
             print(f"dj={dj}: {exc}")
+            failed = True
             continue
         bound = est_model.gamma1 * scen.noise_bound
         # the same runs with the attacks ten times larger
@@ -335,6 +335,7 @@ def probe_ex3(args):
             f"pairdiff max={np.max(pair_diffs):.3%} "
             f"clean-sel min={np.min(clean_frac):.2f} ({dt:.1f}s)"
         )
+    return failed
 
 
 # ---------------------------------------------------------------- example 1
@@ -450,17 +451,11 @@ def main():
     p4.add_argument("--deltas-j", default="0.35,0.5")
     p4.add_argument("--deltas-s", default="0.35,0.5")
     p4.add_argument("--styles", default="diag")
-    p4.add_argument("--stat", default="rms")
-    p4.add_argument("--safety", type=float, default=1.2)
-    p4.add_argument("--trials", type=int, default=15)
-    p4.add_argument("--cal-horizon", type=int, default=200)
     p4.add_argument("--seeds", type=int, default=10)
     p4.set_defaults(func=probe_ex4)
 
     p3 = sub.add_parser("probe-ex3")
     p3.add_argument("--deltas-j", default="0.25,0.3")
-    p3.add_argument("--trials", type=int, default=15)
-    p3.add_argument("--cal-horizon", type=int, default=200)
     p3.add_argument("--seeds", type=int, default=100)
     p3.set_defaults(func=probe_ex3)
 
@@ -478,7 +473,8 @@ def main():
     pf.set_defaults(func=freeze)
 
     args = ap.parse_args()
-    args.func(args)
+    if args.func(args):  # a probe whose design failed to calibrate
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

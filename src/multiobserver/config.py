@@ -239,11 +239,12 @@ class _Collector:
             return tuple([self.number(path, v) for v in val])
         return (0.0,) * (n or 0)
 
-    def sensors(self, path: str, val, p: int) -> frozenset[int]:
-        """A list of sensor indices: JSON integers in 1..p."""
+    def sensors(self, path: str, val, p: int | None) -> frozenset[int] | None:
+        """A list of sensor indices: JSON integers in 1..p, or at least 1 when p is None;
+        anything but a list reads as None."""
         if not isinstance(val, list):
             self.add(path, f"expected a list of sensor indices, got {val!r:.40}")
-            return frozenset()
+            return None
         read = [self.integer(path, v, 1, p, default=None) for v in val]
         return frozenset(read) - {None}
 
@@ -379,7 +380,6 @@ def _example1_plant() -> tuple[PlantModel, np.ndarray, np.ndarray]:
 class ObserverSpec:
     """Raw per-subset bundle entry: gains plus declared convergence model."""
 
-    subset: SubsetIndex
     K: np.ndarray | None = None
     L: np.ndarray | None = None
     iss: ISSGainModel | None = None
@@ -388,7 +388,7 @@ class ObserverSpec:
 
 @dataclass(frozen=True)
 class IsolationOptions:
-    """The ``isolation`` section; ``m_bar``/``d_bar`` default to the scenario's bounds."""
+    """The ``isolation`` section, with the scenario's bounds as ``m_bar`` and ``d_bar``."""
 
     window: int
     eps: float
@@ -590,17 +590,18 @@ def _disturbances(col: _Collector, path: str, val, horizon: int) -> tuple[Signal
     return tuple(_signal(col, f"{path}[{j}]", obj, horizon) for j, obj in enumerate(val, start=1))
 
 
-# Read whether or not the plant could be built ...
+# Read whether or not the plant could be built (the attacked sensors against
+# its p outputs when it was) ...
 _SCENARIO = {
     "q": _Key(_Collector.integer, default=None),
     "horizon": _Key(_Collector.integer, default=1),
     "seed": _Key(_Collector.integer, 0),
     "noise_bound": _Key(_Collector.number, 0.0, lo=0.0),
     "disturbance_bound": _Key(_Collector.number, 0.0, lo=0.0),
+    "attacked": _Key(_Collector.sensors, [], p=_P),
 }
 # ... and against the plant's p outputs and n states.
 _SCENARIO_SIGNALS = {
-    "attacked": _Key(_Collector.sensors, [], p=_P),
     "attacks": _Key(_attacks, {}, p=_P, horizon=itemgetter("horizon")),
     "noise": _Key(_noise, {"kind": "zero"}, p=_P, horizon=itemgetter("horizon")),
     "disturbance": _Key(_disturbances, [], horizon=itemgetter("horizon")),
@@ -613,20 +614,22 @@ def _scenario(col: _Collector, path: str, val, plant: dict | None) -> dict:
     which is listed, both read as None once the keys and checks that need no plant are."""
     scen = col.section(path, val) or {}
     col.known(path, scen, _SCENARIO, also=_SCENARIO_SIGNALS)
-    head = col.read(path, scen, _SCENARIO)
-    if plant is None:
+    model = plant and plant["plant"]
+    p = model and model.p
+    head = col.read(path, scen, _SCENARIO, p=p)
+    q = head["q"]
+    # an unreadable q is listed once: no bank is built and nothing is checked against it
+    if q is not None and (q < 0 or p is not None and 2 * q >= p):
+        col.add(f"{path}.q", f"assumption violated: need 0 <= q < p/2, got q={q}"
+                + ("" if p is None else f", p={p}"))
+        head["q"] = None  # so the scenario does not check a budget against it again
+    if model is None:
         for msg in AttackScenario.horizon_and_seed_problems(head["horizon"], head["seed"]):
             col.add(path, msg)
         return dict(scenario=None, bank=None)
-    model, q = plant["plant"], head["q"]
-    # an unreadable q is listed once: no bank is built and nothing is checked against it
-    bank = bank_index(model.p, q) if q is not None and 0 <= 2 * q < model.p else None
-    if bank is None and q is not None:
-        col.add(f"{path}.q", f"assumption violated: need 0 <= q < p/2, got q={q}, p={model.p}")
-        head["q"] = None  # so the scenario does not check a budget against it again
-    run = col.read(path, scen, _SCENARIO_SIGNALS, p=model.p, n=model.n, **head)
+    bank = None if head["q"] is None else bank_index(p, head["q"])
+    run = col.read(path, scen, _SCENARIO_SIGNALS, p=p, n=model.n, **head)
     scenario = AttackScenario(
-        p=model.p,
         **head,
         attack_gens=run.pop("attacks"),
         noise_gens=run.pop("noise"),
@@ -694,7 +697,7 @@ def _bundle(col: _Collector, path: str, val, plant: dict, bank: BankIndex) -> di
         else:
             col.known(at, entry, table)
             got = col.read(at, entry, table, n=model.n, card=len(sub), r=r)
-            specs[sub] = ObserverSpec(sub, **got)
+            specs[sub] = ObserverSpec(**got)
     return specs
 
 
@@ -715,15 +718,15 @@ _ISOLATION = {
     "window": _Key(_Collector.integer, lo=1, default=1),
     "eps": _Key(_Collector.number, 0.0, lo=0.0),
     "k_star": _Key(_Collector.integer, _UNSET, lo=0),
-    # the scenario's bounds, which the document passes
-    "m_bar": _Key(_Collector.number, itemgetter("noise_bound"), lo=0.0),
-    "d_bar": _Key(_Collector.number, itemgetter("disturbance_bound"), lo=0.0),
 }
-_isolation_section = _section(_ISOLATION, IsolationOptions)
+_isolation_section = _section(_ISOLATION)
 
 
-def _isolation(col: _Collector, path: str, val, specs: dict, **bounds) -> IsolationOptions:
-    options = _isolation_section(col, path, val, **bounds)
+def _isolation(col: _Collector, path: str, val, specs: dict, scenario) -> IsolationOptions:
+    """The section's keys, and the scenario's bounds as m_bar and d_bar (zero without one)."""
+    options = IsolationOptions(**_isolation_section(col, path, val),
+                               m_bar=getattr(scenario, "noise_bound", 0.0),
+                               d_bar=getattr(scenario, "disturbance_bound", 0.0))
     for sub, spec in specs.items():
         if spec.iss is None:
             col.add(
@@ -764,11 +767,8 @@ _TOP = {
     "scenario": _Key(_scenario, plant=itemgetter("plant")),
     "estimator": _Key(_section(_ESTIMATOR), n=lambda c: c["plant"] and c["plant"]["plant"].n),
     "observers": _Key(_observers, plant=itemgetter("plant"), bank=lambda c: c["scenario"]["bank"]),
-    "isolation": _Key(
-        _isolation, _UNSET, specs=itemgetter("observers"),
-        noise_bound=lambda c: getattr(c["scenario"]["scenario"], "noise_bound", 0.0),
-        disturbance_bound=lambda c: getattr(c["scenario"]["scenario"], "disturbance_bound", 0.0),
-    ),
+    "isolation": _Key(_isolation, _UNSET, specs=itemgetter("observers"),
+                      scenario=lambda c: c["scenario"]["scenario"]),
     "calibration": _Key(
         _section(_CALIBRATION, CalibrationSettings),
         seed=lambda c: getattr(c["scenario"]["scenario"], "seed", 0) + 1,

@@ -126,8 +126,6 @@ class IsolationWindow:
 class IsolationReport:
     """Per-step unions plus the per-window verdicts."""
 
-    p: int
-    window: int
     k_bar_star: int
     step_unions: dict[int, tuple[int, ...]]
     windows: tuple[IsolationWindow, ...]
@@ -186,10 +184,7 @@ def windowed_isolation(
             )
         else:
             windows.append(IsolationWindow(i, k_start, k_end, counts, None, (), True))
-    return IsolationReport(
-        p=bank.p, window=window, k_bar_star=k_bar,
-        step_unions=step_unions, windows=tuple(windows),
-    )
+    return IsolationReport(k_bar_star=k_bar, step_unions=step_unions, windows=tuple(windows))
 
 
 def _member_fields(sets) -> dict[tuple[int, ...], str]:

@@ -309,13 +309,13 @@ class AttackScenario:
 
     ``attacked`` is the fixed support W of the attack; only its members
     may carry a non-zero generator.  ``q`` is the redundancy budget the
-    bank is sized for, so card(W) <= q < p/2 must hold; a None budget
-    (one that could not be read) is not checked.
+    bank is sized for, so card(W) <= q < p/2 must hold for the plant's p
+    sensors; a None budget or support (one that could not be read) is not
+    checked.
     """
 
-    p: int
     q: int
-    attacked: frozenset[int]
+    attacked: frozenset[int] | None
     attack_gens: dict[int, SignalSpec]
     noise_gens: tuple[SignalSpec, ...]
     noise_bound: float
@@ -335,22 +335,22 @@ class AttackScenario:
             problems.append(f"seed must be >= 0, got {seed}")
         return problems
 
-    def validate(self, model: PlantModel | None = None) -> list[str]:
-        """Return every violated invariant (empty list means valid)."""
+    def validate(self, model: PlantModel) -> list[str]:
+        """Return every invariant violated on ``model`` (empty list means valid)."""
         problems = []
-        p = self.p
+        p = model.p
         if self.q is not None and not 2 * self.q < p:
             problems.append(f"assumption violated: need q < p/2, got q={self.q}, p={p}")
-        if self.q is not None and len(self.attacked) > self.q:
+        W = self.attacked
+        if W is not None and self.q is not None and len(W) > self.q:
             problems.append(
-                f"assumption violated: {len(self.attacked)} attacked sensors "
-                f"exceed the budget q={self.q}"
+                f"assumption violated: {len(W)} attacked sensors exceed the budget q={self.q}"
             )
-        bad = sorted(i for i in self.attacked if not 1 <= i <= p)
+        bad = sorted(i for i in W or () if not 1 <= i <= p)
         if bad:
             problems.append(f"attacked sensors {bad} outside 1..{p}")
         for i, gen in sorted(self.attack_gens.items()):
-            if i not in self.attacked and not gen.is_zero:
+            if W is not None and i not in W and not gen.is_zero:
                 problems.append(f"sensor {i} has an attack generator but is not in W")
             problems += [f"attack on sensor {i}: {msg}" for msg in gen.validate(self.horizon)]
         if len(self.noise_gens) != p:
@@ -371,15 +371,12 @@ class AttackScenario:
                         f"{name} {i} can reach {b}, above the declared bound {bound}"
                     )
         problems += self.horizon_and_seed_problems(self.horizon, self.seed)
-        if model is not None:
-            if model.p != p:
-                problems.append(f"scenario says p={p} but plant has {model.p} outputs")
-            problems += [f"x0: {msg}" for msg in self.x0.validate(model.n)]
-            if len(self.disturbance_gens) != model.n_d:
-                problems.append(
-                    f"{len(self.disturbance_gens)} disturbance generators for "
-                    f"plant with {model.n_d} disturbance channels"
-                )
+        problems += [f"x0: {msg}" for msg in self.x0.validate(model.n)]
+        if len(self.disturbance_gens) != model.n_d:
+            problems.append(
+                f"{len(self.disturbance_gens)} disturbance generators for "
+                f"plant with {model.n_d} disturbance channels"
+            )
         return problems
 
     def attack_gen(self, sensor: int) -> SignalSpec:

@@ -86,7 +86,6 @@ def toy_scenario(
         else SignalSpec(kind="uniform", low=-noise_bound, high=noise_bound)
     )
     return AttackScenario(
-        p=p,
         q=q,
         attacked=frozenset(attacked),
         attack_gens={s: attack for s in attacked},

@@ -174,6 +174,37 @@ def test_a_config_whose_plant_cannot_be_built_lists_the_scenarios_own_faults(sce
     ]
 
 
+def test_a_negative_q_and_a_malformed_attacked_are_one_problem_each(scenario_dir):
+    # neither needs the plant to be wrong, so each is listed whether or not it loads
+    raw = _raw(scenario_dir, "example2")
+    raw["scenario"].update(q=-1, attacked="x")
+    faults = ["scenario.attacked: expected a list of sensor indices, got 'x'",
+              "scenario.q: assumption violated: need 0 <= q < p/2, got q=-1"]
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
+    assert err.value.problems == [faults[0], f"{faults[1]}, p=3"]
+    raw["plant"]["family"] = "kalman"
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
+    assert err.value.problems == [
+        "plant.family: unknown family 'kalman'; known: ['circle', 'luenberger', 'reduced']",
+        *faults,
+    ]
+
+
+def test_the_isolation_thresholds_take_the_scenarios_bounds(scenario_dir):
+    # the scenario's bounds are the only source: the section cannot override them
+    cfg = load_config(scenario_dir / "example4.json")
+    assert (cfg.isolation.m_bar, cfg.isolation.d_bar) == (
+        cfg.scenario.noise_bound, cfg.scenario.disturbance_bound) == (0.5, 0.0)
+    raw = _raw(scenario_dir, "example4")
+    raw["isolation"].update(m_bar=0.01, d_bar=0.0)
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
+    assert err.value.problems == [
+        "isolation.d_bar: unknown field", "isolation.m_bar: unknown field"]
+
+
 def test_unknown_calibration_field_rejected(scenario_dir):
     raw = _raw(scenario_dir, "example4")
     raw["calibration"]["jitter"] = 3

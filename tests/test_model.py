@@ -97,7 +97,7 @@ def test_scenario_rejects_attack_outside_support():
         toy_scenario(attacked=(2,)),
         attack_gens={3: SignalSpec(kind="constant", value=1.0)},
     )
-    assert any("not in W" in msg for msg in scen.validate())
+    assert any("not in W" in msg for msg in scen.validate(toy_plant()))
 
 
 def test_scenario_rejects_noise_above_declared_bound():
@@ -105,7 +105,7 @@ def test_scenario_rejects_noise_above_declared_bound():
         toy_scenario(noise_bound=0.1),
         noise_gens=(SignalSpec(kind="uniform", low=-1, high=1),) * 3,
     )
-    assert any("above the declared bound" in msg for msg in loud.validate())
+    assert any("above the declared bound" in msg for msg in loud.validate(toy_plant()))
 
 
 def test_a_bad_noise_generator_is_listed_once():
@@ -113,11 +113,17 @@ def test_a_bad_noise_generator_is_listed_once():
     scen = replace(toy_scenario(noise_bound=0.1),
                    noise_gens=(SignalSpec(kind="ramp"), SignalSpec(kind="uniform", low=1, high=0),
                                SignalSpec(kind="normal")))
-    assert scen.validate() == [
+    assert scen.validate(toy_plant()) == [
         "noise on sensor 1: unknown signal kind 'ramp'",
         "noise on sensor 2: uniform signal needs low < high, got (1, 0)",
         "noise on sensor 3 is unbounded (normal); noise must be bounded",
     ]
+
+
+def test_a_scenario_for_another_plant_is_refused():
+    # the scenario has no p of its own: it is checked against the plant's outputs
+    plant = toy_plant(C=np.vstack([C3, [[1.0, -1.0]]]))
+    assert toy_scenario(p=3).validate(plant) == ["3 noise generators for 4 sensors"]
 
 
 def test_attack_support_is_respected():
@@ -492,7 +498,7 @@ def test_simulate_draws_every_signal_kind_as_per_step_sampling():
         table,
     )
     scen = AttackScenario(
-        p=5, q=2, attacked=frozenset({1, 4}),
+        q=2, attacked=frozenset({1, 4}),
         attack_gens={1: SignalSpec(kind="normal", mean=1.0, std=2.0), 4: table},
         noise_gens=noise, noise_bound=0.3, horizon=30, seed=11,
         x0=InitSpec(kind="normal", mean=(0.0, 0.0), std=(1.0, 1.0)),

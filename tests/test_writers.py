@@ -87,8 +87,7 @@ def test_isolation_csvs_match_the_reference():
         IsolationWindow(3, 10, 12, {(1, 2, 3, 4, 5): 3}, (1, 2, 3, 4, 5), (), False),
         IsolationWindow(4, 13, 15, {(1, 2, 3): 3}, (1, 2, 3), (4, 5), False),
     )
-    report = IsolationReport(p=5, window=3, k_bar_star=4, step_unions=step_unions,
-                             windows=windows)
+    report = IsolationReport(k_bar_star=4, step_unions=step_unions, windows=windows)
     got = _text(windows_to_csv, report)
     assert got == _brute.windows_csv(report)
     assert got.splitlines()[2] == "2,7,9,,,1"
