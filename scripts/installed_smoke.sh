@@ -4,9 +4,10 @@
 #   - validate the four bundled configs;
 #   - validate example3 with S:1 no longer marked practical (it has no certificate
 #     over sin's slope sector), example2 with its tanh_channel gain widened from
-#     -1.25 to -2 (its reduced-order J:1,2 loop fails over the slopes [-2, 0]) and
-#     example4 with a uniform attack on sensor 3 whose high - low overflows, and
-#     check that each exits 1 with its listed problem and no traceback;
+#     -1.25 to -2 (its reduced-order J:1,2 loop fails over the slopes [-2, 0]),
+#     example4 with a uniform attack on sensor 3 whose high - low overflows and
+#     example3 with the removed setting calibration.c_safety: 1.3, and check
+#     that each exits 1 with its listed problem and no traceback;
 #   - run example4 and check that every file its metadata.json names is non-empty;
 #   - run example3 for 100 000 steps into a temp directory and check that its
 #     trajectory.csv has 100 002 lines and that no .tmp file is left;
@@ -21,8 +22,8 @@ set -eo pipefail
 export PYTHONWARNINGS=error
 scenarios="$(python -c "from importlib import resources; print(resources.files('multiobserver') / 'scenarios')")"
 for config in "$scenarios"/example*.json; do multiobserver validate --config "$config"; done
-# a circle and a reduced-order observer without a sector certificate, and a
-# range whose width overflows, are listed config faults (exit 1)
+# a circle and a reduced-order observer without a sector certificate, a range
+# whose width overflows and a removed setting are listed config faults (exit 1)
 python - "$scenarios" <<'CONFIGS'
 import json, pathlib, sys
 scenarios = pathlib.Path(sys.argv[1])
@@ -35,10 +36,14 @@ pathlib.Path("wide_channel.json").write_text(json.dumps(raw))
 raw = json.loads((scenarios / "example4.json").read_text())
 raw["scenario"]["attacks"]["3"] = {"kind": "uniform", "low": -1e308, "high": 1e308}
 pathlib.Path("huge_uniform.json").write_text(json.dumps(raw))
+raw = json.loads((scenarios / "example3.json").read_text())
+raw["calibration"]["c_safety"] = 1.3
+pathlib.Path("removed_setting.json").write_text(json.dumps(raw))
 CONFIGS
 for case in "uncertified:S:1: sector certificate failed" \
             "wide_channel:J:1,2: sector certificate failed over slopes [-2, 0]" \
-            "huge_uniform:scenario.attacks[3]: uniform signal's high - low overflows"; do
+            "huge_uniform:scenario.attacks[3]: uniform signal's high - low overflows" \
+            "removed_setting:calibration.c_safety: unknown field"; do
     name="${case%%:*}"
     status=0
     multiobserver validate --config "$name.json" 2> "$name.err" || status=$?

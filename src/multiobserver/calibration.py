@@ -10,15 +10,14 @@ gamma2 d_bar + nu is fitted from repeated attack-free simulations:
   error beyond that residual, and disturbance-only trials give gamma2
   the same way.
 
-Every fitted quantity is inflated by a safety factor.  Three tail
-statistics are supported: ``"max"`` fits an envelope (worst tail error
-across trials — the default, suitable when the model must upper-bound
-individual runs); ``"rms"`` fits the nominal response level (median
-across trials of the tail RMS); ``"median"`` fits the per-step level
-(pooled median of tail errors).  The non-envelope statistics suit
-isolation thresholds, which must sit close to typical deviations to
-stay sensitive to small attacks.  The procedure is deterministic for
-a fixed seed: each trial draws from its own counter-based stream.
+Every fitted quantity is inflated by a safety factor (c by ``C_SAFETY``).
+Two tail statistics are supported: ``"max"`` fits an envelope (worst
+tail error across trials — the default, suitable when the model must
+upper-bound individual runs); ``"median"`` fits the per-step level
+(pooled median of tail errors), which suits isolation thresholds: they
+must sit close to typical deviations to stay sensitive to small attacks.
+The procedure is deterministic for a fixed seed: each trial draws from
+its own counter-based stream.
 
 :func:`calibrate_bundle` runs both fits of a bundle: one per observer,
 and one of the fused estimator on its own stream block.  It simulates
@@ -32,7 +31,7 @@ the one :func:`estimate_iss_gains` gives it and the estimator's the one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -60,26 +59,21 @@ __all__ = [
     "calibrate_bundle",
 ]
 
-TAIL_STATS = ("max", "rms", "median")
+TAIL_STATS = ("max", "median")
 _TAIL_FRACTION = 0.25
+_ESTIMATOR_BLOCK = 10_000  # the estimator fit's first stream, after the observer fits'
+C_SAFETY = 1.3  # the safety factor of the envelope constant c
+EPS_SETTLE = 1e-2  # k_star is the first k with c lam^k max|e(0)| <= EPS_SETTLE
 
 
 @dataclass(frozen=True)
 class CalibrationSettings:
-    """Shared knobs of the fitting procedure.
-
-    ``init_scale`` is the radius of the random initial estimation
-    error; ``eps_settle`` defines the declared settling step k_star as
-    the first k with c lam^k max|e(0)| <= eps_settle.
-    """
+    """Shared knobs of the fitting procedure."""
 
     trials: int = 30
     horizon: int = 200
     seed: int = 0
     safety: float = 1.2
-    c_safety: float = 1.3
-    init_scale: float = 1.0
-    eps_settle: float = 1e-2
     tail_stat: str = "max"
 
     def validate(self) -> list[str]:
@@ -96,14 +90,10 @@ class CalibrationSettings:
                             f"exceeds {MAX_HORIZON} steps")
         if self.seed < 0:
             problems.append(f"calibration seed must be >= 0, got {self.seed}")
-        if self.safety < 1.0 or self.c_safety < 1.0:
-            problems.append("safety factors must be >= 1")
-        if self.init_scale < 0 or self.eps_settle <= 0:
-            problems.append("init_scale must be >= 0 and eps_settle > 0")
+        if self.safety < 1.0:
+            problems.append(f"safety must be >= 1, got {self.safety}")
         if self.tail_stat not in TAIL_STATS:
-            problems.append(
-                f"tail_stat must be 'max', 'rms', or 'median', got {self.tail_stat!r:.40}"
-            )
+            problems.append(f"tail_stat must be 'max' or 'median', got {self.tail_stat!r:.40}")
         return problems
 
 
@@ -123,9 +113,6 @@ def _fit_model(tracks, m_bar: float, d_bar: float, settings: CalibrationSettings
     if settings.tail_stat == "max":
         def tail_level(tracks):
             return max(float(np.max(e[tail_at:])) for e in tracks)
-    elif settings.tail_stat == "rms":
-        def tail_level(tracks):
-            return float(np.median([np.sqrt(np.mean(e[tail_at:] ** 2)) for e in tracks]))
     else:  # "median": per-step level, pooled across trials
         def tail_level(tracks):
             return float(np.median(np.concatenate([e[tail_at:] for e in tracks])))
@@ -161,7 +148,7 @@ def _fit_model(tracks, m_bar: float, d_bar: float, settings: CalibrationSettings
             with np.errstate(divide="ignore"):
                 ratios = seg / (powers * seg[0])
             c = max(c, float(np.max(ratios)))
-        c *= settings.c_safety
+        c *= C_SAFETY
     else:
         # Degenerate: every trial started error-free; any decay model works.
         lam, c = 0.5, 1.0
@@ -174,23 +161,25 @@ def _fit_model(tracks, m_bar: float, d_bar: float, settings: CalibrationSettings
     if d_bar > 0 and disturbed:
         gamma2 = settings.safety * max(tail_level(disturbed) - nu_raw, 0.0) / d_bar
 
-    if e0_max <= 0 or c * e0_max <= settings.eps_settle:
+    if e0_max <= 0 or c * e0_max <= EPS_SETTLE:
         k_star = 0
     else:
-        k_star = math.ceil(math.log(settings.eps_settle / (c * e0_max)) / math.log(lam))
+        k_star = math.ceil(math.log(EPS_SETTLE / (c * e0_max)) / math.log(lam))
         k_star = max(0, min(k_star, 100 * settings.horizon))
     return ISSGainModel(c=c, lam=lam, gamma1=gamma1, gamma2=gamma2, nu=nu, k_star=k_star)
 
 
-def _draw_trials(plant, x0_spec, m_bar, d_bar, settings, observers, kind_offset=0):
+def _draw_trials(plant, x0_spec, m_bar, d_bar, settings, observers, kind_offset=0,
+                 truth_init=False):
     """The draws of one fit's attack-free runs, as arrays along a leading run axis.
 
     The fit is refused before anything is drawn when stepping ``observers``
     on every run at once would pass ``MAX_BATCH`` estimates.  The runs come
     kind by kind, each in trial order; each draws from its own stream, in
-    this order: x(0), the initial estimate, the disturbances and the output
-    noise.  Returns (x0, x0_est, d, noise), noise a list with None for a
-    noise-free run.
+    this order: x(0), the initial error N(0, I) (drawn under ``truth_init``
+    too, where the initial estimate is x(0) itself), the disturbances and
+    the output noise.  Returns (x0, x0_est, d, noise), noise a list with
+    None for a noise-free run.
     """
     problems = settings.validate()
     kinds = [(0, 0.0, 0.0)]  # (stream block, noise amplitude, disturbance amplitude)
@@ -213,7 +202,8 @@ def _draw_trials(plant, x0_spec, m_bar, d_bar, settings, observers, kind_offset=
         for trial in range(trials):
             rng = _trial_rng(settings.seed, kind_offset + block * trials + trial)
             x0.append(x0_spec.sample(rng))
-            x0_est.append(x0[-1] + settings.init_scale * rng.standard_normal(plant.n))
+            error = rng.standard_normal(plant.n)
+            x0_est.append(x0[-1] if truth_init else x0[-1] + error)
             d.append(dist_amp * rng.uniform(-1.0, 1.0, (T, plant.n_d)) if dist_amp > 0
                      else np.zeros((T, plant.n_d)))
             noise.append(noise_amp * rng.uniform(-1.0, 1.0, (T + 1, plant.p)) if noise_amp > 0
@@ -300,13 +290,6 @@ def _bank_estimates(bank, *runs):
                     axis=1)
 
 
-def _estimator_draws(bank, plant, m_bar, d_bar, x0_spec, settings, truth_init):
-    """The estimator fit's settings and draws: its own stream block, and no
-    initial error under ``truth_init``."""
-    eff = settings if not truth_init else replace(settings, init_scale=0.0)
-    return eff, _draw_trials(plant, x0_spec, m_bar, d_bar, eff, len(bank), kind_offset=10_000)
-
-
 def _fitted(result: ISSGainModel | CalibrationError) -> ISSGainModel:
     if isinstance(result, CalibrationError):
         raise result
@@ -354,9 +337,10 @@ def calibrate_estimator(
     fit reduces to the steady terms).  It remains, as
     :func:`estimate_iss_gains` does, for the benchmark and the tests.
     """
-    eff, draws = _estimator_draws(bank, plant, m_bar, d_bar, x0_spec, settings, truth_init)
-    ((runs, plant_error),) = _trial_runs(plant, eff.trials, draws)
-    return _fitted(_estimator_fit(bank, bank_idx, runs, plant_error, m_bar, d_bar, eff))
+    draws = _draw_trials(plant, x0_spec, m_bar, d_bar, settings, len(bank), _ESTIMATOR_BLOCK,
+                         truth_init)
+    ((runs, plant_error),) = _trial_runs(plant, settings.trials, draws)
+    return _fitted(_estimator_fit(bank, bank_idx, runs, plant_error, m_bar, d_bar, settings))
 
 
 def calibrate_bundle(
@@ -382,7 +366,8 @@ def calibrate_bundle(
     """
     observers = list(bank.observers.values())
     draws = _draw_trials(plant, x0_spec, m_bar, d_bar, settings, len(bank))
-    eff, est_draws = _estimator_draws(bank, plant, m_bar, d_bar, x0_spec, settings, truth_init)
+    est_draws = _draw_trials(plant, x0_spec, m_bar, d_bar, settings, len(bank), _ESTIMATOR_BLOCK,
+                             truth_init)
     (runs, plant_error), (est_runs, est_error) = _trial_runs(plant, settings.trials,
                                                              draws, est_draws)
     # a family that keeps Observer.run_trials calibrates through its run_group
@@ -404,4 +389,4 @@ def calibrate_bundle(
     if failures:
         raise CalibrationError("calibration failed for: " + "; ".join(failures))
     return models, _fitted(_estimator_fit(bank, bank_idx, est_runs, est_error,
-                                          m_bar, d_bar, eff, bank_est))
+                                          m_bar, d_bar, settings, bank_est))

@@ -408,7 +408,6 @@ class ScenarioConfig:
     specs: dict[SubsetIndex, ObserverSpec]
     scenario: AttackScenario
     estimator_init: str
-    estimator_init_value: np.ndarray | None
     estimator_iss: ISSGainModel | None
     isolation: IsolationOptions | None
     calibration: CalibrationSettings
@@ -421,12 +420,10 @@ class ScenarioConfig:
     lin_C: np.ndarray | None = field(default=None, repr=False)
 
     def initial_estimate(self, x0: np.ndarray) -> np.ndarray:
-        """The bank's shared initial estimate for a run starting at x0."""
+        """The bank's shared initial estimate for a run starting at x0: zero, or x0 itself."""
         if self.estimator_init == "zero":
             return np.zeros(self.plant.n)
-        if self.estimator_init == "truth":
-            return np.asarray(x0, dtype=float).copy()
-        return self.estimator_init_value.copy()
+        return np.asarray(x0, dtype=float).copy()
 
     def iss_models(self) -> dict[SubsetIndex, ISSGainModel]:
         return {sub: spec.iss for sub, spec in self.specs.items() if spec.iss is not None}
@@ -641,16 +638,15 @@ def _scenario(col: _Collector, path: str, val, plant: dict | None) -> dict:
     return dict(scenario=scenario, bank=bank)
 
 
-_ESTIMATOR_INITS = {"zero": {}, "truth": {}, "fixed": {"value": _Key(_Collector.vector, n=_N)}}
+_ESTIMATOR_INITS = {"zero": {}, "truth": {}}
 
 
-def _estimator_init(col: _Collector, path: str, val, n: int):
-    """The initial-estimate mode, and its vector for ``fixed``."""
-    got = col.tagged(path, val, "kind", _ESTIMATOR_INITS, n=n) or {"kind": "zero"}
-    return got["kind"], np.array(got["value"]) if "value" in got else None
+def _estimator_init(col: _Collector, path: str, val) -> str:
+    """The initial-estimate mode."""
+    return (col.tagged(path, val, "kind", _ESTIMATOR_INITS) or {"kind": "zero"})["kind"]
 
 
-_ESTIMATOR = {"init": _Key(_estimator_init, {"kind": "zero"}, n=_N), "iss": _Key(_iss_model, _UNSET)}
+_ESTIMATOR = {"init": _Key(_estimator_init, {"kind": "zero"}), "iss": _Key(_iss_model, _UNSET)}
 
 
 # --- observer bundle ---------------------------------------------------------
@@ -742,9 +738,6 @@ _CALIBRATION = {
     # by default the scenario seed + 1, which the document passes as ``seed``
     "seed": _Key(_Collector.integer, itemgetter("seed"), default=itemgetter("seed")),
     "safety": _Key(_Collector.number, 1.2),
-    "c_safety": _Key(_Collector.number, 1.3),
-    "init_scale": _Key(_Collector.number, 1.0),
-    "eps_settle": _Key(_Collector.number, 1e-2),
     # any value: the settings' own ``validate`` lists one that is not a known statistic
     "tail_stat": _Key(lambda col, path, val: val, "max"),
 }
@@ -765,7 +758,7 @@ _TOP = {
     "name": _Key(_name, itemgetter("stem")),
     "plant": _Key(_plant),
     "scenario": _Key(_scenario, plant=itemgetter("plant")),
-    "estimator": _Key(_section(_ESTIMATOR), n=lambda c: c["plant"] and c["plant"]["plant"].n),
+    "estimator": _Key(_section(_ESTIMATOR)),
     "observers": _Key(_observers, plant=itemgetter("plant"), bank=lambda c: c["scenario"]["bank"]),
     "isolation": _Key(_isolation, _UNSET, specs=itemgetter("observers"),
                       scenario=lambda c: c["scenario"]["scenario"]),
@@ -789,14 +782,13 @@ def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> Scena
     doc = col.read("", raw, _TOP, stem=path.stem if path else "scenario")
     if col.problems:
         raise ConfigurationError(col.problems)
-    (init, init_value), estimator_iss = doc["estimator"].values()
+    estimator_init, estimator_iss = doc["estimator"].values()
     return ScenarioConfig(
         name=doc["name"],
         **doc["plant"],
         **doc["scenario"],
         specs=doc["observers"],
-        estimator_init=init,
-        estimator_init_value=init_value,
+        estimator_init=estimator_init,
         estimator_iss=estimator_iss,
         isolation=doc["isolation"],
         calibration=doc["calibration"],

@@ -230,14 +230,12 @@ def calibrate(
 
     The new file sits next to the original with a ``.calibrated.json``
     suffix (unless ``out_path`` names it) and carries the fitted model
-    of every observer plus the fused estimator; the original config is
-    never modified.
+    of every observer plus the fused estimator, and the ``trials`` and
+    ``horizon`` overrides in its ``calibration`` section; the original
+    config is never modified.
     """
-    settings = cfg.calibration
-    if trials is not None:
-        settings = replace(settings, trials=trials)
-    if horizon is not None:
-        settings = replace(settings, horizon=horizon)
+    overrides = {k: v for k, v in {"trials": trials, "horizon": horizon}.items() if v is not None}
+    settings = replace(cfg.calibration, **overrides)
     if out_path is None and cfg.path is not None:
         out_path = cfg.path.with_name(cfg.path.stem + ".calibrated.json")
     problems = settings.validate()
@@ -255,6 +253,8 @@ def calibrate(
     )
 
     raw = json.loads(json.dumps(cfg.raw))  # deep copy
+    if overrides:  # the written config records the settings it was fitted with
+        raw["calibration"] = {**(raw.get("calibration") or {}), **overrides}
     for sub, model in models.items():
         raw["observers"]["bundle"][sub.label]["iss"] = asdict(model)
     raw.setdefault("estimator", {})["iss"] = asdict(est_model)

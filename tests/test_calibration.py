@@ -29,7 +29,7 @@ from multiobserver import (
     signal_stream,
 )
 from multiobserver import calibration, observers
-from multiobserver.calibration import _fit_model
+from multiobserver.calibration import C_SAFETY, _fit_model
 from multiobserver.cli import main as cli_main
 
 GOLDEN = json.loads(
@@ -58,7 +58,7 @@ def _scalar_observer(plant, k_gain=0.2, model_bias=0.0, a=0.5):
 
 
 X0 = InitSpec(kind="fixed", value=(1.0,))
-FAST = CalibrationSettings(trials=8, horizon=60, seed=0, safety=1.0, c_safety=1.0)
+FAST = CalibrationSettings(trials=8, horizon=60, seed=0, safety=1.0)
 
 
 def test_fit_recovers_known_decay_rate():
@@ -68,7 +68,7 @@ def test_fit_recovers_known_decay_rate():
     model = estimate_iss_gains(obs, plant, m_bar=0.0, d_bar=0.0, x0_spec=X0, settings=FAST)
     assert model.validate() == []
     assert model.lam == pytest.approx(0.3, abs=1e-3)
-    assert model.c == pytest.approx(1.0, abs=1e-2)
+    assert model.c / C_SAFETY == pytest.approx(1.0, abs=1e-2)
     assert model.gamma1 == 0.0 and model.gamma2 == 0.0
     assert model.nu < 1e-8
     assert model.k_star >= 1
@@ -91,9 +91,8 @@ def test_calibration_is_deterministic():
     b = estimate_iss_gains(_scalar_observer(plant), plant, 0.5, 0.0, X0, FAST)
     assert a == b
     c = estimate_iss_gains(
-        _scalar_observer(plant), plant, 0.5, 0.0, X0, CalibrationSettings(
-            trials=8, horizon=60, seed=1, safety=1.0, c_safety=1.0
-        )
+        _scalar_observer(plant), plant, 0.5, 0.0, X0,
+        CalibrationSettings(trials=8, horizon=60, seed=1, safety=1.0),
     )
     assert a != c
 
@@ -101,13 +100,10 @@ def test_calibration_is_deterministic():
 def test_tail_statistics_are_ordered():
     plant = _scalar_plant()
     gammas = {}
-    for stat in ("max", "rms", "median"):
-        settings = CalibrationSettings(
-            trials=10, horizon=80, seed=2, safety=1.0, c_safety=1.0, tail_stat=stat
-        )
+    for stat in ("max", "median"):
+        settings = CalibrationSettings(trials=10, horizon=80, seed=2, safety=1.0, tail_stat=stat)
         model = estimate_iss_gains(_scalar_observer(plant), plant, 0.5, 0.0, X0, settings)
         gammas[stat] = model.gamma1
-    assert gammas["max"] >= gammas["rms"] > 0.0
     assert gammas["max"] >= gammas["median"] > 0.0
 
 
@@ -116,7 +112,7 @@ def test_safety_factor_scales_the_gains():
     tight = estimate_iss_gains(_scalar_observer(plant), plant, 0.5, 0.0, X0, FAST)
     inflated = estimate_iss_gains(
         _scalar_observer(plant), plant, 0.5, 0.0, X0,
-        CalibrationSettings(trials=8, horizon=60, seed=0, safety=2.0, c_safety=1.0),
+        CalibrationSettings(trials=8, horizon=60, seed=0, safety=2.0),
     )
     assert inflated.gamma1 == pytest.approx(2.0 * tight.gamma1)
 
@@ -131,9 +127,13 @@ def test_model_bias_shows_up_as_nu():
 
 
 def test_settings_validation_lists_every_problem():
-    bad = CalibrationSettings(trials=0, horizon=4, safety=0.5, eps_settle=0.0, tail_stat="mode")
-    problems = bad.validate()
-    assert len(problems) == 5
+    bad = CalibrationSettings(trials=0, horizon=4, safety=0.5, tail_stat="mode")
+    assert bad.validate() == [
+        "calibration needs at least one trial, got 0",
+        "calibration horizon too short to fit a decay: 4",
+        "safety must be >= 1, got 0.5",
+        "tail_stat must be 'max' or 'median', got 'mode'",
+    ]
     plant = _scalar_plant()
     with pytest.raises(ConfigurationError):
         estimate_iss_gains(_scalar_observer(plant), plant, 0.0, 0.0, X0, bad)
@@ -168,12 +168,9 @@ def test_plant_divergence_names_the_first_step_past_the_ceiling(a, step):
 
 
 def test_zero_initial_error_degenerates_gracefully():
-    plant = _scalar_plant()
-    obs = _scalar_observer(plant)
-    settings = CalibrationSettings(
-        trials=4, horizon=30, seed=0, safety=1.0, c_safety=1.0, init_scale=0.0
-    )
-    model = estimate_iss_gains(obs, plant, 0.0, 0.0, X0, settings)
+    # every trial starts error-free and stays so: any decay model fits
+    settings = CalibrationSettings(trials=4, horizon=30, seed=0, safety=1.0)
+    model = _fit_model(np.zeros((4, 31)), 0.0, 0.0, settings)
     assert (model.lam, model.c, model.k_star) == (0.5, 1.0, 0)
 
 
@@ -183,7 +180,7 @@ def test_fit_survives_track_starting_under_its_plateau():
     ks = np.arange(41, dtype=float)
     decaying = 100.0 * 0.3**ks + 1e-12
     flat = np.full(41, 0.5)
-    settings = CalibrationSettings(trials=2, horizon=40, safety=1.0, c_safety=1.0)
+    settings = CalibrationSettings(trials=2, horizon=40, safety=1.0)
     model = _fit_model(np.array([decaying, flat]), 0.0, 0.0, settings)
     assert model.lam == pytest.approx(0.3, abs=1e-3)
     assert model.nu >= 0.5  # the flat trial dominates the residual
@@ -234,7 +231,7 @@ def test_an_observer_whose_error_overflows_fails_before_its_estimate_does():
 
 def test_calibrate_estimator_with_truth_init():
     plant, idx, bank = toy_bank()
-    settings = CalibrationSettings(trials=4, horizon=40, seed=0, safety=1.0, c_safety=1.0)
+    settings = CalibrationSettings(trials=4, horizon=40, seed=0, safety=1.0)
     x0 = InitSpec(kind="fixed", value=(1.0, -2.0))
     fused = calibrate_estimator(bank, idx, plant, 0.1, 0.0, x0, settings, truth_init=True)
     assert fused.k_star == 0  # no transient when starting at the truth
@@ -283,21 +280,24 @@ def test_calibration_draws_match_the_per_step_reference(monkeypatch):
                        h=lambda x, u: times(C, x))
     mean, std = (0.5, -0.5), (1.0, 2.0)
     x0 = InitSpec(kind="normal", mean=mean, std=std)
-    settings = CalibrationSettings(trials=2, horizon=30, seed=5, init_scale=0.8)
+    settings = CalibrationSettings(trials=2, horizon=30, seed=5)
 
-    def reference(noise_amp, dist_amp, stream):
+    def reference(noise_amp, dist_amp, stream, init_scale=1.0):
         return calibration_plant_run(plant.f, plant.h, mean, std, noise_amp, dist_amp, 30,
-                                     signal_stream(5, "calibration", stream), 0.8, n_d=1, p=3)
+                                     signal_stream(5, "calibration", stream), init_scale,
+                                     n_d=1, p=3)
 
     kinds = [(0.0, 0.0), (0.2, 0.0), (0.0, 0.3)]  # noise-free, noisy, disturbed
-    draws = calibration._draw_trials(plant, x0, 0.2, 0.3, settings, 1, kind_offset=7)
-    ((got, plant_error),) = calibration._trial_runs(plant, 2, draws)
-    assert plant_error is None
-    for block, (noise_amp, dist_amp) in enumerate(kinds):
-        for trial in range(2):
-            run = 2 * block + trial  # the runs come kind by kind, in trial order
-            for g, w in zip(got, reference(noise_amp, dist_amp, 7 + run)):
-                assert np.array_equal(g[run], w)
+    # under truth_init the initial error is still drawn, and scaled by 0
+    for truth_init, init_scale in ((False, 1.0), (True, 0.0)):
+        draws = calibration._draw_trials(plant, x0, 0.2, 0.3, settings, 1, 7, truth_init)
+        ((got, plant_error),) = calibration._trial_runs(plant, 2, draws)
+        assert plant_error is None
+        for block, (noise_amp, dist_amp) in enumerate(kinds):
+            for trial in range(2):
+                run = 2 * block + trial  # the runs come kind by kind, in trial order
+                for g, w in zip(got, reference(noise_amp, dist_amp, 7 + run, init_scale)):
+                    assert np.array_equal(g[run], w)
 
     seen, run_trials = [], calibration.run_trials
 
@@ -406,7 +406,7 @@ def test_calibrate_bundle_failures_match_the_per_observer_path():
 def test_observer_failing_before_the_plant_keeps_its_own_trial():
     # x+ = x**2 diverges in the first trial that draws |x(0)| > 1 (trial 2 at
     # seed 1); an observer already failed in trial 0 keeps that message, and
-    # the exact copy of the plant (no initial error) gets the plant's
+    # an observer that stays finite on the runs before gets the plant's
     def f(x, u, d, k):
         return x * x
 
@@ -415,10 +415,11 @@ def test_observer_failing_before_the_plant_keeps_its_own_trial():
 
     plant = PlantModel(name="square", n=1, p=1, f=f, h=h)
     x0 = InitSpec(kind="normal", mean=(0.0,), std=(1.0,))
-    settings = CalibrationSettings(trials=4, horizon=60, seed=1, init_scale=0.0)
-    exact = LuenbergerObserver(SubsetIndex("S", (1,)), f, h, np.array([[0.0]]), n=1)
+    settings = CalibrationSettings(trials=4, horizon=60, seed=1)
+    finite = LuenbergerObserver(SubsetIndex("S", (1,)), lambda x, u, d, k: 0.5 * x, h,
+                                np.array([[0.0]]), n=1)
     failing = _NaNFromTrial(SubsetIndex("J", (1,)), f, h, np.array([[0.0]]), n=1)
-    bank = ObserverBank({exact.subset: exact, failing.subset: failing})
+    bank = ObserverBank({finite.subset: finite, failing.subset: failing})
     with pytest.raises(CalibrationError) as err:
         calibrate_bundle(bank, bank_index(1, 0), plant, 0.0, 0.0, x0, settings)
     assert str(err.value) == (

@@ -20,6 +20,7 @@ from multiobserver import (
     run_scenario,
 )
 from multiobserver import config
+from multiobserver.calibration import TAIL_STATS
 from multiobserver.config import parse_config
 
 EXPECTED_BANKS = {
@@ -224,7 +225,7 @@ def test_bad_tail_stat_rejected(scenario_dir):
 def test_long_tail_stat_is_cut_like_every_echoed_value(scenario_dir):
     raw = _raw(scenario_dir, "example4")
     raw["calibration"]["tail_stat"] = "m" * 100
-    message = f"tail_stat must be 'max', 'rms', or 'median', got {'m' * 100!r:.40}"
+    message = f"tail_stat must be 'max' or 'median', got {'m' * 100!r:.40}"
     with pytest.raises(ConfigurationError) as err:
         parse_config(raw)
     assert err.value.problems == [f"calibration: {message}"]
@@ -239,7 +240,25 @@ def test_a_non_string_tail_stat_is_one_problem(scenario_dir):
         with pytest.raises(ConfigurationError) as err:
             parse_config(raw)
         assert err.value.problems == [
-            f"calibration: tail_stat must be 'max', 'rms', or 'median', got {value!r}"]
+            f"calibration: tail_stat must be 'max' or 'median', got {value!r}"]
+
+
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("calibration", "c_safety"), 1.3, "calibration.c_safety: unknown field"),
+        (("calibration", "init_scale"), 1.0, "calibration.init_scale: unknown field"),
+        (("calibration", "eps_settle"), 1e-2, "calibration.eps_settle: unknown field"),
+        (("calibration", "tail_stat"), "rms",
+         "calibration: tail_stat must be 'max' or 'median', got 'rms'"),
+        (("estimator", "init"), {"kind": "fixed", "value": [0.0, 0.0]},
+         "estimator.init.kind: unknown kind 'fixed'; known: ['truth', 'zero']"),
+    ],
+)
+def test_a_removed_setting_is_one_problem(scenario_dir, path, value, problem):
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(_mutated(_raw(scenario_dir, "example4"), path, value))
+    assert err.value.problems == [problem]
 
 
 def test_load_config_missing_file(tmp_path):
@@ -422,12 +441,11 @@ MUTANT_VALUES = ("x", None, float("nan"), -1, 1.5, [], {})
 def _augmented(scenario_dir, name):
     """A bundled config plus the optional keys that no bundled config sets."""
     raw = _raw(scenario_dir, name)
-    n = parse_config(raw).plant.n
     raw["output"] = {"dir": "runs"}
     raw["divergence_ceiling"] = 1e12
     raw["scenario"]["disturbance"] = []
     raw["scenario"]["disturbance_bound"] = 0.0
-    raw["estimator"]["init"] = {"kind": "fixed", "value": [0.0] * n}
+    raw["estimator"]["init"] = {"kind": "truth"}
     return raw
 
 
@@ -618,7 +636,7 @@ def test_unreadable_q_is_one_problem(scenario_dir, name, q, problem):
         ("example1", ("scenario", "x0", "kind"), "uniform",
          "scenario.x0.kind: unknown kind 'uniform'; known: ['fixed', 'normal']"),
         ("example1", ("estimator", "init", "kind"), "random",
-         "estimator.init.kind: unknown kind 'random'; known: ['fixed', 'truth', 'zero']"),
+         "estimator.init.kind: unknown kind 'random'; known: ['truth', 'zero']"),
     ],
 )
 def test_an_unknown_tag_is_one_problem(scenario_dir, name, path, value, problem):
@@ -713,8 +731,7 @@ def _fields(cfg):
                          None if spec.L is None else spec.L.tolist(), spec.iss, spec.practical)
              for sub, spec in cfg.specs.items()}
     plant = (cfg.plant.name, cfg.plant.n, cfg.plant.p, cfg.plant.n_d)
-    init = None if cfg.estimator_init_value is None else cfg.estimator_init_value.tolist()
-    return (cfg.name, cfg.family, plant, cfg.bank, specs, cfg.scenario, cfg.estimator_init, init,
+    return (cfg.name, cfg.family, plant, cfg.bank, specs, cfg.scenario, cfg.estimator_init,
             cfg.estimator_iss, cfg.isolation, cfg.calibration, cfg.ceiling, cfg.out_dir)
 
 
@@ -764,14 +781,36 @@ def _table_keys(node):
             yield from _table_keys(item)
 
 
-def test_readme_names_every_key_the_schema_accepts():
+def _readme_configuration() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
-    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", section))))
+    return readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _accepted_keys() -> set[str]:
     tables = [value for name, value in vars(config).items() if not name.startswith("__")]
-    keys = set(_table_keys(tables))
+    return set(_table_keys(tables))
+
+
+def test_readme_names_every_key_the_schema_accepts():
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", _readme_configuration()))))
+    keys = _accepted_keys()
     assert {"divergence_ceiling", "H", "tail_stat", "k_star", "dir"} <= keys
     assert sorted(keys - named) == []
+
+
+# the words README's schema bullets put in backticks that are neither a key nor
+# a tag value: the tags, the named dynamics, the label roles, p and a JSON literal
+_README_NON_KEYS = {"family", "kind", "params", "example1", "linear", "J", "S", "p", "true"}
+
+
+def test_readme_documents_only_what_the_schema_accepts():
+    # each bullet with its continuation lines, up to a blank line or the next bullet
+    bullets = re.findall(r"^ *- .*(?:\n(?! *- )[^\n]+)*", _readme_configuration(), re.M)
+    quoted = re.findall(r"`([^`]+)`", "\n".join(bullets))
+    named = set(re.findall(r"[A-Za-z_]\w*", " ".join(quoted)))
+    tag_values = {*config._PLANTS, *config._SIGNALS, *config._INITS, *config._ESTIMATOR_INITS,
+                  *config.CHANNEL_REGISTRY, *config.STATE_NONLINEARITY_REGISTRY, *TAIL_STATS}
+    assert sorted(named - _accepted_keys() - tag_values - _README_NON_KEYS) == []
 
 
 # --- state channels -----------------------------------------------------------

@@ -192,6 +192,16 @@ def test_calibrate_writes_a_new_bundle(scenario_dir, tmp_path):
     assert raw["estimator"]["iss"]["k_star"] == 0  # truth-initialized estimator
 
 
+def test_a_calibrated_config_records_its_trials_and_horizon(scenario_dir, tmp_path):
+    # calibrating the written file again, with no override, fits the same models
+    cfg = _cfg(scenario_dir, "example3")
+    once = load_config(calibrate(cfg, trials=2, horizon=50, out_path=tmp_path / "once.json"))
+    assert (once.calibration.trials, once.calibration.horizon) == (2, 50)
+    again = load_config(calibrate(once, out_path=tmp_path / "again.json"))
+    assert again.iss_models() == once.iss_models()
+    assert again.estimator_iss == once.estimator_iss
+
+
 def test_calibrate_lists_its_output_problems_before_fitting(scenario_dir, monkeypatch):
     # a config parsed from a dict has no path to write beside
     cfg = parse_config(json.loads((scenario_dir / "example4.json").read_text()))
