@@ -47,6 +47,7 @@ from multiobserver import (
     build_bank,
     calibrate_bundle,
     compute_thresholds,
+    load_config,
     run_seeds,
     windowed_isolation,
 )
@@ -215,8 +216,9 @@ def ex4_designs(doc: dict, styles: str, deltas_j: str, deltas_s: str):
 
 
 def probe_ex4(args) -> bool:
-    doc, iso = _load("example4")
-    window, failed = iso["window"], False
+    doc, _ = _load("example4")
+    iso = load_config(SCENARIO_DIR / "example4.json").isolation
+    window, failed = iso.window, False
     for style, dj, ds, bundle in ex4_designs(doc, args.styles, args.deltas_j, args.deltas_s):
         design = f"style={style}" if dj is None else f"style={style} dj={dj:4} ds={ds:4}"
         cfg, bank = _candidate(doc, bundle)
@@ -230,8 +232,8 @@ def probe_ex4(args) -> bool:
             print(f"{design}: {exc}")
             failed = True
             continue
-        thresholds = compute_thresholds(models, idx, scen.noise_bound, scen.disturbance_bound,
-                                        eps=iso["eps"], k_star_override=iso["k_star"])
+        thresholds = compute_thresholds(models, idx, iso.m_bar, iso.d_bar, eps=iso.eps,
+                                        k_star_override=iso.k_star)
         unattacked = replace(scen, attacked=frozenset(), attack_gens={})
         runs = _finished(run_seeds(cfg, bank, range(args.seeds)))
         pi_bar = np.array(list(thresholds.pi_bar.values()))

@@ -5,9 +5,11 @@
 #   - validate example3 with S:1 no longer marked practical (it has no certificate
 #     over sin's slope sector), example2 with its tanh_channel gain widened from
 #     -1.25 to -2 (its reduced-order J:1,2 loop fails over the slopes [-2, 0]),
-#     example4 with a uniform attack on sensor 3 whose high - low overflows and
-#     example3 with the removed setting calibration.c_safety: 1.3, and check
-#     that each exits 1 with its listed problem and no traceback;
+#     example4 with a uniform attack on sensor 3 whose high - low overflows,
+#     example3 with the removed settings calibration.c_safety: 1.3 and
+#     scenario.noise_bound: 0.1, and example4 with isolation.eps: 1e308, whose
+#     isolation thresholds overflow, and check that each exits 1 with its
+#     listed problem and no traceback;
 #   - run example4 and check that every file its metadata.json names is non-empty;
 #   - run example3 for 100 000 steps into a temp directory and check that its
 #     trajectory.csv has 100 002 lines and that no .tmp file is left;
@@ -23,7 +25,8 @@ export PYTHONWARNINGS=error
 scenarios="$(python -c "from importlib import resources; print(resources.files('multiobserver') / 'scenarios')")"
 for config in "$scenarios"/example*.json; do multiobserver validate --config "$config"; done
 # a circle and a reduced-order observer without a sector certificate, a range
-# whose width overflows and a removed setting are listed config faults (exit 1)
+# whose width overflows, two removed settings and an overflowing isolation
+# threshold are listed config faults (exit 1)
 python - "$scenarios" <<'CONFIGS'
 import json, pathlib, sys
 scenarios = pathlib.Path(sys.argv[1])
@@ -39,11 +42,19 @@ pathlib.Path("huge_uniform.json").write_text(json.dumps(raw))
 raw = json.loads((scenarios / "example3.json").read_text())
 raw["calibration"]["c_safety"] = 1.3
 pathlib.Path("removed_setting.json").write_text(json.dumps(raw))
+raw = json.loads((scenarios / "example3.json").read_text())
+raw["scenario"]["noise_bound"] = 0.1
+pathlib.Path("removed_bound.json").write_text(json.dumps(raw))
+raw = json.loads((scenarios / "example4.json").read_text())
+raw["isolation"]["eps"] = 1e308
+pathlib.Path("huge_eps.json").write_text(json.dumps(raw))
 CONFIGS
 for case in "uncertified:S:1: sector certificate failed" \
             "wide_channel:J:1,2: sector certificate failed over slopes [-2, 0]" \
             "huge_uniform:scenario.attacks[3]: uniform signal's high - low overflows" \
-            "removed_setting:calibration.c_safety: unknown field"; do
+            "removed_setting:calibration.c_safety: unknown field" \
+            "removed_bound:scenario.noise_bound: unknown field" \
+            "huge_eps:isolation: threshold for J:1,2,3 must be finite and >= 0, got inf"; do
     name="${case%%:*}"
     status=0
     multiobserver validate --config "$name.json" 2> "$name.err" || status=$?

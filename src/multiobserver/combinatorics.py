@@ -46,7 +46,9 @@ class SubsetIndex:
 
     @classmethod
     def _canonical(cls, role: str, member_tuples) -> tuple[SubsetIndex, ...]:
-        """Subsets whose role and members the caller has already checked."""
+        """Subsets whose role and members need no check: ``bank_index`` passes the
+        tuples of ``enumerate_subsets``, which ``itertools.combinations`` yields
+        strictly increasing and within 1..p."""
         new, put, out = object.__new__, object.__setattr__, []
         for members in member_tuples:
             # attributes set one by one keep the compact instance layout that
@@ -181,9 +183,5 @@ def bank_index(p: int, q: int) -> BankIndex:
         )
     j_tuples = enumerate_subsets(p, p - q)
     j_members = np.array(j_tuples, dtype=np.min_scalar_type(p))  # members are 1..p
-    # members are checked once per bank here, not once per subset: the S
-    # class is the same enumeration at another size
-    if not (j_members[:, 1:] > j_members[:, :-1]).all():
-        raise ValueError("subset members must be strictly increasing")
     return BankIndex(p, q, SubsetIndex._canonical("J", j_tuples),
                      SubsetIndex._canonical("S", enumerate_subsets(p, p - 2 * q)), j_members)

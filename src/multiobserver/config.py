@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
@@ -28,6 +28,7 @@ import numpy as np
 from .combinatorics import BankIndex, SubsetIndex, bank_index, parse_label
 from .calibration import CalibrationSettings
 from .errors import ConfigurationError
+from .isolation import compute_thresholds
 from .model import (
     DIVERGENCE_CEILING,
     AttackScenario,
@@ -78,18 +79,16 @@ class _Key:
     or null key reads as ``default``, so a key without one is required and its
     reader reports the null; a nonzero numeric default is also what a bad value
     reads as.  A callable default or bound is called with the read's context:
-    the values its caller passed and the keys read before.  A value that its
-    reader did not list but that fails ``check`` (a predicate and its message)
-    is listed and reads as None, and a ``needed`` key that reads as None ends
-    the read of its section.
+    the values its caller passed and the keys read before.  A ``needed`` key
+    that reads as None ends the read of its section.
     """
 
-    __slots__ = ("read", "default", "needed", "check", "bounds", "context")
+    __slots__ = ("read", "default", "needed", "bounds", "context")
 
-    def __init__(self, read: Callable, default=None, /, needed=False, check=None, **bounds):
+    def __init__(self, read: Callable, default=None, /, needed=False, **bounds):
         if type(default) in (int, float) and default:  # the readers' own fallback is zero
             bounds.setdefault("default", default)
-        self.read, self.default, self.needed, self.check = read, default, needed, check
+        self.read, self.default, self.needed = read, default, needed
         self.bounds = {k: b for k, b in bounds.items() if not callable(b)}
         self.context = tuple((k, b) for k, b in bounds.items() if callable(b))
 
@@ -145,15 +144,10 @@ class _Collector:
             bounds = spec.bounds.copy()
             for k, b in spec.context:
                 bounds[k] = b(ctx)
-            listed = len(self.problems)
             try:
                 got = spec.read(self, prefix + key, val, **bounds)
             except _Done as done:
                 return done.args[0]
-            # a value the reader listed is not checked again
-            if spec.check and len(self.problems) == listed and not spec.check[0](got):
-                self.add(prefix + key, spec.check[1])
-                got = None
             if spec.needed and got is None:
                 return None
             out[key] = ctx[key] = got
@@ -248,8 +242,9 @@ class _Collector:
         read = [self.integer(path, v, 1, p, default=None) for v in val]
         return frozenset(read) - {None}
 
-    def matrix(self, path: str, val, shape: tuple[int | None, int | None] = (None, None)):
-        """A 2-D matrix of finite JSON numbers; ``shape`` may fix rows and columns."""
+    def matrix(self, path: str, val, shape: tuple[int | None, int | None] = (None, None),
+               square: bool = False):
+        """A 2-D matrix of finite JSON numbers; ``shape`` or ``square`` may fix rows and columns."""
         try:
             arr = np.asarray(val)
         except ValueError:  # ragged rows
@@ -268,6 +263,9 @@ class _Collector:
                 return None
         if np.count_nonzero(np.isfinite(arr)) != arr.size:
             self.add(path, "contains non-finite entries")
+            return None
+        if square and arr.shape[0] != arr.shape[1]:
+            self.add(path, "expected a square matrix")
             return None
         return arr
 
@@ -388,7 +386,8 @@ class ObserverSpec:
 
 @dataclass(frozen=True)
 class IsolationOptions:
-    """The ``isolation`` section, with the scenario's bounds as ``m_bar`` and ``d_bar``."""
+    """The ``isolation`` section, with the scenario's bounds as ``m_bar`` and ``d_bar`` and
+    the estimator start's ``k_star``: 0 from x(0), else None for the largest fitted one."""
 
     window: int
     eps: float
@@ -411,11 +410,11 @@ class ScenarioConfig:
     estimator_iss: ISSGainModel | None
     isolation: IsolationOptions | None
     calibration: CalibrationSettings
-    ceiling: float
     out_dir: str | None
     path: Path | None
     sha256: str
     raw: dict = field(repr=False)
+    ceiling: float = DIVERGENCE_CEILING
     lin_A: np.ndarray | None = field(default=None, repr=False)
     lin_C: np.ndarray | None = field(default=None, repr=False)
 
@@ -504,8 +503,7 @@ def _nonlinearity(registry: dict) -> _Key:
 
 # A comes first: the others are shaped by its n rows.
 _LINEAR = {
-    "A": _Key(_Collector.matrix, needed=True, check=(
-        lambda A: A.shape[0] == A.shape[1], "expected a square matrix")),
+    "A": _Key(_Collector.matrix, needed=True, square=True),
     "C": _Key(_Collector.matrix, needed=True, shape=lambda c: (None, len(c["A"]))),
     "D": _Key(_Collector.matrix, _UNSET, needed=True, shape=lambda c: (len(c["A"]), None)),
 }
@@ -593,8 +591,6 @@ _SCENARIO = {
     "q": _Key(_Collector.integer, default=None),
     "horizon": _Key(_Collector.integer, default=1),
     "seed": _Key(_Collector.integer, 0),
-    "noise_bound": _Key(_Collector.number, 0.0, lo=0.0),
-    "disturbance_bound": _Key(_Collector.number, 0.0, lo=0.0),
     "attacked": _Key(_Collector.sensors, [], p=_P),
 }
 # ... and against the plant's p outputs and n states.
@@ -713,30 +709,39 @@ def _observers(col: _Collector, path: str, val, plant: dict, bank: BankIndex | N
 _ISOLATION = {
     "window": _Key(_Collector.integer, lo=1, default=1),
     "eps": _Key(_Collector.number, 0.0, lo=0.0),
-    "k_star": _Key(_Collector.integer, _UNSET, lo=0),
 }
 _isolation_section = _section(_ISOLATION)
 
 
-def _isolation(col: _Collector, path: str, val, specs: dict, scenario) -> IsolationOptions:
-    """The section's keys, and the scenario's bounds as m_bar and d_bar (zero without one)."""
-    options = IsolationOptions(**_isolation_section(col, path, val),
+def _isolation(col: _Collector, path: str, val, specs: dict, bank: BankIndex | None, scenario,
+               truth: bool) -> IsolationOptions:
+    """The section's keys, the scenario's bounds as m_bar and d_bar (zero without one), and
+    k_star 0 under a ``truth`` start: every error starts at 0, so no transient remains."""
+    options = IsolationOptions(**_isolation_section(col, path, val), k_star=0 if truth else None,
                                m_bar=getattr(scenario, "noise_bound", 0.0),
                                d_bar=getattr(scenario, "disturbance_bound", 0.0))
-    for sub, spec in specs.items():
-        if spec.iss is None:
+    models = {sub: spec.iss for sub, spec in specs.items()}
+    for sub, model in models.items():
+        if model is None:
             col.add(
                 f"observers.bundle[{sub.label}].iss",
                 "isolation needs a convergence model for every subset (run calibrate first)",
             )
+    # the thresholds' own faults, once every model reads: the others are listed above
+    if bank is not None and len(models) == len(bank.all_subsets) and all(
+            model is not None and not model.validate() for model in models.values()):
+        try:
+            compute_thresholds(models, bank, options.m_bar, options.d_bar, options.eps,
+                               options.k_star)
+        except ConfigurationError as exc:
+            for msg in exc.problems:
+                col.add(path, msg)
     return options
 
 
 _CALIBRATION = {
     "trials": _Key(_Collector.integer, 30),
     "horizon": _Key(_Collector.integer, 200),
-    # by default the scenario seed + 1, which the document passes as ``seed``
-    "seed": _Key(_Collector.integer, itemgetter("seed"), default=itemgetter("seed")),
     "safety": _Key(_Collector.number, 1.2),
     # any value: the settings' own ``validate`` lists one that is not a known statistic
     "tail_stat": _Key(lambda col, path, val: val, "max"),
@@ -761,14 +766,10 @@ _TOP = {
     "estimator": _Key(_section(_ESTIMATOR)),
     "observers": _Key(_observers, plant=itemgetter("plant"), bank=lambda c: c["scenario"]["bank"]),
     "isolation": _Key(_isolation, _UNSET, specs=itemgetter("observers"),
-                      scenario=lambda c: c["scenario"]["scenario"]),
-    "calibration": _Key(
-        _section(_CALIBRATION, CalibrationSettings),
-        seed=lambda c: getattr(c["scenario"]["scenario"], "seed", 0) + 1,
-    ),
-    "divergence_ceiling": _Key(
-        _Collector.number, DIVERGENCE_CEILING, check=(lambda v: v > 0, "must be positive")
-    ),
+                      bank=lambda c: c["scenario"]["bank"],
+                      scenario=lambda c: c["scenario"]["scenario"],
+                      truth=lambda c: c["estimator"]["init"] == "truth"),
+    "calibration": _Key(_section(_CALIBRATION, CalibrationSettings)),
     "output": _Key(_section(_OUTPUT)),
 }
 
@@ -791,8 +792,7 @@ def parse_config(raw: dict, path: Path | None = None, sha256: str = "") -> Scena
         estimator_init=estimator_init,
         estimator_iss=estimator_iss,
         isolation=doc["isolation"],
-        calibration=doc["calibration"],
-        ceiling=doc["divergence_ceiling"],
+        calibration=replace(doc["calibration"], seed=doc["scenario"]["scenario"].seed + 1),
         out_dir=doc["output"]["dir"],
         path=path,
         sha256=sha256,

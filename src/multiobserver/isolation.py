@@ -48,8 +48,8 @@ class ThresholdTable:
     k_bar_star: int
 
     def __post_init__(self):
-        problems = [f"threshold for {J.label} must be >= 0, got {v}"
-                    for J, v in self.pi_bar.items() if not v >= 0]  # NaN included
+        problems = [f"threshold for {J.label} must be finite and >= 0, got {v}"
+                    for J, v in self.pi_bar.items() if not 0 <= v < np.inf]  # NaN included
         if self.k_bar_star < 0:
             problems.append(f"settling step must be >= 0, got {self.k_bar_star}")
         if problems:
@@ -74,9 +74,10 @@ def compute_thresholds(
     and the worst contained cross-check error, each bounded after the
     transient by eps + gamma1*m_bar + gamma2*d_bar + nu.  Taking each
     gain's max over {J} and its cross-checks and doubling gives the
-    threshold 2*(eps + g1'*m_bar + g2'*d_bar + nu').  The settling step
-    is the max declared k_star over the whole bank, unless overridden
-    (e.g. to 0 when observers start at the true state).
+    threshold 2*(eps + g1'*m_bar + g2'*d_bar + nu'), which the table
+    refuses when it overflows.  The settling step is the max declared
+    k_star over the whole bank, unless overridden (0 when the observers
+    start at the true state).
     """
     subsets = bank.all_subsets
     models = [gains.get(sub) for sub in subsets]
@@ -101,12 +102,10 @@ def compute_thresholds(
     # each J's worst gain over itself and its cross-checks (positions in all_subsets)
     n_j, pos = len(bank.j_subsets), bank.cross_check_pos
     g1, g2, nu = (np.maximum(g[:n_j], g[pos].max(axis=1)) for g in (g1, g2, nu))
-    pi_bar = dict(zip(bank.j_subsets, (2.0 * (eps + g1 * m_bar + g2 * d_bar + nu)).tolist()))
-    if k_star_override is not None:
-        k_bar_star = int(k_star_override)
-    else:
-        k_bar_star = int(k_star.max())
-    return ThresholdTable(pi_bar=pi_bar, eps=eps, k_bar_star=k_bar_star)
+    with np.errstate(over="ignore"):  # the table lists each threshold that overflows
+        bars = 2.0 * (eps + g1 * m_bar + g2 * d_bar + nu)
+    k_bar_star = int(k_star.max() if k_star_override is None else k_star_override)
+    return ThresholdTable(dict(zip(bank.j_subsets, bars.tolist())), eps, k_bar_star)
 
 
 @dataclass(frozen=True)

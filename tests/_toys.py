@@ -90,7 +90,6 @@ def toy_scenario(
         attacked=frozenset(attacked),
         attack_gens={s: attack for s in attacked},
         noise_gens=(noise,) * p,
-        noise_bound=noise_bound,
         horizon=horizon,
         seed=seed,
         x0=x0,

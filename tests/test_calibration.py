@@ -484,7 +484,7 @@ def test_example2_calibrates_to_its_pinned_bytes(scenario_dir, tmp_path):
     cfg = load_config(scenario_dir / "example2.json")
     out = calibrate(cfg, out_path=tmp_path / "example2.calibrated.json")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "af471156fdeba621b2ad190181d81a77b8e531ee1ce690e104bcffa6ca933209"
+        "e012867898d9c364666810418e13bfbfda94a36bfd09fad86030519764f32f8c"
     )
 
 

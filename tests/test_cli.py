@@ -60,7 +60,7 @@ def _cli(*args):
 
 def test_malformed_values_exit_1_without_traceback(scenario_dir, tmp_path):
     raw = json.loads((scenario_dir / "example3.json").read_text())
-    raw["scenario"]["noise_bound"] = "x"
+    raw["scenario"]["horizon"] = "x"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     raw = json.loads((scenario_dir / "example1.json").read_text())
@@ -138,6 +138,21 @@ def test_an_overflowing_run_raises_no_warning(scenario_dir, tmp_path, name, path
         # a huge radius is printed in six significant digits
         assert ("  - J:1,2,4: sector certificate failed over slopes [-1, 1] "
                 "(spectral radius 1.17845e+307, margin nan;" in proc.stderr), proc.stderr
+
+
+def test_an_overflowing_threshold_exits_1_from_validate_and_run(scenario_dir, tmp_path):
+    # 2*(eps + ...) overflows for every J: listed at load, before anything runs
+    raw = json.loads((scenario_dir / "example4.json").read_text())
+    raw["isolation"]["eps"] = 1e308
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    for command in (["validate"], ["run", "--out", str(tmp_path)]):
+        proc = _cli(*command, "--config", str(bad))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert ("4 problem(s)" in proc.stderr and "  - isolation: threshold for J:1,2,3 must be "
+                "finite and >= 0, got inf" in proc.stderr), proc.stderr
+    assert not (tmp_path / "example4").exists()
 
 
 def test_validate_missing_file_exits_1(tmp_path, capsys):

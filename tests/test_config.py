@@ -16,6 +16,7 @@ from multiobserver import (
     MultiObserverError,
     bank_index,
     build_bank,
+    compute_thresholds,
     load_config,
     run_scenario,
 )
@@ -164,12 +165,11 @@ def test_a_config_whose_plant_cannot_be_built_lists_the_scenarios_own_faults(sce
     # the scenario's checks that need neither n nor p run without the plant
     raw = _raw(scenario_dir, "example2")
     raw["plant"]["family"] = "kalman"
-    raw["scenario"].update(horizon=-1, seed=-1, noise_bound=-1.0)
+    raw["scenario"].update(horizon=-1, seed=-1)
     with pytest.raises(ConfigurationError) as err:
         parse_config(raw)
     assert err.value.problems == [
         "plant.family: unknown family 'kalman'; known: ['circle', 'luenberger', 'reduced']",
-        "scenario.noise_bound: must be >= 0.0, got -1.0",
         "scenario: horizon must lie in 1..1000000, got -1",
         "scenario: seed must be >= 0, got -1",
     ]
@@ -191,6 +191,65 @@ def test_a_negative_q_and_a_malformed_attacked_are_one_problem_each(scenario_dir
         "plant.family: unknown family 'kalman'; known: ['circle', 'luenberger', 'reduced']",
         *faults,
     ]
+
+
+def test_derived_values_equal_what_the_bundled_configs_declared(scenario_dir):
+    # the values the bundled configs stated before their keys were removed ...
+    cfgs = [load_config(scenario_dir / f"{name}.json") for name in sorted(EXPECTED_BANKS)]
+    assert [cfg.scenario.noise_bound for cfg in cfgs] == [0.0, 0.0, 0.1, 0.5]
+    assert {cfg.scenario.disturbance_bound for cfg in cfgs} == {0.0}
+    assert {cfg.calibration.seed for cfg in cfgs} == {1}
+    assert {cfg.ceiling for cfg in cfgs} == {1e12}
+    assert cfgs[3].isolation.k_star == 0
+    # ... follow their sources
+    raw = _raw(scenario_dir, "example4")
+    raw["scenario"].update(seed=7, noise=[{"kind": "uniform", "low": -0.2, "high": 0.2},
+                                          {"kind": "constant", "value": -0.7},
+                                          {"kind": "zero"}, {"kind": "zero"}])
+    cfg = parse_config(raw)
+    assert (cfg.scenario.noise_bound, cfg.isolation.m_bar, cfg.calibration.seed) == (0.7, 0.7, 8)
+
+
+def test_a_truth_start_settles_at_step_0(scenario_dir):
+    # every observer starts at x(0), so e(0) = 0 and no transient term remains
+    raw = _raw(scenario_dir, "example4")
+    assert raw["estimator"]["init"] == {"kind": "truth"} and "k_star" not in raw["isolation"]
+    cfg = parse_config(raw)
+    iso, fitted = cfg.isolation, max(m.k_star for m in cfg.iss_models().values())
+    assert iso.k_star == 0 < fitted
+    table = compute_thresholds(cfg.iss_models(), cfg.bank, iso.m_bar, iso.d_bar, iso.eps,
+                               k_star_override=iso.k_star)
+    assert table.k_bar_star == 0
+    # from a zero start compute_thresholds takes the largest fitted k_star
+    raw["estimator"]["init"] = {"kind": "zero"}
+    assert parse_config(raw).isolation.k_star is None
+
+
+def _huge_eps(raw):
+    raw["isolation"]["eps"] = 1e308
+
+
+def _huge_gamma1(raw):
+    raw["scenario"]["noise"] = {"kind": "uniform", "low": -2.0, "high": 2.0}
+    raw["observers"]["bundle"]["S:1,2"]["iss"]["gamma1"] = 1e308
+
+
+@pytest.mark.parametrize(
+    "edit, labels",
+    [
+        (_huge_eps, ["J:1,2,3", "J:1,2,4", "J:1,3,4", "J:2,3,4"]),
+        # S:1,2 is a cross-check of J:1,2,3 and J:1,2,4 only
+        (_huge_gamma1, ["J:1,2,3", "J:1,2,4"]),
+    ],
+    ids=["eps", "gamma1"],
+)
+def test_an_overflowing_threshold_is_a_listed_problem(scenario_dir, edit, labels):
+    raw = _raw(scenario_dir, "example4")
+    edit(raw)
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(raw)
+    assert err.value.problems == [
+        f"isolation: threshold for {label} must be finite and >= 0, got inf" for label in labels]
 
 
 def test_the_isolation_thresholds_take_the_scenarios_bounds(scenario_dir):
@@ -253,6 +312,13 @@ def test_a_non_string_tail_stat_is_one_problem(scenario_dir):
          "calibration: tail_stat must be 'max' or 'median', got 'rms'"),
         (("estimator", "init"), {"kind": "fixed", "value": [0.0, 0.0]},
          "estimator.init.kind: unknown kind 'fixed'; known: ['truth', 'zero']"),
+        # values the loader derives: the bounds from the generators, k_star from
+        # the estimator start, the seed from the scenario's; one ceiling for all
+        (("scenario", "noise_bound"), 0.5, "scenario.noise_bound: unknown field"),
+        (("scenario", "disturbance_bound"), 0.0, "scenario.disturbance_bound: unknown field"),
+        (("isolation", "k_star"), 0, "isolation.k_star: unknown field"),
+        (("calibration", "seed"), 1, "calibration.seed: unknown field"),
+        (("divergence_ceiling",), 1e12, "divergence_ceiling: unknown section"),
     ],
 )
 def test_a_removed_setting_is_one_problem(scenario_dir, path, value, problem):
@@ -442,9 +508,7 @@ def _augmented(scenario_dir, name):
     """A bundled config plus the optional keys that no bundled config sets."""
     raw = _raw(scenario_dir, name)
     raw["output"] = {"dir": "runs"}
-    raw["divergence_ceiling"] = 1e12
     raw["scenario"]["disturbance"] = []
-    raw["scenario"]["disturbance_bound"] = 0.0
     raw["estimator"]["init"] = {"kind": "truth"}
     return raw
 
@@ -506,8 +570,8 @@ def test_every_mutated_value_loads_or_is_listed(scenario_dir, tmp_path):
 @pytest.mark.parametrize(
     "name, path, value, needle",
     [
-        ("example3", ("scenario", "noise_bound"), float("nan"), "scenario.noise_bound"),
-        ("example3", ("scenario", "noise_bound"), "0.1", "scenario.noise_bound"),
+        ("example3", ("calibration", "safety"), float("nan"), "calibration.safety"),
+        ("example3", ("calibration", "safety"), "1.2", "calibration.safety"),
         ("example3", ("calibration", "trials"), True, "calibration.trials"),
         ("example3", ("scenario", "x0", "std", 1), -1.0, "std >= 0"),
         ("example3", ("estimator", "iss", "k_star"), 1.5, "estimator.iss.k_star"),
@@ -684,21 +748,18 @@ _NORMAL = {"kind": "normal", "mean": 0, "std": 0.1}
         ({"disturbance": [_NORMAL]},
          ["scenario: disturbance 1 is unbounded (normal); disturbances must be bounded"]),
         ({"noise": {"kind": "table", "values": []}}, ["scenario.noise: table signal has no values"]),
-        ({"disturbance": [{"kind": "constant", "value": 0.5}]},
-         ["scenario: disturbance 1 can reach 0.5, above the declared bound 0.2"]),
+        ({"noise": [{"kind": "zero"}, _NORMAL, {"kind": "constant", "value": 0.5}]},
+         ["scenario: noise on sensor 2 is unbounded (normal); noise must be bounded"]),
         ({"disturbance": [{"kind": "zero"}] * 2},
          ["scenario: 2 disturbance generators for plant with 1 disturbance channels"]),
     ],
 )
 def test_noise_and_disturbances_must_be_bounded(scenario_dir, scenario, problems):
-    # example2 with one disturbance channel, bounded by 0.2, and no noise bound
-    # declared: a normal generator is refused for being unbounded, whatever bound
-    # the config declares or leaves out
+    # example2 with one disturbance channel: a normal generator is refused for
+    # being unbounded, as every bound is its generators'
     raw = _raw(scenario_dir, "example2")
     raw["plant"]["D"] = [[0.1], [0.0], [0.0], [0.0]]
-    del raw["scenario"]["noise_bound"]
-    raw["scenario"].update({"disturbance": [{"kind": "zero"}], "disturbance_bound": 0.2},
-                           **scenario)
+    raw["scenario"].update({"disturbance": [{"kind": "zero"}]}, **scenario)
     with pytest.raises(ConfigurationError) as err:
         parse_config(raw)
     assert err.value.problems == problems
@@ -712,6 +773,9 @@ _ABSENT = object()
     [
         ("example2", ("plant", "A"), "x", "plant.A: not a numeric matrix"),
         ("example2", ("plant", "A"), _ABSENT, "plant.A: not a numeric matrix"),
+        ("example2", ("plant", "A"), [[1.0, 0.0]], "plant.A: expected a square matrix"),
+        ("example2", ("plant", "A"), [[1.0, float("nan")]],
+         "plant.A: contains non-finite entries"),
     ],
 )
 def test_a_value_its_reader_lists_is_not_checked_again(scenario_dir, name, path, value, problem):
@@ -794,23 +858,63 @@ def _accepted_keys() -> set[str]:
 def test_readme_names_every_key_the_schema_accepts():
     named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", _readme_configuration()))))
     keys = _accepted_keys()
-    assert {"divergence_ceiling", "H", "tail_stat", "k_star", "dir"} <= keys
+    assert {"window", "H", "tail_stat", "k_star", "dir"} <= keys
     assert sorted(keys - named) == []
 
 
 # the words README's schema bullets put in backticks that are neither a key nor
 # a tag value: the tags, the named dynamics, the label roles, p and a JSON literal
-_README_NON_KEYS = {"family", "kind", "params", "example1", "linear", "J", "S", "p", "true"}
+_README_NON_KEYS = {"family", "kind", "name", "params", "example1", "linear", "J", "S", "p",
+                    "true"}
+
+# each top-level key's own words: the keys of the tables that read its section,
+# and the tag values they accept
+_SECTION_WORDS = {
+    "name": set(),
+    "plant": {*_table_keys([config._PLANTS, config.STATE_NONLINEARITY_REGISTRY]),
+              *config._PLANTS, *config.CHANNEL_REGISTRY, *config.STATE_NONLINEARITY_REGISTRY},
+    "scenario": {*_table_keys([config._SCENARIO, config._SCENARIO_SIGNALS, config._SIGNALS,
+                               config._INITS]), *config._SIGNALS, *config._INITS},
+    "estimator": {*_table_keys([config._ESTIMATOR, config._ISS]), *config._ESTIMATOR_INITS},
+    "observers": {*_table_keys([config._OBSERVERS, config._GAINS, config._ENTRY, config._ISS]),
+                  *config._GAINS},
+    "isolation": set(_table_keys(config._ISOLATION)),
+    "calibration": {*_table_keys(config._CALIBRATION), *TAIL_STATS},
+    "output": set(_table_keys(config._OUTPUT)),
+}
+
+
+def _quoted_words(text: str) -> list[str]:
+    """The words, dotted paths kept whole, that ``text`` puts in backticks."""
+    return [w.rstrip(".") for q in re.findall(r"`([^`]+)`", text)
+            for w in re.findall(r"[A-Za-z_][\w.]*", q)]
 
 
 def test_readme_documents_only_what_the_schema_accepts():
-    # each bullet with its continuation lines, up to a blank line or the next bullet
-    bullets = re.findall(r"^ *- .*(?:\n(?! *- )[^\n]+)*", _readme_configuration(), re.M)
+    # the schema list: one bullet per top-level key, each naming only its own
+    # section's words, and another section's as a dotted path from its key
+    section = _readme_configuration()
+    schema = re.search(r"^- `name`.*?(?=\n\n)", section, re.S | re.M).group()
+    unknown = []
+    heads = []
+    for bullet in re.split(r"\n(?=- )", schema):
+        head = _quoted_words(bullet)[0].split(".")[0]
+        heads.append(head)
+        own = _SECTION_WORDS.get(head, set()) | _README_NON_KEYS | {head}
+        for word in _quoted_words(bullet):
+            first, *rest = word.split(".")
+            ok = (first in own if not rest else first in _SECTION_WORDS
+                  and set(rest) <= _SECTION_WORDS[first] | _README_NON_KEYS)
+            if not ok:
+                unknown.append(f"{head}: {word}")
+    assert heads == list(config._TOP) and set(_SECTION_WORDS) == set(config._TOP)
+    # every other bullet, each with its continuation lines, against the whole schema
+    bullets = re.findall(r"^ *- .*(?:\n(?! *- )[^\n]+)*", section.replace(schema, ""), re.M)
     quoted = re.findall(r"`([^`]+)`", "\n".join(bullets))
     named = set(re.findall(r"[A-Za-z_]\w*", " ".join(quoted)))
-    tag_values = {*config._PLANTS, *config._SIGNALS, *config._INITS, *config._ESTIMATOR_INITS,
-                  *config.CHANNEL_REGISTRY, *config.STATE_NONLINEARITY_REGISTRY, *TAIL_STATS}
-    assert sorted(named - _accepted_keys() - tag_values - _README_NON_KEYS) == []
+    unknown += sorted(named - _accepted_keys() - set().union(*_SECTION_WORDS.values())
+                      - _README_NON_KEYS)
+    assert unknown == []
 
 
 # --- state channels -----------------------------------------------------------

@@ -272,9 +272,8 @@ def test_run_seeds_with_a_disturbance_input_and_a_low_ceiling(scenario_dir):
     raw = json.loads((scenario_dir / "example3.json").read_text())
     raw["plant"]["D"] = [[0.05], [0.1]]
     raw["scenario"]["disturbance"] = [{"kind": "uniform", "low": -0.5, "high": 0.5}]
-    raw["scenario"]["disturbance_bound"] = 0.5
-    raw["divergence_ceiling"] = 3.5
     cfg = parse_config(raw)
+    cfg.ceiling = 3.5
     assert cfg.plant.n_d == 1
     kinds = _assert_seed_runs_equal_each_seed_alone(cfg, range(20))
     assert kinds == {"EstimatorRun": 18, "SimulationDivergedError": 2}
@@ -364,7 +363,6 @@ def test_the_linear_luenberger_plant_runs_like_the_reference(scenario_dir, tmp_p
     if with_d:
         raw["plant"]["D"] = D.tolist()
         raw["scenario"]["disturbance"] = [{"kind": "uniform", "low": -0.5, "high": 0.5}]
-        raw["scenario"]["disturbance_bound"] = 0.5
 
     def f(x, u, d, k):
         return A @ x + D @ d if with_d else A @ x

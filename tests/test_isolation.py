@@ -112,6 +112,9 @@ def test_the_settling_step_is_the_exact_declared_integer(k_star):
 def test_threshold_table_rejects_negative_entries():
     with pytest.raises(ConfigurationError):
         ThresholdTable(pi_bar={J12: -0.1}, eps=0.0, k_bar_star=0)
+    with pytest.raises(ConfigurationError) as err:
+        ThresholdTable(pi_bar={J12: 0.1, J13: float("inf")}, eps=0.0, k_bar_star=0)
+    assert err.value.problems == ["threshold for J:1,3 must be finite and >= 0, got inf"]
     with pytest.raises(ConfigurationError):
         ThresholdTable(pi_bar={J12: 0.1}, eps=0.0, k_bar_star=-1)
 
@@ -127,7 +130,7 @@ def test_a_nan_gain_is_rejected_before_it_reaches_a_threshold(name):
     assert err.value.problems == [f"J:1,2: {name} must be nonnegative, got nan"]
     with pytest.raises(ConfigurationError) as err:
         ThresholdTable(pi_bar={J12: 0.1, J13: float("nan")}, eps=0.0, k_bar_star=0)
-    assert err.value.problems == ["threshold for J:1,3 must be >= 0, got nan"]
+    assert err.value.problems == ["threshold for J:1,3 must be finite and >= 0, got nan"]
 
 
 def _table(k_bar_star=2):

@@ -100,14 +100,6 @@ def test_scenario_rejects_attack_outside_support():
     assert any("not in W" in msg for msg in scen.validate(toy_plant()))
 
 
-def test_scenario_rejects_noise_above_declared_bound():
-    loud = replace(
-        toy_scenario(noise_bound=0.1),
-        noise_gens=(SignalSpec(kind="uniform", low=-1, high=1),) * 3,
-    )
-    assert any("above the declared bound" in msg for msg in loud.validate(toy_plant()))
-
-
 def test_a_bad_noise_generator_is_listed_once():
     # a generator whose own check fails is not also called unbounded or too loud
     scen = replace(toy_scenario(noise_bound=0.1),
@@ -308,9 +300,9 @@ def _parsed_plant(plant_doc):
         bundle[sub.label] = {key: np.zeros(shape).tolist() for key, shape in shapes.items()}
     return parse_config({
         "plant": plant_doc,
-        "scenario": {"q": 1, "horizon": 40, "noise": {"kind": "zero"}, "noise_bound": 0.0,
+        "scenario": {"q": 1, "horizon": 40, "noise": {"kind": "zero"},
                      "disturbance": [{"kind": "uniform", "low": -1.0, "high": 1.0}],
-                     "disturbance_bound": 1.0, "x0": {"kind": "fixed", "value": [0.0] * n}},
+                     "x0": {"kind": "fixed", "value": [0.0] * n}},
         "observers": {"bundle": bundle},
     }).plant
 
@@ -500,11 +492,10 @@ def test_simulate_draws_every_signal_kind_as_per_step_sampling():
     scen = AttackScenario(
         q=2, attacked=frozenset({1, 4}),
         attack_gens={1: SignalSpec(kind="normal", mean=1.0, std=2.0), 4: table},
-        noise_gens=noise, noise_bound=0.3, horizon=30, seed=11,
+        noise_gens=noise, horizon=30, seed=11,
         x0=InitSpec(kind="normal", mean=(0.0, 0.0), std=(1.0, 1.0)),
         disturbance_gens=(SignalSpec(kind="uniform", low=-0.05, high=0.05),
                           SignalSpec(kind="constant", value=0.02)),
-        disturbance_bound=0.05,
     )
     traj = simulate(plant, scen)
     for i in range(5):
